@@ -1,8 +1,10 @@
 """Command-line front end: parse -> elaborate -> explore -> check/export.
 
 Exit codes: 0 success (all properties hold), 1 property failure, 2 usage or
-model error, 3 resource limit.  All outputs are byte deterministic for
-identical inputs and flags.
+model error, 3 resource limit, 4 internal error (a one-line diagnostic on
+stderr, such as the canonicalisation tie budget or value iteration not
+converging).  All outputs are byte deterministic for identical inputs and
+flags.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ EXIT_OK = 0
 EXIT_PROPERTY = 1
 EXIT_USAGE = 2
 EXIT_LIMIT = 3
+EXIT_INTERNAL = 4
 
 
 def _setup_logging():
@@ -249,6 +252,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"tickgraph: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        log.debug("internal error", exc_info=True)
+        print(f"tickgraph: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -6,10 +6,14 @@ combinations of labels: probabilistic reachability with a bound, safety
 idiom ("whenever the trigger holds, every possible next state satisfies the
 target" plus the trigger being inevitable).
 
-Reachability values come from value iteration after qualitative
-precomputation: prob-0 states are removed graph-theoretically (and prob-1
-states for the minimum), so 0 and 1 answers are exact rather than
-approximate.
+Reachability is solved in two phases over the MDP's CSR arrays and their
+predecessor index, both built once per query.  First the states whose value
+is exactly 0 or 1 are found by worklist fixpoints, so 0 and 1 answers are
+exact.  Then the remaining states are split into strongly connected
+components (SCCs), solved in reverse topological order so that every
+successor outside an SCC is final: a single-state SCC in closed form, a
+cyclic SCC by Jacobi value iteration over its own states until no value
+moves by VI_TOL.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bigraph import Bigraph
-from .kernels import as_arrays, sweep
+from .kernels import Graph, as_arrays, sweep
 from .match import occurrences
 from .mdp import Mdp
 
@@ -129,112 +133,166 @@ class Verdict:
 # reachability
 
 
-def _predecessors(mdp: Mdp) -> list[list[int]]:
-    pred: list[list[int]] = [[] for _ in range(mdp.n_states)]
-    for s, cs in enumerate(mdp.choices):
-        for c in cs:
-            for t, _p in c.dist:
-                pred[t].append(s)
-    return pred
+def _avoid_set(g: Graph, target: list[bool]) -> list[bool]:
+    """States from which some scheduler avoids the target forever (Pmin = 0).
 
-
-def _backward_reach(mdp: Mdp, seeds: set[int], allowed=None) -> set[int]:
-    pred = _predecessors(mdp)
-    seen = set(seeds)
-    todo = list(seeds)
+    Greatest fixpoint from the non-target states, as a worklist: per choice
+    the count of transitions leaving the set, per state the count of choices
+    still wholly inside it.  A state with choices leaves when that count
+    drops to zero; deadlocks never leave.
+    """
+    cp, tp, tg = g.choice_ptr, g.trans_ptr, g.targets
+    avoid = [not t for t in target]
+    outside = [0] * len(g.choice_state)
+    inside = [0] * g.n
+    for c, s in enumerate(g.choice_state):
+        outside[c] = sum(1 for k in range(tp[c], tp[c + 1]) if target[tg[k]])
+        if not outside[c]:
+            inside[s] += 1
+    todo = [s for s in range(g.n) if avoid[s] and cp[s] < cp[s + 1] and not inside[s]]
+    for s in todo:
+        avoid[s] = False
     while todo:
         t = todo.pop()
-        for s in pred[t]:
-            if s not in seen and (allowed is None or allowed[s]):
-                seen.add(s)
-                todo.append(s)
-    return seen
-
-
-def _prob0_avoid_set(mdp: Mdp, target: list[bool]) -> set[int]:
-    """States from which some scheduler avoids the target forever (Pmin = 0)."""
-    avoid = {s for s in range(mdp.n_states) if not target[s]}
-    changed = True
-    while changed:
-        changed = False
-        for s in list(avoid):
-            cs = mdp.choices[s]
-            if not cs:
-                continue  # deadlock: absorbing, avoids forever
-            if not any(all(t in avoid for t, _p in c.dist) for c in cs):
-                avoid.discard(s)
-                changed = True
+        for j in range(g.pred_ptr[t], g.pred_ptr[t + 1]):
+            c = g.pred_choice[j]
+            outside[c] += 1
+            if outside[c] == 1:
+                s = g.choice_state[c]
+                inside[s] -= 1
+                if not inside[s] and avoid[s]:
+                    avoid[s] = False
+                    todo.append(s)
     return avoid
 
 
-def _prob1_sure_set(mdp: Mdp, target: list[bool]) -> set[int]:
+def _sure_set(g: Graph, target: list[bool], reach: list[bool]) -> list[bool]:
     """States where the best scheduler reaches the target with probability one.
 
-    Greatest fixpoint over candidate sets X of the least fixpoint growing from
-    the target through choices that stay inside X and touch the grown set.
+    The nested fixpoint (greatest over candidate sets X of the least set grown
+    from the target through choices that stay inside X and touch the grown
+    set), run SCC by SCC in reverse topological order over the non-target
+    states that can reach the target.  Targets are absorbing, and every
+    successor outside the SCC is already known to be in the set or not, so
+    a chain costs O(states + transitions).
     """
-    n = mdp.n_states
-    tset = {s for s in range(n) if target[s]}
-    X = set(range(n))
-    while True:
-        Y = set(tset)
-        changed = True
-        while changed:
-            changed = False
-            for s in range(n):
-                if s in Y:
-                    continue
-                for c in mdp.choices[s]:
-                    supp = {t for t, _p in c.dist}
-                    if supp <= X and supp & Y:
-                        Y.add(s)
-                        changed = True
-                        break
-        if Y == X:
-            return X
-        X = Y
+    cp, tp, tg = g.choice_ptr, g.trans_ptr, g.targets
+    one = list(target)
+    in_x = [False] * g.n
+    in_y = [False] * g.n
+    enabled = [False] * len(g.choice_state)
+    for comp in g.sccs([r and not t for r, t in zip(reach, target)]):
+        x = comp
+        while x:
+            for s in x:
+                in_x[s] = True
+            grown, opened = [], []
+            for s in x:
+                for c in range(cp[s], cp[s + 1]):
+                    succ = tg[tp[c] : tp[c + 1]]
+                    if all(in_x[t] or one[t] for t in succ):
+                        enabled[c] = True
+                        opened.append(c)
+                        if not in_y[s] and any(one[t] for t in succ):
+                            in_y[s] = True
+                            grown.append(s)
+            i = 0
+            while i < len(grown):
+                t = grown[i]
+                i += 1
+                for j in range(g.pred_ptr[t], g.pred_ptr[t + 1]):
+                    s = g.pred_state[j]
+                    if enabled[g.pred_choice[j]] and not in_y[s]:
+                        in_y[s] = True
+                        grown.append(s)
+            for c in opened:
+                enabled[c] = False
+            for s in x:
+                in_x[s] = in_y[s] = False
+            if len(grown) == len(x):
+                for s in x:
+                    one[s] = True
+                break
+            x = grown
+    return one
+
+
+def zero_one(g: Graph, target: list[bool], mode: str) -> tuple[list[bool], list[bool]]:
+    """Per state: is the Pmin or Pmax of reaching the target exactly 0, exactly 1?"""
+    if mode == "max":
+        reach = g.backward(target)
+        return [not r for r in reach], _sure_set(g, target, reach)
+    zero = _avoid_set(g, target)
+    escape = g.backward(zero, through=[not t for t in target])
+    return zero, [not e for e in escape]
+
+
+def _closed_form(g: Graph, vals: list[float], s: int, minimize: bool) -> float:
+    """Exact value of a single-state SCC whose successors are all solved:
+    the best over choices of (sum of p * v[t] over t != s) / (1 - p_loop)."""
+    tp, tg, pr = g.trans_ptr, g.targets, g.probs
+    best = None
+    for c in range(g.choice_ptr[s], g.choice_ptr[s + 1]):
+        loop = rest = 0.0
+        for k in range(tp[c], tp[c + 1]):
+            if tg[k] == s:
+                loop += pr[k]
+            else:
+                rest += pr[k] * vals[tg[k]]
+        v = rest / (1.0 - loop) if loop < 1.0 else 0.0
+        if best is None or (v < best if minimize else v > best):
+            best = v
+    return best
+
+
+def _iterate(g: Graph, values: np.ndarray, comp: list[int], minimize: bool) -> None:
+    """Jacobi value iteration over one cyclic SCC whose successors outside it
+    are all solved.  Choices without transitions are left out: they are worth
+    0, so they never decide a maximum, and under the minimum a state with one
+    has Pmin = 0 and is decided before this phase."""
+    cp, tp = g.choice_ptr, g.trans_ptr
+    choice_starts, trans_starts, trans = [], [], []
+    for s in comp:
+        choice_starts.append(len(trans_starts))
+        for c in range(cp[s], cp[s + 1]):
+            if tp[c] < tp[c + 1]:
+                trans_starts.append(len(trans))
+                trans.extend(range(tp[c], tp[c + 1]))
+    args = (
+        np.asarray(comp, dtype=np.int64),
+        minimize,
+        np.asarray(choice_starts, dtype=np.int64),
+        np.asarray(trans_starts, dtype=np.int64),
+        g.target_array[trans],
+        g.prob_array[trans],
+    )
+    for _ in range(VI_MAX_SWEEPS):
+        if sweep(values, *args) < VI_TOL:
+            return
+    raise RuntimeError(
+        f"value iteration did not converge within {VI_MAX_SWEEPS} sweeps "
+        f"on an SCC of {len(comp)} states (lowest state {comp[0]})"
+    )
 
 
 def reach_vector(mdp: Mdp, target: list[bool], mode: str) -> np.ndarray:
     """Per-state probability of eventually reaching the target set."""
     if mode not in ("min", "max"):
         raise ValueError("mode must be min or max")
-    n = mdp.n_states
-    values = np.zeros(n, dtype=np.float64)
-    fixed = np.zeros(n, dtype=np.bool_)
-    tset = {s for s in range(n) if target[s]}
-    for s in tset:
-        values[s] = 1.0
-        fixed[s] = True
-
-    if mode == "max":
-        can_reach = _backward_reach(mdp, tset)
-        for s in range(n):
-            if s not in can_reach:
-                fixed[s] = True  # exact 0
-        for s in _prob1_sure_set(mdp, target):
-            values[s] = 1.0
-            fixed[s] = True  # exact 1
-    else:
-        avoid = _prob0_avoid_set(mdp, target)
-        for s in avoid:
-            fixed[s] = True  # exact 0
-        escape = _backward_reach(mdp, avoid, allowed=[not target[s] for s in range(n)])
-        for s in range(n):
-            if s not in escape and not target[s]:
-                values[s] = 1.0  # Pmin = 1, exact
-                fixed[s] = True
-
-    choice_ptr, trans_ptr, targets, probs = as_arrays(
-        [[(c.action, c.dist) for c in cs] for cs in mdp.choices]
-    )
+    g = Graph(*as_arrays([[(c.action, c.dist) for c in cs] for cs in mdp.choices]))
+    zero, one = zero_one(g, target, mode)
     minimize = mode == "min"
-    for _ in range(VI_MAX_SWEEPS):
-        delta = sweep(values, fixed, minimize, choice_ptr, trans_ptr, targets, probs)
-        if delta < VI_TOL:
-            break
-    else:
-        raise RuntimeError(f"value iteration did not converge within {VI_MAX_SWEEPS} sweeps")
+    # vals mirrors values for the scalar reads of the closed form
+    vals = [1.0 if o else 0.0 for o in one]
+    values = np.asarray(vals, dtype=np.float64)
+    for comp in g.sccs([not (z or o) for z, o in zip(zero, one)]):
+        if len(comp) == 1:
+            s = comp[0]
+            vals[s] = values[s] = _closed_form(g, vals, s, minimize)
+        else:
+            _iterate(g, values, comp, minimize)
+            for s, v in zip(comp, values[comp].tolist()):
+                vals[s] = v
     return values
 
 

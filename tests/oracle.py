@@ -5,7 +5,9 @@ enumerates every injective control-preserving entity map and filters it
 against the occurrence conditions written out directly; the iso oracle
 enumerates entity bijections; the exploration oracle walks the state space
 depth-first and deduplicates states by fingerprint buckets plus brute-force
-isomorphism, never touching canonical forms.
+isomorphism, never touching canonical forms.  The reachability references
+compute the 0/1 sets by plain nested fixpoints and values by Gauss-Seidel
+value iteration in state order.
 """
 
 from __future__ import annotations
@@ -314,3 +316,104 @@ def oracle_explore(model, max_states=50000) -> OracleMdp:
                     entries.append((idx, oc.weight / total))
             out.choices[s].append((action, entries))
     return out
+
+
+# ---------------------------------------------------------------------------
+# reachability on explicit MDPs: choices[s] = [(action, [(t, p), ...]), ...]
+#
+# The checker's former solver, kept as the reference: 0/1 sets by nested
+# fixpoints rescanning every state, then Gauss-Seidel sweeps in state order.
+
+
+def _predecessors(choices) -> list[list[int]]:
+    pred: list[list[int]] = [[] for _ in choices]
+    for s, cs in enumerate(choices):
+        for _a, dist in cs:
+            for t, _p in dist:
+                pred[t].append(s)
+    return pred
+
+
+def backward_reach(choices, seeds: set[int], allowed=None) -> set[int]:
+    pred = _predecessors(choices)
+    seen = set(seeds)
+    todo = list(seeds)
+    while todo:
+        t = todo.pop()
+        for s in pred[t]:
+            if s not in seen and (allowed is None or allowed[s]):
+                seen.add(s)
+                todo.append(s)
+    return seen
+
+
+def prob0_avoid_set(choices, target: list[bool]) -> set[int]:
+    """States from which some scheduler avoids the target forever (Pmin = 0)."""
+    avoid = {s for s in range(len(choices)) if not target[s]}
+    changed = True
+    while changed:
+        changed = False
+        for s in list(avoid):
+            cs = choices[s]
+            if not cs:
+                continue  # deadlock: absorbing, avoids forever
+            if not any(all(t in avoid for t, _p in d) for _a, d in cs):
+                avoid.discard(s)
+                changed = True
+    return avoid
+
+
+def prob1_sure_set(choices, target: list[bool]) -> set[int]:
+    """States where the best scheduler reaches the target with probability one.
+
+    Greatest fixpoint over candidate sets X of the least fixpoint growing from
+    the target through choices that stay inside X and touch the grown set.
+    """
+    n = len(choices)
+    tset = {s for s in range(n) if target[s]}
+    X = set(range(n))
+    while True:
+        Y = set(tset)
+        changed = True
+        while changed:
+            changed = False
+            for s in range(n):
+                if s in Y:
+                    continue
+                for _a, d in choices[s]:
+                    supp = {t for t, _p in d}
+                    if supp <= X and supp & Y:
+                        Y.add(s)
+                        changed = True
+                        break
+        if Y == X:
+            return X
+        X = Y
+
+
+def zero_one_sets(choices, target: list[bool], mode: str) -> tuple[set[int], set[int]]:
+    """States whose Pmin or Pmax of reaching the target is exactly 0 and 1."""
+    n = len(choices)
+    tset = {s for s in range(n) if target[s]}
+    if mode == "max":
+        return set(range(n)) - backward_reach(choices, tset), prob1_sure_set(choices, target)
+    avoid = prob0_avoid_set(choices, target)
+    escape = backward_reach(choices, avoid, allowed=[not t for t in target])
+    return avoid, set(range(n)) - escape
+
+
+def gauss_seidel(choices, target: list[bool], mode: str, tol: float = 1e-13) -> list[float]:
+    """Reachability values: the 0/1 sets, then in-place sweeps in state order
+    until no value moves by `tol`; deadlocks are absorbing."""
+    zero, one = zero_one_sets(choices, target, mode)
+    values = [1.0 if s in one else 0.0 for s in range(len(choices))]
+    free = [s for s in range(len(choices)) if s not in zero and s not in one]
+    pick = min if mode == "min" else max
+    delta = 1.0
+    while delta >= tol:
+        delta = 0.0
+        for s in free:
+            best = pick(sum(p * values[t] for t, p in d) for _a, d in choices[s])
+            delta = max(delta, abs(best - values[s]))
+            values[s] = best
+    return values

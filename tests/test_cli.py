@@ -194,3 +194,57 @@ def test_cache_reuse(tmp_path):
     digest = json.loads(r1.stdout)["cache_digest"]
     r2 = run("build", MODELS / "pta.big", "--out", tmp_path, "--json")
     assert json.loads(r2.stdout)["cache_digest"] == digest
+
+
+def test_internal_error_exit_code(tmp_path):
+    # eight interchangeable tokens exceed the canonicalisation tie budget
+    model = tmp_path / "tokens.big"
+    model.write_text(
+        "atomic ctrl Tok = 0;\nctrl Bag = 0;\nctrl Out = 0;\natomic ctrl Floor = 0;\n"
+        "react move = Bag.(Tok | id) || Out.id -[1]-> Bag.id || Out.(Tok | id);\n"
+        f"big start = Bag.({' | '.join(['Tok'] * 8)}) || Out.Floor;\n"
+        "begin abrs\n  init start;\n  rules = [ {move} ];\n  actions = [ move = {move} ];\nend\n"
+    )
+    r = run("build", model, "--out", tmp_path)
+    assert r.returncode == 4
+    assert r.stderr == "tickgraph: internal error: RuntimeError: canonicalisation tie budget exceeded\n"
+
+
+LOOP_MODEL = """atomic ctrl Tok = 0;
+atomic ctrl Nil = 0;
+ctrl P = 0;
+ctrl Q = 0;
+ctrl G = 0;
+ctrl F = 0;
+react pq = P.(Tok | id) || Q.id -[2]-> P.id || Q.(Tok | id);
+react pg = P.(Tok | id) || G.id -[1]-> P.id || G.(Tok | id);
+react pf = P.(Tok | id) || F.id -[1]-> P.id || F.(Tok | id);
+react qp = Q.(Tok | id) || P.id -[1]-> Q.id || P.(Tok | id);
+big start = P.(Tok | Nil) || Q.Nil || G.Nil || F.Nil;
+big at_goal = G.(Tok | id);
+begin abrs
+  init start;
+  rules = [ {pq, pg, pf, qp} ];
+  actions = [ step = {pq, pg, pf, qp} ];
+  preds = { at_goal };
+end
+"""
+
+
+def test_solver_non_convergence_exit_code(tmp_path, monkeypatch, capsys):
+    # the token moves P -> Q -> P until it lands in G or F: states 0 and 1
+    # form a cyclic SCC that value iteration must sweep
+    from tickgraph import cli, verify
+
+    model = tmp_path / "loop.big"
+    model.write_text(LOOP_MODEL)
+    props = tmp_path / "loop.props"
+    props.write_text('P >= 0.4 [ F "at_goal" ]\n')
+    assert cli.main(["check", str(model), "--props", str(props), "--out", str(tmp_path)]) == 0
+    monkeypatch.setattr(verify, "VI_MAX_SWEEPS", 1)
+    code = cli.main(["check", str(model), "--props", str(props), "--out", str(tmp_path)])
+    assert code == cli.EXIT_INTERNAL == 4
+    assert capsys.readouterr().err == (
+        "tickgraph: internal error: RuntimeError: value iteration did not converge "
+        "within 1 sweeps on an SCC of 2 states (lowest state 0)\n"
+    )
