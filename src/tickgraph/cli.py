@@ -66,10 +66,11 @@ def _obtain_mdp(args, model):
     key = _model_key(args.model, fix)
     cache = _cache_path(args)
     mdp = load_mdp(cache, model.controls, key)
-    if mdp is not None:
+    # over the budget, exploring again fails exactly as the first build did
+    if mdp is not None and mdp.n_states <= args.max_states:
         log.info("reusing cache %s", cache)
         return mdp, cache
-    mdp = explore(model, ExploreLimits(max_states=args.max_states), jobs=args.jobs)
+    mdp = explore(model, ExploreLimits(max_states=args.max_states))
     if fix:
         add_stall_loops(mdp)
     os.makedirs(args.out, exist_ok=True)
@@ -237,7 +238,6 @@ def main(argv=None) -> int:
         p.add_argument("--seed", type=int, default=0, help="simulation seed")
         p.add_argument("--steps", type=int, default=20, help="simulation length")
         p.add_argument("--out", default=".", help="output/cache directory")
-        p.add_argument("--jobs", type=int, default=1, help="worker threads for exploration")
         p.add_argument("--json", action="store_true", help="machine-readable output")
         p.set_defaults(fn=fn)
     args = parser.parse_args(argv)

@@ -4,8 +4,8 @@ Rule families are closed over the integer sets named at their use sites in
 the `rules` list, priority classes keep their listed order (first class is
 highest), actions must partition the rule base names, and predicate
 families expand into one named pattern per valuation (`base_v1_v2...`).
-Large parameter products stay symbolic and are matched lazily; small ones
-pre-expand.  Every diagnostic carries a source position.
+Rule families stay symbolic: each entry matches its redex with bindings
+restricted to its domains.  Every diagnostic carries a source position.
 """
 
 from __future__ import annotations
@@ -16,8 +16,6 @@ from . import lang
 from .bigraph import Bigraph, Control, close, ion, merge_all, nest, parallel_all, site
 from .params import Arith, Term, Var
 from .rules import Model, RuleEntry, RuleFamily
-
-EAGER_LIMIT = 512  # expanded-instance budget per rules-list entry
 
 
 class ElabError(Exception):
@@ -43,7 +41,7 @@ class _Elaborator:
         self.reacts = {}
         self.families: dict[str, RuleFamily] = {}
 
-    def run(self, eager_limit: int = EAGER_LIMIT, name: str = "model") -> Model:
+    def run(self, name: str = "model") -> Model:
         for c in self.ast.controls:
             if c.name in self.controls:
                 raise ElabError(f"control {c.name} declared twice", c.pos)
@@ -91,7 +89,7 @@ class _Elaborator:
         for cls in abrs.classes:
             entries: list[RuleEntry] = []
             for ref in cls:
-                entries.append(self.rule_entry(ref, ints, eager_limit))
+                entries.append(self.rule_entry(ref, ints))
                 used_reacts.add(ref.name)
             classes.append(entries)
         for rname, decl in self.reacts.items():
@@ -157,7 +155,7 @@ class _Elaborator:
         self.families[name] = fam
         return fam
 
-    def rule_entry(self, ref, ints, eager_limit: int) -> RuleEntry:
+    def rule_entry(self, ref, ints) -> RuleEntry:
         if ref.name not in self.reacts:
             raise ElabError(f"undefined rule {ref.name!r}", ref.pos)
         fam = self.family(ref.name)
@@ -167,7 +165,6 @@ class _Elaborator:
                 ref.pos,
             )
         domains = []
-        size = 1
         for arg in ref.args:
             if isinstance(arg, int):
                 domains.append((arg,))
@@ -175,8 +172,7 @@ class _Elaborator:
                 if arg not in ints:
                     raise ElabError(f"undefined int set {arg!r} in rule reference", ref.pos)
                 domains.append(ints[arg])
-            size *= len(domains[-1])
-        return RuleEntry(fam, tuple(domains), eager=size <= eager_limit)
+        return RuleEntry(fam, tuple(domains))
 
     def pred_instances(self, ref, ints):
         if ref.name not in self.bigs:
@@ -282,16 +278,16 @@ class _Elaborator:
             raise ElabError(str(exc), e.pos) from exc
 
 
-def elaborate(ast, eager_limit: int = EAGER_LIMIT, name: str = "model") -> Model:
+def elaborate(ast, name: str = "model") -> Model:
     """Turn an AST into a Model; raises ElabError with a source position."""
-    return _Elaborator(ast).run(eager_limit=eager_limit, name=name)
+    return _Elaborator(ast).run(name=name)
 
 
-def load_model(path, eager_limit: int = EAGER_LIMIT) -> Model:
+def load_model(path) -> Model:
     import os
 
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     ast = lang.parse(text)
     name = os.path.splitext(os.path.basename(path))[0]
-    return elaborate(ast, eager_limit=eager_limit, name=name)
+    return elaborate(ast, name=name)

@@ -11,8 +11,8 @@ lets the CLI reuse a built MDP across commands.
 from __future__ import annotations
 
 import hashlib
+import os
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .bigraph import Bigraph, Control
@@ -71,23 +71,11 @@ class Mdp:
         return [s for s, cs in enumerate(self.choices) if not cs]
 
 
-def _expand_state(agent: Bigraph, model: Model):
-    """Successor structure of one state: (action, [(canon, rep, prob)], rules)."""
-    out = []
-    for action, outcomes in enabled_outcomes(agent, model).items():
-        dist = action_distribution(agent, outcomes)
-        entries = [(canonical_form(succ), succ, prob) for succ, prob, _names in dist]
-        rules = tuple(n for _succ, _p, names in dist for n in names)
-        out.append((action, entries, tuple(dict.fromkeys(rules))))
-    return out
-
-
-def explore(model: Model, limits: ExploreLimits = ExploreLimits(), jobs: int = 1) -> Mdp:
+def explore(model: Model, limits: ExploreLimits = ExploreLimits()) -> Mdp:
     """Breadth-first closure from the initial bigraph.
 
-    Level-synchronous: the frontier is expanded a level at a time (optionally
-    with a thread pool), results are folded back in frontier order, so state
-    numbering does not depend on `jobs`.
+    States are numbered in discovery order: level by level, and within a
+    level by frontier order, then action order, then successor order.
     """
     init = model.init
     if not init.is_ground():
@@ -100,18 +88,14 @@ def explore(model: Model, limits: ExploreLimits = ExploreLimits(), jobs: int = 1
     while frontier:
         if limits.max_depth is not None and depth >= limits.max_depth:
             break
-        if jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                expansions = list(
-                    pool.map(lambda s: _expand_state(states[s], model), frontier)
-                )
-        else:
-            expansions = [_expand_state(states[s], model) for s in frontier]
         next_frontier: list[int] = []
-        for s, expansion in zip(frontier, expansions):
-            for action, entries, rules in expansion:
+        for s in frontier:
+            agent = states[s]
+            for action, outcomes in enabled_outcomes(agent, model).items():
                 dist: list[tuple[int, float]] = []
-                for key, rep, prob in entries:
+                rules: list[str] = []
+                for succ, prob, names in action_distribution(agent, outcomes):
+                    key = canonical_form(succ)
                     t = index.get(key)
                     if t is None:
                         t = len(states)
@@ -121,21 +105,21 @@ def explore(model: Model, limits: ExploreLimits = ExploreLimits(), jobs: int = 1
                                 frontier=len(frontier) + len(next_frontier),
                             )
                         index[key] = t
-                        states.append(rep)
+                        states.append(succ)
                         choices.append([])
                         next_frontier.append(t)
                     dist.append((t, prob))
-                choices[s].append(Choice(action, dist, rules))
+                    rules.extend(names)
+                choices[s].append(Choice(action, dist, tuple(dict.fromkeys(rules))))
         frontier = next_frontier
         depth += 1
-    mdp = Mdp(
+    return Mdp(
         states=states,
-        canon=[canonical_form(g) for g in states],
+        canon=list(index),
         choices=choices,
         actions=list(model.action_order),
         labels=[set() for _ in states],
     )
-    return mdp
 
 
 def add_stall_loops(mdp: Mdp) -> int:
@@ -238,9 +222,15 @@ def save_mdp(path, mdp: Mdp, model_hash: str) -> None:
                 body.append(struct.pack("<Id", t, p))
             body.append(rules)
         frame(b"".join(body))
-    blob = b"".join(chunks)
-    with open(path, "wb") as fh:
-        fh.write(blob)
+    # a reader sees the old file or the new one, never a partial write
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(b"".join(chunks))
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 def load_mdp(path, controls: dict[str, Control], model_hash: str) -> Mdp | None:
@@ -258,6 +248,8 @@ def load_mdp(path, controls: dict[str, Control], model_hash: str) -> Mdp | None:
         nonlocal pos
         (n,) = struct.unpack_from("<I", blob, pos)
         pos += 4
+        if pos + n > len(blob):
+            raise ValueError("frame runs past the end of the cache")
         data = blob[pos : pos + n]
         pos += n
         return data
@@ -287,8 +279,12 @@ def load_mdp(path, controls: dict[str, Control], model_hash: str) -> Mdp | None:
                 rules = body[bpos : bpos + nr].decode()
                 bpos += nr
                 cs.append(Choice(actions[ai], dist, tuple(rules.split("\x00")) if rules else ()))
+            if bpos != len(body):
+                return None
             choices.append(cs)
     except (struct.error, ValueError, IndexError):
+        return None
+    if pos != len(blob):
         return None
     return Mdp(states, canon, choices, actions, labels=[set() for _ in range(n_states)])
 

@@ -2,11 +2,10 @@
 
 A :class:`RuleFamily` is a parameterised rule template whose redex carries
 parameter variables; instantiating a valuation gives a concrete
-:class:`ReactionRule`.  Family entries in a model either pre-expand over
-their domains (eager) or match the symbolic redex directly against a state,
-binding parameters from the matched entities (lazy); both give the same
-observable behaviour, the lazy path just avoids materialising huge
-parameter products.
+:class:`ReactionRule`.  A model's rule entries never expand their
+valuations: each matches the symbolic redex once per state, parameters
+bind from the matched entities (restricted to the entry's domains), and
+parameters that occur only in the reactum range over their whole domain.
 
 Priority classes are global and ordered: a rule may fire only when no rule
 of any earlier class has a condition-satisfying match.  Weights turn the
@@ -16,7 +15,7 @@ matches of one action in one state into a probability distribution.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .bigraph import Bigraph, Control, Link, Ref
 from .canon import canonical_form
@@ -254,8 +253,9 @@ class RuleEntry:
 
     family: RuleFamily
     domains: tuple[tuple[int, ...], ...]  # aligned with family.formal
-    eager: bool = True
-    _expanded: list[ReactionRule] | None = field(default=None, repr=False)
+    _match_domains: dict[str, frozenset[int]] = field(init=False, repr=False)
+    _free: tuple[str, ...] = field(init=False, repr=False)
+    _free_values: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         if len(self.domains) != len(self.family.formal):
@@ -266,6 +266,12 @@ class RuleEntry:
         for v, dom in zip(self.family.formal, self.domains):
             if not dom:
                 raise ValueError(f"rule {self.family.base}: empty domain for {v!r}")
+        in_redex = {p.name for _ctrl, p in self.family.redex.nodes if isinstance(p, Var)}
+        pairs = list(zip(self.family.formal, self.domains))
+        self._match_domains = {v: frozenset(dom) for v, dom in pairs}
+        # a match cannot bind these: each match yields one outcome per value
+        self._free = tuple(v for v, _dom in pairs if v not in in_redex)
+        self._free_values = tuple(tuple(dict.fromkeys(d)) for v, d in pairs if v not in in_redex)
 
     @property
     def size(self) -> int:
@@ -290,30 +296,14 @@ class RuleEntry:
         )
 
     def outcomes(self, agent: Bigraph) -> list["Outcome"]:
+        fam = self.family
         out: list[Outcome] = []
-        if self.eager:
-            if self._expanded is None:
-                self._expanded = expand(
-                    self.family, dict(zip(self.family.formal, self.domains))
-                )
-            for rule in self._expanded:
-                for m in occurrences(agent, rule.redex):
-                    if _condition_holds(agent, rule.condition, m):
-                        out.append(Outcome(rule.name, rule, m, rule.weight))
-        else:
-            domains = {v: set(dom) for v, dom in zip(self.family.formal, self.domains)}
-            for m in occurrences(agent, self.family.redex, domains=domains):
-                env = m.binding_env()
-                if set(env) != set(self.family.formal):
-                    # a formal parameter not pinned by the redex cannot be bound lazily
-                    raise ValueError(
-                        f"rule {self.family.base}: parameter(s) "
-                        f"{sorted(set(self.family.formal) - set(env))} do not occur in the redex"
-                    )
-                if _condition_holds(agent, self.family.condition, m):
-                    out.append(
-                        Outcome(self.family.instance_name(env), self.family, m, self.family.weight)
-                    )
+        for m in occurrences(agent, fam.redex, domains=self._match_domains):
+            if not _condition_holds(agent, fam.condition, m):
+                continue
+            for values in itertools.product(*self._free_values):
+                full = replace(m, binding=tuple(sorted(m.binding + tuple(zip(self._free, values)))))
+                out.append(Outcome(fam.instance_name(full.binding_env()), fam, full, fam.weight))
         return out
 
 

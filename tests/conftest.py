@@ -56,9 +56,9 @@ def pta_families():
     }
 
 
-def build_pta_model(eager=True) -> Model:
+def build_pta_model() -> Model:
     fam = pta_families()
-    entry = lambda name, *doms: RuleEntry(fam[name], tuple(tuple(d) for d in doms), eager=eager)
+    entry = lambda name, *doms: RuleEntry(fam[name], tuple(tuple(d) for d in doms))
     classes = [
         [
             entry("done_done"),

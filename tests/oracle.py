@@ -319,6 +319,37 @@ def oracle_explore(model, max_states=50000) -> OracleMdp:
 
 
 # ---------------------------------------------------------------------------
+# rule outcomes by expansion: every valuation becomes a concrete rule that is
+# matched on its own, an independent route to what one symbolic match per
+# rule entry computes
+
+
+def expanded_outcomes(agent: Bigraph, model) -> dict[str, list[tuple[str, bytes, float]]]:
+    """Per enabled action, (instance name, successor canonical form, weight)
+    for each match of each concrete instance, sorted."""
+    from tickgraph.canon import canonical_form
+    from tickgraph.match import occurrences
+    from tickgraph.rules import apply, expand
+
+    for cls in model.classes:
+        found: dict[str, list[tuple[str, bytes, float]]] = {}
+        for entry in cls:
+            domains = dict(zip(entry.family.formal, entry.domains))
+            for rule in expand(entry.family, domains):
+                for m in occurrences(agent, rule.redex):
+                    if rule.condition is not None and occurrences(
+                        agent, rule.condition, excluded=m.image
+                    ):
+                        continue
+                    succ = canonical_form(apply(agent, rule, m))
+                    action = model.action_of[entry.family.base]
+                    found.setdefault(action, []).append((rule.name, succ, rule.weight))
+        if found:
+            return {a: sorted(found[a]) for a in model.action_order if a in found}
+    return {}
+
+
+# ---------------------------------------------------------------------------
 # reachability on explicit MDPs: choices[s] = [(action, [(t, p), ...]), ...]
 #
 # The checker's former solver, kept as the reference: 0/1 sets by nested

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import pathlib
 import subprocess
@@ -71,6 +72,10 @@ def test_build_budget_exceeded(tmp_path):
     r = run("build", MODELS / "pta.big", "--max-states", "3", "--out", tmp_path)
     assert r.returncode == 3
     assert "budget" in r.stderr
+    # a cached MDP over the budget fails the same way
+    assert run("build", MODELS / "pta.big", "--out", tmp_path).returncode == 0
+    again = run("build", MODELS / "pta.big", "--max-states", "3", "--out", tmp_path)
+    assert (again.returncode, again.stderr) == (3, r.stderr)
 
 
 def test_build_trivial_deadlock(tmp_path):
@@ -167,18 +172,73 @@ def test_simulate_deadlock_note(tmp_path):
     assert r.stdout.strip() == "deadlock at step 0"
 
 
-def test_jobs_determinism(tmp_path):
-    out1, out8 = tmp_path / "j1", tmp_path / "j8"
-    r1 = run("build", MODELS / "pta.big", "--jobs", "1", "--out", out1, "--json")
-    r8 = run("build", MODELS / "pta.big", "--jobs", "8", "--out", out8, "--json")
-    assert r1.returncode == 0 and r8.returncode == 0
-    d1, d8 = json.loads(r1.stdout), json.loads(r8.stdout)
-    assert d1["cache_digest"] == d8["cache_digest"]
-    e1 = run("export", MODELS / "pta.big", "--jobs", "1", "--out", out1)
-    e8 = run("export", MODELS / "pta.big", "--jobs", "8", "--out", out8)
-    assert e1.returncode == 0 and e8.returncode == 0
-    for ext in (".tra", ".lab", ".sta"):
-        assert (out1 / f"pta{ext}").read_bytes() == (out8 / f"pta{ext}").read_bytes()
+def test_independent_builds_identical(tmp_path):
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    r1 = run("build", MODELS / "pta.big", "--out", out1, "--json")
+    r2 = run("build", MODELS / "pta.big", "--out", out2, "--json")
+    assert r1.returncode == 0 and r2.returncode == 0
+    d1, d2 = json.loads(r1.stdout), json.loads(r2.stdout)
+    assert d1["cache_digest"] == d2["cache_digest"]
+    e1 = run("export", MODELS / "pta.big", "--out", out1)
+    e2 = run("export", MODELS / "pta.big", "--out", out2)
+    assert e1.returncode == 0 and e2.returncode == 0
+    for ext in (".tra", ".lab", ".sta", ".mdpc"):
+        assert (out1 / f"pta{ext}").read_bytes() == (out2 / f"pta{ext}").read_bytes()
+
+
+def test_jobs_option_removed(tmp_path):
+    r = run("build", MODELS / "pta.big", "--jobs", "2", "--out", tmp_path)
+    assert r.returncode == 2
+    assert "unrecognized arguments: --jobs 2" in r.stderr
+
+
+# sha256 of the bundled models' exports and caches: a change to matching,
+# exploration, export or the cache format must not move a byte
+GOLDEN_SHA256 = {
+    "pta.tra": "3374feb4ff9e960969c72cc1738b3ccf29ec3976fe1c3b80acd5d716b904814e",
+    "pta.lab": "2ce296a1c435fa65220cff9fa9911d2cb70b16eefafc91073a4cc478f538ff55",
+    "pta.sta": "175bba0bb76ed18e6b4f693165696c454bc1505e51f04fc254837424f6124c95",
+    "pta.mdpc": "4dfc7df2bb6741ca51dc3eb9885a221033d6a6f5b53f4b99aee2cf0b10e28c74",
+    "cloud.tra": "cebaa729421fbd153196b4ea859114e73d3448951845e8bf36d3916ffd4b8642",
+    "cloud.lab": "642668c1b3f38a4bf9a35664d9eeea5bc684074cc06a05ece6eddfc0da5ddef7",
+    "cloud.sta": "1dd38d05bcac6342d0cc07e0d356753096f5df57ab32ff57faf5a095e6c15bec",
+    "cloud.mdpc": "b276ea01914251e4a6a70e48f9b462b789d7d62d4c7eba13f16dc7e7f4977fce",
+}
+
+
+def test_export_golden_bytes(tmp_path):
+    for stem in ("pta", "cloud"):
+        assert run("export", MODELS / f"{stem}.big", "--out", tmp_path).returncode == 0
+    got = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in GOLDEN_SHA256
+    }
+    assert got == GOLDEN_SHA256
+
+
+def spawn_model(values) -> str:
+    # n occurs only in spawn's reactum, so a match cannot bind it
+    return (
+        "ctrl Box = 0;\natomic ctrl Go = 0;\natomic fun ctrl B(n) = 0;\n"
+        "fun react spawn(n) = Box.Go -[1]-> Box.B(n);\n"
+        "fun react idle(n) = B(n) -[1]-> B(n);\n"
+        "big start = Box.Go;\n"
+        f"begin abrs\n  int k = {{{','.join(map(str, values))}}};\n  init start;\n"
+        "  rules = [ {spawn(k), idle(k)} ];\n  actions = [ go = {spawn}, wait = {idle} ];\nend\n"
+    )
+
+
+def test_reactum_only_parameter(tmp_path):
+    small, large = tmp_path / "spawn2.big", tmp_path / "spawn600.big"
+    small.write_text(spawn_model([1, 2]))
+    large.write_text(spawn_model(range(1, 601)))
+    assert run("export", small, "--out", tmp_path).returncode == 0
+    assert (tmp_path / "spawn2.tra").read_text() == (
+        "3 3 4\n0 0 1 0.5 go\n0 0 2 0.5 go\n1 0 1 1 wait\n2 0 2 1 wait\n"
+    )
+    r = run("build", large, "--out", tmp_path)
+    assert r.returncode == 0, r.stderr
+    assert "601 states, 601 choices, 1200 transitions, 0 deadlocks" in r.stdout
 
 
 def test_build_cloud_golden_count(tmp_path):
@@ -194,6 +254,11 @@ def test_cache_reuse(tmp_path):
     digest = json.loads(r1.stdout)["cache_digest"]
     r2 = run("build", MODELS / "pta.big", "--out", tmp_path, "--json")
     assert json.loads(r2.stdout)["cache_digest"] == digest
+    # a truncated cache is rebuilt, not read
+    cache = tmp_path / "pta.mdpc"
+    cache.write_bytes(cache.read_bytes()[:-18])
+    r3 = run("build", MODELS / "pta.big", "--out", tmp_path, "--json")
+    assert json.loads(r3.stdout)["cache_digest"] == digest
 
 
 def test_internal_error_exit_code(tmp_path):

@@ -151,11 +151,10 @@ def test_parsed_pta_matches_programmatic(pta_parsed, pta_model_prog):
 def test_elaborate_cloud(tmp_path):
     model = load_model(MODELS / "cloud.big")
     assert len(model.controls) == 18
-    # tick entry stays lazy: 9^4 * 13 valuations
     tick_entries = [
         e for cls in model.classes for e in cls if e.family.base == "clock_advance"
     ]
-    assert len(tick_entries) == 1 and not tick_entries[0].eager
+    assert len(tick_entries) == 1
     assert tick_entries[0].size == 9**4 * 13
     assert model.init.is_ground() and validate(model.init) == []
     names = [n for n, _ in model.predicates]
@@ -170,33 +169,34 @@ def test_elaborate_sensor():
     assert model.init.nnodes == 9
 
 
-def test_cloud_fragment_lazy_eager_equivalence():
-    # shrink the clock domains so the tick family is eagerly expandable,
-    # then check both modes give identical outcome distributions
+def test_cloud_fragment_matches_expanded_instances():
+    # shrink the clock domains so every valuation can be expanded, then check
+    # the symbolic match gives the outcomes of the concrete instances
     from tickgraph.canon import canonical_form
-    from tickgraph.rules import action_distribution, enabled_outcomes
+    from tickgraph.rules import action_distribution, apply, enabled_outcomes
+
+    from .oracle import expanded_outcomes
 
     text = read("cloud.big")
     for name in ("request1Clock", "request2Clock", "request3Clock", "request4Clock"):
         text = text.replace(f"int {name} = {{0,1,2,3,4,5,6,7,8}};", f"int {name} = {{0,1,2}};")
     text = text.replace("int gc = {0,1,2,3,4,5,6,7,8,9,10,11,12};", "int gc = {0,1,2};")
-    lazy = elaborate(parse(text), eager_limit=0)
-    eager = elaborate(parse(text), eager_limit=10**6)
-    assert all(not e.eager for cls in lazy.classes for e in cls)
-    assert all(e.eager for cls in eager.classes for e in cls)
+    model = elaborate(parse(text))
 
-    state = lazy.init
+    state = model.init
     for _step in range(3):
-        ol, oe = enabled_outcomes(state, lazy), enabled_outcomes(state, eager)
-        assert list(ol) == list(oe)
-        assert {oc.name for a in ol for oc in ol[a]} == {oc.name for a in oe for oc in oe[a]}
-        action = next(iter(ol))
-        dl = action_distribution(state, ol[action])
-        de = action_distribution(state, oe[action])
-        assert [(canonical_form(g), round(p, 12)) for g, p, _ in dl] == [
-            (canonical_form(g), round(p, 12)) for g, p, _ in de
-        ]
-        state = dl[0][0]
+        out = enabled_outcomes(state, model)
+        table = {
+            action: sorted(
+                (oc.name, canonical_form(apply(state, oc.rule, oc.match)), oc.weight)
+                for oc in ocs
+            )
+            for action, ocs in out.items()
+        }
+        ref = expanded_outcomes(state, model)
+        assert list(table) == list(ref)
+        assert table == ref
+        state = action_distribution(state, out[next(iter(out))])[0][0]
 
 
 def test_elaboration_errors():

@@ -261,6 +261,7 @@ def test_export_prism_round_trip(pta_mdp):
 
 def test_export_deterministic(pta_mdp, pta_model_prog):
     again = explore(pta_model_prog)
+    assert again.canon == pta_mdp.canon == [canonical_form(g) for g in again.states]
     assert export_prism(pta_mdp) == export_prism(again)
     assert export_dot(pta_mdp) == export_dot(again)
 
@@ -286,9 +287,22 @@ def test_cache_round_trip(tmp_path, pta_mdp, pta_model_prog):
     assert load_mdp(path, pta_model_prog.controls, "otherhash") is None
     assert load_mdp(tmp_path / "missing.mdpc", pta_model_prog.controls, "abc123") is None
 
-
 def test_parallel_jobs_identical(pta_model_prog):
-    one = explore(pta_model_prog, jobs=1)
-    many = explore(pta_model_prog, jobs=8)
+    # exploration is a single loop now; two independent runs must agree
+    one = explore(pta_model_prog)
+    many = explore(pta_model_prog)
     assert one.canon == many.canon
     assert export_prism(one) == export_prism(many)
+
+
+def test_truncated_cache_loads_none(tmp_path, pta_mdp, pta_model_prog):
+    path = tmp_path / "pta.mdpc"
+    save_mdp(path, pta_mdp, model_hash="abc123")
+    blob = path.read_bytes()
+    assert [p.name for p in tmp_path.iterdir()] == ["pta.mdpc"]  # no temporary left
+    cut = tmp_path / "cut.mdpc"
+    for n in range(len(blob)):
+        cut.write_bytes(blob[:n])
+        assert load_mdp(cut, pta_model_prog.controls, "abc123") is None, n
+    cut.write_bytes(blob + b"\x00")
+    assert load_mdp(cut, pta_model_prog.controls, "abc123") is None

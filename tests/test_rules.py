@@ -5,6 +5,7 @@ import pytest
 from tickgraph.bigraph import Control, close, ion, merge, nest, parallel, site, validate
 from tickgraph.canon import is_iso
 from tickgraph.match import occurrences
+from tickgraph.mdp import explore
 from tickgraph.params import Arith, Var
 from tickgraph.rules import (
     Model,
@@ -24,7 +25,6 @@ from .conftest import (
     WAIT,
     X,
     S,
-    build_pta_model,
     loc_state,
     pta_families,
     pta_state,
@@ -249,21 +249,51 @@ def test_action_distribution_merges_isomorphic_results():
     assert abs(dist[0][1] - 1.0) < 1e-12
 
 
-def test_lazy_eager_equivalence():
+def _outcome_table(agent, model):
     from tickgraph.canon import canonical_form
 
-    eager = build_pta_model(eager=True)
-    lazy = build_pta_model(eager=False)
-    for state in [pta_state(INIT, 0), pta_state(INIT, 2), pta_state(SEND, 0), pta_state(WAIT, 5)]:
-        oe = enabled_outcomes(state, eager)
-        ol = enabled_outcomes(state, lazy)
-        assert list(oe) == list(ol)
-        for action in oe:
-            de = action_distribution(state, oe[action])
-            dl = action_distribution(state, ol[action])
-            assert [(canonical_form(g), round(p, 12)) for g, p, _ in de] == [
-                (canonical_form(g), round(p, 12)) for g, p, _ in dl
-            ]
+    return {
+        action: sorted(
+            (oc.name, canonical_form(apply(agent, oc.rule, oc.match)), oc.weight) for oc in ocs
+        )
+        for action, ocs in enabled_outcomes(agent, model).items()
+    }
+
+
+def test_family_matching_equals_expanded_instances(pta_model_prog):
+    # matching the symbolic redex once gives exactly the outcomes of
+    # matching every concrete instance on its own
+    from .oracle import expanded_outcomes
+
+    states = [pta_state(INIT, 0), pta_state(INIT, 2), pta_state(SEND, 0), pta_state(WAIT, 5)]
+    states += explore(pta_model_prog).states
+    for state in states:
+        table = _outcome_table(state, pta_model_prog)
+        ref = expanded_outcomes(state, pta_model_prog)
+        assert list(table) == list(ref)
+        assert table == ref
+
+
+def test_reactum_only_parameter_enumerated():
+    # n occurs only in the reactum: each match yields one outcome per value
+    from .oracle import expanded_outcomes
+
+    box, go = Control("Box", 0), Control("Go", 0, atomic=True)
+    b = Control("B", 0, atomic=True, parameterised=True)
+    fam = RuleFamily("spawn", ("n", "m"), nest(ion(box), ion(go)),
+                     nest(ion(box), ion(b, param=Arith("+", Var("n"), Var("m")))), 1.0)
+    model = Model(
+        controls={c.name: c for c in (box, go, b)},
+        classes=[[RuleEntry(fam, ((3, 1), (10, 20)))]],
+        actions=[("go", ("spawn",))],
+        predicates=[],
+        init=merge(nest(ion(box), ion(go)), nest(ion(box), ion(go))),
+    )
+    out = enabled_outcomes(model.init, model)
+    assert [oc.name for oc in out["go"]] == [
+        f"spawn({n},{m})" for _match in range(2) for n in (3, 1) for m in (10, 20)
+    ]
+    assert _outcome_table(model.init, model) == expanded_outcomes(model.init, model)
 
 
 def test_out_of_range_clock_matches_nothing(pta_model_prog):
