@@ -31,7 +31,7 @@ from .mdp import (
     save_mdp,
 )
 from .rules import apply, enabled_outcomes
-from .verify import Pattern, PropertyError, UnknownLabel, check, label, parse_properties
+from .verify import PropertyError, UnknownLabel, check, label, parse_properties
 
 log = logging.getLogger("tickgraph")
 
@@ -49,6 +49,16 @@ def _setup_logging():
                "info": logging.INFO, "debug": logging.DEBUG}.get(level, logging.WARNING),
         format="%(levelname)s %(name)s: %(message)s",
     )
+
+
+def _state_budget(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _model_key(path: str, fix_deadlocks: bool) -> str:
@@ -132,7 +142,7 @@ def cmd_build(args) -> int:
 def cmd_export(args) -> int:
     model = load_model(args.model)
     mdp, _cache = _obtain_mdp(args, model)
-    label(mdp, [Pattern(n, b) for n, b in model.predicates])
+    label(mdp, model.patterns)
     os.makedirs(args.out, exist_ok=True)
     stem = os.path.join(args.out, model.name)
     written = []
@@ -162,7 +172,7 @@ def cmd_check(args) -> int:
         print("check: no properties in file", file=sys.stderr)
         return EXIT_USAGE
     mdp, _cache = _obtain_mdp(args, model)
-    label(mdp, [Pattern(n, b) for n, b in model.predicates])
+    label(mdp, model.patterns)
     all_hold = True
     results = []
     for prop in props:
@@ -231,7 +241,7 @@ def main(argv=None) -> int:
         p.add_argument("--props", help="property file (check)")
         p.add_argument("--format", choices=("prism", "dot"), default="prism",
                        help="export format")
-        p.add_argument("--max-states", type=int, default=100_000, dest="max_states",
+        p.add_argument("--max-states", type=_state_budget, default=100_000, dest="max_states",
                        help="exploration state budget")
         p.add_argument("--fix-deadlocks", action="store_true", dest="fix_deadlocks",
                        help="give deadlock states a stall self-loop")

@@ -1,21 +1,22 @@
 """Elaboration of a parsed `.big` document into an executable model.
 
-Rule families are closed over the integer sets named at their use sites in
-the `rules` list, priority classes keep their listed order (first class is
-highest), actions must partition the rule base names, and predicate
-families expand into one named pattern per valuation (`base_v1_v2...`).
-Rule families stay symbolic: each entry matches its redex with bindings
-restricted to its domains.  Every diagnostic carries a source position.
+Rule and predicate families are closed over the integer sets named at
+their use sites in the `rules` and `preds` lists, priority classes keep
+their listed order (first class is highest), and actions must partition
+the rule base names.  Both kinds of family stay symbolic: each rule entry
+matches its redex, and each predicate family its body, with bindings
+restricted to its domains.  A predicate family names its instances
+`base_v1_v2...`; one whose body uses parameter arithmetic cannot bind
+through it and becomes one plain pattern per valuation.  Every diagnostic
+carries a source position.
 """
 
 from __future__ import annotations
 
-import itertools
-
 from . import lang
-from .bigraph import Bigraph, Control, close, ion, merge_all, nest, parallel_all, site
+from .bigraph import Bigraph, Control, close, empty, ion, merge_all, nest, parallel_all, site
 from .params import Arith, Term, Var
-from .rules import Model, RuleEntry, RuleFamily
+from .rules import Model, Pattern, RuleEntry, RuleFamily
 
 
 class ElabError(Exception):
@@ -103,14 +104,21 @@ class _Elaborator:
                     raise ElabError(f"action {a.name} references undefined rule {rname}", a.pos)
             actions.append((a.name, a.rules))
 
+        patterns: list[Pattern] = []
         predicates: list[tuple[str, Bigraph]] = []
         seen_preds: set[str] = set()
         for ref in abrs.preds:
-            for pname, body in self.pred_instances(ref, ints):
+            fam = self.pred_family(ref, ints)
+            instances = fam.instances()
+            for pname, _body in instances:
                 if pname in seen_preds:
                     raise ElabError(f"predicate {pname} defined twice", ref.pos)
                 seen_preds.add(pname)
-                predicates.append((pname, body))
+            predicates.extend(instances)
+            if fam.has_arithmetic:
+                patterns.extend(Pattern(n, b) for n, b in instances)
+            else:
+                patterns.append(fam)
 
         try:
             return Model(
@@ -120,6 +128,7 @@ class _Elaborator:
                 predicates=predicates,
                 init=init,
                 name=name,
+                patterns=patterns,
             )
         except ValueError as exc:
             raise ElabError(str(exc), abrs.pos) from exc
@@ -155,46 +164,37 @@ class _Elaborator:
         self.families[name] = fam
         return fam
 
-    def rule_entry(self, ref, ints) -> RuleEntry:
-        if ref.name not in self.reacts:
-            raise ElabError(f"undefined rule {ref.name!r}", ref.pos)
-        fam = self.family(ref.name)
-        if len(ref.args) != len(fam.formal):
+    @staticmethod
+    def ref_domains(ref, formal, ints, kind: str) -> tuple[tuple[int, ...], ...]:
+        """One integer set per formal: a literal argument or a named set."""
+        if len(ref.args) != len(formal):
             raise ElabError(
-                f"rule {ref.name} takes {len(fam.formal)} argument(s), got {len(ref.args)}",
+                f"{kind} {ref.name} takes {len(formal)} argument(s), got {len(ref.args)}",
                 ref.pos,
             )
         domains = []
         for arg in ref.args:
             if isinstance(arg, int):
                 domains.append((arg,))
-            else:
-                if arg not in ints:
-                    raise ElabError(f"undefined int set {arg!r} in rule reference", ref.pos)
+            elif arg in ints:
                 domains.append(ints[arg])
-        return RuleEntry(fam, tuple(domains))
+            else:
+                raise ElabError(f"undefined int set {arg!r} in {kind} reference", ref.pos)
+        return tuple(domains)
 
-    def pred_instances(self, ref, ints):
+    def rule_entry(self, ref, ints) -> RuleEntry:
+        if ref.name not in self.reacts:
+            raise ElabError(f"undefined rule {ref.name!r}", ref.pos)
+        fam = self.family(ref.name)
+        return RuleEntry(fam, self.ref_domains(ref, fam.formal, ints, "rule"))
+
+    def pred_family(self, ref, ints) -> Pattern:
         if ref.name not in self.bigs:
             raise ElabError(f"undefined predicate big {ref.name!r}", ref.pos)
         decl = self.bigs[ref.name]
-        if len(ref.args) != len(decl.params):
-            raise ElabError(
-                f"predicate {ref.name} takes {len(decl.params)} argument(s), got {len(ref.args)}",
-                ref.pos,
-            )
-        axes = []
-        for arg in ref.args:
-            if isinstance(arg, int):
-                axes.append((arg,))
-            elif arg in ints:
-                axes.append(ints[arg])
-            else:
-                raise ElabError(f"undefined int set {arg!r} in predicate reference", ref.pos)
-        for combo in itertools.product(*axes):
-            env = dict(zip(decl.params, combo))
-            name = ref.name if not combo else ref.name + "_" + "_".join(str(v) for v in combo)
-            yield name, self.eval_big(decl.body, env, symbolic=False)
+        domains = self.ref_domains(ref, decl.params, ints, "predicate")
+        body = self.eval_big(decl.body, {p: Var(p) for p in decl.params}, symbolic=True)
+        return Pattern(ref.name, body, decl.params, domains)
 
     # -- bigraph expression evaluation ----------------------------------------
 
@@ -246,6 +246,8 @@ class _Elaborator:
     def eval_big(self, e, env, symbolic: bool) -> Bigraph:
         if isinstance(e, lang.EId):
             return site()
+        if isinstance(e, lang.EOne):
+            return empty()
         if isinstance(e, lang.EIon):
             return self.eval_ion(e, env, symbolic)
         if isinstance(e, lang.ENest):

@@ -5,7 +5,8 @@ negative context condition) and one `begin abrs ... end` block with integer
 set bindings, the initial bigraph, ordered priority classes, the action map
 and the predicate set.  Bigraph expressions use ion `K(e){a,b}`, nesting `.`
 (tightest), merge `|`, parallel `||` (loosest), prefix closure `/x` scoping
-rightward, `id` for a site, and parentheses.  `#` starts a comment.
+rightward, `id` for a site, `1` for the empty bigraph, and parentheses.
+`#` starts a comment.
 """
 
 from __future__ import annotations
@@ -127,6 +128,11 @@ class EId:
 
 
 @dataclass(frozen=True)
+class EOne:
+    pos: Pos = field(default_factory=_pos_field, compare=False)
+
+
+@dataclass(frozen=True)
 class EIon:
     ctrl: str
     param: IExpr | None
@@ -160,7 +166,7 @@ class EClose:
     pos: Pos = field(default_factory=_pos_field, compare=False)
 
 
-BExpr = EId | EIon | ENest | EMerge | EPar | EClose
+BExpr = EId | EOne | EIon | ENest | EMerge | EPar | EClose
 
 
 @dataclass(frozen=True)
@@ -498,7 +504,7 @@ class _Parser:
 
     # -- bigraph expressions --------------------------------------------------
     # bexpr := ('/' name)* par ; par := mer ('||' mer)* ; mer := prim ('|' prim)*
-    # prim := 'id' | '(' bexpr ')' | ion ['.' prim]
+    # prim := 'id' | '1' | '(' bexpr ')' | ion ['.' prim]
 
     def bexpr(self) -> BExpr:
         if self.at("/"):
@@ -528,6 +534,9 @@ class _Parser:
         if self.at("id"):
             tok = self.bump()
             return EId((tok.line, tok.col))
+        if self.cur.kind == "INT" and self.cur.text == "1":
+            tok = self.bump()
+            return EOne((tok.line, tok.col))
         if self.at("("):
             self.bump()
             inner = self.bexpr()
@@ -627,6 +636,8 @@ def _pp_bexpr(e: BExpr, level: int = 0) -> str:
         return s
     if isinstance(e, EId):
         return "id"
+    if isinstance(e, EOne):
+        return "1"
     raise TypeError(e)
 
 

@@ -6,6 +6,7 @@ parameter variables; instantiating a valuation gives a concrete
 valuations: each matches the symbolic redex once per state, parameters
 bind from the matched entities (restricted to the entry's domains), and
 parameters that occur only in the reactum range over their whole domain.
+Predicate families (:class:`Pattern`) are matched the same way.
 
 Priority classes are global and ordered: a rule may fire only when no rule
 of any earlier class has a condition-satisfying match.  Weights turn the
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field, replace
 from .bigraph import Bigraph, Control, Link, Ref
 from .canon import canonical_form
 from .match import Match, occurrences
-from .params import Term, Var, is_concrete, term_eval, term_vars
+from .params import Arith, Term, Var, is_concrete, term_eval, term_vars
 
 
 def _check_rule_shape(redex: Bigraph, reactum: Bigraph, site_map, weight: float, label: str):
@@ -120,6 +121,24 @@ class RuleFamily:
             condition=self.condition,
             site_map=self.site_map,
         )
+
+
+def open_axes(
+    formal: tuple[str, ...], domains: tuple[tuple[int, ...], ...], body: Bigraph
+) -> tuple[tuple[int, ...] | None, ...]:
+    """Per formal: None when `body` carries it as an entity parameter (a match
+    binds it), else every value of its domain (a match stands for each)."""
+    carried = {p.name for _ctrl, p in body.nodes if isinstance(p, Var)}
+    return tuple(
+        None if v in carried else tuple(dict.fromkeys(dom)) for v, dom in zip(formal, domains)
+    )
+
+
+def valuations(formal: tuple[str, ...], axes, binding) -> itertools.product:
+    """The valuations of `formal`, in formal order, that a match with this
+    binding stands for; `axes` comes from :func:`open_axes`."""
+    env = dict(binding)
+    return itertools.product(*[(env[v],) if ax is None else ax for v, ax in zip(formal, axes)])
 
 
 def expand(family: RuleFamily, domains: dict[str, tuple[int, ...]]) -> list[ReactionRule]:
@@ -254,8 +273,7 @@ class RuleEntry:
     family: RuleFamily
     domains: tuple[tuple[int, ...], ...]  # aligned with family.formal
     _match_domains: dict[str, frozenset[int]] = field(init=False, repr=False)
-    _free: tuple[str, ...] = field(init=False, repr=False)
-    _free_values: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
+    _axes: tuple[tuple[int, ...] | None, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         if len(self.domains) != len(self.family.formal):
@@ -266,12 +284,8 @@ class RuleEntry:
         for v, dom in zip(self.family.formal, self.domains):
             if not dom:
                 raise ValueError(f"rule {self.family.base}: empty domain for {v!r}")
-        in_redex = {p.name for _ctrl, p in self.family.redex.nodes if isinstance(p, Var)}
-        pairs = list(zip(self.family.formal, self.domains))
-        self._match_domains = {v: frozenset(dom) for v, dom in pairs}
-        # a match cannot bind these: each match yields one outcome per value
-        self._free = tuple(v for v, _dom in pairs if v not in in_redex)
-        self._free_values = tuple(tuple(dict.fromkeys(d)) for v, d in pairs if v not in in_redex)
+        self._match_domains = {v: frozenset(d) for v, d in zip(self.family.formal, self.domains)}
+        self._axes = open_axes(self.family.formal, self.domains, self.family.redex)
 
     @property
     def size(self) -> int:
@@ -301,9 +315,10 @@ class RuleEntry:
         for m in occurrences(agent, fam.redex, domains=self._match_domains):
             if not _condition_holds(agent, fam.condition, m):
                 continue
-            for values in itertools.product(*self._free_values):
-                full = replace(m, binding=tuple(sorted(m.binding + tuple(zip(self._free, values)))))
-                out.append(Outcome(fam.instance_name(full.binding_env()), fam, full, fam.weight))
+            for values in valuations(fam.formal, self._axes, m.binding):
+                env = dict(zip(fam.formal, values))
+                full = replace(m, binding=tuple(sorted(env.items())))
+                out.append(Outcome(fam.instance_name(env), fam, full, fam.weight))
         return out
 
 
@@ -327,9 +342,70 @@ def _condition_holds(agent: Bigraph, condition: Bigraph | None, m: Match) -> boo
     return not occurrences(agent, condition, excluded=m.image)
 
 
+@dataclass(frozen=True)
+class Pattern:
+    """A named bigraph used as a state predicate, or a family of them.
+
+    A family's body carries its parameters as `Var` entity parameters;
+    `formal` names them and `domains` gives each its integer set.  The
+    instance `name_v1_v2...` (values in formal order) holds in every state
+    where the body occurs with those values bound, and a formal that the
+    body does not carry takes every value of its set.  A plain pattern has
+    no formals and one instance, `name`.
+    """
+
+    name: str
+    body: Bigraph
+    formal: tuple[str, ...] = ()
+    domains: tuple[tuple[int, ...], ...] = ()
+
+    def __post_init__(self):
+        if len(self.domains) != len(self.formal):
+            raise ValueError(
+                f"pattern {self.name}: {len(self.domains)} domain(s) for "
+                f"{len(self.formal)} formal(s)"
+            )
+        for v, dom in zip(self.formal, self.domains):
+            if not dom:
+                raise ValueError(f"pattern {self.name}: empty domain for {v!r}")
+        free = set()
+        for _ctrl, param in self.body.nodes:
+            if param is not None and not isinstance(param, int):
+                free |= term_vars(param)
+        missing = free - set(self.formal)
+        if missing:
+            raise ValueError(f"pattern {self.name}: unbound parameters {sorted(missing)}")
+
+    @property
+    def has_arithmetic(self) -> bool:
+        """Whether the body computes a parameter, which no match can bind."""
+        return any(isinstance(param, Arith) for _ctrl, param in self.body.nodes)
+
+    def instance_name(self, values: tuple[int, ...]) -> str:
+        if not values:
+            return self.name
+        return self.name + "_" + "_".join(str(v) for v in values)
+
+    def instance_names(self) -> list[str]:
+        return [self.instance_name(vs) for vs in itertools.product(*self.domains)]
+
+    def instances(self) -> list[tuple[str, Bigraph]]:
+        """One (name, concrete body) pair per valuation, in domain order."""
+        out = []
+        for values in itertools.product(*self.domains):
+            env = dict(zip(self.formal, values))
+            out.append((self.instance_name(values), _subst(self.body, env) if env else self.body))
+        return out
+
+
 @dataclass
 class Model:
-    """Elaborated model: controls, prioritised rule entries, actions, predicates."""
+    """Elaborated model: controls, prioritised rule entries, actions, predicates.
+
+    `predicates` lists every predicate instance with its concrete body;
+    `patterns` holds the same instances as the families that label states
+    (by default one plain pattern per predicate).
+    """
 
     controls: dict[str, Control]
     classes: list[list[RuleEntry]]
@@ -337,8 +413,11 @@ class Model:
     predicates: list[tuple[str, Bigraph]]
     init: Bigraph
     name: str = "model"
+    patterns: list[Pattern] | None = None
 
     def __post_init__(self):
+        if self.patterns is None:
+            self.patterns = [Pattern(n, b) for n, b in self.predicates]
         self.action_of: dict[str, str] = {}
         for label, bases in self.actions:
             for b in bases:

@@ -1,6 +1,9 @@
 """Bigraph-pattern state labelling and a small probabilistic property checker.
 
-A pattern labels every state it occurs in.  Properties range over boolean
+A pattern labels every state it occurs in.  A predicate family is one
+pattern: its symbolic body is searched once per state with its parameters
+restricted to their domains, and each distinct binding names the instances
+(`base_v1_v2...`) that hold there.  Properties range over boolean
 combinations of labels: probabilistic reachability with a bound, safety
 ("never bad"), inevitability ("always eventually goal"), and the forced-next
 idiom ("whenever the trigger holds, every possible next state satisfies the
@@ -18,34 +21,51 @@ moves by VI_TOL.
 
 from __future__ import annotations
 
+import logging
 import re
 from dataclasses import dataclass
+from time import perf_counter
 
 import numpy as np
 
-from .bigraph import Bigraph
 from .kernels import Graph, as_arrays, sweep
 from .match import occurrences
 from .mdp import Mdp
+from .rules import Pattern, open_axes, valuations
+
+log = logging.getLogger(__name__)
 
 VI_TOL = 1e-9
 VI_MAX_SWEEPS = 1_000_000
 
 
-@dataclass(frozen=True)
-class Pattern:
-    """A named bigraph used as a state predicate."""
-
-    name: str
-    body: Bigraph
-
-
 def label(mdp: Mdp, patterns: list[Pattern]) -> Mdp:
-    """Attach to every state the set of pattern names occurring in it."""
-    mdp.labels = [
-        {p.name for p in patterns if occurrences(g, p.body)} for g in mdp.states
-    ]
-    mdp.label_names = {p.name for p in patterns}
+    """Attach to every state the names of the pattern instances occurring in it.
+
+    One search per pattern per state.  A body with parameter arithmetic
+    cannot bind its parameters, so such a family must be given as one plain
+    pattern per instance (the elaborator does so).
+    """
+    start = perf_counter()
+    labels: list[set[str]] = [set() for _ in mdp.states]
+    searches = matches = 0
+    for p in patterns:
+        if p.has_arithmetic:
+            raise ValueError(f"pattern {p.name}: parameter arithmetic cannot be matched")
+        domains = {v: frozenset(d) for v, d in zip(p.formal, p.domains)}
+        axes = open_axes(p.formal, p.domains, p.body)
+        for g, names in zip(mdp.states, labels):
+            found = occurrences(g, p.body, domains=domains)
+            searches += 1
+            matches += len(found)
+            for binding in {m.binding for m in found}:
+                names.update(p.instance_name(vs) for vs in valuations(p.formal, axes, binding))
+    mdp.labels = labels
+    mdp.label_names = {n for p in patterns for n in p.instance_names()}
+    log.info(
+        "label: %d states, %d patterns, %d searches, %d matches, %.3f s",
+        mdp.n_states, len(patterns), searches, matches, perf_counter() - start,
+    )
     return mdp
 
 

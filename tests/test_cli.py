@@ -4,6 +4,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
 
 
@@ -184,6 +186,17 @@ def test_independent_builds_identical(tmp_path):
     assert e1.returncode == 0 and e2.returncode == 0
     for ext in (".tra", ".lab", ".sta", ".mdpc"):
         assert (out1 / f"pta{ext}").read_bytes() == (out2 / f"pta{ext}").read_bytes()
+
+
+@pytest.mark.parametrize("budget", [0, -5])
+def test_max_states_must_be_positive(tmp_path, budget):
+    r = run("build", MODELS / "pta.big", "--max-states", budget, "--out", tmp_path)
+    assert r.returncode == 2
+    assert r.stderr.splitlines()[-1] == (
+        f"tickgraph build: error: argument --max-states: must be at least 1, got {budget}"
+    )
+    assert "internal error" not in r.stderr
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_jobs_option_removed(tmp_path):

@@ -199,6 +199,59 @@ def test_cloud_fragment_matches_expanded_instances():
         state = action_distribution(state, out[next(iter(out))])[0][0]
 
 
+EMPTY_PLACE = """
+ctrl P = 0;
+ctrl Q = 0;
+atomic ctrl Tok = 0;
+atomic ctrl G = 0;
+atomic ctrl F = 0;
+react go = P.Tok || Q.1 -[1]-> P.1 || Q.Tok;
+react drop = P.Tok || Q.1 -[3]-> P.1 || Q.1;
+react fill = P.1 || G -[1]-> P.G || 1;
+big start = P.Tok || Q.1 || G || F;
+big q_empty = Q.1;
+big q_token = Q.Tok;
+begin abrs
+  init start;
+  rules = [ {go, drop, fill} ];
+  actions = [ move = {go, drop}, fill = {fill} ];
+  preds = { q_empty, q_token };
+end
+"""
+
+
+def test_empty_bigraph_round_trip():
+    ast = parse(EMPTY_PLACE)
+    (start,) = [b for b in ast.bigs if b.name == "start"]
+    assert type(start.body.parts[1].child).__name__ == "EOne"
+    text = pretty(ast)
+    assert "P.Tok || Q.1 || G || F" in text and "P.G || 1;" in text
+    assert parse(text) == ast
+    with pytest.raises(ParseError, match="found '2'"):
+        parse("big b = Q.2;")
+
+
+def test_empty_place_golden_counts():
+    from tickgraph.mdp import explore
+    from tickgraph.verify import label
+
+    from .oracle import brute_occurrences, oracle_explore
+
+    model = elaborate(parse(EMPTY_PLACE))
+    assert model.init.is_ground() and validate(model.init) == []
+    assert sorted(c.name for c, _p in model.init.nodes) == ["F", "G", "P", "Q", "Tok"]
+    mdp = label(explore(model), model.patterns)
+    assert (mdp.n_states, mdp.n_choices, mdp.n_transitions) == (5, 3, 4)
+    ref = oracle_explore(model)
+    assert (len(ref.states), ref.n_choices, ref.n_transitions) == (5, 3, 4)
+    assert [c.action for c in mdp.choices[0]] == ["move"]
+    assert sorted(p for _t, p in mdp.choices[0][0].dist) == [0.25, 0.75]
+    assert mdp.labels == [
+        {n for n, body in model.predicates if brute_occurrences(g, body)} for g in mdp.states
+    ]
+    assert sum("q_token" in ls for ls in mdp.labels) == 2
+
+
 def test_elaboration_errors():
     base = "atomic ctrl A = 0;\nreact r = A -[1]-> A;\n"
 

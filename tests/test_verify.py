@@ -1,3 +1,5 @@
+import logging
+import pathlib
 import random
 
 import numpy as np
@@ -5,7 +7,9 @@ import pytest
 
 from tests import oracle
 from tickgraph import verify
+from tickgraph.elaborate import ElabError, elaborate, load_model
 from tickgraph.kernels import Graph, as_arrays, sweep
+from tickgraph.lang import parse
 from tickgraph.mdp import Choice, Mdp, explore
 from tickgraph.verify import (
     ForcedNext,
@@ -23,6 +27,9 @@ from tickgraph.verify import (
     satisfying,
     zero_one,
 )
+
+
+MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
 
 
 def tiny_mdp(choices, n=None, labels=None):
@@ -180,6 +187,110 @@ def test_label_assigns_expected_sets(pta_model_prog):
     done_states = [s for s in range(mdp.n_states) if "in_Done_state" in mdp.labels[s]]
     assert len(done_states) == 1
     assert "clock_X_0" in mdp.labels[done_states[0]]
+
+
+def instance_labels(mdp, model):
+    """Per state, the predicate instances whose concrete body occurs there,
+    found by the brute-force matcher, one instance at a time."""
+    return [
+        {n for n, body in model.predicates if oracle.brute_occurrences(g, body)}
+        for g in mdp.states
+    ]
+
+
+@pytest.mark.parametrize("name, families", [("pta", 5), ("cloud", 4), ("sensor", 2)])
+def test_family_labels_equal_instance_labels(name, families):
+    model = load_model(MODELS / f"{name}.big")
+    assert len(model.patterns) == families
+    mdp = label(explore(model), model.patterns)
+    assert mdp.labels == instance_labels(mdp, model)
+    assert mdp.label_names == {n for n, _b in model.predicates}
+
+
+FAMILIES = """
+atomic fun ctrl X(n) = 0;
+fun react bump(n) = X(n) -[1]-> X(n + 1);
+fun big next_is(m) = X(m + 1);
+fun big any_x(m) = X(2);
+fun big pair(m) = X(m) | X(m);
+fun big at(m) = X(m);
+big start = X(0) | X(0) | X(1);
+begin abrs
+  int k = {0,1,2};
+  int m = {0,1,2};
+  init start;
+  rules = [ {bump(k)} ];
+  actions = [ a = {bump} ];
+  preds = { next_is(m), next_is(3), any_x(m), pair(m), at(3)PREDS };
+end
+"""
+
+
+def test_family_kinds_label_like_instances():
+    model = elaborate(parse(FAMILIES.replace("PREDS", "")))
+    # arithmetic: one plain pattern per valuation; the rest stay families
+    assert [(p.name, p.formal, p.domains) for p in model.patterns] == [
+        ("next_is_0", (), ()),
+        ("next_is_1", (), ()),
+        ("next_is_2", (), ()),
+        ("next_is_3", (), ()),
+        ("any_x", ("m",), ((0, 1, 2),)),
+        ("pair", ("m",), ((0, 1, 2),)),
+        ("at", ("m",), ((3,),)),
+    ]
+    mdp = label(explore(model), model.patterns)
+    assert mdp.labels == instance_labels(mdp, model)
+    assert mdp.labels[0] == {"next_is_0", "pair_0"}
+    anys = {"any_x_0", "any_x_1", "any_x_2"}
+    for g, names in zip(mdp.states, mdp.labels):
+        values = sorted(p for _c, p in g.nodes)
+        assert (anys <= names) == (2 in values)
+        assert ("at_3" in names) == (3 in values)
+        assert {n for n in names if n.startswith("pair_")} == {
+            f"pair_{v}" for v in set(values) if values.count(v) >= 2 and v <= 2
+        }
+
+
+def test_predicate_name_collision_has_position():
+    # a plain big named like an instance of the any_x family
+    text = FAMILIES.replace("PREDS", ", any_x_1").replace("big start", "big any_x_1 = X(1);\nbig start")
+    with pytest.raises(ElabError, match="predicate any_x_1 defined twice") as info:
+        elaborate(parse(text))
+    lines = text.splitlines()
+    line = next(i for i, ln in enumerate(lines, 1) if "preds" in ln)
+    assert info.value.pos == (line, lines[line - 1].index("any_x_1") + 1)
+    assert str(info.value).startswith(f"{line}:")
+
+
+def test_pattern_checks_its_parameters():
+    from tickgraph.bigraph import Control, ion
+    from tickgraph.params import Arith, Var
+
+    x = Control("X", atomic=True, parameterised=True)
+    with pytest.raises(ValueError, match=r"unbound parameters \['m'\]"):
+        Pattern("p", ion(x, param=Var("m")))
+    with pytest.raises(ValueError, match="0 domain"):
+        Pattern("p", ion(x, param=Var("m")), ("m",))
+    with pytest.raises(ValueError, match="empty domain"):
+        Pattern("p", ion(x, param=Var("m")), ("m",), ((),))
+    fam = Pattern("p", ion(x, param=Arith("+", Var("m"), 1)), ("m",), ((0, 1),))
+    assert [(n, b.nodes[0][1]) for n, b in fam.instances()] == [("p_0", 1), ("p_1", 2)]
+    mdp = tiny_mdp([[]])
+    mdp.states = [ion(x, param=1)]
+    with pytest.raises(ValueError, match="arithmetic"):
+        label(mdp, [fam])
+    assert label(mdp, [Pattern(n, b) for n, b in fam.instances()]).labels == [{"p_0"}]
+
+
+def test_label_logs_one_line(caplog):
+    model = load_model(MODELS / "pta.big")
+    mdp = explore(model)
+    with caplog.at_level(logging.INFO, logger="tickgraph"):
+        label(mdp, model.patterns)
+    (msg,) = [r.getMessage() for r in caplog.records if r.name == "tickgraph.verify"]
+    # every state matches one location pattern and one clock value
+    assert msg.startswith("label: 14 states, 5 patterns, 70 searches, 28 matches, ")
+    assert msg.endswith(" s")
 
 
 # ---------------------------------------------------------------------------
