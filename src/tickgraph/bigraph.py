@@ -136,9 +136,6 @@ class Bigraph:
         kind, i = ref
         return self.node_children[i] if kind == "n" else self.region_children[i]
 
-    def node_link(self, node: int, port: int) -> int:
-        return self._port_link[(node, port)]
-
     def edge_counts(self, node: int) -> dict[int, int]:
         """Multiset of hyperedges this entity's ports sit on (edge index -> count)."""
         counts: dict[int, int] = {}

@@ -2,9 +2,8 @@
 
 Exit codes: 0 success (all properties hold), 1 property failure, 2 usage or
 model error, 3 resource limit, 4 internal error (a one-line diagnostic on
-stderr, such as the canonicalisation tie budget or value iteration not
-converging).  All outputs are byte deterministic for identical inputs and
-flags.
+stderr, such as value iteration not converging).  All outputs are byte
+deterministic for identical inputs and flags.
 """
 
 from __future__ import annotations

@@ -39,10 +39,6 @@ class Match:
     def image(self) -> frozenset[int]:
         return frozenset(self.nodes)
 
-    def context_nodes(self, agent: Bigraph) -> frozenset[int]:
-        """The context seam: agent entities outside the image."""
-        return frozenset(range(agent.nnodes)) - self.image
-
     def edge_map(self) -> dict[int, int]:
         return dict(self.edges)
 

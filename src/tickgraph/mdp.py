@@ -195,7 +195,10 @@ def export_dot(mdp: Mdp) -> str:
 # ---------------------------------------------------------------------------
 # cache (versioned, length-prefixed binary)
 
-_MAGIC = b"TGMDP\x01"
+# The last byte names the canonical-form encoding the cache stores: \x02 is
+# the individualisation-refinement encoding of canon.py.  A cache written with
+# another encoding loads as None and is rebuilt.
+_MAGIC = b"TGMDP\x02"
 
 
 def save_mdp(path, mdp: Mdp, model_hash: str) -> None:

@@ -153,3 +153,30 @@ def build_sensor_model() -> Model:
 @pytest.fixture(scope="session")
 def sensor_model_prog():
     return build_sensor_model()
+
+
+# --- symmetric token models (.big text) ------------------------------------
+
+
+def token_model(k: int, links: str = "none") -> str:
+    """`k` interchangeable tokens that move one at a time from Bag to Out.
+
+    `links` is "none" (bare atoms), "pairs" (tokens closed-linked in pairs)
+    or "ring" (one closed cycle through all tokens).
+    """
+    if links == "none":
+        ports, toks, names = "", ["Tok"] * k, []
+    elif links == "pairs":
+        ports, toks = "{a}", [f"Tok{{p{i // 2}}}" for i in range(k)]
+        names = [f"p{i}" for i in range(k // 2)]
+    else:
+        ports, toks = "{a,b}", [f"Tok{{r{i},r{(i + 1) % k}}}" for i in range(k)]
+        names = [f"r{i}" for i in range(k)]
+    closes = "".join(f"/{n} " for n in names)
+    return (
+        f"atomic ctrl Tok = {len(ports) // 2};\nctrl Bag = 0;\nctrl Out = 0;\n"
+        "atomic ctrl Floor = 0;\n"
+        f"react move = Bag.(Tok{ports} | id) || Out.id -[1]-> Bag.id || Out.(Tok{ports} | id);\n"
+        f"big start = {closes}(Bag.({' | '.join(toks)}) || Out.Floor);\n"
+        "begin abrs\n  init start;\n  rules = [ {move} ];\n  actions = [ move = {move} ];\nend\n"
+    )

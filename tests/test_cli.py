@@ -211,11 +211,11 @@ GOLDEN_SHA256 = {
     "pta.tra": "3374feb4ff9e960969c72cc1738b3ccf29ec3976fe1c3b80acd5d716b904814e",
     "pta.lab": "2ce296a1c435fa65220cff9fa9911d2cb70b16eefafc91073a4cc478f538ff55",
     "pta.sta": "175bba0bb76ed18e6b4f693165696c454bc1505e51f04fc254837424f6124c95",
-    "pta.mdpc": "4dfc7df2bb6741ca51dc3eb9885a221033d6a6f5b53f4b99aee2cf0b10e28c74",
+    "pta.mdpc": "a2d6661ff94453c6000853bc855561adce5348838a341e19b63970106e5f8edb",
     "cloud.tra": "cebaa729421fbd153196b4ea859114e73d3448951845e8bf36d3916ffd4b8642",
     "cloud.lab": "642668c1b3f38a4bf9a35664d9eeea5bc684074cc06a05ece6eddfc0da5ddef7",
     "cloud.sta": "1dd38d05bcac6342d0cc07e0d356753096f5df57ab32ff57faf5a095e6c15bec",
-    "cloud.mdpc": "b276ea01914251e4a6a70e48f9b462b789d7d62d4c7eba13f16dc7e7f4977fce",
+    "cloud.mdpc": "5ed8bc515766d32d7ea140dfbf22d9a8d6caec25843f535e9d7d60b001a6e055",
 }
 
 
@@ -274,18 +274,21 @@ def test_cache_reuse(tmp_path):
     assert json.loads(r3.stdout)["cache_digest"] == digest
 
 
-def test_internal_error_exit_code(tmp_path):
-    # eight interchangeable tokens exceed the canonicalisation tie budget
+def test_eight_interchangeable_tokens_build(tmp_path):
+    # bare tokens never branch the canonical-form search
+    from tickgraph.elaborate import elaborate
+    from tickgraph.lang import parse
+
+    from .conftest import token_model
+    from .oracle import oracle_explore
+
     model = tmp_path / "tokens.big"
-    model.write_text(
-        "atomic ctrl Tok = 0;\nctrl Bag = 0;\nctrl Out = 0;\natomic ctrl Floor = 0;\n"
-        "react move = Bag.(Tok | id) || Out.id -[1]-> Bag.id || Out.(Tok | id);\n"
-        f"big start = Bag.({' | '.join(['Tok'] * 8)}) || Out.Floor;\n"
-        "begin abrs\n  init start;\n  rules = [ {move} ];\n  actions = [ move = {move} ];\nend\n"
-    )
+    model.write_text(token_model(8))
     r = run("build", model, "--out", tmp_path)
-    assert r.returncode == 4
-    assert r.stderr == "tickgraph: internal error: RuntimeError: canonicalisation tie budget exceeded\n"
+    assert r.returncode == 0, r.stderr
+    assert "9 states, 8 choices, 8 transitions, 1 deadlocks" in r.stdout
+    ref = oracle_explore(elaborate(parse(token_model(8))))
+    assert (len(ref.states), ref.n_choices, ref.n_transitions) == (9, 8, 8)
 
 
 LOOP_MODEL = """atomic ctrl Tok = 0;

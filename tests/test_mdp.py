@@ -18,7 +18,7 @@ from tickgraph.mdp import (
 )
 from tickgraph.rules import Model, RuleEntry, RuleFamily
 
-from .conftest import DONE, INIT, SEND, WAIT, build_pta_model, pta_state
+from .conftest import DONE, INIT, SEND, WAIT, build_pta_model, pta_state, token_model
 from .oracle import _fingerprint, brute_iso, oracle_explore
 
 
@@ -306,3 +306,45 @@ def test_truncated_cache_loads_none(tmp_path, pta_mdp, pta_model_prog):
         assert load_mdp(cut, pta_model_prog.controls, "abc123") is None, n
     cut.write_bytes(blob + b"\x00")
     assert load_mdp(cut, pta_model_prog.controls, "abc123") is None
+
+
+def test_cache_of_another_encoding_is_rebuilt(tmp_path, pta_mdp, pta_model_prog, capsys):
+    # the magic's last byte names the canon encoding; \x01 is the one before
+    import json
+    import pathlib
+
+    from tickgraph import cli
+
+    path = tmp_path / "pta.mdpc"
+    save_mdp(path, pta_mdp, model_hash="abc123")
+    blob = path.read_bytes()
+    assert blob.startswith(b"TGMDP\x02")
+    path.write_bytes(b"TGMDP\x01" + blob[6:])
+    assert load_mdp(path, pta_model_prog.controls, "abc123") is None
+
+    model = pathlib.Path(__file__).resolve().parent.parent / "models" / "pta.big"
+    assert cli.main(["build", str(model), "--out", str(tmp_path), "--json"]) == 0
+    fresh = tmp_path / "pta.mdpc"
+    fresh_bytes = fresh.read_bytes()
+    fresh.write_bytes(b"TGMDP\x01" + fresh_bytes[6:])
+    capsys.readouterr()
+    assert cli.main(["build", str(model), "--out", str(tmp_path), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["states"] == 14
+    assert fresh.read_bytes() == fresh_bytes
+
+
+@pytest.mark.parametrize(
+    "k, links, counts",
+    [(8, "none", (9, 8, 8)), (8, "pairs", (15, 14, 20)), (6, "ring", (13, 12, 20)), (7, "ring", (18, 17, 36))],
+)
+def test_symmetric_token_models_match_oracle(k, links, counts):
+    # interchangeable tokens, bare or closed-linked: canonical forms must merge
+    # exactly the isomorphic states, with no branching budget to run out of
+    from tickgraph.elaborate import elaborate
+    from tickgraph.lang import parse
+
+    model = elaborate(parse(token_model(k, links)))
+    mdp = explore(model)
+    assert (mdp.n_states, mdp.n_choices, mdp.n_transitions) == counts
+    ref = oracle_explore(model)
+    assert (len(ref.states), ref.n_choices, ref.n_transitions) == counts
