@@ -1,10 +1,11 @@
 """tickgraph: action bigraph rewriting with digital clocks.
 
 Library surface: the bigraph value types and constructors, occurrence
-matching with canonical forms, weighted prioritised reaction rules, the
-digital-clocks layer, exhaustive MDP exploration with PRISM/DOT export,
-bigraph-pattern labelling with a small probabilistic checker, and the
-`.big` language front end.
+matching with canonical forms, weighted prioritised reaction rules,
+exhaustive MDP exploration with PRISM/DOT export, bigraph-pattern
+labelling with a small probabilistic checker, and the `.big` language
+front end with its digital-clocks check.  Models are written in `.big`;
+the library builds no clocks or rules of its own.
 """
 
 from .bigraph import (
@@ -23,20 +24,11 @@ from .bigraph import (
     validate,
 )
 from .canon import canonical_digest, canonical_form, decode_canonical, is_iso
-from .clocks import (
-    ClockConfig,
-    GuardSpec,
-    build_clock_perspective,
-    encode_invariant,
-    gen_clock_advance,
-    timed_rule,
-)
-from .elaborate import ElabError, elaborate, load_model
+from .elaborate import ElabError, clock_problems, elaborate, load_model
 from .lang import ParseError, parse, pretty
 from .match import Match, occurrences
 from .mdp import (
     ExplorationLimit,
-    ExploreLimits,
     Mdp,
     explore,
     export_dot,
@@ -45,14 +37,11 @@ from .mdp import (
 from .params import Arith, Var
 from .rules import (
     Model,
-    PrioritySpec,
-    ReactionRule,
     RuleEntry,
     RuleFamily,
     action_distribution,
     apply,
     enabled_outcomes,
-    expand,
 )
 from .verify import (
     ForcedNext,

@@ -211,9 +211,11 @@ class _Decoder:
                 x, ref = item.split(">")
                 inner_by_ref.setdefault(ref, []).append(x)
         links: list[Link] = []
-        for num in sorted(self.closed_edges):
+        # a closed edge with inner names but no ports shows only in the tail
+        closed = set(self.closed_edges) | {int(r[1:]) for r in inner_by_ref if r[0] == "c"}
+        for num in sorted(closed):
             links.append(
-                Link(None, tuple(self.closed_edges[num]), tuple(sorted(inner_by_ref.get(f"c{num}", ()))))
+                Link(None, tuple(self.closed_edges.get(num, ())), tuple(sorted(inner_by_ref.get(f"c{num}", ()))))
             )
         for name in sorted(self.open_edges):
             links.append(

@@ -1,9 +1,14 @@
 """Command-line front end: parse -> elaborate -> explore -> check/export.
 
+Each subcommand takes only the flags it reads.  `validate` also checks the
+model's digital-clocks discipline (see `elaborate.clock_problems`) and
+reports each breach as a problem; `build`, `export` and `check` do not.
+
 Exit codes: 0 success (all properties hold), 1 property failure, 2 usage or
-model error, 3 resource limit, 4 internal error (a one-line diagnostic on
-stderr, such as value iteration not converging).  All outputs are byte
-deterministic for identical inputs and flags.
+model error (including any `validate` problem), 3 resource limit, 4
+internal error (a one-line diagnostic on stderr, such as value iteration
+not converging).  All outputs are byte deterministic for identical inputs
+and flags.
 """
 
 from __future__ import annotations
@@ -16,11 +21,11 @@ import random
 import sys
 
 from .canon import canonical_digest
-from .elaborate import ElabError, load_model
+from .bigraph import validate
+from .elaborate import ElabError, clock_problems, load_model
 from .lang import ParseError
 from .mdp import (
     ExplorationLimit,
-    ExploreLimits,
     add_stall_loops,
     explore,
     export_dot,
@@ -71,7 +76,7 @@ def _cache_path(args) -> str:
 
 def _obtain_mdp(args, model):
     """Load the cached MDP when fresh, else explore and refresh the cache."""
-    fix = getattr(args, "fix_deadlocks", False)
+    fix = args.fix_deadlocks
     key = _model_key(args.model, fix)
     cache = _cache_path(args)
     mdp = load_mdp(cache, model.controls, key)
@@ -79,7 +84,7 @@ def _obtain_mdp(args, model):
     if mdp is not None and mdp.n_states <= args.max_states:
         log.info("reusing cache %s", cache)
         return mdp, cache
-    mdp = explore(model, ExploreLimits(max_states=args.max_states))
+    mdp = explore(model, max_states=args.max_states)
     if fix:
         add_stall_loops(mdp)
     os.makedirs(args.out, exist_ok=True)
@@ -89,9 +94,7 @@ def _obtain_mdp(args, model):
 
 def cmd_validate(args) -> int:
     model = load_model(args.model)
-    from .bigraph import validate
-
-    problems = validate(model.init)
+    problems = validate(model.init) + clock_problems(model)
     report = {
         "model": model.name,
         "rules": model.rule_count(),
@@ -161,9 +164,6 @@ def cmd_export(args) -> int:
 
 
 def cmd_check(args) -> int:
-    if not args.props:
-        print("check: --props FILE is required", file=sys.stderr)
-        return EXIT_USAGE
     model = load_model(args.model)
     with open(args.props, "r", encoding="utf-8") as fh:
         props = parse_properties(fh.read())
@@ -227,27 +227,35 @@ def main(argv=None) -> int:
         prog="tickgraph",
         description="Action bigraphs with digital clocks: build, check and export MDPs.",
     )
+    options = {
+        "--props": dict(required=True, help="property file"),
+        "--format": dict(choices=("prism", "dot"), default="prism", help="export format"),
+        "--max-states": dict(type=_state_budget, default=100_000,
+                             help="exploration state budget"),
+        "--fix-deadlocks": dict(action="store_true",
+                                help="give deadlock states a stall self-loop"),
+        "--seed": dict(type=int, default=0, help="simulation seed"),
+        "--steps": dict(type=int, default=20, help="simulation length"),
+        "--out": dict(default=".", help="output/cache directory"),
+        "--json": dict(action="store_true", help="machine-readable output"),
+    }
+    mdp_flags = ("--max-states", "--fix-deadlocks", "--out")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn, blurb in (
-        ("validate", cmd_validate, "parse, elaborate and check the model"),
-        ("build", cmd_build, "explore the state space and cache the MDP"),
-        ("export", cmd_export, "write PRISM explicit files or a DOT graph"),
-        ("check", cmd_check, "evaluate a property file against the MDP"),
-        ("simulate", cmd_simulate, "print a seeded random trace"),
+    for name, fn, blurb, flags in (
+        ("validate", cmd_validate, "parse, elaborate and check the model and its clocks",
+         ("--json",)),
+        ("build", cmd_build, "explore the state space and cache the MDP",
+         mdp_flags + ("--json",)),
+        ("export", cmd_export, "write PRISM explicit files or a DOT graph",
+         ("--format",) + mdp_flags),
+        ("check", cmd_check, "evaluate a property file against the MDP",
+         ("--props",) + mdp_flags + ("--json",)),
+        ("simulate", cmd_simulate, "print a seeded random trace", ("--seed", "--steps")),
     ):
         p = sub.add_parser(name, help=blurb)
         p.add_argument("model", help="path to the .big model file")
-        p.add_argument("--props", help="property file (check)")
-        p.add_argument("--format", choices=("prism", "dot"), default="prism",
-                       help="export format")
-        p.add_argument("--max-states", type=_state_budget, default=100_000, dest="max_states",
-                       help="exploration state budget")
-        p.add_argument("--fix-deadlocks", action="store_true", dest="fix_deadlocks",
-                       help="give deadlock states a stall self-loop")
-        p.add_argument("--seed", type=int, default=0, help="simulation seed")
-        p.add_argument("--steps", type=int, default=20, help="simulation length")
-        p.add_argument("--out", default=".", help="output/cache directory")
-        p.add_argument("--json", action="store_true", help="machine-readable output")
+        for flag in flags:
+            p.add_argument(flag, **options[flag])
         p.set_defaults(fn=fn)
     args = parser.parse_args(argv)
     try:

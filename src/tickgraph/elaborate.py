@@ -8,7 +8,8 @@ matches its redex, and each predicate family its body, with bindings
 restricted to its domains.  A predicate family names its instances
 `base_v1_v2...`; one whose body uses parameter arithmetic cannot bind
 through it and becomes one plain pattern per valuation.  Every diagnostic
-carries a source position.
+carries a source position.  :func:`clock_problems` checks an elaborated
+model against the digital-clocks discipline.
 """
 
 from __future__ import annotations
@@ -105,18 +106,15 @@ class _Elaborator:
             actions.append((a.name, a.rules))
 
         patterns: list[Pattern] = []
-        predicates: list[tuple[str, Bigraph]] = []
         seen_preds: set[str] = set()
         for ref in abrs.preds:
             fam = self.pred_family(ref, ints)
-            instances = fam.instances()
-            for pname, _body in instances:
+            for pname in fam.instance_names():
                 if pname in seen_preds:
                     raise ElabError(f"predicate {pname} defined twice", ref.pos)
                 seen_preds.add(pname)
-            predicates.extend(instances)
             if fam.has_arithmetic:
-                patterns.extend(Pattern(n, b) for n, b in instances)
+                patterns.extend(Pattern(n, b) for n, b in fam.instances())
             else:
                 patterns.append(fam)
 
@@ -125,10 +123,9 @@ class _Elaborator:
                 controls=self.controls,
                 classes=classes,
                 actions=actions,
-                predicates=predicates,
+                patterns=patterns,
                 init=init,
                 name=name,
-                patterns=patterns,
             )
         except ValueError as exc:
             raise ElabError(str(exc), abrs.pos) from exc
@@ -158,6 +155,7 @@ class _Elaborator:
                 reactum=reactum,
                 weight=decl.weight,
                 condition=condition,
+                pos=decl.pos,
             )
         except ValueError as exc:
             raise ElabError(f"rule {name}: {exc}", decl.pos) from exc
@@ -293,3 +291,54 @@ def load_model(path) -> Model:
     ast = lang.parse(text)
     name = os.path.splitext(os.path.basename(path))[0]
     return elaborate(ast, name=name)
+
+
+def _advance(param) -> tuple[str, int] | None:
+    """(variable, step) when `param` is `Var + step` with a positive step."""
+    if (
+        isinstance(param, Arith)
+        and param.op == "+"
+        and isinstance(param.left, Var)
+        and isinstance(param.right, int)
+        and param.right > 0
+    ):
+        return param.left.name, param.right
+    return None
+
+
+def clock_problems(model: Model) -> list[str]:
+    """Breaches of the digital-clocks discipline, each with its rule's position.
+
+    The clocks are the controls that the `clock_advance` reactum gives a
+    `Var + step` parameter.  That tick must advance every clock it holds by
+    the same step, from a value its redex binds; any other rule may give a
+    clock only a value that a clock of its redex binds (keep) or 0 (reset).
+    A model without `clock_advance` is not checked.
+    """
+    families = {e.family.base: e.family for cls in model.classes for e in cls}
+    tick = families.get("clock_advance")
+    if tick is None:
+        return []
+    clocks = {ctrl.name for ctrl, param in tick.reactum.nodes if _advance(param)}
+    problems = []
+    for fam in families.values():
+        where = f"{fam.pos[0]}:{fam.pos[1]}: rule {fam.base}"
+        kept = {p.name for c, p in fam.redex.nodes if c.name in clocks and isinstance(p, Var)}
+        steps = set()
+        for ctrl, param in fam.reactum.nodes:
+            if ctrl.name not in clocks:
+                continue
+            if fam is tick:
+                adv = _advance(param)
+                if adv and adv[0] in kept:
+                    steps.add(adv[1])
+                else:
+                    problems.append(f"{where}: tick does not advance clock {ctrl.name}({param})")
+            elif param != 0 and not (isinstance(param, Var) and param.name in kept):
+                problems.append(
+                    f"{where}: sets clock {ctrl.name} to {param}; only the tick may "
+                    "change a clock other than by keeping it or resetting it to 0"
+                )
+        if len(steps) > 1:
+            problems.append(f"{where}: clocks advance by different steps {sorted(steps)}")
+    return problems

@@ -26,19 +26,6 @@ class ExplorationLimit(Exception):
         self.frontier = frontier
 
 
-@dataclass(frozen=True)
-class ExploreLimits:
-    """Bounds on exploration.  Exceeding max_states raises; max_depth merely
-    stops expanding, leaving the frontier states choiceless (absorbing)."""
-
-    max_states: int = 100_000
-    max_depth: int | None = None
-
-    def __post_init__(self):
-        if self.max_states < 1:
-            raise ValueError("max_states must be at least 1")
-
-
 @dataclass
 class Choice:
     action: str
@@ -71,12 +58,15 @@ class Mdp:
         return [s for s, cs in enumerate(self.choices) if not cs]
 
 
-def explore(model: Model, limits: ExploreLimits = ExploreLimits()) -> Mdp:
+def explore(model: Model, max_states: int = 100_000) -> Mdp:
     """Breadth-first closure from the initial bigraph.
 
     States are numbered in discovery order: level by level, and within a
     level by frontier order, then action order, then successor order.
+    Discovering more than `max_states` states raises ExplorationLimit.
     """
+    if max_states < 1:
+        raise ValueError("max_states must be at least 1")
     init = model.init
     if not init.is_ground():
         raise ValueError("initial bigraph must be ground")
@@ -84,10 +74,7 @@ def explore(model: Model, limits: ExploreLimits = ExploreLimits()) -> Mdp:
     states = [init]
     choices: list[list[Choice]] = [[]]
     frontier = [0]
-    depth = 0
     while frontier:
-        if limits.max_depth is not None and depth >= limits.max_depth:
-            break
         next_frontier: list[int] = []
         for s in frontier:
             agent = states[s]
@@ -99,9 +86,9 @@ def explore(model: Model, limits: ExploreLimits = ExploreLimits()) -> Mdp:
                     t = index.get(key)
                     if t is None:
                         t = len(states)
-                        if t >= limits.max_states:
+                        if t >= max_states:
                             raise ExplorationLimit(
-                                f"state budget {limits.max_states} exceeded",
+                                f"state budget {max_states} exceeded",
                                 frontier=len(frontier) + len(next_frontier),
                             )
                         index[key] = t
@@ -112,7 +99,6 @@ def explore(model: Model, limits: ExploreLimits = ExploreLimits()) -> Mdp:
                     rules.extend(names)
                 choices[s].append(Choice(action, dist, tuple(dict.fromkeys(rules))))
         frontier = next_frontier
-        depth += 1
     return Mdp(
         states=states,
         canon=list(index),

@@ -1,12 +1,12 @@
 """Reaction rules with weights, actions, priorities and negative conditions.
 
-A :class:`RuleFamily` is a parameterised rule template whose redex carries
-parameter variables; instantiating a valuation gives a concrete
-:class:`ReactionRule`.  A model's rule entries never expand their
-valuations: each matches the symbolic redex once per state, parameters
-bind from the matched entities (restricted to the entry's domains), and
-parameters that occur only in the reactum range over their whole domain.
-Predicate families (:class:`Pattern`) are matched the same way.
+A :class:`RuleFamily` is a rule template whose redex carries parameter
+variables; a concrete rule is a family with no formals.  A model's rule
+entries never expand their valuations: each matches the symbolic redex
+once per state, parameters bind from the matched entities (restricted to
+the entry's domains), and parameters that occur only in the reactum range
+over their whole domain.  Predicate families (:class:`Pattern`) are
+matched the same way.
 
 Priority classes are global and ordered: a rule may fire only when no rule
 of any earlier class has a condition-satisfying match.  Weights turn the
@@ -53,21 +53,6 @@ def _check_rule_shape(redex: Bigraph, reactum: Bigraph, site_map, weight: float,
             )
 
 
-@dataclass(frozen=True)
-class ReactionRule:
-    """Concrete rule: every entity parameter is a literal."""
-
-    name: str
-    redex: Bigraph
-    reactum: Bigraph
-    weight: float
-    condition: Bigraph | None = None  # no occurrence of this outside the image
-    site_map: tuple[int, ...] | None = None  # reactum site -> redex site, identity if None
-
-    def __post_init__(self):
-        _check_rule_shape(self.redex, self.reactum, self.site_map, self.weight, self.name)
-
-
 def _subst(g: Bigraph, env: dict[str, int]) -> Bigraph:
     nodes = []
     for ctrl, param in g.nodes:
@@ -93,8 +78,9 @@ class RuleFamily:
     redex: Bigraph
     reactum: Bigraph
     weight: float
-    condition: Bigraph | None = None
-    site_map: tuple[int, ...] | None = None
+    condition: Bigraph | None = None  # no occurrence of this outside the image
+    site_map: tuple[int, ...] | None = None  # reactum site -> redex site, identity if None
+    pos: tuple[int, int] = field(default=(0, 0), compare=False)  # declaration line:col
 
     def __post_init__(self):
         _check_rule_shape(self.redex, self.reactum, self.site_map, self.weight, self.base)
@@ -111,16 +97,6 @@ class RuleFamily:
         if not self.formal:
             return self.base
         return f"{self.base}({','.join(str(env[v]) for v in self.formal)})"
-
-    def instantiate(self, env: dict[str, int]) -> ReactionRule:
-        return ReactionRule(
-            name=self.instance_name(env),
-            redex=_subst(self.redex, env),
-            reactum=_subst(self.reactum, env),
-            weight=self.weight,
-            condition=self.condition,
-            site_map=self.site_map,
-        )
 
 
 def open_axes(
@@ -141,25 +117,16 @@ def valuations(formal: tuple[str, ...], axes, binding) -> itertools.product:
     return itertools.product(*[(env[v],) if ax is None else ax for v, ax in zip(formal, axes)])
 
 
-def expand(family: RuleFamily, domains: dict[str, tuple[int, ...]]) -> list[ReactionRule]:
-    """One concrete rule per valuation in the cartesian product of the domains."""
-    for v in family.formal:
-        if v not in domains or not domains[v]:
-            raise ValueError(f"rule {family.base}: empty or missing domain for {v!r}")
-    axes = [tuple(domains[v]) for v in family.formal]
-    out = []
-    for combo in itertools.product(*axes):
-        out.append(family.instantiate(dict(zip(family.formal, combo))))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # application
 
 
-def apply(agent: Bigraph, rule: ReactionRule | RuleFamily, m: Match) -> Bigraph:
+def apply(agent: Bigraph, rule: RuleFamily, m: Match) -> Bigraph:
     """Replace the matched occurrence of the redex with the reactum.
 
+    `m` must be a match that :meth:`RuleEntry.outcomes` or
+    :func:`enabled_outcomes` returned for `rule` on `agent`: those already
+    checked the context condition, and the binding holds every formal.
     The context is preserved as-is, site contents are re-parented to the
     reactum's sites, reactum ports on an outer name reattach to the agent
     hyperedge that name matched, and fully consumed closed edges vanish.
@@ -171,9 +138,6 @@ def apply(agent: Bigraph, rule: ReactionRule | RuleFamily, m: Match) -> Bigraph:
     for p, u in enumerate(m.nodes):
         if u >= agent.nnodes or agent.nodes[u][0].name != redex.nodes[p][0].name:
             raise ValueError("apply: stale match for this agent")
-    label = getattr(rule, "name", None) or getattr(rule, "base", "rule")
-    if not _condition_holds(agent, rule.condition, m):
-        raise ValueError(f"apply: context condition of {label} violated")
     env = m.binding_env()
     emap = m.edge_map()
 
@@ -251,21 +215,6 @@ def apply(agent: Bigraph, rule: ReactionRule | RuleFamily, m: Match) -> Bigraph:
 # model structure
 
 
-@dataclass(frozen=True)
-class PrioritySpec:
-    """Ordered rule-name classes, first class binds tightest (highest)."""
-
-    classes: tuple[frozenset[str], ...]
-
-    def __post_init__(self):
-        seen: set[str] = set()
-        for cls in self.classes:
-            dup = seen & cls
-            if dup:
-                raise ValueError(f"rule(s) {sorted(dup)} appear in two priority classes")
-            seen |= cls
-
-
 @dataclass
 class RuleEntry:
     """One occurrence of a rule family inside a priority class, with domains."""
@@ -294,12 +243,6 @@ class RuleEntry:
             n *= len(dom)
         return n
 
-    def instance_names(self) -> list[str]:
-        names = []
-        for combo in itertools.product(*self.domains):
-            names.append(self.family.instance_name(dict(zip(self.family.formal, combo))))
-        return names
-
     def overlaps(self, other: "RuleEntry") -> bool:
         if self.family.base != other.family.base:
             return False
@@ -313,7 +256,7 @@ class RuleEntry:
         fam = self.family
         out: list[Outcome] = []
         for m in occurrences(agent, fam.redex, domains=self._match_domains):
-            if not _condition_holds(agent, fam.condition, m):
+            if fam.condition is not None and occurrences(agent, fam.condition, excluded=m.image):
                 continue
             for values in valuations(fam.formal, self._axes, m.binding):
                 env = dict(zip(fam.formal, values))
@@ -327,19 +270,13 @@ class Outcome:
     """An enabled (rule instance, match) pair with its weight."""
 
     name: str
-    rule: ReactionRule | RuleFamily
+    rule: RuleFamily
     match: Match
     weight: float
 
     @property
     def base(self) -> str:
         return self.name.split("(", 1)[0]
-
-
-def _condition_holds(agent: Bigraph, condition: Bigraph | None, m: Match) -> bool:
-    if condition is None:
-        return True
-    return not occurrences(agent, condition, excluded=m.image)
 
 
 @dataclass(frozen=True)
@@ -400,24 +337,17 @@ class Pattern:
 
 @dataclass
 class Model:
-    """Elaborated model: controls, prioritised rule entries, actions, predicates.
-
-    `predicates` lists every predicate instance with its concrete body;
-    `patterns` holds the same instances as the families that label states
-    (by default one plain pattern per predicate).
-    """
+    """Elaborated model: controls, prioritised rule entries, actions, and the
+    predicate patterns that label states."""
 
     controls: dict[str, Control]
     classes: list[list[RuleEntry]]
     actions: list[tuple[str, tuple[str, ...]]]  # (action label, rule base names)
-    predicates: list[tuple[str, Bigraph]]
+    patterns: list[Pattern]
     init: Bigraph
     name: str = "model"
-    patterns: list[Pattern] | None = None
 
     def __post_init__(self):
-        if self.patterns is None:
-            self.patterns = [Pattern(n, b) for n, b in self.predicates]
         self.action_of: dict[str, str] = {}
         for label, bases in self.actions:
             for b in bases:
@@ -440,12 +370,10 @@ class Model:
     def action_order(self) -> list[str]:
         return [label for label, _ in self.actions]
 
-    def priority_spec(self) -> PrioritySpec:
-        return PrioritySpec(
-            tuple(
-                frozenset(n for e in cls for n in e.instance_names()) for cls in self.classes
-            )
-        )
+    @property
+    def predicates(self) -> list[tuple[str, Bigraph]]:
+        """Every predicate instance with its concrete body, in pattern order."""
+        return [inst for pat in self.patterns for inst in pat.instances()]
 
     def rule_count(self) -> int:
         return sum(e.size for cls in self.classes for e in cls)

@@ -2,7 +2,7 @@ import pytest
 
 from tickgraph.bigraph import Control, close, ion, merge, merge_all, nest, parallel, site
 from tickgraph.params import Arith, Var
-from tickgraph.rules import Model, RuleEntry, RuleFamily
+from tickgraph.rules import Model, Pattern, RuleEntry, RuleFamily
 
 # --- programmatic PTA model (mirrors models/pta.big) -----------------------
 
@@ -86,7 +86,7 @@ def build_pta_model() -> Model:
         controls=dict(PTA_CONTROLS),
         classes=classes,
         actions=actions,
-        predicates=preds,
+        patterns=[Pattern(n, b) for n, b in preds],
         init=pta_state(INIT, 0),
         name="pta",
     )
@@ -144,7 +144,7 @@ def build_sensor_model() -> Model:
         controls={c.name: c for c in (SN, DATA, ACTIVE, IDC)},
         classes=classes,
         actions=actions,
-        predicates=preds,
+        patterns=[Pattern(n, b) for n, b in preds],
         init=sensor_initial(),
         name="sensor",
     )

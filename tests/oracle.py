@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from tickgraph.bigraph import Bigraph
-from tickgraph.params import Var
+from tickgraph.params import Var, term_eval
 
 
 def _binding_of(pattern, nmap, agent, domains):
@@ -324,12 +324,61 @@ def oracle_explore(model, max_states=50000) -> OracleMdp:
 # rule entry computes
 
 
+def _subst(g: Bigraph, env: dict[str, int]) -> Bigraph:
+    nodes = [(c, p if p is None or isinstance(p, int) else term_eval(p, env)) for c, p in g.nodes]
+    return Bigraph(
+        nodes,
+        [list(cs) for cs in g.node_children],
+        [list(cs) for cs in g.region_children],
+        g.nsites,
+        list(g.links),
+    )
+
+
+def instantiate(family, env: dict[str, int]):
+    """The concrete rule (a family with no formals) named after its valuation."""
+    from tickgraph.rules import RuleFamily
+
+    return RuleFamily(
+        base=family.instance_name(env),
+        formal=(),
+        redex=_subst(family.redex, env),
+        reactum=_subst(family.reactum, env),
+        weight=family.weight,
+        condition=family.condition,
+        site_map=family.site_map,
+    )
+
+
+def expand(family, domains: dict[str, tuple[int, ...]]) -> list:
+    """One concrete rule per valuation in the cartesian product of the domains."""
+    for v in family.formal:
+        if v not in domains or not domains[v]:
+            raise ValueError(f"rule {family.base}: empty or missing domain for {v!r}")
+    return [
+        instantiate(family, dict(zip(family.formal, combo)))
+        for combo in itertools.product(*(domains[v] for v in family.formal))
+    ]
+
+
+def class_instance_names(model) -> list[set[str]]:
+    """Per priority class, the names of every rule instance its entries hold."""
+    return [
+        {
+            e.family.instance_name(dict(zip(e.family.formal, combo)))
+            for e in cls
+            for combo in itertools.product(*e.domains)
+        }
+        for cls in model.classes
+    ]
+
+
 def expanded_outcomes(agent: Bigraph, model) -> dict[str, list[tuple[str, bytes, float]]]:
     """Per enabled action, (instance name, successor canonical form, weight)
     for each match of each concrete instance, sorted."""
     from tickgraph.canon import canonical_form
     from tickgraph.match import occurrences
-    from tickgraph.rules import apply, expand
+    from tickgraph.rules import apply
 
     for cls in model.classes:
         found: dict[str, list[tuple[str, bytes, float]]] = {}
@@ -343,7 +392,7 @@ def expanded_outcomes(agent: Bigraph, model) -> dict[str, list[tuple[str, bytes,
                         continue
                     succ = canonical_form(apply(agent, rule, m))
                     action = model.action_of[entry.family.base]
-                    found.setdefault(action, []).append((rule.name, succ, rule.weight))
+                    found.setdefault(action, []).append((rule.base, succ, rule.weight))
         if found:
             return {a: sorted(found[a]) for a in model.action_order if a in found}
     return {}

@@ -108,7 +108,7 @@ _POOL = [
 ]
 
 
-def random_bigraph(rng: random.Random, max_nodes=6):
+def random_bigraph(rng: random.Random, max_nodes=6, inner=False):
     n = rng.randint(1, max_nodes)
     picks = [rng.choice(_POOL) for _ in range(n)]
     nodes = [(c, rng.randint(0, 2) if c.parameterised else None) for c in picks]
@@ -130,6 +130,12 @@ def random_bigraph(rng: random.Random, max_nodes=6):
         ports = ports[k:]
         name = f"y{len(links)}" if rng.random() < 0.2 else None  # mostly closed
         links.append(Link(name, chunk))
+    if inner:
+        # inner names on some edges, and closed edges that have only inner names
+        links = [Link(lk.name, lk.ports, (f"x{e}",) if rng.random() < 0.4 else ())
+                 for e, lk in enumerate(links)]
+        links += [Link(None, (), tuple(f"z{j}_{i}" for i in range(rng.randint(1, 2))))
+                  for j in range(rng.randint(0, 2))]
     return Bigraph(nodes, node_children, region_children, 0, links)
 
 
@@ -224,6 +230,31 @@ def test_decode_round_trip_random():
         h = decode_canonical(enc, controls)
         assert validate(h) == []
         assert canonical_form(h) == enc
+
+
+def test_decode_keeps_portless_closed_edge_with_inner_names():
+    # such an edge appears only in the encoding's tail (";X=x>c1")
+    k1 = Control("K1", 1, atomic=True)
+    g = Bigraph([(B, None)], [[]], [[("n", 0)]], 0, [Link(None, (), ("x",))])
+    h = Bigraph([(k1, None)], [[]], [[("n", 0)]], 0,
+                [Link(None, ((0, 0),)), Link(None, (), ("x", "y"))])
+    for graph, controls in ((g, {"B": B}), (h, {"K1": k1})):
+        enc = canonical_form(graph)
+        back = decode_canonical(enc, controls)
+        assert validate(back) == []
+        assert canonical_form(back) == enc
+
+
+def test_decode_round_trip_random_inner_names():
+    controls = {c.name: c for c in _POOL}
+    rng = random.Random(78)
+    for _ in range(200):
+        g = random_bigraph(rng, inner=True)
+        enc = canonical_form(g)
+        h = decode_canonical(enc, controls)
+        assert validate(h) == []
+        assert canonical_form(h) == enc
+        assert canonical_form(permuted_copy(rng, g)) == enc
 
 
 @pytest.mark.parametrize("seed", range(40))

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -203,6 +204,38 @@ def test_jobs_option_removed(tmp_path):
     r = run("build", MODELS / "pta.big", "--jobs", "2", "--out", tmp_path)
     assert r.returncode == 2
     assert "unrecognized arguments: --jobs 2" in r.stderr
+
+
+def test_check_requires_props(tmp_path):
+    r = run("check", MODELS / "pta.big", "--out", tmp_path)
+    assert r.returncode == 2
+    assert "the following arguments are required: --props" in r.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_simulate_rejects_out(tmp_path):
+    r = run("simulate", MODELS / "pta.big", "--out", tmp_path)
+    assert r.returncode == 2
+    assert "unrecognized arguments: --out" in r.stderr
+
+
+def test_subcommand_options(capsys):
+    # each subcommand takes only the flags it reads: 16 settable values
+    from tickgraph import cli
+
+    expected = {
+        "validate": {"--json"},
+        "build": {"--max-states", "--fix-deadlocks", "--out", "--json"},
+        "export": {"--format", "--max-states", "--fix-deadlocks", "--out"},
+        "check": {"--props", "--max-states", "--fix-deadlocks", "--out", "--json"},
+        "simulate": {"--seed", "--steps"},
+    }
+    for command, flags in expected.items():
+        with pytest.raises(SystemExit):
+            cli.main([command, "--help"])
+        usage = capsys.readouterr().out
+        assert set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", usage)) - {"--help"} == flags
+    assert sum(map(len, expected.values())) == 16
 
 
 # sha256 of the bundled models' exports and caches: a change to matching,

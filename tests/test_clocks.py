@@ -1,198 +1,84 @@
+"""The digital-clocks discipline that `tickgraph validate` checks.
+
+One `clock_advance` tick moves every clock by the same step; any other rule
+only keeps a clock or resets it to 0.
+"""
+
+import json
+
 import pytest
 
-from tickgraph.bigraph import Control, close, ion, merge, merge_all, nest, site
-from tickgraph.canon import is_iso
-from tickgraph.clocks import (
-    GC,
-    LC,
-    LOCAL_CLOCKS,
-    ClockConfig,
-    GuardSpec,
-    build_clock_perspective,
-    encode_invariant,
-    gen_clock_advance,
-    lint_clock_resets,
-    timed_rule,
-)
-from tickgraph.params import Var
-from tickgraph.rules import RuleFamily, expand
-
-from .conftest import INIT, SEND, X, S, pta_families, pta_state
+from .test_cli import MODELS, run
 
 
-def test_advance_values():
-    assert ClockConfig(max_t=9).advance_values() == tuple(range(9))
-    assert ClockConfig(max_t=8, tick_step=2).advance_values() == (0, 2, 4, 6)
-
-
-def test_clock_config_validation():
-    with pytest.raises(ValueError, match="max_t"):
-        ClockConfig(max_t=0)
-    with pytest.raises(ValueError, match="duplicate"):
-        ClockConfig(max_t=3, timed=(("A", "c"), ("B", "c")))
-
-
-def test_build_clock_perspective_pta():
-    system = nest(ion(S, ["c"]), ion(INIT))
-    cfg = ClockConfig(
-        max_t=9, timed=(("S", "c"),), global_clock=False, container=False, clock_control=X
+def clock_model(move: str, tick: str) -> str:
+    """Two clocked locations with a move rule and a tick over two clocks."""
+    return (
+        "atomic fun ctrl X(n) = 1;\n"
+        "ctrl S = 1;\n"
+        "atomic ctrl A = 0;\n"
+        "atomic ctrl B = 0;\n"
+        f"fun react move(n) = {move};\n"
+        f"fun react clock_advance(n, m) = {tick};\n"
+        "big start = /c /d (S{c}.A || X(0){c} || X(0){d});\n"
+        "begin abrs\n  int n = {0,1,2};\n  init start;\n"
+        "  rules = [ {move(n)}, {clock_advance(n, n)} ];\n"
+        "  actions = [ go = {move}, tick = {clock_advance} ];\nend\n"
     )
-    out = build_clock_perspective(system, cfg)
-    assert is_iso(out, pta_state(INIT, 0))
 
 
-def test_build_clock_perspective_sensor_fig():
-    SN = Control("Sn", arity=3)  # two comm links plus the reserved clock port
-    ACTIVE = Control("Active", atomic=True)
-    sensors = merge_all(
-        [
-            nest(ion(SN, ["ab", "ac", "c1"]), merge(ion(ACTIVE), site())),
-            nest(ion(SN, ["ab", "bc", "c2"]), merge(ion(ACTIVE), site())),
-            nest(ion(SN, ["ac", "bc", "c3"]), merge(ion(ACTIVE), site())),
-        ]
-    )
-    cfg = ClockConfig(max_t=5, timed=(("Sn", "c1"), ("Sn", "c2"), ("Sn", "c3")))
-    out = build_clock_perspective(sensors, cfg)
-    assert out.nregions == 2
-    assert {c.name for c, _ in out.nodes} == {"Sn", "Active", "GC", "LocalClocks", "LC"}
-    # clock links closed, comm links still open
-    assert out.outer_names() == {"ab", "ac", "bc"}
-    lcs = [i for i, (c, _) in enumerate(out.nodes) if c.name == "LC"]
-    assert all(out.nodes[i][1] == 0 for i in lcs)
-    container = [i for i, (c, _) in enumerate(out.nodes) if c.name == "LocalClocks"]
-    assert len(container) == 1
-    assert len(out.node_children[container[0]]) == 3
+GOOD_MOVE = "S{c}.A || X(n){c} -[1]-> S{c}.B || X(0){c}"
+GOOD_TICK = "X(n){c} | X(m){d} -[1]-> X(n + 1){c} | X(m + 1){d}"
 
 
-def test_build_clock_perspective_degenerate_global_only():
-    A = Control("A", atomic=True)
-    out = build_clock_perspective(ion(A), ClockConfig(max_t=3))
-    assert out.nregions == 2
-    assert {c.name for c, _ in out.nodes} == {"A", "GC"}
+def validate_json(path):
+    r = run("validate", path, "--json")
+    return r.returncode, json.loads(r.stdout)["problems"]
 
 
-def test_build_clock_perspective_missing_port():
-    with pytest.raises(ValueError, match="reserved"):
-        build_clock_perspective(
-            ion(Control("A", atomic=True)),
-            ClockConfig(max_t=3, timed=(("A", "c"),), global_clock=False),
-        )
+@pytest.mark.parametrize("name", ["pta", "cloud", "sensor"])
+def test_validate_bundled_models_keep_clock_discipline(name):
+    assert validate_json(MODELS / f"{name}.big") == (0, [])
 
 
-def test_gen_clock_advance_matches_handwritten_pta_rule():
-    cfg = ClockConfig(
-        max_t=9, timed=(("S", "c"),), global_clock=False, container=False, clock_control=X
-    )
-    family, domains = gen_clock_advance(cfg)
-    assert domains == {"n1": tuple(range(9))}
-    rules = expand(family, domains)
-    assert len(rules) == 9
-    handwritten = pta_families()["clock_advance"]
-    for n in range(9):
-        ours = family.instantiate({"n1": n})
-        reference = handwritten.instantiate({"n": n})
-        assert is_iso(ours.redex, reference.redex)
-        assert is_iso(ours.reactum, reference.reactum)
+def test_validate_accepts_keep_and_reset(tmp_path):
+    path = tmp_path / "ok.big"
+    path.write_text(clock_model(GOOD_MOVE, GOOD_TICK))
+    assert validate_json(path) == (0, [])
+    path.write_text(clock_model("S{c}.A || X(n){c} -[1]-> S{c}.B || X(n){c}", GOOD_TICK))
+    assert validate_json(path) == (0, [])
 
 
-def test_gen_clock_advance_three_locals_plus_global():
-    cfg = ClockConfig(max_t=5, timed=(("A", "c1"), ("B", "c2"), ("C", "c3")))
-    family, domains = gen_clock_advance(cfg)
-    assert family.formal == ("n1", "n2", "n3", "n")
-    assert set(domains) == {"n1", "n2", "n3", "n"}
-    assert {c.name for c, _ in family.redex.nodes} == {"GC", "LocalClocks", "LC"}
-    # reactum advances every parameter by the step
-    r = family.instantiate({"n1": 0, "n2": 1, "n3": 2, "n": 3})
-    vals = sorted(p for c, p in r.reactum.nodes if c.name in ("LC", "GC"))
-    assert vals == [1, 2, 3, 4]
+def test_validate_reports_clock_set_by_non_tick_rule(tmp_path):
+    path = tmp_path / "bad.big"
+    path.write_text(clock_model("S{c}.A || X(n){c} -[1]-> S{c}.B || X(5){c}", GOOD_TICK))
+    code, problems = validate_json(path)
+    assert code == 2
+    assert len(problems) == 1 and problems[0].startswith("5:1: rule move: sets clock X to 5")
+    r = run("validate", path)
+    assert r.returncode == 2 and "problem: 5:1: rule move" in r.stdout
+    # build and check do not run the clock check
+    assert run("build", path, "--out", tmp_path).returncode == 0
 
 
-def test_gen_clock_advance_tick_step_two():
-    cfg = ClockConfig(max_t=8, tick_step=2, timed=(("A", "c1"),), global_clock=False)
-    family, domains = gen_clock_advance(cfg)
-    assert domains["n1"] == (0, 2, 4, 6)
-    r = family.instantiate({"n1": 2})
-    assert [p for c, p in r.reactum.nodes if c.name == "LC"] == [4]
+def test_validate_reports_clock_set_from_reactum_only_parameter(tmp_path):
+    path = tmp_path / "bad.big"
+    path.write_text(clock_model("S{c}.A || X(0){c} -[1]-> S{c}.B || X(n){c}", GOOD_TICK))
+    code, problems = validate_json(path)
+    assert code == 2 and problems[0].startswith("5:1: rule move: sets clock X to n")
 
 
-def test_timed_rule_reproduces_handwritten_pta_rules():
-    from .conftest import DONE
-
-    base_init = RuleFamily(
-        "init_transition", (), nest(ion(S, ["c"]), ion(INIT)), nest(ion(S, ["c"]), ion(SEND)), 1.0
-    )
-    fam, dom = timed_rule(base_init, "c", (0, 1, 2), reset=True, clock_control=X)
-    assert dom == {"n": (0, 1, 2)}
-    reference = pta_families()["init_transition"]
-    for n in (0, 1, 2):
-        ours, ref = fam.instantiate({"n": n}), reference.instantiate({"n": n})
-        assert is_iso(ours.redex, ref.redex)
-        assert is_iso(ours.reactum, ref.reactum)
-
-    base_succ = RuleFamily(
-        "send_transition_success", (), nest(ion(S, ["c"]), ion(SEND)), nest(ion(S, ["c"]), ion(DONE)), 0.99
-    )
-    fam2, dom2 = timed_rule(base_succ, "c", (0,), reset=False, clock_control=X)
-    ref2 = pta_families()["send_transition_success"].instantiate({"n": 0})
-    ours2 = fam2.instantiate({"n": 0})
-    assert is_iso(ours2.redex, ref2.redex)
-    assert is_iso(ours2.reactum, ref2.reactum)  # keeps X(n), no reset
+def test_validate_reports_tick_that_keeps_a_clock(tmp_path):
+    path = tmp_path / "bad.big"
+    path.write_text(clock_model(GOOD_MOVE, "X(n){c} | X(m){d} -[1]-> X(n + 1){c} | X(m){d}"))
+    code, problems = validate_json(path)
+    assert code == 2
+    assert problems == ["6:1: rule clock_advance: tick does not advance clock X(m)"]
 
 
-def test_timed_rule_empty_domain():
-    base = RuleFamily("r", (), nest(ion(S, ["c"]), ion(INIT)), nest(ion(S, ["c"]), ion(SEND)), 1.0)
-    with pytest.raises(ValueError, match="empty"):
-        timed_rule(base, "c", (), reset=True, clock_control=X)
-
-
-def test_encode_invariant_deadline():
-    fam = pta_families()["init_transition"]
-    tick = (pta_families()["clock_advance"], {"n": tuple(range(9))})
-    classes = encode_invariant(fam, GuardSpec("init_transition", 0, 2), tick)
-    assert len(classes) == 2
-    (high,) = classes[0]
-    assert high[0].base == "init_transition" and high[1] == {"n": (2,)}
-    low_bases = [f.base for f, _d in classes[1]]
-    assert low_bases == ["clock_advance", "init_transition"]
-    low_init = classes[1][1][1]
-    assert low_init == {"n": (0, 1)}
-
-
-def test_encode_invariant_rejects_misaligned_guard():
-    fam = pta_families()["init_transition"]
-    with pytest.raises(ValueError, match="multiples of the"):
-        encode_invariant(fam, GuardSpec("init_transition", 0, 3), None, tick_step=2)
-
-
-def test_encode_invariant_no_deadline():
-    fam = pta_families()["wait_transition"]
-    tick = (pta_families()["clock_advance"], {"n": tuple(range(9))})
-    classes = encode_invariant(fam, GuardSpec("wait_transition", 4, 8, deadline=False), tick)
-    assert len(classes) == 1
-    assert classes[0][1][1] == {"n": (4, 5, 6, 7, 8)}
-
-
-def test_lint_clock_resets():
-    fams = pta_families()
-    for fam in fams.values():
-        assert lint_clock_resets(fam, ("X",)) == []
-    bad = RuleFamily(
-        "skip", ("n",),
-        ion(X, ["c"], param=Var("n")),
-        ion(X, ["c"], param=5),
-        1.0,
-    )
-    assert lint_clock_resets(bad, ("X",)) != []
-
-
-def test_lint_clock_resets_over_corpus():
-    import pathlib
-
-    from tickgraph.elaborate import load_model
-
-    models = pathlib.Path(__file__).resolve().parent.parent / "models"
-    for name, clock_ctrls in (("pta.big", ("X",)), ("cloud.big", ("LC", "GC"))):
-        model = load_model(models / name)
-        for cls in model.classes:
-            for entry in cls:
-                assert lint_clock_resets(entry.family, clock_ctrls) == [], entry.family.base
+def test_validate_reports_tick_with_unequal_steps(tmp_path):
+    path = tmp_path / "bad.big"
+    path.write_text(clock_model(GOOD_MOVE, "X(n){c} | X(m){d} -[1]-> X(n + 1){c} | X(m + 2){d}"))
+    code, problems = validate_json(path)
+    assert code == 2
+    assert problems == ["6:1: rule clock_advance: clocks advance by different steps [1, 2]"]

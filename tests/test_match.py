@@ -150,11 +150,11 @@ def test_two_pattern_regions_may_share_anchor():
 def test_match_reconstruction_round_trip():
     # context + (pattern with filled sites) recomposes to the agent:
     # rewriting with redex == reactum must give back an isomorphic agent
-    from tickgraph.rules import ReactionRule, apply
+    from tickgraph.rules import RuleFamily, apply
 
     agent = sensor_state()
     pat = generic_send_redex()
-    rule = ReactionRule("idy", pat, pat, 1.0)
+    rule = RuleFamily("idy", (), pat, pat, 1.0)
     for m in occurrences(agent, pat):
         assert is_iso(apply(agent, rule, m), agent)
 
@@ -166,11 +166,11 @@ def test_reconstruction_over_corpus(model_file):
     import pathlib
 
     from tickgraph.elaborate import load_model
-    from tickgraph.mdp import ExploreLimits, explore
+    from tickgraph.mdp import explore
     from tickgraph.rules import RuleFamily, apply
 
     model = load_model(pathlib.Path(__file__).resolve().parent.parent / "models" / model_file)
-    mdp = explore(model, ExploreLimits(max_states=200))
+    mdp = explore(model, max_states=200)
     families = {e.family.base: e.family for cls in model.classes for e in cls}
     checked = 0
     for fam in families.values():

@@ -7,7 +7,6 @@ from tickgraph.canon import canonical_form, is_iso
 from tickgraph.match import occurrences
 from tickgraph.mdp import (
     ExplorationLimit,
-    ExploreLimits,
     Mdp,
     add_stall_loops,
     explore,
@@ -127,7 +126,7 @@ def test_order_insensitive_exploration(pta_model_prog):
         controls=pta_model_prog.controls,
         classes=classes,
         actions=list(pta_model_prog.actions),
-        predicates=list(pta_model_prog.predicates),
+        patterns=list(pta_model_prog.patterns),
         init=pta_model_prog.init,
         name="pta-shuffled",
     )
@@ -150,14 +149,9 @@ def test_order_insensitive_exploration(pta_model_prog):
 
 def test_state_budget():
     with pytest.raises(ExplorationLimit):
-        explore(build_pta_model(), ExploreLimits(max_states=5))
-
-
-def test_max_depth_stops_expansion(pta_model_prog):
-    shallow = explore(pta_model_prog, ExploreLimits(max_depth=1))
-    # the initial state and its two successors, successors unexpanded
-    assert shallow.n_states == 3
-    assert shallow.choices[1] == [] and shallow.choices[2] == []
+        explore(build_pta_model(), max_states=5)
+    with pytest.raises(ValueError, match="at least 1"):
+        explore(build_pta_model(), max_states=0)
 
 
 def test_fixpoint_on_dead_model():
@@ -167,7 +161,7 @@ def test_fixpoint_on_dead_model():
         controls={"A": a, "B": b},
         classes=[[RuleEntry(RuleFamily("r", (), ion(b), ion(b), 1.0), ())]],
         actions=[("r", ("r",))],
-        predicates=[],
+        patterns=[],
         init=ion(a),
         name="dead",
     )
@@ -228,7 +222,7 @@ def test_export_prism_minimal():
         controls={"A": a},
         classes=[[RuleEntry(RuleFamily("a", (), ion(a), ion(a), 1.0), ())]],
         actions=[("a", ("a",))],
-        predicates=[],
+        patterns=[],
         init=ion(a),
         name="loop",
     )

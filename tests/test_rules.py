@@ -11,11 +11,9 @@ from tickgraph.rules import (
     Model,
     RuleEntry,
     RuleFamily,
-    ReactionRule,
     action_distribution,
     apply,
     enabled_outcomes,
-    expand,
 )
 
 from .conftest import (
@@ -29,13 +27,14 @@ from .conftest import (
     pta_families,
     pta_state,
 )
+from .oracle import class_instance_names, expand, instantiate
 
 
 def test_expand_clock_advance():
     fam = pta_families()["clock_advance"]
     rules = expand(fam, {"n": tuple(range(9))})
     assert len(rules) == 9
-    r3 = next(r for r in rules if r.name == "clock_advance(3)")
+    r3 = next(r for r in rules if r.base == "clock_advance(3)")
     assert r3.redex.nodes[0][1] == 3
     assert r3.reactum.nodes[0][1] == 4  # arithmetic evaluated
 
@@ -53,13 +52,13 @@ def test_expand_empty_domain():
 
 def test_rule_shape_validation():
     with pytest.raises(ValueError, match="outer names"):
-        ReactionRule("bad", ion(S, ["c"]), ion(S, ["d"]), 1.0)
+        RuleFamily("bad", (), ion(S, ["c"]), ion(S, ["d"]), 1.0)
     with pytest.raises(ValueError, match="regions"):
-        ReactionRule(
-            "bad2", parallel(ion(INIT), ion(SEND)), merge(ion(INIT), ion(SEND)), 1.0
+        RuleFamily(
+            "bad2", (), parallel(ion(INIT), ion(SEND)), merge(ion(INIT), ion(SEND)), 1.0
         )
     with pytest.raises(ValueError, match="weight"):
-        ReactionRule("bad3", ion(INIT), ion(INIT), 0.0)
+        RuleFamily("bad3", (), ion(INIT), ion(INIT), 0.0)
     with pytest.raises(ValueError, match="arithmetic in redex"):
         RuleFamily(
             "bad4", ("n",),
@@ -70,7 +69,7 @@ def test_rule_shape_validation():
 
 
 def test_apply_init_transition():
-    rule = pta_families()["init_transition"].instantiate({"n": 2})
+    rule = instantiate(pta_families()["init_transition"], {"n": 2})
     agent = pta_state(INIT, 2)
     (m,) = occurrences(agent, rule.redex)
     out = apply(agent, rule, m)
@@ -79,7 +78,7 @@ def test_apply_init_transition():
 
 
 def test_apply_keeps_clock_on_success():
-    rule = pta_families()["send_transition_success"].instantiate({"n": 0})
+    rule = instantiate(pta_families()["send_transition_success"], {"n": 0})
     agent = pta_state(SEND, 0)
     (m,) = occurrences(agent, rule.redex)
     assert is_iso(apply(agent, rule, m), pta_state(DONE, 0))
@@ -94,23 +93,12 @@ def test_apply_symbolic_family_uses_binding():
 
 
 def test_apply_stale_match():
-    rule = pta_families()["init_transition"].instantiate({"n": 0})
+    rule = instantiate(pta_families()["init_transition"], {"n": 0})
     agent = pta_state(INIT, 0)
     (m,) = occurrences(agent, rule.redex)
     other = merge(ion(INIT), ion(DONE))
     with pytest.raises(ValueError, match="stale"):
         apply(other, rule, m)
-
-
-def test_apply_condition_violated():
-    stop = Control("Stop", atomic=True)
-    a = Control("A", atomic=True)
-    b = Control("B", atomic=True)
-    fam = RuleFamily("go", (), ion(a), ion(b), 1.0, condition=ion(stop))
-    agent = merge(ion(a), ion(stop))
-    (m,) = occurrences(agent, fam.redex)
-    with pytest.raises(ValueError, match="condition"):
-        apply(agent, fam, m)
 
 
 def test_negative_condition_sees_site_content():
@@ -135,7 +123,7 @@ def test_negative_condition_sees_site_content():
         controls={c.name: c for c in (stop, box, out)},
         classes=[[RuleEntry(fam, ())]],
         actions=[("a", ("empty_box",))],
-        predicates=[],
+        patterns=[],
         init=agent,
         name="t",
     )
@@ -151,7 +139,7 @@ def test_negative_condition_blocks():
         controls={c.name: c for c in (stop, a, b)},
         classes=[[RuleEntry(fam, ())]],
         actions=[("go", ("go",))],
-        predicates=[],
+        patterns=[],
         init=merge(ion(a), ion(stop)),
         name="t",
     )
@@ -171,7 +159,7 @@ def test_condition_blocked_class_falls_through():
         controls={c.name: c for c in (stop, a, b)},
         classes=[[RuleEntry(hi, ())], [RuleEntry(lo, ())]],
         actions=[("hi", ("hi",)), ("lo", ("lo",))],
-        predicates=[],
+        patterns=[],
         init=merge(ion(a), ion(stop)),
         name="t",
     )
@@ -237,7 +225,7 @@ def test_action_distribution_merges_isomorphic_results():
         controls={"A": a, "B": b},
         classes=[[RuleEntry(rule, ())]],
         actions=[("flip", ("flip",))],
-        predicates=[],
+        patterns=[],
         init=merge(ion(a), ion(a)),
         name="t",
     )
@@ -286,7 +274,7 @@ def test_reactum_only_parameter_enumerated():
         controls={c.name: c for c in (box, go, b)},
         classes=[[RuleEntry(fam, ((3, 1), (10, 20)))]],
         actions=[("go", ("spawn",))],
-        predicates=[],
+        patterns=[],
         init=merge(nest(ion(box), ion(go)), nest(ion(box), ion(go))),
     )
     out = enabled_outcomes(model.init, model)
@@ -313,7 +301,7 @@ def test_overlapping_priority_classes_rejected():
                 [RuleEntry(fam["init_transition"], ((2, 3),))],
             ],
             actions=[("rec", ("init_transition",))],
-            predicates=[],
+            patterns=[],
             init=pta_state(INIT, 0),
         )
 
@@ -325,21 +313,19 @@ def test_rule_in_no_action_rejected():
             controls={},
             classes=[[RuleEntry(fam["done_done"], ())]],
             actions=[],
-            predicates=[],
+            patterns=[],
             init=pta_state(DONE, 0),
         )
 
 
 def test_priority_spec_instance_names(pta_model_prog):
-    spec = pta_model_prog.priority_spec()
-    assert spec.classes[0] == frozenset(
-        {
-            "done_done",
-            "init_transition(2)",
-            "send_transition_fail(0)",
-            "send_transition_success(0)",
-            "wait_transition(8)",
-        }
-    )
-    assert "clock_advance(0)" in spec.classes[1]
+    classes = class_instance_names(pta_model_prog)
+    assert classes[0] == {
+        "done_done",
+        "init_transition(2)",
+        "send_transition_fail(0)",
+        "send_transition_success(0)",
+        "wait_transition(8)",
+    }
+    assert "clock_advance(0)" in classes[1]
     assert pta_model_prog.rule_count() == 20
