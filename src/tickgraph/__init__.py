@@ -4,8 +4,9 @@ Library surface: the bigraph value types and constructors, occurrence
 matching with canonical forms, weighted prioritised reaction rules,
 exhaustive MDP exploration with PRISM/DOT export, bigraph-pattern
 labelling with a small probabilistic checker, and the `.big` language
-front end with its digital-clocks check.  Models are written in `.big`;
-the library builds no clocks or rules of its own.
+front end (parser and elaborator, no printer) with its digital-clocks
+check.  Models are written in `.big`; the library builds no clocks or
+rules of its own.
 """
 
 from .bigraph import (
@@ -25,7 +26,7 @@ from .bigraph import (
 )
 from .canon import canonical_digest, canonical_form, decode_canonical, is_iso
 from .elaborate import ElabError, clock_problems, elaborate, load_model
-from .lang import ParseError, parse, pretty
+from .lang import ParseError, parse
 from .match import Match, occurrences
 from .mdp import (
     ExplorationLimit,

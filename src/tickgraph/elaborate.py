@@ -1,13 +1,18 @@
 """Elaboration of a parsed `.big` document into an executable model.
 
-Rule and predicate families are closed over the integer sets named at
-their use sites in the `rules` and `preds` lists, priority classes keep
-their listed order (first class is highest), and actions must partition
-the rule base names.  Both kinds of family stay symbolic: each rule entry
-matches its redex, and each predicate family its body, with bindings
-restricted to its domains.  A predicate family names its instances
-`base_v1_v2...`; one whose body uses parameter arithmetic cannot bind
-through it and becomes one plain pattern per valuation.  Every diagnostic
+Every `big` and `react` declaration is evaluated and checked once, where it
+is declared, whether or not anything uses it: a `big` body with its
+parameters as `Var`s, a `react` into its :class:`RuleFamily`.  The `init`
+and `preds` references reuse those values.  Rule and predicate families are
+closed over the integer sets named at their use sites in the `rules` and
+`preds` lists (an `int` set keeps the first occurrence of each value),
+priority classes keep their listed order (first class is highest), and
+actions must partition the rule base names.  Both kinds of family stay
+symbolic: each rule entry matches its redex, and each predicate family its
+body, with bindings restricted to its domains.  A predicate family names
+its instances `base_v1_v2...`; one whose body uses parameter arithmetic
+cannot bind through it and becomes one plain pattern per valuation.  Every
+diagnostic, including a closure `/x` of a name its body does not have,
 carries a source position.  :func:`clock_problems` checks an elaborated
 model against the digital-clocks discipline.
 """
@@ -16,7 +21,7 @@ from __future__ import annotations
 
 from . import lang
 from .bigraph import Bigraph, Control, close, empty, ion, merge_all, nest, parallel_all, site
-from .params import Arith, Term, Var
+from .params import Arith, Term, Var, term_eval
 from .rules import Model, Pattern, RuleEntry, RuleFamily
 
 
@@ -26,21 +31,11 @@ class ElabError(Exception):
         self.pos = pos
 
 
-def _fold(term: Term) -> Term:
-    if isinstance(term, Arith):
-        left, right = _fold(term.left), _fold(term.right)
-        if isinstance(left, int) and isinstance(right, int):
-            return {"+": left + right, "-": left - right, "*": left * right}[term.op]
-        return Arith(term.op, left, right)
-    return term
-
-
 class _Elaborator:
     def __init__(self, ast):
         self.ast = ast
         self.controls: dict[str, Control] = {}
-        self.bigs = {}
-        self.reacts = {}
+        self.bigs: dict[str, tuple[lang.BigDecl, Bigraph]] = {}
         self.families: dict[str, RuleFamily] = {}
 
     def run(self, name: str = "model") -> Model:
@@ -55,16 +50,11 @@ class _Elaborator:
         for b in self.ast.bigs:
             if b.name in self.bigs:
                 raise ElabError(f"big {b.name} declared twice", b.pos)
-            self.bigs[b.name] = b
-            self.check_expr(b.body, set(b.params))
+            self.bigs[b.name] = (b, self.eval_big(b.body, {p: Var(p) for p in b.params}))
         for r in self.ast.reacts:
-            if r.name in self.reacts:
+            if r.name in self.families:
                 raise ElabError(f"react {r.name} declared twice", r.pos)
-            self.reacts[r.name] = r
-            self.check_expr(r.redex, set(r.params))
-            self.check_expr(r.reactum, set(r.params))
-            if r.condition is not None:
-                self.check_expr(r.condition, set())
+            self.families[r.name] = self.family(r)
 
         abrs = self.ast.abrs
         if abrs is None:
@@ -75,14 +65,13 @@ class _Elaborator:
                 raise ElabError(f"int {d.name} bound twice", d.pos)
             if not d.values:
                 raise ElabError(f"int {d.name} is empty", d.pos)
-            ints[d.name] = d.values
+            ints[d.name] = tuple(dict.fromkeys(d.values))
 
         if abrs.init_name not in self.bigs:
             raise ElabError(f"init references undefined big {abrs.init_name!r}", abrs.pos)
-        init_decl = self.bigs[abrs.init_name]
+        init_decl, init = self.bigs[abrs.init_name]
         if init_decl.params:
             raise ElabError(f"init bigraph {abrs.init_name} must not be parameterised", init_decl.pos)
-        init = self.eval_big(init_decl.body, {}, symbolic=False)
         if not init.is_ground():
             raise ElabError(f"initial bigraph {abrs.init_name} is not ground", init_decl.pos)
 
@@ -94,14 +83,14 @@ class _Elaborator:
                 entries.append(self.rule_entry(ref, ints))
                 used_reacts.add(ref.name)
             classes.append(entries)
-        for rname, decl in self.reacts.items():
+        for rname, fam in self.families.items():
             if rname not in used_reacts:
-                raise ElabError(f"rule {rname} is in no priority class", decl.pos)
+                raise ElabError(f"rule {rname} is in no priority class", fam.pos)
 
         actions: list[tuple[str, tuple[str, ...]]] = []
         for a in abrs.actions:
             for rname in a.rules:
-                if rname not in self.reacts:
+                if rname not in self.families:
                     raise ElabError(f"action {a.name} references undefined rule {rname}", a.pos)
             actions.append((a.name, a.rules))
 
@@ -132,35 +121,23 @@ class _Elaborator:
 
     # -- rule machinery ------------------------------------------------------
 
-    def family(self, name: str) -> RuleFamily:
-        if name in self.families:
-            return self.families[name]
-        decl = self.reacts[name]
+    def family(self, decl) -> RuleFamily:
         env = {p: Var(p) for p in decl.params}
-        redex = self.eval_big(decl.redex, env, symbolic=True)
-        for _ctrl, param in redex.nodes:
-            if isinstance(param, Arith):
-                raise ElabError(
-                    f"rule {name}: parameter arithmetic is only allowed in reactums", decl.pos
-                )
-        reactum = self.eval_big(decl.reactum, env, symbolic=True)
         condition = None
         if decl.condition is not None:
-            condition = self.eval_big(decl.condition, {}, symbolic=False)
+            condition = self.eval_big(decl.condition, {})
         try:
-            fam = RuleFamily(
-                base=name,
+            return RuleFamily(
+                base=decl.name,
                 formal=decl.params,
-                redex=redex,
-                reactum=reactum,
+                redex=self.eval_big(decl.redex, env),
+                reactum=self.eval_big(decl.reactum, env),
                 weight=decl.weight,
                 condition=condition,
                 pos=decl.pos,
             )
         except ValueError as exc:
-            raise ElabError(f"rule {name}: {exc}", decl.pos) from exc
-        self.families[name] = fam
-        return fam
+            raise ElabError(str(exc), decl.pos) from exc
 
     @staticmethod
     def ref_domains(ref, formal, ints, kind: str) -> tuple[tuple[int, ...], ...]:
@@ -181,54 +158,19 @@ class _Elaborator:
         return tuple(domains)
 
     def rule_entry(self, ref, ints) -> RuleEntry:
-        if ref.name not in self.reacts:
+        if ref.name not in self.families:
             raise ElabError(f"undefined rule {ref.name!r}", ref.pos)
-        fam = self.family(ref.name)
+        fam = self.families[ref.name]
         return RuleEntry(fam, self.ref_domains(ref, fam.formal, ints, "rule"))
 
     def pred_family(self, ref, ints) -> Pattern:
         if ref.name not in self.bigs:
             raise ElabError(f"undefined predicate big {ref.name!r}", ref.pos)
-        decl = self.bigs[ref.name]
+        decl, body = self.bigs[ref.name]
         domains = self.ref_domains(ref, decl.params, ints, "predicate")
-        body = self.eval_big(decl.body, {p: Var(p) for p in decl.params}, symbolic=True)
         return Pattern(ref.name, body, decl.params, domains)
 
     # -- bigraph expression evaluation ----------------------------------------
-
-    def check_expr(self, e, params: set[str]):
-        """Structural pass over a declaration body: every control resolves,
-        name counts match arities, parameters are declared formals."""
-        if isinstance(e, lang.EIon):
-            if e.ctrl not in self.controls:
-                raise ElabError(f"unknown control {e.ctrl!r}", e.pos)
-            ctrl = self.controls[e.ctrl]
-            if len(e.names) != ctrl.arity:
-                raise ElabError(
-                    f"{e.ctrl}: {len(e.names)} link name(s), arity is {ctrl.arity}", e.pos
-                )
-            if ctrl.parameterised and e.param is None:
-                raise ElabError(f"{e.ctrl} requires an integer parameter", e.pos)
-            if not ctrl.parameterised and e.param is not None:
-                raise ElabError(f"{e.ctrl} takes no parameter", e.pos)
-            if e.param is not None:
-                self.check_iexpr(e.param, params)
-        elif isinstance(e, lang.ENest):
-            self.check_expr(e.head, params)
-            self.check_expr(e.child, params)
-        elif isinstance(e, (lang.EMerge, lang.EPar)):
-            for p in e.parts:
-                self.check_expr(p, params)
-        elif isinstance(e, lang.EClose):
-            self.check_expr(e.body, params)
-
-    def check_iexpr(self, e, params: set[str]):
-        if isinstance(e, lang.IVar):
-            if e.name not in params:
-                raise ElabError(f"undefined parameter {e.name!r}", e.pos)
-        elif isinstance(e, lang.IBin):
-            self.check_iexpr(e.left, params)
-            self.check_iexpr(e.right, params)
 
     def eval_iexpr(self, e, env) -> Term:
         if isinstance(e, int):
@@ -237,43 +179,42 @@ class _Elaborator:
             if e.name not in env:
                 raise ElabError(f"undefined parameter {e.name!r}", e.pos)
             return env[e.name]
-        left = self.eval_iexpr(e.left, env)
-        right = self.eval_iexpr(e.right, env)
-        return _fold(Arith(e.op, left, right))
+        term = Arith(e.op, self.eval_iexpr(e.left, env), self.eval_iexpr(e.right, env))
+        if isinstance(term.left, int) and isinstance(term.right, int):
+            return term_eval(term, {})
+        return term
 
-    def eval_big(self, e, env, symbolic: bool) -> Bigraph:
+    def eval_big(self, e, env) -> Bigraph:
         if isinstance(e, lang.EId):
             return site()
         if isinstance(e, lang.EOne):
             return empty()
         if isinstance(e, lang.EIon):
-            return self.eval_ion(e, env, symbolic)
+            return self.eval_ion(e, env)
         if isinstance(e, lang.ENest):
-            outer = self.eval_ion(e.head, env, symbolic)
-            inner = self.eval_big(e.child, env, symbolic)
+            outer = self.eval_ion(e.head, env)
+            inner = self.eval_big(e.child, env)
             try:
                 return nest(outer, inner)
             except ValueError as exc:
                 raise ElabError(str(exc), e.pos) from exc
         if isinstance(e, lang.EMerge):
-            return merge_all([self.eval_big(p, env, symbolic) for p in e.parts])
+            return merge_all([self.eval_big(p, env) for p in e.parts])
         if isinstance(e, lang.EPar):
-            return parallel_all([self.eval_big(p, env, symbolic) for p in e.parts])
+            return parallel_all([self.eval_big(p, env) for p in e.parts])
         if isinstance(e, lang.EClose):
-            return close(e.name, self.eval_big(e.body, env, symbolic))
+            body = self.eval_big(e.body, env)
+            if e.name not in body.outer_names():
+                raise ElabError(f"/{e.name}: {e.name!r} is not an outer name of its body", e.pos)
+            return close(e.name, body)
         raise TypeError(e)
 
-    def eval_ion(self, e, env, symbolic: bool) -> Bigraph:
+    def eval_ion(self, e, env) -> Bigraph:
         if e.ctrl not in self.controls:
             raise ElabError(f"unknown control {e.ctrl!r}", e.pos)
-        ctrl = self.controls[e.ctrl]
-        param = None
-        if e.param is not None:
-            param = self.eval_iexpr(e.param, env)
-            if not symbolic and not isinstance(param, int):
-                raise ElabError(f"parameter of {e.ctrl} must be a concrete integer here", e.pos)
+        param = None if e.param is None else self.eval_iexpr(e.param, env)
         try:
-            return ion(ctrl, e.names, param=param)
+            return ion(self.controls[e.ctrl], e.names, param=param)
         except ValueError as exc:
             raise ElabError(str(exc), e.pos) from exc
 

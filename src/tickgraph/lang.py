@@ -6,7 +6,8 @@ set bindings, the initial bigraph, ordered priority classes, the action map
 and the predicate set.  Bigraph expressions use ion `K(e){a,b}`, nesting `.`
 (tightest), merge `|`, parallel `||` (loosest), prefix closure `/x` scoping
 rightward, `id` for a site, `1` for the empty bigraph, and parentheses.
-`#` starts a comment.
+`#` starts a comment.  The parser checks syntax only; `elaborate` resolves
+names and checks every declaration.
 """
 
 from __future__ import annotations
@@ -600,95 +601,3 @@ class _Parser:
 def parse(text: str) -> Ast:
     """Parse a `.big` document into an AST with source positions."""
     return _Parser(tokenize(text)).program()
-
-
-# ---------------------------------------------------------------------------
-# pretty printer (round-trips through parse)
-
-
-def _pp_iexpr(e: IExpr) -> str:
-    if isinstance(e, int):
-        return str(e)
-    if isinstance(e, IVar):
-        return e.name
-    return f"({_pp_iexpr(e.left)} {e.op} {_pp_iexpr(e.right)})"
-
-
-def _pp_bexpr(e: BExpr, level: int = 0) -> str:
-    # level: 0 par, 1 merge, 2 primary
-    if isinstance(e, EClose):
-        s = f"/{e.name} {_pp_bexpr(e.body, 0)}"
-        return f"({s})" if level > 0 else s
-    if isinstance(e, EPar):
-        s = " || ".join(_pp_bexpr(p, 1) for p in e.parts)
-        return f"({s})" if level > 0 else s
-    if isinstance(e, EMerge):
-        s = " | ".join(_pp_bexpr(p, 2) for p in e.parts)
-        return f"({s})" if level > 1 else s
-    if isinstance(e, ENest):
-        return f"{_pp_bexpr(e.head, 2)}.{_pp_bexpr(e.child, 3)}"
-    if isinstance(e, EIon):
-        s = e.ctrl
-        if e.param is not None:
-            s += f"({_pp_iexpr(e.param)})"
-        if e.names:
-            s += "{" + ",".join(e.names) + "}"
-        return s
-    if isinstance(e, EId):
-        return "id"
-    if isinstance(e, EOne):
-        return "1"
-    raise TypeError(e)
-
-
-def _pp_ruleref(r: RuleRef) -> str:
-    if not r.args:
-        return r.name
-    return f"{r.name}({', '.join(str(a) for a in r.args)})"
-
-
-def pretty(ast: Ast) -> str:
-    out: list[str] = []
-    for c in ast.controls:
-        head = "ctrl"
-        if c.params:
-            head = f"fun {head}"
-        if c.atomic:
-            head = f"atomic {head}"
-        params = f"({', '.join(c.params)})" if c.params else ""
-        out.append(f"{head} {c.name}{params} = {c.arity};")
-    out.append("")
-    for r in ast.reacts:
-        head = "fun react" if r.params else "react"
-        params = f"({', '.join(r.params)})" if r.params else ""
-        w = f"{r.weight:g}"
-        cond = f" if ! {_pp_bexpr(r.condition)} in ctx" if r.condition is not None else ""
-        out.append(
-            f"{head} {r.name}{params} = {_pp_bexpr(r.redex)} -[{w}]-> {_pp_bexpr(r.reactum)}{cond};"
-        )
-    out.append("")
-    for b in ast.bigs:
-        head = "fun big" if b.params else "big"
-        params = f"({', '.join(b.params)})" if b.params else ""
-        out.append(f"{head} {b.name}{params} = {_pp_bexpr(b.body)};")
-    if ast.abrs is not None:
-        a = ast.abrs
-        out.append("")
-        out.append("begin abrs")
-        for d in a.ints:
-            out.append(f"  int {d.name} = {{{','.join(str(v) for v in d.values)}}};")
-        out.append(f"  init {a.init_name};")
-        cls = ",\n".join(
-            "    {" + ", ".join(_pp_ruleref(r) for r in c) + "}" for c in a.classes
-        )
-        out.append("  rules = [\n" + cls + "\n  ];")
-        acts = ",\n".join(
-            f"    {d.name} = {{{', '.join(d.rules)}}}" for d in a.actions
-        )
-        out.append("  actions = [\n" + acts + "\n  ];")
-        if a.preds:
-            out.append(
-                "  preds = {" + ", ".join(_pp_ruleref(r) for r in a.preds) + "};"
-            )
-        out.append("end")
-    return "\n".join(out) + "\n"

@@ -274,10 +274,6 @@ class Outcome:
     match: Match
     weight: float
 
-    @property
-    def base(self) -> str:
-        return self.name.split("(", 1)[0]
-
 
 @dataclass(frozen=True)
 class Pattern:
@@ -392,7 +388,7 @@ def enabled_outcomes(agent: Bigraph, model: Model) -> dict[str, list[Outcome]]:
         if found:
             grouped: dict[str, list[Outcome]] = {}
             for oc in found:
-                grouped.setdefault(model.action_of[oc.base], []).append(oc)
+                grouped.setdefault(model.action_of[oc.rule.base], []).append(oc)
             out: dict[str, list[Outcome]] = {}
             for label in model.action_order:
                 if label in grouped:

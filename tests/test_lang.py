@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from tickgraph.bigraph import validate
 from tickgraph.canon import is_iso
 from tickgraph.elaborate import ElabError, elaborate, load_model
-from tickgraph.lang import ParseError, parse, pretty
+from tickgraph.lang import ParseError, parse
 
 MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
 
@@ -66,13 +66,6 @@ def test_parse_error_position_and_expectation():
 def test_empty_file_no_abrs():
     with pytest.raises(ElabError, match="no abrs block"):
         elaborate(parse(""))
-
-
-def test_round_trip_all_corpus_models():
-    for name in ("pta.big", "sensor.big", "cloud.big"):
-        ast = parse(read(name))
-        again = parse(pretty(ast))
-        assert again == ast, name
 
 
 @settings(max_examples=300, deadline=None)
@@ -220,13 +213,10 @@ end
 """
 
 
-def test_empty_bigraph_round_trip():
+def test_empty_bigraph_parses():
     ast = parse(EMPTY_PLACE)
     (start,) = [b for b in ast.bigs if b.name == "start"]
     assert type(start.body.parts[1].child).__name__ == "EOne"
-    text = pretty(ast)
-    assert "P.Tok || Q.1 || G || F" in text and "P.G || 1;" in text
-    assert parse(text) == ast
     with pytest.raises(ParseError, match="found '2'"):
         parse("big b = Q.2;")
 
@@ -275,10 +265,22 @@ def test_elaboration_errors():
         elaborate(parse(abrs(actions="a = {r}, b = {r}")))
     with pytest.raises(ElabError, match="empty"):
         elaborate(parse(base + "big i0 = A;\nbegin abrs\n  int d = {};\n  init i0;\n  rules = [ {r} ];\n  actions = [ a = {r} ];\nend\n"))
+    # every declaration is evaluated, used or not; line 3 is the first `extra` line
+    with pytest.raises(ElabError, match=r"^3:12: atomic control A cannot contain children"):
+        elaborate(parse(abrs(extra="big bad = A.A;\n")))
+    with pytest.raises(ElabError, match=r"^3:9: /x: 'x' is not an outer name"):
+        elaborate(parse(abrs(extra="big s = /x A;\n")))
+    with pytest.raises(ElabError, match=r"^4:1: big b declared twice"):
+        elaborate(parse(abrs(extra="big b = A;\nbig b = A;\n")))
+    with pytest.raises(ElabError, match=r"^3:1: react r declared twice"):
+        elaborate(parse(abrs(extra="react r = A -[1]-> A;\n")))
+    with pytest.raises(ElabError) as exc:
+        elaborate(parse(abrs(extra="react q = A -[1]-> A || A;\n")))
+    assert str(exc.value) == "3:1: rule q: redex has 1 regions, reactum 2"
 
 
 def test_arity_mismatch_position():
-    with pytest.raises(ElabError, match="arity"):
+    with pytest.raises(ElabError, match=r"^2:9: .*arity"):
         elaborate(parse("ctrl S = 2;\nbig b = S{c};\n" +
                         "react r = S{c,d}.id -[1]-> S{c,d}.id;\n" +
                         "big i0 = /c /d S{c,d}.b0;\natomic ctrl b0 = 0;\n" +
@@ -308,3 +310,17 @@ def test_scalar_int_binding():
     from .oracle import class_instance_names
 
     assert class_instance_names(model) == [{"r(0)"}]
+
+    # a repeated value binds once: two rules, two predicate instances
+    text = (
+        "atomic fun ctrl X(n) = 0;\n"
+        "fun react r(n) = X(n) -[1]-> X(n);\n"
+        "fun big p(n) = X(n);\n"
+        "big i0 = X(0);\n"
+        "begin abrs\n  int n = {1,1,2};\n  init i0;\n  rules = [ {r(n)} ];\n"
+        "  actions = [ a = {r} ];\n  preds = { p(n) };\nend\n"
+    )
+    model = elaborate(parse(text))
+    assert model.rule_count() == 2
+    assert class_instance_names(model) == [{"r(1)", "r(2)"}]
+    assert [n for n, _b in model.predicates] == ["p_1", "p_2"]
