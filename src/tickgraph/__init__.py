@@ -3,10 +3,10 @@
 Library surface: the bigraph value types and constructors, occurrence
 matching with canonical forms, weighted prioritised reaction rules,
 exhaustive MDP exploration with PRISM/DOT export, bigraph-pattern
-labelling with a small probabilistic checker, and the `.big` language
-front end (parser and elaborator, no printer) with its digital-clocks
-check.  Models are written in `.big`; the library builds no clocks or
-rules of its own.
+labelling with a small probabilistic checker, and the front end of the
+`.big` and `.props` languages (one parser, the elaborator, no printer) with
+the digital-clocks check.  Models are written in `.big`; the library builds
+no clocks or rules of its own.
 """
 
 from .bigraph import (
@@ -26,7 +26,7 @@ from .bigraph import (
 )
 from .canon import canonical_digest, canonical_form, decode_canonical, is_iso
 from .elaborate import ElabError, clock_problems, elaborate, load_model
-from .lang import ParseError, parse
+from .lang import ForcedNext, Inevitable, ParseError, Reach, Safety, parse, parse_properties
 from .match import Match, occurrences
 from .mdp import (
     ExplorationLimit,
@@ -44,17 +44,6 @@ from .rules import (
     apply,
     enabled_outcomes,
 )
-from .verify import (
-    ForcedNext,
-    Inevitable,
-    Pattern,
-    Reach,
-    Safety,
-    Verdict,
-    check,
-    label,
-    parse_properties,
-    reach_prob,
-)
+from .verify import Pattern, Verdict, check, label, reach_prob
 
 __version__ = "0.1.0"

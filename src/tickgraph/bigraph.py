@@ -35,11 +35,11 @@ class Control:
 
 @dataclass(frozen=True)
 class Link:
-    """One hyperedge.  ``name`` is the outer name of an open link, None when closed."""
+    """One hyperedge.  ``name`` is the outer name of an open link, None when
+    closed.  There are no inner names: no `.big` expression can write one."""
 
     name: str | None
     ports: tuple[tuple[int, int], ...]  # (node id, port index)
-    inner: tuple[str, ...] = ()
 
     @property
     def closed(self) -> bool:
@@ -121,11 +121,8 @@ class Bigraph:
     def outer_names(self) -> set[str]:
         return {lk.name for lk in self.links if lk.name is not None}
 
-    def inner_names(self) -> set[str]:
-        return {x for lk in self.links for x in lk.inner}
-
     def is_ground(self) -> bool:
-        return self.nsites == 0 and not self.inner_names()
+        return self.nsites == 0
 
     # -- navigation --------------------------------------------------------
 
@@ -272,11 +269,11 @@ def _fuse_links(a: Bigraph, b: Bigraph, dn: int) -> list[Link]:
         if lk.name is not None and lk.name in by_name:
             i = by_name[lk.name]
             old = links[i]
-            links[i] = Link(old.name, old.ports + ports, old.inner + lk.inner)
+            links[i] = Link(old.name, old.ports + ports)
         else:
             if lk.name is not None:
                 by_name[lk.name] = len(links)
-            links.append(Link(lk.name, ports, lk.inner))
+            links.append(Link(lk.name, ports))
     return links
 
 
@@ -370,7 +367,7 @@ def close(name: str, g: Bigraph) -> Bigraph:
     if name not in g.outer_names():
         warnings.warn(f"close: {name!r} is not an outer name, bigraph unchanged")
         return g
-    links = [Link(None, lk.ports, lk.inner) if lk.name == name else lk for lk in g.links]
+    links = [Link(None, lk.ports) if lk.name == name else lk for lk in g.links]
     return Bigraph(
         list(g.nodes),
         [list(cs) for cs in g.node_children],

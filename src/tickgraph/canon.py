@@ -11,9 +11,9 @@ graph isomorphism, II", J. Symb. Comput. 2014) in its plainest form:
 
 * colour refinement ranks every entity and hyperedge by its control,
   parameter, parent, children and links until no rank class splits;
-* while some rank class holds more than one closed edge that carries ports
-  or inner names, each edge of the first such class in turn gets a rank of
-  its own, the ranks are refined again and the search recurses;
+* while some rank class holds more than one closed edge that carries ports,
+  each edge of the first such class in turn gets a rank of its own, the
+  ranks are refined again and the search recurses;
 * at a leaf every such closed edge has its own rank, so the edges are
   numbered by rank and the forest is written out with siblings and regions
   sorted by their own text, as in AHU tree canonisation.  The smallest leaf
@@ -45,12 +45,9 @@ def _ranks(sigs: list) -> list[int]:
 
 
 def _colours(g: Bigraph) -> tuple[list[int], list[int]]:
-    """Initial ranks: control, parameter and arity; open name and inner names."""
+    """Initial ranks: control, parameter and arity; open name or closed."""
     nrank = _ranks([(ctrl.name, _param_repr(param), ctrl.arity) for ctrl, param in g.nodes])
-    erank = _ranks([
-        (lk.name if lk.name is not None else "\x00closed", ",".join(sorted(lk.inner)))
-        for lk in g.links
-    ])
+    erank = _ranks([lk.name if lk.name is not None else "\x00closed" for lk in g.links])
     return nrank, erank
 
 
@@ -90,7 +87,7 @@ def _search(g: Bigraph, nrank: list[int], erank: list[int]) -> str:
     nrank, erank = _refine(g, nrank, erank)
     cells: dict[int, list[int]] = {}
     for e, lk in enumerate(g.links):
-        if lk.closed and (lk.ports or lk.inner):
+        if lk.closed and lk.ports:
             cells.setdefault(erank[e], []).append(e)
     tied = [cell for _r, cell in sorted(cells.items()) if len(cell) > 1]
     if not tied:
@@ -104,12 +101,11 @@ def _search(g: Bigraph, nrank: list[int], erank: list[int]) -> str:
 
 
 def _encode(g: Bigraph, erank: list[int]) -> str:
-    """Write the forest with closed edges numbered by rank, siblings sorted by text."""
-    # edges with ports first; portless closed edges show only in the tail
-    closed = sorted(
-        (not lk.ports, erank[e], e) for e, lk in enumerate(g.links) if lk.closed
-    )
-    num = {e: i for i, (_np, _r, e) in enumerate(closed)}
+    """Write the forest with closed edges numbered by rank, siblings sorted by
+    text, then the portless open names.  The empty `;X=` tail once listed
+    inner names; it stays so that cached bytes do not change."""
+    closed = sorted((erank[e], e) for e, lk in enumerate(g.links) if lk.closed and lk.ports)
+    num = {e: i for i, (_r, e) in enumerate(closed)}
 
     def node(i: int) -> str:
         ctrl, param = g.nodes[i]
@@ -133,15 +129,10 @@ def _encode(g: Bigraph, erank: list[int]) -> str:
 
     regions = sorted(children(cs) for cs in g.region_children)
     portless = sorted(lk.name for lk in g.links if lk.name is not None and not lk.ports)
-    inner = sorted(
-        f"{x}>" + (f"o{lk.name}" if lk.name is not None else f"c{num[e]}")
-        for e, lk in enumerate(g.links)
-        for x in lk.inner
-    )
     return (
         f"bg;{g.nregions};{g.nsites};"
         + "".join(f"R[{r}]" for r in regions)
-        + ";Y=" + ",".join(portless) + ";X=" + ",".join(inner)
+        + ";Y=" + ",".join(portless) + ";X="
     )
 
 
@@ -203,27 +194,12 @@ class _Decoder:
         self.expect(";Y=")
         portless = self.until(";")
         self.expect(";X=")
-        inner_spec = self.text[self.pos :]
-
-        inner_by_ref: dict[str, list[str]] = {}
-        if inner_spec:
-            for item in inner_spec.split(","):
-                x, ref = item.split(">")
-                inner_by_ref.setdefault(ref, []).append(x)
-        links: list[Link] = []
-        # a closed edge with inner names but no ports shows only in the tail
-        closed = set(self.closed_edges) | {int(r[1:]) for r in inner_by_ref if r[0] == "c"}
-        for num in sorted(closed):
-            links.append(
-                Link(None, tuple(self.closed_edges.get(num, ())), tuple(sorted(inner_by_ref.get(f"c{num}", ()))))
-            )
-        for name in sorted(self.open_edges):
-            links.append(
-                Link(name, tuple(self.open_edges[name]), tuple(sorted(inner_by_ref.get(f"o{name}", ()))))
-            )
+        if self.pos != len(self.text):
+            self.fail("trailing bytes after ';X='")
+        links = [Link(None, tuple(self.closed_edges[num])) for num in sorted(self.closed_edges)]
+        links += [Link(name, tuple(self.open_edges[name])) for name in sorted(self.open_edges)]
         if portless:
-            for name in portless.split(","):
-                links.append(Link(name, (), tuple(sorted(inner_by_ref.get(f"o{name}", ())))))
+            links += [Link(name, ()) for name in portless.split(",")]
         return Bigraph(self.nodes, self.node_children, region_children, nsites, links)
 
     def children(self) -> list[Ref]:

@@ -23,7 +23,7 @@ import sys
 from .canon import canonical_digest
 from .bigraph import validate
 from .elaborate import ElabError, clock_problems, load_model
-from .lang import ParseError
+from .lang import ParseError, parse_properties
 from .mdp import (
     ExplorationLimit,
     add_stall_loops,
@@ -35,7 +35,7 @@ from .mdp import (
     save_mdp,
 )
 from .rules import apply, enabled_outcomes
-from .verify import PropertyError, UnknownLabel, check, label, parse_properties
+from .verify import UnknownLabel, check, label
 
 log = logging.getLogger("tickgraph")
 
@@ -55,14 +55,19 @@ def _setup_logging():
     )
 
 
-def _state_budget(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _at_least(low: int):
+    """An argparse type: an integer no smaller than `low`."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
 
 
 def _model_key(path: str, fix_deadlocks: bool) -> str:
@@ -230,12 +235,12 @@ def main(argv=None) -> int:
     options = {
         "--props": dict(required=True, help="property file"),
         "--format": dict(choices=("prism", "dot"), default="prism", help="export format"),
-        "--max-states": dict(type=_state_budget, default=100_000,
+        "--max-states": dict(type=_at_least(1), default=100_000,
                              help="exploration state budget"),
         "--fix-deadlocks": dict(action="store_true",
                                 help="give deadlock states a stall self-loop"),
         "--seed": dict(type=int, default=0, help="simulation seed"),
-        "--steps": dict(type=int, default=20, help="simulation length"),
+        "--steps": dict(type=_at_least(0), default=20, help="simulation length"),
         "--out": dict(default=".", help="output/cache directory"),
         "--json": dict(action="store_true", help="machine-readable output"),
     }
@@ -263,7 +268,7 @@ def main(argv=None) -> int:
     except ExplorationLimit as exc:
         print(f"tickgraph: {exc} (frontier {exc.frontier})", file=sys.stderr)
         return EXIT_LIMIT
-    except (ParseError, ElabError, PropertyError, UnknownLabel) as exc:
+    except (ParseError, ElabError, UnknownLabel) as exc:
         print(f"tickgraph: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

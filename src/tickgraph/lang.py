@@ -1,17 +1,24 @@
-"""The `.big` modelling language: lexer, AST and parser.
+"""The two input languages, `.big` models and `.props` properties: one
+lexer, the ASTs and one parser.
 
-Controls, bigraph definitions, weighted reaction rules (optionally with a
-negative context condition) and one `begin abrs ... end` block with integer
-set bindings, the initial bigraph, ordered priority classes, the action map
-and the predicate set.  Bigraph expressions use ion `K(e){a,b}`, nesting `.`
-(tightest), merge `|`, parallel `||` (loosest), prefix closure `/x` scoping
-rightward, `id` for a site, `1` for the empty bigraph, and parentheses.
-`#` starts a comment.  The parser checks syntax only; `elaborate` resolves
-names and checks every declaration.
+A `.big` document holds controls, bigraph definitions, weighted reaction
+rules (optionally with a negative context condition) and one `begin abrs
+... end` block with integer set bindings, the initial bigraph, ordered
+priority classes, the action map and the predicate set.  Bigraph
+expressions use ion `K(e){a,b}`, nesting `.` (tightest), merge `|`,
+parallel `||` (loosest), prefix closure `/x` scoping rightward, `id` for a
+site, `1` for the empty bigraph, and parentheses.  The parser checks syntax
+only; `elaborate` resolves names and checks every declaration.
+
+A `.props` document holds one property per line over label expressions of
+quoted pattern names (see :func:`parse_properties`).  In both languages `#`
+starts a comment and every error is a :class:`ParseError` carrying its
+`line:col`.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 KEYWORDS = {
@@ -19,8 +26,8 @@ KEYWORDS = {
     "int", "init", "rules", "actions", "preds", "if", "in", "ctx", "id",
 }
 
-_PUNCT = ("||", "-[", "]->", "{", "}", "(", ")", "[", "]", "=", ";", ",", ".",
-          "|", "/", "+", "-", "*", "!")
+_PUNCT = ("||", "-[", "]->", "->", "<=", ">=", "{", "}", "(", ")", "[", "]", "=", ";",
+          ",", ".", "|", "/", "+", "-", "*", "!", "<", ">", "&")
 
 
 class ParseError(Exception):
@@ -35,7 +42,7 @@ class ParseError(Exception):
 
 @dataclass(frozen=True)
 class Token:
-    kind: str  # IDENT KEYWORD INT FLOAT PUNCT EOF
+    kind: str  # IDENT KEYWORD INT FLOAT STRING PUNCT EOF
     text: str
     line: int
     col: int
@@ -74,6 +81,14 @@ def tokenize(text: str) -> list[Token]:
             toks.append(Token(kind, text[i:j], line, col))
             col += j - i
             i = j
+            continue
+        if ch == '"':
+            j = text.find('"', i + 1)
+            if j < 0 or "\n" in text[i:j]:
+                raise ParseError("unterminated string", line, col)
+            toks.append(Token("STRING", text[i : j + 1], line, col))
+            col += j + 1 - i
+            i = j + 1
             continue
         if ch.isalpha() or ch == "_":
             j = i
@@ -237,6 +252,41 @@ class Ast:
     abrs: AbrsBlock | None
 
 
+# Properties.  A label expression is ("name", s) | ("not", e) | ("and", a, b)
+# | ("or", a, b); `source` is the property's text on its line.
+
+
+@dataclass(frozen=True)
+class Reach:
+    bound: str  # one of >= > <= <
+    p: float
+    target: tuple
+    mode: str  # min or max
+    source: str = ""
+
+
+@dataclass(frozen=True)
+class Safety:
+    bad: tuple
+    source: str = ""
+
+
+@dataclass(frozen=True)
+class Inevitable:
+    goal: tuple
+    source: str = ""
+
+
+@dataclass(frozen=True)
+class ForcedNext:
+    trigger: tuple
+    next: tuple
+    source: str = ""
+
+
+Property = Reach | Safety | Inevitable | ForcedNext
+
+
 # ---------------------------------------------------------------------------
 # parser
 
@@ -251,7 +301,7 @@ class _Parser:
         return self.toks[self.i]
 
     def at(self, text: str) -> bool:
-        return self.cur.text == text and self.cur.kind in ("PUNCT", "KEYWORD")
+        return self.cur.text == text  # a STRING's text keeps its quotes
 
     def bump(self) -> Token:
         tok = self.cur
@@ -260,16 +310,19 @@ class _Parser:
 
     def expect(self, text: str) -> Token:
         if not self.at(text):
-            self.fail(f"found {self.cur.text!r}", (text,))
+            self.unexpected(text)
         return self.bump()
 
     def ident(self, what="identifier") -> Token:
         if self.cur.kind != "IDENT":
-            self.fail(f"found {self.cur.text or 'end of input'!r}", (what,))
+            self.unexpected(what)
         return self.bump()
 
     def fail(self, msg: str, expected: tuple[str, ...] = ()):
         raise ParseError(msg, self.cur.line, self.cur.col, expected)
+
+    def unexpected(self, *expected: str):
+        self.fail(f"found {self.cur.text or 'end of input'!r}", expected)
 
     # -- declarations -------------------------------------------------------
 
@@ -305,10 +358,7 @@ class _Parser:
                     self.fail("duplicate abrs block")
                 abrs = self.abrs_block()
             else:
-                self.fail(
-                    f"found {self.cur.text!r}",
-                    ("ctrl", "big", "react", "begin abrs"),
-                )
+                self.unexpected("ctrl", "big", "react", "begin abrs")
         return Ast(tuple(controls), tuple(bigs), tuple(reacts), abrs)
 
     def _formals(self) -> tuple[str, ...]:
@@ -422,10 +472,7 @@ class _Parser:
                 self.expect("}")
                 self.expect(";")
             else:
-                self.fail(
-                    f"found {self.cur.text!r}",
-                    ("int", "init", "rules", "actions", "preds", "end"),
-                )
+                self.unexpected("int", "init", "rules", "actions", "preds", "end")
         self.expect("end")
         if init_name is None:
             self.fail("abrs block has no init")
@@ -597,7 +644,103 @@ class _Parser:
             return inner
         self.fail("expected an integer expression", ("integer", "parameter", "("))
 
+    # -- properties -------------------------------------------------------------
+    # prop := 'P' bound prob '[' 'F' lexpr ']' | 'E' '[' 'F' lexpr ']'
+    #       | 'A' '[' ('F' lexpr | 'G' '!' lfactor) ']' | 'FORCEDNEXT' lexpr '->' lexpr
+    # lexpr := lterm ('|' lterm)* ; lterm := lfactor ('&' lfactor)*
+    # lfactor := '!' lfactor | '(' lexpr ')' | string
+
+    def prop(self, source: str) -> Property:
+        if self.at("P"):
+            self.bump()
+            if self.cur.text not in (">=", ">", "<=", "<"):
+                self.unexpected(">=", ">", "<=", "<")
+            bound = self.bump().text
+            if self.cur.kind not in ("INT", "FLOAT"):
+                self.unexpected("probability")
+            if float(self.cur.text) > 1.0:
+                self.fail(f"probability bound {self.cur.text} is outside [0, 1]")
+            p = float(self.bump().text)
+            prop = Reach(bound, p, self.eventually(), "min" if bound[0] == ">" else "max", source)
+        elif self.at("E"):
+            self.bump()
+            # E F phi  <=>  Pmax(F phi) > 0
+            prop = Reach(">", 0.0, self.eventually(), "max", source)
+        elif self.at("A"):
+            self.bump()
+            self.expect("[")
+            if self.at("G"):
+                self.bump()
+                if not self.at("!"):
+                    self.fail("A [ G ... ] takes a negated expression", ("!",))
+                self.bump()
+                prop = Safety(self.lfactor(), source)
+            else:
+                if not self.at("F"):
+                    self.unexpected("F", "G")
+                self.bump()
+                prop = Inevitable(self.lexpr(), source)
+            self.expect("]")
+        elif self.at("FORCEDNEXT"):
+            self.bump()
+            trigger = self.lexpr()
+            self.expect("->")
+            prop = ForcedNext(trigger, self.lexpr(), source)
+        else:
+            self.unexpected("P", "E", "A", "FORCEDNEXT")
+        if self.cur.kind != "EOF":
+            self.fail(f"trailing input {self.cur.text!r}")
+        return prop
+
+    def eventually(self) -> tuple:
+        self.expect("[")
+        self.expect("F")
+        e = self.lexpr()
+        self.expect("]")
+        return e
+
+    def lexpr(self) -> tuple:
+        e = self.lterm()
+        while self.at("|"):
+            self.bump()
+            e = ("or", e, self.lterm())
+        return e
+
+    def lterm(self) -> tuple:
+        e = self.lfactor()
+        while self.at("&"):
+            self.bump()
+            e = ("and", e, self.lfactor())
+        return e
+
+    def lfactor(self) -> tuple:
+        if self.at("!"):
+            self.bump()
+            return ("not", self.lfactor())
+        if self.at("("):
+            self.bump()
+            e = self.lexpr()
+            self.expect(")")
+            return e
+        if self.cur.kind != "STRING":
+            self.unexpected("quoted pattern name")
+        return ("name", self.bump().text[1:-1])
+
 
 def parse(text: str) -> Ast:
     """Parse a `.big` document into an AST with source positions."""
     return _Parser(tokenize(text)).program()
+
+
+def parse_properties(text: str) -> list[Property]:
+    """Parse a `.props` document: one property per line, blank lines and `#`
+    comments skipped.  Each property's `source` is its line's text from its
+    first token to its last."""
+    lines = text.split("\n")
+    props = []
+    for line, group in itertools.groupby(tokenize(text)[:-1], key=lambda t: t.line):
+        toks = list(group)
+        end = toks[-1].col + len(toks[-1].text)
+        source = lines[line - 1][toks[0].col - 1 : end - 1]
+        props.append(_Parser(toks + [Token("EOF", "", line, end)]).prop(source))
+    return props

@@ -215,12 +215,9 @@ class _Search:
 
         # closed pattern edges must be fully consumed by the image
         for e, E in self.emap.items():
-            if pattern.links[e].closed:
-                want = sum(1 for _ in pattern.links[e].ports)
-                if len(agent.links[E].ports) != want:
-                    return
-                if agent.links[E].inner:
-                    return
+            lk = pattern.links[e]
+            if lk.closed and len(agent.links[E].ports) != len(lk.ports):
+                return
 
         # site contents: unmatched children of matched parents
         site_images: list[tuple[int, ...]] = [()] * pattern.nsites
@@ -268,5 +265,5 @@ def occurrences(
     `excluded` bans agent entities from the image (negative context checks).
     """
     if not agent.is_ground():
-        raise ValueError("occurrences: agent must be ground (no sites, no inner names)")
+        raise ValueError("occurrences: agent must be ground (no sites)")
     return _Search(agent, pattern, domains, excluded).run()

@@ -16,6 +16,7 @@ matches of one action in one state into a probability distribution.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field, replace
 
 from .bigraph import Bigraph, Control, Link, Ref
@@ -24,7 +25,7 @@ from .match import Match, occurrences
 from .params import Arith, Term, Var, is_concrete, term_eval, term_vars
 
 
-def _check_rule_shape(redex: Bigraph, reactum: Bigraph, site_map, weight: float, label: str):
+def _check_rule_shape(redex: Bigraph, reactum: Bigraph, weight: float, label: str):
     if weight <= 0:
         raise ValueError(f"rule {label}: weight must be positive, got {weight}")
     if redex.nregions != reactum.nregions:
@@ -40,9 +41,6 @@ def _check_rule_shape(redex: Bigraph, reactum: Bigraph, site_map, weight: float,
         raise ValueError(
             f"rule {label}: redex has {redex.nsites} sites, reactum {reactum.nsites}"
         )
-    if site_map is not None:
-        if sorted(site_map) != list(range(redex.nsites)) or len(site_map) != reactum.nsites:
-            raise ValueError(f"rule {label}: site map must be a bijection on sites")
     for lk in redex.links:
         if lk.name is not None and not lk.ports:
             raise ValueError(f"rule {label}: redex outer name {lk.name!r} has no ports")
@@ -51,6 +49,18 @@ def _check_rule_shape(redex: Bigraph, reactum: Bigraph, site_map, weight: float,
             raise ValueError(
                 f"rule {label}: arithmetic in redex parameters is not allowed ({param})"
             )
+
+
+def _check_bound(what: str, formal: tuple[str, ...], bodies: tuple[Bigraph, ...]):
+    """Every parameter variable in `bodies` must be one of `formal`."""
+    free = set()
+    for g in bodies:
+        for _ctrl, param in g.nodes:
+            if param is not None and not isinstance(param, int):
+                free |= term_vars(param)
+    missing = free - set(formal)
+    if missing:
+        raise ValueError(f"{what}: unbound parameters {sorted(missing)}")
 
 
 def _subst(g: Bigraph, env: dict[str, int]) -> Bigraph:
@@ -79,42 +89,16 @@ class RuleFamily:
     reactum: Bigraph
     weight: float
     condition: Bigraph | None = None  # no occurrence of this outside the image
-    site_map: tuple[int, ...] | None = None  # reactum site -> redex site, identity if None
     pos: tuple[int, int] = field(default=(0, 0), compare=False)  # declaration line:col
 
     def __post_init__(self):
-        _check_rule_shape(self.redex, self.reactum, self.site_map, self.weight, self.base)
-        free = set()
-        for g in (self.redex, self.reactum):
-            for _ctrl, param in g.nodes:
-                if param is not None and not isinstance(param, int):
-                    free |= term_vars(param)
-        missing = free - set(self.formal)
-        if missing:
-            raise ValueError(f"rule {self.base}: unbound parameters {sorted(missing)}")
+        _check_rule_shape(self.redex, self.reactum, self.weight, self.base)
+        _check_bound(f"rule {self.base}", self.formal, (self.redex, self.reactum))
 
     def instance_name(self, env: dict[str, int]) -> str:
         if not self.formal:
             return self.base
         return f"{self.base}({','.join(str(env[v]) for v in self.formal)})"
-
-
-def open_axes(
-    formal: tuple[str, ...], domains: tuple[tuple[int, ...], ...], body: Bigraph
-) -> tuple[tuple[int, ...] | None, ...]:
-    """Per formal: None when `body` carries it as an entity parameter (a match
-    binds it), else every value of its domain (a match stands for each)."""
-    carried = {p.name for _ctrl, p in body.nodes if isinstance(p, Var)}
-    return tuple(
-        None if v in carried else tuple(dict.fromkeys(dom)) for v, dom in zip(formal, domains)
-    )
-
-
-def valuations(formal: tuple[str, ...], axes, binding) -> itertools.product:
-    """The valuations of `formal`, in formal order, that a match with this
-    binding stands for; `axes` comes from :func:`open_axes`."""
-    env = dict(binding)
-    return itertools.product(*[(env[v],) if ax is None else ax for v, ax in zip(formal, axes)])
 
 
 # ---------------------------------------------------------------------------
@@ -127,9 +111,10 @@ def apply(agent: Bigraph, rule: RuleFamily, m: Match) -> Bigraph:
     `m` must be a match that :meth:`RuleEntry.outcomes` or
     :func:`enabled_outcomes` returned for `rule` on `agent`: those already
     checked the context condition, and the binding holds every formal.
-    The context is preserved as-is, site contents are re-parented to the
-    reactum's sites, reactum ports on an outer name reattach to the agent
-    hyperedge that name matched, and fully consumed closed edges vanish.
+    The context is preserved as-is, each redex site's content moves to the
+    reactum site of the same index, reactum ports on an outer name reattach
+    to the agent hyperedge that name matched, and fully consumed closed
+    edges vanish.
     """
     if not agent.is_ground():
         raise ValueError("apply: agent must be ground")
@@ -163,14 +148,12 @@ def apply(agent: Bigraph, rule: RuleFamily, m: Match) -> Bigraph:
         nodes.append((ctrl, value))
         node_children.append([])
 
-    site_map = rule.site_map or tuple(range(redex.nsites))
-
     def place(target: list[Ref], children):
         for k, c in children:
             if k == "n":
                 target.append(("n", react_id[c]))
             else:
-                for root in m.site_images[site_map[c]]:
+                for root in m.site_images[c]:
                     target.append(("n", new_id[root]))
 
     for j in range(reactum.nnodes):
@@ -205,7 +188,7 @@ def apply(agent: Bigraph, rule: RuleFamily, m: Match) -> Bigraph:
     links: list[Link] = []
     for E, lk in enumerate(agent.links):
         if new_ports[E] or lk.name is not None:
-            links.append(Link(lk.name, tuple(new_ports[E]), lk.inner))
+            links.append(Link(lk.name, tuple(new_ports[E])))
     links.extend(fresh)
 
     return Bigraph(nodes, node_children, region_children, 0, links)
@@ -217,31 +200,20 @@ def apply(agent: Bigraph, rule: RuleFamily, m: Match) -> Bigraph:
 
 @dataclass
 class RuleEntry:
-    """One occurrence of a rule family inside a priority class, with domains."""
+    """One occurrence of a rule family inside a priority class, with domains;
+    `pattern` (its redex over those domains) matches it."""
 
     family: RuleFamily
     domains: tuple[tuple[int, ...], ...]  # aligned with family.formal
-    _match_domains: dict[str, frozenset[int]] = field(init=False, repr=False)
-    _axes: tuple[tuple[int, ...] | None, ...] = field(init=False, repr=False)
+    pattern: "Pattern" = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(self.domains) != len(self.family.formal):
-            raise ValueError(
-                f"rule {self.family.base}: {len(self.domains)} argument(s), "
-                f"family takes {len(self.family.formal)}"
-            )
-        for v, dom in zip(self.family.formal, self.domains):
-            if not dom:
-                raise ValueError(f"rule {self.family.base}: empty domain for {v!r}")
-        self._match_domains = {v: frozenset(d) for v, d in zip(self.family.formal, self.domains)}
-        self._axes = open_axes(self.family.formal, self.domains, self.family.redex)
+        fam = self.family
+        self.pattern = Pattern(fam.base, fam.redex, fam.formal, self.domains, kind="rule")
 
     @property
     def size(self) -> int:
-        n = 1
-        for dom in self.domains:
-            n *= len(dom)
-        return n
+        return self.pattern.size
 
     def overlaps(self, other: "RuleEntry") -> bool:
         if self.family.base != other.family.base:
@@ -253,12 +225,12 @@ class RuleEntry:
         )
 
     def outcomes(self, agent: Bigraph) -> list["Outcome"]:
-        fam = self.family
+        fam, pat = self.family, self.pattern
         out: list[Outcome] = []
-        for m in occurrences(agent, fam.redex, domains=self._match_domains):
+        for m in occurrences(agent, fam.redex, domains=pat.match_domains):
             if fam.condition is not None and occurrences(agent, fam.condition, excluded=m.image):
                 continue
-            for values in valuations(fam.formal, self._axes, m.binding):
+            for values in pat.valuations(m.binding):
                 env = dict(zip(fam.formal, values))
                 full = replace(m, binding=tuple(sorted(env.items())))
                 out.append(Outcome(fam.instance_name(env), fam, full, fam.weight))
@@ -277,37 +249,57 @@ class Outcome:
 
 @dataclass(frozen=True)
 class Pattern:
-    """A named bigraph used as a state predicate, or a family of them.
+    """A named bigraph used as a state predicate, or a family of them, or a
+    rule entry's redex (`kind` names which in errors).
 
     A family's body carries its parameters as `Var` entity parameters;
     `formal` names them and `domains` gives each its integer set.  The
     instance `name_v1_v2...` (values in formal order) holds in every state
     where the body occurs with those values bound, and a formal that the
-    body does not carry takes every value of its set.  A plain pattern has
-    no formals and one instance, `name`.
+    body does not carry takes every value of its set (`axes`, None for a
+    carried formal).  A plain pattern has no formals and one instance.
+    Both `match_domains` and `axes` are computed once, at construction.
     """
 
     name: str
     body: Bigraph
     formal: tuple[str, ...] = ()
     domains: tuple[tuple[int, ...], ...] = ()
+    kind: str = field(default="pattern", compare=False)
+    match_domains: dict[str, frozenset[int]] = field(init=False, repr=False, compare=False)
+    axes: tuple[tuple[int, ...] | None, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        what = f"{self.kind} {self.name}"
         if len(self.domains) != len(self.formal):
             raise ValueError(
-                f"pattern {self.name}: {len(self.domains)} domain(s) for "
-                f"{len(self.formal)} formal(s)"
+                f"{what}: {len(self.domains)} domain(s) for {len(self.formal)} formal(s)"
             )
         for v, dom in zip(self.formal, self.domains):
             if not dom:
-                raise ValueError(f"pattern {self.name}: empty domain for {v!r}")
-        free = set()
-        for _ctrl, param in self.body.nodes:
-            if param is not None and not isinstance(param, int):
-                free |= term_vars(param)
-        missing = free - set(self.formal)
-        if missing:
-            raise ValueError(f"pattern {self.name}: unbound parameters {sorted(missing)}")
+                raise ValueError(f"{what}: empty domain for {v!r}")
+        _check_bound(what, self.formal, (self.body,))
+        carried = {p.name for _ctrl, p in self.body.nodes if isinstance(p, Var)}
+        object.__setattr__(
+            self, "match_domains", {v: frozenset(d) for v, d in zip(self.formal, self.domains)}
+        )
+        object.__setattr__(self, "axes", tuple(
+            None if v in carried else tuple(dict.fromkeys(d))
+            for v, d in zip(self.formal, self.domains)
+        ))
+
+    @property
+    def size(self) -> int:
+        """The number of valuations of `formal`."""
+        return math.prod(len(dom) for dom in self.domains)
+
+    def valuations(self, binding) -> itertools.product:
+        """The valuations of `formal`, in formal order, that a match with this
+        binding stands for."""
+        env = dict(binding)
+        return itertools.product(
+            *[(env[v],) if ax is None else ax for v, ax in zip(self.formal, self.axes)]
+        )
 
     @property
     def has_arithmetic(self) -> bool:

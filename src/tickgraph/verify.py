@@ -7,7 +7,9 @@ restricted to their domains, and each distinct binding names the instances
 combinations of labels: probabilistic reachability with a bound, safety
 ("never bad"), inevitability ("always eventually goal"), and the forced-next
 idiom ("whenever the trigger holds, every possible next state satisfies the
-target" plus the trigger being inevitable).
+target" plus the trigger being inevitable).  They are parsed from `.props`
+text by :func:`tickgraph.lang.parse_properties`, which this module
+re-exports; nothing here parses.
 
 Reachability is solved in two phases over the MDP's CSR arrays and their
 predecessor index, both built once per query.  First the states whose value
@@ -22,16 +24,17 @@ moves by VI_TOL.
 from __future__ import annotations
 
 import logging
-import re
 from dataclasses import dataclass
 from time import perf_counter
 
 import numpy as np
 
 from .kernels import Graph, as_arrays, sweep
+from .lang import ForcedNext, Inevitable, Property, Reach, Safety
+from .lang import parse_properties  # re-exported beside the checker it feeds
 from .match import occurrences
 from .mdp import Mdp
-from .rules import Pattern, open_axes, valuations
+from .rules import Pattern
 
 log = logging.getLogger(__name__)
 
@@ -52,14 +55,12 @@ def label(mdp: Mdp, patterns: list[Pattern]) -> Mdp:
     for p in patterns:
         if p.has_arithmetic:
             raise ValueError(f"pattern {p.name}: parameter arithmetic cannot be matched")
-        domains = {v: frozenset(d) for v, d in zip(p.formal, p.domains)}
-        axes = open_axes(p.formal, p.domains, p.body)
         for g, names in zip(mdp.states, labels):
-            found = occurrences(g, p.body, domains=domains)
+            found = occurrences(g, p.body, domains=p.match_domains)
             searches += 1
             matches += len(found)
             for binding in {m.binding for m in found}:
-                names.update(p.instance_name(vs) for vs in valuations(p.formal, axes, binding))
+                names.update(p.instance_name(vs) for vs in p.valuations(binding))
     mdp.labels = labels
     mdp.label_names = {n for p in patterns for n in p.instance_names()}
     log.info(
@@ -77,7 +78,8 @@ class UnknownLabel(Exception):
     pass
 
 
-# expression AST: ("name", s) | ("not", e) | ("and", a, b) | ("or", a, b)
+# expressions are the tuples of `tickgraph.lang`: ("name", s) | ("not", e) |
+# ("and", a, b) | ("or", a, b)
 
 
 def expr_names(expr) -> set[str]:
@@ -108,38 +110,7 @@ def satisfying(mdp: Mdp, expr) -> list[bool]:
 
 
 # ---------------------------------------------------------------------------
-# properties
-
-
-@dataclass(frozen=True)
-class Reach:
-    bound: str  # one of >= > <= <
-    p: float
-    target: tuple
-    mode: str  # min or max
-    source: str = ""
-
-
-@dataclass(frozen=True)
-class Safety:
-    bad: tuple
-    source: str = ""
-
-
-@dataclass(frozen=True)
-class Inevitable:
-    goal: tuple
-    source: str = ""
-
-
-@dataclass(frozen=True)
-class ForcedNext:
-    trigger: tuple
-    next: tuple
-    source: str = ""
-
-
-Property = Reach | Safety | Inevitable | ForcedNext
+# verdicts
 
 
 @dataclass(frozen=True)
@@ -362,140 +333,3 @@ def check(mdp: Mdp, prop: Property) -> Verdict:
                         )
         return Verdict(True, 1.0, "trigger inevitable and every successor satisfies next")
     raise TypeError(f"unknown property {prop!r}")
-
-
-# ---------------------------------------------------------------------------
-# property file parsing
-
-_TOKEN = re.compile(
-    r'\s*(?:(?P<str>"[^"]*")|(?P<num>\d+(?:\.\d+)?)|(?P<op><=|>=|->|[<>!&|()\[\]])|(?P<word>[A-Za-z_]\w*))'
-)
-
-
-class PropertyError(Exception):
-    pass
-
-
-def _tokenize(line: str) -> list[str]:
-    out = []
-    pos = 0
-    while pos < len(line):
-        m = _TOKEN.match(line, pos)
-        if not m:
-            if line[pos:].strip():
-                raise PropertyError(f"cannot read property near {line[pos:]!r}")
-            break
-        out.append(m.group().strip())
-        pos = m.end()
-    return out
-
-
-class _PropParser:
-    def __init__(self, tokens: list[str], source: str):
-        self.toks = tokens
-        self.pos = 0
-        self.source = source
-
-    def peek(self) -> str | None:
-        return self.toks[self.pos] if self.pos < len(self.toks) else None
-
-    def take(self, want: str | None = None) -> str:
-        tok = self.peek()
-        if tok is None or (want is not None and tok != want):
-            raise PropertyError(f"{self.source}: expected {want or 'more input'}, got {tok!r}")
-        self.pos += 1
-        return tok
-
-    # expr := term ('|' term)* ; term := factor ('&' factor)* ;
-    # factor := '!' factor | '(' expr ')' | quoted-name
-    def expr(self):
-        e = self.term()
-        while self.peek() == "|":
-            self.take()
-            e = ("or", e, self.term())
-        return e
-
-    def term(self):
-        e = self.factor()
-        while self.peek() == "&":
-            self.take()
-            e = ("and", e, self.factor())
-        return e
-
-    def factor(self):
-        tok = self.peek()
-        if tok == "!":
-            self.take()
-            return ("not", self.factor())
-        if tok == "(":
-            self.take()
-            e = self.expr()
-            self.take(")")
-            return e
-        if tok and tok.startswith('"'):
-            self.take()
-            return ("name", tok[1:-1])
-        raise PropertyError(f"{self.source}: expected a quoted pattern name, got {tok!r}")
-
-    def parse(self) -> Property:
-        head = self.take()
-        if head == "P":
-            bound = self.take()
-            if bound not in (">=", ">", "<=", "<"):
-                raise PropertyError(f"{self.source}: bad bound {bound!r}")
-            p = float(self.take())
-            self.take("[")
-            self.take("F")
-            e = self.expr()
-            self.take("]")
-            self._done()
-            mode = "min" if bound in (">=", ">") else "max"
-            return Reach(bound, p, e, mode, self.source)
-        if head == "A":
-            self.take("[")
-            kind = self.take()
-            if kind == "G":
-                if self.peek() == "!":
-                    self.take()
-                    bad = self.factor()
-                else:
-                    raise PropertyError(f"{self.source}: A [ G ... ] takes a negated expression")
-                self.take("]")
-                self._done()
-                return Safety(bad, self.source)
-            if kind == "F":
-                e = self.expr()
-                self.take("]")
-                self._done()
-                return Inevitable(e, self.source)
-            raise PropertyError(f"{self.source}: expected F or G after A [")
-        if head == "E":
-            self.take("[")
-            self.take("F")
-            e = self.expr()
-            self.take("]")
-            self._done()
-            # E F phi  <=>  Pmax(F phi) > 0
-            return Reach(">", 0.0, e, "max", self.source)
-        if head == "FORCEDNEXT":
-            trig = self.expr()
-            self.take("->")
-            nxt = self.expr()
-            self._done()
-            return ForcedNext(trig, nxt, self.source)
-        raise PropertyError(f"{self.source}: unknown property form {head!r}")
-
-    def _done(self):
-        if self.peek() is not None:
-            raise PropertyError(f"{self.source}: trailing input {self.peek()!r}")
-
-
-def parse_properties(text: str) -> list[Property]:
-    """One property per line; `#` comments and blank lines are skipped."""
-    props = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        props.append(_PropParser(_tokenize(line), line).parse())
-    return props

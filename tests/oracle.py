@@ -346,7 +346,6 @@ def instantiate(family, env: dict[str, int]):
         reactum=_subst(family.reactum, env),
         weight=family.weight,
         condition=family.condition,
-        site_map=family.site_map,
     )
 
 

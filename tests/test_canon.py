@@ -47,7 +47,7 @@ def test_entity_renumbering_invariance():
         [("n", perm[i]) if k == "n" else (k, i) for k, i in cs] for cs in g.region_children
     ]
     links = [
-        Link(lk.name, tuple((perm[n], p) for n, p in lk.ports), lk.inner) for lk in g.links
+        Link(lk.name, tuple((perm[n], p) for n, p in lk.ports)) for lk in g.links
     ]
     h = Bigraph(nodes, node_children, region_children, g.nsites, links)
     assert canonical_form(g) == canonical_form(h)
@@ -93,6 +93,24 @@ def test_decode_round_trip_with_sites_and_open_names():
     h = decode_canonical(enc, controls)
     assert canonical_form(h) == enc
     assert h.nsites == 1
+    assert canonical_form(permuted_copy(random.Random(5), g)) == enc
+
+
+def test_decode_rejects_bytes_after_tail(tmp_path):
+    from tickgraph.mdp import Mdp, load_mdp, save_mdp
+
+    controls = {c.name: c for c in (S, INIT, X)}
+    enc = canonical_form(pta_state(INIT, 2))
+    assert enc.endswith(b";Y=;X=")
+    with pytest.raises(ValueError, match="trailing bytes"):
+        decode_canonical(enc + b"x>c0", controls)
+    # a cache holding such an encoding (a state with an inner name) is rebuilt
+    path = tmp_path / "m.mdpc"
+    state = pta_state(INIT, 2)
+    save_mdp(path, Mdp([state], [enc], [[]], ["a"]), "key")
+    assert load_mdp(path, controls, "key") is not None
+    save_mdp(path, Mdp([state], [enc + b"x>c0"], [[]], ["a"]), "key")
+    assert load_mdp(path, controls, "key") is None
 
 
 # randomized renaming / perturbation checks -------------------------------
@@ -108,7 +126,7 @@ _POOL = [
 ]
 
 
-def random_bigraph(rng: random.Random, max_nodes=6, inner=False):
+def random_bigraph(rng: random.Random, max_nodes=6):
     n = rng.randint(1, max_nodes)
     picks = [rng.choice(_POOL) for _ in range(n)]
     nodes = [(c, rng.randint(0, 2) if c.parameterised else None) for c in picks]
@@ -130,12 +148,6 @@ def random_bigraph(rng: random.Random, max_nodes=6, inner=False):
         ports = ports[k:]
         name = f"y{len(links)}" if rng.random() < 0.2 else None  # mostly closed
         links.append(Link(name, chunk))
-    if inner:
-        # inner names on some edges, and closed edges that have only inner names
-        links = [Link(lk.name, lk.ports, (f"x{e}",) if rng.random() < 0.4 else ())
-                 for e, lk in enumerate(links)]
-        links += [Link(None, (), tuple(f"z{j}_{i}" for i in range(rng.randint(1, 2))))
-                  for j in range(rng.randint(0, 2))]
     return Bigraph(nodes, node_children, region_children, 0, links)
 
 
@@ -161,7 +173,7 @@ def permuted_copy(rng: random.Random, g: Bigraph) -> Bigraph:
     for cs in region_children:
         rng.shuffle(cs)
     links = [
-        Link(lk.name, tuple(sorted((perm[v], p) for v, p in lk.ports)), lk.inner)
+        Link(lk.name, tuple(sorted((perm[v], p) for v, p in lk.ports)))
         for lk in g.links
     ]
     rng.shuffle(links)
@@ -230,31 +242,50 @@ def test_decode_round_trip_random():
         h = decode_canonical(enc, controls)
         assert validate(h) == []
         assert canonical_form(h) == enc
-
-
-def test_decode_keeps_portless_closed_edge_with_inner_names():
-    # such an edge appears only in the encoding's tail (";X=x>c1")
-    k1 = Control("K1", 1, atomic=True)
-    g = Bigraph([(B, None)], [[]], [[("n", 0)]], 0, [Link(None, (), ("x",))])
-    h = Bigraph([(k1, None)], [[]], [[("n", 0)]], 0,
-                [Link(None, ((0, 0),)), Link(None, (), ("x", "y"))])
-    for graph, controls in ((g, {"B": B}), (h, {"K1": k1})):
-        enc = canonical_form(graph)
-        back = decode_canonical(enc, controls)
-        assert validate(back) == []
-        assert canonical_form(back) == enc
-
-
-def test_decode_round_trip_random_inner_names():
-    controls = {c.name: c for c in _POOL}
-    rng = random.Random(78)
-    for _ in range(200):
-        g = random_bigraph(rng, inner=True)
-        enc = canonical_form(g)
-        h = decode_canonical(enc, controls)
-        assert validate(h) == []
-        assert canonical_form(h) == enc
         assert canonical_form(permuted_copy(rng, g)) == enc
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_closed_link_stars(k):
+    # one hub whose k closed edges each join it to one leaf: the k edges tie
+    # until the leaves' values and places tell them apart
+    import itertools
+
+    from .oracle import _fingerprint, brute_iso
+
+    hub = Control("Hub", k, atomic=True)
+    leaf = Control("Leaf", 1, atomic=True, parameterised=True)
+    box = Control("Box", 0)
+    controls = {c.name: c for c in (hub, leaf, box)}
+
+    def star(rng):
+        # hub and two boxes at the root; each leaf at the root or in a box
+        nodes = [(hub, None), (box, None), (box, None)]
+        nodes += [(leaf, rng.randint(0, 1)) for _ in range(k)]
+        node_children = [[] for _ in nodes]
+        root = [("n", 0), ("n", 1), ("n", 2)]
+        for i in range(3, 3 + k):
+            where = rng.randrange(3)
+            (root if where == 0 else node_children[where]).append(("n", i))
+        links = [Link(None, ((0, j), (3 + j, 0))) for j in range(k)]
+        return Bigraph(nodes, node_children, [root], 0, links)
+
+    rng = random.Random(k)
+    stars = [star(rng) for _ in range(40)]
+    for g in stars:
+        enc = canonical_form(g)
+        assert canonical_form(decode_canonical(enc, controls)) == enc
+        h = permuted_copy(rng, g)
+        assert canonical_form(h) == enc and brute_iso(g, h)
+    buckets = {}
+    for g in stars:
+        buckets.setdefault(_fingerprint(g), []).append(g)
+    pairs = 0
+    for bucket in buckets.values():
+        for a, b in itertools.combinations(bucket[:8], 2):
+            pairs += 1
+            assert is_iso(a, b) == brute_iso(a, b)
+    assert pairs > 0
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -274,7 +305,7 @@ def test_random_perturbation_changes_encoding(seed):
         elif mode == 1 and h.links:
             links = list(h.links)
             lk = links[0]
-            links[0] = Link("zz_fresh" if lk.name is None else None, lk.ports, lk.inner)
+            links[0] = Link("zz_fresh" if lk.name is None else None, lk.ports)
             h2 = Bigraph(list(h.nodes), [list(c) for c in h.node_children],
                          [list(c) for c in h.region_children], h.nsites, links)
         else:

@@ -147,6 +147,22 @@ def test_check_failing_property(tmp_path):
     assert "FAILS" in r.stdout and "0.01" in r.stdout
 
 
+def test_check_malformed_property_has_position(tmp_path):
+    props = tmp_path / "f.props"
+    props.write_text('# header\nP >= 0.5 [ G "s" ]\n')
+    r = run("check", MODELS / "pta.big", "--props", props, "--out", tmp_path)
+    assert r.returncode == 2
+    assert r.stderr.strip() == "tickgraph: 2:12: found 'G' (expected F)"
+
+
+def test_check_probability_bound_out_of_range(tmp_path):
+    props = tmp_path / "f.props"
+    props.write_text('P >= 2 [ F "in_Done_state" ]\n')
+    r = run("check", MODELS / "pta.big", "--props", props, "--out", tmp_path)
+    assert (r.returncode, r.stdout) == (2, "")
+    assert r.stderr.strip() == "tickgraph: 1:6: probability bound 2 is outside [0, 1]"
+
+
 def test_check_unknown_predicate(tmp_path):
     props = tmp_path / "f.props"
     props.write_text('P >= 0.5 [ F "nonsense" ]\n')
@@ -198,6 +214,36 @@ def test_max_states_must_be_positive(tmp_path, budget):
     )
     assert "internal error" not in r.stderr
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("steps", ["-1", "-3"])
+def test_simulate_steps_must_not_be_negative(steps):
+    r = run("simulate", MODELS / "pta.big", "--steps", steps)
+    assert (r.returncode, r.stdout) == (2, "")
+    assert r.stderr.splitlines()[-1] == (
+        f"tickgraph simulate: error: argument --steps: must be at least 0, got {steps}"
+    )
+    zero = run("simulate", MODELS / "pta.big", "--steps", "0")
+    assert (zero.returncode, zero.stdout) == (0, "")
+
+
+def test_benchmark_bindings_resolve():
+    # perfbench/tracer.py wraps these names where they are bound; a refactor
+    # that unbinds one must fail here, not only in the benchmark's selftest
+    import importlib
+    import importlib.util
+
+    path = MODELS.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    names = [(mod, attr) for mod, attr, _span in tracer.BINDINGS]
+    names.append(("tickgraph.verify", "parse_properties"))
+    missing = [
+        f"{mod}.{attr}" for mod, attr in names
+        if not callable(getattr(importlib.import_module(mod), attr, None))
+    ]
+    assert missing == []
 
 
 def test_jobs_option_removed(tmp_path):

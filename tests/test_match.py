@@ -180,7 +180,6 @@ def test_reconstruction_over_corpus(model_file):
             redex=fam.redex,
             reactum=fam.redex,
             weight=1.0,
-            site_map=tuple(range(fam.redex.nsites)),
         )
         domains = {v: set(range(0, 13)) for v in fam.formal}
         for agent in mdp.states:

@@ -9,13 +9,12 @@ from tests import oracle
 from tickgraph import verify
 from tickgraph.elaborate import ElabError, elaborate, load_model
 from tickgraph.kernels import Graph, as_arrays, sweep
-from tickgraph.lang import parse
+from tickgraph.lang import ParseError, parse
 from tickgraph.mdp import Choice, Mdp, explore
 from tickgraph.verify import (
     ForcedNext,
     Inevitable,
     Pattern,
-    PropertyError,
     Reach,
     Safety,
     UnknownLabel,
@@ -325,14 +324,29 @@ P < 0.5 [ F !"a" | "b" ]
 
 
 def test_parse_property_errors():
-    with pytest.raises(PropertyError):
-        parse_properties('P >= 0.5 [ G "a" ]')
-    with pytest.raises(PropertyError):
-        parse_properties('A [ G "a" ]')  # safety needs the negation
-    with pytest.raises(PropertyError):
-        parse_properties("WHAT")
-    with pytest.raises(PropertyError):
-        parse_properties('P >= 0.5 [ F "a" ] junk')
+    cases = [
+        ('P >= 0.5 [ G "a" ]', "1:12: found 'G' (expected F)"),
+        ('A [ G "a" ]', "1:7: A [ G ... ] takes a negated expression (expected !)"),
+        ("WHAT", "1:1: found 'WHAT' (expected P, E, A, FORCEDNEXT)"),
+        ('P >= 0.5 [ F "a" ] junk', "1:20: trailing input 'junk'"),
+        ('A [ F "a"', "1:10: found 'end of input' (expected ])"),
+        ('E [ F "a ]', "1:7: unterminated string"),
+        ('# two\n\n  P >= 0.5 [ F "a" | @ ]', "3:22: unexpected character '@'"),
+    ]
+    for text, msg in cases:
+        with pytest.raises(ParseError) as info:
+            parse_properties(text)
+        assert str(info.value) == msg
+
+
+@pytest.mark.parametrize("bound", ["2", "1.5", "1.0000001"])
+def test_probability_bound_outside_unit_interval(bound):
+    with pytest.raises(ParseError) as info:
+        parse_properties(f'A [ F "a" ]\nP <= {bound} [ F "a" ]')
+    assert (info.value.line, info.value.col) == (2, 6)
+    assert f"probability bound {bound} is outside [0, 1]" in str(info.value)
+    (prop,) = parse_properties('P <= 1 [ F "a" ]  # a comment')
+    assert (prop.p, prop.source) == (1.0, 'P <= 1 [ F "a" ]')
 
 
 # ---------------------------------------------------------------------------
