@@ -11,19 +11,28 @@ lets the CLI reuse a built MDP across commands.
 from __future__ import annotations
 
 import hashlib
+import logging
 import os
 import struct
 from dataclasses import dataclass, field
+from time import perf_counter
 
 from .bigraph import Bigraph, Control
-from .canon import canonical_form, decode_canonical
+from .canon import canonical_digest, canonical_form, decode_canonical
 from .rules import Model, action_distribution, enabled_outcomes
+
+log = logging.getLogger(__name__)
 
 
 class ExplorationLimit(Exception):
-    def __init__(self, msg: str, frontier: int):
+    """The state budget tripped while expanding the state with digest
+    `state` (first 16 hex digits of its `canonical_digest`) at BFS `depth`."""
+
+    def __init__(self, msg: str, frontier: int, depth: int, state: str):
         super().__init__(msg)
         self.frontier = frontier
+        self.depth = depth
+        self.state = state
 
 
 @dataclass
@@ -64,6 +73,8 @@ def explore(model: Model, max_states: int = 100_000) -> Mdp:
     States are numbered in discovery order: level by level, and within a
     level by frontier order, then action order, then successor order.
     Discovering more than `max_states` states raises ExplorationLimit.
+    At log level INFO each BFS level logs its depth, frontier size, the
+    states discovered so far and the rate since the start.
     """
     if max_states < 1:
         raise ValueError("max_states must be at least 1")
@@ -74,6 +85,8 @@ def explore(model: Model, max_states: int = 100_000) -> Mdp:
     states = [init]
     choices: list[list[Choice]] = [[]]
     frontier = [0]
+    depth = 0
+    start = perf_counter()
     while frontier:
         next_frontier: list[int] = []
         for s in frontier:
@@ -87,9 +100,13 @@ def explore(model: Model, max_states: int = 100_000) -> Mdp:
                     if t is None:
                         t = len(states)
                         if t >= max_states:
+                            digest = canonical_digest(agent)[:16]
                             raise ExplorationLimit(
-                                f"state budget {max_states} exceeded",
+                                f"state budget {max_states} exceeded at depth {depth}"
+                                f" while expanding state {digest}",
                                 frontier=len(frontier) + len(next_frontier),
+                                depth=depth,
+                                state=digest,
                             )
                         index[key] = t
                         states.append(succ)
@@ -98,7 +115,14 @@ def explore(model: Model, max_states: int = 100_000) -> Mdp:
                     dist.append((t, prob))
                     rules.extend(names)
                 choices[s].append(Choice(action, dist, tuple(dict.fromkeys(rules))))
+        if log.isEnabledFor(logging.INFO):
+            elapsed = perf_counter() - start
+            log.info(
+                "explore: depth %d, frontier %d, %d states, %.0f states/s",
+                depth, len(frontier), len(states), len(states) / max(elapsed, 1e-9),
+            )
         frontier = next_frontier
+        depth += 1
     return Mdp(
         states=states,
         canon=list(index),

@@ -90,10 +90,15 @@ class RuleFamily:
     weight: float
     condition: Bigraph | None = None  # no occurrence of this outside the image
     pos: tuple[int, int] = field(default=(0, 0), compare=False)  # declaration line:col
+    # outer name -> its redex link index, computed once
+    redex_edge_of_name: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_rule_shape(self.redex, self.reactum, self.weight, self.base)
         _check_bound(f"rule {self.base}", self.formal, (self.redex, self.reactum))
+        object.__setattr__(self, "redex_edge_of_name", {
+            lk.name: e for e, lk in enumerate(self.redex.links) if lk.name is not None
+        })
 
     def instance_name(self, env: dict[str, int]) -> str:
         if not self.formal:
@@ -103,6 +108,56 @@ class RuleFamily:
 
 # ---------------------------------------------------------------------------
 # application
+
+
+def _reactum_values(reactum: Bigraph, env: dict[str, int]) -> list[int | None]:
+    """The parameter of each reactum entity under a match's binding."""
+    return [
+        param if is_concrete(param) else term_eval(param, env)
+        for _ctrl, param in reactum.nodes
+    ]
+
+
+def effect_key(rule: RuleFamily, m: Match) -> tuple:
+    """What applying `rule` at `m` writes, as a hashable key.
+
+    Two outcomes on the same agent with equal keys give results that are
+    equal up to entity numbering: the key holds the match image, each
+    reactum region's anchor, and per reactum entity its control, computed
+    parameter, ports (the agent edge of an outer name, or the reactum link
+    of a fresh closed edge) and children, with a site child standing for
+    the agent entities it carries.  Siblings are sorted, so matches that
+    only permute equal-valued interchangeable entities (the clocks of a
+    tick) share one key.  A None parameter is written as ``()`` and a value
+    as ``(v,)``, so sorting never compares None with an int.
+    """
+    reactum = rule.reactum
+    values = _reactum_values(reactum, m.binding_env())
+    emap = m.edge_map()
+    ports: list[list[tuple]] = [[] for _ in range(reactum.nnodes)]
+    for l, lk in enumerate(reactum.links):
+        if lk.name is not None:
+            tag = ("o", emap[rule.redex_edge_of_name[lk.name]])
+        else:
+            tag = ("c", l)
+        for v, p in lk.ports:
+            ports[v].append((p, *tag))
+
+    def children(refs) -> tuple:
+        return tuple(sorted(
+            entity(c) if k == "n" else ("$", m.site_images[c]) for k, c in refs
+        ))
+
+    def entity(j: int) -> tuple:
+        value = values[j]
+        return (
+            reactum.nodes[j][0].name,
+            () if value is None else (value,),
+            tuple(sorted(ports[j])),
+            children(reactum.node_children[j]),
+        )
+
+    return (m.image, m.anchors, tuple(children(cs) for cs in reactum.region_children))
 
 
 def apply(agent: Bigraph, rule: RuleFamily, m: Match) -> Bigraph:
@@ -141,11 +196,9 @@ def apply(agent: Bigraph, rule: RuleFamily, m: Match) -> Bigraph:
         )
 
     react_id: dict[int, int] = {}
-    for j in range(reactum.nnodes):
-        ctrl, param = reactum.nodes[j]
-        value = param if is_concrete(param) else term_eval(param, env)
+    for j, value in enumerate(_reactum_values(reactum, env)):
         react_id[j] = len(nodes)
-        nodes.append((ctrl, value))
+        nodes.append((reactum.nodes[j][0], value))
         node_children.append([])
 
     def place(target: list[Ref], children):
@@ -173,14 +226,11 @@ def apply(agent: Bigraph, rule: RuleFamily, m: Match) -> Bigraph:
     new_ports: list[list[tuple[int, int]]] = [
         [(new_id[v], p) for v, p in lk.ports if v not in image] for lk in agent.links
     ]
-    redex_edge_of_name = {
-        lk.name: e for e, lk in enumerate(redex.links) if lk.name is not None
-    }
     fresh: list[Link] = []
     for lk in reactum.links:
         ports = [(react_id[v], p) for v, p in lk.ports]
         if lk.name is not None:
-            E = emap[redex_edge_of_name[lk.name]]
+            E = emap[rule.redex_edge_of_name[lk.name]]
             new_ports[E].extend(ports)
         elif ports:
             fresh.append(Link(None, tuple(ports)))
@@ -394,23 +444,29 @@ def action_distribution(
 ) -> list[tuple[Bigraph, float, tuple[str, ...]]]:
     """Normalise one action's outcomes into a distribution over result states.
 
-    Each outcome's probability is weight / total weight; outcomes whose
-    results are isomorphic merge by summing.  Entries keep first-appearance
-    order and carry the contributing rule names.
+    Each outcome (every match counts, symmetric ones too) has probability
+    weight / total weight.  Outcomes with equal :func:`effect_key` are
+    applied and canonicalised once, by the first of them; results that are
+    still isomorphic merge by canonical form.  Probabilities are summed in
+    outcome order, entries keep first-appearance order and carry the
+    contributing rule names.
     """
     if not outcomes:
         raise ValueError("action_distribution: empty outcome list")
     total = sum(oc.weight for oc in outcomes)
-    acc: dict[bytes, int] = {}
+    by_effect: dict[tuple, int] = {}
+    by_canon: dict[bytes, int] = {}
     entries: list[tuple[Bigraph, float, list[str]]] = []
     for oc in outcomes:
-        succ = apply(agent, oc.rule, oc.match)
-        key = canonical_form(succ)
-        p = oc.weight / total
-        if key in acc:
-            g, p0, names = entries[acc[key]]
-            entries[acc[key]] = (g, p0 + p, names + [oc.name])
-        else:
-            acc[key] = len(entries)
-            entries.append((succ, p, [oc.name]))
+        effect = effect_key(oc.rule, oc.match)
+        i = by_effect.get(effect)
+        if i is None:
+            succ = apply(agent, oc.rule, oc.match)
+            i = by_canon.setdefault(canonical_form(succ), len(entries))
+            if i == len(entries):
+                entries.append((succ, 0.0, []))
+            by_effect[effect] = i
+        g, p, names = entries[i]
+        names.append(oc.name)
+        entries[i] = (g, p + oc.weight / total, names)
     return [(g, p, tuple(dict.fromkeys(names))) for g, p, names in entries]

@@ -1,9 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tickgraph.bigraph import Bigraph, Control, Link, close, ion, merge, nest, parallel, site, validate
 from tickgraph.canon import canonical_form, decode_canonical, is_iso
+
+from .oracle import brute_iso
 
 S = Control("S", arity=1)
 INIT = Control("Init", atomic=True)
@@ -316,3 +320,71 @@ def test_random_perturbation_changes_encoding(seed):
             region_children[0] = region_children[0] + [("n", len(nodes) - 1)]
             h2 = Bigraph(nodes, node_children, region_children, h.nsites, list(h.links))
         assert canonical_form(g) != canonical_form(h2)
+
+
+# hypothesis: random_bigraph-style bigraphs with sites, open names and closed
+# edges, drawn so that failures shrink to a small bigraph ----------------------
+
+
+@st.composite
+def bigraphs(draw, max_nodes=6):
+    n = draw(st.integers(1, max_nodes))
+    picks = draw(st.lists(st.sampled_from(_POOL), min_size=n, max_size=n))
+    nodes = [(c, draw(st.integers(0, 2)) if c.parameterised else None) for c in picks]
+    nregions = draw(st.integers(1, 2))
+    node_children: list[list] = [[] for _ in range(n)]
+    region_children: list[list] = [[] for _ in range(nregions)]
+
+    def place(ref, hosts):
+        kind, i = draw(st.sampled_from([("r", r) for r in range(nregions)] + hosts))
+        (region_children if kind == "r" else node_children)[i].append(ref)
+
+    for i in range(n):
+        place(("n", i), [("n", j) for j in range(i) if not picks[j].atomic])
+    nsites = draw(st.integers(0, 2))
+    for s in range(nsites):
+        place(("s", s), [("n", j) for j in range(n) if not picks[j].atomic])
+    ports = draw(st.permutations([(i, p) for i in range(n) for p in range(picks[i].arity)]))
+    links = []
+    while ports:
+        k = min(len(ports), draw(st.integers(1, 3)))
+        name = f"y{len(links)}" if draw(st.booleans()) else None
+        links.append(Link(name, tuple(ports[:k])))
+        ports = ports[k:]
+    if draw(st.booleans()):
+        links.append(Link("idle", ()))  # a portless open name
+    return Bigraph(nodes, node_children, region_children, nsites, links)
+
+
+@settings(max_examples=200, deadline=None)
+@given(bigraphs(), st.randoms(use_true_random=False))
+def test_hypothesis_permuted_copy_keeps_encoding(g, rng):
+    assert validate(g) == []
+    h = permuted_copy(rng, g)
+    assert canonical_form(h) == canonical_form(g)
+    assert brute_iso(g, h)
+
+
+@settings(max_examples=200, deadline=None)
+@given(bigraphs())
+def test_hypothesis_decode_round_trips(g):
+    enc = canonical_form(g)
+    h = decode_canonical(enc, {c.name: c for c in _POOL})
+    assert validate(h) == []
+    assert canonical_form(h) == enc
+    assert brute_iso(g, h)
+
+
+@settings(max_examples=300, deadline=None)
+@given(bigraphs(), st.data())
+def test_hypothesis_near_misses_agree_with_brute_force(g, data):
+    # the same forest and link sizes with the ports dealt out again: often
+    # isomorphic, often only by fingerprint
+    ports = data.draw(st.permutations([vp for lk in g.links for vp in lk.ports]))
+    links = []
+    for lk in g.links:
+        links.append(Link(lk.name, tuple(ports[: len(lk.ports)])))
+        ports = ports[len(lk.ports) :]
+    h = Bigraph(list(g.nodes), [list(c) for c in g.node_children],
+                [list(c) for c in g.region_children], g.nsites, links)
+    assert is_iso(g, h) == brute_iso(g, h)

@@ -81,6 +81,21 @@ def test_build_budget_exceeded(tmp_path):
     assert (again.returncode, again.stderr) == (3, r.stderr)
 
 
+def test_build_budget_names_state(tmp_path):
+    # Send(0), expanded at depth 1, discovers the fourth state
+    from tickgraph.canon import canonical_digest
+
+    from .conftest import SEND, pta_state
+
+    r = run("build", MODELS / "pta.big", "--max-states", "3", "--out", tmp_path)
+    digest = canonical_digest(pta_state(SEND, 0))[:16]
+    assert r.returncode == 3
+    assert r.stderr == (
+        f"tickgraph: state budget 3 exceeded at depth 1 while expanding state {digest}"
+        " (frontier 2)\n"
+    )
+
+
 def test_build_trivial_deadlock(tmp_path):
     model = tmp_path / "t.big"
     model.write_text(

@@ -1,9 +1,10 @@
+import logging
 import random
 
 import pytest
 
 from tickgraph.bigraph import Control, ion, validate
-from tickgraph.canon import canonical_form, is_iso
+from tickgraph.canon import canonical_digest, canonical_form, is_iso
 from tickgraph.match import occurrences
 from tickgraph.mdp import (
     ExplorationLimit,
@@ -148,8 +149,13 @@ def test_order_insensitive_exploration(pta_model_prog):
 
 
 def test_state_budget():
-    with pytest.raises(ExplorationLimit):
+    with pytest.raises(ExplorationLimit) as err:
         explore(build_pta_model(), max_states=5)
+    # the limit names the BFS level and the state being expanded: Init(1),
+    # at depth 1, discovers Init(2) as the sixth state
+    assert err.value.depth == 1
+    assert len(err.value.state) == 16
+    assert err.value.state == canonical_digest(pta_state(INIT, 1))[:16]
     with pytest.raises(ValueError, match="at least 1"):
         explore(build_pta_model(), max_states=0)
 
@@ -281,8 +287,8 @@ def test_cache_round_trip(tmp_path, pta_mdp, pta_model_prog):
     assert load_mdp(path, pta_model_prog.controls, "otherhash") is None
     assert load_mdp(tmp_path / "missing.mdpc", pta_model_prog.controls, "abc123") is None
 
-def test_parallel_jobs_identical(pta_model_prog):
-    # exploration is a single loop now; two independent runs must agree
+def test_repeated_exploration_identical(pta_model_prog):
+    # two independent runs must agree
     one = explore(pta_model_prog)
     many = explore(pta_model_prog)
     assert one.canon == many.canon
@@ -342,3 +348,17 @@ def test_symmetric_token_models_match_oracle(k, links, counts):
     assert (mdp.n_states, mdp.n_choices, mdp.n_transitions) == counts
     ref = oracle_explore(model)
     assert (len(ref.states), ref.n_choices, ref.n_transitions) == counts
+
+
+def test_explore_logs_each_level(pta_model_prog, caplog):
+    with caplog.at_level(logging.INFO, logger="tickgraph"):
+        mdp = explore(pta_model_prog)
+    lines = [r.getMessage() for r in caplog.records if r.name == "tickgraph.mdp"]
+    assert len(lines) == 11  # one per BFS level: the PTA is 10 levels deep
+    assert lines[0].startswith("explore: depth 0, frontier 1, 3 states, ")
+    assert lines[-1].startswith(f"explore: depth 10, frontier 1, {mdp.n_states} states, ")
+    assert all(line.endswith(" states/s") for line in lines)
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="tickgraph"):
+        explore(pta_model_prog)
+    assert caplog.records == []

@@ -1,9 +1,17 @@
+import functools
+import importlib.util
 import math
+import pathlib
+import random
+import sys
 
 import pytest
 
+from tickgraph import rules
 from tickgraph.bigraph import Control, close, ion, merge, nest, parallel, site, validate
-from tickgraph.canon import is_iso
+from tickgraph.canon import canonical_form, is_iso
+from tickgraph.elaborate import elaborate, load_model
+from tickgraph.lang import parse
 from tickgraph.match import occurrences
 from tickgraph.mdp import explore
 from tickgraph.params import Arith, Var
@@ -13,6 +21,7 @@ from tickgraph.rules import (
     RuleFamily,
     action_distribution,
     apply,
+    effect_key,
     enabled_outcomes,
 )
 
@@ -28,6 +37,8 @@ from .conftest import (
     pta_state,
 )
 from .oracle import class_instance_names, expand, instantiate
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def test_expand_clock_advance():
@@ -232,6 +243,8 @@ def test_action_distribution_merges_isomorphic_results():
     agent = merge(ion(a), ion(a))
     out = enabled_outcomes(agent, model)
     assert len(out["flip"]) == 2
+    # the matches rewrite different entities: two effects, one canonical result
+    assert len({effect_key(oc.rule, oc.match) for oc in out["flip"]}) == 2
     dist = action_distribution(agent, out["flip"])
     assert len(dist) == 1
     assert abs(dist[0][1] - 1.0) < 1e-12
@@ -329,3 +342,116 @@ def test_priority_spec_instance_names(pta_model_prog):
     }
     assert "clock_advance(0)" in classes[1]
     assert pta_model_prog.rule_count() == 20
+
+
+# --- effect keys -------------------------------------------------------------
+
+
+@functools.cache
+def _perfbench_gen():
+    # loaded by path, as test_cli loads perfbench/tracer.py; its dataclasses
+    # need the module registered while it executes
+    spec = importlib.util.spec_from_file_location("perfbench_gen", ROOT / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    sys.modules["perfbench_gen"] = gen
+    spec.loader.exec_module(gen)
+    return gen
+
+
+# two matches with one image each: `swap` differs only in which agent edge
+# each new entity joins, `pick` only in which box's content each site carries
+SWAP_MODEL = """
+atomic ctrl A = 1;
+atomic ctrl B = 1;
+atomic ctrl C = 1;
+atomic fun ctrl K(v) = 1;
+atomic fun ctrl P(v) = 0;
+ctrl Pair = 0;
+ctrl Box = 0;
+ctrl Kept = 0;
+ctrl Gone = 0;
+react swap = Pair.(A{x} | A{y}) -[1]-> Pair.(B{x} | C{y});
+react pick = Box.id | Box.id -[1]-> Kept.id | Gone.id;
+big start = /e1 /e2 (Pair.(A{e1} | A{e2}) | K(1){e1} | K(2){e2} | Box.P(1) | Box.P(2));
+begin abrs
+  init start;
+  rules = [ {swap, pick} ];
+  actions = [ swap = {swap}, pick = {pick} ];
+end
+"""
+
+
+def _model(name):
+    """A bundled model by file stem, the model above, or a generated one."""
+    if (ROOT / "models" / f"{name}.big").exists():
+        return load_model(str(ROOT / "models" / f"{name}.big"))
+    if name == "ports-and-sites":
+        return elaborate(parse(SWAP_MODEL))
+    gen = _perfbench_gen()
+    spec = {
+        "cloud-family-3": lambda: gen.cloud_family(3, 1, random.Random(1)),
+        "pta-family-8": lambda: gen.pta_family(8, random.Random(1)),
+        "token-none-5": lambda: gen.token_family(5, "none", marks=(1, 2)),
+        "token-pairs-4": lambda: gen.token_family(4, "pairs"),
+        "token-ring-4": lambda: gen.token_family(4, "ring"),
+    }[name]()
+    return elaborate(parse(spec.text))
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["pta", "cloud", "sensor", "cloud-family-3", "pta-family-8",
+     "token-none-5", "token-pairs-4", "token-ring-4", "ports-and-sites"],
+)
+def test_effect_key_is_sound(name):
+    # outcomes with equal effect keys must give isomorphic results, in every
+    # reachable state; action_distribution applies only one of them
+    model = _model(name)
+    outcomes = groups = 0
+    mdp = explore(model)
+    for agent in mdp.states:
+        for ocs in enabled_outcomes(agent, model).values():
+            by_effect: dict[tuple, list] = {}
+            for oc in ocs:
+                by_effect.setdefault(effect_key(oc.rule, oc.match), []).append(oc)
+            for group in by_effect.values():
+                results = {canonical_form(apply(agent, oc.rule, oc.match)) for oc in group}
+                assert len(results) == 1
+            outcomes += len(ocs)
+            groups += len(by_effect)
+    if name == "cloud":
+        # 24 clock permutations per tick collapse to one effect
+        assert (outcomes, groups) == (1156, 150)
+    if name == "ports-and-sites":
+        assert outcomes == groups
+        assert (mdp.n_states, mdp.n_choices, mdp.n_transitions) == (9, 6, 12)
+
+
+def test_tick_applies_once_per_effect(monkeypatch):
+    model = _model("cloud")
+    agent = model.init
+    tick = enabled_outcomes(agent, model)["tick"]
+    assert len(tick) == 24
+    calls = []
+    real = rules.apply
+    monkeypatch.setattr(rules, "apply", lambda *a: calls.append(a) or real(*a))
+    dist = action_distribution(agent, tick)
+    assert len(calls) == 1
+    # one entry, and every matched instance still adds its probability share
+    assert [p for _g, p, _n in dist] == [sum([1 / 24] * 24)]
+
+
+def test_distinct_effects_merge_by_canonical_form(monkeypatch):
+    # bare tokens: each move rewrites a different token (k effects, k applies),
+    # and the results still merge into one state
+    model = _model("token-none-5")
+    agent = model.init
+    moves = enabled_outcomes(agent, model)["move"]
+    assert len(moves) == 5
+    assert len({effect_key(oc.rule, oc.match) for oc in moves}) == 5
+    calls = []
+    real = rules.apply
+    monkeypatch.setattr(rules, "apply", lambda *a: calls.append(a) or real(*a))
+    dist = action_distribution(agent, moves)
+    assert len(calls) == 5
+    assert [(p, names) for _g, p, names in dist] == [(sum([1 / 5] * 5), ("move",))]
