@@ -63,6 +63,7 @@ class Bigraph:
         "_parent",
         "_port_link",
         "_canon",
+        "_tables",
     )
 
     def __init__(
@@ -79,6 +80,7 @@ class Bigraph:
         self.nsites = nsites
         self.links = tuple(links)
         self._canon = None
+        self._tables = None  # match.py's search tables, when used as a pattern
 
         parent: dict[Ref, Ref] = {}
         for r, children in enumerate(self.region_children):

@@ -15,6 +15,16 @@ share an anchor, and anchors must lie in the context (not in the image, not
 inside a site's captured forest).  Unmatched children of a matched entity
 are captured by that entity's site and survive rewriting; a matched entity
 without a site admits no extra children.
+
+The search maps pattern entities in pre-order, so a parent is mapped before
+its children.  Each pattern entity takes its candidates, in agent entity
+order, from the narrowest source already fixed: a child entity from the
+children of its parent's image; a region root that shares an edge with an
+entity mapped before it from the entities on that edge's image; any other
+root from every agent entity of its control.  The pattern's tables
+(:class:`Tables`) are computed once and kept with the pattern; the agent's
+(:class:`Host`) once per agent, and a caller that searches one agent for
+several patterns builds one Host and passes it to each search.
 """
 
 from __future__ import annotations
@@ -49,201 +59,224 @@ class Match:
         return (self.nodes, self.edges, self.binding)
 
 
-class _Search:
-    def __init__(self, agent: Bigraph, pattern: Bigraph, domains, excluded):
+class Host:
+    """A ground agent's search tables: per entity its control name,
+    parameter, parent, child entities and edge counts (agent edge -> ports,
+    in edge order); per control its entities; per edge its entities and
+    whether it is closed, with its port count."""
+
+    __slots__ = ("agent", "ctrl", "param", "parent", "kids", "edges", "by_control",
+                 "on_edge", "closed", "size")
+
+    def __init__(self, agent: Bigraph):
+        if not agent.is_ground():
+            raise ValueError("occurrences: agent must be ground (no sites)")
         self.agent = agent
-        self.pattern = pattern
+        self.ctrl = [ctrl.name for ctrl, _p in agent.nodes]
+        self.param = [param for _ctrl, param in agent.nodes]
+        self.parent = [agent.parent(("n", u)) for u in range(agent.nnodes)]
+        self.kids = [tuple(c for _k, c in cs) for cs in agent.node_children]
+        self.by_control: dict[str, list[int]] = {}
+        for u, name in enumerate(self.ctrl):
+            self.by_control.setdefault(name, []).append(u)
+        self.edges: list[dict[int, int]] = [{} for _ in agent.nodes]
+        self.on_edge: list[tuple[int, ...]] = []
+        for E, lk in enumerate(agent.links):
+            for v, _p in lk.ports:
+                self.edges[v][E] = self.edges[v].get(E, 0) + 1
+            self.on_edge.append(tuple(sorted({v for v, _p in lk.ports})))
+        self.closed = [lk.closed for lk in agent.links]
+        self.size = [len(lk.ports) for lk in agent.links]
+
+
+class Tables:
+    """A pattern's search tables: its entities in pre-order and, per entity,
+    control name, parameter, parent entity (None for a region root), region
+    (roots only), sorted ``(edge, count, closed, edge size)`` tuples, child
+    entities, sites and the edge whose image gives a root its candidates."""
+
+    __slots__ = ("order", "ctrl", "param", "parent", "region", "edges", "kids", "sites",
+                 "via", "nregions", "nsites")
+
+    def __init__(self, pattern: Bigraph):
+        n = pattern.nnodes
+        self.order = [i for k, i in pattern.preorder() if k == "n"]
+        self.ctrl = [ctrl.name for ctrl, _p in pattern.nodes]
+        self.param = [param for _ctrl, param in pattern.nodes]
+        self.parent: list[int | None] = [None] * n
+        self.region: list[int | None] = [None] * n
+        for r, cs in enumerate(pattern.region_children):
+            for k, c in cs:
+                if k == "n":
+                    self.region[c] = r
+        self.kids = [tuple(c for k, c in cs if k == "n") for cs in pattern.node_children]
+        self.sites = [tuple(c for k, c in cs if k == "s") for cs in pattern.node_children]
+        for i, cs in enumerate(self.kids):
+            for c in cs:
+                self.parent[c] = i
+        counts: list[dict[int, int]] = [{} for _ in range(n)]
+        for e, lk in enumerate(pattern.links):
+            for v, _p in lk.ports:
+                counts[v][e] = counts[v].get(e, 0) + 1
+        self.edges = [
+            tuple((e, cnt, pattern.links[e].closed, len(pattern.links[e].ports))
+                  for e, cnt in sorted(cs.items()))
+            for cs in counts
+        ]
+        self.via: list[int | None] = [None] * n
+        mapped: set[int] = set()
+        for p in self.order:
+            if self.parent[p] is None:
+                self.via[p] = next((e for e, *_ in self.edges[p] if e in mapped), None)
+            mapped.update(e for e, *_ in self.edges[p])
+        self.nregions = pattern.nregions
+        self.nsites = pattern.nsites
+
+
+def tables(pattern: Bigraph) -> Tables:
+    """The pattern's search tables, computed on first use and kept with it."""
+    if pattern._tables is None:
+        pattern._tables = Tables(pattern)
+    return pattern._tables
+
+
+class _Search:
+    def __init__(self, host: Host, pat: Tables, domains, excluded):
+        self.host = host
+        self.pat = pat
         self.domains = domains or {}
         self.excluded = excluded
         self.results: list[Match] = []
-
-        self.by_control: dict[str, list[int]] = {}
-        for i, (ctrl, _p) in enumerate(agent.nodes):
-            self.by_control.setdefault(ctrl.name, []).append(i)
-
-        # pattern entities in pre-order so parents precede children
-        self.order = [ref[1] for ref in pattern.preorder() if ref[0] == "n"]
-        self.pat_region_of: dict[int, int] = {}
-        self.pat_parent: dict[int, int | None] = {}
-        for r in range(pattern.nregions):
-            for k, c in pattern.region_children[r]:
-                if k == "n":
-                    self.pat_region_of[c] = r
-        for i in range(pattern.nnodes):
-            par = pattern.parent(("n", i))
-            self.pat_parent[i] = par[1] if par[0] == "n" else None
-        self.pat_edge_counts = [pattern.edge_counts(i) for i in range(pattern.nnodes)]
-        self.pat_child_nodes = [
-            [c for k, c in pattern.node_children[i] if k == "n"]
-            for i in range(pattern.nnodes)
-        ]
-        self.pat_sites = [
-            [c for k, c in pattern.node_children[i] if k == "s"]
-            for i in range(pattern.nnodes)
-        ]
-
-        self.nmap: dict[int, int] = {}
+        self.nmap: list[int] = [-1] * len(pat.ctrl)
         self.emap: dict[int, int] = {}
         self.used_nodes: set[int] = set()
         self.used_edges: set[int] = set()
-        self.anchors: list[Ref | None] = [None] * pattern.nregions
-        self.anchor_fixed: list[bool] = [False] * pattern.nregions
+        self.anchors: list[Ref | None] = [None] * pat.nregions
         self.binding: dict[str, int] = {}
-
-    # -- parameter handling --------------------------------------------------
-
-    def _param_ok(self, pat_param, ag_param, undo: list):
-        if pat_param is None:
-            return ag_param is None
-        if isinstance(pat_param, int):
-            return pat_param == ag_param
-        if isinstance(pat_param, Var):
-            if not isinstance(ag_param, int):
-                return False
-            name = pat_param.name
-            if name in self.binding:
-                return self.binding[name] == ag_param
-            dom = self.domains.get(name)
-            if dom is not None and ag_param not in dom:
-                return False
-            self.binding[name] = ag_param
-            undo.append(name)
-            return True
-        return False  # arithmetic terms are reactum-only
-
-    # -- search ---------------------------------------------------------------
 
     def run(self) -> list[Match]:
         self._assign(0)
         self.results.sort(key=Match.sort_key)
         return self.results
 
+    def _candidates(self, p: int):
+        host, pat = self.host, self.pat
+        q = pat.parent[p]
+        if q is not None:
+            return host.kids[self.nmap[q]]
+        e = pat.via[p]
+        if e is not None:
+            return host.on_edge[self.emap[e]]
+        return host.by_control.get(pat.ctrl[p], ())
+
     def _assign(self, idx: int):
-        if idx == len(self.order):
+        pat = self.pat
+        if idx == len(pat.order):
             self._complete()
             return
-        p = self.order[idx]
-        ctrl, pat_param = self.pattern.nodes[p]
-        for u in self.by_control.get(ctrl.name, ()):
-            if u in self.used_nodes or u in self.excluded:
+        host = self.host
+        p = pat.order[idx]
+        name = pat.ctrl[p]
+        want = len(pat.kids[p])
+        has_site = bool(pat.sites[p])
+        r = pat.region[p]
+        pat_param = pat.param[p]
+        var = pat_param.name if isinstance(pat_param, Var) else None
+        dom = self.domains.get(var) if var is not None else None
+        for u in self._candidates(p):
+            if host.ctrl[u] != name or u in self.used_nodes or u in self.excluded:
                 continue
-            undo_bind: list[str] = []
-            if not self._param_ok(pat_param, self.agent.nodes[u][1], undo_bind):
-                for name in undo_bind:
-                    del self.binding[name]
+            # child count feasibility: equality without a site, lower bound with one
+            have = len(host.kids[u])
+            if have < want if has_site else have != want:
                 continue
-            if not self._place_ok(p, u):
-                for name in undo_bind:
-                    del self.binding[name]
-                continue
-
-            q = self.pat_parent[p]
-            anchor_set = False
-            if q is None:
-                r = self.pat_region_of[p]
-                agent_parent = self.agent.parent(("n", u))
-                if self.anchor_fixed[r]:
-                    if self.anchors[r] != agent_parent:
-                        for name in undo_bind:
-                            del self.binding[name]
+            ag_param = host.param[u]
+            bind = False
+            if var is not None:
+                if not isinstance(ag_param, int):
+                    continue
+                if var in self.binding:
+                    if self.binding[var] != ag_param:
                         continue
+                elif dom is not None and ag_param not in dom:
+                    continue
                 else:
-                    self.anchors[r] = agent_parent
-                    self.anchor_fixed[r] = True
+                    bind = True
+            elif isinstance(pat_param, int) or pat_param is None:
+                if pat_param != ag_param:
+                    continue
+            else:
+                continue  # arithmetic terms are reactum-only
+            anchor_set = False
+            if r is not None:
+                a = host.parent[u]
+                if self.anchors[r] is None:
+                    self.anchors[r] = a
                     anchor_set = True
-
+                elif self.anchors[r] != a:
+                    continue
+            if bind:
+                self.binding[var] = ag_param
             self.nmap[p] = u
             self.used_nodes.add(u)
-            for _ in self._edge_assignments(p, u):
-                self._assign(idx + 1)
-            del self.nmap[p]
+            self._assign_edges(u, pat.edges[p], 0, idx)
             self.used_nodes.discard(u)
+            if bind:
+                del self.binding[var]
             if anchor_set:
-                r = self.pat_region_of[p]
                 self.anchors[r] = None
-                self.anchor_fixed[r] = False
-            for name in undo_bind:
-                del self.binding[name]
 
-    def _place_ok(self, p: int, u: int) -> bool:
-        q = self.pat_parent[p]
-        if q is not None:
-            if self.agent.parent(("n", u)) != ("n", self.nmap[q]):
-                return False
-        # child count feasibility: equality without a site, lower bound with one
-        want = len(self.pat_child_nodes[p])
-        have = len(self.agent.node_children[u])
-        if self.pat_sites[p]:
-            return have >= want
-        return have == want
-
-    def _edge_assignments(self, p: int, u: int):
-        """Yield once per consistent pattern-edge -> agent-edge choice at p.
-
-        State in ``emap``/``used_edges`` is live while the caller is inside the
-        yield and unwound here on resume.
-        """
-        pat = sorted(self.pat_edge_counts[p].items())
-        ag = self.agent.edge_counts(u)
-
-        def rec(i: int):
-            if i == len(pat):
-                yield None
-                return
-            e, cnt = pat[i]
-            if e in self.emap:
-                if ag.get(self.emap[e]) == cnt:
-                    yield from rec(i + 1)
-                return
-            closed = self.pattern.links[e].closed
-            for E in sorted(ag):
-                if ag[E] != cnt or E in self.used_edges:
-                    continue
-                if closed and not self.agent.links[E].closed:
-                    continue
-                self.emap[e] = E
-                self.used_edges.add(E)
-                yield from rec(i + 1)
-                self.used_edges.discard(E)
-                del self.emap[e]
-
-        yield from rec(0)
+    def _assign_edges(self, u: int, pedges, i: int, idx: int):
+        """Map the pattern edges of the entity at `idx` from `pedges[i]` on
+        onto `u`'s edges, then go on with the next entity, once per
+        consistent choice."""
+        if i == len(pedges):
+            self._assign(idx + 1)
+            return
+        host = self.host
+        e, cnt, closed, size = pedges[i]
+        ag = host.edges[u]
+        E = self.emap.get(e)
+        if E is not None:
+            if ag.get(E) == cnt:
+                self._assign_edges(u, pedges, i + 1, idx)
+            return
+        for E, c in ag.items():
+            if c != cnt or E in self.used_edges:
+                continue
+            # a closed pattern edge is the whole of a closed agent edge
+            if closed and (not host.closed[E] or host.size[E] != size):
+                continue
+            self.emap[e] = E
+            self.used_edges.add(E)
+            self._assign_edges(u, pedges, i + 1, idx)
+            self.used_edges.discard(E)
+            del self.emap[e]
 
     def _complete(self):
-        agent, pattern = self.agent, self.pattern
-        image = set(self.nmap.values())
-
-        # closed pattern edges must be fully consumed by the image
-        for e, E in self.emap.items():
-            lk = pattern.links[e]
-            if lk.closed and len(agent.links[E].ports) != len(lk.ports):
-                return
-
+        host, pat, nmap = self.host, self.pat, self.nmap
         # site contents: unmatched children of matched parents
-        site_images: list[tuple[int, ...]] = [()] * pattern.nsites
+        site_images: list[tuple[int, ...]] = [()] * pat.nsites
         forest: set[int] = set()
-        for p, u in self.nmap.items():
-            sites = self.pat_sites[p]
+        for p, u in enumerate(nmap):
+            sites = pat.sites[p]
             if not sites:
                 continue
-            matched_children = {self.nmap[c] for c in self.pat_child_nodes[p]}
-            extras = tuple(
-                c for k, c in agent.node_children[u] if k == "n" and c not in matched_children
-            )
+            matched_children = {nmap[c] for c in pat.kids[p]}
+            extras = tuple(c for c in host.kids[u] if c not in matched_children)
             site_images[sites[0]] = extras
             for root in extras:
                 forest.add(root)
-                forest |= agent.descendants(root)
+                forest |= host.agent.descendants(root)
 
         # anchors must lie in the context
-        for r in range(pattern.nregions):
-            a = self.anchors[r]
-            if a is not None and a[0] == "n" and (a[1] in image or a[1] in forest):
+        for a in self.anchors:
+            if a is not None and a[0] == "n" and (a[1] in self.used_nodes or a[1] in forest):
                 return
 
         self.results.append(
             Match(
-                nodes=tuple(self.nmap[p] for p in range(pattern.nnodes)),
+                nodes=tuple(nmap),
                 edges=tuple(sorted(self.emap.items())),
                 anchors=tuple(self.anchors),
                 site_images=tuple(site_images),
@@ -253,7 +286,7 @@ class _Search:
 
 
 def occurrences(
-    agent: Bigraph,
+    agent: Bigraph | Host,
     pattern: Bigraph,
     *,
     domains: dict[str, set[int]] | None = None,
@@ -261,9 +294,10 @@ def occurrences(
 ) -> list[Match]:
     """Complete, duplicate-free, deterministically ordered list of matches.
 
-    `domains` restricts what values pattern parameter variables may bind.
-    `excluded` bans agent entities from the image (negative context checks).
+    `agent` is a ground bigraph, or the :class:`Host` of one shared by
+    several searches of it.  `domains` restricts what values pattern
+    parameter variables may bind.  `excluded` bans agent entities from the
+    image (negative context checks).
     """
-    if not agent.is_ground():
-        raise ValueError("occurrences: agent must be ground (no sites)")
-    return _Search(agent, pattern, domains, excluded).run()
+    host = agent if isinstance(agent, Host) else Host(agent)
+    return _Search(host, tables(pattern), domains, excluded).run()

@@ -2,11 +2,12 @@
 
 A :class:`RuleFamily` is a rule template whose redex carries parameter
 variables; a concrete rule is a family with no formals.  A model's rule
-entries never expand their valuations: each matches the symbolic redex
-once per state, parameters bind from the matched entities (restricted to
-the entry's domains), and parameters that occur only in the reactum range
-over their whole domain.  Predicate families (:class:`Pattern`) are
-matched the same way.
+entries never expand their valuations.  Per state, each family's symbolic
+redex is searched once, with its parameters restricted to the union of its
+entries' domains, and its context condition is searched once; every entry
+then keeps the matches whose binding lies in its own domains, and
+parameters that occur only in the reactum range over their whole domain.
+Predicate families (:class:`Pattern`) are matched the same way.
 
 Priority classes are global and ordered: a rule may fire only when no rule
 of any earlier class has a condition-satisfying match.  Weights turn the
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field, replace
 
 from .bigraph import Bigraph, Control, Link, Ref
 from .canon import canonical_form
-from .match import Match, occurrences
+from .match import Host, Match, occurrences
 from .params import Arith, Term, Var, is_concrete, term_eval, term_vars
 
 
@@ -163,9 +164,9 @@ def effect_key(rule: RuleFamily, m: Match) -> tuple:
 def apply(agent: Bigraph, rule: RuleFamily, m: Match) -> Bigraph:
     """Replace the matched occurrence of the redex with the reactum.
 
-    `m` must be a match that :meth:`RuleEntry.outcomes` or
-    :func:`enabled_outcomes` returned for `rule` on `agent`: those already
-    checked the context condition, and the binding holds every formal.
+    `m` must be the match of an outcome that :func:`enabled_outcomes`
+    returned for `rule` on `agent`: it already checked the context
+    condition, and the binding holds every formal.
     The context is preserved as-is, each redex site's content moves to the
     reactum site of the same index, reactum ports on an outer name reattach
     to the agent hyperedge that name matched, and fully consumed closed
@@ -250,8 +251,11 @@ def apply(agent: Bigraph, rule: RuleFamily, m: Match) -> Bigraph:
 
 @dataclass
 class RuleEntry:
-    """One occurrence of a rule family inside a priority class, with domains;
-    `pattern` (its redex over those domains) matches it."""
+    """One occurrence of a rule family inside a priority class, with domains.
+
+    `pattern` is the family's redex over those domains; an entry has no
+    search of its own but takes, from its family's matches in a state, the
+    ones whose binding lies in its domains (:meth:`outcomes`)."""
 
     family: RuleFamily
     domains: tuple[tuple[int, ...], ...]  # aligned with family.formal
@@ -274,11 +278,14 @@ class RuleEntry:
             set(a) & set(b) for a, b in zip(self.domains, other.domains)
         )
 
-    def outcomes(self, agent: Bigraph) -> list["Outcome"]:
+    def outcomes(self, matches: list[Match]) -> list["Outcome"]:
+        """The outcomes of this entry among its family's condition-satisfying
+        matches in one state, in match order."""
         fam, pat = self.family, self.pattern
+        doms = pat.match_domains
         out: list[Outcome] = []
-        for m in occurrences(agent, fam.redex, domains=pat.match_domains):
-            if fam.condition is not None and occurrences(agent, fam.condition, excluded=m.image):
+        for m in matches:
+            if not all(v in doms[name] for name, v in m.binding):
                 continue
             for values in pat.valuations(m.binding):
                 env = dict(zip(fam.formal, values))
@@ -376,7 +383,11 @@ class Pattern:
 @dataclass
 class Model:
     """Elaborated model: controls, prioritised rule entries, actions, and the
-    predicate patterns that label states."""
+    predicate patterns that label states.
+
+    `searches` holds, per rule family (by base name), the pattern that
+    :func:`enabled_outcomes` searches: the family's redex over the union of
+    its entries' domains."""
 
     controls: dict[str, Control]
     classes: list[list[RuleEntry]]
@@ -403,6 +414,18 @@ class Model:
                     raise ValueError(
                         f"rule instances of {a.family.base} appear in two priority classes"
                     )
+        families: dict[str, tuple[RuleFamily, list[dict[int, None]]]] = {}
+        for entry in flat:
+            fam = entry.family
+            first, union = families.setdefault(fam.base, (fam, [{} for _ in fam.formal]))
+            if first != fam:
+                raise ValueError(f"rule {fam.base} has two definitions")
+            for dom, values in zip(union, entry.domains):
+                dom.update(dict.fromkeys(values))
+        self.searches: dict[str, Pattern] = {
+            base: Pattern(base, fam.redex, fam.formal, tuple(tuple(d) for d in union), kind="rule")
+            for base, (fam, union) in families.items()
+        }
 
     @property
     def action_order(self) -> list[str]:
@@ -421,21 +444,33 @@ def enabled_outcomes(agent: Bigraph, model: Model) -> dict[str, list[Outcome]]:
     """Outcomes of the highest priority class with any valid match, by action.
 
     Actions appear in declaration order; the mapping is empty iff no rule
-    matches at all.
+    matches at all.  Each family reached is searched once, by the first
+    entry that needs it, on tables of `agent` built once: its redex over
+    `model.searches`, then, if it has matches, its context condition with no
+    exclusions.  A match is blocked when some occurrence of the condition
+    lies wholly outside its image.
     """
+    host = Host(agent)
+    valid: dict[str, list[Match]] = {}
+
+    def family_matches(fam: RuleFamily) -> list[Match]:
+        found = valid.get(fam.base)
+        if found is None:
+            search = model.searches[fam.base]
+            found = occurrences(host, fam.redex, domains=search.match_domains)
+            if found and fam.condition is not None:
+                blockers = [frozenset(c.nodes) for c in occurrences(host, fam.condition)]
+                found = [m for m in found if not any(b.isdisjoint(m.nodes) for b in blockers)]
+            valid[fam.base] = found
+        return found
+
     for cls in model.classes:
-        found: list[Outcome] = []
+        grouped: dict[str, list[Outcome]] = {}
         for entry in cls:
-            found.extend(entry.outcomes(agent))
-        if found:
-            grouped: dict[str, list[Outcome]] = {}
-            for oc in found:
+            for oc in entry.outcomes(family_matches(entry.family)):
                 grouped.setdefault(model.action_of[oc.rule.base], []).append(oc)
-            out: dict[str, list[Outcome]] = {}
-            for label in model.action_order:
-                if label in grouped:
-                    out[label] = grouped[label]
-            return out
+        if grouped:
+            return {label: grouped[label] for label in model.action_order if label in grouped}
     return {}
 
 

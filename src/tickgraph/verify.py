@@ -18,7 +18,8 @@ exact.  Then the remaining states are split into strongly connected
 components (SCCs), solved in reverse topological order so that every
 successor outside an SCC is final: a single-state SCC in closed form, a
 cyclic SCC by Jacobi value iteration over its own states until no value
-moves by VI_TOL.
+moves by VI_TOL.  An SCC that does not converge within VI_MAX_SWEEPS
+raises a RuntimeError naming its size, lowest state and actions.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import numpy as np
 from .kernels import Graph, as_arrays, sweep
 from .lang import ForcedNext, Inevitable, Property, Reach, Safety
 from .lang import parse_properties  # re-exported beside the checker it feeds
-from .match import occurrences
+from .match import Host, occurrences
 from .mdp import Mdp
 from .rules import Pattern
 
@@ -45,18 +46,21 @@ VI_MAX_SWEEPS = 1_000_000
 def label(mdp: Mdp, patterns: list[Pattern]) -> Mdp:
     """Attach to every state the names of the pattern instances occurring in it.
 
-    One search per pattern per state.  A body with parameter arithmetic
-    cannot bind its parameters, so such a family must be given as one plain
-    pattern per instance (the elaborator does so).
+    One search per pattern per state, all searches of a state sharing its
+    match tables.  A body with parameter arithmetic cannot bind its
+    parameters, so such a family must be given as one plain pattern per
+    instance (the elaborator does so).
     """
     start = perf_counter()
-    labels: list[set[str]] = [set() for _ in mdp.states]
-    searches = matches = 0
     for p in patterns:
         if p.has_arithmetic:
             raise ValueError(f"pattern {p.name}: parameter arithmetic cannot be matched")
-        for g, names in zip(mdp.states, labels):
-            found = occurrences(g, p.body, domains=p.match_domains)
+    labels: list[set[str]] = [set() for _ in mdp.states]
+    searches = matches = 0
+    for g, names in zip(mdp.states, labels):
+        host = Host(g)
+        for p in patterns:
+            found = occurrences(host, p.body, domains=p.match_domains)
             searches += 1
             matches += len(found)
             for binding in {m.binding for m in found}:
@@ -236,11 +240,12 @@ def _closed_form(g: Graph, vals: list[float], s: int, minimize: bool) -> float:
     return best
 
 
-def _iterate(g: Graph, values: np.ndarray, comp: list[int], minimize: bool) -> None:
+def _iterate(g: Graph, values: np.ndarray, comp: list[int], minimize: bool) -> bool:
     """Jacobi value iteration over one cyclic SCC whose successors outside it
-    are all solved.  Choices without transitions are left out: they are worth
-    0, so they never decide a maximum, and under the minimum a state with one
-    has Pmin = 0 and is decided before this phase."""
+    are all solved; False if it did not converge within VI_MAX_SWEEPS.
+    Choices without transitions are left out: they are worth 0, so they
+    never decide a maximum, and under the minimum a state with one has
+    Pmin = 0 and is decided before this phase."""
     cp, tp = g.choice_ptr, g.trans_ptr
     choice_starts, trans_starts, trans = [], [], []
     for s in comp:
@@ -259,11 +264,8 @@ def _iterate(g: Graph, values: np.ndarray, comp: list[int], minimize: bool) -> N
     )
     for _ in range(VI_MAX_SWEEPS):
         if sweep(values, *args) < VI_TOL:
-            return
-    raise RuntimeError(
-        f"value iteration did not converge within {VI_MAX_SWEEPS} sweeps "
-        f"on an SCC of {len(comp)} states (lowest state {comp[0]})"
-    )
+            return True
+    return False
 
 
 def reach_vector(mdp: Mdp, target: list[bool], mode: str) -> np.ndarray:
@@ -281,7 +283,13 @@ def reach_vector(mdp: Mdp, target: list[bool], mode: str) -> np.ndarray:
             s = comp[0]
             vals[s] = values[s] = _closed_form(g, vals, s, minimize)
         else:
-            _iterate(g, values, comp, minimize)
+            if not _iterate(g, values, comp, minimize):
+                actions = sorted({c.action for s in comp for c in mdp.choices[s]})
+                raise RuntimeError(
+                    f"value iteration did not converge within {VI_MAX_SWEEPS} sweeps "
+                    f"on an SCC of {len(comp)} states (lowest state {comp[0]}) "
+                    f"with actions {', '.join(actions)}"
+                )
             for s, v in zip(comp, values[comp].tolist()):
                 vals[s] = v
     return values

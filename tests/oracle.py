@@ -319,6 +319,43 @@ def oracle_explore(model, max_states=50000) -> OracleMdp:
 
 
 # ---------------------------------------------------------------------------
+# rule outcomes by one search per rule entry and one condition search per
+# match: the matching that one search per family per state replaced
+
+
+def entry_outcomes(agent: Bigraph, entry) -> list:
+    """The entry's outcomes from its own redex search over its domains, each
+    match checked against the condition with the image excluded."""
+    from dataclasses import replace
+
+    from tickgraph.match import occurrences
+    from tickgraph.rules import Outcome
+
+    fam, pat = entry.family, entry.pattern
+    out = []
+    for m in occurrences(agent, fam.redex, domains=pat.match_domains):
+        if fam.condition is not None and occurrences(agent, fam.condition, excluded=m.image):
+            continue
+        for values in pat.valuations(m.binding):
+            env = dict(zip(fam.formal, values))
+            full = replace(m, binding=tuple(sorted(env.items())))
+            out.append(Outcome(fam.instance_name(env), fam, full, fam.weight))
+    return out
+
+
+def per_entry_enabled_outcomes(agent: Bigraph, model) -> dict[str, list]:
+    """`enabled_outcomes` over :func:`entry_outcomes`."""
+    for cls in model.classes:
+        grouped: dict[str, list] = {}
+        for entry in cls:
+            for oc in entry_outcomes(agent, entry):
+                grouped.setdefault(model.action_of[oc.rule.base], []).append(oc)
+        if grouped:
+            return {a: grouped[a] for a in model.action_order if a in grouped}
+    return {}
+
+
+# ---------------------------------------------------------------------------
 # rule outcomes by expansion: every valuation becomes a concrete rule that is
 # matched on its own, an independent route to what one symbolic match per
 # rule entry computes

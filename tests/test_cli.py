@@ -421,5 +421,5 @@ def test_solver_non_convergence_exit_code(tmp_path, monkeypatch, capsys):
     assert code == cli.EXIT_INTERNAL == 4
     assert capsys.readouterr().err == (
         "tickgraph: internal error: RuntimeError: value iteration did not converge "
-        "within 1 sweeps on an SCC of 2 states (lowest state 0)\n"
+        "within 1 sweeps on an SCC of 2 states (lowest state 0) with actions step\n"
     )

@@ -16,7 +16,7 @@ from tickgraph.bigraph import (
     validate,
 )
 from tickgraph.canon import is_iso
-from tickgraph.match import occurrences
+from tickgraph.match import Match, occurrences
 from tickgraph.params import Var
 
 from .oracle import brute_occurrences
@@ -253,22 +253,110 @@ def random_pattern(rng: random.Random, max_nodes=3) -> Bigraph:
     return Bigraph(nodes, node_children, region_children, nsites, links)
 
 
-def check_agreement(seed: int) -> int:
+def sub_pattern(rng: random.Random, agent: Bigraph) -> Bigraph:
+    """A pattern cut out of the agent, so that it occurs at least once unless
+    a variable's domain or an exclusion rules that out.
+
+    Each chosen entity keeps a random subset of its children and gets a site
+    when it drops one (and at random otherwise); parameters become shared
+    variables at random.  Mostly, when the agent has two entities with
+    disjoint subtrees that share an edge, they root two regions;
+    otherwise a second region is drawn at random.  An agent edge all of
+    whose ports are chosen may stay closed; any other becomes an outer name.
+    """
+    nodes, node_children, region_children = [], [], []
+    new_id: dict[int, int] = {}
+    nsites = 0
+
+    def take(u: int) -> int:
+        nonlocal nsites
+        i = new_id[u] = len(nodes)
+        ctrl, param = agent.nodes[u]
+        if ctrl.parameterised and rng.random() < 0.6:
+            param = Var(rng.choice("vw"))
+        nodes.append((ctrl, param))
+        node_children.append([])
+        kids = [c for _k, c in agent.node_children[u]]
+        keep = [c for c in kids if rng.random() < 0.6]
+        for c in keep:
+            node_children[i].append(("n", take(c)))
+        if not ctrl.atomic and (len(keep) < len(kids) or rng.random() < 0.5):
+            node_children[i].append(("s", nsites))
+            nsites += 1
+        return i
+
+    def apart(u: int, v: int) -> bool:
+        return u != v and v not in agent.descendants(u) and u not in agent.descendants(v)
+
+    # pairs of roots with disjoint subtrees that share an edge
+    linked = [
+        (u, v) for u in range(agent.nnodes) for v in range(agent.nnodes)
+        if apart(u, v) and set(agent.edge_counts(u)) & set(agent.edge_counts(v))
+    ]
+    if linked and rng.random() < 0.8:
+        roots = list(rng.choice(linked))
+    else:
+        roots = [rng.randrange(agent.nnodes)]
+        free = [v for v in range(agent.nnodes) if apart(roots[0], v)]
+        if free and rng.random() < 0.5:
+            roots.append(rng.choice(free))
+    for root in roots:
+        region_children.append([("n", take(root))])
+    links = []
+    for e, lk in enumerate(agent.links):
+        ports = tuple((new_id[v], p) for v, p in lk.ports if v in new_id)
+        if not ports:
+            continue
+        whole = len(ports) == len(lk.ports) and lk.closed
+        links.append(Link(None if whole and rng.random() < 0.5 else f"y{e}", ports))
+    return Bigraph(nodes, node_children, region_children, nsites, links)
+
+
+def check_agreement(seed: int) -> tuple[int, int]:
+    """The number of matches on one seed's agent and pattern, and the same
+    number again if the pattern's second root is linked to its first region
+    (else 0)."""
     rng = random.Random(seed)
     agent = random_ground(rng)
-    pattern = random_pattern(rng)
-    got = {
-        (m.nodes, m.edges, m.binding) for m in occurrences(agent, pattern)
-    }
-    want = brute_occurrences(agent, pattern)
+    pattern = sub_pattern(rng, agent) if rng.random() < 0.5 else random_pattern(rng)
+    domains = {}
+    for v in sorted({p.name for _c, p in pattern.nodes if isinstance(p, Var)}):
+        dom = rng.choice([None, {0}, {1}, {0, 1}])
+        if dom is not None:
+            domains[v] = dom
+    excluded = frozenset(rng.sample(range(agent.nnodes), 1)) if rng.random() < 0.3 else frozenset()
+    found = occurrences(agent, pattern, domains=domains, excluded=excluded)
+    assert found == sorted(found, key=Match.sort_key)
+    got = {(m.nodes, m.edges, m.binding) for m in found}
+    assert len(got) == len(found)
+    want = brute_occurrences(agent, pattern, domains=domains, excluded=excluded)
     assert got == want, f"seed {seed}: matcher={got} oracle={want}"
-    return len(want)
+    return len(want), len(want) if second_root_linked(pattern) else 0
+
+
+def second_root_linked(pattern: Bigraph) -> bool:
+    """Whether the root of region 1 shares an edge with region 0's entities."""
+    if pattern.nregions < 2:
+        return False
+    first = set()
+    for k, c in pattern.region_children[0]:
+        if k == "n":
+            first |= {c} | pattern.descendants(c)
+    roots = {c for k, c in pattern.region_children[1] if k == "n"}
+    return any(
+        {v for v, _p in lk.ports} & roots and {v for v, _p in lk.ports} & first
+        for lk in pattern.links
+    )
 
 
 @pytest.mark.parametrize("block", range(10))
 def test_matcher_agrees_with_enumerator(block):
-    hits = 0
+    hits = linked_hits = 0
     for seed in range(block * 50, block * 50 + 50):
-        hits += check_agreement(seed)
-    # sanity: the blocks are not vacuous
-    assert hits >= 0
+        n, linked = check_agreement(seed)
+        hits += n
+        linked_hits += linked
+    # each block holds matches, some of them of a second root found through
+    # an edge it shares with the first region (26-36 and 3-12 per block)
+    assert hits >= 20
+    assert linked_hits >= 2

@@ -19,7 +19,7 @@ from tickgraph.mdp import (
 from tickgraph.rules import Model, RuleEntry, RuleFamily
 
 from .conftest import DONE, INIT, SEND, WAIT, build_pta_model, pta_state, token_model
-from .oracle import _fingerprint, brute_iso, oracle_explore
+from .oracle import _fingerprint, brute_iso, entry_outcomes, oracle_explore
 
 
 def find_state(mdp: Mdp, pattern) -> list[int]:
@@ -94,7 +94,7 @@ def _assert_priority_sound(model, mdp):
         for cls in model.classes:
             found = []
             for entry in cls:
-                found.extend(entry.outcomes(g))
+                found.extend(entry_outcomes(g, entry))
             per_class.append(found)
         hot = next((i for i, f in enumerate(per_class) if f), None)
         if hot is None:

@@ -36,7 +36,7 @@ from .conftest import (
     pta_families,
     pta_state,
 )
-from .oracle import class_instance_names, expand, instantiate
+from .oracle import class_instance_names, expand, instantiate, per_entry_enabled_outcomes
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -381,12 +381,31 @@ end
 """
 
 
+# `fin` is blocked exactly when a second A exists: the condition's occurrence
+# inside the image does not count
+CONDITION_MODEL = """
+atomic ctrl A = 0;
+atomic ctrl B = 0;
+atomic ctrl C = 0;
+react grow = C -[1]-> A;
+react fin = A -[1]-> B if ! A in ctx;
+big start = C | A;
+begin abrs
+  init start;
+  rules = [ {grow, fin} ];
+  actions = [ grow = {grow}, fin = {fin} ];
+end
+"""
+
+
 def _model(name):
-    """A bundled model by file stem, the model above, or a generated one."""
+    """A bundled model by file stem, a model above, or a generated one."""
     if (ROOT / "models" / f"{name}.big").exists():
         return load_model(str(ROOT / "models" / f"{name}.big"))
     if name == "ports-and-sites":
         return elaborate(parse(SWAP_MODEL))
+    if name == "condition-in-image":
+        return elaborate(parse(CONDITION_MODEL))
     gen = _perfbench_gen()
     spec = {
         "cloud-family-3": lambda: gen.cloud_family(3, 1, random.Random(1)),
@@ -455,3 +474,47 @@ def test_distinct_effects_merge_by_canonical_form(monkeypatch):
     dist = action_distribution(agent, moves)
     assert len(calls) == 5
     assert [(p, names) for _g, p, names in dist] == [(sum([1 / 5] * 5), ("move",))]
+
+
+# --- one search per family per state -------------------------------------------
+
+
+def test_one_search_per_family_per_state(monkeypatch):
+    # cloud's initial state reaches every priority class (only `tick` fires);
+    # its 17 rule entries come from 5 families, and only clock_advance has a
+    # context condition
+    model = _model("cloud")
+    families = {e.family.base: e.family for cls in model.classes for e in cls}
+    with_condition = [f for f in families.values() if f.condition is not None]
+    assert (sum(map(len, model.classes)), len(families), len(with_condition)) == (17, 5, 1)
+    searched = []
+    real = rules.occurrences
+    monkeypatch.setattr(
+        rules, "occurrences", lambda *a, **k: searched.append(a[1]) or real(*a, **k)
+    )
+    assert list(enabled_outcomes(model.init, model)) == ["tick"]
+    want = [f.redex for f in families.values()] + [f.condition for f in with_condition]
+    assert sorted(map(id, searched)) == sorted(map(id, want))
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["pta", "cloud", "sensor", "cloud-family-3", "pta-family-8",
+     "token-none-5", "token-pairs-4", "token-ring-4", "ports-and-sites",
+     "condition-in-image"],
+)
+def test_enabled_outcomes_equal_per_entry_search(name):
+    # one search per family, filtered per entry, and one condition search per
+    # family give exactly the outcomes of a search per entry with the
+    # condition searched per match, image excluded
+    model = _model(name)
+    mdp = explore(model)
+    blocked = 0
+    for agent in mdp.states:
+        got = enabled_outcomes(agent, model)
+        want = per_entry_enabled_outcomes(agent, model)
+        assert list(got.items()) == list(want.items())
+        blocked += not got
+    if name == "condition-in-image":
+        # C|A, A|A (fin blocked: a deadlock), C|B, A|B, B|B
+        assert (mdp.n_states, blocked) == (5, 2)

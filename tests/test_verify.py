@@ -512,5 +512,6 @@ def test_non_convergence_names_the_scc(monkeypatch):
         [],
     ]
     monkeypatch.setattr(verify, "VI_MAX_SWEEPS", 1)
-    with pytest.raises(RuntimeError, match=r"within 1 sweeps on an SCC of 2 states \(lowest state 1\)"):
+    msg = r"within 1 sweeps on an SCC of 2 states \(lowest state 1\) with actions a$"
+    with pytest.raises(RuntimeError, match=msg):
         reach_vector(as_mdp(choices), [s == 3 for s in range(5)], "max")
