@@ -133,13 +133,6 @@ class Tables:
         self.nsites = pattern.nsites
 
 
-def tables(pattern: Bigraph) -> Tables:
-    """The pattern's search tables, computed on first use and kept with it."""
-    if pattern._tables is None:
-        pattern._tables = Tables(pattern)
-    return pattern._tables
-
-
 class _Search:
     def __init__(self, host: Host, pat: Tables, domains, excluded):
         self.host = host
@@ -300,4 +293,6 @@ def occurrences(
     image (negative context checks).
     """
     host = agent if isinstance(agent, Host) else Host(agent)
-    return _Search(host, tables(pattern), domains, excluded).run()
+    if pattern._tables is None:  # built on first use, kept with the pattern
+        pattern._tables = Tables(pattern)
+    return _Search(host, pattern._tables, domains, excluded).run()
