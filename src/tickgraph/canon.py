@@ -31,6 +31,7 @@ on a shared 2-core x86 machine.  No automorphism pruning is done.
 from __future__ import annotations
 
 import hashlib
+import re
 from collections import Counter
 
 from .bigraph import Bigraph, Control, Link, Ref
@@ -157,93 +158,69 @@ def is_iso(a: Bigraph, b: Bigraph) -> bool:
 # serialization of the bigraph)
 
 
-class _Decoder:
-    def __init__(self, text: str, controls: dict[str, Control]):
-        self.text = text
-        self.pos = 0
-        self.controls = controls
-        self.nodes: list[tuple[Control, int | None]] = []
-        self.node_children: list[list[Ref]] = []
-        self.closed_edges: dict[int, list[tuple[int, int]]] = {}
-        self.open_edges: dict[str, list[tuple[int, int]]] = {}
-
-    def fail(self, why: str):
-        raise ValueError(f"bad canonical encoding at byte {self.pos}: {why}")
-
-    def expect(self, lit: str):
-        if not self.text.startswith(lit, self.pos):
-            self.fail(f"expected {lit!r}")
-        self.pos += len(lit)
-
-    def until(self, stops: str) -> str:
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos] not in stops:
-            self.pos += 1
-        return self.text[start : self.pos]
-
-    def parse(self) -> Bigraph:
-        self.expect("bg;")
-        nregions = int(self.until(";"))
-        self.expect(";")
-        nsites = int(self.until(";"))
-        self.expect(";")
-        region_children: list[list[Ref]] = []
-        for _ in range(nregions):
-            self.expect("R[")
-            region_children.append(self.children())
-            self.expect("]")
-        self.expect(";Y=")
-        portless = self.until(";")
-        self.expect(";X=")
-        if self.pos != len(self.text):
-            self.fail("trailing bytes after ';X='")
-        links = [Link(None, tuple(self.closed_edges[num])) for num in sorted(self.closed_edges)]
-        links += [Link(name, tuple(self.open_edges[name])) for name in sorted(self.open_edges)]
-        if portless:
-            links += [Link(name, ()) for name in portless.split(",")]
-        return Bigraph(self.nodes, self.node_children, region_children, nsites, links)
-
-    def children(self) -> list[Ref]:
-        out: list[Ref] = []
-        while self.pos < len(self.text) and self.text[self.pos] != "]":
-            if self.text[self.pos] == ";":
-                self.pos += 1
-                continue
-            if self.text[self.pos] == "$":
-                self.pos += 1
-                out.append(("s", int(self.until(";]"))))
-            else:
-                out.append(("n", self.node()))
-        return out
-
-    def node(self) -> int:
-        name = self.until("(")
-        self.expect("(")
-        param_s = self.until(")")
-        self.expect("){")
-        refs_s = self.until("}")
-        self.expect("}[")
-        if name not in self.controls:
-            self.fail(f"unknown control {name!r}")
-        ctrl = self.controls[name]
-        param = int(param_s) if param_s else None
-        idx = len(self.nodes)
-        self.nodes.append((ctrl, param))
-        self.node_children.append([])
-        port = 0
-        if refs_s:
-            for ref in refs_s.split(","):
-                if ref.startswith("o"):
-                    self.open_edges.setdefault(ref[1:], []).append((idx, port))
-                else:
-                    self.closed_edges.setdefault(int(ref[1:]), []).append((idx, port))
-                port += 1
-        kids = self.children()
-        self.expect("]")
-        self.node_children[idx] = kids
-        return idx
+_HEAD = re.compile(r"bg;(\d+);(\d+);", re.ASCII)
+_REF = r"(?:o\w+|c\d+)"
+_ITEM = re.compile(
+    rf"""
+      (?P<region>R\[)
+    | (?P<node>(?P<ctrl>\w+)\((?P<param>-?\d+)?\)\{{(?P<refs>{_REF}(?:,{_REF})*)?\}}\[)
+    | \$(?P<site>\d+)
+    | (?P<sep>;)
+    | (?P<close>\])
+    """,
+    re.VERBOSE | re.ASCII,
+)
+_TAIL = re.compile(r";Y=(\w+(?:,\w+)*)?;X=", re.ASCII)
 
 
 def decode_canonical(data: bytes, controls: dict[str, Control]) -> Bigraph:
     """Rebuild a bigraph from its canonical encoding (inverse up to iso)."""
-    return _Decoder(data.decode("ascii"), controls).parse()
+    text = data.decode("latin-1")  # one character per byte; the patterns take ASCII only
+    pos = 0
+
+    def fail(why: str):
+        raise ValueError(f"bad canonical encoding at byte {pos}: {why}")
+
+    head = _HEAD.match(text)
+    if head is None:
+        fail("expected 'bg;<regions>;<sites>;'")
+    pos = head.end()
+    nodes: list[tuple[Control, int | None]] = []
+    node_children: list[list[Ref]] = []
+    region_children: list[list[Ref]] = []
+    edges: dict[str, list[tuple[int, int]]] = {}  # by reference: c<number> or o<name>
+    stack: list[list[Ref]] = []  # the child lists of the brackets still open
+    while (m := _ITEM.match(text, pos)) and (stack or m.lastgroup == "region"):
+        kind = m.lastgroup
+        if kind == "region":
+            if stack:
+                fail("'R[' inside a region")
+            region_children.append([])
+            stack.append(region_children[-1])
+        elif kind == "node":
+            if m["ctrl"] not in controls:
+                fail(f"unknown control {m['ctrl']!r}")
+            for port, ref in enumerate(m["refs"].split(",") if m["refs"] else ()):
+                edges.setdefault(ref, []).append((len(nodes), port))
+            stack[-1].append(("n", len(nodes)))
+            nodes.append((controls[m["ctrl"]], None if m["param"] is None else int(m["param"])))
+            node_children.append([])
+            stack.append(node_children[-1])
+        elif kind == "site":
+            stack[-1].append(("s", int(m["site"])))
+        elif kind == "close":
+            stack.pop()
+        pos = m.end()
+    if stack or len(region_children) != int(head[1]):
+        fail(f"expected {head[1]} closed regions")
+    tail = _TAIL.match(text, pos)
+    if tail is None:
+        fail("expected ';Y=<names>;X='")
+    pos = tail.end()
+    if pos != len(text):
+        fail("trailing bytes after ';X='")
+    closed = sorted((int(ref[1:]), ports) for ref, ports in edges.items() if ref[0] == "c")
+    links = [Link(None, tuple(ports)) for _num, ports in closed]
+    links += [Link(ref[1:], tuple(edges[ref])) for ref in sorted(edges) if ref[0] == "o"]
+    links += [Link(name, ()) for name in tail[1].split(",")] if tail[1] else []
+    return Bigraph(nodes, node_children, region_children, int(head[2]), links)

@@ -19,15 +19,29 @@ starts a comment and every error is a :class:`ParseError` carrying its
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple, TypeVar
 
 KEYWORDS = {
     "atomic", "fun", "ctrl", "react", "big", "begin", "end", "abrs",
     "int", "init", "rules", "actions", "preds", "if", "in", "ctx", "id",
 }
 
-_PUNCT = ("||", "-[", "]->", "->", "<=", ">=", "{", "}", "(", ")", "[", "]", "=", ";",
-          ",", ".", "|", "/", "+", "-", "*", "!", "<", ">", "&")
+# The alternatives are tried in order: a FLOAT before an INT, each operator
+# before its prefixes.  `\d` is a decimal digit, which `int` and `float` accept.
+_TOKEN = re.compile(
+    r"""
+      (?P<SKIP>[ \t\r]+|\#[^\n]*)
+    | (?P<NEWLINE>\n)
+    | (?P<FLOAT>\d+\.\d+)
+    | (?P<INT>\d+)
+    | (?P<STRING>"[^"\n]*")
+    | (?P<WORD>[^\W\d]\w*)
+    | (?P<PUNCT>\|\||-\[|\]->|->|<=|>=|[{}()\[\]=;,.|/+\-*!<>&])
+    """,
+    re.VERBOSE,
+)
 
 
 class ParseError(Exception):
@@ -40,8 +54,7 @@ class ParseError(Exception):
         self.expected = expected
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # IDENT KEYWORD INT FLOAT STRING PUNCT EOF
     text: str
     line: int
@@ -50,64 +63,27 @@ class Token:
 
 def tokenize(text: str) -> list[Token]:
     toks: list[Token] = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            kind = "INT"
-            if j < n and text[j] == "." and j + 1 < n and text[j + 1].isdigit():
-                j += 1
-                while j < n and text[j].isdigit():
-                    j += 1
-                kind = "FLOAT"
-            toks.append(Token(kind, text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch == '"':
-            j = text.find('"', i + 1)
-            if j < 0 or "\n" in text[i:j]:
+    line, line_start = 1, 0
+    pos = end = 0  # end: where the EOF token sits, at the '#' of a final comment
+    while pos < len(text):
+        m = _TOKEN.match(text, pos)
+        col = pos - line_start + 1
+        # a word may start with a character such as '²' that is neither a
+        # decimal digit nor a letter
+        if m is None or m.lastgroup == "WORD" and not (text[pos].isalpha() or text[pos] == "_"):
+            if text[pos] == '"':
                 raise ParseError("unterminated string", line, col)
-            toks.append(Token("STRING", text[i : j + 1], line, col))
-            col += j + 1 - i
-            i = j + 1
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
+            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
+        kind, word = m.lastgroup, m.group()
+        end = pos if word[0] == "#" else m.end()
+        pos = m.end()
+        if kind == "NEWLINE":
+            line, line_start = line + 1, pos
+        elif kind == "WORD":
             toks.append(Token("KEYWORD" if word in KEYWORDS else "IDENT", word, line, col))
-            col += j - i
-            i = j
-            continue
-        for p in _PUNCT:
-            if text.startswith(p, i):
-                toks.append(Token("PUNCT", p, line, col))
-                col += len(p)
-                i += len(p)
-                break
-        else:
-            raise ParseError(f"unexpected character {ch!r}", line, col)
-    toks.append(Token("EOF", "", line, col))
+        elif kind != "SKIP":
+            toks.append(Token(kind, word, line, col))
+    toks.append(Token("EOF", "", line, end - line_start + 1))
     return toks
 
 
@@ -291,6 +267,9 @@ Property = Reach | Safety | Inevitable | ForcedNext
 # parser
 
 
+_T = TypeVar("_T")
+
+
 class _Parser:
     def __init__(self, toks: list[Token]):
         self.toks = toks
@@ -323,6 +302,14 @@ class _Parser:
 
     def unexpected(self, *expected: str):
         self.fail(f"found {self.cur.text or 'end of input'!r}", expected)
+
+    def commas(self, item: Callable[[], _T]) -> list[_T]:
+        """item (',' item)*"""
+        items = [item()]
+        while self.at(","):
+            self.bump()
+            items.append(item())
+        return items
 
     # -- declarations -------------------------------------------------------
 
@@ -365,10 +352,7 @@ class _Parser:
         if not self.at("("):
             return ()
         self.bump()
-        names = [self.ident("parameter name").text]
-        while self.at(","):
-            self.bump()
-            names.append(self.ident("parameter name").text)
+        names = self.commas(lambda: self.ident("parameter name").text)
         self.expect(")")
         return tuple(names)
 
@@ -445,30 +429,21 @@ class _Parser:
                 self.bump()
                 self.expect("=")
                 self.expect("[")
-                classes = [self.rule_class()]
-                while self.at(","):
-                    self.bump()
-                    classes.append(self.rule_class())
+                classes = self.commas(self.rule_class)
                 self.expect("]")
                 self.expect(";")
             elif self.at("actions"):
                 self.bump()
                 self.expect("=")
                 self.expect("[")
-                actions = [self.action_decl()]
-                while self.at(","):
-                    self.bump()
-                    actions.append(self.action_decl())
+                actions = self.commas(self.action_decl)
                 self.expect("]")
                 self.expect(";")
             elif self.at("preds"):
                 self.bump()
                 self.expect("=")
                 self.expect("{")
-                preds = [self.rule_ref()]
-                while self.at(","):
-                    self.bump()
-                    preds.append(self.rule_ref())
+                preds = self.commas(self.rule_ref)
                 self.expect("}")
                 self.expect(";")
             else:
@@ -498,10 +473,7 @@ class _Parser:
         if self.at("{"):
             self.bump()
             if not self.at("}"):
-                values.append(self.int_lit())
-                while self.at(","):
-                    self.bump()
-                    values.append(self.int_lit())
+                values = self.commas(self.int_lit)
             self.expect("}")
         else:
             values.append(self.int_lit())
@@ -515,10 +487,7 @@ class _Parser:
 
     def rule_class(self) -> list[RuleRef]:
         self.expect("{")
-        refs = [self.rule_ref()]
-        while self.at(","):
-            self.bump()
-            refs.append(self.rule_ref())
+        refs = self.commas(self.rule_ref)
         self.expect("}")
         return refs
 
@@ -527,10 +496,7 @@ class _Parser:
         args: list[int | str] = []
         if self.at("("):
             self.bump()
-            args.append(self.ref_arg())
-            while self.at(","):
-                self.bump()
-                args.append(self.ref_arg())
+            args = self.commas(self.ref_arg)
             self.expect(")")
         return RuleRef(tok.text, tuple(args), (tok.line, tok.col))
 
@@ -543,10 +509,7 @@ class _Parser:
         tok = self.ident("action name")
         self.expect("=")
         self.expect("{")
-        rules = [self.ident("rule name").text]
-        while self.at(","):
-            self.bump()
-            rules.append(self.ident("rule name").text)
+        rules = self.commas(lambda: self.ident("rule name").text)
         self.expect("}")
         return ActionDecl(tok.text, tuple(rules), (tok.line, tok.col))
 
@@ -607,12 +570,8 @@ class _Parser:
         names: tuple[str, ...] = ()
         if self.at("{"):
             self.bump()
-            acc = [self.ident("link name").text]
-            while self.at(","):
-                self.bump()
-                acc.append(self.ident("link name").text)
+            names = tuple(self.commas(lambda: self.ident("link name").text))
             self.expect("}")
-            names = tuple(acc)
         return EIon(tok.text, param, names, (tok.line, tok.col))
 
     # -- integer expressions ---------------------------------------------------

@@ -284,11 +284,9 @@ def load_mdp(path, controls: dict[str, Control], model_hash: str) -> Mdp | None:
             for _c in range(k):
                 ai, nd, nr = struct.unpack_from("<HII", body, bpos)
                 bpos += 10
-                dist = []
-                for _d in range(nd):
-                    t, p = struct.unpack_from("<Id", body, bpos)
-                    bpos += 12
-                    dist.append((t, p))
+                # a short slice raises struct.error or leaves bpos past the body
+                dist = list(struct.iter_unpack("<Id", body[bpos : bpos + 12 * nd]))
+                bpos += 12 * nd
                 rules = body[bpos : bpos + nr].decode()
                 bpos += nr
                 cs.append(Choice(actions[ai], dist, tuple(rules.split("\x00")) if rules else ()))

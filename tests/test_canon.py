@@ -377,6 +377,27 @@ def test_hypothesis_decode_round_trips(g):
 
 @settings(max_examples=300, deadline=None)
 @given(bigraphs(), st.data())
+def test_hypothesis_corrupted_encoding_decodes_or_raises_value_error(g, data):
+    # load_mdp reads a ValueError as an unreadable cache; any other exception
+    # would escape `check` as an internal error
+    enc = canonical_form(g)
+    at = data.draw(st.integers(0, len(enc) - 1))
+    how = data.draw(st.sampled_from(["cut", "flip", ";", "[", "]"]))
+    if how == "cut":
+        bad = enc[:at]
+    elif how == "flip":
+        bad = enc[:at] + bytes([enc[at] ^ data.draw(st.integers(1, 255))]) + enc[at + 1 :]
+    else:
+        bad = enc[:at] + how.encode() + enc[at:]
+    try:
+        h = decode_canonical(bad, {c.name: c for c in _POOL})
+    except ValueError:
+        return
+    assert how != "cut" and isinstance(h, Bigraph)
+
+
+@settings(max_examples=300, deadline=None)
+@given(bigraphs(), st.data())
 def test_hypothesis_near_misses_agree_with_brute_force(g, data):
     # the same forest and link sizes with the ports dealt out again: often
     # isomorphic, often only by fingerprint

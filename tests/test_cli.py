@@ -52,6 +52,15 @@ def test_validate_unknown_control(tmp_path):
     assert "unknown control" in r.stderr and "2:" in r.stderr
 
 
+def test_validate_non_decimal_digit(tmp_path):
+    # '²' is a digit to str.isdigit but not to int()
+    bad = tmp_path / "bad.big"
+    bad.write_text("ctrl A = ²;\n", encoding="utf-8")
+    r = run("validate", bad)
+    assert r.returncode == 2
+    assert r.stderr.strip() == "tickgraph: 1:10: unexpected character '²'"
+
+
 def test_validate_empty_file(tmp_path):
     bad = tmp_path / "empty.big"
     bad.write_text("")
@@ -176,6 +185,14 @@ def test_check_probability_bound_out_of_range(tmp_path):
     r = run("check", MODELS / "pta.big", "--props", props, "--out", tmp_path)
     assert (r.returncode, r.stdout) == (2, "")
     assert r.stderr.strip() == "tickgraph: 1:6: probability bound 2 is outside [0, 1]"
+
+
+def test_check_non_decimal_digit_in_bound(tmp_path):
+    props = tmp_path / "f.props"
+    props.write_text('P >= 0.² [ F "a" ]\n', encoding="utf-8")
+    r = run("check", MODELS / "pta.big", "--props", props, "--out", tmp_path)
+    assert (r.returncode, r.stdout) == (2, "")
+    assert r.stderr.strip() == "tickgraph: 1:8: unexpected character '²'"
 
 
 def test_check_unknown_predicate(tmp_path):

@@ -1,7 +1,7 @@
 import pathlib
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tickgraph.bigraph import validate
@@ -70,6 +70,9 @@ def test_empty_file_no_abrs():
 
 @settings(max_examples=300, deadline=None)
 @given(st.text(max_size=120))
+@example("1²")
+@example("x = 0.5²")
+@example("ctrl A = ²;")
 def test_parser_never_panics(text):
     try:
         parse(text)
