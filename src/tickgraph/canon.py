@@ -7,7 +7,7 @@ identity and closed edges anonymous.  Used for state deduplication, so
 stability across runs and platforms matters: no builtin ``hash`` anywhere.
 
 The scheme is individualisation-refinement (McKay & Piperno, "Practical
-graph isomorphism, II", J. Symb. Comput. 2014) in its plainest form:
+graph isomorphism, II", J. Symb. Comput. 2014):
 
 * colour refinement ranks every entity and hyperedge by its control,
   parameter, parent, children and links until no rank class splits;
@@ -19,13 +19,33 @@ graph isomorphism, II", J. Symb. Comput. 2014) in its plainest form:
   sorted by their own text, as in AHU tree canonisation.  The smallest leaf
   encoding wins.
 
+The search visits less than that whole tree, and finds the same smallest
+leaf:
+
+* With at most one closed edge carrying ports that edge is numbered 0
+  whatever the ranks, so the bigraph is written out at once, without
+  refinement (every pta-like state and every state of bare tokens).
+* Two leaves with equal text reveal an automorphism: the map from one
+  leaf's edge numbering to the other's.  It fixes the edges individualised
+  on the two paths' common prefix and maps the earlier leaf's subtree below
+  that prefix onto the later leaf's, so the search resumes at the node where
+  the paths diverge.
+* At a node, a member of the cell is skipped when its orbit, under the
+  automorphisms found so far that fix every edge individualised on the path
+  to the node, holds a member already searched: its subtree is the image of
+  that member's and writes the same texts.
+
 Entities that carry no closed edges never branch: equal subtrees write
-equal text, so any number of interchangeable atoms costs one leaf.  The
-worst case is closed-linked symmetry: the leaves grow as the factorial of
-the largest set of interchangeable closed-linked groups: twelve tokens
-linked in six identical closed pairs give 720 leaves for the initial state
-alone and 9,108 over the model's 28 states, which take about 4 s to explore
-on a shared 2-core x86 machine.  No automorphism pruning is done.
+equal text, so any number of interchangeable atoms costs one leaf.  Closed-
+linked symmetry costs about one extra path per search level, not a
+factorial: exploring twelve tokens linked in six
+identical closed pairs (28 states) writes 759 leaves, not 9,828, in about
+0.2 s; fourteen tokens (36 states) take 1,372 leaves and about 0.5 s.  The
+worst case left is refinement itself: a closed ring of twelve tokens (224
+states, 2,688 forms) writes 3,449 leaves in about 2.9 s, most of it in
+refinement rounds that spread along the ring.  Times are on a shared 2-core
+x86 machine.  ``tests/oracle.py`` keeps the plain search as the reference
+these encodings must equal byte for byte.
 """
 
 from __future__ import annotations
@@ -41,6 +61,53 @@ def _param_repr(param) -> str:
     return "" if param is None else str(param)
 
 
+class _Tables:
+    """A bigraph's place and link structure as integer index lists, and each
+    entity's text up to its closed references, built once per
+    `canonical_form` call and shared by the whole search (not kept on the
+    bigraph: states would carry them for the rest of the run)."""
+
+    __slots__ = (
+        "g", "parent", "sites", "kids", "node_edges", "edge_nodes", "closed", "head", "opens",
+        "closed_refs",
+    )
+
+    def __init__(self, g: Bigraph):
+        n = g.nnodes
+        self.g = g
+        self.parent = [-1] * n  # -1 under a region
+        self.sites = [0] * n  # site children
+        self.kids: list[list[int]] = [[] for _ in range(n)]  # entity children
+        for i, refs in enumerate(g.node_children):
+            for kind, c in refs:
+                if kind == "n":
+                    self.parent[c] = i
+                    self.kids[i].append(c)
+                else:
+                    self.sites[i] += 1
+        self.node_edges: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # (edge, ports)
+        self.edge_nodes: list[list[tuple[int, int]]] = []  # (entity, ports)
+        self.closed: list[int] = []  # closed edges that carry ports
+        self.opens: list[list[str]] = [[] for _ in range(n)]  # `o<name>` per port, sorted
+        self.closed_refs: list[list[int]] = [[] for _ in range(n)]  # closed edge per port
+        for e, lk in enumerate(g.links):
+            counts: dict[int, int] = {}
+            for v, _p in lk.ports:
+                counts[v] = counts.get(v, 0) + 1
+                if lk.name is None:
+                    self.closed_refs[v].append(e)
+                else:
+                    self.opens[v].append(f"o{lk.name}")
+            self.edge_nodes.append(list(counts.items()))
+            for v, c in counts.items():
+                self.node_edges[v].append((e, c))
+            if lk.closed and lk.ports:
+                self.closed.append(e)
+        for names in self.opens:
+            names.sort()
+        self.head = [f"{ctrl.name}({_param_repr(param)})" + "{" for ctrl, param in g.nodes]
+
+
 def _ranks(sigs: list) -> list[int]:
     table = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
     return [table[s] for s in sigs]
@@ -53,81 +120,122 @@ def _colours(g: Bigraph) -> tuple[list[int], list[int]]:
     return nrank, erank
 
 
-def _refine(g: Bigraph, nrank: list[int], erank: list[int]) -> tuple[list[int], list[int]]:
+def _refine(t: _Tables, nrank: list[int], erank: list[int]) -> tuple[list[int], list[int]]:
     """Refine the given ranks until no class splits (no salted hashing).
 
-    An entity's signature is its rank, its parent's rank, its children's
-    ranks and the ranks of the hyperedges on its ports; a hyperedge's is its
-    rank and its members' ranks.  Ranks index the sorted signatures, so the
-    result only splits classes and keeps the order between them.
+    An entity's signature is its rank, its parent's rank (-1 under a region),
+    its children's ranks (-1 for a site) and the ranks of the hyperedges on
+    its ports with their port counts; a hyperedge's is its rank and its
+    members' ranks with their port counts.  A member of a class of its own
+    has the signature (rank,), which sorts where its full signature would.
+    Ranks index the sorted signatures, so a round only splits classes and
+    keeps the order between them.  Hence refinement also stops as soon as
+    every closed edge with ports has a rank of its own: later rounds could
+    not change the order of those edges, which is all a leaf encodes.
     """
-    parents = [g.parent(("n", i)) for i in range(g.nnodes)]
-    counts = [g.edge_counts(i) for i in range(g.nnodes)]
-    members = [Counter(n for n, _p in lk.ports) for lk in g.links]
-    while True:
+    nodes = list(zip(t.parent, [(-1,) * s for s in t.sites], t.kids, t.node_edges))
+    while len({erank[e] for e in t.closed}) < len(t.closed):
+        nsize, esize = Counter(nrank), Counter(erank)
         new_n = _ranks([
             (
-                nrank[i],
-                -1 if par[0] == "r" else nrank[par[1]],
-                tuple(sorted(nrank[c] if k == "n" else -1 for k, c in g.node_children[i])),
-                tuple(sorted((erank[e], cnt) for e, cnt in counts[i].items())),
+                r,
+                -1 if p < 0 else nrank[p],
+                sites + tuple(sorted([nrank[c] for c in kids])),
+                tuple(sorted([(erank[e], c) for e, c in edges])),
             )
-            for i, par in enumerate(parents)
+            if nsize[r] > 1
+            else (r,)
+            for r, (p, sites, kids, edges) in zip(nrank, nodes)
         ])
         new_e = _ranks([
-            (erank[e], tuple(sorted((nrank[n], c) for n, c in m.items())))
-            for e, m in enumerate(members)
+            (r, tuple(sorted([(nrank[v], c) for v, c in members]))) if esize[r] > 1 else (r,)
+            for r, members in zip(erank, t.edge_nodes)
         ])
-        stable = len(set(new_n)) == len(set(nrank)) and len(set(new_e)) == len(set(erank))
+        stable = len(set(new_n)) == len(nsize) and len(set(new_e)) == len(esize)
         nrank, erank = new_n, new_e
         if stable:
-            return nrank, erank
+            break
+    return nrank, erank
 
 
-def _search(g: Bigraph, nrank: list[int], erank: list[int]) -> str:
-    """Smallest leaf encoding below these ranks (individualise tied closed edges)."""
-    nrank, erank = _refine(g, nrank, erank)
-    cells: dict[int, list[int]] = {}
-    for e, lk in enumerate(g.links):
-        if lk.closed and lk.ports:
+def _orbit(e: int, autos: list[dict[int, int]]) -> set[int]:
+    """The edges that `e` reaches under the group the given maps generate."""
+    orbit, todo = {e}, [e]
+    while todo:
+        x = todo.pop()
+        for a in autos:
+            y = a.get(x, x)
+            if y not in orbit:
+                orbit.add(y)
+                todo.append(y)
+    return orbit
+
+
+def _search(t: _Tables, nrank: list[int], erank: list[int]) -> str:
+    """Smallest leaf encoding below these ranks (individualise tied closed
+    edges, prune by the automorphisms that equal leaves reveal)."""
+    leaves: dict[str, tuple[list[int], list[int]]] = {}  # text -> (edges in number order, path)
+    autos: list[dict[int, int]] = []  # closed-edge maps of automorphisms, moved edges only
+
+    def visit(nrank: list[int], erank: list[int], path: list[int]) -> int:
+        """Search below the node `path` names; return the depth at which the
+        search resumes (less than this node's depth when an automorphism
+        maps this node's subtree onto one already searched)."""
+        nrank, erank = _refine(t, nrank, erank)
+        cells: dict[int, list[int]] = {}
+        for e in t.closed:
             cells.setdefault(erank[e], []).append(e)
-    tied = [cell for _r, cell in sorted(cells.items()) if len(cell) > 1]
-    if not tied:
-        return _encode(g, erank)
-    r = erank[tied[0][0]]
-    # the chosen edge keeps rank 2r, the rest of its class move to 2r + 1
-    return min(
-        _search(g, nrank, [2 * x + (x == r and f != e) for f, x in enumerate(erank)])
-        for e in tied[0]
-    )
+        tied = [cell for _r, cell in sorted(cells.items()) if len(cell) > 1]
+        depth = len(path)
+        if not tied:
+            order = sorted(t.closed, key=erank.__getitem__)
+            text = _encode(t, order)
+            first, at = leaves.setdefault(text, (order, path))
+            if at is path:
+                return depth
+            # equal text: numbering `first` onto `order` is an automorphism; it
+            # fixes the common prefix of the two paths and maps the earlier
+            # leaf's subtree below that prefix onto this leaf's
+            autos.append({a: b for a, b in zip(first, order) if a != b})
+            common = 0
+            while at[common] == path[common]:
+                common += 1
+            return common
+        cell = tied[0]
+        r = erank[cell[0]]
+        done: list[int] = []
+        for e in cell:
+            if done:
+                fixing = [a for a in autos if not any(p in a for p in path)]
+                if not _orbit(e, fixing).isdisjoint(done):
+                    continue
+            # the chosen edge keeps rank 2r, the rest of its class move to 2r + 1
+            split = [2 * x + (x == r and f != e) for f, x in enumerate(erank)]
+            back = visit(nrank, split, path + [e])
+            if back < depth:
+                return back
+            done.append(e)
+        return depth
+
+    visit(nrank, erank, [])
+    return min(leaves)
 
 
-def _encode(g: Bigraph, erank: list[int]) -> str:
-    """Write the forest with closed edges numbered by rank, siblings sorted by
-    text, then the portless open names.  The empty `;X=` tail once listed
-    inner names; it stays so that cached bytes do not change."""
-    closed = sorted((erank[e], e) for e, lk in enumerate(g.links) if lk.closed and lk.ports)
-    num = {e: i for i, (_r, e) in enumerate(closed)}
+def _encode(t: _Tables, order: list[int]) -> str:
+    """Write the forest with the closed edges numbered in the given order,
+    siblings sorted by text, then the portless open names.  The empty `;X=`
+    tail once listed inner names; it stays so that cached bytes do not
+    change."""
+    g = t.g
+    num = {e: i for i, e in enumerate(order)}
+    head, opens, closed_refs = t.head, t.opens, t.closed_refs
 
     def node(i: int) -> str:
-        ctrl, param = g.nodes[i]
-        open_refs: list[str] = []
-        closed_refs: list[int] = []
-        for e, cnt in g.edge_counts(i).items():
-            name = g.links[e].name
-            if name is None:
-                closed_refs.extend([num[e]] * cnt)
-            else:
-                open_refs.extend([f"o{name}"] * cnt)
-        refs = sorted(open_refs) + [f"c{n}" for n in sorted(closed_refs)]
-        return (
-            f"{ctrl.name}({_param_repr(param)})"
-            + "{" + ",".join(refs) + "}"
-            + "[" + children(g.node_children[i]) + "]"
-        )
+        closed = [f"c{n}" for n in sorted([num[e] for e in closed_refs[i]])]
+        return head[i] + ",".join(opens[i] + closed) + "}[" + children(g.node_children[i]) + "]"
 
-    def children(refs: tuple[Ref, ...]) -> str:
-        return ";".join(sorted(node(c) if k == "n" else f"${c}" for k, c in refs))
+    def children(refs) -> str:
+        return ";".join(sorted([node(c) if k == "n" else f"${c}" for k, c in refs]))
 
     regions = sorted(children(cs) for cs in g.region_children)
     portless = sorted(lk.name for lk in g.links if lk.name is not None and not lk.ports)
@@ -141,7 +249,11 @@ def _encode(g: Bigraph, erank: list[int]) -> str:
 def canonical_form(g: Bigraph) -> bytes:
     """Deterministic encoding equal exactly for isomorphic bigraphs."""
     if g._canon is None:
-        g._canon = _search(g, *_colours(g)).encode("ascii")
+        t = _Tables(g)
+        # with at most one closed edge carrying ports its number is 0 whatever
+        # the ranks, so there is nothing to refine
+        text = _encode(t, t.closed) if len(t.closed) <= 1 else _search(t, *_colours(g))
+        g._canon = text.encode("ascii")
     return g._canon
 
 

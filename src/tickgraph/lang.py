@@ -29,7 +29,9 @@ KEYWORDS = {
 }
 
 # The alternatives are tried in order: a FLOAT before an INT, each operator
-# before its prefixes.  `\d` is a decimal digit, which `int` and `float` accept.
+# before its prefixes.  `\d` is a decimal digit, which `int` and `float`
+# accept.  Identifiers are ASCII: canonical forms, and so cache files, spell
+# control names in ASCII.
 _TOKEN = re.compile(
     r"""
       (?P<SKIP>[ \t\r]+|\#[^\n]*)
@@ -37,7 +39,7 @@ _TOKEN = re.compile(
     | (?P<FLOAT>\d+\.\d+)
     | (?P<INT>\d+)
     | (?P<STRING>"[^"\n]*")
-    | (?P<WORD>[^\W\d]\w*)
+    | (?P<WORD>[A-Za-z_][A-Za-z0-9_]*)
     | (?P<PUNCT>\|\||-\[|\]->|->|<=|>=|[{}()\[\]=;,.|/+\-*!<>&])
     """,
     re.VERBOSE,
@@ -68,9 +70,7 @@ def tokenize(text: str) -> list[Token]:
     while pos < len(text):
         m = _TOKEN.match(text, pos)
         col = pos - line_start + 1
-        # a word may start with a character such as '²' that is neither a
-        # decimal digit nor a letter
-        if m is None or m.lastgroup == "WORD" and not (text[pos].isalpha() or text[pos] == "_"):
+        if m is None:
             if text[pos] == '"':
                 raise ParseError("unterminated string", line, col)
             raise ParseError(f"unexpected character {text[pos]!r}", line, col)
@@ -297,6 +297,15 @@ class _Parser:
             self.unexpected(what)
         return self.bump()
 
+    def integer(self) -> int:
+        """The value of the current INT token, which is consumed."""
+        try:
+            value = int(self.cur.text)
+        except ValueError:  # more digits than the interpreter converts
+            self.fail(f"integer literal of {len(self.cur.text)} digits is too long")
+        self.bump()
+        return value
+
     def fail(self, msg: str, expected: tuple[str, ...] = ()):
         raise ParseError(msg, self.cur.line, self.cur.col, expected)
 
@@ -367,7 +376,7 @@ class _Parser:
         self.expect("=")
         if self.cur.kind != "INT":
             self.fail("arity must be an integer", ("integer",))
-        arity = int(self.bump().text)
+        arity = self.integer()
         self.expect(";")
         return CtrlDecl(name.text, params, arity, atomic, pos)
 
@@ -483,7 +492,7 @@ class _Parser:
     def int_lit(self) -> int:
         if self.cur.kind != "INT":
             self.fail("expected an integer", ("integer",))
-        return int(self.bump().text)
+        return self.integer()
 
     def rule_class(self) -> list[RuleRef]:
         self.expect("{")
@@ -502,7 +511,7 @@ class _Parser:
 
     def ref_arg(self) -> int | str:
         if self.cur.kind == "INT":
-            return int(self.bump().text)
+            return self.integer()
         return self.ident("int binding or literal").text
 
     def action_decl(self) -> ActionDecl:
@@ -592,7 +601,7 @@ class _Parser:
 
     def ifactor(self) -> IExpr:
         if self.cur.kind == "INT":
-            return int(self.bump().text)
+            return self.integer()
         if self.cur.kind == "IDENT":
             tok = self.bump()
             return IVar(tok.text, (tok.line, tok.col))

@@ -5,17 +5,19 @@ enumerates every injective control-preserving entity map and filters it
 against the occurrence conditions written out directly; the iso oracle
 enumerates entity bijections; the exploration oracle walks the state space
 depth-first and deduplicates states by fingerprint buckets plus brute-force
-isomorphism, never touching canonical forms.  The reachability references
-compute the 0/1 sets by plain nested fixpoints and values by Gauss-Seidel
+isomorphism, never touching canonical forms.  The canonical-form reference
+is the plain search the engine's pruned one must equal.  The reachability
+references compute the 0/1 sets by plain nested fixpoints and values by Gauss-Seidel
 value iteration in state order.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 
-from tickgraph.bigraph import Bigraph
+from tickgraph.bigraph import Bigraph, Ref
 from tickgraph.params import Var, term_eval
 
 
@@ -432,6 +434,118 @@ def expanded_outcomes(agent: Bigraph, model) -> dict[str, list[tuple[str, bytes,
         if found:
             return {a: sorted(found[a]) for a in model.action_order if a in found}
     return {}
+
+
+# ---------------------------------------------------------------------------
+# canonical forms: the plain individualisation-refinement search, without
+# automorphism pruning, flat tables or shortcuts, kept as the reference that
+# `tickgraph.canon.canonical_form` must equal byte for byte
+
+
+def _param_repr(param) -> str:
+    return "" if param is None else str(param)
+
+
+def _ranks(sigs: list) -> list[int]:
+    table = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
+    return [table[s] for s in sigs]
+
+
+def _colours(g: Bigraph) -> tuple[list[int], list[int]]:
+    """Initial ranks: control, parameter and arity; open name or closed."""
+    nrank = _ranks([(ctrl.name, _param_repr(param), ctrl.arity) for ctrl, param in g.nodes])
+    erank = _ranks([lk.name if lk.name is not None else "\x00closed" for lk in g.links])
+    return nrank, erank
+
+
+def _refine(g: Bigraph, nrank: list[int], erank: list[int]) -> tuple[list[int], list[int]]:
+    """Refine the given ranks until no class splits (no salted hashing).
+
+    An entity's signature is its rank, its parent's rank, its children's
+    ranks and the ranks of the hyperedges on its ports; a hyperedge's is its
+    rank and its members' ranks.  Ranks index the sorted signatures, so the
+    result only splits classes and keeps the order between them.
+    """
+    parents = [g.parent(("n", i)) for i in range(g.nnodes)]
+    counts = [g.edge_counts(i) for i in range(g.nnodes)]
+    members = [Counter(n for n, _p in lk.ports) for lk in g.links]
+    while True:
+        new_n = _ranks([
+            (
+                nrank[i],
+                -1 if par[0] == "r" else nrank[par[1]],
+                tuple(sorted(nrank[c] if k == "n" else -1 for k, c in g.node_children[i])),
+                tuple(sorted((erank[e], cnt) for e, cnt in counts[i].items())),
+            )
+            for i, par in enumerate(parents)
+        ])
+        new_e = _ranks([
+            (erank[e], tuple(sorted((nrank[n], c) for n, c in m.items())))
+            for e, m in enumerate(members)
+        ])
+        stable = len(set(new_n)) == len(set(nrank)) and len(set(new_e)) == len(set(erank))
+        nrank, erank = new_n, new_e
+        if stable:
+            return nrank, erank
+
+
+def _search(g: Bigraph, nrank: list[int], erank: list[int]) -> str:
+    """Smallest leaf encoding below these ranks (individualise tied closed edges)."""
+    nrank, erank = _refine(g, nrank, erank)
+    cells: dict[int, list[int]] = {}
+    for e, lk in enumerate(g.links):
+        if lk.closed and lk.ports:
+            cells.setdefault(erank[e], []).append(e)
+    tied = [cell for _r, cell in sorted(cells.items()) if len(cell) > 1]
+    if not tied:
+        return _encode(g, erank)
+    r = erank[tied[0][0]]
+    # the chosen edge keeps rank 2r, the rest of its class move to 2r + 1
+    return min(
+        _search(g, nrank, [2 * x + (x == r and f != e) for f, x in enumerate(erank)])
+        for e in tied[0]
+    )
+
+
+def _encode(g: Bigraph, erank: list[int]) -> str:
+    """Write the forest with closed edges numbered by rank, siblings sorted by
+    text, then the portless open names.  The empty `;X=` tail once listed
+    inner names; it stays so that cached bytes do not change."""
+    closed = sorted((erank[e], e) for e, lk in enumerate(g.links) if lk.closed and lk.ports)
+    num = {e: i for i, (_r, e) in enumerate(closed)}
+
+    def node(i: int) -> str:
+        ctrl, param = g.nodes[i]
+        open_refs: list[str] = []
+        closed_refs: list[int] = []
+        for e, cnt in g.edge_counts(i).items():
+            name = g.links[e].name
+            if name is None:
+                closed_refs.extend([num[e]] * cnt)
+            else:
+                open_refs.extend([f"o{name}"] * cnt)
+        refs = sorted(open_refs) + [f"c{n}" for n in sorted(closed_refs)]
+        return (
+            f"{ctrl.name}({_param_repr(param)})"
+            + "{" + ",".join(refs) + "}"
+            + "[" + children(g.node_children[i]) + "]"
+        )
+
+    def children(refs: tuple[Ref, ...]) -> str:
+        return ";".join(sorted(node(c) if k == "n" else f"${c}" for k, c in refs))
+
+    regions = sorted(children(cs) for cs in g.region_children)
+    portless = sorted(lk.name for lk in g.links if lk.name is not None and not lk.ports)
+    return (
+        f"bg;{g.nregions};{g.nsites};"
+        + "".join(f"R[{r}]" for r in regions)
+        + ";Y=" + ",".join(portless) + ";X="
+    )
+
+
+def reference_canonical_form(g: Bigraph) -> bytes:
+    """The smallest leaf encoding over the whole search tree."""
+    return _search(g, *_colours(g)).encode("ascii")
 
 
 # ---------------------------------------------------------------------------

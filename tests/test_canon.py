@@ -409,3 +409,265 @@ def test_hypothesis_near_misses_agree_with_brute_force(g, data):
     h = Bigraph(list(g.nodes), [list(c) for c in g.node_children],
                 [list(c) for c in g.region_children], g.nsites, links)
     assert is_iso(g, h) == brute_iso(g, h)
+
+
+# the pruned search against the plain reference search --------------------
+
+
+def _models(name: str) -> list:
+    """Bundled models by stem, the benchmark's generated build models
+    (perfbench/workloads.py, seed 1) or one token model such as `pairs-12`."""
+    from tickgraph.elaborate import elaborate, load_model
+    from tickgraph.lang import parse
+
+    from .test_rules import ROOT, _perfbench_gen
+
+    if name in ("pta", "cloud", "sensor"):
+        return [load_model(str(ROOT / "models" / f"{name}.big"))]
+    gen = _perfbench_gen()
+    rng = random.Random(1)
+    if name == "build-timed":
+        specs = [gen.cloud_family(n, profile, rng) for n, profile in ((3, 0), (3, 1), (4, 3))]
+        specs += [gen.pta_family(h, rng) for h in (16, 16, 20, 20, 24, 24, 28, 28)]
+    elif name == "build-symmetric":
+        shapes = [("none", k) for k in (4, 5, 6, 6, 8)] + [("pairs", k) for k in (4, 4, 6, 6, 8)]
+        shapes += [("ring", k) for k in (3, 4, 4, 5, 5, 5, 6)]
+        specs = [gen.token_family(k, links, marks=rng.sample(range(100), 2)) for links, k in shapes]
+    else:
+        links, k = name.split("-")
+        specs = [gen.token_family(int(k), links)]
+    return [elaborate(parse(spec.text)) for spec in specs]
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["pta", "cloud", "sensor", "build-timed", "build-symmetric", "pairs-12", "ring-7", "ring-8"],
+)
+def test_equals_reference_on_reachable_states(name):
+    from tickgraph.mdp import explore
+
+    from .oracle import reference_canonical_form
+
+    for model in _models(name):
+        for g in explore(model).states:
+            assert canonical_form(g) == reference_canonical_form(g)
+
+
+@settings(max_examples=300, deadline=None)
+@given(bigraphs())
+def test_hypothesis_equals_reference(g):
+    from .oracle import reference_canonical_form
+
+    assert canonical_form(g) == reference_canonical_form(g)
+
+
+_CELL = Control("Cell", 0)
+_PAIRED = Control("T", 1)
+_RINGED = Control("R", 2)
+_DEEP = Control("D", 1)
+_LEAF = Control("P", 0, atomic=True, parameterised=True)
+
+
+def near_symmetric(k: int, shape: str, variant: str = "none", at: int = 0) -> Bigraph:
+    """`k` interchangeable copies on closed links, each holding two deep
+    entities D.P(0) and D.P(1) whose Ds share a closed edge of the copy.
+
+    `shape` "pairs": a copy is Cell.(T{e}.D.P(0) | T{e}.D.P(1)) with e closed;
+    "ring": a copy is R{r_i, r_(i+1)}.(D.P(0) | D.P(1)), the Rs in one closed
+    cycle.  `variant` changes copy `at` deep down: "param" P(1) -> P(2),
+    "site" a site beside its first P, "link" its Ds' edge and copy at+1's
+    swap one end each, so each joins one D of either copy.
+    """
+    nodes: list = []
+    kids: list[list] = []
+    roots: list = []
+
+    def add(ctrl, param=None, parent=None) -> int:
+        nodes.append((ctrl, param))
+        kids.append([])
+        (roots if parent is None else kids[parent]).append(("n", len(nodes) - 1))
+        return len(nodes) - 1
+
+    links: list[list] = []
+    holders: list[list[int]] = []  # per copy, the entity above each D
+    if shape == "pairs":
+        for _i in range(k):
+            cell = add(_CELL)
+            ts = [add(_PAIRED, parent=cell) for _j in range(2)]
+            links.append([(t, 0) for t in ts])
+            holders.append(ts)
+    else:
+        rs = [add(_RINGED) for _i in range(k)]
+        links += [[(rs[i], 1), (rs[(i + 1) % k], 0)] for i in range(k)]
+        holders = [[r, r] for r in rs]
+    deep = []
+    for i, hs in enumerate(holders):
+        ds = []
+        for j, h in enumerate(hs):
+            ds.append(add(_DEEP, parent=h))
+            add(_LEAF, 2 if (variant, i, j) == ("param", at, 1) else j, parent=ds[-1])
+        if (variant, i) == ("site", at):
+            kids[ds[0]].append(("s", 0))
+        deep.append(ds)
+    pairs = [[deep[i][0], deep[i][1]] for i in range(k)]
+    if variant == "link":
+        nxt = (at + 1) % k
+        pairs[at], pairs[nxt] = [deep[at][0], deep[nxt][0]], [deep[at][1], deep[nxt][1]]
+    links += [[(d, 0) for d in ds] for ds in pairs]
+    return Bigraph(
+        nodes, kids, [roots], int(variant == "site"), [Link(None, tuple(ports)) for ports in links]
+    )
+
+
+@pytest.mark.parametrize("shape, k", [("pairs", 3), ("pairs", 4), ("ring", 4), ("ring", 5)])
+@pytest.mark.parametrize("variant", ["param", "site", "link"])
+def test_near_symmetric_copies_are_not_merged(shape, k, variant):
+    # a copy that differs deep down breaks the symmetry the pruning exploits:
+    # the encodings must still equal the plain search's, split the variant
+    # from the symmetric graph and agree whichever copy differs
+    from .oracle import reference_canonical_form
+
+    rng = random.Random(k)
+    base = near_symmetric(k, shape)
+    variants = [near_symmetric(k, shape, variant, at) for at in range(k)]
+    for g in [base, *variants]:
+        enc = canonical_form(g)
+        assert enc == reference_canonical_form(g)
+        assert canonical_form(permuted_copy(rng, g)) == enc
+    assert not is_iso(base, variants[0]) and not brute_iso(base, variants[0])
+    for h in variants[1:]:
+        assert is_iso(variants[0], h) and brute_iso(variants[0], h)
+
+
+def weakly_refined(rng: random.Random) -> Bigraph:
+    """Closed two-port links as the edges of a graph that colour refinement
+    hardly splits: a union of cycles (entities of arity 2) or a random cubic
+    multigraph without loops (arity 3), spread over one or two boxes, some
+    entities holding a parameterised leaf."""
+    if rng.random() < 0.5:
+        arity, sizes, left = 2, [], rng.randint(5, 9)
+        while left:
+            size = min(left, rng.randint(2, 6))
+            size += left - size == 1  # no cycle of one
+            sizes.append(size)
+            left -= size
+        ends, first = [], 0
+        for size in sizes:
+            ends += [(first + i, first + (i + 1) % size) for i in range(size)]
+            first += size
+        n = first
+    else:
+        arity, n = 3, rng.choice([4, 6, 8])
+        while True:
+            stubs = [v for v in range(n) for _ in range(3)]
+            rng.shuffle(stubs)
+            ends = list(zip(stubs[::2], stubs[1::2]))
+            if all(a != b for a, b in ends):
+                break
+    vertex = Control(f"V{arity}", arity)
+    boxes = rng.randint(1, 2)
+    nodes = [(Control("Box", 0), None)] * boxes + [(vertex, None)] * n
+    kids: list[list] = [[] for _ in nodes]
+    for v in range(boxes, boxes + n):
+        kids[rng.randrange(boxes)].append(("n", v))
+    for v in rng.sample(range(boxes, boxes + n), rng.randint(0, 2)):
+        kids[v].append(("n", len(nodes)))
+        nodes.append((_LEAF, rng.randint(0, 1)))
+        kids.append([])
+    used = [0] * len(nodes)
+    links = []
+    for a, b in ends:
+        a, b = a + boxes, b + boxes
+        links.append(Link(None, ((a, used[a]), (b, used[b]))))
+        used[a] += 1
+        used[b] += 1
+    return Bigraph(nodes, kids, [[("n", b) for b in range(boxes)]], 0, links)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_weakly_refined_graphs_equal_reference(seed):
+    # ties that refinement cannot break, between edges that are automorphic
+    # and edges that are not: a wrong orbit or a jump back past the node
+    # where two equal leaves diverge loses the smallest leaf
+    from .oracle import reference_canonical_form
+
+    rng = random.Random(seed)
+    for _ in range(50):
+        g = weakly_refined(rng)
+        assert validate(g) == []
+        enc = reference_canonical_form(g)
+        assert canonical_form(g) == enc
+        assert canonical_form(permuted_copy(rng, g)) == enc
+
+
+# work counts: leaves are `_encode` calls, search nodes `_refine` calls ------
+
+
+@pytest.fixture
+def work(monkeypatch):
+    from collections import Counter
+
+    from tickgraph import canon
+
+    counts = Counter()
+    encode, refine = canon._encode, canon._refine
+
+    def counting_encode(*args):
+        counts["leaves"] += 1
+        return encode(*args)
+
+    def counting_refine(*args):
+        counts["refines"] += 1
+        return refine(*args)
+
+    monkeypatch.setattr(canon, "_encode", counting_encode)
+    monkeypatch.setattr(canon, "_refine", counting_refine)
+    return counts
+
+
+def test_closed_pairs_prune_by_automorphism(work):
+    # six interchangeable closed pairs: the plain search writes 9,828 leaves
+    from tickgraph.mdp import explore
+
+    (model,) = _models("pairs-12")
+    assert len(explore(model).states) == 28
+    assert work["leaves"] <= 1500
+
+
+def test_no_refinement_without_two_closed_edges(work):
+    from tickgraph.mdp import explore
+
+    from .oracle import reference_canonical_form
+
+    graphs = [pta_state(INIT, 3), ion(S, ["c"])]
+    graphs.append(merge(close("c", ion(S, ["c"])), ion(X, ["o"], param=1)))
+    for model in _models("pta") + _models("none-6"):
+        graphs += explore(model).states
+    assert work["refines"] == 0
+    work.clear()
+    for g in graphs:
+        g._canon = None
+        assert canonical_form(g) == reference_canonical_form(g)
+    assert work["refines"] == 0 and work["leaves"] == len(graphs)
+
+
+def test_cloud_computes_the_same_forms(monkeypatch):
+    from tickgraph import mdp, rules
+    from tickgraph.canon import canonical_form as real
+
+    from .oracle import reference_canonical_form
+
+    computed = []
+
+    def recording(g):
+        if g._canon is None:
+            computed.append(g)
+        return real(g)
+
+    monkeypatch.setattr(mdp, "canonical_form", recording)
+    monkeypatch.setattr(rules, "canonical_form", recording)
+    (model,) = _models("cloud")
+    built = mdp.explore(model)
+    assert (built.n_states, built.n_choices, built.n_transitions) == (106, 106, 120)
+    assert len(computed) == 151
+    assert all(g._canon == reference_canonical_form(g) for g in computed)

@@ -61,6 +61,25 @@ def test_validate_non_decimal_digit(tmp_path):
     assert r.stderr.strip() == "tickgraph: 1:10: unexpected character '²'"
 
 
+def test_build_non_ascii_identifier(tmp_path):
+    # canonical forms spell control names in ASCII; a non-ASCII letter is a
+    # lexical error at its position, not an internal encoding error
+    bad = tmp_path / "pta.big"
+    bad.write_text((MODELS / "pta.big").read_text().replace("Done", "D\u00f3ne"), encoding="utf-8")
+    r = run("build", bad, "--out", tmp_path)
+    assert r.returncode == 2
+    assert r.stderr.strip() == "tickgraph: 9:14: unexpected character '\u00f3'"
+
+
+def test_validate_huge_integer_literal(tmp_path):
+    # int() refuses more than 4300 digits by default
+    bad = tmp_path / "bad.big"
+    bad.write_text("ctrl A = " + "1" * 5000 + ";\n")
+    r = run("validate", bad)
+    assert r.returncode == 2
+    assert r.stderr.strip() == "tickgraph: 1:10: integer literal of 5000 digits is too long"
+
+
 def test_validate_empty_file(tmp_path):
     bad = tmp_path / "empty.big"
     bad.write_text("")

@@ -63,6 +63,29 @@ def test_parse_error_position_and_expectation():
     assert exc.value.line == 1 and "integer" in str(exc.value)
 
 
+@pytest.mark.parametrize(
+    "text, col",
+    [
+        ("ctrl A = {n};", 10),  # arity
+        ("begin abrs\n  int k = {{1, {n}}};", 15),  # integer declaration
+        ("fun ctrl A(x) = 0;\nbig b = A({n} * 2);", 11),  # parameter term
+        ("begin abrs\n  rules = [ {{r({n})}} ];", 16),  # rule instance argument
+    ],
+)
+def test_huge_integer_literal_is_a_positioned_error(text, col):
+    with pytest.raises(ParseError) as exc:
+        parse(text.format(n="9" * 5000))
+    assert (exc.value.line, exc.value.col) == (text.count("\n") + 1, col)
+    assert "integer literal of 5000 digits is too long" in str(exc.value)
+
+
+def test_identifiers_are_ascii():
+    with pytest.raises(ParseError) as exc:
+        parse("atomic ctrl D\u00f3ne = 0;")
+    assert (exc.value.line, exc.value.col) == (1, 14)
+    assert "unexpected character" in str(exc.value)
+
+
 def test_empty_file_no_abrs():
     with pytest.raises(ElabError, match="no abrs block"):
         elaborate(parse(""))
