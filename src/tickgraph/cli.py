@@ -34,6 +34,7 @@ from .mdp import (
     load_mdp,
     save_mdp,
 )
+from .params import ParameterLimit
 from .rules import apply, enabled_outcomes
 from .verify import UnknownLabel, check, label
 
@@ -267,6 +268,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except ExplorationLimit as exc:
         print(f"tickgraph: {exc} (frontier {exc.frontier})", file=sys.stderr)
+        return EXIT_LIMIT
+    except ParameterLimit as exc:
+        print(f"tickgraph: {exc}", file=sys.stderr)
         return EXIT_LIMIT
     except (ParseError, ElabError, UnknownLabel) as exc:
         print(f"tickgraph: {exc}", file=sys.stderr)

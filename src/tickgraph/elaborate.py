@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from . import lang
 from .bigraph import Bigraph, Control, close, empty, ion, merge_all, nest, parallel_all, site
-from .params import Arith, Term, Var, term_eval
+from .params import Arith, ParameterLimit, Term, Var, term_eval
 from .rules import Model, Pattern, RuleEntry, RuleFamily
 
 
@@ -181,7 +181,10 @@ class _Elaborator:
             return env[e.name]
         term = Arith(e.op, self.eval_iexpr(e.left, env), self.eval_iexpr(e.right, env))
         if isinstance(term.left, int) and isinstance(term.right, int):
-            return term_eval(term, {})
+            try:
+                return term_eval(term, {})
+            except ParameterLimit as exc:
+                raise ElabError(str(exc), e.pos) from exc
         return term
 
     def eval_big(self, e, env) -> Bigraph:

@@ -4,19 +4,22 @@ States are bigraphs deduplicated by canonical form and numbered in BFS
 order; per state, each enabled action contributes one choice holding a
 probability distribution over successor states.  Exporters write the PRISM
 explicit-engine triple (.tra/.lab/.sta) and a DOT rendering; both are byte
-deterministic.  A small versioned binary cache keyed by the model file hash
-lets the CLI reuse a built MDP across commands.
+deterministic.  The CLI caches a built MDP as one JSON document: the action
+names, each state's canonical form, and each choice as an action index with
+its `[target, probability]` pairs.  It is keyed on the model file's hash,
+`--fix-deadlocks` and the package version, and rebuilt when any differs.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import logging
 import os
-import struct
 from dataclasses import dataclass, field
 from time import perf_counter
 
+from . import __version__
 from .bigraph import Bigraph, Control
 from .canon import canonical_digest, canonical_form, decode_canonical
 from .rules import Model, action_distribution, enabled_outcomes
@@ -39,7 +42,6 @@ class ExplorationLimit(Exception):
 class Choice:
     action: str
     dist: list[tuple[int, float]]  # (target state, probability)
-    rules: tuple[str, ...] = ()  # contributing rule instances (diagnostics)
 
 
 @dataclass
@@ -93,8 +95,7 @@ def explore(model: Model, max_states: int = 100_000) -> Mdp:
             agent = states[s]
             for action, outcomes in enabled_outcomes(agent, model).items():
                 dist: list[tuple[int, float]] = []
-                rules: list[str] = []
-                for succ, prob, names in action_distribution(agent, outcomes):
+                for succ, prob in action_distribution(agent, outcomes):
                     key = canonical_form(succ)
                     t = index.get(key)
                     if t is None:
@@ -113,8 +114,7 @@ def explore(model: Model, max_states: int = 100_000) -> Mdp:
                         choices.append([])
                         next_frontier.append(t)
                     dist.append((t, prob))
-                    rules.extend(names)
-                choices[s].append(Choice(action, dist, tuple(dict.fromkeys(rules))))
+                choices[s].append(Choice(action, dist))
         if log.isEnabledFor(logging.INFO):
             elapsed = perf_counter() - start
             log.info(
@@ -203,101 +203,82 @@ def export_dot(mdp: Mdp) -> str:
 
 
 # ---------------------------------------------------------------------------
-# cache (versioned, length-prefixed binary)
+# cache (one JSON document)
 
-# The last byte names the canonical-form encoding the cache stores: \x02 is
-# the individualisation-refinement encoding of canon.py.  A cache written with
-# another encoding loads as None and is rebuilt.
-_MAGIC = b"TGMDP\x02"
+# Names the layout and the canonical-form encoding; bump it when either
+# changes.  A cache of another format, package version or model key is rebuilt.
+_FORMAT = "tickgraph-mdp/1"
 
 
 def save_mdp(path, mdp: Mdp, model_hash: str) -> None:
-    chunks = [_MAGIC]
-
-    def frame(data: bytes):
-        chunks.append(struct.pack("<I", len(data)))
-        chunks.append(data)
-
-    frame(model_hash.encode())
-    frame(struct.pack("<I", mdp.n_states))
-    frame("\x00".join(mdp.actions).encode())
-    for key in mdp.canon:
-        frame(key)
     action_idx = {a: i for i, a in enumerate(mdp.actions)}
-    for cs in mdp.choices:
-        body = [struct.pack("<H", len(cs))]
-        for choice in cs:
-            rules = "\x00".join(choice.rules).encode()
-            body.append(
-                struct.pack("<HII", action_idx[choice.action], len(choice.dist), len(rules))
-            )
-            for t, p in choice.dist:
-                body.append(struct.pack("<Id", t, p))
-            body.append(rules)
-        frame(b"".join(body))
+    text = json.dumps({
+        "format": _FORMAT,
+        "version": __version__,
+        "key": model_hash,
+        "actions": mdp.actions,
+        "states": [key.decode("ascii") for key in mdp.canon],
+        "choices": [[[action_idx[c.action], c.dist] for c in cs] for cs in mdp.choices],
+    }, separators=(",", ":"))
     # a reader sees the old file or the new one, never a partial write
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "wb") as fh:
-            fh.write(b"".join(chunks))
+        with open(tmp, "w", encoding="ascii") as fh:
+            fh.write(text)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
 
 
+def _is_list_of(x, kind: type) -> bool:
+    return type(x) is list and all(type(y) is kind for y in x)  # a bool is not an int
+
+
+def _is_index(x, n: int) -> bool:
+    return type(x) is int and 0 <= x < n
+
+
+def _is_choice(x, n_actions: int, n_states: int) -> bool:
+    """`[action index, [[target, probability], ...]]` with at least one pair
+    and every probability in (0, 1] (NaN fails both comparisons)."""
+    if not (type(x) is list and len(x) == 2 and _is_index(x[0], n_actions)):
+        return False
+    dist = x[1]
+    return type(dist) is list and dist != [] and all(
+        type(tp) is list and len(tp) == 2 and _is_index(tp[0], n_states)
+        and type(tp[1]) is float and 0.0 < tp[1] <= 1.0
+        for tp in dist
+    )
+
+
 def load_mdp(path, controls: dict[str, Control], model_hash: str) -> Mdp | None:
-    """Reload a cached MDP; None when missing, stale or unreadable."""
+    """Reload a cached MDP; None, never an exception, when the file is
+    missing, unreadable or malformed, or has another format, version or key."""
     try:
         with open(path, "rb") as fh:
-            blob = fh.read()
-    except OSError:
+            doc = json.loads(fh.read())
+    except (OSError, ValueError, RecursionError):
         return None
-    if not blob.startswith(_MAGIC):
+    if type(doc) is not dict:
         return None
-    pos = len(_MAGIC)
-
-    def frame() -> bytes:
-        nonlocal pos
-        (n,) = struct.unpack_from("<I", blob, pos)
-        pos += 4
-        if pos + n > len(blob):
-            raise ValueError("frame runs past the end of the cache")
-        data = blob[pos : pos + n]
-        pos += n
-        return data
-
+    if (doc.get("format"), doc.get("version"), doc.get("key")) != (_FORMAT, __version__, model_hash):
+        return None
+    actions, texts, table = doc.get("actions"), doc.get("states"), doc.get("choices")
+    if not (_is_list_of(actions, str) and _is_list_of(texts, str) and _is_list_of(table, list)):
+        return None
+    # one choice list per state, and at least the initial state
+    if not 0 < len(texts) == len(table):
+        return None
+    if not all(_is_choice(c, len(actions), len(texts)) for cs in table for c in cs):
+        return None
     try:
-        if frame().decode() != model_hash:
-            return None
-        (n_states,) = struct.unpack("<I", frame())
-        actions = frame().decode().split("\x00")
-        canon = [frame() for _ in range(n_states)]
+        canon = [text.encode("ascii") for text in texts]
         states = [decode_canonical(key, controls) for key in canon]
-        choices: list[list[Choice]] = []
-        for _s in range(n_states):
-            body = frame()
-            bpos = 0
-            (k,) = struct.unpack_from("<H", body, bpos)
-            bpos += 2
-            cs = []
-            for _c in range(k):
-                ai, nd, nr = struct.unpack_from("<HII", body, bpos)
-                bpos += 10
-                # a short slice raises struct.error or leaves bpos past the body
-                dist = list(struct.iter_unpack("<Id", body[bpos : bpos + 12 * nd]))
-                bpos += 12 * nd
-                rules = body[bpos : bpos + nr].decode()
-                bpos += nr
-                cs.append(Choice(actions[ai], dist, tuple(rules.split("\x00")) if rules else ()))
-            if bpos != len(body):
-                return None
-            choices.append(cs)
-    except (struct.error, ValueError, IndexError):
+    except ValueError:  # not ASCII, or not a canonical form over these controls
         return None
-    if pos != len(blob):
-        return None
-    return Mdp(states, canon, choices, actions, labels=[set() for _ in range(n_states)])
+    choices = [[Choice(actions[a], [(t, p) for t, p in dist]) for a, dist in cs] for cs in table]
+    return Mdp(states, canon, choices, actions, labels=[set() for _ in texts])
 
 
 def file_digest(path) -> str:

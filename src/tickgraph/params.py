@@ -7,7 +7,18 @@ expression (reactum side only) evaluated once the variables are bound.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
+
+# Python writes an int as text only up to this many digits (0: no limit)
+_MAX_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+_BOUND = 10**_MAX_DIGITS if _MAX_DIGITS else math.inf
+
+
+class ParameterLimit(ValueError):
+    """A computed parameter has more digits than Python writes as text, so
+    no state holding it can be encoded."""
 
 
 @dataclass(frozen=True)
@@ -38,14 +49,18 @@ _OPS = {
 
 
 def term_eval(term: Term, env: dict[str, int]) -> int:
-    """Evaluate a term under a variable valuation."""
+    """Evaluate a term under a variable valuation; a computed value too long
+    to write as text raises ParameterLimit."""
     if isinstance(term, int):
         return term
     if isinstance(term, Var):
         if term.name not in env:
             raise KeyError(f"unbound parameter {term.name!r}")
         return env[term.name]
-    return _OPS[term.op](term_eval(term.left, env), term_eval(term.right, env))
+    value = _OPS[term.op](term_eval(term.left, env), term_eval(term.right, env))
+    if abs(value) >= _BOUND:
+        raise ParameterLimit(f"computed parameter has more than {_MAX_DIGITS} digits")
+    return value
 
 
 def term_vars(term: Term) -> set[str]:

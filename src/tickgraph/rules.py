@@ -23,12 +23,12 @@ from dataclasses import dataclass, field, replace
 from .bigraph import Bigraph, Control, Link, Ref
 from .canon import canonical_form
 from .match import Host, Match, occurrences
-from .params import Arith, Term, Var, is_concrete, term_eval, term_vars
+from .params import Arith, ParameterLimit, Term, Var, is_concrete, term_eval, term_vars
 
 
 def _check_rule_shape(redex: Bigraph, reactum: Bigraph, weight: float, label: str):
-    if weight <= 0:
-        raise ValueError(f"rule {label}: weight must be positive, got {weight}")
+    if not 0 < weight < math.inf:  # NaN fails too
+        raise ValueError(f"rule {label}: weight must be a finite positive number, got {weight}")
     if redex.nregions != reactum.nregions:
         raise ValueError(
             f"rule {label}: redex has {redex.nregions} regions, reactum {reactum.nregions}"
@@ -111,12 +111,16 @@ class RuleFamily:
 # application
 
 
-def _reactum_values(reactum: Bigraph, env: dict[str, int]) -> list[int | None]:
+def _reactum_values(rule: RuleFamily, env: dict[str, int]) -> list[int | None]:
     """The parameter of each reactum entity under a match's binding."""
-    return [
-        param if is_concrete(param) else term_eval(param, env)
-        for _ctrl, param in reactum.nodes
-    ]
+    try:
+        return [
+            param if is_concrete(param) else term_eval(param, env)
+            for _ctrl, param in rule.reactum.nodes
+        ]
+    except ParameterLimit as exc:
+        line, col = rule.pos
+        raise ParameterLimit(f"{line}:{col}: rule {rule.base}: {exc}") from None
 
 
 def effect_key(rule: RuleFamily, m: Match) -> tuple:
@@ -133,7 +137,7 @@ def effect_key(rule: RuleFamily, m: Match) -> tuple:
     as ``(v,)``, so sorting never compares None with an int.
     """
     reactum = rule.reactum
-    values = _reactum_values(reactum, m.binding_env())
+    values = _reactum_values(rule, m.binding_env())
     emap = m.edge_map()
     ports: list[list[tuple]] = [[] for _ in range(reactum.nnodes)]
     for l, lk in enumerate(reactum.links):
@@ -197,7 +201,7 @@ def apply(agent: Bigraph, rule: RuleFamily, m: Match) -> Bigraph:
         )
 
     react_id: dict[int, int] = {}
-    for j, value in enumerate(_reactum_values(reactum, env)):
+    for j, value in enumerate(_reactum_values(rule, env)):
         react_id[j] = len(nodes)
         nodes.append((reactum.nodes[j][0], value))
         node_children.append([])
@@ -290,18 +294,23 @@ class RuleEntry:
             for values in pat.valuations(m.binding):
                 env = dict(zip(fam.formal, values))
                 full = replace(m, binding=tuple(sorted(env.items())))
-                out.append(Outcome(fam.instance_name(env), fam, full, fam.weight))
+                out.append(Outcome(fam, full, fam.weight))
         return out
 
 
 @dataclass(frozen=True)
 class Outcome:
-    """An enabled (rule instance, match) pair with its weight."""
+    """An enabled (rule, match) pair with its weight; the match binds every
+    formal of the rule."""
 
-    name: str
     rule: RuleFamily
     match: Match
     weight: float
+
+    @property
+    def name(self) -> str:
+        """The rule instance, such as ``init_transition(2)``."""
+        return self.rule.instance_name(self.match.binding_env())
 
 
 @dataclass(frozen=True)
@@ -474,24 +483,21 @@ def enabled_outcomes(agent: Bigraph, model: Model) -> dict[str, list[Outcome]]:
     return {}
 
 
-def action_distribution(
-    agent: Bigraph, outcomes: list[Outcome]
-) -> list[tuple[Bigraph, float, tuple[str, ...]]]:
+def action_distribution(agent: Bigraph, outcomes: list[Outcome]) -> list[tuple[Bigraph, float]]:
     """Normalise one action's outcomes into a distribution over result states.
 
     Each outcome (every match counts, symmetric ones too) has probability
     weight / total weight.  Outcomes with equal :func:`effect_key` are
     applied and canonicalised once, by the first of them; results that are
     still isomorphic merge by canonical form.  Probabilities are summed in
-    outcome order, entries keep first-appearance order and carry the
-    contributing rule names.
+    outcome order and entries keep first-appearance order.
     """
     if not outcomes:
         raise ValueError("action_distribution: empty outcome list")
     total = sum(oc.weight for oc in outcomes)
     by_effect: dict[tuple, int] = {}
     by_canon: dict[bytes, int] = {}
-    entries: list[tuple[Bigraph, float, list[str]]] = []
+    entries: list[list] = []  # [result, probability]
     for oc in outcomes:
         effect = effect_key(oc.rule, oc.match)
         i = by_effect.get(effect)
@@ -499,9 +505,7 @@ def action_distribution(
             succ = apply(agent, oc.rule, oc.match)
             i = by_canon.setdefault(canonical_form(succ), len(entries))
             if i == len(entries):
-                entries.append((succ, 0.0, []))
+                entries.append([succ, 0.0])
             by_effect[effect] = i
-        g, p, names = entries[i]
-        names.append(oc.name)
-        entries[i] = (g, p + oc.weight / total, names)
-    return [(g, p, tuple(dict.fromkeys(names))) for g, p, names in entries]
+        entries[i][1] += oc.weight / total
+    return [(g, p) for g, p in entries]

@@ -341,7 +341,7 @@ def entry_outcomes(agent: Bigraph, entry) -> list:
         for values in pat.valuations(m.binding):
             env = dict(zip(fam.formal, values))
             full = replace(m, binding=tuple(sorted(env.items())))
-            out.append(Outcome(fam.instance_name(env), fam, full, fam.weight))
+            out.append(Outcome(fam, full, fam.weight))
     return out
 
 

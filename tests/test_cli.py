@@ -80,6 +80,42 @@ def test_validate_huge_integer_literal(tmp_path):
     assert r.stderr.strip() == "tickgraph: 1:10: integer literal of 5000 digits is too long"
 
 
+def test_huge_computed_parameter_is_a_resource_limit(tmp_path):
+    # legal arithmetic on a 3,000-digit value outgrows int-to-str's 4300 digits
+    nines = "9" * 3000
+    model = tmp_path / "grow.big"
+    model.write_text(
+        "atomic fun ctrl C(n) = 0;\n"
+        "fun react grow(x) = C(x) -[1]-> C(x * x);\n"
+        f"big s = C({nines});\n"
+        f"begin abrs\n  int x = {{ {nines} }};\n  init s;\n"
+        "  rules = [ {grow(x)} ];\n  actions = [ g = {grow} ];\nend\n"
+    )
+    message = "tickgraph: 2:1: rule grow: computed parameter has more than 4300 digits\n"
+    for argv in (("build", model, "--out", tmp_path), ("simulate", model)):
+        r = run(*argv)
+        assert (r.returncode, r.stderr) == (3, message)
+    # a product of two literals is folded, and rejected at its `*`, at elaboration
+    model.write_text(model.read_text().replace("C(x * x)", f"C({nines} * {nines})"))
+    r = run("build", model, "--out", tmp_path)
+    assert r.returncode == 2
+    assert r.stderr == "tickgraph: 2:3036: computed parameter has more than 4300 digits\n"
+
+
+def test_infinite_weight_is_a_model_error(tmp_path):
+    # 400 nines parse to an infinite float, which would export NaN probabilities
+    model = tmp_path / "inf.big"
+    model.write_text(
+        "atomic ctrl A = 0;\natomic ctrl B = 0;\n"
+        f"react r1 = A -[{'9' * 400}.0]-> B;\nreact r2 = A -[1]-> A;\nbig start = A;\n"
+        "begin abrs\n  init start;\n  rules = [ {r1, r2} ];\n  actions = [ a = {r1, r2} ];\nend\n"
+    )
+    r = run("export", model, "--out", tmp_path)
+    assert (r.returncode, r.stdout) == (2, "")
+    assert r.stderr == "tickgraph: 3:1: rule r1: weight must be a finite positive number, got inf\n"
+    assert not (tmp_path / "inf.tra").exists()
+
+
 def test_validate_empty_file(tmp_path):
     bad = tmp_path / "empty.big"
     bad.write_text("")
@@ -341,11 +377,11 @@ GOLDEN_SHA256 = {
     "pta.tra": "3374feb4ff9e960969c72cc1738b3ccf29ec3976fe1c3b80acd5d716b904814e",
     "pta.lab": "2ce296a1c435fa65220cff9fa9911d2cb70b16eefafc91073a4cc478f538ff55",
     "pta.sta": "175bba0bb76ed18e6b4f693165696c454bc1505e51f04fc254837424f6124c95",
-    "pta.mdpc": "a2d6661ff94453c6000853bc855561adce5348838a341e19b63970106e5f8edb",
+    "pta.mdpc": "61b772dbddbf43965c65374c2a7b3b6ca800e32db45d400e5b86f4b2fec58e6b",
     "cloud.tra": "cebaa729421fbd153196b4ea859114e73d3448951845e8bf36d3916ffd4b8642",
     "cloud.lab": "642668c1b3f38a4bf9a35664d9eeea5bc684074cc06a05ece6eddfc0da5ddef7",
     "cloud.sta": "1dd38d05bcac6342d0cc07e0d356753096f5df57ab32ff57faf5a095e6c15bec",
-    "cloud.mdpc": "5ed8bc515766d32d7ea140dfbf22d9a8d6caec25843f535e9d7d60b001a6e055",
+    "cloud.mdpc": "f1775cff5a8f36575a8dbe81ccb2bf78b0bac1ec2bb55357afdef0daffb0601f",
 }
 
 

@@ -1,10 +1,16 @@
+import json
 import logging
+import pathlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tickgraph import __version__
 from tickgraph.bigraph import Control, ion, validate
 from tickgraph.canon import canonical_digest, canonical_form, is_iso
+from tickgraph.elaborate import load_model
 from tickgraph.match import occurrences
 from tickgraph.mdp import (
     ExplorationLimit,
@@ -20,6 +26,9 @@ from tickgraph.rules import Model, RuleEntry, RuleFamily
 
 from .conftest import DONE, INIT, SEND, WAIT, build_pta_model, pta_state, token_model
 from .oracle import _fingerprint, brute_iso, entry_outcomes, oracle_explore
+
+
+MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
 
 
 def find_state(mdp: Mdp, pattern) -> list[int]:
@@ -308,29 +317,157 @@ def test_truncated_cache_loads_none(tmp_path, pta_mdp, pta_model_prog):
     assert load_mdp(cut, pta_model_prog.controls, "abc123") is None
 
 
-def test_cache_of_another_encoding_is_rebuilt(tmp_path, pta_mdp, pta_model_prog, capsys):
-    # the magic's last byte names the canon encoding; \x01 is the one before
-    import json
-    import pathlib
-
-    from tickgraph import cli
-
+def test_cache_holds_no_rule_names(tmp_path, pta_mdp):
     path = tmp_path / "pta.mdpc"
     save_mdp(path, pta_mdp, model_hash="abc123")
-    blob = path.read_bytes()
-    assert blob.startswith(b"TGMDP\x02")
-    path.write_bytes(b"TGMDP\x01" + blob[6:])
-    assert load_mdp(path, pta_model_prog.controls, "abc123") is None
+    doc = json.loads(path.read_bytes())
+    assert list(doc) == ["format", "version", "key", "actions", "states", "choices"]
+    assert doc["version"] == __version__ and doc["key"] == "abc123"
+    assert b"transition" not in path.read_bytes()  # every pta rule is *_transition(n)
+    save_mdp(tmp_path / "again.mdpc", pta_mdp, model_hash="abc123")
+    assert (tmp_path / "again.mdpc").read_bytes() == path.read_bytes()
 
-    model = pathlib.Path(__file__).resolve().parent.parent / "models" / "pta.big"
+
+PARENT_FORMAT = pathlib.Path(__file__).parent / "data" / "pta-tgmdp2.mdpc"
+
+
+def test_cache_of_another_encoding_is_rebuilt(tmp_path, capsys):
+    # the binary cache that the code before the JSON format wrote for
+    # models/pta.big, under the same model key
+    from tickgraph import cli
+
+    old = PARENT_FORMAT.read_bytes()
+    assert old.startswith(b"TGMDP\x02")
+    model = MODELS / "pta.big"
+    cache = tmp_path / "pta.mdpc"
+    cache.write_bytes(old)
+    assert load_mdp(cache, load_model(model).controls, cli._model_key(str(model), False)) is None
     assert cli.main(["build", str(model), "--out", str(tmp_path), "--json"]) == 0
-    fresh = tmp_path / "pta.mdpc"
-    fresh_bytes = fresh.read_bytes()
-    fresh.write_bytes(b"TGMDP\x01" + fresh_bytes[6:])
-    capsys.readouterr()
+    first = json.loads(capsys.readouterr().out)
+    assert first["states"] == 14
+    fresh = cache.read_bytes()
+    assert fresh.startswith(b'{"format":"tickgraph-mdp/')
+    cache.write_bytes(old)
     assert cli.main(["build", str(model), "--out", str(tmp_path), "--json"]) == 0
-    assert json.loads(capsys.readouterr().out)["states"] == 14
-    assert fresh.read_bytes() == fresh_bytes
+    assert json.loads(capsys.readouterr().out)["cache_digest"] == first["cache_digest"]
+    assert cache.read_bytes() == fresh
+
+
+@pytest.fixture(scope="module")
+def bundled_caches(tmp_path_factory):
+    """The cache bytes, controls and MDP of models/pta.big and cloud.big."""
+    out = {}
+    for stem in ("pta", "cloud"):
+        model = load_model(MODELS / f"{stem}.big")
+        mdp = explore(model)
+        path = tmp_path_factory.mktemp(stem) / f"{stem}.mdpc"
+        save_mdp(path, mdp, model_hash="k")
+        out[stem] = (path.read_bytes(), model.controls, mdp)
+    return out
+
+
+def _edited(blob: bytes, edit) -> bytes:
+    doc = json.loads(blob)
+    edit(doc)
+    return json.dumps(doc).encode()
+
+
+def _set_prob(value):
+    def edit(doc):
+        doc["choices"][0][0][1][0][1] = value
+    return edit
+
+
+def _set_target(value):
+    def edit(doc):
+        doc["choices"][0][0][1][0][0] = value
+    return edit
+
+
+MALFORMED = {
+    "nan probability": lambda b: _edited(b, _set_prob(float("nan"))),
+    "infinite probability": lambda b: _edited(b, _set_prob(float("inf"))),
+    "zero probability": lambda b: _edited(b, _set_prob(0.0)),
+    "probability above one": lambda b: _edited(b, _set_prob(1.5)),
+    "integer probability": lambda b: _edited(b, _set_prob(1)),
+    "true as a target": lambda b: _edited(b, _set_target(True)),
+    "float target": lambda b: _edited(b, _set_target(1.0)),
+    "negative target": lambda b: _edited(b, _set_target(-1)),
+    "target out of range": lambda b: _edited(b, _set_target(14)),
+    "action index out of range": lambda b: _edited(
+        b, lambda d: d["choices"][0][0].__setitem__(0, len(d["actions"]))
+    ),
+    "string action index": lambda b: _edited(b, lambda d: d["choices"][0][0].__setitem__(0, "0")),
+    "empty distribution": lambda b: _edited(b, lambda d: d["choices"][0][0].__setitem__(1, [])),
+    "distribution as an object": lambda b: _edited(
+        b, lambda d: d["choices"][0][0].__setitem__(1, {})
+    ),
+    "choice of three": lambda b: _edited(b, lambda d: d["choices"][0][0].append(1)),
+    "pair of three": lambda b: _edited(b, lambda d: d["choices"][0][0][1][0].append(1)),
+    "choice as a dict": lambda b: _edited(b, lambda d: d["choices"][0].__setitem__(0, {"a": 1})),
+    "one choice list short": lambda b: _edited(b, lambda d: d["choices"].pop()),
+    "one choice list long": lambda b: _edited(b, lambda d: d["choices"].append([])),
+    "no states": lambda b: _edited(b, lambda d: d.update(states=[], choices=[])),
+    "action name not a string": lambda b: _edited(b, lambda d: d["actions"].__setitem__(0, 1)),
+    "states not a list": lambda b: _edited(b, lambda d: d.update(states="bg;0;0;")),
+    "non-ascii canonical form": lambda b: _edited(
+        b, lambda d: d["states"].__setitem__(0, d["states"][0].replace("Init", "\u00cdnit"))
+    ),
+    "undecodable canonical form": lambda b: _edited(b, lambda d: d["states"].__setitem__(0, "bg;")),
+    "unknown control": lambda b: _edited(
+        b, lambda d: d["states"].__setitem__(0, d["states"][0].replace("Init", "Nope"))
+    ),
+    "another version": lambda b: _edited(b, lambda d: d.update(version="0.0.0")),
+    "another format": lambda b: _edited(b, lambda d: d.update(format="tickgraph-mdp/0")),
+    "another key": lambda b: _edited(b, lambda d: d.update(key="k:stall")),
+    "no format": lambda b: _edited(b, lambda d: d.pop("format")),
+    "a list, not an object": lambda b: b"[" + b + b"]",
+    "trailing data": lambda b: b + b"{}",
+    "not utf-8": lambda b: b[:-1] + b"\xff}",
+    "nested 100,000 deep": lambda b: b'{"format":' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+    "parent format": lambda b: PARENT_FORMAT.read_bytes(),
+    "empty": lambda b: b"",
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED))
+def test_malformed_cache_loads_none(tmp_path, bundled_caches, case):
+    blob, controls, _mdp = bundled_caches["pta"]
+    path = tmp_path / "pta.mdpc"
+    path.write_bytes(blob)
+    assert load_mdp(path, controls, "k") is not None
+    path.write_bytes(MALFORMED[case](blob))
+    assert load_mdp(path, controls, "k") is None
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["pta", "cloud"]), st.data())
+def test_hypothesis_damaged_cache_never_raises(tmp_path_factory, bundled_caches, stem, data):
+    # truncations, byte flips and insertions: the loader gives None or an MDP
+    # whose targets are states and whose probabilities lie in (0, 1]
+    blob, controls, mdp = bundled_caches[stem]
+    damaged = bytearray(blob)
+    for _ in range(data.draw(st.integers(1, 3))):
+        kind = data.draw(st.sampled_from(["cut", "flip", "insert"]))
+        at = data.draw(st.integers(0, max(len(damaged) - 1, 0)))
+        if kind == "cut":
+            del damaged[at:]
+        elif kind == "flip" and damaged:
+            damaged[at] ^= data.draw(st.integers(1, 255))
+        else:
+            damaged[at:at] = data.draw(st.binary(min_size=1, max_size=4))
+    path = tmp_path_factory.getbasetemp() / f"damaged-{stem}.mdpc"
+    path.write_bytes(bytes(damaged))
+    got = load_mdp(path, controls, "k")
+    if got is None:
+        return
+    assert got.n_states == len(got.canon) == len(got.choices) == mdp.n_states
+    for cs in got.choices:
+        for c in cs:
+            assert c.action in got.actions
+            for t, p in c.dist:
+                assert type(t) is int and 0 <= t < got.n_states
+                assert type(p) is float and 0.0 < p <= 1.0
 
 
 @pytest.mark.parametrize(

@@ -70,6 +70,9 @@ def test_rule_shape_validation():
         )
     with pytest.raises(ValueError, match="weight"):
         RuleFamily("bad3", (), ion(INIT), ion(INIT), 0.0)
+    for weight in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite positive"):
+            RuleFamily("bad3", (), ion(INIT), ion(INIT), weight)
     with pytest.raises(ValueError, match="arithmetic in redex"):
         RuleFamily(
             "bad4", ("n",),
@@ -212,11 +215,12 @@ def test_action_distribution_normalises(pta_model_prog):
     agent = pta_state(SEND, 0)
     out = enabled_outcomes(agent, pta_model_prog)
     dist = action_distribution(agent, out["send"])
-    assert len(dist) == 2
-    probs = {n[0]: p for _g, p, n in dist}
+    # two outcomes, two distinct results, in outcome order
+    assert len(out["send"]) == len(dist) == 2
+    probs = {oc.name: p for oc, (_g, p) in zip(out["send"], dist)}
     assert math.isclose(probs["send_transition_success(0)"], 0.99, abs_tol=1e-15)
     assert math.isclose(probs["send_transition_fail(0)"], 0.01, abs_tol=1e-15)
-    assert abs(sum(p for _g, p, _n in dist) - 1.0) < 1e-12
+    assert abs(sum(p for _g, p in dist) - 1.0) < 1e-12
 
 
 def test_action_distribution_singleton(pta_model_prog):
@@ -457,7 +461,7 @@ def test_tick_applies_once_per_effect(monkeypatch):
     dist = action_distribution(agent, tick)
     assert len(calls) == 1
     # one entry, and every matched instance still adds its probability share
-    assert [p for _g, p, _n in dist] == [sum([1 / 24] * 24)]
+    assert [p for _g, p in dist] == [sum([1 / 24] * 24)]
 
 
 def test_distinct_effects_merge_by_canonical_form(monkeypatch):
@@ -473,7 +477,7 @@ def test_distinct_effects_merge_by_canonical_form(monkeypatch):
     monkeypatch.setattr(rules, "apply", lambda *a: calls.append(a) or real(*a))
     dist = action_distribution(agent, moves)
     assert len(calls) == 5
-    assert [(p, names) for _g, p, names in dist] == [(sum([1 / 5] * 5), ("move",))]
+    assert [p for _g, p in dist] == [sum([1 / 5] * 5)]
 
 
 # --- one search per family per state -------------------------------------------
