@@ -35,7 +35,7 @@ from .mdp import (
     save_mdp,
 )
 from .params import ParameterLimit
-from .rules import apply, enabled_outcomes
+from .rules import apply, enabled_outcomes, normaliser
 from .verify import UnknownLabel, check, label
 
 log = logging.getLogger("tickgraph")
@@ -213,12 +213,12 @@ def cmd_simulate(args) -> int:
         actions = list(per_action)
         action = actions[rng.randrange(len(actions))]
         outcomes = per_action[action]
-        total = sum(oc.weight for oc in outcomes)
+        scale, total = normaliser(outcomes)
         pick = rng.random() * total
         acc = 0.0
         chosen = outcomes[-1]
         for oc in outcomes:
-            acc += oc.weight
+            acc += oc.weight / scale
             if pick < acc:
                 chosen = oc
                 break

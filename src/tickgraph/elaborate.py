@@ -257,16 +257,32 @@ def clock_problems(model: Model) -> list[str]:
     `Var + step` parameter.  That tick must advance every clock it holds by
     the same step, from a value its redex binds; any other rule may give a
     clock only a value that a clock of its redex binds (keep) or 0 (reset).
-    A model without `clock_advance` is not checked.
+    Lockstep over a whole state: the tick's redex must hold as many
+    entities of each clock control as the initial state, and no other rule
+    may change that number.  A model without `clock_advance` is not checked.
     """
     families = {e.family.base: e.family for cls in model.classes for e in cls}
     tick = families.get("clock_advance")
     if tick is None:
         return []
-    clocks = {ctrl.name for ctrl, param in tick.reactum.nodes if _advance(param)}
+    clocks = sorted({ctrl.name for ctrl, param in tick.reactum.nodes if _advance(param)})
+    count = lambda g, name: sum(ctrl.name == name for ctrl, _param in g.nodes)
     problems = []
+    for name in clocks:
+        ticked, initial = count(tick.redex, name), count(model.init, name)
+        if ticked != initial:
+            problems.append(
+                f"{tick.pos[0]}:{tick.pos[1]}: rule clock_advance: the tick advances "
+                f"{ticked} {name} clock(s), the initial state has {initial}"
+            )
     for fam in families.values():
         where = f"{fam.pos[0]}:{fam.pos[1]}: rule {fam.base}"
+        for name in clocks:
+            before, after = count(fam.redex, name), count(fam.reactum, name)
+            if fam is not tick and before != after:
+                problems.append(
+                    f"{where}: changes the number of {name} clocks from {before} to {after}"
+                )
         kept = {p.name for c, p in fam.redex.nodes if c.name in clocks and isinstance(p, Var)}
         steps = set()
         for ctrl, param in fam.reactum.nodes:

@@ -25,6 +25,16 @@ root from every agent entity of its control.  The pattern's tables
 (:class:`Tables`) are computed once and kept with the pattern; the agent's
 (:class:`Host`) once per agent, and a caller that searches one agent for
 several patterns builds one Host and passes it to each search.
+
+A search may be given groups of interchangeable pattern entities (see
+`rules.Model.groups`: leaf siblings of one control that a swap, together
+with their parameters and private outer names, maps onto themselves).
+Every match then stands for one orbit of matches that differ only by a
+permutation of the images inside each group, and the search keeps only the
+member whose images ascend, in pattern entity order, inside every group: it
+skips a candidate that is not above the image of the group's previous
+member (or not below that of its next one, when that was mapped first).
+That member is the orbit's first in `Match.sort_key` order.
 """
 
 from __future__ import annotations
@@ -278,21 +288,55 @@ class _Search:
         )
 
 
+class _OrbitSearch(_Search):
+    """A search that keeps, of each orbit under permutations inside
+    `groups`, the match whose images ascend inside every group."""
+
+    def __init__(self, host: Host, pat: Tables, domains, excluded, groups):
+        super().__init__(host, pat, domains, excluded)
+        # group member -> [the neighbour mapped before it whose image its own
+        # must exceed, the one whose image its own must stay below]
+        self.bounds: dict[int, list[int | None]] = {}
+        step = {p: idx for idx, p in enumerate(pat.order)}
+        for group in groups:
+            members = sorted(group)
+            for a, b in zip(members, members[1:]):
+                if step[a] < step[b]:
+                    self.bounds.setdefault(b, [None, None])[0] = a
+                else:
+                    self.bounds.setdefault(a, [None, None])[1] = b
+
+    def _candidates(self, p: int):
+        candidates = super()._candidates(p)
+        bound = self.bounds.get(p)
+        if bound is None:
+            return candidates
+        lo = -1 if bound[0] is None else self.nmap[bound[0]]
+        hi = len(self.host.ctrl) if bound[1] is None else self.nmap[bound[1]]
+        return [u for u in candidates if lo < u < hi]
+
+
 def occurrences(
     agent: Bigraph | Host,
     pattern: Bigraph,
     *,
     domains: dict[str, set[int]] | None = None,
     excluded: frozenset[int] = frozenset(),
+    groups: tuple[tuple[int, ...], ...] = (),
 ) -> list[Match]:
     """Complete, duplicate-free, deterministically ordered list of matches.
 
     `agent` is a ground bigraph, or the :class:`Host` of one shared by
     several searches of it.  `domains` restricts what values pattern
     parameter variables may bind.  `excluded` bans agent entities from the
-    image (negative context checks).
+    image (negative context checks).  With `groups` (disjoint tuples of
+    interchangeable pattern entities) the list holds one match per orbit,
+    each the orbit's first member; the caller must know that the groups are
+    interchangeable.
     """
     host = agent if isinstance(agent, Host) else Host(agent)
     if pattern._tables is None:  # built on first use, kept with the pattern
         pattern._tables = Tables(pattern)
+    if groups:
+        return _OrbitSearch(host, pattern._tables, domains, excluded, groups).run()
     return _Search(host, pattern._tables, domains, excluded).run()

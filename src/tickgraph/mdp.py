@@ -75,6 +75,8 @@ def explore(model: Model, max_states: int = 100_000) -> Mdp:
     States are numbered in discovery order: level by level, and within a
     level by frontier order, then action order, then successor order.
     Discovering more than `max_states` states raises ExplorationLimit.
+    Interchangeable redex entities are matched once per orbit (see
+    `rules.enabled_outcomes`); the distributions are those of every match.
     At log level INFO each BFS level logs its depth, frontier size, the
     states discovered so far and the rate since the start.
     """
@@ -93,7 +95,7 @@ def explore(model: Model, max_states: int = 100_000) -> Mdp:
         next_frontier: list[int] = []
         for s in frontier:
             agent = states[s]
-            for action, outcomes in enabled_outcomes(agent, model).items():
+            for action, outcomes in enabled_outcomes(agent, model, orbits=True).items():
                 dist: list[tuple[int, float]] = []
                 for succ, prob in action_distribution(agent, outcomes):
                     key = canonical_form(succ)

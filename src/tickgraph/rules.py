@@ -12,6 +12,14 @@ Predicate families (:class:`Pattern`) are matched the same way.
 Priority classes are global and ordered: a rule may fire only when no rule
 of any earlier class has a condition-satisfying match.  Weights turn the
 matches of one action in one state into a probability distribution.
+
+Symmetric clocks: a tick such as ``LC(c1){l1} | ... | LC(ck){lk}`` matches
+k interchangeable siblings in all k! orders, and every order leads to the
+same successor.  When the model is built, each family's groups of
+interchangeable redex entities are found once (:attr:`Model.groups`).
+Exploration then matches each family once per orbit of those groups: the
+search keeps the orbit's first member, and its outcome carries the orbit
+size as a multiplicity, so every match still counts toward the weights.
 """
 
 from __future__ import annotations
@@ -24,6 +32,9 @@ from .bigraph import Bigraph, Control, Link, Ref
 from .canon import canonical_form
 from .match import Host, Match, occurrences
 from .params import Arith, ParameterLimit, Term, Var, is_concrete, term_eval, term_vars
+
+# a family's groups of interchangeable redex entities (pattern entity ids)
+Groups = tuple[tuple[int, ...], ...]
 
 
 def _check_rule_shape(redex: Bigraph, reactum: Bigraph, weight: float, label: str):
@@ -132,8 +143,9 @@ def effect_key(rule: RuleFamily, m: Match) -> tuple:
     parameter, ports (the agent edge of an outer name, or the reactum link
     of a fresh closed edge) and children, with a site child standing for
     the agent entities it carries.  Siblings are sorted, so matches that
-    only permute equal-valued interchangeable entities (the clocks of a
-    tick) share one key.  A None parameter is written as ``()`` and a value
+    only permute equal-valued interchangeable entities share one key (the
+    clocks of a tick, in the full match list; exploration matches them once
+    per orbit).  A None parameter is written as ``()`` and a value
     as ``(v,)``, so sorting never compares None with an int.
     """
     reactum = rule.reactum
@@ -282,9 +294,10 @@ class RuleEntry:
             set(a) & set(b) for a, b in zip(self.domains, other.domains)
         )
 
-    def outcomes(self, matches: list[Match]) -> list["Outcome"]:
+    def outcomes(self, matches: list[Match], multiplicity: int) -> list["Outcome"]:
         """The outcomes of this entry among its family's condition-satisfying
-        matches in one state, in match order."""
+        matches in one state, in match order, each standing for
+        `multiplicity` matches."""
         fam, pat = self.family, self.pattern
         doms = pat.match_domains
         out: list[Outcome] = []
@@ -294,18 +307,20 @@ class RuleEntry:
             for values in pat.valuations(m.binding):
                 env = dict(zip(fam.formal, values))
                 full = replace(m, binding=tuple(sorted(env.items())))
-                out.append(Outcome(fam, full, fam.weight))
+                out.append(Outcome(fam, full, fam.weight, multiplicity))
         return out
 
 
 @dataclass(frozen=True)
 class Outcome:
     """An enabled (rule, match) pair with its weight; the match binds every
-    formal of the rule."""
+    formal of the rule.  An outcome found once per orbit stands for
+    `multiplicity` matches with equal results (see :func:`enabled_outcomes`)."""
 
     rule: RuleFamily
     match: Match
     weight: float
+    multiplicity: int = 1
 
     @property
     def name(self) -> str:
@@ -396,7 +411,8 @@ class Model:
 
     `searches` holds, per rule family (by base name), the pattern that
     :func:`enabled_outcomes` searches: the family's redex over the union of
-    its entries' domains."""
+    its entries' domains.  `groups` holds, per family that has any, its
+    groups of interchangeable redex entities (see :func:`_groups`)."""
 
     controls: dict[str, Control]
     classes: list[list[RuleEntry]]
@@ -435,6 +451,12 @@ class Model:
             base: Pattern(base, fam.redex, fam.formal, tuple(tuple(d) for d in union), kind="rule")
             for base, (fam, union) in families.items()
         }
+        self.groups: dict[str, Groups] = {}
+        for base, (fam, _union) in families.items():
+            domains = [e.pattern.match_domains for e in flat if e.family.base == base]
+            groups = _groups(fam, domains + [self.searches[base].match_domains])
+            if groups:
+                self.groups[base] = groups
 
     @property
     def action_order(self) -> list[str]:
@@ -449,7 +471,98 @@ class Model:
         return sum(e.size for cls in self.classes for e in cls)
 
 
-def enabled_outcomes(agent: Bigraph, model: Model) -> dict[str, list[Outcome]]:
+# ---------------------------------------------------------------------------
+# interchangeable redex entities
+
+
+def _rename(term: Term | None, sigma: dict[str, str]) -> Term | None:
+    if isinstance(term, Var):
+        return Var(sigma.get(term.name, term.name))
+    if isinstance(term, Arith):
+        return Arith(term.op, _rename(term.left, sigma), _rename(term.right, sigma))
+    return term
+
+
+def _maps_onto_itself(g: Bigraph, perm: dict[int, int], sigma: dict[str, str],
+                      tau: dict[str, str]) -> bool:
+    """Whether moving each entity v to ``perm.get(v, v)``, renaming parameter
+    variables by `sigma` and outer names by `tau` gives `g` back: equal
+    controls and parameters, parents and hyperedges, port by port."""
+    at = lambda v: perm.get(v, v)
+    for v, (ctrl, param) in enumerate(g.nodes):
+        w = at(v)
+        if g.nodes[w] != (ctrl, _rename(param, sigma)):
+            return False
+        kind, q = g.parent(("n", v))
+        if g.parent(("n", w)) != (kind, at(q) if kind == "n" else q):
+            return False
+    links = {(lk.name, frozenset(lk.ports)) for lk in g.links}
+    return links == {
+        (tau.get(lk.name, lk.name), frozenset((at(v), p) for v, p in lk.ports))
+        for lk in g.links
+    }
+
+
+def _interchangeable(fam: RuleFamily, i: int, j: int, domains) -> bool:
+    """Whether swapping redex entities `i` and `j` (same parent and control,
+    no children, no sites), together with their parameter variables and
+    their private outer names, maps the redex and the reactum onto
+    themselves and every one of `domains` (formal -> value set) onto itself.
+    The reactum may answer with no move or with a swap of two of its leaves."""
+    redex, reactum = fam.redex, fam.reactum
+    pi, pj = redex.nodes[i][1], redex.nodes[j][1]
+    sigma = {}
+    if isinstance(pi, Var) and isinstance(pj, Var):
+        sigma = {pi.name: pj.name, pj.name: pi.name}
+    if any(dom[a] != dom[b] for dom in domains for a, b in sigma.items()):
+        return False
+    link_of = {port: lk for lk in redex.links for port in lk.ports}
+    private = lambda lk, v: lk.name is not None and all(w == v for w, _p in lk.ports)
+    tau = {}
+    for p in range(redex.nodes[i][0].arity):
+        a, b = link_of[(i, p)], link_of[(j, p)]
+        if private(a, i) and private(b, j):
+            tau[a.name], tau[b.name] = b.name, a.name
+    if not _maps_onto_itself(redex, {i: j, j: i}, sigma, tau):
+        return False
+    leaves = [v for v in range(reactum.nnodes) if not reactum.node_children[v]]
+    return _maps_onto_itself(reactum, {}, sigma, tau) or any(
+        _maps_onto_itself(reactum, {a: b, b: a}, sigma, tau)
+        for a, b in itertools.combinations(leaves, 2)
+    )
+
+
+def _groups(fam: RuleFamily, domains) -> Groups:
+    """The family's groups of at least two interchangeable redex entities.
+
+    A group's members share a parent and a control, have no children and no
+    sites, and every two of them are :func:`_interchangeable` under
+    `domains`: those of every entry of the family and of its search.  So
+    every permutation inside the groups maps a match to a match of the same
+    entries, with the same image and an isomorphic result.  The context
+    condition needs no check: whether it blocks depends on the image alone.
+    """
+    redex = fam.redex
+    alike: dict[tuple, list[int]] = {}
+    for v, (ctrl, _param) in enumerate(redex.nodes):
+        if not redex.node_children[v]:
+            alike.setdefault((redex.parent(("n", v)), ctrl.name), []).append(v)
+    groups: list[tuple[int, ...]] = []
+    for members in alike.values():
+        found: list[list[int]] = []
+        for v in members:
+            for group in found:
+                if all(_interchangeable(fam, u, v, domains) for u in group):
+                    group.append(v)
+                    break
+            else:
+                found.append([v])
+        groups.extend(tuple(g) for g in found if len(g) > 1)
+    return tuple(groups)
+
+
+def enabled_outcomes(agent: Bigraph, model: Model, *,
+                     orbits: bool = False) -> dict[str, list[Outcome]]:
     """Outcomes of the highest priority class with any valid match, by action.
 
     Actions appear in declaration order; the mapping is empty iff no rule
@@ -458,43 +571,66 @@ def enabled_outcomes(agent: Bigraph, model: Model) -> dict[str, list[Outcome]]:
     `model.searches`, then, if it has matches, its context condition with no
     exclusions.  A match is blocked when some occurrence of the condition
     lies wholly outside its image.
+
+    By default every match is an outcome (`simulate` picks one match, and
+    its name comes from the binding).  With `orbits`, a family with
+    `model.groups` is searched once per orbit of its matches under
+    permutations inside the groups: each outcome is its orbit's first
+    member in match order and has the orbit size, the product of the group
+    sizes' factorials, as its multiplicity.
     """
     host = Host(agent)
-    valid: dict[str, list[Match]] = {}
+    valid: dict[str, tuple[list[Match], int]] = {}
 
-    def family_matches(fam: RuleFamily) -> list[Match]:
+    def family_matches(fam: RuleFamily) -> tuple[list[Match], int]:
         found = valid.get(fam.base)
         if found is None:
             search = model.searches[fam.base]
-            found = occurrences(host, fam.redex, domains=search.match_domains)
-            if found and fam.condition is not None:
+            groups = model.groups.get(fam.base, ()) if orbits else ()
+            matches = occurrences(host, fam.redex, domains=search.match_domains, groups=groups)
+            if matches and fam.condition is not None:
                 blockers = [frozenset(c.nodes) for c in occurrences(host, fam.condition)]
-                found = [m for m in found if not any(b.isdisjoint(m.nodes) for b in blockers)]
-            valid[fam.base] = found
+                matches = [m for m in matches if not any(b.isdisjoint(m.nodes) for b in blockers)]
+            size = math.prod(math.factorial(len(g)) for g in groups) if groups else 1
+            found = valid[fam.base] = (matches, size)
         return found
 
     for cls in model.classes:
         grouped: dict[str, list[Outcome]] = {}
         for entry in cls:
-            for oc in entry.outcomes(family_matches(entry.family)):
+            for oc in entry.outcomes(*family_matches(entry.family)):
                 grouped.setdefault(model.action_of[oc.rule.base], []).append(oc)
         if grouped:
             return {label: grouped[label] for label in model.action_order if label in grouped}
     return {}
 
 
+def normaliser(outcomes: list[Outcome]) -> tuple[float, float]:
+    """(scale, total) for one action: every match's weight divided by `scale`
+    sums to `total`, which is finite.  The scale is 1 unless the plain sum
+    overflows; then it is the largest weight."""
+    total = sum(oc.weight for oc in outcomes for _ in range(oc.multiplicity))
+    if total < math.inf:
+        return 1.0, total
+    scale = max(oc.weight for oc in outcomes)
+    return scale, sum(oc.weight / scale for oc in outcomes for _ in range(oc.multiplicity))
+
+
 def action_distribution(agent: Bigraph, outcomes: list[Outcome]) -> list[tuple[Bigraph, float]]:
     """Normalise one action's outcomes into a distribution over result states.
 
-    Each outcome (every match counts, symmetric ones too) has probability
-    weight / total weight.  Outcomes with equal :func:`effect_key` are
-    applied and canonicalised once, by the first of them; results that are
-    still isomorphic merge by canonical form.  Probabilities are summed in
-    outcome order and entries keep first-appearance order.
+    Each match (every one counts, symmetric ones too) has probability
+    weight / total weight, with both scaled by :func:`normaliser`.
+    Outcomes with equal :func:`effect_key` are applied and canonicalised
+    once, by the first of them; results that are still isomorphic merge by
+    canonical form.  Probabilities are summed in outcome order, once per
+    match an outcome stands for, and entries keep first-appearance order.
+    Orbit members share a family, so a weight, and the first member is the
+    representative: the sums are those of the full match list.
     """
     if not outcomes:
         raise ValueError("action_distribution: empty outcome list")
-    total = sum(oc.weight for oc in outcomes)
+    scale, total = normaliser(outcomes)
     by_effect: dict[tuple, int] = {}
     by_canon: dict[bytes, int] = {}
     entries: list[list] = []  # [result, probability]
@@ -507,5 +643,7 @@ def action_distribution(agent: Bigraph, outcomes: list[Outcome]) -> list[tuple[B
             if i == len(entries):
                 entries.append([succ, 0.0])
             by_effect[effect] = i
-        entries[i][1] += oc.weight / total
+        share = oc.weight / scale / total
+        for _ in range(oc.multiplicity):
+            entries[i][1] += share
     return [(g, p) for g, p in entries]

@@ -180,3 +180,25 @@ def token_model(k: int, links: str = "none") -> str:
         f"big start = {closes}(Bag.({' | '.join(toks)}) || Out.Floor);\n"
         "begin abrs\n  init start;\n  rules = [ {move} ];\n  actions = [ move = {move} ];\nend\n"
     )
+
+
+def tick_model(k: int) -> str:
+    """A pure tick over `k` interchangeable clocks from 0, with values 0..2 in
+    the rule: 4 states in a chain.  `tests/data/tick9.big` is `tick_model(9)`."""
+    ids = range(1, k + 1)
+    formals = ", ".join(f"c{i}" for i in ids)
+    clocks = lambda step: " | ".join(f"LC(c{i}{step}){{l{i}}}" for i in ids)
+    closes = "".join(f"/t{i}" for i in ids)
+    return (
+        f"# a pure tick over {k} interchangeable clocks\n"
+        "atomic fun ctrl LC(c) = 1;\nctrl Clocks = 0;\n"
+        f"fun react clock_advance({formals}) =\n"
+        f"  Clocks.( {clocks('')} )\n  -[1]->\n  Clocks.( {clocks(' + 1')} );\n"
+        f"big start = {closes} Clocks.( {' | '.join(f'LC(0){{t{i}}}' for i in ids)} );\n"
+        "fun big clock_at(v) = LC(v){l};\n"
+        "begin abrs\n"
+        + "".join(f"  int c{i} = {{0,1,2}};\n" for i in ids)
+        + "  int v = {0,1,2,3};\n  init start;\n"
+        f"  rules = [ {{clock_advance({formals})}} ];\n"
+        "  actions = [ tick = {clock_advance} ];\n  preds = { clock_at(v) };\nend\n"
+    )

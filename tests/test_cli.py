@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import pathlib
 import re
 import subprocess
@@ -114,6 +115,29 @@ def test_infinite_weight_is_a_model_error(tmp_path):
     assert (r.returncode, r.stdout) == (2, "")
     assert r.stderr == "tickgraph: 3:1: rule r1: weight must be a finite positive number, got inf\n"
     assert not (tmp_path / "inf.tra").exists()
+
+
+def test_huge_weights_normalise_without_overflow(tmp_path):
+    # each weight is finite, their sum is not: 1e308 + 1e308 overflows
+    weight = "1" + "0" * 308 + ".0"
+    model = tmp_path / "huge.big"
+    model.write_text(
+        "atomic ctrl A = 0;\natomic ctrl B = 0;\n"
+        f"react r1 = A -[{weight}]-> B;\nreact r2 = A -[{weight}]-> A;\nbig start = A;\n"
+        "begin abrs\n  init start;\n  rules = [ {r1, r2} ];\n  actions = [ a = {r1, r2} ];\nend\n"
+    )
+    r = run("export", model, "--out", tmp_path)
+    assert r.returncode == 0, r.stderr
+    assert (tmp_path / "huge.tra").read_text() == "2 1 2\n0 0 1 0.5 a\n0 0 0 0.5 a\n"
+    # every probability is positive, so the cache is valid and read back
+    env = dict(os.environ, TICKGRAPH_LOG="info")
+    r = subprocess.run([sys.executable, "-m", "tickgraph", "build", model, "--out", tmp_path],
+                       capture_output=True, text=True, env=env)
+    assert r.returncode == 0 and "reusing cache" in r.stderr
+    # simulate picks either rule, not always the last one
+    first = {run("simulate", model, "--seed", seed, "--steps", "1").stdout.split(", ")[2]
+             for seed in range(8)}
+    assert first == {"r1", "r2"}
 
 
 def test_validate_empty_file(tmp_path):

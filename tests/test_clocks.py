@@ -82,3 +82,34 @@ def test_validate_reports_tick_with_unequal_steps(tmp_path):
     code, problems = validate_json(path)
     assert code == 2
     assert problems == ["6:1: rule clock_advance: clocks advance by different steps [1, 2]"]
+
+
+def test_validate_reports_init_with_more_clocks_than_the_tick(tmp_path):
+    # five LC clocks in the initial state, four in the tick: one is never advanced
+    ticked = " | ".join(f"LC(c{i}){{l{i}}}" for i in range(1, 5))
+    advanced = " | ".join(f"LC(c{i} + 1){{l{i}}}" for i in range(1, 5))
+    path = tmp_path / "five.big"
+    path.write_text(
+        "atomic fun ctrl LC(c) = 1;\nctrl Clocks = 0;\n"
+        f"fun react clock_advance(c1, c2, c3, c4) = Clocks.({ticked}) -[1]-> Clocks.({advanced});\n"
+        "big start = /t1/t2/t3/t4/t5 Clocks.("
+        + " | ".join(f"LC(0){{t{i}}}" for i in range(1, 6)) + ");\n"
+        "begin abrs\n  int c = {0,1};\n  init start;\n"
+        "  rules = [ {clock_advance(c, c, c, c)} ];\n  actions = [ tick = {clock_advance} ];\nend\n"
+    )
+    code, problems = validate_json(path)
+    assert code == 2
+    assert problems == [
+        "3:1: rule clock_advance: the tick advances 4 LC clock(s), the initial state has 5"
+    ]
+
+
+def test_validate_reports_rule_that_creates_a_clock(tmp_path):
+    path = tmp_path / "spawn.big"
+    spawn = "S{c}.A || X(n){c} -[1]-> S{c}.B || (X(n){c} | X(0){c})"
+    path.write_text(clock_model(spawn, GOOD_TICK))
+    code, problems = validate_json(path)
+    assert code == 2
+    assert problems == ["5:1: rule move: changes the number of X clocks from 1 to 2"]
+    r = run("validate", path)
+    assert r.returncode == 2 and "problem: 5:1: rule move: changes the number" in r.stdout
