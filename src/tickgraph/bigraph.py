@@ -63,6 +63,7 @@ class Bigraph:
         "_parent",
         "_port_link",
         "_canon",
+        "_autos",
         "_tables",
     )
 
@@ -80,6 +81,7 @@ class Bigraph:
         self.nsites = nsites
         self.links = tuple(links)
         self._canon = None
+        self._autos = None  # automorphism generators, found with the canonical form
         self._tables = None  # match.py's search tables, when used as a pattern
 
         parent: dict[Ref, Ref] = {}

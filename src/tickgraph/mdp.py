@@ -76,7 +76,12 @@ def explore(model: Model, max_states: int = 100_000) -> Mdp:
     level by frontier order, then action order, then successor order.
     Discovering more than `max_states` states raises ExplorationLimit.
     Interchangeable redex entities are matched once per orbit (see
-    `rules.enabled_outcomes`); the distributions are those of every match.
+    `rules.enabled_outcomes`), and of the outcomes whose matches the
+    state's automorphisms map onto one another only the first is applied
+    and canonicalised (see `rules.action_distribution`; every state was
+    canonicalised, and its automorphisms recorded, when it was discovered).
+    The distributions are those of every match.  A rule's probability that
+    rounds to 0 raises `params.ParameterLimit`.
     At log level INFO each BFS level logs its depth, frontier size, the
     states discovered so far and the rate since the start.
     """
@@ -97,7 +102,7 @@ def explore(model: Model, max_states: int = 100_000) -> Mdp:
             agent = states[s]
             for action, outcomes in enabled_outcomes(agent, model, orbits=True).items():
                 dist: list[tuple[int, float]] = []
-                for succ, prob in action_distribution(agent, outcomes):
+                for succ, prob in action_distribution(agent, outcomes, action):
                     key = canonical_form(succ)
                     t = index.get(key)
                     if t is None:

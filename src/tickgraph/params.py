@@ -18,7 +18,8 @@ _BOUND = 10**_MAX_DIGITS if _MAX_DIGITS else math.inf
 
 class ParameterLimit(ValueError):
     """A computed parameter has more digits than Python writes as text, so
-    no state holding it can be encoded."""
+    no state holding it can be encoded; or a rule's share of its action's
+    probability rounds to 0, so its transition cannot be written."""
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,13 @@ interchangeable redex entities are found once (:attr:`Model.groups`).
 Exploration then matches each family once per orbit of those groups: the
 search keeps the orbit's first member, and its outcome carries the orbit
 size as a multiplicity, so every match still counts toward the weights.
+
+Symmetric states: interchangeable tokens make many outcomes whose results
+are isomorphic, because an automorphism of the state maps one match onto
+the other.  :func:`action_distribution` applies and canonicalises the first
+of them only; the generators come with the state's canonical form
+(:mod:`tickgraph.canon`), together with a rule's own swaps of two outer
+names that play the same part (:attr:`RuleFamily.name_swaps`).
 """
 
 from __future__ import annotations
@@ -27,6 +34,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field, replace
+from functools import reduce
+from operator import add
 
 from .bigraph import Bigraph, Control, Link, Ref
 from .canon import canonical_form
@@ -104,6 +113,8 @@ class RuleFamily:
     pos: tuple[int, int] = field(default=(0, 0), compare=False)  # declaration line:col
     # outer name -> its redex link index, computed once
     redex_edge_of_name: dict[str, int] = field(init=False, repr=False, compare=False)
+    # swaps of two outer names that change no result, as redex link maps
+    name_swaps: tuple[dict[int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_rule_shape(self.redex, self.reactum, self.weight, self.base)
@@ -111,11 +122,37 @@ class RuleFamily:
         object.__setattr__(self, "redex_edge_of_name", {
             lk.name: e for e, lk in enumerate(self.redex.links) if lk.name is not None
         })
+        object.__setattr__(self, "name_swaps", _name_swaps(self))
 
     def instance_name(self, env: dict[str, int]) -> str:
         if not self.formal:
             return self.base
         return f"{self.base}({','.join(str(env[v]) for v in self.formal)})"
+
+
+def _name_swaps(fam: RuleFamily) -> tuple[dict[int, int], ...]:
+    """Swaps of two outer names under which every entity of the redex and of
+    the reactum keeps its multiset of names (such as `a` and `b` in
+    ``Tok{a,b} -> Tok{a,b}``), each as a map between the two redex links.
+    Two names swap so exactly when they reach the same entities, as often,
+    on both sides; one swap per neighbouring pair of such names generates
+    every permutation of them.  Exchanging the agent edges that a match
+    gives two such names yields a match whose result differs only in the
+    order of some entity's ports."""
+    reach: dict[str, list] = {name: [(), ()] for name in fam.redex_edge_of_name}
+    for side, g in enumerate((fam.redex, fam.reactum)):
+        for lk in g.links:
+            if lk.name is not None:
+                reach[lk.name][side] = tuple(sorted([v for v, _p in lk.ports]))
+    alike: dict[tuple, list[str]] = {}
+    for name in sorted(reach):
+        alike.setdefault(tuple(reach[name]), []).append(name)
+    swaps = []
+    for names in alike.values():
+        for a, b in zip(names, names[1:]):
+            ea, eb = fam.redex_edge_of_name[a], fam.redex_edge_of_name[b]
+            swaps.append({ea: eb, eb: ea})
+    return tuple(swaps)
 
 
 # ---------------------------------------------------------------------------
@@ -142,10 +179,10 @@ def effect_key(rule: RuleFamily, m: Match) -> tuple:
     reactum region's anchor, and per reactum entity its control, computed
     parameter, ports (the agent edge of an outer name, or the reactum link
     of a fresh closed edge) and children, with a site child standing for
-    the agent entities it carries.  Siblings are sorted, so matches that
-    only permute equal-valued interchangeable entities share one key (the
-    clocks of a tick, in the full match list; exploration matches them once
-    per orbit).  A None parameter is written as ``()`` and a value
+    the agent entities it carries, in entity order.  Siblings are sorted,
+    so matches that only permute equal-valued interchangeable entities
+    share one key (the clocks of a tick, in the full match list;
+    exploration matches them once per orbit).  A None parameter is written as ``()`` and a value
     as ``(v,)``, so sorting never compares None with an int.
     """
     reactum = rule.reactum
@@ -162,7 +199,7 @@ def effect_key(rule: RuleFamily, m: Match) -> tuple:
 
     def children(refs) -> tuple:
         return tuple(sorted(
-            entity(c) if k == "n" else ("$", m.site_images[c]) for k, c in refs
+            entity(c) if k == "n" else ("$", tuple(sorted(m.site_images[c]))) for k, c in refs
         ))
 
     def entity(j: int) -> tuple:
@@ -608,42 +645,112 @@ def enabled_outcomes(agent: Bigraph, model: Model, *,
 def normaliser(outcomes: list[Outcome]) -> tuple[float, float]:
     """(scale, total) for one action: every match's weight divided by `scale`
     sums to `total`, which is finite.  The scale is 1 unless the plain sum
-    overflows; then it is the largest weight."""
-    total = sum(oc.weight for oc in outcomes for _ in range(oc.multiplicity))
+    overflows; then it is the largest weight.  Sums run left to right, so
+    every Python version gives the same bits (from 3.12, `sum` compensates
+    and rounds some totals differently)."""
+    total = reduce(add, (oc.weight for oc in outcomes for _ in range(oc.multiplicity)), 0.0)
     if total < math.inf:
         return 1.0, total
     scale = max(oc.weight for oc in outcomes)
-    return scale, sum(oc.weight / scale for oc in outcomes for _ in range(oc.multiplicity))
+    terms = (oc.weight / scale for oc in outcomes for _ in range(oc.multiplicity))
+    return scale, reduce(add, terms, 0.0)
 
 
-def action_distribution(agent: Bigraph, outcomes: list[Outcome]) -> list[tuple[Bigraph, float]]:
-    """Normalise one action's outcomes into a distribution over result states.
+def _orbit(m: Match, moves: list, cap: int) -> list[Match]:
+    """Up to `cap` images of `m`, in breadth-first order and `m` left out,
+    under the group generated by `moves`: (entities, edges, links) triples,
+    each an automorphism of the agent (entity and edge maps that list only
+    what they move) or one of the rule's `name_swaps` (a redex link map).
+    Images are told apart by entities, edges and anchors: those fix the
+    site images up to order."""
+    seen = {(m.nodes, m.edges, m.anchors)}
+    out = [m]
+    for x in out:
+        for nodes, edges, links in moves:
+            at = nodes.get
+            pairs = x.edges
+            if links:
+                emap = dict(pairs)
+                pairs = [(e, emap[links.get(e, e)]) for e, _E in pairs]
+            key = (
+                tuple([at(u, u) for u in x.nodes]),
+                tuple([(e, edges.get(E, E)) for e, E in pairs]),
+                tuple([("n", at(a[1], a[1])) if a and a[0] == "n" else a for a in x.anchors]),
+            )
+            if key in seen:
+                continue
+            if len(out) > cap:
+                return out[1:]
+            seen.add(key)
+            sites = tuple([tuple([at(u, u) for u in s]) for s in x.site_images])
+            out.append(Match(*key, sites, x.binding))
+    return out[1:]
 
-    Each match (every one counts, symmetric ones too) has probability
-    weight / total weight, with both scaled by :func:`normaliser`.
+
+def _successors(agent: Bigraph, outcomes: list[Outcome]) -> tuple[list[Bigraph], list[int]]:
+    """The distinct results of one action's outcomes, in first-appearance
+    order, and for each outcome the index of its result.
+
     Outcomes with equal :func:`effect_key` are applied and canonicalised
     once, by the first of them; results that are still isomorphic merge by
-    canonical form.  Probabilities are summed in outcome order, once per
-    match an outcome stands for, and entries keep first-appearance order.
-    Orbit members share a family, so a weight, and the first member is the
-    representative: the sums are those of the full match list.
+    canonical form.  When an outcome is applied, the images of its match
+    under the automorphisms recorded with the agent's canonical form
+    (`agent._autos`; none if it has not been canonicalised) and under the
+    rule's `name_swaps` give isomorphic results, so their effect keys join
+    the same result, and later outcomes among them are neither applied nor
+    canonicalised.  The walk over those images stops after as many as the
+    action has outcomes.
     """
-    if not outcomes:
-        raise ValueError("action_distribution: empty outcome list")
-    scale, total = normaliser(outcomes)
+    autos = [(nodes, edges, {}) for nodes, edges in agent._autos or ()]
     by_effect: dict[tuple, int] = {}
     by_canon: dict[bytes, int] = {}
-    entries: list[list] = []  # [result, probability]
+    results: list[Bigraph] = []
+    joined: list[int] = []
     for oc in outcomes:
         effect = effect_key(oc.rule, oc.match)
         i = by_effect.get(effect)
         if i is None:
             succ = apply(agent, oc.rule, oc.match)
-            i = by_canon.setdefault(canonical_form(succ), len(entries))
-            if i == len(entries):
-                entries.append([succ, 0.0])
+            i = by_canon.setdefault(canonical_form(succ), len(results))
+            if i == len(results):
+                results.append(succ)
             by_effect[effect] = i
+            moves = autos + [({}, {}, links) for links in oc.rule.name_swaps]
+            if moves and len(outcomes) > 1:
+                for image in _orbit(oc.match, moves, len(outcomes)):
+                    by_effect.setdefault(effect_key(oc.rule, image), i)
+        joined.append(i)
+    return results, joined
+
+
+def action_distribution(agent: Bigraph, outcomes: list[Outcome],
+                        action: str = "") -> list[tuple[Bigraph, float]]:
+    """Normalise one action's outcomes into a distribution over result states.
+
+    Each match (every one counts, symmetric ones too) has probability
+    weight / total weight, with both scaled by :func:`normaliser`.  The
+    results are those of :func:`_successors`, which applies and
+    canonicalises one outcome per effect and per orbit of the agent's
+    automorphisms.  Probabilities are summed in outcome order, once per
+    match an outcome stands for, and entries keep first-appearance order.
+    Orbit members share a family, so a weight, and the first member is the
+    representative: the sums are those of the full match list.  A share
+    that rounds to 0 raises :class:`ParameterLimit` naming the rule and
+    `action`: a transition of probability 0 would be written.
+    """
+    if not outcomes:
+        raise ValueError("action_distribution: empty outcome list")
+    scale, total = normaliser(outcomes)
+    results, joined = _successors(agent, outcomes)
+    probs = [0.0] * len(results)
+    for oc, i in zip(outcomes, joined):
         share = oc.weight / scale / total
+        if share == 0.0:
+            line, col = oc.rule.pos
+            raise ParameterLimit(
+                f"{line}:{col}: rule {oc.rule.base}: its probability in action {action}"
+                f" rounds to 0 (weight {oc.weight!r})"
+            )
         for _ in range(oc.multiplicity):
-            entries[i][1] += share
-    return [(g, p) for g, p in entries]
+            probs[i] += share
+    return list(zip(results, probs))

@@ -357,6 +357,33 @@ def per_entry_enabled_outcomes(agent: Bigraph, model) -> dict[str, list]:
     return {}
 
 
+def reference_action_distribution(agent: Bigraph, outcomes: list) -> list:
+    """`rules.action_distribution` as it was before the agent's automorphisms
+    let outcomes skip `apply`: every outcome whose effect key is new is
+    applied and canonicalised, and isomorphic results merge by canonical
+    form.  The weights are normalised by the same `rules.normaliser`."""
+    from tickgraph.canon import canonical_form
+    from tickgraph.rules import apply, effect_key, normaliser
+
+    scale, total = normaliser(outcomes)
+    by_effect: dict[tuple, int] = {}
+    by_canon: dict[bytes, int] = {}
+    entries: list[list] = []  # [result, probability]
+    for oc in outcomes:
+        effect = effect_key(oc.rule, oc.match)
+        i = by_effect.get(effect)
+        if i is None:
+            succ = apply(agent, oc.rule, oc.match)
+            i = by_canon.setdefault(canonical_form(succ), len(entries))
+            if i == len(entries):
+                entries.append([succ, 0.0])
+            by_effect[effect] = i
+        share = oc.weight / scale / total
+        for _ in range(oc.multiplicity):
+            entries[i][1] += share
+    return [(g, p) for g, p in entries]
+
+
 # ---------------------------------------------------------------------------
 # rule outcomes by expansion: every valuation becomes a concrete rule that is
 # matched on its own, an independent route to what one symbolic match per

@@ -140,6 +140,25 @@ def test_huge_weights_normalise_without_overflow(tmp_path):
     assert first == {"r1", "r2"}
 
 
+def test_probability_that_rounds_to_zero_is_a_limit(tmp_path):
+    # 1e-30 against 1e300: the share of `stay` underflows to 0.0; no row of
+    # probability 0 is exported, and no cache is written that the next run
+    # would refuse
+    big, tiny = "1" + "0" * 300 + ".0", "0." + "0" * 29 + "1"
+    model = tmp_path / "zero.big"
+    model.write_text(
+        "atomic ctrl A = 0;\natomic ctrl B = 0;\n"
+        f"react go_b = A -[{big}]-> B;\nreact stay = A -[{tiny}]-> A;\nbig start = A;\n"
+        "begin abrs\n  init start;\n  rules = [ {go_b, stay} ];\n"
+        "  actions = [ go = {go_b, stay} ];\nend\n"
+    )
+    for command in ("export", "build"):
+        r = run(command, model, "--out", tmp_path)
+        assert r.returncode == 3, r.stderr
+        assert "4:1: rule stay: its probability in action go rounds to 0" in r.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["zero.big"]
+
+
 def test_validate_empty_file(tmp_path):
     bad = tmp_path / "empty.big"
     bad.write_text("")

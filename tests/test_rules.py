@@ -522,3 +522,23 @@ def test_enabled_outcomes_equal_per_entry_search(name):
     if name == "condition-in-image":
         # C|A, A|A (fin blocked: a deadlock), C|B, A|B, B|B
         assert (mdp.n_states, blocked) == (5, 2)
+
+
+def test_probabilities_sum_left_to_right():
+    # 0.1 + 0.2 + 0.3 is 0.6000000000000001 left to right; Python 3.12's
+    # compensated `sum` gives 0.6 and would change every share below
+    text = (
+        "atomic ctrl A = 0;\natomic ctrl B = 0;\natomic ctrl C = 0;\natomic ctrl D = 0;\n"
+        "react r1 = A -[0.1]-> B;\nreact r2 = A -[0.2]-> C;\nreact r3 = A -[0.3]-> D;\n"
+        "big start = A;\n"
+        "begin abrs\n  init start;\n  rules = [ {r1, r2, r3} ];\n"
+        "  actions = [ go = {r1, r2, r3} ];\nend\n"
+    )
+    model = elaborate(parse(text))
+    outcomes = enabled_outcomes(model.init, model)["go"]
+    assert rules.normaliser(outcomes) == (1.0, 0.6000000000000001)
+    dist = explore(model).choices[0][0].dist
+    assert [repr(p) for _t, p in dist] == [
+        "0.16666666666666666", "0.3333333333333333", "0.4999999999999999"
+    ]
+
