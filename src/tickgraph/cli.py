@@ -35,7 +35,7 @@ from .mdp import (
     save_mdp,
 )
 from .params import ParameterLimit
-from .rules import apply, enabled_outcomes, normaliser
+from .rules import apply, enabled_outcomes, integer_weights
 from .verify import UnknownLabel, check, label
 
 log = logging.getLogger("tickgraph")
@@ -213,15 +213,12 @@ def cmd_simulate(args) -> int:
         actions = list(per_action)
         action = actions[rng.randrange(len(actions))]
         outcomes = per_action[action]
-        scale, total = normaliser(outcomes)
-        pick = rng.random() * total
-        acc = 0.0
-        chosen = outcomes[-1]
-        for oc in outcomes:
-            acc += oc.weight / scale
-            if pick < acc:
-                chosen = oc
+        weights = integer_weights(outcomes)
+        pick = rng.randrange(sum(weights))
+        for chosen, w in zip(outcomes, weights):
+            if pick < w:
                 break
+            pick -= w
         state = apply(state, chosen.rule, chosen.match)
         print(f"{step}, {action}, {chosen.name}, {canonical_digest(state)[:16]}")
     return EXIT_OK

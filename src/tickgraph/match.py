@@ -144,11 +144,10 @@ class Tables:
 
 
 class _Search:
-    def __init__(self, host: Host, pat: Tables, domains, excluded):
+    def __init__(self, host: Host, pat: Tables, domains):
         self.host = host
         self.pat = pat
         self.domains = domains or {}
-        self.excluded = excluded
         self.results: list[Match] = []
         self.nmap: list[int] = [-1] * len(pat.ctrl)
         self.emap: dict[int, int] = {}
@@ -187,7 +186,7 @@ class _Search:
         var = pat_param.name if isinstance(pat_param, Var) else None
         dom = self.domains.get(var) if var is not None else None
         for u in self._candidates(p):
-            if host.ctrl[u] != name or u in self.used_nodes or u in self.excluded:
+            if host.ctrl[u] != name or u in self.used_nodes:
                 continue
             # child count feasibility: equality without a site, lower bound with one
             have = len(host.kids[u])
@@ -292,8 +291,8 @@ class _OrbitSearch(_Search):
     """A search that keeps, of each orbit under permutations inside
     `groups`, the match whose images ascend inside every group."""
 
-    def __init__(self, host: Host, pat: Tables, domains, excluded, groups):
-        super().__init__(host, pat, domains, excluded)
+    def __init__(self, host: Host, pat: Tables, domains, groups):
+        super().__init__(host, pat, domains)
         # group member -> [the neighbour mapped before it whose image its own
         # must exceed, the one whose image its own must stay below]
         self.bounds: dict[int, list[int | None]] = {}
@@ -321,15 +320,13 @@ def occurrences(
     pattern: Bigraph,
     *,
     domains: dict[str, set[int]] | None = None,
-    excluded: frozenset[int] = frozenset(),
     groups: tuple[tuple[int, ...], ...] = (),
 ) -> list[Match]:
     """Complete, duplicate-free, deterministically ordered list of matches.
 
     `agent` is a ground bigraph, or the :class:`Host` of one shared by
     several searches of it.  `domains` restricts what values pattern
-    parameter variables may bind.  `excluded` bans agent entities from the
-    image (negative context checks).  With `groups` (disjoint tuples of
+    parameter variables may bind.  With `groups` (disjoint tuples of
     interchangeable pattern entities) the list holds one match per orbit,
     each the orbit's first member; the caller must know that the groups are
     interchangeable.
@@ -338,5 +335,5 @@ def occurrences(
     if pattern._tables is None:  # built on first use, kept with the pattern
         pattern._tables = Tables(pattern)
     if groups:
-        return _OrbitSearch(host, pattern._tables, domains, excluded, groups).run()
-    return _Search(host, pattern._tables, domains, excluded).run()
+        return _OrbitSearch(host, pattern._tables, domains, groups).run()
+    return _Search(host, pattern._tables, domains).run()

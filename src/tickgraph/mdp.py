@@ -80,8 +80,9 @@ def explore(model: Model, max_states: int = 100_000) -> Mdp:
     state's automorphisms map onto one another only the first is applied
     and canonicalised (see `rules.action_distribution`; every state was
     canonicalised, and its automorphisms recorded, when it was discovered).
-    The distributions are those of every match.  A rule's probability that
-    rounds to 0 raises `params.ParameterLimit`.
+    The distributions are those of every match, each probability summed
+    exactly and rounded once.  A rule's probability that rounds to 0 raises
+    `params.ParameterLimit`.
     At log level INFO each BFS level logs its depth, frontier size, the
     states discovered so far and the rate since the start.
     """
@@ -100,7 +101,7 @@ def explore(model: Model, max_states: int = 100_000) -> Mdp:
         next_frontier: list[int] = []
         for s in frontier:
             agent = states[s]
-            for action, outcomes in enabled_outcomes(agent, model, orbits=True).items():
+            for action, outcomes in enabled_outcomes(agent, model).items():
                 dist: list[tuple[int, float]] = []
                 for succ, prob in action_distribution(agent, outcomes, action):
                     key = canonical_form(succ)
@@ -212,9 +213,10 @@ def export_dot(mdp: Mdp) -> str:
 # ---------------------------------------------------------------------------
 # cache (one JSON document)
 
-# Names the layout and the canonical-form encoding; bump it when either
-# changes.  A cache of another format, package version or model key is rebuilt.
-_FORMAT = "tickgraph-mdp/1"
+# Names the layout, the canonical-form encoding and how probabilities are
+# rounded; bump it when any of them changes.  A cache of another format,
+# package version or model key is rebuilt.
+_FORMAT = "tickgraph-mdp/2"
 
 
 def save_mdp(path, mdp: Mdp, model_hash: str) -> None:

@@ -11,15 +11,18 @@ Predicate families (:class:`Pattern`) are matched the same way.
 
 Priority classes are global and ordered: a rule may fire only when no rule
 of any earlier class has a condition-satisfying match.  Weights turn the
-matches of one action in one state into a probability distribution.
+matches of one action in one state into a probability distribution, summed
+exactly as integers (:func:`integer_weights`) and rounded once per
+probability.
 
 Symmetric clocks: a tick such as ``LC(c1){l1} | ... | LC(ck){lk}`` matches
 k interchangeable siblings in all k! orders, and every order leads to the
 same successor.  When the model is built, each family's groups of
 interchangeable redex entities are found once (:attr:`Model.groups`).
-Exploration then matches each family once per orbit of those groups: the
-search keeps the orbit's first member, and its outcome carries the orbit
-size as a multiplicity, so every match still counts toward the weights.
+Each family is then matched once per orbit of those groups: the search
+keeps the orbit's first member, and its outcome carries the orbit size as a
+multiplicity, so every match still counts toward the weights.  A caller
+that needs every match clears `groups` on a copy of the model.
 
 Symmetric states: interchangeable tokens make many outcomes whose results
 are isomorphic, because an automorphism of the state maps one match onto
@@ -34,8 +37,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field, replace
-from functools import reduce
-from operator import add
 
 from .bigraph import Bigraph, Control, Link, Ref
 from .canon import canonical_form
@@ -182,8 +183,9 @@ def effect_key(rule: RuleFamily, m: Match) -> tuple:
     the agent entities it carries, in entity order.  Siblings are sorted,
     so matches that only permute equal-valued interchangeable entities
     share one key (the clocks of a tick, in the full match list;
-    exploration matches them once per orbit).  A None parameter is written as ``()`` and a value
-    as ``(v,)``, so sorting never compares None with an int.
+    :func:`enabled_outcomes` matches them once per orbit).  A None parameter
+    is written as ``()`` and a value as ``(v,)``, so sorting never compares
+    None with an int.
     """
     reactum = rule.reactum
     values = _reactum_values(rule, m.binding_env())
@@ -598,8 +600,7 @@ def _groups(fam: RuleFamily, domains) -> Groups:
     return tuple(groups)
 
 
-def enabled_outcomes(agent: Bigraph, model: Model, *,
-                     orbits: bool = False) -> dict[str, list[Outcome]]:
+def enabled_outcomes(agent: Bigraph, model: Model) -> dict[str, list[Outcome]]:
     """Outcomes of the highest priority class with any valid match, by action.
 
     Actions appear in declaration order; the mapping is empty iff no rule
@@ -609,10 +610,8 @@ def enabled_outcomes(agent: Bigraph, model: Model, *,
     exclusions.  A match is blocked when some occurrence of the condition
     lies wholly outside its image.
 
-    By default every match is an outcome (`simulate` picks one match, and
-    its name comes from the binding).  With `orbits`, a family with
-    `model.groups` is searched once per orbit of its matches under
-    permutations inside the groups: each outcome is its orbit's first
+    A family with `model.groups` is searched once per orbit of its matches
+    under permutations inside the groups: each outcome is its orbit's first
     member in match order and has the orbit size, the product of the group
     sizes' factorials, as its multiplicity.
     """
@@ -623,7 +622,7 @@ def enabled_outcomes(agent: Bigraph, model: Model, *,
         found = valid.get(fam.base)
         if found is None:
             search = model.searches[fam.base]
-            groups = model.groups.get(fam.base, ()) if orbits else ()
+            groups = model.groups.get(fam.base, ())
             matches = occurrences(host, fam.redex, domains=search.match_domains, groups=groups)
             if matches and fam.condition is not None:
                 blockers = [frozenset(c.nodes) for c in occurrences(host, fam.condition)]
@@ -642,18 +641,13 @@ def enabled_outcomes(agent: Bigraph, model: Model, *,
     return {}
 
 
-def normaliser(outcomes: list[Outcome]) -> tuple[float, float]:
-    """(scale, total) for one action: every match's weight divided by `scale`
-    sums to `total`, which is finite.  The scale is 1 unless the plain sum
-    overflows; then it is the largest weight.  Sums run left to right, so
-    every Python version gives the same bits (from 3.12, `sum` compensates
-    and rounds some totals differently)."""
-    total = reduce(add, (oc.weight for oc in outcomes for _ in range(oc.multiplicity)), 0.0)
-    if total < math.inf:
-        return 1.0, total
-    scale = max(oc.weight for oc in outcomes)
-    terms = (oc.weight / scale for oc in outcomes for _ in range(oc.multiplicity))
-    return scale, reduce(add, terms, 0.0)
+def integer_weights(outcomes: list[Outcome]) -> list[int]:
+    """Each outcome's weight times its multiplicity, as integers over one
+    common power of two (the largest denominator of a weight), so that sums
+    of them are exact."""
+    ratios = [oc.weight.as_integer_ratio() for oc in outcomes]
+    common = max(d for _n, d in ratios)
+    return [n * (common // d) * oc.multiplicity for (n, d), oc in zip(ratios, outcomes)]
 
 
 def _orbit(m: Match, moves: list, cap: int) -> list[Match]:
@@ -728,29 +722,27 @@ def action_distribution(agent: Bigraph, outcomes: list[Outcome],
     """Normalise one action's outcomes into a distribution over result states.
 
     Each match (every one counts, symmetric ones too) has probability
-    weight / total weight, with both scaled by :func:`normaliser`.  The
-    results are those of :func:`_successors`, which applies and
-    canonicalises one outcome per effect and per orbit of the agent's
-    automorphisms.  Probabilities are summed in outcome order, once per
-    match an outcome stands for, and entries keep first-appearance order.
-    Orbit members share a family, so a weight, and the first member is the
-    representative: the sums are those of the full match list.  A share
+    weight / total weight.  The results are those of :func:`_successors`,
+    which applies and canonicalises one outcome per effect and per orbit of
+    the agent's automorphisms; entries keep first-appearance order.  The
+    :func:`integer_weights` of the outcomes joining a result are summed
+    exactly and divided by the action's total once, so each probability is
+    correctly rounded and a single result gets exactly 1.0.  A match's share
     that rounds to 0 raises :class:`ParameterLimit` naming the rule and
     `action`: a transition of probability 0 would be written.
     """
     if not outcomes:
         raise ValueError("action_distribution: empty outcome list")
-    scale, total = normaliser(outcomes)
+    weights = integer_weights(outcomes)
+    total = sum(weights)
     results, joined = _successors(agent, outcomes)
-    probs = [0.0] * len(results)
-    for oc, i in zip(outcomes, joined):
-        share = oc.weight / scale / total
-        if share == 0.0:
+    sums = [0] * len(results)
+    for oc, w, i in zip(outcomes, weights, joined):
+        if w // oc.multiplicity / total == 0.0:
             line, col = oc.rule.pos
             raise ParameterLimit(
                 f"{line}:{col}: rule {oc.rule.base}: its probability in action {action}"
                 f" rounds to 0 (weight {oc.weight!r})"
             )
-        for _ in range(oc.multiplicity):
-            probs[i] += share
-    return list(zip(results, probs))
+        sums[i] += w
+    return [(g, w / total) for g, w in zip(results, sums)]

@@ -13,9 +13,11 @@ value iteration in state order.
 
 from __future__ import annotations
 
+import copy
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from tickgraph.bigraph import Bigraph, Ref
 from tickgraph.params import Var, term_eval
@@ -272,9 +274,18 @@ class OracleMdp:
         return sum(len(d) for cs in self.choices for _a, d in cs)
 
 
+def every_match(model):
+    """A copy of `model` without groups of interchangeable redex entities, so
+    that `rules.enabled_outcomes` gives every match as an outcome."""
+    model = copy.copy(model)
+    model.groups = {}
+    return model
+
+
 def oracle_explore(model, max_states=50000) -> OracleMdp:
     from tickgraph.rules import apply, enabled_outcomes
 
+    model = every_match(model)
     out = OracleMdp()
     buckets: dict[tuple, list[int]] = {}
 
@@ -327,7 +338,7 @@ def oracle_explore(model, max_states=50000) -> OracleMdp:
 
 def entry_outcomes(agent: Bigraph, entry) -> list:
     """The entry's outcomes from its own redex search over its domains, each
-    match checked against the condition with the image excluded."""
+    match blocked by a condition occurrence disjoint from its image."""
     from dataclasses import replace
 
     from tickgraph.match import occurrences
@@ -336,13 +347,20 @@ def entry_outcomes(agent: Bigraph, entry) -> list:
     fam, pat = entry.family, entry.pattern
     out = []
     for m in occurrences(agent, fam.redex, domains=pat.match_domains):
-        if fam.condition is not None and occurrences(agent, fam.condition, excluded=m.image):
+        if fam.condition is not None and _blocked(agent, fam.condition, m):
             continue
         for values in pat.valuations(m.binding):
             env = dict(zip(fam.formal, values))
             full = replace(m, binding=tuple(sorted(env.items())))
             out.append(Outcome(fam, full, fam.weight))
     return out
+
+
+def _blocked(agent: Bigraph, condition: Bigraph, m) -> bool:
+    """Whether some occurrence of `condition` lies wholly outside `m`'s image."""
+    from tickgraph.match import occurrences
+
+    return any(m.image.isdisjoint(c.nodes) for c in occurrences(agent, condition))
 
 
 def per_entry_enabled_outcomes(agent: Bigraph, model) -> dict[str, list]:
@@ -358,17 +376,17 @@ def per_entry_enabled_outcomes(agent: Bigraph, model) -> dict[str, list]:
 
 
 def reference_action_distribution(agent: Bigraph, outcomes: list) -> list:
-    """`rules.action_distribution` as it was before the agent's automorphisms
-    let outcomes skip `apply`: every outcome whose effect key is new is
-    applied and canonicalised, and isomorphic results merge by canonical
-    form.  The weights are normalised by the same `rules.normaliser`."""
+    """`rules.action_distribution` by exact arithmetic, with no skipped
+    `apply`: every outcome whose effect key is new is applied and
+    canonicalised, isomorphic results merge by canonical form, and each
+    result's probability is its weight sum over the action's, taken as a
+    `Fraction` and rounded once.  Pass every match (see :func:`every_match`)."""
     from tickgraph.canon import canonical_form
-    from tickgraph.rules import apply, effect_key, normaliser
+    from tickgraph.rules import apply, effect_key
 
-    scale, total = normaliser(outcomes)
     by_effect: dict[tuple, int] = {}
     by_canon: dict[bytes, int] = {}
-    entries: list[list] = []  # [result, probability]
+    entries: list[list] = []  # [result, weight sum]
     for oc in outcomes:
         effect = effect_key(oc.rule, oc.match)
         i = by_effect.get(effect)
@@ -376,12 +394,11 @@ def reference_action_distribution(agent: Bigraph, outcomes: list) -> list:
             succ = apply(agent, oc.rule, oc.match)
             i = by_canon.setdefault(canonical_form(succ), len(entries))
             if i == len(entries):
-                entries.append([succ, 0.0])
+                entries.append([succ, Fraction(0)])
             by_effect[effect] = i
-        share = oc.weight / scale / total
-        for _ in range(oc.multiplicity):
-            entries[i][1] += share
-    return [(g, p) for g, p in entries]
+        entries[i][1] += Fraction(oc.weight) * oc.multiplicity
+    total = sum(w for _g, w in entries)
+    return [(g, float(w / total)) for g, w in entries]
 
 
 # ---------------------------------------------------------------------------
@@ -451,9 +468,7 @@ def expanded_outcomes(agent: Bigraph, model) -> dict[str, list[tuple[str, bytes,
             domains = dict(zip(entry.family.formal, entry.domains))
             for rule in expand(entry.family, domains):
                 for m in occurrences(agent, rule.redex):
-                    if rule.condition is not None and occurrences(
-                        agent, rule.condition, excluded=m.image
-                    ):
+                    if rule.condition is not None and _blocked(agent, rule.condition, m):
                         continue
                     succ = canonical_form(apply(agent, rule, m))
                     action = model.action_of[entry.family.base]

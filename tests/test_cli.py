@@ -420,11 +420,11 @@ GOLDEN_SHA256 = {
     "pta.tra": "3374feb4ff9e960969c72cc1738b3ccf29ec3976fe1c3b80acd5d716b904814e",
     "pta.lab": "2ce296a1c435fa65220cff9fa9911d2cb70b16eefafc91073a4cc478f538ff55",
     "pta.sta": "175bba0bb76ed18e6b4f693165696c454bc1505e51f04fc254837424f6124c95",
-    "pta.mdpc": "61b772dbddbf43965c65374c2a7b3b6ca800e32db45d400e5b86f4b2fec58e6b",
+    "pta.mdpc": "b3c3e9158c5e2afa9262a8068594c80f963f442173511ee5c51b4a593e26f6bf",
     "cloud.tra": "cebaa729421fbd153196b4ea859114e73d3448951845e8bf36d3916ffd4b8642",
     "cloud.lab": "642668c1b3f38a4bf9a35664d9eeea5bc684074cc06a05ece6eddfc0da5ddef7",
     "cloud.sta": "1dd38d05bcac6342d0cc07e0d356753096f5df57ab32ff57faf5a095e6c15bec",
-    "cloud.mdpc": "f1775cff5a8f36575a8dbe81ccb2bf78b0bac1ec2bb55357afdef0daffb0601f",
+    "cloud.mdpc": "1e8997ff9e73f667b06dfdfd5405960408fed0f62e45f0b20ab5033fad65f746",
 }
 
 
@@ -481,6 +481,54 @@ def test_cache_reuse(tmp_path):
     cache.write_bytes(cache.read_bytes()[:-18])
     r3 = run("build", MODELS / "pta.big", "--out", tmp_path, "--json")
     assert json.loads(r3.stdout)["cache_digest"] == digest
+
+
+def test_tick9_cache_is_reused(tmp_path):
+    # every probability is exactly 1.0, so the cache passes load_mdp's checks
+    model = MODELS.parent / "tests" / "data" / "tick9.big"
+    env = dict(os.environ, TICKGRAPH_LOG="info")
+    logs = []
+    for _ in range(2):
+        r = subprocess.run([sys.executable, "-m", "tickgraph", "build", model, "--out", tmp_path],
+                           capture_output=True, text=True, env=env)
+        assert r.returncode == 0, r.stderr
+        assert "4 states, 3 choices, 3 transitions" in r.stdout
+        logs.append(r.stderr)
+    assert "reusing cache" not in logs[0] and "reusing cache" in logs[1]
+
+
+@pytest.mark.parametrize("name", ["cloud", "tick5"])
+def test_simulate_follows_the_built_mdp(tmp_path, name):
+    # each printed digest is that of a successor, under the printed action,
+    # of the state before it
+    from tickgraph.canon import canonical_digest
+    from tickgraph.elaborate import load_model
+    from tickgraph.mdp import explore
+
+    from .conftest import tick_model
+
+    if name == "cloud":
+        model = MODELS / "cloud.big"
+    else:
+        model = tmp_path / "tick5.big"
+        model.write_text(tick_model(5))
+    mdp = explore(load_model(model))
+    digests = [canonical_digest(g)[:16] for g in mdp.states]
+    for seed in range(3):
+        r = run("simulate", model, "--seed", seed, "--steps", 25)
+        assert r.returncode == 0, r.stderr
+        lines = r.stdout.splitlines()
+        s = 0
+        for step, line in enumerate(lines):
+            if line == f"deadlock at step {step}":
+                assert not mdp.choices[s] and step == len(lines) - 1
+                break
+            printed_step, action, _rule, digest = line.split(", ")
+            assert int(printed_step) == step
+            (choice,) = [c for c in mdp.choices[s] if c.action == action]
+            (s,) = [t for t, _p in choice.dist if digests[t] == digest]
+        else:
+            assert len(lines) == 25
 
 
 def test_eight_interchangeable_tokens_build(tmp_path):

@@ -194,13 +194,13 @@ def test_cloud_fragment_matches_expanded_instances():
     from tickgraph.canon import canonical_form
     from tickgraph.rules import action_distribution, apply, enabled_outcomes
 
-    from .oracle import expanded_outcomes
+    from .oracle import every_match, expanded_outcomes
 
     text = read("cloud.big")
     for name in ("request1Clock", "request2Clock", "request3Clock", "request4Clock"):
         text = text.replace(f"int {name} = {{0,1,2,3,4,5,6,7,8}};", f"int {name} = {{0,1,2}};")
     text = text.replace("int gc = {0,1,2,3,4,5,6,7,8,9,10,11,12};", "int gc = {0,1,2};")
-    model = elaborate(parse(text))
+    model = every_match(elaborate(parse(text)))
 
     state = model.init
     for _step in range(3):

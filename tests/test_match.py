@@ -119,15 +119,6 @@ def test_distinct_open_names_need_distinct_edges():
     assert len(occurrences(agent, shared)) == 2  # the two symmetric port pairings
 
 
-def test_excluded_nodes():
-    agent = sensor_state()
-    data_pat = ion(DATA)
-    ms = occurrences(agent, data_pat)
-    assert len(ms) == 1
-    banned = frozenset(ms[0].nodes)
-    assert occurrences(agent, data_pat, excluded=banned) == []
-
-
 def test_anchor_not_in_image():
     # pattern A || B cannot match agent A.B: region 1's anchor would be A's image
     A = Control("A")
@@ -324,12 +315,11 @@ def check_agreement(seed: int) -> tuple[int, int]:
         dom = rng.choice([None, {0}, {1}, {0, 1}])
         if dom is not None:
             domains[v] = dom
-    excluded = frozenset(rng.sample(range(agent.nnodes), 1)) if rng.random() < 0.3 else frozenset()
-    found = occurrences(agent, pattern, domains=domains, excluded=excluded)
+    found = occurrences(agent, pattern, domains=domains)
     assert found == sorted(found, key=Match.sort_key)
     got = {(m.nodes, m.edges, m.binding) for m in found}
     assert len(got) == len(found)
-    want = brute_occurrences(agent, pattern, domains=domains, excluded=excluded)
+    want = brute_occurrences(agent, pattern, domains=domains)
     assert got == want, f"seed {seed}: matcher={got} oracle={want}"
     return len(want), len(want) if second_root_linked(pattern) else 0
 

@@ -1,8 +1,9 @@
 """Interchangeable redex entities matched once per orbit.
 
-`explore` searches each family once per orbit of its interchangeable redex
-entities (`Model.groups`) and lets each outcome stand for its orbit's
-members.  The full match list, which `simulate` and the oracles use, is the
+`enabled_outcomes` searches each family once per orbit of its
+interchangeable redex entities (`Model.groups`) and lets each outcome stand
+for its orbit's members.  The full match list, which the oracles use (a
+model copy without groups, `tests/oracle.py::every_match`), is the
 reference: the representatives are its orbit-first members, their
 multiplicities count it, and the distributions built from them are equal
 float for float.
@@ -24,6 +25,7 @@ from tickgraph.params import Var
 from tickgraph.rules import action_distribution, enabled_outcomes
 
 from .conftest import tick_model
+from .oracle import every_match
 from .test_cli import MODELS
 from .test_rules import _perfbench_gen
 
@@ -69,8 +71,8 @@ def _same_distribution(a, b) -> bool:
 def _check_orbits(model, agent):
     """Orbit outcomes against the full list in one state; returns the number
     of matches that orbits saved."""
-    full = enabled_outcomes(agent, model)
-    orbit = enabled_outcomes(agent, model, orbits=True)
+    full = enabled_outcomes(agent, every_match(model))
+    orbit = enabled_outcomes(agent, model)
     assert list(orbit) == list(full)
     saved = 0
     for action, ocs in orbit.items():
@@ -118,8 +120,7 @@ def test_orbit_outcomes_stand_for_every_match(name):
 def test_explore_equals_explore_over_every_match(name):
     model = _model(name)
     mdp = explore(model)
-    model.groups = {}  # every match an outcome, as before orbits
-    ref = explore(model)
+    ref = explore(every_match(model))
     assert mdp.canon == ref.canon
     assert [[(c.action, c.dist) for c in cs] for cs in mdp.choices] == [
         [(c.action, c.dist) for c in cs] for cs in ref.choices
@@ -129,9 +130,9 @@ def test_explore_equals_explore_over_every_match(name):
 def test_cloud_tick_is_one_outcome_for_24_matches():
     model = _model("cloud")
     assert model.groups == {"clock_advance": ((1, 2, 3, 4),)}
-    (tick,) = enabled_outcomes(model.init, model, orbits=True)["tick"]
+    (tick,) = enabled_outcomes(model.init, model)["tick"]
     assert tick.multiplicity == 24
-    assert len(enabled_outcomes(model.init, model)["tick"]) == 24
+    assert len(enabled_outcomes(model.init, every_match(model))["tick"]) == 24
 
 
 def test_eight_clock_tick_matches_once_per_state(monkeypatch):
@@ -238,7 +239,7 @@ def test_unequal_domains_across_entries_are_not_collapsed():
     assert len(model.groups["f"]) == 1
     model = elaborate(parse(text.format(react=react, rules="{f(u, v)}, {f(v, u)}")))
     assert model.groups == {}
-    (oc,) = enabled_outcomes(model.init, model, orbits=True)["go"]
+    (oc,) = enabled_outcomes(model.init, model)["go"]
     assert (oc.match.binding, oc.multiplicity) == ((("m", 1), ("n", 0)), 1)
     for agent in explore(model).states:
         _check_orbits(model, agent)

@@ -4,8 +4,12 @@ import math
 import pathlib
 import random
 import sys
+from dataclasses import replace
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tickgraph import rules
 from tickgraph.bigraph import Control, close, ion, merge, nest, parallel, site, validate
@@ -14,7 +18,7 @@ from tickgraph.elaborate import elaborate, load_model
 from tickgraph.lang import parse
 from tickgraph.match import occurrences
 from tickgraph.mdp import explore
-from tickgraph.params import Arith, Var
+from tickgraph.params import Arith, ParameterLimit, Var
 from tickgraph.rules import (
     Model,
     RuleEntry,
@@ -35,8 +39,15 @@ from .conftest import (
     loc_state,
     pta_families,
     pta_state,
+    tick_model,
 )
-from .oracle import class_instance_names, expand, instantiate, per_entry_enabled_outcomes
+from .oracle import (
+    class_instance_names,
+    every_match,
+    expand,
+    instantiate,
+    per_entry_enabled_outcomes,
+)
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -132,7 +143,8 @@ def test_negative_condition_sees_site_content():
     agent = nest(ion(box), ion(stop))
     (m,) = occurrences(agent, fam.redex)
     assert m.site_images == ((0,),) or len(m.site_images[0]) == 1
-    assert occurrences(agent, ion(stop), excluded=m.image)  # Stop is in the context
+    (stop_at,) = occurrences(agent, ion(stop))
+    assert m.image.isdisjoint(stop_at.nodes)  # Stop is in the context
     model = Model(
         controls={c.name: c for c in (stop, box, out)},
         classes=[[RuleEntry(fam, ())]],
@@ -428,12 +440,13 @@ def _model(name):
 )
 def test_effect_key_is_sound(name):
     # outcomes with equal effect keys must give isomorphic results, in every
-    # reachable state; action_distribution applies only one of them
+    # reachable state and over every match; action_distribution applies
+    # only one of them
     model = _model(name)
     outcomes = groups = 0
     mdp = explore(model)
     for agent in mdp.states:
-        for ocs in enabled_outcomes(agent, model).values():
+        for ocs in enabled_outcomes(agent, every_match(model)).values():
             by_effect: dict[tuple, list] = {}
             for oc in ocs:
                 by_effect.setdefault(effect_key(oc.rule, oc.match), []).append(oc)
@@ -453,15 +466,15 @@ def test_effect_key_is_sound(name):
 def test_tick_applies_once_per_effect(monkeypatch):
     model = _model("cloud")
     agent = model.init
-    tick = enabled_outcomes(agent, model)["tick"]
+    tick = enabled_outcomes(agent, every_match(model))["tick"]
     assert len(tick) == 24
     calls = []
     real = rules.apply
     monkeypatch.setattr(rules, "apply", lambda *a: calls.append(a) or real(*a))
     dist = action_distribution(agent, tick)
     assert len(calls) == 1
-    # one entry, and every matched instance still adds its probability share
-    assert [p for _g, p in dist] == [sum([1 / 24] * 24)]
+    # one entry, and every matched instance adds its share exactly
+    assert [p for _g, p in dist] == [1.0]
 
 
 def test_distinct_effects_merge_by_canonical_form(monkeypatch):
@@ -515,7 +528,7 @@ def test_enabled_outcomes_equal_per_entry_search(name):
     mdp = explore(model)
     blocked = 0
     for agent in mdp.states:
-        got = enabled_outcomes(agent, model)
+        got = enabled_outcomes(agent, every_match(model))
         want = per_entry_enabled_outcomes(agent, model)
         assert list(got.items()) == list(want.items())
         blocked += not got
@@ -524,9 +537,9 @@ def test_enabled_outcomes_equal_per_entry_search(name):
         assert (mdp.n_states, blocked) == (5, 2)
 
 
-def test_probabilities_sum_left_to_right():
-    # 0.1 + 0.2 + 0.3 is 0.6000000000000001 left to right; Python 3.12's
-    # compensated `sum` gives 0.6 and would change every share below
+def test_probabilities_are_correctly_rounded():
+    # 1/6, 2/6 and 3/6 of the exact sum of 0.1, 0.2 and 0.3, each rounded
+    # once; summing floats left to right gives 0.4999999999999999 for r3
     text = (
         "atomic ctrl A = 0;\natomic ctrl B = 0;\natomic ctrl C = 0;\natomic ctrl D = 0;\n"
         "react r1 = A -[0.1]-> B;\nreact r2 = A -[0.2]-> C;\nreact r3 = A -[0.3]-> D;\n"
@@ -535,10 +548,67 @@ def test_probabilities_sum_left_to_right():
         "  actions = [ go = {r1, r2, r3} ];\nend\n"
     )
     model = elaborate(parse(text))
-    outcomes = enabled_outcomes(model.init, model)["go"]
-    assert rules.normaliser(outcomes) == (1.0, 0.6000000000000001)
     dist = explore(model).choices[0][0].dist
     assert [repr(p) for _t, p in dist] == [
-        "0.16666666666666666", "0.3333333333333333", "0.4999999999999999"
+        "0.16666666666666669", "0.33333333333333337", "0.5"
     ]
+    total = Fraction(0.1) + Fraction(0.2) + Fraction(0.3)
+    assert [p for _t, p in dist] == [float(Fraction(w) / total) for w in (0.1, 0.2, 0.3)]
 
+
+@pytest.mark.parametrize("k", range(2, 11))
+def test_tick_choice_is_exactly_one(k):
+    # k! matches of one tick, each with share 1/k!, sum to exactly 1.0
+    mdp = explore(elaborate(parse(tick_model(k))))
+    assert [c.dist for cs in mdp.choices for c in cs] == [[(1, 1.0)], [(2, 1.0)], [(3, 1.0)]]
+
+
+# four rules from one state, two of them to the same result
+FOUR_WAY = """
+atomic ctrl A = 0;
+atomic ctrl B = 0;
+atomic ctrl C = 0;
+atomic ctrl D = 0;
+react r1 = A -[1]-> B;
+react r2 = A -[1]-> C;
+react r3 = A -[1]-> D;
+react r4 = A -[1]-> B;
+big start = A;
+begin abrs
+  init start;
+  rules = [ {r1, r2, r3, r4} ];
+  actions = [ go = {r1, r2, r3, r4} ];
+end
+"""
+
+
+@functools.cache
+def _four_way():
+    model = elaborate(parse(FOUR_WAY))
+    return model.init, enabled_outcomes(model.init, model)["go"]
+
+
+positive_weights = st.one_of(
+    st.floats(min_value=5e-324, max_value=1.7e308),
+    st.sampled_from([1e-30, 0.1, 0.3, 1.0, 1e300, 1.7e308]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(positive_weights, st.integers(1, 40320)), min_size=4, max_size=4))
+@example([(1.7e308, 1), (1.7e308, 2), (1e308, 1), (1.0, 1)])  # the float sum overflows
+@example([(1e-30, 1), (1e300, 1), (1.0, 1), (1.0, 1)])  # r1's share underflows
+@example([(0.1, 6), (0.2, 1), (0.3, 24), (0.1, 1)])
+def test_probabilities_equal_exact_fractions(ws):
+    agent, outcomes = _four_way()
+    outcomes = [replace(oc, weight=w, multiplicity=m) for oc, (w, m) in zip(outcomes, ws)]
+    exact = [Fraction(w) * m for w, m in ws]
+    total = sum(exact)
+    if any(float(Fraction(w) / total) == 0.0 for w, _m in ws):
+        with pytest.raises(ParameterLimit, match="rounds to 0"):
+            action_distribution(agent, outcomes, "go")
+        return
+    dist = action_distribution(agent, outcomes, "go")
+    # B (r1 and r4), C, D in first-appearance order
+    sums = [exact[0] + exact[3], exact[1], exact[2]]
+    assert [p for _g, p in dist] == [float(x / total) for x in sums]
