@@ -75,27 +75,57 @@ def _model_key(path: str, fix_deadlocks: bool) -> str:
     return file_digest(path) + (":stall" if fix_deadlocks else "")
 
 
+def _out_stem(args) -> str:
+    """`--out` joined with the model file's stem, which `load_model` names
+    the model by."""
+    return os.path.join(args.out, os.path.splitext(os.path.basename(args.model))[0])
+
+
 def _cache_path(args) -> str:
-    stem = os.path.splitext(os.path.basename(args.model))[0]
-    return os.path.join(args.out, stem + ".mdpc")
+    return _out_stem(args) + ".mdpc"
 
 
-def _obtain_mdp(args, model):
-    """Load the cached MDP when fresh, else explore and refresh the cache."""
-    fix = args.fix_deadlocks
-    key = _model_key(args.model, fix)
+def _obtain_mdp(args, model, key: str):
+    """The cached MDP when fresh, else a new exploration; and whether it is new."""
     cache = _cache_path(args)
     mdp = load_mdp(cache, model.controls, key)
     # over the budget, exploring again fails exactly as the first build did
     if mdp is not None and mdp.n_states <= args.max_states:
         log.info("reusing cache %s", cache)
-        return mdp, cache
+        return mdp, False
     mdp = explore(model, max_states=args.max_states)
-    if fix:
+    if args.fix_deadlocks:
         add_stall_loops(mdp)
+    return mdp, True
+
+
+def _save(args, mdp, key: str) -> None:
     os.makedirs(args.out, exist_ok=True)
-    save_mdp(cache, mdp, key)
-    return mdp, cache
+    save_mdp(_cache_path(args), mdp, key)
+
+
+def _labelled_mdp(args):
+    """The labelled MDP that `check` and `export` read.
+
+    A fresh cache with labels answers alone: the model is not elaborated,
+    and no state is decoded or matched.  Otherwise the MDP is obtained as
+    for `build`, labelled and written back with its labels; a write-back
+    that fails only warns.
+    """
+    key = _model_key(args.model, args.fix_deadlocks)
+    cache = _cache_path(args)
+    mdp = load_mdp(cache, None, key)  # only a labelled cache loads without controls
+    if mdp is not None and mdp.n_states <= args.max_states:
+        log.info("reusing cache %s with labels", cache)
+        return mdp
+    model = load_model(args.model)
+    mdp, _new = _obtain_mdp(args, model, key)
+    label(mdp, model.patterns)
+    try:
+        _save(args, mdp, key)
+    except OSError as exc:
+        log.warning("could not write the labelled cache %s: %s", cache, exc)
+    return mdp
 
 
 def cmd_validate(args) -> int:
@@ -123,7 +153,11 @@ def cmd_validate(args) -> int:
 
 def cmd_build(args) -> int:
     model = load_model(args.model)
-    mdp, cache = _obtain_mdp(args, model)
+    key = _model_key(args.model, args.fix_deadlocks)
+    mdp, new = _obtain_mdp(args, model, key)
+    if new:
+        _save(args, mdp, key)
+    cache = _cache_path(args)
     initial_actions = [c.action for c in mdp.choices[0]]
     stats = {
         "model": model.name,
@@ -148,11 +182,9 @@ def cmd_build(args) -> int:
 
 
 def cmd_export(args) -> int:
-    model = load_model(args.model)
-    mdp, _cache = _obtain_mdp(args, model)
-    label(mdp, model.patterns)
+    mdp = _labelled_mdp(args)
     os.makedirs(args.out, exist_ok=True)
-    stem = os.path.join(args.out, model.name)
+    stem = _out_stem(args)
     written = []
     if args.format == "prism":
         tra, lab, sta = export_prism(mdp)
@@ -170,14 +202,12 @@ def cmd_export(args) -> int:
 
 
 def cmd_check(args) -> int:
-    model = load_model(args.model)
     with open(args.props, "r", encoding="utf-8") as fh:
         props = parse_properties(fh.read())
     if not props:
         print("check: no properties in file", file=sys.stderr)
         return EXIT_USAGE
-    mdp, _cache = _obtain_mdp(args, model)
-    label(mdp, model.patterns)
+    mdp = _labelled_mdp(args)
     all_hold = True
     results = []
     for prop in props:

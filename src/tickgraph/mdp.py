@@ -6,8 +6,11 @@ probability distribution over successor states.  Exporters write the PRISM
 explicit-engine triple (.tra/.lab/.sta) and a DOT rendering; both are byte
 deterministic.  The CLI caches a built MDP as one JSON document: the action
 names, each state's canonical form, and each choice as an action index with
-its `[target, probability]` pairs.  It is keyed on the model file's hash,
-`--fix-deadlocks` and the package version, and rebuilt when any differs.
+its `[target, probability]` pairs.  Once labelled (by `check` or `export`)
+it also holds the sorted label names and, per state, sorted indices into
+them; such a cache answers without the model, so its canonical forms are
+not decoded.  It is keyed on the model file's hash, `--fix-deadlocks` and
+the package version, and rebuilt when any differs.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ class Choice:
 
 @dataclass
 class Mdp:
-    states: list[Bigraph]
+    states: list[Bigraph]  # empty when loaded from a labelled cache
     canon: list[bytes]
     choices: list[list[Choice]]
     actions: list[str]  # declared action order
@@ -55,7 +58,7 @@ class Mdp:
 
     @property
     def n_states(self) -> int:
-        return len(self.states)
+        return len(self.canon)
 
     @property
     def n_choices(self) -> int:
@@ -216,19 +219,26 @@ def export_dot(mdp: Mdp) -> str:
 # Names the layout, the canonical-form encoding and how probabilities are
 # rounded; bump it when any of them changes.  A cache of another format,
 # package version or model key is rebuilt.
-_FORMAT = "tickgraph-mdp/2"
+_FORMAT = "tickgraph-mdp/3"
 
 
 def save_mdp(path, mdp: Mdp, model_hash: str) -> None:
+    """Write `mdp` to `path`, with its labels when it has been labelled."""
     action_idx = {a: i for i, a in enumerate(mdp.actions)}
-    text = json.dumps({
+    doc = {
         "format": _FORMAT,
         "version": __version__,
         "key": model_hash,
         "actions": mdp.actions,
         "states": [key.decode("ascii") for key in mdp.canon],
         "choices": [[[action_idx[c.action], c.dist] for c in cs] for cs in mdp.choices],
-    }, separators=(",", ":"))
+    }
+    if mdp.label_names is not None:
+        names = sorted(mdp.label_names)
+        name_idx = {name: i for i, name in enumerate(names)}
+        doc["label_names"] = names
+        doc["labels"] = [sorted(name_idx[name] for name in ls) for ls in mdp.labels]
+    text = json.dumps(doc, separators=(",", ":"))
     # a reader sees the old file or the new one, never a partial write
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
@@ -261,9 +271,22 @@ def _is_choice(x, n_actions: int, n_states: int) -> bool:
     )
 
 
-def load_mdp(path, controls: dict[str, Control], model_hash: str) -> Mdp | None:
+def _is_label_row(x, n_names: int) -> bool:
+    """Strictly increasing indices into the label names."""
+    return type(x) is list and all(_is_index(i, n_names) for i in x) and all(
+        a < b for a, b in zip(x, x[1:])
+    )
+
+
+def load_mdp(path, controls: dict[str, Control] | None, model_hash: str) -> Mdp | None:
     """Reload a cached MDP; None, never an exception, when the file is
-    missing, unreadable or malformed, or has another format, version or key."""
+    missing, unreadable or malformed, or has another format, version or key.
+
+    A labelled cache loads with its labels and without decoding: `states`
+    is empty and the canonical forms are only checked to be distinct ASCII
+    strings.  An unlabelled one is decoded over `controls`; with `controls`
+    None it loads None.
+    """
     try:
         with open(path, "rb") as fh:
             doc = json.loads(fh.read())
@@ -273,20 +296,36 @@ def load_mdp(path, controls: dict[str, Control], model_hash: str) -> Mdp | None:
         return None
     if (doc.get("format"), doc.get("version"), doc.get("key")) != (_FORMAT, __version__, model_hash):
         return None
+    labelled = "label_names" in doc or "labels" in doc
+    if not labelled and controls is None:
+        return None
     actions, texts, table = doc.get("actions"), doc.get("states"), doc.get("choices")
     if not (_is_list_of(actions, str) and _is_list_of(texts, str) and _is_list_of(table, list)):
         return None
-    # one choice list per state, and at least the initial state
-    if not 0 < len(texts) == len(table):
+    # one choice list per state, at least the initial state, no state twice
+    if not 0 < len(texts) == len(table) == len(set(texts)):
         return None
     if not all(_is_choice(c, len(actions), len(texts)) for cs in table for c in cs):
         return None
     try:
         canon = [text.encode("ascii") for text in texts]
-        states = [decode_canonical(key, controls) for key in canon]
-    except ValueError:  # not ASCII, or not a canonical form over these controls
+    except ValueError:
         return None
     choices = [[Choice(actions[a], [(t, p) for t, p in dist]) for a, dist in cs] for cs in table]
+    if labelled:
+        names, rows = doc.get("label_names"), doc.get("labels")
+        if not (_is_list_of(names, str) and len(set(names)) == len(names)):
+            return None
+        if not (type(rows) is list and len(rows) == len(texts)):
+            return None
+        if not all(_is_label_row(row, len(names)) for row in rows):
+            return None
+        labels = [{names[i] for i in row} for row in rows]
+        return Mdp([], canon, choices, actions, labels, label_names=set(names))
+    try:
+        states = [decode_canonical(key, controls) for key in canon]
+    except ValueError:  # not a canonical form over these controls
+        return None
     return Mdp(states, canon, choices, actions, labels=[set() for _ in texts])
 
 

@@ -414,17 +414,18 @@ def test_subcommand_options(capsys):
     assert sum(map(len, expected.values())) == 16
 
 
-# sha256 of the bundled models' exports and caches: a change to matching,
-# exploration, export or the cache format must not move a byte
+# sha256 of the bundled models' exports and caches (labelled, as `export`
+# writes them back): a change to matching, exploration, export or the cache
+# format must not move a byte
 GOLDEN_SHA256 = {
     "pta.tra": "3374feb4ff9e960969c72cc1738b3ccf29ec3976fe1c3b80acd5d716b904814e",
     "pta.lab": "2ce296a1c435fa65220cff9fa9911d2cb70b16eefafc91073a4cc478f538ff55",
     "pta.sta": "175bba0bb76ed18e6b4f693165696c454bc1505e51f04fc254837424f6124c95",
-    "pta.mdpc": "b3c3e9158c5e2afa9262a8068594c80f963f442173511ee5c51b4a593e26f6bf",
+    "pta.mdpc": "9bcb661711ced263e79ef50ad71791dedb4de871325ffd9d40da10be17dd0b97",
     "cloud.tra": "cebaa729421fbd153196b4ea859114e73d3448951845e8bf36d3916ffd4b8642",
     "cloud.lab": "642668c1b3f38a4bf9a35664d9eeea5bc684074cc06a05ece6eddfc0da5ddef7",
     "cloud.sta": "1dd38d05bcac6342d0cc07e0d356753096f5df57ab32ff57faf5a095e6c15bec",
-    "cloud.mdpc": "1e8997ff9e73f667b06dfdfd5405960408fed0f62e45f0b20ab5033fad65f746",
+    "cloud.mdpc": "5a136955c9b8b29e1c0147b99514cb3f75a7bb94135eeb3f7d37ea7c134cbd6c",
 }
 
 
@@ -586,3 +587,189 @@ def test_solver_non_convergence_exit_code(tmp_path, monkeypatch, capsys):
         "tickgraph: internal error: RuntimeError: value iteration did not converge "
         "within 1 sweeps on an SCC of 2 states (lowest state 0) with actions step\n"
     )
+
+
+# --- a labelled cache answers `check` and `export` alone ----------------------
+
+SENSOR_PROPS = (
+    'P >= 0.5 [ F "data_at_b" ]\nE [ F "data_at_c" ]\nA [ G !("data_at_b" & "data_at_c") ]\n'
+)
+
+
+def _check_case(tmp_path, name):
+    """(model, props, extra flags) for a bundled or a generated model."""
+    import random
+
+    from tickgraph.elaborate import load_model
+
+    from .test_rules import _perfbench_gen
+
+    if name in ("pta", "cloud"):
+        return MODELS / f"{name}.big", MODELS / f"{name}.props", []
+    props = tmp_path / f"{name}.props"
+    if name == "sensor":
+        props.write_text(SENSOR_PROPS)
+        return MODELS / "sensor.big", props, ["--fix-deadlocks"]
+    gen = _perfbench_gen()
+    rng = random.Random(7)
+    spec = gen.cloud_family(3, 0, rng) if name == "cloud3" else gen.pta_family(16, rng)
+    model = tmp_path / f"{name}.big"
+    model.write_text(spec.text)
+    names = [n for n, _body in load_model(model).predicates]
+    props.write_text("".join(gen.render(p) + "\n" for p in gen.random_props(names, rng)))
+    return model, props, []
+
+
+def _forbid_bigraph_work(monkeypatch):
+    from tickgraph import cli, mdp, verify
+
+    def forbidden(*_args, **_kwargs):
+        raise AssertionError("bigraph work on a labelled cache")
+
+    for module, name in ((cli, "load_model"), (mdp, "decode_canonical"), (verify, "occurrences")):
+        monkeypatch.setattr(module, name, forbidden)
+
+
+def _is_labelled(cache) -> bool:
+    return "labels" in json.loads(cache.read_bytes())
+
+
+@pytest.mark.parametrize("name", ["pta", "cloud", "sensor", "cloud3", "pta16"])
+def test_check_is_exact_cold_after_build_and_labelled(tmp_path, capsys, name):
+    from tickgraph import cli
+
+    model, props, flags = _check_case(tmp_path, name)
+
+    def check(out):
+        argv = ["check", str(model), "--props", str(props), "--out", str(out), "--json"]
+        code = cli.main(argv + flags)
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        return code, captured.out
+
+    cold = check(tmp_path / "cold")
+    assert cold[0] in (0, 1) and json.loads(cold[1])
+    warm = tmp_path / "warm"
+    assert cli.main(["build", str(model), "--out", str(warm)] + flags) == 0
+    capsys.readouterr()
+    cache = warm / f"{model.stem}.mdpc"
+    assert not _is_labelled(cache)
+    assert check(warm) == cold  # decodes the build's cache and labels it
+    assert _is_labelled(cache)
+    assert check(warm) == cold  # reads the labels
+
+
+def test_labelled_check_and_export_do_no_bigraph_work(tmp_path, monkeypatch, capsys, caplog):
+    import logging
+
+    from tickgraph import cli
+
+    exports = {}
+    for stem in ("pta", "cloud"):
+        argv = ["check", str(MODELS / f"{stem}.big"), "--props", str(MODELS / f"{stem}.props"),
+                "--out", str(tmp_path), "--json"]
+        assert cli.main(argv) == 0
+        cold = capsys.readouterr().out
+        for fmt in ("prism", "dot"):
+            out = tmp_path / f"{stem}-{fmt}"
+            assert cli.main(["export", str(MODELS / f"{stem}.big"), "--format", fmt,
+                             "--out", str(out)]) == 0
+            exports[stem, fmt] = {p.name: p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+        with monkeypatch.context() as patched:
+            _forbid_bigraph_work(patched)
+            caplog.clear()
+            with caplog.at_level(logging.INFO, logger="tickgraph"):
+                assert cli.main(argv) == 0
+            assert capsys.readouterr().out == cold
+            lines = [r.getMessage() for r in caplog.records]
+            assert f"reusing cache {tmp_path / stem}.mdpc with labels" in lines
+            assert not any(line.startswith("label:") for line in lines)
+            # the exports of a labelled cache are byte-identical to the first
+            for fmt in ("prism", "dot"):
+                out = tmp_path / f"{stem}-{fmt}"
+                assert cli.main(["export", str(MODELS / f"{stem}.big"), "--format", fmt,
+                                 "--out", str(out)]) == 0
+                assert {p.name: p.read_bytes() for p in out.iterdir()} == exports[stem, fmt]
+            capsys.readouterr()
+    assert sorted(exports["pta", "prism"]) == ["pta.lab", "pta.mdpc", "pta.sta", "pta.tra"]
+
+
+def test_labelled_check_keeps_its_errors(tmp_path, monkeypatch, capsys):
+    from tickgraph import cli
+
+    model = str(MODELS / "pta.big")
+    props = tmp_path / "f.props"
+    props.write_text('P >= 0.5 [ F "nonsense" ]\n')
+    argv = ["check", model, "--props", str(props), "--out", str(tmp_path)]
+    assert cli.main(argv) == 2
+    unknown = capsys.readouterr()
+    assert unknown.err == "tickgraph: unknown pattern name(s): ['nonsense']\n"
+    assert _is_labelled(tmp_path / "pta.mdpc")
+    assert cli.main(["build", model, "--max-states", "3", "--out", str(tmp_path / "b")]) == 3
+    budget = capsys.readouterr().err
+    _forbid_bigraph_work(monkeypatch)
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == unknown
+    # below the cached count, the labelled cache is not used: the fresh
+    # exploration it falls back to stops exactly as a cold build does
+    monkeypatch.undo()
+    props.write_text('P >= 0.5 [ F "in_Done_state" ]\n')
+    assert cli.main(argv + ["--max-states", "3"]) == 3
+    assert capsys.readouterr().err == budget
+
+
+def test_editing_the_model_relabels_the_cache(tmp_path, capsys, caplog):
+    import logging
+
+    from tickgraph import cli
+    from tickgraph.mdp import load_mdp
+
+    model = tmp_path / "pta.big"
+    model.write_text((MODELS / "pta.big").read_text())
+    props = tmp_path / "done.props"
+    props.write_text('P <= 0.5 [ F "in_Done_state" ]\n')
+    argv = ["check", str(model), "--props", str(props), "--out", str(tmp_path)]
+    assert cli.main(argv) == 1  # Done is reached with probability 1
+    capsys.readouterr()
+    # `in_Done_state` now names a location no run reaches
+    edited = model.read_text().replace("big in_Done_state = S{c}.Done;",
+                                       "big in_Done_state = S{c}.Nowhere;")
+    model.write_text("atomic ctrl Nowhere = 0;\n" + edited)
+    with caplog.at_level(logging.INFO, logger="tickgraph"):
+        assert cli.main(argv) == 0
+    assert capsys.readouterr().out.startswith("HOLDS")
+    assert any(r.getMessage().startswith("label: 14 states") for r in caplog.records)
+    key = cli._model_key(str(model), False)
+    relabelled = load_mdp(tmp_path / "pta.mdpc", None, key)
+    assert relabelled is not None and not any("in_Done_state" in ls for ls in relabelled.labels)
+
+
+@pytest.mark.parametrize("built", [False, True])
+def test_failed_write_back_only_warns(tmp_path, monkeypatch, capsys, caplog, built):
+    # a read-only --out or a full disk: chmod does not stop root, so the
+    # write itself is made to fail
+    import logging
+
+    from tickgraph import cli
+
+    model = str(MODELS / "pta.big")
+    if built:
+        assert cli.main(["build", model, "--out", str(tmp_path)]) == 0
+    before = sorted(p.name for p in tmp_path.iterdir())
+
+    def refuse(path, *_args):
+        raise PermissionError(13, "Permission denied", str(path))
+
+    monkeypatch.setattr(cli, "save_mdp", refuse)
+    props = tmp_path / "f.props"
+    for text, code in (('P >= 0.99 [ F "in_Done_state" ]\n', 0),
+                       ('P >= 1.0 [ F "in_Wait_state" ]\n', 1)):
+        props.write_text(text)
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="tickgraph"):
+            assert cli.main(["check", model, "--props", str(props), "--out", str(tmp_path)]) == code
+        capsys.readouterr()
+        (warning,) = [r.getMessage() for r in caplog.records]
+        assert str(tmp_path / "pta.mdpc") in warning and "Permission denied" in warning
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(before + ["f.props"])

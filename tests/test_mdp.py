@@ -23,6 +23,7 @@ from tickgraph.mdp import (
     save_mdp,
 )
 from tickgraph.rules import Model, RuleEntry, RuleFamily
+from tickgraph.verify import label
 
 from .conftest import DONE, INIT, SEND, WAIT, build_pta_model, pta_state, token_model
 from .oracle import _fingerprint, brute_iso, entry_outcomes, oracle_explore
@@ -295,6 +296,30 @@ def test_cache_round_trip(tmp_path, pta_mdp, pta_model_prog):
         assert is_iso(orig, back)
     assert load_mdp(path, pta_model_prog.controls, "otherhash") is None
     assert load_mdp(tmp_path / "missing.mdpc", pta_model_prog.controls, "abc123") is None
+    # without labels, a cache needs the controls to decode its states
+    assert load_mdp(path, None, "abc123") is None
+
+
+def test_labelled_cache_round_trip(tmp_path, bundled_caches):
+    # labels come back as they were, and no state is decoded
+    _blob, controls, mdp = bundled_caches["pta"]
+    blob, labelled = bundled_caches["pta labelled"]
+    assert labelled.label_names and any(labelled.labels)
+    for known in (None, controls):
+        path = tmp_path / "pta.mdpc"
+        path.write_bytes(blob)
+        again = load_mdp(path, known, "k")
+        assert again.states == [] and again.canon == mdp.canon
+        assert (again.n_states, again.n_choices, again.n_transitions) == (14, 20, 21)
+        assert again.labels == labelled.labels and again.label_names == labelled.label_names
+        assert [[(c.action, c.dist) for c in cs] for cs in again.choices] == [
+            [(c.action, c.dist) for c in cs] for cs in mdp.choices
+        ]
+        assert export_prism(again) == export_prism(labelled)
+        assert export_dot(again) == export_dot(labelled)
+        save_mdp(tmp_path / "again.mdpc", again, "k")
+        assert (tmp_path / "again.mdpc").read_bytes() == blob
+
 
 def test_repeated_exploration_identical(pta_model_prog):
     # two independent runs must agree
@@ -328,6 +353,16 @@ def test_cache_holds_no_rule_names(tmp_path, pta_mdp):
     assert (tmp_path / "again.mdpc").read_bytes() == path.read_bytes()
 
 
+def test_labelled_cache_layout(bundled_caches):
+    blob, labelled = bundled_caches["pta labelled"]
+    doc = json.loads(blob)
+    assert list(doc)[-2:] == ["label_names", "labels"]
+    names = doc["label_names"]
+    assert names == sorted(labelled.label_names) and "in_Done_state" in names
+    assert [{names[i] for i in row} for row in doc["labels"]] == labelled.labels
+    assert all(row == sorted(set(row)) for row in doc["labels"])
+
+
 PARENT_FORMAT = pathlib.Path(__file__).parent / "data" / "pta-tgmdp2.mdpc"
 
 
@@ -355,7 +390,9 @@ def test_cache_of_another_encoding_is_rebuilt(tmp_path, capsys):
 
 @pytest.fixture(scope="module")
 def bundled_caches(tmp_path_factory):
-    """The cache bytes, controls and MDP of models/pta.big and cloud.big."""
+    """The cache bytes, controls and MDP of models/pta.big and cloud.big, as
+    `build` writes them; and under "<stem> labelled" the bytes and MDP that
+    `check` writes back once it has labelled them."""
     out = {}
     for stem in ("pta", "cloud"):
         model = load_model(MODELS / f"{stem}.big")
@@ -363,6 +400,9 @@ def bundled_caches(tmp_path_factory):
         path = tmp_path_factory.mktemp(stem) / f"{stem}.mdpc"
         save_mdp(path, mdp, model_hash="k")
         out[stem] = (path.read_bytes(), model.controls, mdp)
+        labelled = label(explore(model), model.patterns)
+        save_mdp(path, labelled, model_hash="k")
+        out[f"{stem} labelled"] = (path.read_bytes(), labelled)
     return out
 
 
@@ -427,6 +467,38 @@ MALFORMED = {
     "nested 100,000 deep": lambda b: b'{"format":' + b"[" * 100_000 + b"]" * 100_000 + b"}",
     "parent format": lambda b: PARENT_FORMAT.read_bytes(),
     "empty": lambda b: b"",
+    "duplicate canonical form": lambda b: _edited(
+        b, lambda d: d["states"].__setitem__(1, d["states"][0])
+    ),
+}
+
+# a labelled cache is not decoded, so only these two cases load there
+DECODING = {"undecodable canonical form", "unknown control"}
+
+
+def _set_row(row):
+    return lambda d: d["labels"].__setitem__(0, row)
+
+
+LABELS_MALFORMED = {
+    "label name not a string": lambda b: _edited(b, lambda d: d["label_names"].__setitem__(0, 1)),
+    "duplicate label names": lambda b: _edited(
+        b, lambda d: d["label_names"].__setitem__(1, d["label_names"][0])
+    ),
+    "label index out of range": lambda b: _edited(
+        b, lambda d: _set_row([len(d["label_names"])])(d)
+    ),
+    "negative label index": lambda b: _edited(b, _set_row([-1])),
+    "true as a label index": lambda b: _edited(b, _set_row([True])),
+    "float label index": lambda b: _edited(b, _set_row([0.0])),
+    "label index twice": lambda b: _edited(b, _set_row([0, 0])),
+    "label indices out of order": lambda b: _edited(b, _set_row([1, 0])),
+    "label row as an object": lambda b: _edited(b, _set_row({})),
+    "label list one short": lambda b: _edited(b, lambda d: d["labels"].pop()),
+    "label list one long": lambda b: _edited(b, lambda d: d["labels"].append([])),
+    "labels without label_names": lambda b: _edited(b, lambda d: d.pop("label_names")),
+    "label_names without labels": lambda b: _edited(b, lambda d: d.pop("labels")),
+    "labels not a list": lambda b: _edited(b, lambda d: d.update(labels="0")),
 }
 
 
@@ -440,12 +512,43 @@ def test_malformed_cache_loads_none(tmp_path, bundled_caches, case):
     assert load_mdp(path, controls, "k") is None
 
 
+@pytest.mark.parametrize(
+    "case", [c for c in MALFORMED if c not in DECODING] + list(LABELS_MALFORMED)
+)
+def test_malformed_labelled_cache_loads_none(tmp_path, bundled_caches, case):
+    _blob, controls, _mdp = bundled_caches["pta"]
+    blob, _labelled = bundled_caches["pta labelled"]
+    damage = MALFORMED.get(case) or LABELS_MALFORMED[case]
+    path = tmp_path / "pta.mdpc"
+    for known in (None, controls):
+        path.write_bytes(blob)
+        assert load_mdp(path, known, "k") is not None
+        path.write_bytes(damage(blob))
+        assert load_mdp(path, known, "k") is None
+
+
+@pytest.mark.parametrize("case", sorted(DECODING))
+def test_labelled_cache_is_not_decoded(tmp_path, bundled_caches, case):
+    # the canonical forms of a labelled cache are never decoded: a form that
+    # would not decode is only a distinct string there
+    blob, _labelled = bundled_caches["pta labelled"]
+    path = tmp_path / "pta.mdpc"
+    path.write_bytes(MALFORMED[case](blob))
+    assert load_mdp(path, None, "k").n_states == 14
+
+
 @settings(max_examples=150, deadline=None)
-@given(st.sampled_from(["pta", "cloud"]), st.data())
-def test_hypothesis_damaged_cache_never_raises(tmp_path_factory, bundled_caches, stem, data):
+@given(st.sampled_from(["pta", "cloud"]), st.booleans(), st.data())
+def test_hypothesis_damaged_cache_never_raises(
+    tmp_path_factory, bundled_caches, stem, labelled, data
+):
     # truncations, byte flips and insertions: the loader gives None or an MDP
-    # whose targets are states and whose probabilities lie in (0, 1]
+    # whose targets are states, whose probabilities lie in (0, 1] and whose
+    # labels are among its label names
     blob, controls, mdp = bundled_caches[stem]
+    if labelled:
+        blob, _labelled = bundled_caches[f"{stem} labelled"]
+        controls = None
     damaged = bytearray(blob)
     for _ in range(data.draw(st.integers(1, 3))):
         kind = data.draw(st.sampled_from(["cut", "flip", "insert"]))
@@ -461,7 +564,12 @@ def test_hypothesis_damaged_cache_never_raises(tmp_path_factory, bundled_caches,
     got = load_mdp(path, controls, "k")
     if got is None:
         return
-    assert got.n_states == len(got.canon) == len(got.choices) == mdp.n_states
+    assert got.n_states == len(got.canon) == len(got.choices) == len(got.labels) == mdp.n_states
+    assert len(set(got.canon)) == got.n_states
+    if labelled:
+        assert got.states == [] and all(ls <= got.label_names for ls in got.labels)
+    else:
+        assert len(got.states) == got.n_states and got.label_names is None
     for cs in got.choices:
         for c in cs:
             assert c.action in got.actions
