@@ -54,21 +54,21 @@ sources:
   (parent, text) pairs, and a look at each child list only when that set
   has a repeat.
 * Two equal leaves give the edge map above.  Pairing the entities in the
-  order the two leaves write them extends it to entities, at the cost of
-  writing the earlier leaf once more.  A pairing that would move one
-  region's content to another region is dropped.
+  order the two leaves write them extends it to entities; each leaf keeps
+  its entity texts for this, at the cost of one list of strings per leaf.
+  A pairing that would move one region's content to another region is
+  dropped.
 
 The generators need not span the whole automorphism group; each must map
 the bigraph onto itself.  Exploring twelve tokens linked in six identical
-closed pairs (28 states) computes 43 forms with 198 leaves and 155 extra
-writes in about 0.11 s (before generators were used: 169 forms, 759
-leaves, 0.2 s); fourteen tokens (36 states) take 57 forms, 315 leaves and
-about 0.23 s.  The worst case left is refinement itself: a closed ring of
-twelve tokens (224 states) computes 1,057 forms, not 2,689, with 1,374
-leaves and 317 extra writes in about 1.6 s (2.9 s before), most of it in
-refinement rounds that spread along the ring.  Times are on a shared 2-core
-x86 machine.  ``tests/oracle.py`` keeps the plain search as the reference
-these encodings must equal byte for byte.
+closed pairs (28 states) computes 43 forms with 198 leaves in about 0.1 s
+(before generators were used: 169 forms, 759 leaves, 0.2 s); fourteen
+tokens (36 states) take 57 forms, 315 leaves and about 0.15 s.  The worst
+case left is refinement itself: a closed ring of twelve tokens (224 states)
+computes 1,057 forms, not 2,689, with 1,374 leaves in about 1.2 s (2.9 s
+before), most of it in refinement rounds that spread along the ring.  Times
+are on a shared 2-core x86 machine.  ``tests/oracle.py`` keeps the plain
+search as the reference these encodings must equal byte for byte.
 """
 
 from __future__ import annotations
@@ -202,7 +202,8 @@ def _search(t: _Tables, nrank: list[int], erank: list[int]) -> tuple[str, list[A
     """Smallest leaf encoding below these ranks (individualise tied closed
     edges, prune by the automorphisms that equal leaves reveal), and the
     automorphisms found on the way."""
-    leaves: dict[str, tuple[list[int], list[int]]] = {}  # text -> (edges in number order, path)
+    # text -> (edges in number order, path, entity texts)
+    leaves: dict[str, tuple[list[int], list[int], list[str]]] = {}
     autos: list[dict[int, int]] = []  # closed-edge maps of automorphisms, moved edges only
     found: list[Auto] = []
 
@@ -222,14 +223,14 @@ def _search(t: _Tables, nrank: list[int], erank: list[int]) -> tuple[str, list[A
             if not leaves:
                 # equal siblings reference the same edges under any numbering
                 found.extend(_swaps(t, texts))
-            first, at = leaves.setdefault(text, (order, path))
+            first, at, first_texts = leaves.setdefault(text, (order, path, texts))
             if at is path:
                 return depth
             # equal text: numbering `first` onto `order` is an automorphism; it
             # fixes the common prefix of the two paths and maps the earlier
             # leaf's subtree below that prefix onto this leaf's
             autos.append({a: b for a, b in zip(first, order) if a != b})
-            perm = _leaf_map(t, _encode(t, first)[1], texts)
+            perm = _leaf_map(t, first_texts, texts)
             if perm is not None and (perm or autos[-1]):
                 found.append((perm, autos[-1]))
             common = 0

@@ -1,19 +1,22 @@
-"""Sparse MDP arrays and the graph and sweep kernels of the reachability solver.
+"""Flat MDP lists and the graph and sweep kernels of the reachability solver.
 
-``as_arrays`` flattens an MDP's choices into CSR arrays.  ``Graph`` keeps
-them as Python lists for the qualitative worklists, adds the predecessor
-CSR (built once per query), backward reachability and an iterative Tarjan
-decomposition into strongly connected components.  ``sweep`` is one
-vectorised Jacobi sweep of value iteration over the states of one SCC.
+``as_arrays`` flattens an MDP's choices into CSR (compressed sparse row)
+Python lists.  ``Graph`` keeps them for the qualitative worklists and adds
+the predecessor CSR, built by a stable counting sort in Python, backward
+reachability and an iterative Tarjan decomposition into strongly connected
+components.  One graph serves every query on its MDP.  ``sweep`` is one
+vectorised Jacobi sweep of value iteration over the states of one SCC; it
+is the only kernel that uses numpy, which it imports on first use, so a
+command that makes no sweep never loads numpy.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from itertools import accumulate
 
 
 def as_arrays(choices_per_state):
-    """Flatten per-state choices into CSR-style arrays.
+    """Flatten per-state choices into CSR-style lists.
 
     Returns ``(choice_ptr, trans_ptr, targets, probs)``: the choices of state
     ``s`` are ``choice_ptr[s]:choice_ptr[s+1]`` and the transitions of choice
@@ -30,40 +33,44 @@ def as_arrays(choices_per_state):
                 probs.append(p)
             trans_ptr.append(len(targets))
         choice_ptr.append(len(trans_ptr) - 1)
-    return (
-        np.asarray(choice_ptr, dtype=np.int64),
-        np.asarray(trans_ptr, dtype=np.int64),
-        np.asarray(targets, dtype=np.int64),
-        np.asarray(probs, dtype=np.float64),
-    )
+    return choice_ptr, trans_ptr, targets, probs
 
 
 class Graph:
-    """The CSR arrays of ``as_arrays`` with their predecessor CSR.
+    """The CSR lists of ``as_arrays`` with their predecessor CSR.
 
     The transitions into state ``t`` are ``pred_ptr[t]:pred_ptr[t+1]``; each
     entry names the choice it belongs to (``pred_choice``) and that choice's
-    state (``pred_state``), one entry per transition, so a distribution that
-    names ``t`` twice appears twice.
+    state (``pred_state``), one entry per transition in transition order, so
+    a distribution that names ``t`` twice appears twice.
     """
 
     def __init__(self, choice_ptr, trans_ptr, targets, probs):
-        self.n = len(choice_ptr) - 1
-        self.target_array = targets
-        self.prob_array = probs
-        self.choice_ptr = choice_ptr.tolist()
-        self.trans_ptr = trans_ptr.tolist()
-        self.targets = targets.tolist()
-        self.probs = probs.tolist()
-        choice_state = np.repeat(np.arange(self.n), np.diff(choice_ptr))
-        trans_choice = np.repeat(np.arange(len(trans_ptr) - 1), np.diff(trans_ptr))
-        pred_choice = trans_choice[np.argsort(targets, kind="stable")]
-        pred_ptr = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(targets, minlength=self.n), out=pred_ptr[1:])
-        self.choice_state = choice_state.tolist()
-        self.pred_ptr = pred_ptr.tolist()
-        self.pred_choice = pred_choice.tolist()
-        self.pred_state = choice_state[pred_choice].tolist()
+        n = self.n = len(choice_ptr) - 1
+        self.choice_ptr = choice_ptr
+        self.trans_ptr = trans_ptr
+        self.targets = targets
+        self.probs = probs
+        choice_state: list[int] = []
+        for s in range(n):
+            choice_state += [s] * (choice_ptr[s + 1] - choice_ptr[s])
+        trans_choice: list[int] = []
+        for c in range(len(trans_ptr) - 1):
+            trans_choice += [c] * (trans_ptr[c + 1] - trans_ptr[c])
+        # stable counting sort of the transitions by target
+        counts = [0] * (n + 1)
+        for t in targets:
+            counts[t + 1] += 1
+        pred_ptr = list(accumulate(counts))
+        slot = pred_ptr[:n]
+        pred_choice = [0] * len(targets)
+        for t, c in zip(targets, trans_choice):
+            pred_choice[slot[t]] = c
+            slot[t] += 1
+        self.choice_state = choice_state
+        self.pred_ptr = pred_ptr
+        self.pred_choice = pred_choice
+        self.pred_state = [choice_state[c] for c in pred_choice]
 
     def backward(self, seeds: list[bool], through: list[bool] | None = None) -> list[bool]:
         """States with a path into a seed; every state on it but the last is
@@ -149,8 +156,10 @@ def sweep(values, states, minimize, choice_starts, trans_starts, targets, probs)
     ``trans_starts`` splits ``targets``/``probs`` into the choices of the
     swept states, ``choice_starts`` splits those choices into states; every
     state has a choice and every choice a transition.  All reads see the
-    values from before the sweep.
+    values from before the sweep.  The arguments are numpy arrays.
     """
+    import numpy as np
+
     per_choice = np.add.reduceat(probs * values[targets], trans_starts)
     best = (np.minimum if minimize else np.maximum).reduceat(per_choice, choice_starts)
     delta = float(np.max(np.abs(best - values[states])))

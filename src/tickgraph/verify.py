@@ -11,15 +11,21 @@ target" plus the trigger being inevitable).  They are parsed from `.props`
 text by :func:`tickgraph.lang.parse_properties`, which this module
 re-exports; nothing here parses.
 
-Reachability is solved in two phases over the MDP's CSR arrays and their
-predecessor index, both built once per query.  First the states whose value
-is exactly 0 or 1 are found by worklist fixpoints, so 0 and 1 answers are
+Reachability is solved in two phases over the solver's graph of the MDP
+(`solver_graph`: its CSR lists and predecessor index, in pure Python).  The
+graph depends only on the MDP, so `check` takes one and a command that
+checks a property file builds it once for all of them; a caller that
+passes none gets one built per query.  First the states whose value is
+exactly 0 or 1 are found by worklist fixpoints, so 0 and 1 answers are
 exact.  Then the remaining states are split into strongly connected
 components (SCCs), solved in reverse topological order so that every
 successor outside an SCC is final: a single-state SCC in closed form, a
 cyclic SCC by Jacobi value iteration over its own states until no value
-moves by VI_TOL.  An SCC that does not converge within VI_MAX_SWEEPS
-raises a RuntimeError naming its size, lowest state and actions.
+moves by VI_TOL.  Values are Python floats; only the sweeps over a cyclic
+SCC use numpy, imported on first use, so a check that makes no sweep never
+loads it.  An SCC that does not converge within VI_MAX_SWEEPS raises a
+RuntimeError naming its size, lowest state and actions.  Each query logs
+one INFO line: its mode, states, 0/1 set sizes, SCCs, sweeps and seconds.
 """
 
 from __future__ import annotations
@@ -27,8 +33,6 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from time import perf_counter
-
-import numpy as np
 
 from .kernels import Graph, as_arrays, sweep
 from .lang import ForcedNext, Inevitable, Property, Reach, Safety
@@ -240,73 +244,106 @@ def _closed_form(g: Graph, vals: list[float], s: int, minimize: bool) -> float:
     return best
 
 
-def _iterate(g: Graph, values: np.ndarray, comp: list[int], minimize: bool) -> bool:
+def _iterate(g: Graph, vals: list[float], comp: list[int], minimize: bool) -> int | None:
     """Jacobi value iteration over one cyclic SCC whose successors outside it
-    are all solved; False if it did not converge within VI_MAX_SWEEPS.
-    Choices without transitions are left out: they are worth 0, so they
-    never decide a maximum, and under the minimum a state with one has
-    Pmin = 0 and is decided before this phase."""
-    cp, tp = g.choice_ptr, g.trans_ptr
-    choice_starts, trans_starts, trans = [], [], []
+    are all solved; writes the SCC's values into `vals` and returns the
+    number of sweeps, or None if it did not converge within VI_MAX_SWEEPS.
+
+    The arrays hold only this SCC: its states first, then the successors
+    outside it, whose values stay fixed.  Choices without transitions are
+    left out: they are worth 0, so they never decide a maximum, and under
+    the minimum a state with one has Pmin = 0 and is decided before this
+    phase."""
+    import numpy as np
+
+    cp, tp, tg, pr = g.choice_ptr, g.trans_ptr, g.targets, g.probs
+    local = {s: i for i, s in enumerate(comp)}
+    outside: list[int] = []
+    choice_starts, trans_starts, targets, probs = [], [], [], []
     for s in comp:
         choice_starts.append(len(trans_starts))
         for c in range(cp[s], cp[s + 1]):
             if tp[c] < tp[c + 1]:
-                trans_starts.append(len(trans))
-                trans.extend(range(tp[c], tp[c + 1]))
+                trans_starts.append(len(targets))
+                for k in range(tp[c], tp[c + 1]):
+                    i = local.get(tg[k])
+                    if i is None:
+                        i = local[tg[k]] = len(local)
+                        outside.append(tg[k])
+                    targets.append(i)
+                probs += pr[tp[c] : tp[c + 1]]
+    values = np.asarray([vals[s] for s in comp] + [vals[t] for t in outside], dtype=np.float64)
     args = (
-        np.asarray(comp, dtype=np.int64),
+        np.arange(len(comp)),
         minimize,
         np.asarray(choice_starts, dtype=np.int64),
         np.asarray(trans_starts, dtype=np.int64),
-        g.target_array[trans],
-        g.prob_array[trans],
+        np.asarray(targets, dtype=np.int64),
+        np.asarray(probs, dtype=np.float64),
     )
-    for _ in range(VI_MAX_SWEEPS):
+    for sweeps in range(1, VI_MAX_SWEEPS + 1):
         if sweep(values, *args) < VI_TOL:
-            return True
-    return False
+            for s, v in zip(comp, values[: len(comp)].tolist()):
+                vals[s] = v
+            return sweeps
+    return None
 
 
-def reach_vector(mdp: Mdp, target: list[bool], mode: str) -> np.ndarray:
-    """Per-state probability of eventually reaching the target set."""
+def solver_graph(mdp: Mdp) -> Graph:
+    """The MDP's CSR lists and predecessor index, which every query on it reads."""
+    return Graph(*as_arrays([[(c.action, c.dist) for c in cs] for cs in mdp.choices]))
+
+
+def reach_vector(
+    mdp: Mdp, target: list[bool], mode: str, graph: Graph | None = None
+) -> list[float]:
+    """Per-state probability of eventually reaching the target set.  `graph`
+    is `solver_graph(mdp)`, built here when None."""
     if mode not in ("min", "max"):
         raise ValueError("mode must be min or max")
-    g = Graph(*as_arrays([[(c.action, c.dist) for c in cs] for cs in mdp.choices]))
+    start = perf_counter()
+    g = graph if graph is not None else solver_graph(mdp)
     zero, one = zero_one(g, target, mode)
     minimize = mode == "min"
-    # vals mirrors values for the scalar reads of the closed form
     vals = [1.0 if o else 0.0 for o in one]
-    values = np.asarray(vals, dtype=np.float64)
-    for comp in g.sccs([not (z or o) for z, o in zip(zero, one)]):
+    sccs = g.sccs([not (z or o) for z, o in zip(zero, one)])
+    cyclic = sweeps = 0
+    for comp in sccs:
         if len(comp) == 1:
             s = comp[0]
-            vals[s] = values[s] = _closed_form(g, vals, s, minimize)
-        else:
-            if not _iterate(g, values, comp, minimize):
-                actions = sorted({c.action for s in comp for c in mdp.choices[s]})
-                raise RuntimeError(
-                    f"value iteration did not converge within {VI_MAX_SWEEPS} sweeps "
-                    f"on an SCC of {len(comp)} states (lowest state {comp[0]}) "
-                    f"with actions {', '.join(actions)}"
-                )
-            for s, v in zip(comp, values[comp].tolist()):
-                vals[s] = v
-    return values
+            vals[s] = _closed_form(g, vals, s, minimize)
+            continue
+        cyclic += 1
+        made = _iterate(g, vals, comp, minimize)
+        if made is None:
+            actions = sorted({c.action for s in comp for c in mdp.choices[s]})
+            raise RuntimeError(
+                f"value iteration did not converge within {VI_MAX_SWEEPS} sweeps "
+                f"on an SCC of {len(comp)} states (lowest state {comp[0]}) "
+                f"with actions {', '.join(actions)}"
+            )
+        sweeps += made
+    log.info(
+        "reach P%s: %d states, %d zero, %d one, %d SCCs (%d cyclic), %d sweeps, %.3f s",
+        mode, g.n, sum(zero), sum(one), len(sccs), cyclic, sweeps, perf_counter() - start,
+    )
+    return vals
 
 
-def reach_prob(mdp: Mdp, target_expr, mode: str) -> float:
+def reach_prob(mdp: Mdp, target_expr, mode: str, graph: Graph | None = None) -> float:
     """Probability of reaching states satisfying the expression, from state 0."""
-    return float(reach_vector(mdp, satisfying(mdp, target_expr), mode)[0])
+    return reach_vector(mdp, satisfying(mdp, target_expr), mode, graph)[0]
 
 
 # ---------------------------------------------------------------------------
 # checking
 
 
-def check(mdp: Mdp, prop: Property) -> Verdict:
+def check(mdp: Mdp, prop: Property, graph: Graph | None = None) -> Verdict:
+    """The verdict of one property.  `graph` is `solver_graph(mdp)`; pass the
+    same one for every property of an MDP to build it once."""
     if isinstance(prop, Reach):
-        v = reach_prob(mdp, prop.target, prop.mode)
+        v = reach_prob(mdp, prop.target, prop.mode, graph)
         holds = {
             ">=": v >= prop.p,
             ">": v > prop.p,
@@ -315,15 +352,15 @@ def check(mdp: Mdp, prop: Property) -> Verdict:
         }[prop.bound]
         return Verdict(holds, v, f"P{prop.mode} = {v:.10g}")
     if isinstance(prop, Safety):
-        v = reach_prob(mdp, prop.bad, "max")
+        v = reach_prob(mdp, prop.bad, "max", graph)
         return Verdict(v == 0.0, v, f"Pmax(bad) = {v:.10g}")
     if isinstance(prop, Inevitable):
-        v = reach_prob(mdp, prop.goal, "min")
+        v = reach_prob(mdp, prop.goal, "min", graph)
         return Verdict(v == 1.0, v, f"Pmin = {v:.10g}")
     if isinstance(prop, ForcedNext):
         trig = satisfying(mdp, prop.trigger)
         nxt = satisfying(mdp, prop.next)
-        v = float(reach_vector(mdp, trig, "min")[0])
+        v = reach_vector(mdp, trig, "min", graph)[0]
         if v != 1.0:
             return Verdict(False, v, f"trigger not inevitable (Pmin = {v:.10g})")
         for s in range(mdp.n_states):

@@ -634,6 +634,26 @@ def test_closed_pairs_prune_by_automorphism(work):
     assert work["leaves"] <= 1500
 
 
+def test_each_leaf_is_written_once(monkeypatch):
+    # equal leaves pair their entities through the texts each leaf keeps, so
+    # no edge numbering is written out a second time
+    from tickgraph import canon
+    from tickgraph.mdp import explore
+
+    written = []
+    encode = canon._encode
+
+    def recording(t, order):
+        assert not any(order is seen for seen in written)
+        written.append(order)
+        return encode(t, order)
+
+    monkeypatch.setattr(canon, "_encode", recording)
+    (model,) = _models("pairs-12")
+    assert len(explore(model).states) == 28
+    assert len(written) == 198
+
+
 def test_no_refinement_without_two_closed_edges(work):
     from tickgraph.mdp import explore
 

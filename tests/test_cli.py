@@ -589,6 +589,90 @@ def test_solver_non_convergence_exit_code(tmp_path, monkeypatch, capsys):
     )
 
 
+# --- numpy is loaded only for value-iteration sweeps --------------------------
+
+_IMPORTS_PROBE = """
+import contextlib, io, sys
+from tickgraph import cli
+loaded = ["numpy" in sys.modules]
+for argv in {runs!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    assert code in (0, 1), (argv, code)
+    loaded.append("numpy" in sys.modules)
+print(loaded)
+"""
+
+
+def test_numpy_is_imported_only_by_a_sweep(tmp_path):
+    out = str(tmp_path)
+    pta, cloud = str(MODELS / "pta.big"), str(MODELS / "cloud.big")
+    loop = tmp_path / "loop.big"
+    loop.write_text(LOOP_MODEL)
+    loop_props = tmp_path / "loop.props"
+    loop_props.write_text('P >= 0.4 [ F "at_goal" ]\n')
+    runs = [
+        ["build", pta, "--out", out],
+        ["check", pta, "--props", str(MODELS / "pta.props"), "--out", out],  # labels
+        ["check", pta, "--props", str(MODELS / "pta.props"), "--out", out],  # warm
+        ["check", cloud, "--props", str(MODELS / "cloud.props"), "--out", out],
+        ["check", cloud, "--props", str(MODELS / "cloud.props"), "--out", out],
+        ["export", pta, "--out", out],
+        ["export", cloud, "--format", "dot", "--out", out],
+        ["validate", pta],
+        ["simulate", pta, "--steps", "5"],
+        # states 0 and 1 of the loop model form a cyclic SCC: this one sweeps
+        ["check", str(loop), "--props", str(loop_props), "--out", out],
+    ]
+    r = subprocess.run([sys.executable, "-c", _IMPORTS_PROBE.format(runs=runs)],
+                       capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == repr([False] * len(runs) + [True])
+
+
+def test_check_builds_one_graph_with_the_same_answers(tmp_path, monkeypatch, capsys):
+    from tickgraph import cli, verify
+
+    graphs = []
+
+    class CountingGraph(verify.Graph):
+        def __init__(self, *args):
+            graphs.append(self)
+            super().__init__(*args)
+
+    checked = []
+
+    def recording(mdp, prop, graph=None):
+        verdict = verify.check(mdp, prop, graph)
+        checked.append((mdp, prop, graph, verdict))
+        return verdict
+
+    def bits(v):
+        return v.holds, v.detail, None if v.value is None else float.hex(v.value)
+
+    monkeypatch.setattr(verify, "Graph", CountingGraph)
+    monkeypatch.setattr(cli, "check", recording)
+    loop = tmp_path / "loop.big"
+    loop.write_text(LOOP_MODEL)
+    loop_props = tmp_path / "loop.props"
+    loop_props.write_text('P >= 0.4 [ F "at_goal" ]\nP <= 0.5 [ F "at_goal" ]\n'
+                          'A [ F "at_goal" ]\n')
+    for model, props in ((MODELS / "pta.big", MODELS / "pta.props"),
+                         (MODELS / "cloud.big", MODELS / "cloud.props"), (loop, loop_props)):
+        for _run in range(2):  # labels, then answers from the labelled cache
+            graphs.clear()
+            checked.clear()
+            argv = ["check", str(model), "--props", str(props), "--out", str(tmp_path), "--json"]
+            assert cli.main(argv) in (0, 1)
+            capsys.readouterr()
+            assert len(graphs) == 1
+            assert len(checked) == len(verify.parse_properties(props.read_text()))
+            assert all(graph is graphs[0] for _m, _p, graph, _v in checked)
+            for mdp, prop, _graph, verdict in checked:
+                assert bits(verify.check(mdp, prop)) == bits(verdict), prop.source
+            assert len(graphs) == 1 + len(checked)  # one graph per unshared check
+
+
 # --- a labelled cache answers `check` and `export` alone ----------------------
 
 SENSOR_PROPS = (

@@ -1,6 +1,7 @@
 import logging
 import pathlib
 import random
+import re
 
 import numpy as np
 import pytest
@@ -75,15 +76,15 @@ def test_min_le_max_and_dtmc_equality():
         labels[rng.randrange(n)] = {"goal"}
         mdp = tiny_mdp(choices, labels=labels)
         e = ("name", "goal")
-        lo = reach_vector(mdp, satisfying(mdp, e), "min")
-        hi = reach_vector(mdp, satisfying(mdp, e), "max")
+        lo = np.asarray(reach_vector(mdp, satisfying(mdp, e), "min"))
+        hi = np.asarray(reach_vector(mdp, satisfying(mdp, e), "max"))
         assert np.all(lo <= hi + 1e-9)
         # single-choice version: min and max coincide
         single = tiny_mdp(
             [cs[:1] for cs in choices], labels=labels
         )
-        lo1 = reach_vector(single, satisfying(single, e), "min")
-        hi1 = reach_vector(single, satisfying(single, e), "max")
+        lo1 = np.asarray(reach_vector(single, satisfying(single, e), "min"))
+        hi1 = np.asarray(reach_vector(single, satisfying(single, e), "max"))
         assert np.allclose(lo1, hi1, atol=1e-9)
 
 
@@ -440,7 +441,7 @@ def test_solver_matches_reference(make, monkeypatch):
             want_zero, want_one = oracle.zero_one_sets(choices, target, mode)
             assert {s for s, z in enumerate(zero) if z} == want_zero
             assert {s for s, o in enumerate(one) if o} == want_one
-            got = reach_vector(as_mdp(choices), target, mode)
+            got = np.asarray(reach_vector(as_mdp(choices), target, mode))
             want = oracle.gauss_seidel(choices, target, mode)
             assert np.allclose(got, want, rtol=0.0, atol=1e-8), (choices, target, mode)
 
@@ -454,7 +455,7 @@ def test_sweep_matches_reference():
         for _s in range(n)
     ] + [[], []]
     target = [s == n for s in range(n + 2)]
-    choice_ptr, trans_ptr, targets, probs = as_arrays(choices)
+    choice_ptr, trans_ptr, targets, probs = map(np.asarray, as_arrays(choices))
     states = np.arange(n)
     for mode in ("min", "max"):
         values = np.zeros(n + 2)
@@ -515,3 +516,68 @@ def test_non_convergence_names_the_scc(monkeypatch):
     msg = r"within 1 sweeps on an SCC of 2 states \(lowest state 1\) with actions a$"
     with pytest.raises(RuntimeError, match=msg):
         reach_vector(as_mdp(choices), [s == 3 for s in range(5)], "max")
+
+
+def _pred_reference(choices):
+    """The predecessor CSR by sorting (target, transition) pairs."""
+    entries, choice_state = [], []
+    k = 0
+    for s, cs in enumerate(choices):
+        for _a, dist in cs:
+            for t, _p in dist:
+                entries.append((t, k, len(choice_state), s))
+                k += 1
+            choice_state.append(s)
+    entries.sort()
+    ptr = [sum(1 for e in entries if e[0] < t) for t in range(len(choices) + 1)]
+    return ptr, [e[2] for e in entries], [e[3] for e in entries], choice_state
+
+
+def test_predecessor_csr_matches_sorted_reference():
+    rng = random.Random("pred-csr")
+    seen = {"twice": 0, "deadlock": 0, "empty": 0}
+    for _ in range(300):
+        choices, _target = random_mdp(rng)
+        seen["deadlock"] += any(not cs for cs in choices)
+        seen["empty"] += any(not d for cs in choices for _a, d in cs)
+        seen["twice"] += any(len({t for t, _p in d}) < len(d) for cs in choices for _a, d in cs)
+        g = Graph(*as_arrays(choices))
+        assert (g.pred_ptr, g.pred_choice, g.pred_state, g.choice_state) == _pred_reference(
+            choices
+        ), choices
+    # every case the counting sort must order stably occurred
+    assert min(seen.values()) > 0, seen
+
+
+def test_graph_holds_python_lists():
+    choices = [[("a", [(1, 0.5), (1, 0.25), (2, 0.25)])], [], [("a", [])]]
+    g = Graph(*as_arrays(choices))
+    for name in ("choice_ptr", "trans_ptr", "targets", "probs", "choice_state",
+                 "pred_ptr", "pred_choice", "pred_state"):
+        assert type(getattr(g, name)) is list, name
+    assert (g.pred_ptr, g.pred_choice) == ([0, 0, 2, 3], [0, 0, 0])
+    values = reach_vector(as_mdp(choices), [False, False, True], "max")
+    assert values == [0.25, 0.0, 1.0] and all(type(v) is float for v in values)
+
+
+def test_reach_vector_logs_one_line_per_query(monkeypatch, caplog):
+    # states 1 and 2 form a cyclic SCC that leaks to the goal 3 and the sink 4
+    choices = [
+        [("a", [(1, 1.0)])],
+        [("a", [(2, 0.5), (3, 0.25), (4, 0.25)])],
+        [("a", [(1, 0.5), (3, 0.25), (4, 0.25)])],
+        [],
+        [],
+    ]
+    target = [s == 3 for s in range(5)]
+    for mode in ("min", "max"):
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="tickgraph.verify"):
+            sweeps = _count_sweeps(monkeypatch, choices, target, mode)
+        (line,) = [r.getMessage() for r in caplog.records]
+        assert re.fullmatch(
+            rf"reach P{mode}: 5 states, 1 zero, 1 one, 2 SCCs \(1 cyclic\), "
+            rf"{sweeps} sweeps, \d+\.\d{{3}} s",
+            line,
+        ), line
+        assert sweeps > 1
