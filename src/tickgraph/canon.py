@@ -92,7 +92,7 @@ class _Tables:
 
     __slots__ = (
         "g", "parent", "sites", "kids", "node_edges", "edge_nodes", "closed", "head", "opens",
-        "closed_refs",
+        "closed_refs", "upward",
     )
 
     def __init__(self, g: Bigraph):
@@ -129,6 +129,12 @@ class _Tables:
         for names in self.opens:
             names.sort()
         self.head = [f"{ctrl.name}({_param_repr(param)})" + "{" for ctrl, param in g.nodes]
+        # every entity after its children: a breadth-first order from the
+        # region roots, reversed
+        down = [c for cs in g.region_children for k, c in cs if k == "n"]
+        for i in down:
+            down.extend(self.kids[i])
+        self.upward = down[::-1]
 
 
 def _ranks(sigs: list) -> list[int]:
@@ -260,23 +266,20 @@ def _search(t: _Tables, nrank: list[int], erank: list[int]) -> tuple[str, list[A
 def _encode(t: _Tables, order: list[int]) -> tuple[str, list[str]]:
     """Write the forest with the closed edges numbered in the given order,
     siblings sorted by text, then the portless open names; also return each
-    entity's own text.  The empty `;X=` tail once listed inner names; it
-    stays so that cached bytes do not change."""
+    entity's own text.  Entities are written children first, in one pass,
+    so nesting depth costs no stack.  The empty `;X=` tail once listed inner
+    names; it stays so that cached bytes do not change."""
     g = t.g
     num = {e: i for i, e in enumerate(order)}
     head, opens, closed_refs = t.head, t.opens, t.closed_refs
     texts = [""] * g.nnodes
 
-    def node(i: int) -> str:
-        closed = [f"c{n}" for n in sorted([num[e] for e in closed_refs[i]])]
-        text = texts[i] = (
-            head[i] + ",".join(opens[i] + closed) + "}[" + children(g.node_children[i]) + "]"
-        )
-        return text
-
     def children(refs) -> str:
-        return ";".join(sorted([node(c) if k == "n" else f"${c}" for k, c in refs]))
+        return ";".join(sorted([texts[c] if k == "n" else f"${c}" for k, c in refs]))
 
+    for i in t.upward:
+        closed = [f"c{n}" for n in sorted([num[e] for e in closed_refs[i]])]
+        texts[i] = head[i] + ",".join(opens[i] + closed) + "}[" + children(g.node_children[i]) + "]"
     regions = sorted(children(cs) for cs in g.region_children)
     portless = sorted(lk.name for lk in g.links if lk.name is not None and not lk.ports)
     text = (

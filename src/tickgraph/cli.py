@@ -23,7 +23,7 @@ import sys
 from .canon import canonical_digest
 from .bigraph import validate
 from .elaborate import ElabError, clock_problems, load_model
-from .lang import ParseError, parse_properties
+from .lang import ParseError, parse_properties, read_source
 from .mdp import (
     ExplorationLimit,
     add_stall_loops,
@@ -202,8 +202,7 @@ def cmd_export(args) -> int:
 
 
 def cmd_check(args) -> int:
-    with open(args.props, "r", encoding="utf-8") as fh:
-        props = parse_properties(fh.read())
+    props = parse_properties(read_source(args.props))
     if not props:
         print("check: no properties in file", file=sys.stderr)
         return EXIT_USAGE

@@ -230,9 +230,7 @@ def elaborate(ast, name: str = "model") -> Model:
 def load_model(path) -> Model:
     import os
 
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    ast = lang.parse(text)
+    ast = lang.parse(lang.read_source(path))
     name = os.path.splitext(os.path.basename(path))[0]
     return elaborate(ast, name=name)
 

@@ -695,6 +695,24 @@ class _Parser:
         return ("name", self.bump().text[1:-1])
 
 
+def read_source(path) -> str:
+    """The text of a `.big` or `.props` file, which must be UTF-8, with line
+    ends read as ``open`` reads them in text mode.  A byte that is not UTF-8
+    raises a :class:`ParseError` naming the file and the byte's offset."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        at = exc.start
+        line = data.count(b"\n", 0, at) + 1
+        col = at - data.rfind(b"\n", 0, at)
+        raise ParseError(
+            f"{path}: byte {at} (0x{data[at]:02x}) is not UTF-8", line, col
+        ) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 def parse(text: str) -> Ast:
     """Parse a `.big` document into an AST with source positions."""
     return _Parser(tokenize(text)).program()

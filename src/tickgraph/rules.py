@@ -28,8 +28,10 @@ Symmetric states: interchangeable tokens make many outcomes whose results
 are isomorphic, because an automorphism of the state maps one match onto
 the other.  :func:`action_distribution` applies and canonicalises the first
 of them only; the generators come with the state's canonical form
-(:mod:`tickgraph.canon`), together with a rule's own swaps of two outer
-names that play the same part (:attr:`RuleFamily.name_swaps`).
+(:mod:`tickgraph.canon`).  An entity's ports are a multiset, so
+:func:`effect_key` writes a reactum entity's links without port indices:
+matches that give two outer names of a rule (such as `a` and `b` in
+``Tok{a,b} -> Tok{a,b}``) each other's agent edges share one key.
 """
 
 from __future__ import annotations
@@ -114,8 +116,6 @@ class RuleFamily:
     pos: tuple[int, int] = field(default=(0, 0), compare=False)  # declaration line:col
     # outer name -> its redex link index, computed once
     redex_edge_of_name: dict[str, int] = field(init=False, repr=False, compare=False)
-    # swaps of two outer names that change no result, as redex link maps
-    name_swaps: tuple[dict[int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_rule_shape(self.redex, self.reactum, self.weight, self.base)
@@ -123,37 +123,11 @@ class RuleFamily:
         object.__setattr__(self, "redex_edge_of_name", {
             lk.name: e for e, lk in enumerate(self.redex.links) if lk.name is not None
         })
-        object.__setattr__(self, "name_swaps", _name_swaps(self))
 
     def instance_name(self, env: dict[str, int]) -> str:
         if not self.formal:
             return self.base
         return f"{self.base}({','.join(str(env[v]) for v in self.formal)})"
-
-
-def _name_swaps(fam: RuleFamily) -> tuple[dict[int, int], ...]:
-    """Swaps of two outer names under which every entity of the redex and of
-    the reactum keeps its multiset of names (such as `a` and `b` in
-    ``Tok{a,b} -> Tok{a,b}``), each as a map between the two redex links.
-    Two names swap so exactly when they reach the same entities, as often,
-    on both sides; one swap per neighbouring pair of such names generates
-    every permutation of them.  Exchanging the agent edges that a match
-    gives two such names yields a match whose result differs only in the
-    order of some entity's ports."""
-    reach: dict[str, list] = {name: [(), ()] for name in fam.redex_edge_of_name}
-    for side, g in enumerate((fam.redex, fam.reactum)):
-        for lk in g.links:
-            if lk.name is not None:
-                reach[lk.name][side] = tuple(sorted([v for v, _p in lk.ports]))
-    alike: dict[tuple, list[str]] = {}
-    for name in sorted(reach):
-        alike.setdefault(tuple(reach[name]), []).append(name)
-    swaps = []
-    for names in alike.values():
-        for a, b in zip(names, names[1:]):
-            ea, eb = fam.redex_edge_of_name[a], fam.redex_edge_of_name[b]
-            swaps.append({ea: eb, eb: ea})
-    return tuple(swaps)
 
 
 # ---------------------------------------------------------------------------
@@ -175,17 +149,19 @@ def _reactum_values(rule: RuleFamily, env: dict[str, int]) -> list[int | None]:
 def effect_key(rule: RuleFamily, m: Match) -> tuple:
     """What applying `rule` at `m` writes, as a hashable key.
 
-    Two outcomes on the same agent with equal keys give results that are
-    equal up to entity numbering: the key holds the match image, each
-    reactum region's anchor, and per reactum entity its control, computed
-    parameter, ports (the agent edge of an outer name, or the reactum link
-    of a fresh closed edge) and children, with a site child standing for
-    the agent entities it carries, in entity order.  Siblings are sorted,
-    so matches that only permute equal-valued interchangeable entities
-    share one key (the clocks of a tick, in the full match list;
-    :func:`enabled_outcomes` matches them once per orbit).  A None parameter
-    is written as ``()`` and a value as ``(v,)``, so sorting never compares
-    None with an int.
+    Two outcomes on the same agent with equal keys give isomorphic results:
+    the key holds the match image, each reactum region's anchor, and per
+    reactum entity its control, computed parameter, links and children,
+    with a site child standing for the agent entities it carries, in entity
+    order.  An entity's links are a sorted multiset of the agent edge of
+    each outer name and the reactum link of each fresh closed edge, one per
+    port: ports are unordered (as in canonical forms), so matches that give
+    two outer names each other's agent edges share one key when the names
+    reach every entity equally often.  Siblings are sorted, so matches that
+    only permute equal-valued interchangeable entities share one key (the
+    clocks of a tick, in the full match list; :func:`enabled_outcomes`
+    matches them once per orbit).  A None parameter is written as ``()``
+    and a value as ``(v,)``, so sorting never compares None with an int.
     """
     reactum = rule.reactum
     values = _reactum_values(rule, m.binding_env())
@@ -196,8 +172,8 @@ def effect_key(rule: RuleFamily, m: Match) -> tuple:
             tag = ("o", emap[rule.redex_edge_of_name[lk.name]])
         else:
             tag = ("c", l)
-        for v, p in lk.ports:
-            ports[v].append((p, *tag))
+        for v, _p in lk.ports:
+            ports[v].append(tag)
 
     def children(refs) -> tuple:
         return tuple(sorted(
@@ -650,25 +626,20 @@ def integer_weights(outcomes: list[Outcome]) -> list[int]:
     return [n * (common // d) * oc.multiplicity for (n, d), oc in zip(ratios, outcomes)]
 
 
-def _orbit(m: Match, moves: list, cap: int) -> list[Match]:
+def _orbit(m: Match, autos, cap: int) -> list[Match]:
     """Up to `cap` images of `m`, in breadth-first order and `m` left out,
-    under the group generated by `moves`: (entities, edges, links) triples,
-    each an automorphism of the agent (entity and edge maps that list only
-    what they move) or one of the rule's `name_swaps` (a redex link map).
-    Images are told apart by entities, edges and anchors: those fix the
-    site images up to order."""
+    under the group generated by `autos`: automorphisms of the agent, as
+    (entity map, edge map) pairs that list only what they move.  Images are
+    told apart by entities, edges and anchors: those fix the site images up
+    to order."""
     seen = {(m.nodes, m.edges, m.anchors)}
     out = [m]
     for x in out:
-        for nodes, edges, links in moves:
+        for nodes, edges in autos:
             at = nodes.get
-            pairs = x.edges
-            if links:
-                emap = dict(pairs)
-                pairs = [(e, emap[links.get(e, e)]) for e, _E in pairs]
             key = (
                 tuple([at(u, u) for u in x.nodes]),
-                tuple([(e, edges.get(E, E)) for e, E in pairs]),
+                tuple([(e, edges.get(E, E)) for e, E in x.edges]),
                 tuple([("n", at(a[1], a[1])) if a and a[0] == "n" else a for a in x.anchors]),
             )
             if key in seen:
@@ -689,13 +660,12 @@ def _successors(agent: Bigraph, outcomes: list[Outcome]) -> tuple[list[Bigraph],
     once, by the first of them; results that are still isomorphic merge by
     canonical form.  When an outcome is applied, the images of its match
     under the automorphisms recorded with the agent's canonical form
-    (`agent._autos`; none if it has not been canonicalised) and under the
-    rule's `name_swaps` give isomorphic results, so their effect keys join
-    the same result, and later outcomes among them are neither applied nor
-    canonicalised.  The walk over those images stops after as many as the
-    action has outcomes.
+    (`agent._autos`; none if it has not been canonicalised) give isomorphic
+    results, so their effect keys join the same result, and later outcomes
+    among them are neither applied nor canonicalised.  The walk over those
+    images stops after as many as the action has outcomes.
     """
-    autos = [(nodes, edges, {}) for nodes, edges in agent._autos or ()]
+    autos = agent._autos or ()
     by_effect: dict[tuple, int] = {}
     by_canon: dict[bytes, int] = {}
     results: list[Bigraph] = []
@@ -709,9 +679,8 @@ def _successors(agent: Bigraph, outcomes: list[Outcome]) -> tuple[list[Bigraph],
             if i == len(results):
                 results.append(succ)
             by_effect[effect] = i
-            moves = autos + [({}, {}, links) for links in oc.rule.name_swaps]
-            if moves and len(outcomes) > 1:
-                for image in _orbit(oc.match, moves, len(outcomes)):
+            if autos and len(outcomes) > 1:
+                for image in _orbit(oc.match, autos, len(outcomes)):
                     by_effect.setdefault(effect_key(oc.rule, image), i)
         joined.append(i)
     return results, joined

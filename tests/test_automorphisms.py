@@ -176,17 +176,26 @@ def test_ring12_data_is_the_generated_ring():
     assert (MODELS.parent / "tests" / "data" / "ring12.big").read_text() == token_model(12, "ring")
 
 
-def test_name_swaps():
-    # the ring's move rule may give Tok's two names either agent edge; no
-    # bundled rule has interchangeable names, so their builds skip nothing
-    # on that account
-    ring = _model("ring-5").classes[0][0].family
-    assert [sorted(s.items()) for s in ring.name_swaps] == [[(0, 1), (1, 0)]]
-    assert _model("pairs-4").classes[0][0].family.name_swaps == ()
-    assert _model("marked-4").classes[0][0].family.name_swaps == ()
-    for name in ("pta", "cloud", "sensor"):
-        model = _model(name)
-        assert all(e.family.name_swaps == () for cls in model.classes for e in cls)
+@pytest.mark.parametrize("name", ["ring-5", "marked-4"])
+def test_swapped_names_share_an_effect(name):
+    # the ring's move rule may give Tok's two names either agent edge: ports
+    # are unordered, so the two matches of a token have one effect key; the
+    # marked ring marks only the edge of `a`, so there the two differ
+    model = _model(name)
+    agent = model.init
+    by_image: dict[tuple, list] = {}
+    for oc in enabled_outcomes(agent, every_match(model))["move"]:
+        by_image.setdefault(oc.match.nodes, []).append(oc)
+    assert len(by_image) == int(name[-1])
+    for first, second in by_image.values():
+        ea, eb = (first.rule.redex_edge_of_name[n] for n in "ab")
+        one, two = dict(first.match.edges), dict(second.match.edges)
+        assert (two[ea], two[eb]) == (one[eb], one[ea]) and one[ea] != one[eb]
+        keys = {rules.effect_key(oc.rule, oc.match) for oc in (first, second)}
+        assert len(keys) == (1 if name == "ring-5" else 2)
+        if name == "ring-5":
+            results = {canonical_form(apply(agent, oc.rule, oc.match)) for oc in (first, second)}
+            assert len(results) == 1
 
 
 def test_agent_without_canonical_form_skips_nothing(monkeypatch):

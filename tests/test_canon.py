@@ -689,5 +689,44 @@ def test_cloud_computes_the_same_forms(monkeypatch):
     (model,) = _models("cloud")
     built = mdp.explore(model)
     assert (built.n_states, built.n_choices, built.n_transitions) == (106, 106, 120)
-    assert len(computed) == 151
+    assert len(computed) == 121
     assert all(g._canon == reference_canonical_form(g) for g in computed)
+
+
+def deep_nest(depth: int) -> Bigraph:
+    """`depth` nested C entities around an L leaf, with a site halfway down,
+    closed edges pairing the entities at equal distance from the middle and
+    one open name."""
+    c, leaf = Control("C", arity=1), Control("L", arity=1, atomic=True)
+    nodes = [(c, None)] * depth + [(leaf, None)]
+    kids = [[("n", i + 1)] for i in range(depth)] + [[]]
+    kids[depth // 2].append(("s", 0))
+    links = [Link(None, ((i, 0), (depth - i, 0))) for i in range(depth // 2)]
+    links.append(Link("x", ((depth // 2, 0),)))
+    return Bigraph(nodes, kids, [[("n", 0)]], 1, links)
+
+
+def test_deep_nest_equals_reference():
+    from .oracle import reference_canonical_form
+
+    g = deep_nest(200)
+    assert validate(g) == []
+    assert canonical_form(g) == reference_canonical_form(deep_nest(200))
+    back = decode_canonical(canonical_form(g), {"C": g.nodes[0][0], "L": g.nodes[-1][0]})
+    assert canonical_form(back) == canonical_form(g)
+
+
+def test_deep_nest_builds(tmp_path):
+    # entities are written children first, so depth costs no Python stack
+    from .test_cli import run
+
+    depth = 800
+    model = tmp_path / "deep.big"
+    model.write_text(
+        "ctrl A = 0;\natomic ctrl L = 0;\nreact r = L -[1]-> L;\n"
+        f"big s = {'A.' * depth}L;\n"
+        "begin abrs\n  init s;\n  rules = [ {r} ];\n  actions = [ a = {r} ];\nend\n"
+    )
+    r = run("build", model, "--out", tmp_path)
+    assert r.returncode == 0, r.stderr
+    assert "1 states, 1 choices, 1 transitions" in r.stdout

@@ -72,6 +72,16 @@ def test_build_non_ascii_identifier(tmp_path):
     assert r.stderr.strip() == "tickgraph: 9:14: unexpected character '\u00f3'"
 
 
+def test_non_utf8_model_is_a_model_error(tmp_path):
+    # a Latin-1 'é' in a comment: bad input that names the file and the byte
+    bad = tmp_path / "bad.big"
+    bad.write_bytes(b"# ok\nctrl A = 0; # caf\xe9\n")
+    for argv in (("validate", bad), ("build", bad, "--out", tmp_path)):
+        r = run(*argv)
+        assert (r.returncode, r.stdout) == (2, "")
+        assert r.stderr.strip() == f"tickgraph: 2:18: {bad}: byte 22 (0xe9) is not UTF-8"
+
+
 def test_validate_huge_integer_literal(tmp_path):
     # int() refuses more than 4300 digits by default
     bad = tmp_path / "bad.big"
@@ -291,6 +301,15 @@ def test_check_non_decimal_digit_in_bound(tmp_path):
     r = run("check", MODELS / "pta.big", "--props", props, "--out", tmp_path)
     assert (r.returncode, r.stdout) == (2, "")
     assert r.stderr.strip() == "tickgraph: 1:8: unexpected character '²'"
+
+
+def test_non_utf8_properties_are_a_usage_error(tmp_path):
+    # a UTF-16 byte-order mark on the second line
+    props = tmp_path / "f.props"
+    props.write_bytes(b'P >= 0.5 [ F "in_Done_state" ]\n\xff\xfe\n')
+    r = run("check", MODELS / "pta.big", "--props", props, "--out", tmp_path)
+    assert (r.returncode, r.stdout) == (2, "")
+    assert r.stderr.strip() == f"tickgraph: 2:1: {props}: byte 31 (0xff) is not UTF-8"
 
 
 def test_check_unknown_predicate(tmp_path):

@@ -456,8 +456,9 @@ def test_effect_key_is_sound(name):
             outcomes += len(ocs)
             groups += len(by_effect)
     if name == "cloud":
-        # 24 clock permutations per tick collapse to one effect
-        assert (outcomes, groups) == (1156, 150)
+        # 24 clock permutations per tick collapse to one effect, and so do
+        # outcomes that differ only in port order: one effect per transition
+        assert (outcomes, groups) == (1156, 120)
     if name == "ports-and-sites":
         assert outcomes == groups
         assert (mdp.n_states, mdp.n_choices, mdp.n_transitions) == (9, 6, 12)
