@@ -188,29 +188,41 @@ class _Elaborator:
         return term
 
     def eval_big(self, e, env) -> Bigraph:
+        # a chain of nestings and closures is folded in a loop, innermost
+        # first, after its ions were evaluated outermost first
+        chain = []
+        while isinstance(e, (lang.ENest, lang.EClose)):
+            if isinstance(e, lang.ENest):
+                chain.append((e, self.eval_ion(e.head, env)))
+                e = e.child
+            else:
+                chain.append((e, None))
+                e = e.body
         if isinstance(e, lang.EId):
-            return site()
-        if isinstance(e, lang.EOne):
-            return empty()
-        if isinstance(e, lang.EIon):
-            return self.eval_ion(e, env)
-        if isinstance(e, lang.ENest):
-            outer = self.eval_ion(e.head, env)
-            inner = self.eval_big(e.child, env)
-            try:
-                return nest(outer, inner)
-            except ValueError as exc:
-                raise ElabError(str(exc), e.pos) from exc
-        if isinstance(e, lang.EMerge):
-            return merge_all([self.eval_big(p, env) for p in e.parts])
-        if isinstance(e, lang.EPar):
-            return parallel_all([self.eval_big(p, env) for p in e.parts])
-        if isinstance(e, lang.EClose):
-            body = self.eval_big(e.body, env)
-            if e.name not in body.outer_names():
-                raise ElabError(f"/{e.name}: {e.name!r} is not an outer name of its body", e.pos)
-            return close(e.name, body)
-        raise TypeError(e)
+            g = site()
+        elif isinstance(e, lang.EOne):
+            g = empty()
+        elif isinstance(e, lang.EIon):
+            g = self.eval_ion(e, env)
+        elif isinstance(e, lang.EMerge):
+            g = merge_all([self.eval_big(p, env) for p in e.parts])
+        elif isinstance(e, lang.EPar):
+            g = parallel_all([self.eval_big(p, env) for p in e.parts])
+        else:
+            raise TypeError(e)
+        for link, outer in reversed(chain):
+            if outer is not None:
+                try:
+                    g = nest(outer, g)
+                except ValueError as exc:
+                    raise ElabError(str(exc), link.pos) from exc
+            elif link.name not in g.outer_names():
+                raise ElabError(
+                    f"/{link.name}: {link.name!r} is not an outer name of its body", link.pos
+                )
+            else:
+                g = close(link.name, g)
+        return g
 
     def eval_ion(self, e, env) -> Bigraph:
         if e.ctrl not in self.controls:

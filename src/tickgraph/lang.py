@@ -526,13 +526,19 @@ class _Parser:
     # bexpr := ('/' name)* par ; par := mer ('||' mer)* ; mer := prim ('|' prim)*
     # prim := 'id' | '1' | '(' bexpr ')' | ion ['.' prim]
 
+    # A chain of closures or of nestings is read in a loop and folded from
+    # the right, so its length is not bounded by the recursion limit.
+
     def bexpr(self) -> BExpr:
-        if self.at("/"):
+        closes = []
+        while self.at("/"):
             pos = (self.cur.line, self.cur.col)
             self.bump()
-            name = self.ident("link name").text
-            return EClose(name, self.bexpr(), pos)
-        return self.par()
+            closes.append((self.ident("link name").text, pos))
+        e = self.par()
+        for name, pos in reversed(closes):
+            e = EClose(name, e, pos)
+        return e
 
     def par(self) -> BExpr:
         pos = (self.cur.line, self.cur.col)
@@ -551,23 +557,28 @@ class _Parser:
         return parts[0] if len(parts) == 1 else EMerge(tuple(parts), pos)
 
     def prim(self) -> BExpr:
-        if self.at("id"):
-            tok = self.bump()
-            return EId((tok.line, tok.col))
-        if self.cur.kind == "INT" and self.cur.text == "1":
-            tok = self.bump()
-            return EOne((tok.line, tok.col))
-        if self.at("("):
-            self.bump()
-            inner = self.bexpr()
-            self.expect(")")
-            return inner
-        ion = self.ion()
-        if self.at("."):
-            pos = (self.cur.line, self.cur.col)
-            self.bump()
-            return ENest(ion, self.prim(), pos)
-        return ion
+        heads = []
+        while True:
+            if self.at("id"):
+                tok = self.bump()
+                e = EId((tok.line, tok.col))
+            elif self.cur.kind == "INT" and self.cur.text == "1":
+                tok = self.bump()
+                e = EOne((tok.line, tok.col))
+            elif self.at("("):
+                self.bump()
+                e = self.bexpr()
+                self.expect(")")
+            else:
+                e = self.ion()
+                if self.at("."):
+                    heads.append((e, (self.cur.line, self.cur.col)))
+                    self.bump()
+                    continue
+            break
+        for ion, pos in reversed(heads):
+            e = ENest(ion, e, pos)
+        return e
 
     def ion(self) -> EIon:
         tok = self.ident("control name")

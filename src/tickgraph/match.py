@@ -31,10 +31,12 @@ A search may be given groups of interchangeable pattern entities (see
 with their parameters and private outer names, maps onto themselves).
 Every match then stands for one orbit of matches that differ only by a
 permutation of the images inside each group, and the search keeps only the
-member whose images ascend, in pattern entity order, inside every group: it
-skips a candidate that is not above the image of the group's previous
-member (or not below that of its next one, when that was mapped first).
-That member is the orbit's first in `Match.sort_key` order.
+member whose images ascend with the entity id inside every group.  A
+member's candidates are the free entities of its control between the
+images of the members mapped before it, less as many at each end as the
+members mapped after it need there, so no prefix without room for the
+rest of its group is entered.  That member is the orbit's first in
+`Match.sort_key` order.
 """
 
 from __future__ import annotations
@@ -144,10 +146,21 @@ class Tables:
 
 
 class _Search:
-    def __init__(self, host: Host, pat: Tables, domains):
+    def __init__(self, host: Host, pat: Tables, domains, groups=()):
         self.host = host
         self.pat = pat
         self.domains = domains or {}
+        # group member -> (the nearest members by id mapped before it, below
+        # and above, or None; how many members mapped after it lie between
+        # each of those and it)
+        self.bounds: dict[int, tuple[int | None, int | None, int, int]] = {}
+        for group in groups:
+            step = {p: pat.order.index(p) for p in group}
+            members = [None, *sorted(group), None]
+            for k, p in enumerate(members[1:-1], 1):
+                fixed = [j for j, q in enumerate(members) if q is None or step[q] < step[p]]
+                lo, hi = max(j for j in fixed if j < k), min(j for j in fixed if j > k)
+                self.bounds[p] = (members[lo], members[hi], k - lo - 1, hi - k - 1)
         self.results: list[Match] = []
         self.nmap: list[int] = [-1] * len(pat.ctrl)
         self.emap: dict[int, int] = {}
@@ -165,11 +178,19 @@ class _Search:
         host, pat = self.host, self.pat
         q = pat.parent[p]
         if q is not None:
-            return host.kids[self.nmap[q]]
-        e = pat.via[p]
-        if e is not None:
-            return host.on_edge[self.emap[e]]
-        return host.by_control.get(pat.ctrl[p], ())
+            candidates = host.kids[self.nmap[q]]
+        elif pat.via[p] is not None:
+            candidates = host.on_edge[self.emap[pat.via[p]]]
+        else:
+            candidates = host.by_control.get(pat.ctrl[p], ())
+        if p not in self.bounds:
+            return candidates
+        lo, hi, below, above = self.bounds[p]
+        lo = -1 if lo is None else self.nmap[lo]
+        hi = len(host.ctrl) if hi is None else self.nmap[hi]
+        free = sorted(u for u in candidates
+                      if lo < u < hi and host.ctrl[u] == pat.ctrl[p] and u not in self.used_nodes)
+        return free[below : len(free) - above]
 
     def _assign(self, idx: int):
         pat = self.pat
@@ -287,34 +308,6 @@ class _Search:
         )
 
 
-class _OrbitSearch(_Search):
-    """A search that keeps, of each orbit under permutations inside
-    `groups`, the match whose images ascend inside every group."""
-
-    def __init__(self, host: Host, pat: Tables, domains, groups):
-        super().__init__(host, pat, domains)
-        # group member -> [the neighbour mapped before it whose image its own
-        # must exceed, the one whose image its own must stay below]
-        self.bounds: dict[int, list[int | None]] = {}
-        step = {p: idx for idx, p in enumerate(pat.order)}
-        for group in groups:
-            members = sorted(group)
-            for a, b in zip(members, members[1:]):
-                if step[a] < step[b]:
-                    self.bounds.setdefault(b, [None, None])[0] = a
-                else:
-                    self.bounds.setdefault(a, [None, None])[1] = b
-
-    def _candidates(self, p: int):
-        candidates = super()._candidates(p)
-        bound = self.bounds.get(p)
-        if bound is None:
-            return candidates
-        lo = -1 if bound[0] is None else self.nmap[bound[0]]
-        hi = len(self.host.ctrl) if bound[1] is None else self.nmap[bound[1]]
-        return [u for u in candidates if lo < u < hi]
-
-
 def occurrences(
     agent: Bigraph | Host,
     pattern: Bigraph,
@@ -327,13 +320,11 @@ def occurrences(
     `agent` is a ground bigraph, or the :class:`Host` of one shared by
     several searches of it.  `domains` restricts what values pattern
     parameter variables may bind.  With `groups` (disjoint tuples of
-    interchangeable pattern entities) the list holds one match per orbit,
-    each the orbit's first member; the caller must know that the groups are
+    interchangeable pattern entities) the same search keeps one match per
+    orbit, its first; the caller must know that the groups are
     interchangeable.
     """
     host = agent if isinstance(agent, Host) else Host(agent)
     if pattern._tables is None:  # built on first use, kept with the pattern
         pattern._tables = Tables(pattern)
-    if groups:
-        return _OrbitSearch(host, pattern._tables, domains, groups).run()
-    return _Search(host, pattern._tables, domains).run()
+    return _Search(host, pattern._tables, domains, groups).run()

@@ -18,11 +18,12 @@ probability.
 Symmetric clocks: a tick such as ``LC(c1){l1} | ... | LC(ck){lk}`` matches
 k interchangeable siblings in all k! orders, and every order leads to the
 same successor.  When the model is built, each family's groups of
-interchangeable redex entities are found once (:attr:`Model.groups`).
-Each family is then matched once per orbit of those groups: the search
-keeps the orbit's first member, and its outcome carries the orbit size as a
-multiplicity, so every match still counts toward the weights.  A caller
-that needs every match clears `groups` on a copy of the model.
+interchangeable redex entities are found once (:attr:`Model.groups`), one
+swap test per sibling.  Each family is then matched once per orbit of
+those groups: the search keeps the orbit's first member, and its outcome
+carries the orbit size as a multiplicity, so every match still counts
+toward the weights.  A caller that needs every match clears `groups` on a
+copy of the model.
 
 Symmetric states: interchangeable tokens make many outcomes whose results
 are isomorphic, because an automorphism of the state maps one match onto
@@ -468,8 +469,7 @@ class Model:
         }
         self.groups: dict[str, Groups] = {}
         for base, (fam, _union) in families.items():
-            domains = [e.pattern.match_domains for e in flat if e.family.base == base]
-            groups = _groups(fam, domains + [self.searches[base].match_domains])
+            groups = _groups(fam, [e.pattern.match_domains for e in flat if e.family.base == base])
             if groups:
                 self.groups[base] = groups
 
@@ -523,7 +523,8 @@ def _interchangeable(fam: RuleFamily, i: int, j: int, domains) -> bool:
     no children, no sites), together with their parameter variables and
     their private outer names, maps the redex and the reactum onto
     themselves and every one of `domains` (formal -> value set) onto itself.
-    The reactum may answer with no move or with a swap of two of its leaves."""
+    The renaming must rewrite no reactum entity, and then the reactum maps
+    onto itself unmoved, or exactly two leaves, and then their swap must."""
     redex, reactum = fam.redex, fam.reactum
     pi, pj = redex.nodes[i][1], redex.nodes[j][1]
     sigma = {}
@@ -540,22 +541,23 @@ def _interchangeable(fam: RuleFamily, i: int, j: int, domains) -> bool:
             tau[a.name], tau[b.name] = b.name, a.name
     if not _maps_onto_itself(redex, {i: j, j: i}, sigma, tau):
         return False
-    leaves = [v for v in range(reactum.nnodes) if not reactum.node_children[v]]
-    return _maps_onto_itself(reactum, {}, sigma, tau) or any(
-        _maps_onto_itself(reactum, {a: b, b: a}, sigma, tau)
-        for a, b in itertools.combinations(leaves, 2)
-    )
+    renamed = sorted({v for lk in reactum.links if lk.name in tau for v, _p in lk.ports}
+                     | {v for v, (_c, x) in enumerate(reactum.nodes) if _rename(x, sigma) != x})
+    if len(renamed) not in (0, 2) or any(reactum.node_children[v] for v in renamed):
+        return False
+    return _maps_onto_itself(reactum, dict(zip(renamed, reversed(renamed))), sigma, tau)
 
 
 def _groups(fam: RuleFamily, domains) -> Groups:
     """The family's groups of at least two interchangeable redex entities.
 
     A group's members share a parent and a control, have no children and no
-    sites, and every two of them are :func:`_interchangeable` under
-    `domains`: those of every entry of the family and of its search.  So
-    every permutation inside the groups maps a match to a match of the same
-    entries, with the same image and an isomorphic result.  The context
-    condition needs no check: whether it blocks depends on the image alone.
+    sites, and each is :func:`_interchangeable` with the group's first
+    under `domains`, those of every entry of the family (and so of their
+    union).  Swaps compose, (b c) = (a b)(a c)(a b), so every permutation
+    inside the groups maps a match to a match of the same entries, with the
+    same image and an isomorphic result.  The context condition needs no
+    check: whether it blocks depends on the image alone.
     """
     redex = fam.redex
     alike: dict[tuple, list[int]] = {}
@@ -567,7 +569,7 @@ def _groups(fam: RuleFamily, domains) -> Groups:
         found: list[list[int]] = []
         for v in members:
             for group in found:
-                if all(_interchangeable(fam, u, v, domains) for u in group):
+                if _interchangeable(fam, group[0], v, domains):
                     group.append(v)
                     break
             else:
@@ -603,7 +605,7 @@ def enabled_outcomes(agent: Bigraph, model: Model) -> dict[str, list[Outcome]]:
             if matches and fam.condition is not None:
                 blockers = [frozenset(c.nodes) for c in occurrences(host, fam.condition)]
                 matches = [m for m in matches if not any(b.isdisjoint(m.nodes) for b in blockers)]
-            size = math.prod(math.factorial(len(g)) for g in groups) if groups else 1
+            size = math.prod(math.factorial(len(g)) for g in groups)
             found = valid[fam.base] = (matches, size)
         return found
 

@@ -87,34 +87,40 @@ class UnknownLabel(Exception):
 
 
 # expressions are the tuples of `tickgraph.lang`: ("name", s) | ("not", e) |
-# ("and", a, b) | ("or", a, b)
+# ("and", a, b) | ("or", a, b).  They are walked with a stack, not by
+# recursion, as a long `|` or `&` chain nests one tuple per term.
 
 
-def expr_names(expr) -> set[str]:
-    if expr[0] == "name":
-        return {expr[1]}
-    if expr[0] == "not":
-        return expr_names(expr[1])
-    return expr_names(expr[1]) | expr_names(expr[2])
-
-
-def eval_expr(expr, labels: set[str]) -> bool:
-    op = expr[0]
-    if op == "name":
-        return expr[1] in labels
-    if op == "not":
-        return not eval_expr(expr[1], labels)
-    if op == "and":
-        return eval_expr(expr[1], labels) and eval_expr(expr[2], labels)
-    return eval_expr(expr[1], labels) or eval_expr(expr[2], labels)
+def _postorder(expr) -> list[tuple]:
+    """The subexpressions of `expr`, each after its operands."""
+    order, stack = [], [expr]
+    while stack:
+        e = stack.pop()
+        order.append(e)
+        if e[0] != "name":
+            stack.extend(e[1:])
+    order.reverse()
+    return order
 
 
 def satisfying(mdp: Mdp, expr) -> list[bool]:
+    """Per state, whether its labels satisfy `expr`."""
+    order = _postorder(expr)
     if mdp.label_names is not None:
-        missing = expr_names(expr) - mdp.label_names
+        missing = {e[1] for e in order if e[0] == "name"} - mdp.label_names
         if missing:
             raise UnknownLabel(f"unknown pattern name(s): {sorted(missing)}")
-    return [eval_expr(expr, labels) for labels in mdp.labels]
+    values: list[list[bool]] = []  # one vector per operand not yet used
+    for e in order:
+        if e[0] == "name":
+            values.append([e[1] in labels for labels in mdp.labels])
+        elif e[0] == "not":
+            values.append([not x for x in values.pop()])
+        elif e[0] == "and":
+            values.append([x and y for x, y in zip(values.pop(), values.pop())])
+        else:
+            values.append([x or y for x, y in zip(values.pop(), values.pop())])
+    return values.pop()
 
 
 # ---------------------------------------------------------------------------

@@ -184,7 +184,8 @@ def token_model(k: int, links: str = "none") -> str:
 
 def tick_model(k: int) -> str:
     """A pure tick over `k` interchangeable clocks from 0, with values 0..2 in
-    the rule: 4 states in a chain.  `tests/data/tick9.big` is `tick_model(9)`."""
+    the rule: 4 states in a chain.  `tests/data/tick9.big` is `tick_model(9)`,
+    `tests/data/tick30.big` is `tick_model(30)`."""
     ids = range(1, k + 1)
     formals = ", ".join(f"c{i}" for i in ids)
     clocks = lambda step: " | ".join(f"LC(c{i}{step}){{l{i}}}" for i in ids)

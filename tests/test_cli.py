@@ -82,6 +82,36 @@ def test_non_utf8_model_is_a_model_error(tmp_path):
         assert r.stderr.strip() == f"tickgraph: 2:18: {bad}: byte 22 (0xe9) is not UTF-8"
 
 
+def _deep_model(tmp_path, name, big, ctrls=""):
+    model = tmp_path / f"{name}.big"
+    model.write_text(
+        f"ctrl A = 0;\natomic ctrl L = 0;\n{ctrls}react r = L -[1]-> L;\nbig s = {big};\n"
+        "begin abrs\n  init s;\n  rules = [ {r} ];\n  actions = [ a = {r} ];\nend\n"
+    )
+    return model
+
+
+def test_deep_nest_chain_is_read_without_recursion(tmp_path):
+    # each `A.` was one parser frame, and one elaborator frame
+    model = _deep_model(tmp_path, "nest", "A." * 1500 + "L")
+    r = run("validate", model)
+    assert r.returncode == 0, r.stderr
+    r = run("build", model, "--out", tmp_path)
+    assert r.returncode == 0, r.stderr
+    assert "1 states, 1 choices, 1 transitions" in r.stdout
+
+
+def test_long_closure_chain_is_read_without_recursion(tmp_path):
+    # each `/t` was one parser frame, and one elaborator frame
+    n = 1200
+    closes = "".join(f"/t{i}" for i in range(n))
+    body = " | ".join(f"B{{t{i}}}" for i in range(n))
+    model = _deep_model(tmp_path, "close", f"{closes} A.({body} | L)", "atomic ctrl B = 1;\n")
+    r = run("validate", model)
+    assert r.returncode == 0, r.stderr
+    assert "close: 1 rules, 3 controls" in r.stdout
+
+
 def test_validate_huge_integer_literal(tmp_path):
     # int() refuses more than 4300 digits by default
     bad = tmp_path / "bad.big"
@@ -310,6 +340,20 @@ def test_non_utf8_properties_are_a_usage_error(tmp_path):
     r = run("check", MODELS / "pta.big", "--props", props, "--out", tmp_path)
     assert (r.returncode, r.stdout) == (2, "")
     assert r.stderr.strip() == f"tickgraph: 2:1: {props}: byte 31 (0xff) is not UTF-8"
+
+
+def test_long_label_expression_is_evaluated_without_recursion(tmp_path):
+    # a 1,200-term `|` chain nests 1,200 tuples deep; it means what one term means
+    results = []
+    for terms in (1, 1200):
+        props = tmp_path / f"f{terms}.props"
+        target = " | ".join(['"in_Done_state"'] * terms)
+        props.write_text(f"P >= 0.5 [ F {target} ]\n")
+        r = run("check", MODELS / "pta.big", "--props", props, "--out", tmp_path, "--json")
+        assert r.returncode in (0, 1), r.stderr
+        (result,) = json.loads(r.stdout)
+        results.append((r.returncode, result["holds"], result["value"]))
+    assert results[0] == results[1]
 
 
 def test_check_unknown_predicate(tmp_path):

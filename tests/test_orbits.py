@@ -9,13 +9,14 @@ multiplicities count it, and the distributions built from them are equal
 float for float.
 """
 
+import itertools
 import math
 import random
 from dataclasses import replace
 
 import pytest
 
-from tickgraph import rules
+from tickgraph import match, rules
 from tickgraph.bigraph import Bigraph, Control
 from tickgraph.elaborate import elaborate, load_model
 from tickgraph.lang import parse
@@ -169,8 +170,65 @@ def test_orbit_search_orders_images_by_entity_id():
     assert occurrences(agent, pattern, groups=((1, 2),)) == every[:1]
 
 
+@pytest.mark.parametrize("order", list(itertools.permutations((1, 2, 3))))
+def test_orbit_search_prunes_by_entity_id_in_any_search_order(monkeypatch, order):
+    # the pattern P.(A | A | A | id) lists its A children in `order`, so the
+    # search maps them in that order; the agent's P holds five A children
+    # and a B, out of id order.  Each kept match is the one of its orbit
+    # whose images ascend with the entity id, none is lost to the bounds or
+    # to the room that the later members need, and the search enters no
+    # prefix that does not extend to a kept match
+    P, A, B = Control("P"), Control("A", atomic=True), Control("B", atomic=True)
+    pattern = Bigraph([(P, None)] + [(A, None)] * 3,
+                      [[("n", p) for p in order] + [("s", 0)], [], [], []],
+                      [[("n", 0)]], 1, [])
+    nodes = [(P, None), (A, None), (A, None), (B, None), (A, None), (A, None), (A, None)]
+    agent = Bigraph(nodes, [[("n", u) for u in (5, 2, 3, 6, 1, 4)]] + [[]] * 6,
+                    [[("n", 0)]], 0, [])
+    every = occurrences(agent, pattern)
+    assert len(every) == 5 * 4 * 3
+    entered = []
+    real = match._Search._assign
+    monkeypatch.setattr(match._Search, "_assign",
+                        lambda self, idx: entered.append(idx) or real(self, idx))
+    kept = occurrences(agent, pattern, groups=((1, 2, 3),))
+    assert kept == [m for m in every if _ascending(((1, 2, 3),), m.nodes)]
+    assert len(kept) == 10
+    search_order = (0,) + order
+    prefixes = {tuple(m.nodes[p] for p in search_order[:d]) for m in kept for d in range(5)}
+    assert len(entered) == len(prefixes)
+
+
+@pytest.mark.parametrize("k", [16, 30])
+def test_many_clock_tick_is_linear_in_the_clocks(monkeypatch, k):
+    # one comparison per clock finds the group, and the matcher never
+    # enters a prefix that leaves too few clocks for the rest of the group
+    calls = {"interchangeable": 0, "assign": 0}
+
+    def counted(name, real, limit):
+        def call(*args):
+            calls[name] += 1
+            assert calls[name] <= limit, f"more than {limit} {name} calls"
+            return real(*args)
+        return call
+
+    monkeypatch.setattr(rules, "_interchangeable",
+                        counted("interchangeable", rules._interchangeable, k - 1))
+    model = _model(f"tick-{k}")
+    assert calls["interchangeable"] == k - 1
+    assert model.groups == {"clock_advance": (tuple(range(1, k + 1)),)}
+    monkeypatch.setattr(match._Search, "_assign",
+                        counted("assign", match._Search._assign, 10 * k))
+    mdp = explore(model)
+    assert (mdp.n_states, mdp.n_choices, mdp.n_transitions) == (4, 3, 3)
+
+
 def test_tick9_data_is_the_generated_tick():
     assert (MODELS.parent / "tests" / "data" / "tick9.big").read_text() == tick_model(9)
+
+
+def test_tick30_data_is_the_generated_tick():
+    assert (MODELS.parent / "tests" / "data" / "tick30.big").read_text() == tick_model(30)
 
 
 # --- look-alike siblings that must not be collapsed ----------------------------
