@@ -173,18 +173,26 @@ class _Elaborator:
     # -- bigraph expression evaluation ----------------------------------------
 
     def eval_iexpr(self, e, env) -> Term:
+        # the parser builds `a + b + c` leaning left: its left spine is walked
+        # in a loop and folded upwards, each right operand evaluated as its
+        # node is reached, so terms are still evaluated left to right
+        spine = []
+        while isinstance(e, lang.IBin):
+            spine.append(e)
+            e = e.left
         if isinstance(e, int):
-            return e
-        if isinstance(e, lang.IVar):
-            if e.name not in env:
-                raise ElabError(f"undefined parameter {e.name!r}", e.pos)
-            return env[e.name]
-        term = Arith(e.op, self.eval_iexpr(e.left, env), self.eval_iexpr(e.right, env))
-        if isinstance(term.left, int) and isinstance(term.right, int):
-            try:
-                return term_eval(term, {})
-            except ParameterLimit as exc:
-                raise ElabError(str(exc), e.pos) from exc
+            term = e
+        elif e.name in env:
+            term = env[e.name]
+        else:
+            raise ElabError(f"undefined parameter {e.name!r}", e.pos)
+        for node in reversed(spine):
+            term = Arith(node.op, term, self.eval_iexpr(node.right, env))
+            if isinstance(term.left, int) and isinstance(term.right, int):
+                try:
+                    term = term_eval(term, {})
+                except ParameterLimit as exc:
+                    raise ElabError(str(exc), node.pos) from exc
         return term
 
     def eval_big(self, e, env) -> Bigraph:

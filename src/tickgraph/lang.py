@@ -693,17 +693,22 @@ class _Parser:
         return e
 
     def lfactor(self) -> tuple:
-        if self.at("!"):
+        # a run of `!` is read in a loop and folded from the right
+        nots = 0
+        while self.at("!"):
             self.bump()
-            return ("not", self.lfactor())
+            nots += 1
         if self.at("("):
             self.bump()
             e = self.lexpr()
             self.expect(")")
-            return e
-        if self.cur.kind != "STRING":
+        elif self.cur.kind != "STRING":
             self.unexpected("quoted pattern name")
-        return ("name", self.bump().text[1:-1])
+        else:
+            e = ("name", self.bump().text[1:-1])
+        for _ in range(nots):
+            e = ("not", e)
+        return e
 
 
 def read_source(path) -> str:

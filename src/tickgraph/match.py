@@ -16,13 +16,19 @@ inside a site's captured forest).  Unmatched children of a matched entity
 are captured by that entity's site and survive rewriting; a matched entity
 without a site admits no extra children.
 
-The search maps pattern entities in pre-order, so a parent is mapped before
-its children.  Each pattern entity takes its candidates, in agent entity
-order, from the narrowest source already fixed: a child entity from the
-children of its parent's image; a region root that shares an edge with an
-entity mapped before it from the entities on that edge's image; any other
-root from every agent entity of its control.  The pattern's tables
-(:class:`Tables`) are computed once and kept with the pattern; the agent's
+A host that holds fewer entities of some control than the pattern has no
+match, and the search ends before it starts.  Otherwise it maps pattern
+entities along a plan.  Each connected part of the pattern (entities linked
+by parent, child or shared edge) starts at the entity whose control is
+rarest in the host, ties going by pre-order, and grows one neighbour of a
+mapped entity at a time: a child of a mapped entity takes its candidates,
+in agent entity order, from the children of its parent's image; else the
+parent of a mapped child takes the parent of that child's image; else an
+entity on a mapped edge takes the entities on that edge's image.  A parent
+is mapped as soon as the subtree of its first mapped child is, so these
+sources alone keep each entity the child of its parent's image.  The
+pattern's tables (:class:`Tables`) are computed once and kept with the
+pattern, with one plan per host count of its controls; the agent's
 (:class:`Host`) once per agent, and a caller that searches one agent for
 several patterns builds one Host and passes it to each search.
 
@@ -35,7 +41,10 @@ member whose images ascend with the entity id inside every group.  A
 member's candidates are the free entities of its control between the
 images of the members mapped before it, less as many at each end as the
 members mapped after it need there, so no prefix without room for the
-rest of its group is entered.  That member is the orbit's first in
+rest of its group is entered.  A member whose parent is mapped before it
+counts its parent image's children; any other counts every entity of its
+control, since its later members need not share the edge or child it
+would be found by.  The member kept is the orbit's first in
 `Match.sort_key` order.
 """
 
@@ -102,17 +111,18 @@ class Host:
 
 
 class Tables:
-    """A pattern's search tables: its entities in pre-order and, per entity,
-    control name, parameter, parent entity (None for a region root), region
-    (roots only), sorted ``(edge, count, closed, edge size)`` tuples, child
-    entities, sites and the edge whose image gives a root its candidates."""
+    """A pattern's search tables: per entity its control name, parameter,
+    parent entity (None for a region root), region (roots only), sorted
+    ``(edge, count, closed, edge size)`` tuples, child entities, sites and
+    pre-order position; how many entities of each control the pattern has,
+    as sorted ``(control, count)`` pairs; and the search plans built so
+    far, keyed by the host's counts of those controls and the groups."""
 
-    __slots__ = ("order", "ctrl", "param", "parent", "region", "edges", "kids", "sites",
-                 "via", "nregions", "nsites")
+    __slots__ = ("ctrl", "param", "parent", "region", "edges", "kids", "sites", "pos",
+                 "need", "plans", "nregions", "nsites")
 
     def __init__(self, pattern: Bigraph):
         n = pattern.nnodes
-        self.order = [i for k, i in pattern.preorder() if k == "n"]
         self.ctrl = [ctrl.name for ctrl, _p in pattern.nodes]
         self.param = [param for _ctrl, param in pattern.nodes]
         self.parent: list[int | None] = [None] * n
@@ -135,32 +145,83 @@ class Tables:
                   for e, cnt in sorted(cs.items()))
             for cs in counts
         ]
-        self.via: list[int | None] = [None] * n
-        mapped: set[int] = set()
-        for p in self.order:
-            if self.parent[p] is None:
-                self.via[p] = next((e for e, *_ in self.edges[p] if e in mapped), None)
-            mapped.update(e for e, *_ in self.edges[p])
+        self.pos = [0] * n
+        for k, i in enumerate(i for kind, i in pattern.preorder() if kind == "n"):
+            self.pos[i] = k
+        self.need = tuple(sorted((name, self.ctrl.count(name)) for name in set(self.ctrl)))
+        self.plans: dict[tuple, tuple[list[tuple], dict]] = {}
         self.nregions = pattern.nregions
         self.nsites = pattern.nsites
 
 
+def _plan(pat: Tables, counts: dict[str, int]) -> list[tuple[int, str, int | None]]:
+    """The order in which to map the pattern's entities, as steps
+    ``(entity, source, source entity or edge)``.
+
+    Each step maps an unmapped entity next to a mapped one, preferring a
+    child of a mapped entity ("kids" of the parent's image), then the
+    parent of a mapped child ("up": the parent of that child's image), then
+    an entity on a mapped edge ("edge": the entities on the edge's image).
+    An entity next to none starts a connected part and takes every entity
+    of its control ("all").  Within each kind the control rarest in the
+    host goes first, then pre-order.
+
+    A parent is thus mapped as soon as the subtree of its first mapped child
+    is, and its other children after it: no entity needs a check of its
+    parent beyond its source.
+    """
+    n = len(pat.ctrl)
+    done = [False] * n
+    linked: set[int] = set()  # the pattern edges of mapped entities
+    steps = []
+    for _ in range(n):
+        best = None
+        for p in range(n):
+            if done[p]:
+                continue
+            q = pat.parent[p]
+            kid = next((c for c in pat.kids[p] if done[c]), None)
+            edge = next((e for e, *_ in pat.edges[p] if e in linked), None)
+            if q is not None and done[q]:
+                kind, source, src = 0, "kids", q
+            elif kid is not None:
+                kind, source, src = 1, "up", kid
+            elif edge is not None:
+                kind, source, src = 2, "edge", edge
+            else:
+                kind, source, src = 3, "all", None
+            key = (kind, counts[pat.ctrl[p]], pat.pos[p])
+            if best is None or key < best[0]:
+                best = (key, p, source, src)
+        _key, p, source, src = best
+        steps.append((p, source, src))
+        done[p] = True
+        linked.update(e for e, *_ in pat.edges[p])
+    return steps
+
+
+def _bounds(steps, groups) -> dict[int, tuple[int | None, int | None, int, int]]:
+    """Per group member, the nearest members by id mapped before it, below
+    and above (None if there is none), and how many members mapped after it
+    lie between each of those and it."""
+    at = {p: i for i, (p, *_rest) in enumerate(steps)}
+    bounds = {}
+    for group in groups:
+        members = [None, *sorted(group), None]
+        for k, p in enumerate(members[1:-1], 1):
+            fixed = [j for j, q in enumerate(members) if q is None or at[q] < at[p]]
+            lo, hi = max(j for j in fixed if j < k), min(j for j in fixed if j > k)
+            bounds[p] = (members[lo], members[hi], k - lo - 1, hi - k - 1)
+    return bounds
+
+
 class _Search:
-    def __init__(self, host: Host, pat: Tables, domains, groups=()):
+    def __init__(self, host: Host, pat: Tables, steps, bounds, domains):
         self.host = host
         self.pat = pat
+        self.steps = steps
+        self.bounds = bounds
         self.domains = domains or {}
-        # group member -> (the nearest members by id mapped before it, below
-        # and above, or None; how many members mapped after it lie between
-        # each of those and it)
-        self.bounds: dict[int, tuple[int | None, int | None, int, int]] = {}
-        for group in groups:
-            step = {p: pat.order.index(p) for p in group}
-            members = [None, *sorted(group), None]
-            for k, p in enumerate(members[1:-1], 1):
-                fixed = [j for j, q in enumerate(members) if q is None or step[q] < step[p]]
-                lo, hi = max(j for j in fixed if j < k), min(j for j in fixed if j > k)
-                self.bounds[p] = (members[lo], members[hi], k - lo - 1, hi - k - 1)
         self.results: list[Match] = []
         self.nmap: list[int] = [-1] * len(pat.ctrl)
         self.emap: dict[int, int] = {}
@@ -174,15 +235,19 @@ class _Search:
         self.results.sort(key=Match.sort_key)
         return self.results
 
-    def _candidates(self, p: int):
+    def _candidates(self, p: int, source: str, src):
         host, pat = self.host, self.pat
-        q = pat.parent[p]
-        if q is not None:
-            candidates = host.kids[self.nmap[q]]
-        elif pat.via[p] is not None:
-            candidates = host.on_edge[self.emap[pat.via[p]]]
+        if source == "kids":
+            candidates = host.kids[self.nmap[src]]
+        elif source == "up":
+            a = host.parent[self.nmap[src]]
+            candidates = (a[1],) if a[0] == "n" else ()
+        elif source == "edge" and p not in self.bounds:
+            candidates = host.on_edge[self.emap[src]]
         else:
-            candidates = host.by_control.get(pat.ctrl[p], ())
+            # a group member's later members need not share its edge, so it
+            # counts them among every entity of its control
+            candidates = host.by_control[pat.ctrl[p]]
         if p not in self.bounds:
             return candidates
         lo, hi, below, above = self.bounds[p]
@@ -193,12 +258,11 @@ class _Search:
         return free[below : len(free) - above]
 
     def _assign(self, idx: int):
-        pat = self.pat
-        if idx == len(pat.order):
+        if idx == len(self.steps):
             self._complete()
             return
-        host = self.host
-        p = pat.order[idx]
+        host, pat = self.host, self.pat
+        p, source, src = self.steps[idx]
         name = pat.ctrl[p]
         want = len(pat.kids[p])
         has_site = bool(pat.sites[p])
@@ -206,7 +270,7 @@ class _Search:
         pat_param = pat.param[p]
         var = pat_param.name if isinstance(pat_param, Var) else None
         dom = self.domains.get(var) if var is not None else None
-        for u in self._candidates(p):
+        for u in self._candidates(p, source, src):
             if host.ctrl[u] != name or u in self.used_nodes:
                 continue
             # child count feasibility: equality without a site, lower bound with one
@@ -320,11 +384,22 @@ def occurrences(
     `agent` is a ground bigraph, or the :class:`Host` of one shared by
     several searches of it.  `domains` restricts what values pattern
     parameter variables may bind.  With `groups` (disjoint tuples of
-    interchangeable pattern entities) the same search keeps one match per
+    interchangeable leaf entities) the same search keeps one match per
     orbit, its first; the caller must know that the groups are
-    interchangeable.
+    interchangeable.  A host with fewer entities of some control than the
+    pattern has no match and is not searched; any other is searched along
+    the plan for its counts of the pattern's controls, built on first use
+    and kept with the pattern's tables.
     """
     host = agent if isinstance(agent, Host) else Host(agent)
-    if pattern._tables is None:  # built on first use, kept with the pattern
-        pattern._tables = Tables(pattern)
-    return _Search(host, pattern._tables, domains, groups).run()
+    pat = pattern._tables
+    if pat is None:  # built on first use, kept with the pattern
+        pat = pattern._tables = Tables(pattern)
+    counts = tuple(len(host.by_control.get(name, ())) for name, _need in pat.need)
+    if any(have < need for have, (_name, need) in zip(counts, pat.need)):
+        return []
+    plan = pat.plans.get((counts, groups))
+    if plan is None:
+        steps = _plan(pat, {name: have for have, (name, _need) in zip(counts, pat.need)})
+        plan = pat.plans[counts, groups] = (steps, _bounds(steps, groups))
+    return _Search(host, pat, *plan, domains).run()

@@ -112,6 +112,20 @@ def test_long_closure_chain_is_read_without_recursion(tmp_path):
     assert "close: 1 rules, 3 controls" in r.stdout
 
 
+def test_long_parameter_sum_is_evaluated_without_recursion(tmp_path):
+    # `0+0+...+0` leans left 3,000 deep; each `+` was one elaborator frame
+    model = tmp_path / "sum.big"
+    chain = "+".join(["0"] * 3000)
+    text = (MODELS / "pta.big").read_text()
+    model.write_text(text.replace("X(0){c});", f"X({chain}){{c}});", 1))
+    assert chain in model.read_text()
+    r = run("validate", model)
+    assert r.returncode == 0, r.stderr
+    r = run("build", model, "--out", tmp_path)
+    assert r.returncode == 0, r.stderr
+    assert "14 states, 20 choices, 21 transitions" in r.stdout
+
+
 def test_validate_huge_integer_literal(tmp_path):
     # int() refuses more than 4300 digits by default
     bad = tmp_path / "bad.big"
@@ -351,6 +365,21 @@ def test_long_label_expression_is_evaluated_without_recursion(tmp_path):
         props.write_text(f"P >= 0.5 [ F {target} ]\n")
         r = run("check", MODELS / "pta.big", "--props", props, "--out", tmp_path, "--json")
         assert r.returncode in (0, 1), r.stderr
+        (result,) = json.loads(r.stdout)
+        results.append((r.returncode, result["holds"], result["value"]))
+    assert results[0] == results[1]
+
+
+def test_long_not_chain_is_read_without_recursion(tmp_path):
+    # each `!` was one parser frame; 3,000 of them mean what four do
+    results = []
+    for nots in (4, 3000):
+        props = tmp_path / f"n{nots}.props"
+        props.write_text(f'P >= 0.5 [ F {"!" * nots}"in_Done_state" ]\n')
+        plain = run("check", MODELS / "pta.big", "--props", props, "--out", tmp_path)
+        r = run("check", MODELS / "pta.big", "--props", props, "--out", tmp_path, "--json")
+        assert r.returncode in (0, 1), r.stderr
+        assert plain.returncode == r.returncode, plain.stderr
         (result,) = json.loads(r.stdout)
         results.append((r.returncode, result["holds"], result["value"]))
     assert results[0] == results[1]

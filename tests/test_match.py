@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from tickgraph import match
 from tickgraph.bigraph import (
     Bigraph,
     Control,
@@ -310,6 +311,14 @@ def check_agreement(seed: int) -> tuple[int, int]:
     rng = random.Random(seed)
     agent = random_ground(rng)
     pattern = sub_pattern(rng, agent) if rng.random() < 0.5 else random_pattern(rng)
+    n = assert_agreement(rng, agent, pattern, seed)
+    return n, n if second_root_linked(pattern) else 0
+
+
+def assert_agreement(rng: random.Random, agent: Bigraph, pattern: Bigraph, seed) -> int:
+    """Draw domains for the pattern's variables, check that the matcher finds
+    what the oracle does, in `Match.sort_key` order, and return the number
+    of matches."""
     domains = {}
     for v in sorted({p.name for _c, p in pattern.nodes if isinstance(p, Var)}):
         dom = rng.choice([None, {0}, {1}, {0, 1}])
@@ -321,7 +330,7 @@ def check_agreement(seed: int) -> tuple[int, int]:
     assert len(got) == len(found)
     want = brute_occurrences(agent, pattern, domains=domains)
     assert got == want, f"seed {seed}: matcher={got} oracle={want}"
-    return len(want), len(want) if second_root_linked(pattern) else 0
+    return len(want)
 
 
 def second_root_linked(pattern: Bigraph) -> bool:
@@ -350,3 +359,91 @@ def test_matcher_agrees_with_enumerator(block):
     # an edge it shares with the first region (26-36 and 3-12 per block)
     assert hits >= 20
     assert linked_hits >= 2
+
+
+# ---- the search plan -------------------------------------------------------
+
+
+def rare_case(rng: random.Random) -> tuple[Bigraph, Bigraph]:
+    """An agent in which one entity below another has a control, R, that no
+    other entity has, and a pattern cut out of it that holds R below a root
+    or as the root of a second region that shares an edge with the first.
+    The agent holds every other control of the pattern at least twice."""
+    while True:
+        agent = random_ground(rng, max_nodes=7)
+        below = [u for u in range(agent.nnodes) if agent.parent(("n", u))[0] == "n"]
+        if not below:
+            continue
+        u = rng.choice(below)
+        ctrl, param = agent.nodes[u]
+        nodes = list(agent.nodes)
+        nodes[u] = (Control("R", ctrl.arity, ctrl.atomic, ctrl.parameterised), param)
+        agent = Bigraph(nodes, agent.node_children, agent.region_children, 0, agent.links)
+        names = [c.name for c, _v in agent.nodes]
+        for _ in range(20):
+            pattern = sub_pattern(rng, agent)
+            (r,) = [p for p, (c, _v) in enumerate(pattern.nodes) if c.name == "R"] or [None]
+            if r is None or any(names.count(c.name) < 2 for c, _v in pattern.nodes if c.name != "R"):
+                continue
+            if pattern.parent(("n", r))[0] == "n" or (
+                pattern.parent(("n", r)) == ("r", 1) and second_root_linked(pattern)
+            ):
+                return agent, pattern
+
+
+@pytest.mark.parametrize("block", range(4))
+def test_plan_from_the_rarest_control_agrees_with_enumerator(block):
+    # the plan starts at R, the host's rarest control, so a pattern that
+    # holds R below a root maps a child before its parent, and one whose
+    # second region starts at R reaches the first region through an edge
+    hits = 0
+    sources = {"kids": 0, "up": 0, "edge": 0, "all": 0}
+    for seed in range(block * 50, block * 50 + 50):
+        rng = random.Random(f"rare {seed}")
+        agent, pattern = rare_case(rng)
+        hits += assert_agreement(rng, agent, pattern, seed)
+        ((steps, _bounds),) = pattern._tables.plans.values()
+        assert pattern.nodes[steps[0][0]][0].name == "R"
+        for _p, source, _src in steps:
+            sources[source] += 1
+    # every pattern occurs at least once unless a domain rules it out
+    # (54-62 matches, 32-40 up and 16-27 edge steps per block)
+    assert hits >= 40
+    assert sources["up"] >= 25 and sources["edge"] >= 10, sources
+
+
+def test_too_few_entities_of_a_control_are_not_searched(monkeypatch):
+    # the agent holds one Init; a pattern with two, or with a control the
+    # agent lacks, is answered before any entity is mapped
+    calls = []
+    real = match._Search._assign
+    monkeypatch.setattr(match._Search, "_assign",
+                        lambda self, idx: calls.append(idx) or real(self, idx))
+    assert occurrences(pta_initial(), parallel(ion(INIT), ion(INIT))) == []
+    assert occurrences(pta_initial(), parallel(ion(INIT), ion(SEND))) == []
+    assert calls == []
+    assert len(occurrences(pta_initial(), ion(INIT))) == 1
+    assert calls
+
+
+def test_cloud_explore_search_steps(monkeypatch):
+    # partial assignments over cloud's whole exploration: 12,234 when the
+    # search mapped entities in pre-order and searched hosts that lack a
+    # redex control, 3,697 with the count check and the rarest-first plan
+    import pathlib
+
+    from tickgraph.elaborate import load_model
+    from tickgraph.mdp import explore
+
+    calls = [0]
+    real = match._Search._assign
+
+    def counted(self, idx):
+        calls[0] += 1
+        return real(self, idx)
+
+    model = load_model(pathlib.Path(__file__).resolve().parent.parent / "models" / "cloud.big")
+    monkeypatch.setattr(match._Search, "_assign", counted)
+    mdp = explore(model)
+    assert (mdp.n_states, mdp.n_choices, mdp.n_transitions) == (106, 106, 120)
+    assert calls[0] == 3_697 <= 12_234 // 3

@@ -17,7 +17,7 @@ from dataclasses import replace
 import pytest
 
 from tickgraph import match, rules
-from tickgraph.bigraph import Bigraph, Control
+from tickgraph.bigraph import Bigraph, Control, Link
 from tickgraph.elaborate import elaborate, load_model
 from tickgraph.lang import parse
 from tickgraph.match import occurrences
@@ -197,6 +197,32 @@ def test_orbit_search_prunes_by_entity_id_in_any_search_order(monkeypatch, order
     search_order = (0,) + order
     prefixes = {tuple(m.nodes[p] for p in search_order[:d]) for m in kept for d in range(5)}
     assert len(entered) == len(prefixes)
+
+
+def test_orbit_search_counts_a_member_found_by_edge_among_its_control():
+    # R{y1,y2} || P.(A{y1} | A{y2}): ports are unordered, so a swap of the
+    # A children with y1 and y2 maps the pattern onto itself.  The search
+    # starts at R, the one entity of the rarest control, and finds the first
+    # A on y1's image.  With y1 on the edge of A 1, the later A is A 2, which
+    # is not on that edge: counted among that edge's A entities only, the
+    # room it needs above would drop A 1 and lose the match kept
+    R = Control("R", arity=2, atomic=True)
+    P, A = Control("P"), Control("A", arity=1, atomic=True)
+    pattern = Bigraph([(R, None), (P, None), (A, None), (A, None)],
+                      [[], [("n", 2), ("n", 3)], [], []], [[("n", 0)], [("n", 1)]], 0,
+                      [Link("y1", ((0, 0), (2, 0))), Link("y2", ((0, 1), (3, 0)))])
+    agent = Bigraph([(P, None), (A, None), (A, None), (R, None)],
+                    [[("n", 1), ("n", 2)], [], [], []], [[("n", 0), ("n", 3)]], 0,
+                    [Link("e0", ((3, 0), (2, 0))), Link("e1", ((3, 1), (1, 0)))])
+    every = occurrences(agent, pattern)
+    assert len(every) == 2
+    kept = occurrences(agent, pattern, groups=((2, 3),))
+    assert kept == [m for m in every if _ascending(((2, 3),), m.nodes)]
+    assert len(kept) == 1
+    # one plan, with and without the group
+    for steps, _bounds in pattern._tables.plans.values():
+        assert [(p, source) for p, source, *_ in steps] == [
+            (0, "all"), (2, "edge"), (1, "up"), (3, "kids")]
 
 
 @pytest.mark.parametrize("k", [16, 30])
