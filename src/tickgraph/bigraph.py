@@ -260,24 +260,23 @@ def _shift_ref(ref: Ref, dn: int, ds: int) -> Ref:
     return ("s", i + ds)
 
 
-def _fuse_links(a: Bigraph, b: Bigraph, dn: int) -> list[Link]:
-    """Concatenate link sets, fusing like-named open links into one hyperedge."""
+def _fuse_links(parts: list[Bigraph], shifts: list[int]) -> list[Link]:
+    """Concatenate the parts' link sets, each part's entity ids shifted by its
+    shift, fusing like-named open links into one hyperedge (ports in part
+    order)."""
     links: list[Link] = []
     by_name: dict[str, int] = {}
-    for lk in a.links:
-        if lk.name is not None:
-            by_name[lk.name] = len(links)
-        links.append(lk)
-    for lk in b.links:
-        ports = tuple((n + dn, p) for n, p in lk.ports)
-        if lk.name is not None and lk.name in by_name:
-            i = by_name[lk.name]
-            old = links[i]
-            links[i] = Link(old.name, old.ports + ports)
-        else:
+    fused: dict[int, list[tuple[int, int]]] = {}  # ports of later parts, by link
+    for g, dn in zip(parts, shifts):
+        for lk in g.links:
+            if lk.name is not None and lk.name in by_name:
+                fused.setdefault(by_name[lk.name], []).extend((n + dn, p) for n, p in lk.ports)
+                continue
             if lk.name is not None:
                 by_name[lk.name] = len(links)
-            links.append(Link(lk.name, ports))
+            links.append(Link(lk.name, tuple((n + dn, p) for n, p in lk.ports)) if dn else lk)
+    for i, ports in fused.items():
+        links[i] = Link(links[i].name, links[i].ports + tuple(ports))
     return links
 
 
@@ -302,33 +301,39 @@ def _renumber_sites(g: Bigraph) -> Bigraph:
     )
 
 
-def _combine(a: Bigraph, b: Bigraph, flatten: bool) -> Bigraph:
-    dn, ds = a.nnodes, a.nsites
-    nodes = list(a.nodes) + list(b.nodes)
-    node_children = [list(cs) for cs in a.node_children] + [
-        [_shift_ref(c, dn, ds) for c in cs] for cs in b.node_children
-    ]
-    b_regions = [[_shift_ref(c, dn, ds) for c in cs] for cs in b.region_children]
+def _combine(parts: list[Bigraph], flatten: bool) -> Bigraph:
+    """The parts side by side, in one pass: their regions in order (all under
+    one region when `flatten`), like outer names fused, sites numbered once."""
+    nodes: list[tuple[Control, Term | None]] = []
+    node_children: list[list[Ref]] = []
+    region_children: list[list[Ref]] = []
+    shifts: list[int] = []
+    nsites = 0
+    for g in parts:
+        dn, ds = len(nodes), nsites
+        shifts.append(dn)
+        nodes += g.nodes
+        if dn or ds:
+            node_children += [[_shift_ref(c, dn, ds) for c in cs] for cs in g.node_children]
+            region_children += [[_shift_ref(c, dn, ds) for c in cs] for cs in g.region_children]
+        else:
+            node_children += g.node_children
+            region_children += g.region_children
+        nsites += g.nsites
     if flatten:
-        merged: list[Ref] = [c for cs in a.region_children for c in cs]
-        merged += [c for cs in b_regions for c in cs]
-        region_children = [merged]
-    else:
-        region_children = [list(cs) for cs in a.region_children] + b_regions
-    links = _fuse_links(a, b, dn)
-    return _renumber_sites(
-        Bigraph(nodes, node_children, region_children, a.nsites + b.nsites, links)
-    )
+        region_children = [[c for cs in region_children for c in cs]]
+    links = _fuse_links(parts, shifts)
+    return _renumber_sites(Bigraph(nodes, node_children, region_children, nsites, links))
 
 
 def merge(a: Bigraph, b: Bigraph) -> Bigraph:
     """Juxtaposition under one region (the DSL's `|`); like outer names fuse."""
-    return _combine(a, b, flatten=True)
+    return _combine([a, b], flatten=True)
 
 
 def parallel(a: Bigraph, b: Bigraph) -> Bigraph:
     """Region concatenation (the DSL's `||`); like outer names fuse."""
-    return _combine(a, b, flatten=False)
+    return _combine([a, b], flatten=False)
 
 
 def nest(outer: Bigraph, inner: Bigraph) -> Bigraph:
@@ -360,7 +365,7 @@ def nest(outer: Bigraph, inner: Bigraph) -> Bigraph:
     node_children = [splice(cs) for cs in outer.node_children]
     node_children += [inner_fix(cs) for cs in inner.node_children]
     region_children = [splice(cs) for cs in outer.region_children]
-    links = _fuse_links(outer, inner, dn)
+    links = _fuse_links([outer, inner], [0, dn])
     return _renumber_sites(
         Bigraph(nodes, node_children, region_children, inner.nsites, links)
     )
@@ -382,21 +387,17 @@ def close(name: str, g: Bigraph) -> Bigraph:
 
 
 def merge_all(parts: list[Bigraph]) -> Bigraph:
+    """`parts[0] | parts[1] | ...`, joined in one pass."""
     if not parts:
         return empty()
-    out = parts[0]
-    for p in parts[1:]:
-        out = merge(out, p)
-    return out
+    return parts[0] if len(parts) == 1 else _combine(parts, flatten=True)
 
 
 def parallel_all(parts: list[Bigraph]) -> Bigraph:
+    """`parts[0] || parts[1] || ...`, joined in one pass."""
     if not parts:
         return empty(regions=0)
-    out = parts[0]
-    for p in parts[1:]:
-        out = parallel(out, p)
-    return out
+    return parts[0] if len(parts) == 1 else _combine(parts, flatten=False)
 
 
 # ---------------------------------------------------------------------------

@@ -627,7 +627,7 @@ class _Parser:
     # prop := 'P' bound prob '[' 'F' lexpr ']' | 'E' '[' 'F' lexpr ']'
     #       | 'A' '[' ('F' lexpr | 'G' '!' lfactor) ']' | 'FORCEDNEXT' lexpr '->' lexpr
     # lexpr := lterm ('|' lterm)* ; lterm := lfactor ('&' lfactor)*
-    # lfactor := '!' lfactor | '(' lexpr ')' | string
+    # lfactor := '!' lfactor | '(' lexpr ')' | string   (all read by `lexpr`)
 
     def prop(self, source: str) -> Property:
         if self.at("P"):
@@ -653,7 +653,7 @@ class _Parser:
                 if not self.at("!"):
                     self.fail("A [ G ... ] takes a negated expression", ("!",))
                 self.bump()
-                prop = Safety(self.lfactor(), source)
+                prop = Safety(self.lexpr(factor=True), source)
             else:
                 if not self.at("F"):
                     self.unexpected("F", "G")
@@ -678,37 +678,44 @@ class _Parser:
         self.expect("]")
         return e
 
-    def lexpr(self) -> tuple:
-        e = self.lterm()
-        while self.at("|"):
-            self.bump()
-            e = ("or", e, self.lterm())
-        return e
-
-    def lterm(self) -> tuple:
-        e = self.lfactor()
-        while self.at("&"):
-            self.bump()
-            e = ("and", e, self.lfactor())
-        return e
-
-    def lfactor(self) -> tuple:
-        # a run of `!` is read in a loop and folded from the right
-        nots = 0
-        while self.at("!"):
-            self.bump()
-            nots += 1
-        if self.at("("):
-            self.bump()
-            e = self.lexpr()
-            self.expect(")")
-        elif self.cur.kind != "STRING":
-            self.unexpected("quoted pattern name")
-        else:
+    def lexpr(self, factor: bool = False) -> tuple:
+        """An lexpr, or with `factor` an lfactor.  Parentheses open frames on
+        an explicit stack, so their nesting costs no Python stack; a run of
+        `!` is counted and folded from the right."""
+        frames = []  # per open '(': the `!` before it, and the `|` and `&` chains around it
+        ors = ands = None
+        while True:
+            nots = 0
+            while self.at("!"):
+                self.bump()
+                nots += 1
+            if self.at("("):
+                self.bump()
+                frames.append((nots, ors, ands))
+                ors = ands = None
+                continue
+            if self.cur.kind != "STRING":
+                self.unexpected("quoted pattern name")
             e = ("name", self.bump().text[1:-1])
-        for _ in range(nots):
-            e = ("not", e)
-        return e
+            # a whole factor: join it to the chains, closing each ')' that ends them
+            while True:
+                for _ in range(nots):
+                    e = ("not", e)
+                if factor and not frames:
+                    return e
+                ands = e if ands is None else ("and", ands, e)
+                if self.at("&"):
+                    break
+                ors = ands if ors is None else ("or", ors, ands)
+                ands = None
+                if self.at("|"):
+                    break
+                if not frames:
+                    return ors
+                self.expect(")")
+                e = ors
+                nots, ors, ands = frames.pop()
+            self.bump()
 
 
 def read_source(path) -> str:

@@ -36,8 +36,37 @@ class Arith:
     left: "Term"
     right: "Term"
 
+    # terms of thousands of operators are legal, so what walks a whole term
+    # walks an explicit stack, not the Python one
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Arith):
+            return NotImplemented
+        todo = [(self, other)]
+        while todo:
+            a, b = todo.pop()
+            if isinstance(a, Arith) and isinstance(b, Arith):
+                if a.op != b.op:
+                    return False
+                todo += ((a.left, b.left), (a.right, b.right))
+            elif isinstance(a, Arith) or isinstance(b, Arith) or a != b:
+                return False
+        return True
+
+    def __hash__(self) -> int:
+        return hash(str(self))
+
     def __str__(self) -> str:
-        return f"({self.left} {self.op} {self.right})"
+        out: list[str] = []
+        todo: list = [self]
+        while todo:
+            t = todo.pop()
+            if isinstance(t, Arith):
+                out.append("(")
+                todo += (")", t.right, f" {t.op} ", t.left)
+            else:
+                out.append(str(t))
+        return "".join(out)
 
 
 Term = int | Var | Arith
@@ -49,27 +78,60 @@ _OPS = {
 }
 
 
+def _unbound(name: str):
+    raise KeyError(f"unbound parameter {name!r}")
+
+
+def _too_long():
+    raise ParameterLimit(f"computed parameter has more than {_MAX_DIGITS} digits")
+
+
+def _leaf(term: int | Var, env: dict[str, int]) -> int:
+    if type(term) is Var:
+        return env[term.name] if term.name in env else _unbound(term.name)
+    return term
+
+
 def term_eval(term: Term, env: dict[str, int]) -> int:
     """Evaluate a term under a variable valuation; a computed value too long
-    to write as text raises ParameterLimit."""
+    to write as text raises ParameterLimit.  A term of more than one operator
+    is evaluated from an explicit stack, so its depth costs no Python stack."""
     if isinstance(term, int):
         return term
     if isinstance(term, Var):
-        if term.name not in env:
-            raise KeyError(f"unbound parameter {term.name!r}")
-        return env[term.name]
-    value = _OPS[term.op](term_eval(term.left, env), term_eval(term.right, env))
-    if abs(value) >= _BOUND:
-        raise ParameterLimit(f"computed parameter has more than {_MAX_DIGITS} digits")
-    return value
+        return env[term.name] if term.name in env else _unbound(term.name)
+    left, right = term.left, term.right
+    if type(left) is not Arith and type(right) is not Arith:
+        value = _OPS[term.op](_leaf(left, env), _leaf(right, env))
+        return value if abs(value) < _BOUND else _too_long()
+    return term_fold(term, lambda t: _leaf(t, env), _apply)
+
+
+def _apply(op: str, a: int, b: int) -> int:
+    value = _OPS[op](a, b)
+    return value if abs(value) < _BOUND else _too_long()
+
+
+def term_fold(term: Term, leaf, node):
+    """Fold a term bottom-up from an explicit stack: `leaf` maps each int or
+    Var, `node(op, left, right)` each operator, left operands first."""
+    values: list = []
+    todo: list = [term]  # terms to fold, and operators to apply to the last two values
+    while todo:
+        t = todo.pop()
+        if type(t) is str:
+            right = values.pop()
+            values.append(node(t, values.pop(), right))
+        elif type(t) is Arith:
+            todo += (t.op, t.right, t.left)
+        else:
+            values.append(leaf(t))
+    return values[0]
 
 
 def term_vars(term: Term) -> set[str]:
-    if isinstance(term, int):
-        return set()
-    if isinstance(term, Var):
-        return {term.name}
-    return term_vars(term.left) | term_vars(term.right)
+    leaf = lambda t: {t.name} if isinstance(t, Var) else set()
+    return term_fold(term, leaf, lambda _op, a, b: a | b) if isinstance(term, Arith) else leaf(term)
 
 
 def is_concrete(term: Term | None) -> bool:

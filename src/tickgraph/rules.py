@@ -44,7 +44,7 @@ from dataclasses import dataclass, field, replace
 from .bigraph import Bigraph, Control, Link, Ref
 from .canon import canonical_form
 from .match import Host, Match, occurrences
-from .params import Arith, ParameterLimit, Term, Var, is_concrete, term_eval, term_vars
+from .params import Arith, ParameterLimit, Term, Var, is_concrete, term_eval, term_fold, term_vars
 
 # a family's groups of interchangeable redex entities (pattern entity ids)
 Groups = tuple[tuple[int, ...], ...]
@@ -491,11 +491,8 @@ class Model:
 
 
 def _rename(term: Term | None, sigma: dict[str, str]) -> Term | None:
-    if isinstance(term, Var):
-        return Var(sigma.get(term.name, term.name))
-    if isinstance(term, Arith):
-        return Arith(term.op, _rename(term.left, sigma), _rename(term.right, sigma))
-    return term
+    leaf = lambda t: Var(sigma.get(t.name, t.name)) if isinstance(t, Var) else t
+    return term_fold(term, leaf, Arith) if isinstance(term, Arith) else leaf(term)
 
 
 def _maps_onto_itself(g: Bigraph, perm: dict[int, int], sigma: dict[str, str],

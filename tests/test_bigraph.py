@@ -6,8 +6,10 @@ from tickgraph.bigraph import (
     empty,
     ion,
     merge,
+    merge_all,
     nest,
     parallel,
+    parallel_all,
     site,
     validate,
 )
@@ -167,3 +169,52 @@ def test_nest_chain_associative():
     # one-site chains: nesting is determined by the chain, not the grouping
     a, b, c = ion(S, ["x"]), ion(LOCALCLOCKS), ion(INIT)
     assert is_iso(nest(a, nest(b, c)), nest(nest(a, b), c))
+
+
+def _structure(g):
+    return g.nodes, g.node_children, g.region_children, g.nsites, [(lk.name, lk.ports) for lk in g.links]
+
+
+def test_n_ary_joins_equal_pairwise_folds():
+    # one pass gives the bigraph, entity for entity, that the pairwise fold gave
+    import functools
+    import random
+
+    from .test_canon import random_bigraph
+
+    rng = random.Random(5)
+    for _ in range(60):
+        parts = [random_bigraph(rng, max_nodes=3) for _ in range(rng.randint(2, 5))]
+        parts.append(merge(nest(ion(S, ["a"]), site()), site()))  # two sites, a shared name
+        rng.shuffle(parts)
+        for join, fold in ((merge_all, merge), (parallel_all, parallel)):
+            g = join(parts)
+            assert validate(g) == []
+            assert _structure(g) == _structure(functools.reduce(fold, parts))
+
+
+@pytest.mark.parametrize("op", ["||", "|"])
+def test_wide_joins_copy_linear_entities(monkeypatch, op):
+    # a fold copied the whole result so far at every step: n^2 / 2 entities
+    from tickgraph.bigraph import Bigraph
+    from tickgraph.elaborate import elaborate
+    from tickgraph.lang import parse
+
+    init = Bigraph.__init__
+    copied = []
+
+    def counting(self, nodes, *args):
+        copied[-1] += len(nodes)
+        init(self, nodes, *args)
+
+    monkeypatch.setattr(Bigraph, "__init__", counting)
+    for n in (300, 600):
+        body = f" {op} ".join(["A{x}.L"] * n)
+        copied.append(0)
+        model = elaborate(parse(
+            "ctrl A = 1;\natomic ctrl L = 0;\nreact r = L -[1]-> L;\n"
+            f"big s = /x ({body});\n"
+            "begin abrs\n  init s;\n  rules = [ {r} ];\n  actions = [ a = {r} ];\nend\n"
+        ))
+        assert model.init.nnodes == 2 * n
+    assert copied[1] <= 2.5 * copied[0]

@@ -693,6 +693,105 @@ def test_cloud_computes_the_same_forms(monkeypatch):
     assert all(g._canon == reference_canonical_form(g) for g in computed)
 
 
+def _dense(ranks: list[int]) -> list[int]:
+    table = {r: i for i, r in enumerate(sorted(set(ranks)))}
+    return [table[r] for r in ranks]
+
+
+def test_incremental_refinement_equals_reference(monkeypatch):
+    # `_refine` recomputes only the classes next to a split; every call must
+    # end in the oracle's ordered partition of the same input.  It stops once
+    # every closed edge with ports has a rank of its own, where the oracle
+    # refines on: there the oracle may split further, but only within its
+    # classes, so the order of those edges is the same
+    from tickgraph import canon
+    from tickgraph.mdp import explore
+
+    from . import oracle
+
+    calls = []
+    refine = canon._refine
+
+    def checking(t, nrank, erank, *rest):
+        out = refine(t, nrank, erank, *rest)
+        got = _dense(out[0]) + [t.g.nnodes + r for r in _dense(out[1])]
+        want = oracle._refine(t.g, nrank, erank)
+        want = _dense(want[0]) + [t.g.nnodes + r for r in _dense(want[1])]
+        if len({out[1][e] for e in t.closed}) < len(t.closed):
+            assert got == want
+        else:
+            pairs = sorted(set(zip(want, got)))
+            assert len({w for w, _g in pairs}) == len(pairs)  # the oracle's is finer
+            assert [g for _w, g in pairs] == sorted(g for _w, g in pairs)  # in order
+        calls.append(got != want)
+        return out
+
+    monkeypatch.setattr(canon, "_refine", checking)
+    for name in ("ring-6", "pairs-8", "cloud"):
+        for model in _models(name):
+            explore(model)
+    rng = random.Random(3)
+    graphs = [random_bigraph(rng) for _ in range(200)] + [weakly_refined(rng) for _ in range(60)]
+    for shape, k in (("pairs", 3), ("ring", 5)):
+        for variant in ("none", "param", "site", "link"):
+            graphs += [near_symmetric(k, shape, variant, at) for at in range(k)]
+    for g in graphs:
+        canonical_form(g)
+    assert len(calls) > 1000 and 0 < sum(calls) < len(calls)
+
+
+_PINNED = {  # sha256 of an explore's forms, joined by newlines: the first 16 digits
+    "cloud": "9cff7892a22db41d",
+    "ring12": "6ae626bb49a193c8",
+    "pairs-8": "c74a8124d5389507",
+    "ring-6": "6b37d40d42239ec8",
+    "pairs-12": "9c2aa5cd488aaa0e",
+}
+
+
+def _forms_digest(model) -> str:
+    import hashlib
+
+    from tickgraph.mdp import explore
+
+    return hashlib.sha256(b"\n".join(explore(model).canon)).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("name", ["cloud", "pairs-8", "ring-6", "pairs-12"])
+def test_pinned_forms(name):
+    from tickgraph.elaborate import elaborate
+    from tickgraph.lang import parse
+
+    from .conftest import token_model
+
+    if name == "cloud":
+        (model,) = _models(name)
+    else:
+        links, k = name.split("-")
+        model = elaborate(parse(token_model(int(k), links)))
+    assert _forms_digest(model) == _PINNED[name]
+
+
+def test_ring12_pinned_forms_and_work(work, monkeypatch):
+    # a closed ring of twelve tokens: the forms and the search's work
+    from tickgraph import mdp, rules
+    from tickgraph.elaborate import load_model
+
+    from .test_rules import ROOT
+
+    real = canonical_form
+
+    def counting(g):
+        work["forms"] += g._canon is None
+        return real(g)
+
+    monkeypatch.setattr(mdp, "canonical_form", counting)
+    monkeypatch.setattr(rules, "canonical_form", counting)
+    model = load_model(str(ROOT / "tests" / "data" / "ring12.big"))
+    assert _forms_digest(model) == _PINNED["ring12"]
+    assert (work["forms"], work["leaves"], work["refines"]) == (1057, 1374, 1683)
+
+
 def deep_nest(depth: int) -> Bigraph:
     """`depth` nested C entities around an L leaf, with a site halfway down,
     closed edges pairing the entities at equal distance from the middle and

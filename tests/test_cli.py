@@ -126,6 +126,21 @@ def test_long_parameter_sum_is_evaluated_without_recursion(tmp_path):
     assert "14 states, 20 choices, 21 transitions" in r.stdout
 
 
+def test_long_rule_parameter_term_is_evaluated_without_recursion(tmp_path):
+    # the tick's `n + 1 + 0 + ... + 0` keeps its variable, so it is not
+    # folded: 3,000 terms, each one frame of `term_vars` and `term_eval`
+    model = tmp_path / "tick.big"
+    chain = " + ".join(["0"] * 2998)
+    text = (MODELS / "pta.big").read_text()
+    model.write_text(text.replace("X(n + 1){c};", f"X(n + 1 + {chain}){{c}};", 1))
+    assert chain in model.read_text()
+    r = run("validate", model)
+    assert r.returncode == 0, r.stderr
+    r = run("build", model, "--out", tmp_path)
+    assert r.returncode == 0, r.stderr
+    assert "14 states, 20 choices, 21 transitions" in r.stdout
+
+
 def test_validate_huge_integer_literal(tmp_path):
     # int() refuses more than 4300 digits by default
     bad = tmp_path / "bad.big"
@@ -376,6 +391,21 @@ def test_long_not_chain_is_read_without_recursion(tmp_path):
     for nots in (4, 3000):
         props = tmp_path / f"n{nots}.props"
         props.write_text(f'P >= 0.5 [ F {"!" * nots}"in_Done_state" ]\n')
+        plain = run("check", MODELS / "pta.big", "--props", props, "--out", tmp_path)
+        r = run("check", MODELS / "pta.big", "--props", props, "--out", tmp_path, "--json")
+        assert r.returncode in (0, 1), r.stderr
+        assert plain.returncode == r.returncode, plain.stderr
+        (result,) = json.loads(r.stdout)
+        results.append((r.returncode, result["holds"], result["value"]))
+    assert results[0] == results[1]
+
+
+def test_nested_parentheses_are_read_without_recursion(tmp_path):
+    # each '(' was three parser frames; 3,000 of them mean what none do
+    results = []
+    for depth in (0, 3000):
+        props = tmp_path / f"p{depth}.props"
+        props.write_text(f'P >= 0.5 [ F {"(" * depth}"in_Done_state"{")" * depth} ]\n')
         plain = run("check", MODELS / "pta.big", "--props", props, "--out", tmp_path)
         r = run("check", MODELS / "pta.big", "--props", props, "--out", tmp_path, "--json")
         assert r.returncode in (0, 1), r.stderr

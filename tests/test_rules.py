@@ -613,3 +613,43 @@ def test_probabilities_equal_exact_fractions(ws):
     # B (r1 and r4), C, D in first-appearance order
     sums = [exact[0] + exact[3], exact[1], exact[2]]
     assert [p for _g, p in dist] == [float(x / total) for x in sums]
+
+
+def test_deep_terms_evaluate_without_recursion():
+    # `n + 1 + 0 + ... + 0` leans left, `0 * (... * (0 * m))` right, 3,000 deep
+    from tickgraph.params import _BOUND, term_eval, term_vars
+
+    left, right = Arith("+", Var("n"), 1), Var("m")
+    for _ in range(3000):
+        left, right = Arith("+", left, 0), Arith("*", 1, right)
+    term = Arith("-", left, right)
+    assert term_vars(term) == {"n", "m"}
+    assert term_eval(term, {"n": 5, "m": 2}) == 4
+    with pytest.raises(KeyError, match="unbound parameter 'm'"):
+        term_eval(term, {"n": 5})
+    if _BOUND < math.inf:
+        with pytest.raises(ParameterLimit):
+            term_eval(term, {"n": _BOUND, "m": 0})
+    one = Arith("*", Var("n"), 4)
+    assert (term_eval(7, {}), term_eval(Var("n"), {"n": 3}), term_eval(one, {"n": 3})) == (7, 3, 12)
+    # the clock check writes a term that is no `Var + step` into its message
+    assert str(Arith("-", Arith("+", Var("n"), 1), Arith("*", 2, one))) == "((n + 1) - (2 * (n * 4)))"
+    assert str(term) == "(" * 3002 + "n + 1)" + " + 0)" * 3000 + " - " + "(1 * " * 3000 + "m" + ")" * 3001
+    same = Arith("-", left, right)
+    assert same == term and hash(same) == hash(term) and Arith("+", left, 0) != term
+
+
+def test_interchangeable_clocks_with_deep_terms():
+    # two swappable clocks whose tick writes 3,000 terms each: the swap check
+    # renames and compares those terms
+    chain = " + ".join(["0"] * 2998)
+    model = elaborate(parse(
+        "atomic fun ctrl X(n) = 1;\nctrl C = 0;\n"
+        "fun react clock_advance(n, m) = C.(X(n){a} | X(m){b}) -[1]-> "
+        f"C.(X(n + 1 + {chain}){{a}} | X(m + 1 + {chain}){{b}});\n"
+        "big s = /a /b C.(X(0){a} | X(0){b});\n"
+        "begin abrs\n  int n = {0,1};\n  int m = {0,1};\n  init s;\n"
+        "  rules = [ {clock_advance(n, m)} ];\n  actions = [ tick = {clock_advance} ];\nend\n"
+    ))
+    built = explore(model)
+    assert (built.n_states, built.n_choices, built.n_transitions) == (3, 2, 2)

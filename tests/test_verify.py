@@ -340,6 +340,26 @@ def test_parse_property_errors():
         assert str(info.value) == msg
 
 
+def test_nested_parentheses_are_read_without_recursion():
+    # each '(' was one lexpr/lterm/lfactor frame triple
+    body = '"a" & !("b" | "c") | "d"'
+    (deep,) = parse_properties(f"P >= 0.5 [ F {'(' * 3000}{body}{')' * 3000} ]")
+    (plain,) = parse_properties(f"P >= 0.5 [ F {body} ]")
+    assert deep.target == plain.target
+    (deep,) = parse_properties(f"A [ G !{'(' * 3000}{body}{')' * 3000} ]")
+    assert deep.bad == plain.target
+    cases = [  # the positions the recursive reader gave
+        ('P >= 0.5 [ F (("a") ]', "1:21: found ']' (expected ))"),
+        ('A [ G !(("a" & ) ]', "1:16: found ')' (expected quoted pattern name)"),
+        ('A [ G !"a" & "b" ]', "1:12: found '&' (expected ])"),
+        ('E [ F ("a" | ("b" "c")) ]', """1:19: found '"c"' (expected ))"""),
+    ]
+    for text, msg in cases:
+        with pytest.raises(ParseError) as info:
+            parse_properties(text)
+        assert str(info.value) == msg
+
+
 @pytest.mark.parametrize("bound", ["2", "1.5", "1.0000001"])
 def test_probability_bound_outside_unit_interval(bound):
     with pytest.raises(ParseError) as info:
