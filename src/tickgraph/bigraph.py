@@ -15,31 +15,36 @@ carry no meaning across values; semantic equality is isomorphism, handled by
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 from .params import Term
+from .records import Record
 
 # Place references: ("n", node id), ("s", site index), ("r", region index).
 Ref = tuple[str, int]
 
 
-@dataclass(frozen=True)
-class Control:
+class Control(Record):
     """Entity type: fixes the port count, atomicity and parameter sort."""
 
-    name: str
-    arity: int = 0
-    atomic: bool = False
-    parameterised: bool = False
+    __slots__ = ("name", "arity", "atomic", "parameterised")
+
+    def __init__(self, name: str, arity: int = 0, atomic: bool = False,
+                 parameterised: bool = False):
+        self.name = name
+        self.arity = arity
+        self.atomic = atomic
+        self.parameterised = parameterised
 
 
-@dataclass(frozen=True)
-class Link:
+class Link(Record):
     """One hyperedge.  ``name`` is the outer name of an open link, None when
     closed.  There are no inner names: no `.big` expression can write one."""
 
-    name: str | None
-    ports: tuple[tuple[int, int], ...]  # (node id, port index)
+    __slots__ = ("name", "ports")
+
+    def __init__(self, name: str | None, ports: tuple[tuple[int, int], ...]):
+        self.name = name
+        self.ports = ports  # (node id, port index)
 
     @property
     def closed(self) -> bool:

@@ -263,6 +263,16 @@ def _orbit(e: int, autos: list[dict[int, int]]) -> set[int]:
     return orbit
 
 
+def _skipped(e: int, done: list[int], autos: list[dict[int, int]], path: list[int]) -> bool:
+    """Whether cell member `e` is skipped at the search node that `path`
+    names: its orbit, under the automorphisms found so far that fix every
+    edge on the path, holds a member already searched (`done`).  One that
+    moves a path edge maps this node onto another node, so it tells nothing
+    about this node's subtrees."""
+    fixing = [a for a in autos if not any(p in a for p in path)]
+    return not _orbit(e, fixing).isdisjoint(done)
+
+
 # an automorphism as (entity map, edge map), each listing only what it moves
 Auto = tuple[dict[int, int], dict[int, int]]
 
@@ -316,10 +326,8 @@ def _search(
         touched = {nrank[v] for f in cell for v, _c in t.edge_nodes[f]}
         done: list[int] = []
         for e in cell:
-            if done:
-                fixing = [a for a in autos if not any(p in a for p in path)]
-                if not _orbit(e, fixing).isdisjoint(done):
-                    continue
+            if done and _skipped(e, done, autos, path):
+                continue
             # the chosen edge keeps rank r, the rest of its class move to r + 1
             split = [x + (x > r or (x == r and f != e)) for f, x in enumerate(erank)]
             parts = ecls[:r] + [[e], [f for f in cell if f != e]] + ecls[r + 1 :]

@@ -173,27 +173,32 @@ class _Elaborator:
     # -- bigraph expression evaluation ----------------------------------------
 
     def eval_iexpr(self, e, env) -> Term:
-        # the parser builds `a + b + c` leaning left: its left spine is walked
-        # in a loop and folded upwards, each right operand evaluated as its
-        # node is reached, so terms are still evaluated left to right
-        spine = []
-        while isinstance(e, lang.IBin):
-            spine.append(e)
-            e = e.left
-        if isinstance(e, int):
-            term = e
-        elif e.name in env:
-            term = env[e.name]
-        else:
-            raise ElabError(f"undefined parameter {e.name!r}", e.pos)
-        for node in reversed(spine):
-            term = Arith(node.op, term, self.eval_iexpr(node.right, env))
-            if isinstance(term.left, int) and isinstance(term.right, int):
-                try:
-                    term = term_eval(term, {})
-                except ParameterLimit as exc:
-                    raise ElabError(str(exc), node.pos) from exc
-        return term
+        # evaluated from an explicit stack, left operands first, so a term's
+        # depth costs no Python stack; an operator over two integers folds
+        values: list[Term] = []
+        todo = [e]  # expressions to evaluate, and (node,) to apply to the last two values
+        while todo:
+            e = todo.pop()
+            if type(e) is tuple:
+                node = e[0]
+                right = values.pop()
+                left = values.pop()
+                term = Arith(node.op, left, right)
+                if isinstance(left, int) and isinstance(right, int):
+                    try:
+                        term = term_eval(term, {})
+                    except ParameterLimit as exc:
+                        raise ElabError(str(exc), node.pos) from exc
+                values.append(term)
+            elif isinstance(e, lang.IBin):
+                todo += ((e,), e.right, e.left)
+            elif isinstance(e, int):
+                values.append(e)
+            elif e.name in env:
+                values.append(env[e.name])
+            else:
+                raise ElabError(f"undefined parameter {e.name!r}", e.pos)
+        return values[0]
 
     def eval_big(self, e, env) -> Bigraph:
         # a chain of nestings and closures is folded in a loop, innermost
@@ -256,25 +261,34 @@ def load_model(path) -> Model:
 
 
 def _advance(param) -> tuple[str, int] | None:
-    """(variable, step) when `param` is `Var + step` with a positive step."""
-    if (
-        isinstance(param, Arith)
-        and param.op == "+"
-        and isinstance(param.left, Var)
-        and isinstance(param.right, int)
-        and param.right > 0
-    ):
-        return param.left.name, param.right
-    return None
+    """(variable, step) when `param` is `Var + step` with a positive step
+    once its integer constants are folded: a sum and difference of integers
+    and one variable added, such as ``n + 1``, ``1 + n`` or ``n + 1 + 0``.
+    A term of any depth is read from an explicit stack."""
+    var, step = None, 0
+    todo = [(param, 1)]
+    while todo:
+        term, sign = todo.pop()
+        if isinstance(term, int):
+            step += sign * term
+        elif isinstance(term, Var) and var is None and sign == 1:
+            var = term.name
+        elif isinstance(term, Arith) and term.op != "*":
+            todo += ((term.left, sign), (term.right, sign if term.op == "+" else -sign))
+        else:
+            return None
+    return (var, step) if var is not None and step > 0 else None
 
 
 def clock_problems(model: Model) -> list[str]:
     """Breaches of the digital-clocks discipline, each with its rule's position.
 
     The clocks are the controls that the `clock_advance` reactum gives a
-    `Var + step` parameter.  That tick must advance every clock it holds by
-    the same step, from a value its redex binds; any other rule may give a
-    clock only a value that a clock of its redex binds (keep) or 0 (reset).
+    computed parameter.  That tick must advance every clock it holds by the
+    same step, from a value its redex binds: ``Var + step`` once integer
+    constants are folded (see :func:`_advance`), however it is spelled; any
+    other rule may give a clock only a value that a clock of its redex binds
+    (keep) or 0 (reset).
     Lockstep over a whole state: the tick's redex must hold as many
     entities of each clock control as the initial state, and no other rule
     may change that number.  A model without `clock_advance` is not checked.
@@ -283,7 +297,7 @@ def clock_problems(model: Model) -> list[str]:
     tick = families.get("clock_advance")
     if tick is None:
         return []
-    clocks = sorted({ctrl.name for ctrl, param in tick.reactum.nodes if _advance(param)})
+    clocks = sorted({c.name for c, param in tick.reactum.nodes if isinstance(param, Arith)})
     count = lambda g, name: sum(ctrl.name == name for ctrl, _param in g.nodes)
     problems = []
     for name in clocks:

@@ -20,8 +20,9 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, TypeVar
+from typing import Callable, TypeVar
+
+from .records import Record
 
 KEYWORDS = {
     "atomic", "fun", "ctrl", "react", "big", "begin", "end", "abrs",
@@ -56,11 +57,14 @@ class ParseError(Exception):
         self.expected = expected
 
 
-class Token(NamedTuple):
-    kind: str  # IDENT KEYWORD INT FLOAT STRING PUNCT EOF
-    text: str
-    line: int
-    col: int
+class Token(Record):
+    __slots__ = ("kind", "text", "line", "col")
+
+    def __init__(self, kind: str, text: str, line: int, col: int):
+        self.kind = kind  # IDENT KEYWORD INT FLOAT STRING PUNCT EOF
+        self.text = text
+        self.line = line
+        self.col = col
 
 
 def tokenize(text: str) -> list[Token]:
@@ -91,173 +95,226 @@ def tokenize(text: str) -> list[Token]:
 # AST
 
 Pos = tuple[int, int]
+NOPOS: Pos = (0, 0)
 
 
-def _pos_field() -> Pos:
-    return (0, 0)
+class _Node(Record):
+    """An AST node: its fields, then its source position, which equality
+    and hashing ignore (the same text parses to equal ASTs wherever it
+    sits)."""
+
+    __slots__ = ()
+    _ignore = ("pos",)
 
 
-@dataclass(frozen=True)
-class IVar:
-    name: str
-    pos: Pos = field(default_factory=_pos_field, compare=False)
+class IVar(_Node):
+    __slots__ = ("name", "pos")
+
+    def __init__(self, name: str, pos: Pos = NOPOS):
+        self.name = name
+        self.pos = pos
 
 
-@dataclass(frozen=True)
-class IBin:
-    op: str
-    left: "IExpr"
-    right: "IExpr"
-    pos: Pos = field(default_factory=_pos_field, compare=False)
+class IBin(_Node):
+    __slots__ = ("op", "left", "right", "pos")
+
+    def __init__(self, op: str, left: IExpr, right: IExpr, pos: Pos = NOPOS):
+        self.op = op
+        self.left = left
+        self.right = right
+        self.pos = pos
 
 
 IExpr = int | IVar | IBin
 
 
-@dataclass(frozen=True)
-class EId:
-    pos: Pos = field(default_factory=_pos_field, compare=False)
+class EId(_Node):
+    __slots__ = ("pos",)
+
+    def __init__(self, pos: Pos = NOPOS):
+        self.pos = pos
 
 
-@dataclass(frozen=True)
-class EOne:
-    pos: Pos = field(default_factory=_pos_field, compare=False)
+class EOne(_Node):
+    __slots__ = ("pos",)
+
+    def __init__(self, pos: Pos = NOPOS):
+        self.pos = pos
 
 
-@dataclass(frozen=True)
-class EIon:
-    ctrl: str
-    param: IExpr | None
-    names: tuple[str, ...]
-    pos: Pos = field(default_factory=_pos_field, compare=False)
+class EIon(_Node):
+    __slots__ = ("ctrl", "param", "names", "pos")
+
+    def __init__(self, ctrl: str, param: IExpr | None, names: tuple[str, ...], pos: Pos = NOPOS):
+        self.ctrl = ctrl
+        self.param = param
+        self.names = names
+        self.pos = pos
 
 
-@dataclass(frozen=True)
-class ENest:
-    head: EIon
-    child: "BExpr"
-    pos: Pos = field(default_factory=_pos_field, compare=False)
+class ENest(_Node):
+    __slots__ = ("head", "child", "pos")
+
+    def __init__(self, head: EIon, child: BExpr, pos: Pos = NOPOS):
+        self.head = head
+        self.child = child
+        self.pos = pos
 
 
-@dataclass(frozen=True)
-class EMerge:
-    parts: tuple["BExpr", ...]
-    pos: Pos = field(default_factory=_pos_field, compare=False)
+class EMerge(_Node):
+    __slots__ = ("parts", "pos")
+
+    def __init__(self, parts: tuple[BExpr, ...], pos: Pos = NOPOS):
+        self.parts = parts
+        self.pos = pos
 
 
-@dataclass(frozen=True)
-class EPar:
-    parts: tuple["BExpr", ...]
-    pos: Pos = field(default_factory=_pos_field, compare=False)
+class EPar(_Node):
+    __slots__ = ("parts", "pos")
+
+    def __init__(self, parts: tuple[BExpr, ...], pos: Pos = NOPOS):
+        self.parts = parts
+        self.pos = pos
 
 
-@dataclass(frozen=True)
-class EClose:
-    name: str
-    body: "BExpr"
-    pos: Pos = field(default_factory=_pos_field, compare=False)
+class EClose(_Node):
+    __slots__ = ("name", "body", "pos")
+
+    def __init__(self, name: str, body: BExpr, pos: Pos = NOPOS):
+        self.name = name
+        self.body = body
+        self.pos = pos
 
 
 BExpr = EId | EOne | EIon | ENest | EMerge | EPar | EClose
 
 
-@dataclass(frozen=True)
-class CtrlDecl:
-    name: str
-    params: tuple[str, ...]
-    arity: int
-    atomic: bool
-    pos: Pos = field(default_factory=_pos_field, compare=False)
+class CtrlDecl(_Node):
+    __slots__ = ("name", "params", "arity", "atomic", "pos")
+
+    def __init__(self, name: str, params: tuple[str, ...], arity: int, atomic: bool,
+                 pos: Pos = NOPOS):
+        self.name = name
+        self.params = params
+        self.arity = arity
+        self.atomic = atomic
+        self.pos = pos
 
 
-@dataclass(frozen=True)
-class BigDecl:
-    name: str
-    params: tuple[str, ...]
-    body: BExpr
-    pos: Pos = field(default_factory=_pos_field, compare=False)
+class BigDecl(_Node):
+    __slots__ = ("name", "params", "body", "pos")
+
+    def __init__(self, name: str, params: tuple[str, ...], body: BExpr, pos: Pos = NOPOS):
+        self.name = name
+        self.params = params
+        self.body = body
+        self.pos = pos
 
 
-@dataclass(frozen=True)
-class ReactDecl:
-    name: str
-    params: tuple[str, ...]
-    redex: BExpr
-    weight: float
-    reactum: BExpr
-    condition: BExpr | None
-    pos: Pos = field(default_factory=_pos_field, compare=False)
+class ReactDecl(_Node):
+    __slots__ = ("name", "params", "redex", "weight", "reactum", "condition", "pos")
+
+    def __init__(self, name: str, params: tuple[str, ...], redex: BExpr, weight: float,
+                 reactum: BExpr, condition: BExpr | None, pos: Pos = NOPOS):
+        self.name = name
+        self.params = params
+        self.redex = redex
+        self.weight = weight
+        self.reactum = reactum
+        self.condition = condition
+        self.pos = pos
 
 
-@dataclass(frozen=True)
-class IntDecl:
-    name: str
-    values: tuple[int, ...]
-    pos: Pos = field(default_factory=_pos_field, compare=False)
+class IntDecl(_Node):
+    __slots__ = ("name", "values", "pos")
+
+    def __init__(self, name: str, values: tuple[int, ...], pos: Pos = NOPOS):
+        self.name = name
+        self.values = values
+        self.pos = pos
 
 
-@dataclass(frozen=True)
-class RuleRef:
-    name: str
-    args: tuple["int | str", ...]
-    pos: Pos = field(default_factory=_pos_field, compare=False)
+class RuleRef(_Node):
+    __slots__ = ("name", "args", "pos")
+
+    def __init__(self, name: str, args: tuple[int | str, ...], pos: Pos = NOPOS):
+        self.name = name
+        self.args = args
+        self.pos = pos
 
 
-@dataclass(frozen=True)
-class ActionDecl:
-    name: str
-    rules: tuple[str, ...]
-    pos: Pos = field(default_factory=_pos_field, compare=False)
+class ActionDecl(_Node):
+    __slots__ = ("name", "rules", "pos")
+
+    def __init__(self, name: str, rules: tuple[str, ...], pos: Pos = NOPOS):
+        self.name = name
+        self.rules = rules
+        self.pos = pos
 
 
-@dataclass(frozen=True)
-class AbrsBlock:
-    ints: tuple[IntDecl, ...]
-    init_name: str
-    classes: tuple[tuple[RuleRef, ...], ...]
-    actions: tuple[ActionDecl, ...]
-    preds: tuple[RuleRef, ...]
-    pos: Pos = field(default_factory=_pos_field, compare=False)
+class AbrsBlock(_Node):
+    __slots__ = ("ints", "init_name", "classes", "actions", "preds", "pos")
+
+    def __init__(self, ints: tuple[IntDecl, ...], init_name: str,
+                 classes: tuple[tuple[RuleRef, ...], ...], actions: tuple[ActionDecl, ...],
+                 preds: tuple[RuleRef, ...], pos: Pos = NOPOS):
+        self.ints = ints
+        self.init_name = init_name
+        self.classes = classes
+        self.actions = actions
+        self.preds = preds
+        self.pos = pos
 
 
-@dataclass(frozen=True)
-class Ast:
-    controls: tuple[CtrlDecl, ...]
-    bigs: tuple[BigDecl, ...]
-    reacts: tuple[ReactDecl, ...]
-    abrs: AbrsBlock | None
+class Ast(Record):
+    __slots__ = ("controls", "bigs", "reacts", "abrs")
+
+    def __init__(self, controls: tuple[CtrlDecl, ...], bigs: tuple[BigDecl, ...],
+                 reacts: tuple[ReactDecl, ...], abrs: AbrsBlock | None):
+        self.controls = controls
+        self.bigs = bigs
+        self.reacts = reacts
+        self.abrs = abrs
 
 
 # Properties.  A label expression is ("name", s) | ("not", e) | ("and", a, b)
 # | ("or", a, b); `source` is the property's text on its line.
 
 
-@dataclass(frozen=True)
-class Reach:
-    bound: str  # one of >= > <= <
-    p: float
-    target: tuple
-    mode: str  # min or max
-    source: str = ""
+class Reach(Record):
+    __slots__ = ("bound", "p", "target", "mode", "source")
+
+    def __init__(self, bound: str, p: float, target: tuple, mode: str, source: str = ""):
+        self.bound = bound  # one of >= > <= <
+        self.p = p
+        self.target = target
+        self.mode = mode  # min or max
+        self.source = source
 
 
-@dataclass(frozen=True)
-class Safety:
-    bad: tuple
-    source: str = ""
+class Safety(Record):
+    __slots__ = ("bad", "source")
+
+    def __init__(self, bad: tuple, source: str = ""):
+        self.bad = bad
+        self.source = source
 
 
-@dataclass(frozen=True)
-class Inevitable:
-    goal: tuple
-    source: str = ""
+class Inevitable(Record):
+    __slots__ = ("goal", "source")
+
+    def __init__(self, goal: tuple, source: str = ""):
+        self.goal = goal
+        self.source = source
 
 
-@dataclass(frozen=True)
-class ForcedNext:
-    trigger: tuple
-    next: tuple
-    source: str = ""
+class ForcedNext(Record):
+    __slots__ = ("trigger", "next", "source")
+
+    def __init__(self, trigger: tuple, next: tuple, source: str = ""):
+        self.trigger = trigger
+        self.next = next
+        self.source = source
 
 
 Property = Reach | Safety | Inevitable | ForcedNext
@@ -526,38 +583,25 @@ class _Parser:
     # bexpr := ('/' name)* par ; par := mer ('||' mer)* ; mer := prim ('|' prim)*
     # prim := 'id' | '1' | '(' bexpr ')' | ion ['.' prim]
 
-    # A chain of closures or of nestings is read in a loop and folded from
-    # the right, so its length is not bounded by the recursion limit.
+    # Both expression languages are read in one loop each, as `lexpr` reads
+    # properties: a '(' saves the enclosing expression's unfinished parts on
+    # an explicit stack and its ')' restores them, and chains of closures
+    # and of nestings are folded from the right, so no nesting is bounded by
+    # the recursion limit.
 
-    def bexpr(self) -> BExpr:
+    def closures(self) -> list[tuple[str, Pos]]:
+        """('/' name)*, with each '/' position."""
         closes = []
         while self.at("/"):
             pos = (self.cur.line, self.cur.col)
             self.bump()
             closes.append((self.ident("link name").text, pos))
-        e = self.par()
-        for name, pos in reversed(closes):
-            e = EClose(name, e, pos)
-        return e
+        return closes
 
-    def par(self) -> BExpr:
-        pos = (self.cur.line, self.cur.col)
-        parts = [self.mer()]
-        while self.at("||"):
-            self.bump()
-            parts.append(self.mer())
-        return parts[0] if len(parts) == 1 else EPar(tuple(parts), pos)
-
-    def mer(self) -> BExpr:
-        pos = (self.cur.line, self.cur.col)
-        parts = [self.prim()]
-        while self.at("|"):
-            self.bump()
-            parts.append(self.prim())
-        return parts[0] if len(parts) == 1 else EMerge(tuple(parts), pos)
-
-    def prim(self) -> BExpr:
-        heads = []
+    def bexpr(self) -> BExpr:
+        frames = []  # per open '(': the closures, parts and nest heads around it
+        closes, pars, mers, heads = self.closures(), [], [], []
+        par_pos = mer_pos = (self.cur.line, self.cur.col)
         while True:
             if self.at("id"):
                 tok = self.bump()
@@ -567,18 +611,38 @@ class _Parser:
                 e = EOne((tok.line, tok.col))
             elif self.at("("):
                 self.bump()
-                e = self.bexpr()
-                self.expect(")")
+                frames.append((closes, par_pos, pars, mer_pos, mers, heads))
+                closes, pars, mers, heads = self.closures(), [], [], []
+                par_pos = mer_pos = (self.cur.line, self.cur.col)
+                continue
             else:
                 e = self.ion()
                 if self.at("."):
                     heads.append((e, (self.cur.line, self.cur.col)))
                     self.bump()
                     continue
-            break
-        for ion, pos in reversed(heads):
-            e = ENest(ion, e, pos)
-        return e
+            # a whole prim: join it to the chains, closing each ')' that ends them
+            while True:
+                for ion, pos in reversed(heads):
+                    e = ENest(ion, e, pos)
+                heads = []
+                mers.append(e)
+                if self.at("|"):
+                    break
+                pars.append(mers[0] if len(mers) == 1 else EMerge(tuple(mers), mer_pos))
+                mers = []
+                if self.at("||"):
+                    break
+                e = pars[0] if len(pars) == 1 else EPar(tuple(pars), par_pos)
+                for name, pos in reversed(closes):
+                    e = EClose(name, e, pos)
+                if not frames:
+                    return e
+                self.expect(")")
+                closes, par_pos, pars, mer_pos, mers, heads = frames.pop()
+            self.bump()
+            if not mers:  # a new mer starts after '||'
+                mer_pos = (self.cur.line, self.cur.col)
 
     def ion(self) -> EIon:
         tok = self.ident("control name")
@@ -595,33 +659,46 @@ class _Parser:
         return EIon(tok.text, param, names, (tok.line, tok.col))
 
     # -- integer expressions ---------------------------------------------------
+    # iexpr := iterm (('+' | '-') iterm)* ; iterm := ifactor ('*' ifactor)*
+    # ifactor := integer | parameter | '(' iexpr ')'
 
     def iexpr(self) -> IExpr:
-        left = self.iterm()
-        while self.at("+") or self.at("-"):
-            op = self.bump()
-            left = IBin(op.text, left, self.iterm(), (op.line, op.col))
-        return left
-
-    def iterm(self) -> IExpr:
-        left = self.ifactor()
-        while self.at("*"):
-            op = self.bump()
-            left = IBin("*", left, self.ifactor(), (op.line, op.col))
-        return left
-
-    def ifactor(self) -> IExpr:
-        if self.cur.kind == "INT":
-            return self.integer()
-        if self.cur.kind == "IDENT":
-            tok = self.bump()
-            return IVar(tok.text, (tok.line, tok.col))
-        if self.at("("):
-            self.bump()
-            inner = self.iexpr()
-            self.expect(")")
-            return inner
-        self.fail("expected an integer expression", ("integer", "parameter", "("))
+        frames = []  # per open '(': the sum and the product around it
+        # (left operand, operator, its position) awaiting a right operand
+        total = product = None
+        while True:
+            if self.cur.kind == "INT":
+                e = self.integer()
+            elif self.cur.kind == "IDENT":
+                tok = self.bump()
+                e = IVar(tok.text, (tok.line, tok.col))
+            elif self.at("("):
+                self.bump()
+                frames.append((total, product))
+                total = product = None
+                continue
+            else:
+                self.fail("expected an integer expression", ("integer", "parameter", "("))
+            # a whole ifactor: join it to the chains, closing each ')' that ends them
+            while True:
+                if product is not None:
+                    e = IBin(product[1], product[0], e, product[2])
+                    product = None
+                if self.at("*"):
+                    op = self.bump()
+                    product = (e, op.text, (op.line, op.col))
+                    break
+                if total is not None:
+                    e = IBin(total[1], total[0], e, total[2])
+                    total = None
+                if self.at("+") or self.at("-"):
+                    op = self.bump()
+                    total = (e, op.text, (op.line, op.col))
+                    break
+                if not frames:
+                    return e
+                self.expect(")")
+                total, product = frames.pop()
 
     # -- properties -------------------------------------------------------------
     # prop := 'P' bound prob '[' 'F' lexpr ']' | 'E' '[' 'F' lexpr ']'

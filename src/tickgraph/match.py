@@ -50,21 +50,24 @@ would be found by.  The member kept is the orbit's first in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .bigraph import Bigraph, Ref
 from .params import Var
+from .records import Record
 
 
-@dataclass(frozen=True)
-class Match:
+class Match(Record):
     """One occurrence of a pattern in an agent."""
 
-    nodes: tuple[int, ...]  # pattern entity id -> agent entity id
-    edges: tuple[tuple[int, int], ...]  # (pattern link idx, agent link idx), sorted
-    anchors: tuple[Ref | None, ...]  # per pattern region
-    site_images: tuple[tuple[int, ...], ...]  # per pattern site: captured root entities
-    binding: tuple[tuple[str, int], ...] = ()  # bound rule parameters, sorted
+    __slots__ = ("nodes", "edges", "anchors", "site_images", "binding")
+
+    def __init__(self, nodes: tuple[int, ...], edges: tuple[tuple[int, int], ...],
+                 anchors: tuple[Ref | None, ...], site_images: tuple[tuple[int, ...], ...],
+                 binding: tuple[tuple[str, int], ...] = ()):
+        self.nodes = nodes  # pattern entity id -> agent entity id
+        self.edges = edges  # (pattern link idx, agent link idx), sorted
+        self.anchors = anchors  # per pattern region
+        self.site_images = site_images  # per pattern site: captured root entities
+        self.binding = binding  # bound rule parameters, sorted
 
     @property
     def image(self) -> frozenset[int]:

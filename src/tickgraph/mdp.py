@@ -19,12 +19,12 @@ import hashlib
 import json
 import logging
 import os
-from dataclasses import dataclass, field
 from time import perf_counter
 
 from . import __version__
 from .bigraph import Bigraph, Control
 from .canon import canonical_digest, canonical_form, decode_canonical
+from .records import Record
 from .rules import Model, action_distribution, enabled_outcomes
 
 log = logging.getLogger(__name__)
@@ -41,20 +41,28 @@ class ExplorationLimit(Exception):
         self.state = state
 
 
-@dataclass
-class Choice:
-    action: str
-    dist: list[tuple[int, float]]  # (target state, probability)
+class Choice(Record):
+    __slots__ = ("action", "dist")
+    __hash__ = None
+
+    def __init__(self, action: str, dist: list[tuple[int, float]]):
+        self.action = action
+        self.dist = dist  # (target state, probability)
 
 
-@dataclass
-class Mdp:
-    states: list[Bigraph]  # empty when loaded from a labelled cache
-    canon: list[bytes]
-    choices: list[list[Choice]]
-    actions: list[str]  # declared action order
-    labels: list[set[str]] = field(default_factory=list)
-    label_names: set[str] | None = None  # set by verify.label
+class Mdp(Record):
+    __slots__ = ("states", "canon", "choices", "actions", "labels", "label_names")
+    __hash__ = None
+
+    def __init__(self, states: list[Bigraph], canon: list[bytes], choices: list[list[Choice]],
+                 actions: list[str], labels: list[set[str]] | None = None,
+                 label_names: set[str] | None = None):
+        self.states = states  # empty when loaded from a labelled cache
+        self.canon = canon
+        self.choices = choices
+        self.actions = actions  # declared action order
+        self.labels = [] if labels is None else labels
+        self.label_names = label_names  # set by verify.label
 
     @property
     def n_states(self) -> int:

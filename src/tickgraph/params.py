@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+
+from .records import Record
 
 # Python writes an int as text only up to this many digits (0: no limit)
 _MAX_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
@@ -22,19 +23,23 @@ class ParameterLimit(ValueError):
     probability rounds to 0, so its transition cannot be written."""
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class Var(Record):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
 
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
-class Arith:
-    op: str  # one of + - *
-    left: "Term"
-    right: "Term"
+class Arith(Record):
+    __slots__ = ("op", "left", "right")
+
+    def __init__(self, op: str, left: Term, right: Term):
+        self.op = op  # one of + - *
+        self.left = left
+        self.right = right
 
     # terms of thousands of operators are legal, so what walks a whole term
     # walks an explicit stack, not the Python one

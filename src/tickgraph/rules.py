@@ -39,12 +39,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
 
 from .bigraph import Bigraph, Control, Link, Ref
 from .canon import canonical_form
 from .match import Host, Match, occurrences
 from .params import Arith, ParameterLimit, Term, Var, is_concrete, term_eval, term_fold, term_vars
+from .records import Record
 
 # a family's groups of interchangeable redex entities (pattern entity ids)
 Groups = tuple[tuple[int, ...], ...]
@@ -104,26 +104,32 @@ def _subst(g: Bigraph, env: dict[str, int]) -> Bigraph:
     )
 
 
-@dataclass(frozen=True)
-class RuleFamily:
-    """Parameterised redex -> reactum template over named integer parameters."""
+class RuleFamily(Record):
+    """Parameterised redex -> reactum template over named integer parameters.
 
-    base: str
-    formal: tuple[str, ...]
-    redex: Bigraph
-    reactum: Bigraph
-    weight: float
-    condition: Bigraph | None = None  # no occurrence of this outside the image
-    pos: tuple[int, int] = field(default=(0, 0), compare=False)  # declaration line:col
-    # outer name -> its redex link index, computed once
-    redex_edge_of_name: dict[str, int] = field(init=False, repr=False, compare=False)
+    `condition`: no occurrence of it may lie outside a match's image.
+    `pos`: the declaration's line:col, which equality ignores.
+    `redex_edge_of_name`: outer name -> its redex link index, computed once."""
 
-    def __post_init__(self):
-        _check_rule_shape(self.redex, self.reactum, self.weight, self.base)
-        _check_bound(f"rule {self.base}", self.formal, (self.redex, self.reactum))
-        object.__setattr__(self, "redex_edge_of_name", {
-            lk.name: e for e, lk in enumerate(self.redex.links) if lk.name is not None
-        })
+    __slots__ = ("base", "formal", "redex", "reactum", "weight", "condition", "pos",
+                 "redex_edge_of_name")
+    _fields = __slots__[:-1]
+    _ignore = ("pos",)
+
+    def __init__(self, base: str, formal: tuple[str, ...], redex: Bigraph, reactum: Bigraph,
+                 weight: float, condition: Bigraph | None = None, pos: tuple[int, int] = (0, 0)):
+        _check_rule_shape(redex, reactum, weight, base)
+        _check_bound(f"rule {base}", formal, (redex, reactum))
+        self.base = base
+        self.formal = formal
+        self.redex = redex
+        self.reactum = reactum
+        self.weight = weight
+        self.condition = condition
+        self.pos = pos
+        self.redex_edge_of_name = {
+            lk.name: e for e, lk in enumerate(redex.links) if lk.name is not None
+        }
 
     def instance_name(self, env: dict[str, int]) -> str:
         if not self.formal:
@@ -281,21 +287,21 @@ def apply(agent: Bigraph, rule: RuleFamily, m: Match) -> Bigraph:
 # model structure
 
 
-@dataclass
-class RuleEntry:
+class RuleEntry(Record):
     """One occurrence of a rule family inside a priority class, with domains.
 
     `pattern` is the family's redex over those domains; an entry has no
     search of its own but takes, from its family's matches in a state, the
     ones whose binding lies in its domains (:meth:`outcomes`)."""
 
-    family: RuleFamily
-    domains: tuple[tuple[int, ...], ...]  # aligned with family.formal
-    pattern: "Pattern" = field(init=False, repr=False, compare=False)
+    __slots__ = ("family", "domains", "pattern")
+    _fields = __slots__[:-1]
+    __hash__ = None
 
-    def __post_init__(self):
-        fam = self.family
-        self.pattern = Pattern(fam.base, fam.redex, fam.formal, self.domains, kind="rule")
+    def __init__(self, family: RuleFamily, domains: tuple[tuple[int, ...], ...]):
+        self.family = family
+        self.domains = domains  # aligned with family.formal
+        self.pattern = Pattern(family.base, family.redex, family.formal, domains, kind="rule")
 
     @property
     def size(self) -> int:
@@ -322,21 +328,24 @@ class RuleEntry:
                 continue
             for values in pat.valuations(m.binding):
                 env = dict(zip(fam.formal, values))
-                full = replace(m, binding=tuple(sorted(env.items())))
+                full = Match(m.nodes, m.edges, m.anchors, m.site_images,
+                             tuple(sorted(env.items())))
                 out.append(Outcome(fam, full, fam.weight, multiplicity))
         return out
 
 
-@dataclass(frozen=True)
-class Outcome:
+class Outcome(Record):
     """An enabled (rule, match) pair with its weight; the match binds every
     formal of the rule.  An outcome found once per orbit stands for
     `multiplicity` matches with equal results (see :func:`enabled_outcomes`)."""
 
-    rule: RuleFamily
-    match: Match
-    weight: float
-    multiplicity: int = 1
+    __slots__ = ("rule", "match", "weight", "multiplicity")
+
+    def __init__(self, rule: RuleFamily, match: Match, weight: float, multiplicity: int = 1):
+        self.rule = rule
+        self.match = match
+        self.weight = weight
+        self.multiplicity = multiplicity
 
     @property
     def name(self) -> str:
@@ -344,10 +353,9 @@ class Outcome:
         return self.rule.instance_name(self.match.binding_env())
 
 
-@dataclass(frozen=True)
-class Pattern:
+class Pattern(Record):
     """A named bigraph used as a state predicate, or a family of them, or a
-    rule entry's redex (`kind` names which in errors).
+    rule entry's redex (`kind` names which in errors; equality ignores it).
 
     A family's body carries its parameters as `Var` entity parameters;
     `formal` names them and `domains` gives each its integer set.  The
@@ -358,32 +366,29 @@ class Pattern:
     Both `match_domains` and `axes` are computed once, at construction.
     """
 
-    name: str
-    body: Bigraph
-    formal: tuple[str, ...] = ()
-    domains: tuple[tuple[int, ...], ...] = ()
-    kind: str = field(default="pattern", compare=False)
-    match_domains: dict[str, frozenset[int]] = field(init=False, repr=False, compare=False)
-    axes: tuple[tuple[int, ...] | None, ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("name", "body", "formal", "domains", "kind", "match_domains", "axes")
+    _fields = __slots__[:-2]
+    _ignore = ("kind",)
 
-    def __post_init__(self):
-        what = f"{self.kind} {self.name}"
-        if len(self.domains) != len(self.formal):
-            raise ValueError(
-                f"{what}: {len(self.domains)} domain(s) for {len(self.formal)} formal(s)"
-            )
-        for v, dom in zip(self.formal, self.domains):
+    def __init__(self, name: str, body: Bigraph, formal: tuple[str, ...] = (),
+                 domains: tuple[tuple[int, ...], ...] = (), kind: str = "pattern"):
+        what = f"{kind} {name}"
+        if len(domains) != len(formal):
+            raise ValueError(f"{what}: {len(domains)} domain(s) for {len(formal)} formal(s)")
+        for v, dom in zip(formal, domains):
             if not dom:
                 raise ValueError(f"{what}: empty domain for {v!r}")
-        _check_bound(what, self.formal, (self.body,))
-        carried = {p.name for _ctrl, p in self.body.nodes if isinstance(p, Var)}
-        object.__setattr__(
-            self, "match_domains", {v: frozenset(d) for v, d in zip(self.formal, self.domains)}
+        _check_bound(what, formal, (body,))
+        self.name = name
+        self.body = body
+        self.formal = formal
+        self.domains = domains
+        self.kind = kind
+        carried = {p.name for _ctrl, p in body.nodes if isinstance(p, Var)}
+        self.match_domains = {v: frozenset(d) for v, d in zip(formal, domains)}
+        self.axes = tuple(
+            None if v in carried else tuple(dict.fromkeys(d)) for v, d in zip(formal, domains)
         )
-        object.__setattr__(self, "axes", tuple(
-            None if v in carried else tuple(dict.fromkeys(d))
-            for v, d in zip(self.formal, self.domains)
-        ))
 
     @property
     def size(self) -> int:
@@ -420,8 +425,7 @@ class Pattern:
         return out
 
 
-@dataclass
-class Model:
+class Model(Record):
     """Elaborated model: controls, prioritised rule entries, actions, and the
     predicate patterns that label states.
 
@@ -430,14 +434,20 @@ class Model:
     its entries' domains.  `groups` holds, per family that has any, its
     groups of interchangeable redex entities (see :func:`_groups`)."""
 
-    controls: dict[str, Control]
-    classes: list[list[RuleEntry]]
-    actions: list[tuple[str, tuple[str, ...]]]  # (action label, rule base names)
-    patterns: list[Pattern]
-    init: Bigraph
-    name: str = "model"
+    __slots__ = ("controls", "classes", "actions", "patterns", "init", "name",
+                 "action_of", "searches", "groups")
+    _fields = __slots__[:-3]
+    __hash__ = None
 
-    def __post_init__(self):
+    def __init__(self, controls: dict[str, Control], classes: list[list[RuleEntry]],
+                 actions: list[tuple[str, tuple[str, ...]]], patterns: list[Pattern],
+                 init: Bigraph, name: str = "model"):
+        self.controls = controls
+        self.classes = classes
+        self.actions = actions  # (action label, rule base names)
+        self.patterns = patterns
+        self.init = init
+        self.name = name
         self.action_of: dict[str, str] = {}
         for label, bases in self.actions:
             for b in bases:
@@ -662,15 +672,17 @@ def _successors(agent: Bigraph, outcomes: list[Outcome]) -> tuple[list[Bigraph],
     (`agent._autos`; none if it has not been canonicalised) give isomorphic
     results, so their effect keys join the same result, and later outcomes
     among them are neither applied nor canonicalised.  The walk over those
-    images stops after as many as the action has outcomes.
+    images stops after as many as the action has outcomes.  A lone outcome
+    has nothing to join, so its key is not computed.
     """
     autos = agent._autos or ()
-    by_effect: dict[tuple, int] = {}
+    lone = len(outcomes) == 1
+    by_effect: dict[tuple | None, int] = {}
     by_canon: dict[bytes, int] = {}
     results: list[Bigraph] = []
     joined: list[int] = []
     for oc in outcomes:
-        effect = effect_key(oc.rule, oc.match)
+        effect = None if lone else effect_key(oc.rule, oc.match)
         i = by_effect.get(effect)
         if i is None:
             succ = apply(agent, oc.rule, oc.match)
@@ -678,7 +690,7 @@ def _successors(agent: Bigraph, outcomes: list[Outcome]) -> tuple[list[Bigraph],
             if i == len(results):
                 results.append(succ)
             by_effect[effect] = i
-            if autos and len(outcomes) > 1:
+            if autos and not lone:
                 for image in _orbit(oc.match, autos, len(outcomes)):
                     by_effect.setdefault(effect_key(oc.rule, image), i)
         joined.append(i)

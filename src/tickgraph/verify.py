@@ -31,7 +31,6 @@ one INFO line: its mode, states, 0/1 set sizes, SCCs, sweeps and seconds.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 from time import perf_counter
 
 from .kernels import Graph, as_arrays, sweep
@@ -39,6 +38,7 @@ from .lang import ForcedNext, Inevitable, Property, Reach, Safety
 from .lang import parse_properties  # re-exported beside the checker it feeds
 from .match import Host, occurrences
 from .mdp import Mdp
+from .records import Record
 from .rules import Pattern
 
 log = logging.getLogger(__name__)
@@ -127,11 +127,13 @@ def satisfying(mdp: Mdp, expr) -> list[bool]:
 # verdicts
 
 
-@dataclass(frozen=True)
-class Verdict:
-    holds: bool
-    value: float | None = None
-    detail: str = ""
+class Verdict(Record):
+    __slots__ = ("holds", "value", "detail")
+
+    def __init__(self, holds: bool, value: float | None = None, detail: str = ""):
+        self.holds = holds
+        self.value = value
+        self.detail = detail
 
 
 # ---------------------------------------------------------------------------

@@ -339,9 +339,7 @@ def oracle_explore(model, max_states=50000) -> OracleMdp:
 def entry_outcomes(agent: Bigraph, entry) -> list:
     """The entry's outcomes from its own redex search over its domains, each
     match blocked by a condition occurrence disjoint from its image."""
-    from dataclasses import replace
-
-    from tickgraph.match import occurrences
+    from tickgraph.match import Match, occurrences
     from tickgraph.rules import Outcome
 
     fam, pat = entry.family, entry.pattern
@@ -351,7 +349,7 @@ def entry_outcomes(agent: Bigraph, entry) -> list:
             continue
         for values in pat.valuations(m.binding):
             env = dict(zip(fam.formal, values))
-            full = replace(m, binding=tuple(sorted(env.items())))
+            full = Match(m.nodes, m.edges, m.anchors, m.site_images, tuple(sorted(env.items())))
             out.append(Outcome(fam, full, fam.weight))
     return out
 

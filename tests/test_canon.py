@@ -634,6 +634,35 @@ def test_closed_pairs_prune_by_automorphism(work):
     assert work["leaves"] <= 1500
 
 
+def test_orbit_pruning_uses_only_automorphisms_that_fix_the_path(work):
+    # an automorphism that moves an edge individualised on the path maps the
+    # search node onto another node: it may not prune that node's cell
+    from tickgraph import canon
+
+    from .oracle import reference_canonical_form
+
+    swap = {0: 1, 1: 0, 2: 3, 3: 2}  # closed edges 0 <-> 1 and 2 <-> 3
+    assert canon._skipped(3, [2], [swap], [])
+    assert not canon._skipped(3, [2], [swap], [0])
+    assert canon._skipped(3, [2], [{2: 3, 3: 2}], [0])
+    # a cubic graph, each vertex a closed edge and each graph edge an entity:
+    # below vertex 3, vertex 5 is searched after vertex 1.  Of the
+    # automorphisms found by then, (0 6)(1 3) and (0 7)(3 5) map 5 onto 1,
+    # but both move vertex 3, and (2 4) fixes it but not 5 onto 1
+    edges = [(0, 2), (0, 3), (0, 4), (1, 3), (1, 5), (1, 6),
+             (2, 6), (2, 7), (3, 5), (4, 6), (4, 7), (5, 7)]
+    e = Control("E", 2, atomic=True)
+    ports: dict[int, list] = {v: [] for v in range(8)}
+    for i, (a, b) in enumerate(edges):
+        ports[a].append((i, 0))
+        ports[b].append((i, 1))
+    g = Bigraph([(e, None)] * len(edges), [[] for _ in edges],
+                [[("n", i) for i in range(len(edges))]], 0,
+                [Link(None, tuple(ports[v])) for v in (4, 3, 2, 7, 1, 5, 0, 6)])
+    assert canonical_form(g) == reference_canonical_form(g)
+    assert work["leaves"] == 7  # 6 when vertex 5 is skipped
+
+
 def test_each_leaf_is_written_once(monkeypatch):
     # equal leaves pair their entities through the texts each leaf keeps, so
     # no edge numbering is written out a second time

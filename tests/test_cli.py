@@ -141,6 +141,29 @@ def test_long_rule_parameter_term_is_evaluated_without_recursion(tmp_path):
     assert "14 states, 20 choices, 21 transitions" in r.stdout
 
 
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("= S{c}.Done;", "= " + "(" * 3000 + "S{c}.Done" + ")" * 3000 + ";"),
+        ("X(n + 1){c};", "X(" + "(" * 3000 + "n + 1" + ")" * 3000 + "){c};"),
+        ("X(n + 1){c};", "X(n + " + "(0 + " * 3000 + "1" + ")" * 3000 + "){c};"),
+    ],
+    ids=["bigraph", "integer", "right-operands"],
+)
+def test_nested_model_parentheses_are_read_without_recursion(tmp_path, old, new):
+    # each '(' was four parser frames, and each right operand one elaborator
+    # frame; 3,000 of them mean what none do
+    model = tmp_path / "deep.big"
+    text = (MODELS / "pta.big").read_text()
+    assert text.count(old) == 1
+    model.write_text(text.replace(old, new))
+    r = run("validate", model)
+    assert r.returncode == 0, r.stderr
+    r = run("build", model, "--out", tmp_path)
+    assert r.returncode == 0, r.stderr
+    assert "14 states, 20 choices, 21 transitions" in r.stdout
+
+
 def test_validate_huge_integer_literal(tmp_path):
     # int() refuses more than 4300 digits by default
     bad = tmp_path / "bad.big"
@@ -711,19 +734,29 @@ def test_solver_non_convergence_exit_code(tmp_path, monkeypatch, capsys):
     )
 
 
-# --- numpy is loaded only for value-iteration sweeps --------------------------
+# --- numpy is loaded only for value-iteration sweeps, dataclasses never -------
 
 _IMPORTS_PROBE = """
-import contextlib, io, sys
+import contextlib, io, json, sys
+already = {module!r} in sys.modules
 from tickgraph import cli
-loaded = ["numpy" in sys.modules]
+loaded = [{module!r} in sys.modules]
 for argv in {runs!r}:
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(argv)
     assert code in (0, 1), (argv, code)
-    loaded.append("numpy" in sys.modules)
-print(loaded)
+    loaded.append({module!r} in sys.modules)
+print(json.dumps([already, loaded]))
 """
+
+
+def _loaded_after_each_run(module: str, runs: list) -> tuple[bool, list[bool]]:
+    """Whether `module` was loaded before `tickgraph.cli` was imported in a
+    fresh interpreter, and after the import and each CLI run in turn."""
+    r = subprocess.run([sys.executable, "-c", _IMPORTS_PROBE.format(module=module, runs=runs)],
+                       capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    return tuple(json.loads(r.stdout))
 
 
 def test_numpy_is_imported_only_by_a_sweep(tmp_path):
@@ -746,10 +779,23 @@ def test_numpy_is_imported_only_by_a_sweep(tmp_path):
         # states 0 and 1 of the loop model form a cyclic SCC: this one sweeps
         ["check", str(loop), "--props", str(loop_props), "--out", out],
     ]
-    r = subprocess.run([sys.executable, "-c", _IMPORTS_PROBE.format(runs=runs)],
-                       capture_output=True, text=True)
-    assert r.returncode == 0, r.stderr
-    assert r.stdout.strip() == repr([False] * len(runs) + [True])
+    assert _loaded_after_each_run("numpy", runs) == (False, [False] * len(runs) + [True])
+
+
+def test_dataclasses_is_never_imported(tmp_path):
+    # the value classes are written out, so no command compiles generated
+    # methods; a site hook may have loaded the module already, and then
+    # there is nothing to tell
+    out = str(tmp_path)
+    pta = str(MODELS / "pta.big")
+    runs = [
+        ["build", pta, "--out", out],
+        ["check", pta, "--props", str(MODELS / "pta.props"), "--out", out],  # labels
+        ["check", pta, "--props", str(MODELS / "pta.props"), "--out", out],  # warm
+    ]
+    for module in ("dataclasses", "inspect"):
+        already, loaded = _loaded_after_each_run(module, runs)
+        assert loaded == [already] * (len(runs) + 1), module
 
 
 def test_check_builds_one_graph_with_the_same_answers(tmp_path, monkeypatch, capsys):

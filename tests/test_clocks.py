@@ -113,3 +113,23 @@ def test_validate_reports_rule_that_creates_a_clock(tmp_path):
     assert problems == ["5:1: rule move: changes the number of X clocks from 1 to 2"]
     r = run("validate", path)
     assert r.returncode == 2 and "problem: 5:1: rule move: changes the number" in r.stdout
+
+
+@pytest.mark.parametrize("tick", ["n + 1", "n + 1 + 0", "1 + n", "(n + 1)", "n * 2"])
+def test_validate_reads_the_tick_however_it_is_spelled(tmp_path, tick):
+    # pta with its retry setting the clock to 2, not resetting it: a breach
+    # whichever way the tick is written, and `n * 2` is no tick at all
+    text = (MODELS / "pta.big").read_text()
+    retry = "S{c}.Wait || X(n){c}\n  -[1]->\n  S{c}.Send || X(0){c};"
+    assert retry in text and "X(n + 1){c};" in text
+    text = text.replace(retry, retry.replace("X(0)", "X(2)"))
+    path = tmp_path / "pta.big"
+    path.write_text(text.replace("X(n + 1){c};", f"X({tick}){{c}};"))
+    code, problems = validate_json(path)
+    assert code == 2
+    breach = "31:1: rule wait_transition: sets clock X to 2; only the tick may change a clock"
+    expected = [breach] if tick != "n * 2" else [
+        breach, "41:1: rule clock_advance: tick does not advance clock X((n * 2))"
+    ]
+    assert [p[: len(e)] for p, e in zip(problems, expected)] == expected
+    assert len(problems) == len(expected)

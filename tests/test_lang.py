@@ -1,13 +1,15 @@
 import pathlib
+import re
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tickgraph.bigraph import validate
+from tickgraph.bigraph import Control, ion, validate
 from tickgraph.canon import is_iso
 from tickgraph.elaborate import ElabError, elaborate, load_model
 from tickgraph.lang import ParseError, parse
+from tickgraph.rules import Pattern, RuleFamily
 
 MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
 
@@ -237,6 +239,29 @@ begin abrs
   preds = { q_empty, q_token };
 end
 """
+
+
+@pytest.mark.parametrize("name", ["pta", "cloud"])
+def test_equality_ignores_source_positions(name):
+    # every token moved to a line of its own: every position changes, and
+    # the ASTs are still equal and hash alike; a changed weight is not equal
+    text = re.sub(r"#[^\n]*", "", read(f"{name}.big"))
+    moved = parse(text.replace(" ", "\n  "))
+    ast = parse(text)
+    assert moved == ast and hash(moved) == hash(ast)
+    assert moved.reacts[0].pos != ast.reacts[0].pos
+    assert moved.reacts[0].redex.pos != ast.reacts[0].redex.pos
+    assert parse(text.replace("-[1]->", "-[2]->", 1)) != ast
+
+
+def test_rule_and_pattern_equality_ignore_position_and_kind():
+    g = ion(Control("A", atomic=True))
+    a = RuleFamily("r", (), g, g, 1.0, pos=(3, 1))
+    b = RuleFamily("r", (), g, g, 1.0, pos=(7, 5))
+    assert a == b and hash(a) == hash(b)
+    assert a != RuleFamily("r", (), g, g, 2.0, pos=(3, 1))
+    assert Pattern("p", g, kind="rule") == Pattern("p", g)
+    assert repr(a).startswith("RuleFamily(base='r', formal=(), redex=")
 
 
 def test_empty_bigraph_parses():

@@ -12,7 +12,6 @@ float for float.
 import itertools
 import math
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -83,7 +82,7 @@ def _check_orbits(model, agent):
             by_orbit.setdefault(_orbit_key(model, oc), []).append(oc)
         # the representatives are the members whose images ascend inside
         # every group, in full-list order
-        reps = [replace(oc, multiplicity=1) for oc in ocs]
+        reps = [rules.Outcome(oc.rule, oc.match, oc.weight) for oc in ocs]
         assert reps == [
             oc for oc in members
             if _ascending(model.groups.get(oc.rule.base, ()), oc.match.nodes)

@@ -4,7 +4,6 @@ import math
 import pathlib
 import random
 import sys
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -21,6 +20,7 @@ from tickgraph.mdp import explore
 from tickgraph.params import Arith, ParameterLimit, Var
 from tickgraph.rules import (
     Model,
+    Outcome,
     RuleEntry,
     RuleFamily,
     action_distribution,
@@ -464,6 +464,21 @@ def test_effect_key_is_sound(name):
         assert (mdp.n_states, mdp.n_choices, mdp.n_transitions) == (9, 6, 12)
 
 
+@pytest.mark.parametrize("name, keys", [("pta", 2), ("cloud", 108)])
+def test_lone_outcomes_compute_no_effect_key(monkeypatch, name, keys):
+    # only an action with two or more outcomes joins results by effect key:
+    # pta's send (success or fail), cloud's actions of several outcomes and
+    # the orbit images of their matches; the MDPs do not change
+    calls = []
+    real = rules.effect_key
+    monkeypatch.setattr(rules, "effect_key", lambda *a: calls.append(a) or real(*a))
+    mdp = explore(_model(name))
+    assert len(calls) == keys
+    assert (mdp.n_states, mdp.n_choices, mdp.n_transitions) == {
+        "pta": (14, 20, 21), "cloud": (106, 106, 120)
+    }[name]
+
+
 def test_tick_applies_once_per_effect(monkeypatch):
     model = _model("cloud")
     agent = model.init
@@ -602,7 +617,7 @@ positive_weights = st.one_of(
 @example([(0.1, 6), (0.2, 1), (0.3, 24), (0.1, 1)])
 def test_probabilities_equal_exact_fractions(ws):
     agent, outcomes = _four_way()
-    outcomes = [replace(oc, weight=w, multiplicity=m) for oc, (w, m) in zip(outcomes, ws)]
+    outcomes = [Outcome(oc.rule, oc.match, w, m) for oc, (w, m) in zip(outcomes, ws)]
     exact = [Fraction(w) * m for w, m in ws]
     total = sum(exact)
     if any(float(Fraction(w) / total) == 0.0 for w, _m in ws):
