@@ -51,12 +51,26 @@ class Link(Record):
         return self.name is None
 
 
+# The pairs (x, 1) for small x, shared by every index: nearly every port is
+# its entity's only one on its edge, and a pair per port would cost each
+# state more than the lists that hold them.
+_ONE_PORT = tuple((x, 1) for x in range(1024))
+
+
 class Bigraph:
     """Immutable bigraph value.
 
     ``nodes[i]`` is a ``(Control, param)`` pair; ``node_children[i]`` and
     ``region_children[r]`` hold ordered child references (order is only
     significant for site numbering, sibling order is not part of identity).
+
+    The constructor also builds the one place-and-link index that
+    navigation, matching and canonical forms read: per entity i its parent
+    ``up[i]`` (an entity, or ``~r`` below region r), its entity and site
+    children ``kids[i]`` and ``sites[i]`` (in child order) and its
+    ``(edge, port count)`` pairs ``node_edges[i]`` (in edge order); per site
+    s its parent ``site_up[s]``; per hyperedge e its ``(entity, port
+    count)`` pairs ``edge_nodes[e]`` (in port order).
     """
 
     __slots__ = (
@@ -65,8 +79,12 @@ class Bigraph:
         "region_children",
         "nsites",
         "links",
-        "_parent",
-        "_port_link",
+        "up",
+        "site_up",
+        "kids",
+        "sites",
+        "node_edges",
+        "edge_nodes",
         "_canon",
         "_autos",
         "_tables",
@@ -81,41 +99,61 @@ class Bigraph:
         links: list[Link],
     ):
         self.nodes = tuple(nodes)
-        self.node_children = tuple(tuple(cs) for cs in node_children)
-        self.region_children = tuple(tuple(cs) for cs in region_children)
+        self.node_children = tuple(map(tuple, node_children))
+        self.region_children = tuple(map(tuple, region_children))
         self.nsites = nsites
         self.links = tuple(links)
         self._canon = None
         self._autos = None  # automorphism generators, found with the canonical form
         self._tables = None  # match.py's search tables, when used as a pattern
 
-        parent: dict[Ref, Ref] = {}
-        for r, children in enumerate(self.region_children):
-            for ref in children:
-                parent[ref] = ("r", r)
-        for i, children in enumerate(self.node_children):
-            for ref in children:
-                if ref in parent:
-                    raise ValueError(f"place reference {ref} has two parents")
-                parent[ref] = ("n", i)
-        self._parent = parent
-
-        port_link: dict[tuple[int, int], int] = {}
-        for e, link in enumerate(self.links):
-            for port in link.ports:
-                if port in port_link:
-                    raise ValueError(f"port {port} occurs in two hyperedges")
-                port_link[port] = e
-        self._port_link = port_link
-
-        if len(node_children) != len(nodes):
+        n = len(self.nodes)
+        if len(self.node_children) != n:
             raise ValueError("node_children must parallel nodes")
-        for i in range(len(self.nodes)):
-            if ("n", i) not in parent:
-                raise ValueError(f"entity {i} has no parent")
-        for s in range(nsites):
-            if ("s", s) not in parent:
-                raise ValueError(f"site {s} has no parent")
+        self.up = up = [None] * n
+        self.site_up = site_up = [None] * nsites
+        self.kids = kids = [()] * n
+        self.sites = sites = [()] * n
+        self.node_edges = node_edges = [()] * n
+        self.edge_nodes = edge_nodes = []
+        one = _ONE_PORT
+        try:
+            for r, children in enumerate(self.region_children):
+                for kind, c in children:
+                    (up if kind == "n" else site_up)[c] = ~r
+            for i, children in enumerate(self.node_children):
+                if not children:
+                    continue
+                ks, ss = [], []
+                for ref in children:
+                    kind, c = ref
+                    at, same = (up, ks) if kind == "n" else (site_up, ss)
+                    if at[c] is not None:
+                        raise ValueError(f"place reference {ref} has two parents")
+                    at[c] = i
+                    same.append(c)
+                kids[i] = tuple(ks)
+                sites[i] = tuple(ss)
+            for e, lk in enumerate(self.links):
+                counts: dict[int, int] = {}
+                for v, _p in lk.ports:
+                    counts[v] = counts.get(v, 0) + 1
+                members = []
+                alone = (one[e] if e < 1024 else (e, 1),)  # shared by one-port entities
+                for v, c in counts.items():
+                    members.append(one[v] if c == 1 and v < 1024 else (v, c))
+                    node_edges[v] += alone if c == 1 else ((e, c),)
+                edge_nodes.append(tuple(members))
+        except IndexError:
+            raise ValueError("a child reference or port names no entity or site") from None
+        ports = [port for lk in self.links for port in lk.ports]
+        if len(set(ports)) < len(ports):
+            twice = next(port for k, port in enumerate(ports) if port in ports[:k])
+            raise ValueError(f"port {twice} occurs in two hyperedges")
+        if None in up:
+            raise ValueError(f"entity {up.index(None)} has no parent")
+        if None in site_up:
+            raise ValueError(f"site {site_up.index(None)} has no parent")
 
     # -- interface views ---------------------------------------------------
 
@@ -136,7 +174,10 @@ class Bigraph:
     # -- navigation --------------------------------------------------------
 
     def parent(self, ref: Ref) -> Ref:
-        return self._parent[ref]
+        """The parent of an entity or a site."""
+        kind, i = ref
+        p = (self.up if kind == "n" else self.site_up)[i]
+        return ("n", p) if p >= 0 else ("r", ~p)
 
     def children(self, ref: Ref) -> tuple[Ref, ...]:
         kind, i = ref
@@ -144,12 +185,7 @@ class Bigraph:
 
     def edge_counts(self, node: int) -> dict[int, int]:
         """Multiset of hyperedges this entity's ports sit on (edge index -> count)."""
-        counts: dict[int, int] = {}
-        arity = self.nodes[node][0].arity
-        for p in range(arity):
-            e = self._port_link[(node, p)]
-            counts[e] = counts.get(e, 0) + 1
-        return counts
+        return dict(self.node_edges[node])
 
     def preorder(self):
         """Yield place refs region by region, depth first, in child order."""
@@ -167,8 +203,8 @@ class Bigraph:
         todo = [node]
         while todo:
             v = todo.pop()
-            for kind, c in self.node_children[v]:
-                if kind == "n" and c not in out:
+            for c in self.kids[v]:
+                if c not in out:
                     out.add(c)
                     todo.append(c)
         return out
@@ -186,27 +222,30 @@ class Bigraph:
             lk = self.links[e]
             return lk.name if lk.name is not None else closed_names[e]
 
-        def render(ref: Ref) -> str:
-            if ref[0] == "s":
-                return "id"
-            i = ref[1]
+        # entities are written children first, in reverse pre-order, so
+        # nesting depth costs no stack
+        texts: list[str] = [""] * self.nnodes
+
+        def join(refs) -> str:
+            return " | ".join(texts[c] if kind == "n" else "id" for kind, c in refs)
+
+        for kind, i in reversed(list(self.preorder())):
+            if kind == "s":
+                continue
             ctrl, param = self.nodes[i]
             s = ctrl.name
             if param is not None:
                 s += f"({param})"
             if ctrl.arity:
-                names = sorted(link_ref(e) for e, k in self.edge_counts(i).items() for _ in range(k))
+                names = sorted(link_ref(e) for e, k in self.node_edges[i] for _ in range(k))
                 s += "{" + ",".join(names) + "}"
             kids = self.node_children[i]
             if kids:
-                body = " | ".join(render(c) for c in kids)
+                body = join(kids)
                 s += f".({body})" if (len(kids) > 1 or "|" in body or "." in body) else f".{body}"
-            return s
+            texts[i] = s
 
-        regions = []
-        for r in range(self.nregions):
-            kids = self.region_children[r]
-            regions.append(" | ".join(render(c) for c in kids) if kids else "1")
+        regions = [join(kids) if kids else "1" for kids in self.region_children]
         body = " || ".join(regions) if regions else "0"
         if closed_names:
             return "/" + "/".join(closed_names.values()) + f" ({body})"
@@ -343,13 +382,12 @@ def parallel(a: Bigraph, b: Bigraph) -> Bigraph:
 
 def nest(outer: Bigraph, inner: Bigraph) -> Bigraph:
     """Place `inner`'s single region into `outer`'s single site (the DSL's `.`)."""
-    sites = [ref for ref in outer.preorder() if ref[0] == "s"]
-    if len(sites) != 1:
+    if outer.nsites != 1:
         if outer.nnodes == 1 and outer.nodes[0][0].atomic:
             raise ValueError(
                 f"atomic control {outer.nodes[0][0].name} cannot contain children"
             )
-        raise ValueError(f"nest: outer must have exactly one site, found {len(sites)}")
+        raise ValueError(f"nest: outer must have exactly one site, found {outer.nsites}")
     if inner.nregions != 1:
         raise ValueError(f"nest: inner must have exactly one region, found {inner.nregions}")
 
@@ -412,12 +450,13 @@ def parallel_all(parts: list[Bigraph]) -> Bigraph:
 def validate(g: Bigraph) -> list[str]:
     """Exhaustive invariant scan; empty list means well formed."""
     errs: list[str] = []
+    linked = {port for lk in g.links for port in lk.ports}
     for i, (ctrl, param) in enumerate(g.nodes):
-        have = sum(1 for (n, _p) in g._port_link if n == i)
+        have = sum(c for _e, c in g.node_edges[i])
         if have != ctrl.arity:
             errs.append(f"entity {i} ({ctrl.name}): {have} linked ports, arity is {ctrl.arity}")
         for p in range(ctrl.arity):
-            if (i, p) not in g._port_link:
+            if (i, p) not in linked:
                 errs.append(f"entity {i} ({ctrl.name}): port {p} dangling")
         if ctrl.parameterised and param is None:
             errs.append(f"entity {i} ({ctrl.name}): missing parameter")
@@ -432,7 +471,7 @@ def validate(g: Bigraph) -> list[str]:
                 errs.append(f"outer name {lk.name!r} on two hyperedges")
             seen_names.add(lk.name)
         for n, p in lk.ports:
-            if n >= g.nnodes or p >= g.nodes[n][0].arity:
+            if p >= g.nodes[n][0].arity:
                 errs.append(f"hyperedge {e}: port ({n},{p}) out of range")
     # forest shape: every entity/site has exactly one parent (constructor enforces
     # at-least-one; double parents raise at construction, so only count check left)

@@ -91,55 +91,34 @@ def _param_repr(param) -> str:
 
 
 class _Tables:
-    """A bigraph's place and link structure as integer index lists, and each
-    entity's text up to its closed references, built once per
-    `canonical_form` call and shared by the whole search (not kept on the
-    bigraph: states would carry them for the rest of the run)."""
+    """What a canonical form needs beyond the bigraph's index: each entity's
+    text up to its closed references (head, sorted open names, closed edge
+    per port), the closed edges that carry ports, and an order with every
+    entity after its children.  Built once per `canonical_form` call and
+    shared by the whole search; not kept on the bigraph, since a state's
+    form is computed once and the texts are only needed while it is."""
 
-    __slots__ = (
-        "g", "parent", "sites", "kids", "node_edges", "edge_nodes", "closed", "head", "opens",
-        "closed_refs", "upward",
-    )
+    __slots__ = ("g", "head", "opens", "closed_refs", "closed", "upward")
 
     def __init__(self, g: Bigraph):
-        n = g.nnodes
         self.g = g
-        self.parent = [-1] * n  # -1 under a region
-        self.sites: list[tuple[int, ...]] = [()] * n  # -1 per site child
-        self.kids: list[list[int]] = [[] for _ in range(n)]  # entity children
-        for i, refs in enumerate(g.node_children):
-            for kind, c in refs:
-                if kind == "n":
-                    self.parent[c] = i
-                    self.kids[i].append(c)
-                else:
-                    self.sites[i] += (-1,)
-        self.node_edges: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # (edge, ports)
-        self.edge_nodes: list[list[tuple[int, int]]] = []  # (entity, ports)
-        self.closed: list[int] = []  # closed edges that carry ports
-        self.opens: list[list[str]] = [[] for _ in range(n)]  # `o<name>` per port, sorted
-        self.closed_refs: list[list[int]] = [[] for _ in range(n)]  # closed edge per port
-        for e, lk in enumerate(g.links):
-            counts: dict[int, int] = {}
-            for v, _p in lk.ports:
-                counts[v] = counts.get(v, 0) + 1
-                if lk.name is None:
-                    self.closed_refs[v].append(e)
-                else:
-                    self.opens[v].append(f"o{lk.name}")
-            self.edge_nodes.append(list(counts.items()))
-            for v, c in counts.items():
-                self.node_edges[v].append((e, c))
-            if lk.closed and lk.ports:
-                self.closed.append(e)
-        for names in self.opens:
-            names.sort()
+        names = [lk.name for lk in g.links]
+        self.closed = [e for e, lk in enumerate(g.links) if lk.name is None and lk.ports]
+        # per entity, `o<name>` per port on an open edge, sorted, and the
+        # closed edge of each other port
+        self.opens = [
+            sorted([f"o{names[e]}" for e, c in pairs if names[e] is not None for _ in range(c)])
+            for pairs in g.node_edges
+        ]
+        self.closed_refs = [
+            [e for e, c in pairs if names[e] is None for _ in range(c)] for pairs in g.node_edges
+        ]
         self.head = [f"{ctrl.name}({_param_repr(param)})" + "{" for ctrl, param in g.nodes]
         # every entity after its children: a breadth-first order from the
         # region roots, reversed
         down = [c for cs in g.region_children for k, c in cs if k == "n"]
         for i in down:
-            down.extend(self.kids[i])
+            down.extend(g.kids[i])
         self.upward = down[::-1]
 
 
@@ -201,9 +180,8 @@ def _refine(
     later rounds could not change the order of those edges, which is all a
     leaf encodes.
     """
-    parent, sites, kids, node_edges, edge_nodes, closed = (
-        t.parent, t.sites, t.kids, t.node_edges, t.edge_nodes, t.closed
-    )
+    g, closed = t.g, t.closed
+    up, sites, kids, node_edges, edge_nodes = g.up, g.sites, g.kids, g.node_edges, g.edge_nodes
     tied = len({erank[e] for e in closed}) < len(closed)
     while tied:
         nsplit: dict[int, list[list[int]]] = {}
@@ -211,10 +189,13 @@ def _refine(
             if len(ncls[r]) > 1:
                 groups: dict = {}
                 for i in ncls[r]:
-                    p = parent[i]
+                    p = up[i]
+                    below = tuple(sorted([nrank[c] for c in kids[i]]))
+                    if sites[i]:  # a site child ranks -1, below every entity
+                        below = (-1,) * len(sites[i]) + below
                     groups.setdefault((
                         -1 if p < 0 else nrank[p],
-                        sites[i] + tuple(sorted([nrank[c] for c in kids[i]])),
+                        below,
                         tuple(sorted([(erank[e], c) for e, c in node_edges[i]])),
                     ), []).append(i)
                 if len(groups) > 1:
@@ -239,8 +220,8 @@ def _refine(
         for parts in nsplit.values():
             for part in parts:
                 for i in part:
-                    if parent[i] >= 0:
-                        ntodo.add(nrank[parent[i]])
+                    if up[i] >= 0:
+                        ntodo.add(nrank[up[i]])
                     ntodo.update([nrank[c] for c in kids[i]])
                     etodo.update([erank[e] for e, _c in node_edges[i]])
         for parts in esplit.values():
@@ -323,7 +304,7 @@ def _search(
         r = erank[cell[0]]
         # the ranks are stable, so splitting the cell can split at first only
         # the entity classes on its edges
-        touched = {nrank[v] for f in cell for v, _c in t.edge_nodes[f]}
+        touched = {nrank[v] for f in cell for v, _c in t.g.edge_nodes[f]}
         done: list[int] = []
         for e in cell:
             if done and _skipped(e, done, autos, path):
@@ -377,13 +358,14 @@ def _pair(t: _Tables, ta: list[str], tb: list[str], a: int, b: int, perm: dict[i
     """Map the subtree below entity `a` (entity texts `ta`) onto the equal
     one below `b` (texts `tb`), children paired in text order; add the
     entities that move to `perm`."""
+    kids = t.g.kids
     todo = [(a, b)]
     while todo:
         x, y = todo.pop()
         if x != y:
             perm[x] = y
         todo.extend(
-            zip(sorted(t.kids[x], key=ta.__getitem__), sorted(t.kids[y], key=tb.__getitem__))
+            zip(sorted(kids[x], key=ta.__getitem__), sorted(kids[y], key=tb.__getitem__))
         )
 
 
@@ -392,9 +374,9 @@ def _swaps(t: _Tables, texts: list[str]) -> list[Auto]:
     order: automorphisms that fix every edge, since equal text references
     equal edges."""
     found: list[Auto] = []
-    if len(set(zip(t.parent, texts))) == len(texts):
+    if len(set(zip(t.g.up, texts))) == len(texts):
         return found  # no two siblings (or region roots) write the same text
-    for kids in t.kids + _roots(t):
+    for kids in t.g.kids + _roots(t):
         if len(kids) > 1 and len({texts[c] for c in kids}) < len(kids):
             kids = sorted(kids, key=texts.__getitem__)
             for a, b in zip(kids, kids[1:]):

@@ -201,41 +201,48 @@ class _Elaborator:
         return values[0]
 
     def eval_big(self, e, env) -> Bigraph:
-        # a chain of nestings and closures is folded in a loop, innermost
+        # evaluated from an explicit stack, operands left to right, so depth
+        # costs no Python stack: a chain of nestings is folded innermost
         # first, after its ions were evaluated outermost first
-        chain = []
-        while isinstance(e, (lang.ENest, lang.EClose)):
-            if isinstance(e, lang.ENest):
-                chain.append((e, self.eval_ion(e.head, env)))
-                e = e.child
+        values: list[Bigraph] = []
+        todo = [e]  # expressions, and (node, ion or operand count) to apply
+        while todo:
+            e = todo.pop()
+            if type(e) is tuple:
+                node, x = e
+                if isinstance(node, lang.ENest):
+                    try:
+                        values.append(nest(x, values.pop()))
+                    except ValueError as exc:
+                        raise ElabError(str(exc), node.pos) from exc
+                elif isinstance(node, lang.EClose):
+                    name = node.name
+                    if name not in values[-1].outer_names():
+                        raise ElabError(
+                            f"/{name}: {name!r} is not an outer name of its body", node.pos
+                        )
+                    values.append(close(name, values.pop()))
+                else:
+                    join = merge_all if isinstance(node, lang.EMerge) else parallel_all
+                    parts = values[len(values) - x :]
+                    del values[len(values) - x :]
+                    values.append(join(parts))
+            elif isinstance(e, lang.EIon):
+                values.append(self.eval_ion(e, env))
+            elif isinstance(e, lang.ENest):
+                todo += ((e, self.eval_ion(e.head, env)), e.child)
+            elif isinstance(e, (lang.EMerge, lang.EPar)):
+                parts = _operands(e)
+                todo += ((e, len(parts)), *reversed(parts))
+            elif isinstance(e, lang.EClose):
+                todo += ((e, None), e.body)
+            elif isinstance(e, lang.EId):
+                values.append(site())
+            elif isinstance(e, lang.EOne):
+                values.append(empty())
             else:
-                chain.append((e, None))
-                e = e.body
-        if isinstance(e, lang.EId):
-            g = site()
-        elif isinstance(e, lang.EOne):
-            g = empty()
-        elif isinstance(e, lang.EIon):
-            g = self.eval_ion(e, env)
-        elif isinstance(e, lang.EMerge):
-            g = merge_all([self.eval_big(p, env) for p in e.parts])
-        elif isinstance(e, lang.EPar):
-            g = parallel_all([self.eval_big(p, env) for p in e.parts])
-        else:
-            raise TypeError(e)
-        for link, outer in reversed(chain):
-            if outer is not None:
-                try:
-                    g = nest(outer, g)
-                except ValueError as exc:
-                    raise ElabError(str(exc), link.pos) from exc
-            elif link.name not in g.outer_names():
-                raise ElabError(
-                    f"/{link.name}: {link.name!r} is not an outer name of its body", link.pos
-                )
-            else:
-                g = close(link.name, g)
-        return g
+                raise TypeError(e)
+        return values[0]
 
     def eval_ion(self, e, env) -> Bigraph:
         if e.ctrl not in self.controls:
@@ -245,6 +252,22 @@ class _Elaborator:
             return ion(self.controls[e.ctrl], e.names, param=param)
         except ValueError as exc:
             raise ElabError(str(exc), e.pos) from exc
+
+
+def _operands(join):
+    """The operands of a join, each operand that is a join of the same kind
+    replaced by its own operands: joining them in one pass gives the bigraph,
+    entity for entity, that joining the inner join first gave."""
+    if not any(type(e) is type(join) for e in join.parts):
+        return join.parts
+    out, todo = [], list(reversed(join.parts))
+    while todo:
+        e = todo.pop()
+        if type(e) is type(join):
+            todo.extend(reversed(e.parts))
+        else:
+            out.append(e)
+    return out
 
 
 def elaborate(ast, name: str = "model") -> Model:

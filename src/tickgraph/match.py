@@ -26,11 +26,11 @@ in agent entity order, from the children of its parent's image; else the
 parent of a mapped child takes the parent of that child's image; else an
 entity on a mapped edge takes the entities on that edge's image.  A parent
 is mapped as soon as the subtree of its first mapped child is, so these
-sources alone keep each entity the child of its parent's image.  The
-pattern's tables (:class:`Tables`) are computed once and kept with the
-pattern, with one plan per host count of its controls; the agent's
-(:class:`Host`) once per agent, and a caller that searches one agent for
-several patterns builds one Host and passes it to each search.
+sources alone keep each entity the child of its parent's image.  Parents,
+children and edge memberships, of the agent and of the pattern, are read
+from the index each bigraph builds once (see :class:`Bigraph`); the
+pattern's own search tables (:class:`Tables`) are computed once and kept
+with the pattern, with one plan per host count of its controls.
 
 A search may be given groups of interchangeable pattern entities (see
 `rules.Model.groups`: leaf siblings of one control that a swap, together
@@ -83,81 +83,30 @@ class Match(Record):
         return (self.nodes, self.edges, self.binding)
 
 
-class Host:
-    """A ground agent's search tables: per entity its control name,
-    parameter, parent, child entities and edge counts (agent edge -> ports,
-    in edge order); per control its entities; per edge its entities and
-    whether it is closed, with its port count."""
-
-    __slots__ = ("agent", "ctrl", "param", "parent", "kids", "edges", "by_control",
-                 "on_edge", "closed", "size")
-
-    def __init__(self, agent: Bigraph):
-        if not agent.is_ground():
-            raise ValueError("occurrences: agent must be ground (no sites)")
-        self.agent = agent
-        self.ctrl = [ctrl.name for ctrl, _p in agent.nodes]
-        self.param = [param for _ctrl, param in agent.nodes]
-        self.parent = [agent.parent(("n", u)) for u in range(agent.nnodes)]
-        self.kids = [tuple(c for _k, c in cs) for cs in agent.node_children]
-        self.by_control: dict[str, list[int]] = {}
-        for u, name in enumerate(self.ctrl):
-            self.by_control.setdefault(name, []).append(u)
-        self.edges: list[dict[int, int]] = [{} for _ in agent.nodes]
-        self.on_edge: list[tuple[int, ...]] = []
-        for E, lk in enumerate(agent.links):
-            for v, _p in lk.ports:
-                self.edges[v][E] = self.edges[v].get(E, 0) + 1
-            self.on_edge.append(tuple(sorted({v for v, _p in lk.ports})))
-        self.closed = [lk.closed for lk in agent.links]
-        self.size = [len(lk.ports) for lk in agent.links]
-
-
 class Tables:
-    """A pattern's search tables: per entity its control name, parameter,
-    parent entity (None for a region root), region (roots only), sorted
-    ``(edge, count, closed, edge size)`` tuples, child entities, sites and
-    pre-order position; how many entities of each control the pattern has,
-    as sorted ``(control, count)`` pairs; and the search plans built so
-    far, keyed by the host's counts of those controls and the groups."""
+    """What a pattern's search needs beyond the pattern's index: per entity
+    its pre-order position and sorted ``(edge, count, closed, edge size)``
+    tuples; how many entities of each control the pattern has, as sorted
+    ``(control, count)`` pairs; and the search plans built so far, keyed by
+    the host's counts of those controls and the groups."""
 
-    __slots__ = ("ctrl", "param", "parent", "region", "edges", "kids", "sites", "pos",
-                 "need", "plans", "nregions", "nsites")
+    __slots__ = ("pos", "edges", "need", "plans")
 
     def __init__(self, pattern: Bigraph):
-        n = pattern.nnodes
-        self.ctrl = [ctrl.name for ctrl, _p in pattern.nodes]
-        self.param = [param for _ctrl, param in pattern.nodes]
-        self.parent: list[int | None] = [None] * n
-        self.region: list[int | None] = [None] * n
-        for r, cs in enumerate(pattern.region_children):
-            for k, c in cs:
-                if k == "n":
-                    self.region[c] = r
-        self.kids = [tuple(c for k, c in cs if k == "n") for cs in pattern.node_children]
-        self.sites = [tuple(c for k, c in cs if k == "s") for cs in pattern.node_children]
-        for i, cs in enumerate(self.kids):
-            for c in cs:
-                self.parent[c] = i
-        counts: list[dict[int, int]] = [{} for _ in range(n)]
-        for e, lk in enumerate(pattern.links):
-            for v, _p in lk.ports:
-                counts[v][e] = counts[v].get(e, 0) + 1
-        self.edges = [
-            tuple((e, cnt, pattern.links[e].closed, len(pattern.links[e].ports))
-                  for e, cnt in sorted(cs.items()))
-            for cs in counts
-        ]
-        self.pos = [0] * n
+        self.pos = [0] * pattern.nnodes
         for k, i in enumerate(i for kind, i in pattern.preorder() if kind == "n"):
             self.pos[i] = k
-        self.need = tuple(sorted((name, self.ctrl.count(name)) for name in set(self.ctrl)))
+        links = pattern.links
+        self.edges = [
+            tuple((e, cnt, links[e].closed, len(links[e].ports)) for e, cnt in pairs)
+            for pairs in pattern.node_edges
+        ]
+        names = [ctrl.name for ctrl, _p in pattern.nodes]
+        self.need = tuple(sorted((name, names.count(name)) for name in set(names)))
         self.plans: dict[tuple, tuple[list[tuple], dict]] = {}
-        self.nregions = pattern.nregions
-        self.nsites = pattern.nsites
 
 
-def _plan(pat: Tables, counts: dict[str, int]) -> list[tuple[int, str, int | None]]:
+def _plan(pattern: Bigraph, pat: Tables, counts: dict[str, int]) -> list[tuple[int, str, int | None]]:
     """The order in which to map the pattern's entities, as steps
     ``(entity, source, source entity or edge)``.
 
@@ -173,7 +122,7 @@ def _plan(pat: Tables, counts: dict[str, int]) -> list[tuple[int, str, int | Non
     is, and its other children after it: no entity needs a check of its
     parent beyond its source.
     """
-    n = len(pat.ctrl)
+    n = pattern.nnodes
     done = [False] * n
     linked: set[int] = set()  # the pattern edges of mapped entities
     steps = []
@@ -182,10 +131,10 @@ def _plan(pat: Tables, counts: dict[str, int]) -> list[tuple[int, str, int | Non
         for p in range(n):
             if done[p]:
                 continue
-            q = pat.parent[p]
-            kid = next((c for c in pat.kids[p] if done[c]), None)
+            q = pattern.up[p]
+            kid = next((c for c in pattern.kids[p] if done[c]), None)
             edge = next((e for e, *_ in pat.edges[p] if e in linked), None)
-            if q is not None and done[q]:
+            if q >= 0 and done[q]:
                 kind, source, src = 0, "kids", q
             elif kid is not None:
                 kind, source, src = 1, "up", kid
@@ -193,7 +142,7 @@ def _plan(pat: Tables, counts: dict[str, int]) -> list[tuple[int, str, int | Non
                 kind, source, src = 2, "edge", edge
             else:
                 kind, source, src = 3, "all", None
-            key = (kind, counts[pat.ctrl[p]], pat.pos[p])
+            key = (kind, counts[pattern.nodes[p][0].name], pat.pos[p])
             if best is None or key < best[0]:
                 best = (key, p, source, src)
         _key, p, source, src = best
@@ -219,18 +168,23 @@ def _bounds(steps, groups) -> dict[int, tuple[int | None, int | None, int, int]]
 
 
 class _Search:
-    def __init__(self, host: Host, pat: Tables, steps, bounds, domains):
-        self.host = host
+    def __init__(self, agent: Bigraph, names: list[str], pattern: Bigraph, pat: Tables,
+                 steps, bounds, domains):
+        self.agent = agent
+        self.names = names  # the agent's control name per entity
+        self.of_control: dict[str, list[int]] = {}  # its entities per control, when asked
+        self.pattern = pattern
         self.pat = pat
         self.steps = steps
         self.bounds = bounds
         self.domains = domains or {}
         self.results: list[Match] = []
-        self.nmap: list[int] = [-1] * len(pat.ctrl)
+        self.nmap: list[int] = [-1] * pattern.nnodes
         self.emap: dict[int, int] = {}
         self.used_nodes: set[int] = set()
         self.used_edges: set[int] = set()
-        self.anchors: list[Ref | None] = [None] * pat.nregions
+        # per pattern region, its anchor as an agent index entry (see Bigraph.up)
+        self.anchors: list[int | None] = [None] * pattern.nregions
         self.binding: dict[str, int] = {}
 
     def run(self) -> list[Match]:
@@ -238,49 +192,55 @@ class _Search:
         self.results.sort(key=Match.sort_key)
         return self.results
 
-    def _candidates(self, p: int, source: str, src):
-        host, pat = self.host, self.pat
+    def _candidates(self, p: int, name: str, source: str, src):
+        agent = self.agent
         if source == "kids":
-            candidates = host.kids[self.nmap[src]]
+            candidates = agent.kids[self.nmap[src]]
         elif source == "up":
-            a = host.parent[self.nmap[src]]
-            candidates = (a[1],) if a[0] == "n" else ()
+            a = agent.up[self.nmap[src]]
+            candidates = (a,) if a >= 0 else ()
         elif source == "edge" and p not in self.bounds:
-            candidates = host.on_edge[self.emap[src]]
+            candidates = [v for v, _c in agent.edge_nodes[self.emap[src]]]
         else:
             # a group member's later members need not share its edge, so it
             # counts them among every entity of its control
-            candidates = host.by_control[pat.ctrl[p]]
+            candidates = self.of_control.get(name)
+            if candidates is None:
+                candidates = [u for u, c in enumerate(self.names) if c == name]
+                self.of_control[name] = candidates
         if p not in self.bounds:
             return candidates
         lo, hi, below, above = self.bounds[p]
         lo = -1 if lo is None else self.nmap[lo]
-        hi = len(host.ctrl) if hi is None else self.nmap[hi]
+        hi = agent.nnodes if hi is None else self.nmap[hi]
+        names = self.names
         free = sorted(u for u in candidates
-                      if lo < u < hi and host.ctrl[u] == pat.ctrl[p] and u not in self.used_nodes)
+                      if lo < u < hi and names[u] == name and u not in self.used_nodes)
         return free[below : len(free) - above]
 
     def _assign(self, idx: int):
         if idx == len(self.steps):
             self._complete()
             return
-        host, pat = self.host, self.pat
+        agent, pattern = self.agent, self.pattern
+        names, nodes, kids, up = self.names, agent.nodes, agent.kids, agent.up
         p, source, src = self.steps[idx]
-        name = pat.ctrl[p]
-        want = len(pat.kids[p])
-        has_site = bool(pat.sites[p])
-        r = pat.region[p]
-        pat_param = pat.param[p]
+        ctrl, pat_param = pattern.nodes[p]
+        name = ctrl.name
+        want = len(pattern.kids[p])
+        has_site = bool(pattern.sites[p])
+        q = pattern.up[p]
+        r = ~q if q < 0 else None  # the region of a region root
         var = pat_param.name if isinstance(pat_param, Var) else None
         dom = self.domains.get(var) if var is not None else None
-        for u in self._candidates(p, source, src):
-            if host.ctrl[u] != name or u in self.used_nodes:
+        for u in self._candidates(p, name, source, src):
+            if names[u] != name or u in self.used_nodes:
                 continue
             # child count feasibility: equality without a site, lower bound with one
-            have = len(host.kids[u])
+            have = len(kids[u])
             if have < want if has_site else have != want:
                 continue
-            ag_param = host.param[u]
+            ag_param = nodes[u][1]
             bind = False
             if var is not None:
                 if not isinstance(ag_param, int):
@@ -299,7 +259,7 @@ class _Search:
                 continue  # arithmetic terms are reactum-only
             anchor_set = False
             if r is not None:
-                a = host.parent[u]
+                a = up[u]
                 if self.anchors[r] is None:
                     self.anchors[r] = a
                     anchor_set = True
@@ -309,7 +269,7 @@ class _Search:
                 self.binding[var] = ag_param
             self.nmap[p] = u
             self.used_nodes.add(u)
-            self._assign_edges(u, pat.edges[p], 0, idx)
+            self._assign_edges(u, self.pat.edges[p], 0, idx)
             self.used_nodes.discard(u)
             if bind:
                 del self.binding[var]
@@ -323,19 +283,19 @@ class _Search:
         if i == len(pedges):
             self._assign(idx + 1)
             return
-        host = self.host
         e, cnt, closed, size = pedges[i]
-        ag = host.edges[u]
+        ag = self.agent.node_edges[u]
         E = self.emap.get(e)
         if E is not None:
-            if ag.get(E) == cnt:
+            if (E, cnt) in ag:
                 self._assign_edges(u, pedges, i + 1, idx)
             return
-        for E, c in ag.items():
+        links = self.agent.links
+        for E, c in ag:
             if c != cnt or E in self.used_edges:
                 continue
             # a closed pattern edge is the whole of a closed agent edge
-            if closed and (not host.closed[E] or host.size[E] != size):
+            if closed and (not links[E].closed or len(links[E].ports) != size):
                 continue
             self.emap[e] = E
             self.used_edges.add(E)
@@ -344,31 +304,32 @@ class _Search:
             del self.emap[e]
 
     def _complete(self):
-        host, pat, nmap = self.host, self.pat, self.nmap
+        agent, pattern, nmap = self.agent, self.pattern, self.nmap
         # site contents: unmatched children of matched parents
-        site_images: list[tuple[int, ...]] = [()] * pat.nsites
+        site_images: list[tuple[int, ...]] = [()] * pattern.nsites
         forest: set[int] = set()
         for p, u in enumerate(nmap):
-            sites = pat.sites[p]
+            sites = pattern.sites[p]
             if not sites:
                 continue
-            matched_children = {nmap[c] for c in pat.kids[p]}
-            extras = tuple(c for c in host.kids[u] if c not in matched_children)
+            matched_children = {nmap[c] for c in pattern.kids[p]}
+            extras = tuple(c for c in agent.kids[u] if c not in matched_children)
             site_images[sites[0]] = extras
             for root in extras:
                 forest.add(root)
-                forest |= host.agent.descendants(root)
+                forest |= agent.descendants(root)
 
         # anchors must lie in the context
         for a in self.anchors:
-            if a is not None and a[0] == "n" and (a[1] in self.used_nodes or a[1] in forest):
+            if a is not None and a >= 0 and (a in self.used_nodes or a in forest):
                 return
 
         self.results.append(
             Match(
                 nodes=tuple(nmap),
                 edges=tuple(sorted(self.emap.items())),
-                anchors=tuple(self.anchors),
+                anchors=tuple(None if a is None else ("n", a) if a >= 0 else ("r", ~a)
+                              for a in self.anchors),
                 site_images=tuple(site_images),
                 binding=tuple(sorted(self.binding.items())),
             )
@@ -376,7 +337,7 @@ class _Search:
 
 
 def occurrences(
-    agent: Bigraph | Host,
+    agent: Bigraph,
     pattern: Bigraph,
     *,
     domains: dict[str, set[int]] | None = None,
@@ -384,8 +345,7 @@ def occurrences(
 ) -> list[Match]:
     """Complete, duplicate-free, deterministically ordered list of matches.
 
-    `agent` is a ground bigraph, or the :class:`Host` of one shared by
-    several searches of it.  `domains` restricts what values pattern
+    `agent` is a ground bigraph.  `domains` restricts what values pattern
     parameter variables may bind.  With `groups` (disjoint tuples of
     interchangeable leaf entities) the same search keeps one match per
     orbit, its first; the caller must know that the groups are
@@ -394,15 +354,17 @@ def occurrences(
     the plan for its counts of the pattern's controls, built on first use
     and kept with the pattern's tables.
     """
-    host = agent if isinstance(agent, Host) else Host(agent)
+    if not agent.is_ground():
+        raise ValueError("occurrences: agent must be ground (no sites)")
     pat = pattern._tables
     if pat is None:  # built on first use, kept with the pattern
         pat = pattern._tables = Tables(pattern)
-    counts = tuple(len(host.by_control.get(name, ())) for name, _need in pat.need)
+    names = [ctrl.name for ctrl, _param in agent.nodes]
+    counts = tuple([names.count(name) for name, _need in pat.need])
     if any(have < need for have, (_name, need) in zip(counts, pat.need)):
         return []
     plan = pat.plans.get((counts, groups))
     if plan is None:
-        steps = _plan(pat, {name: have for have, (name, _need) in zip(counts, pat.need)})
+        steps = _plan(pattern, pat, {name: have for have, (name, _need) in zip(counts, pat.need)})
         plan = pat.plans[counts, groups] = (steps, _bounds(steps, groups))
-    return _Search(host, pat, *plan, domains).run()
+    return _Search(agent, names, pattern, pat, *plan, domains).run()

@@ -42,7 +42,7 @@ import math
 
 from .bigraph import Bigraph, Control, Link, Ref
 from .canon import canonical_form
-from .match import Host, Match, occurrences
+from .match import Match, occurrences
 from .params import Arith, ParameterLimit, Term, Var, is_concrete, term_eval, term_fold, term_vars
 from .records import Record
 
@@ -173,14 +173,8 @@ def effect_key(rule: RuleFamily, m: Match) -> tuple:
     reactum = rule.reactum
     values = _reactum_values(rule, m.binding_env())
     emap = m.edge_map()
-    ports: list[list[tuple]] = [[] for _ in range(reactum.nnodes)]
-    for l, lk in enumerate(reactum.links):
-        if lk.name is not None:
-            tag = ("o", emap[rule.redex_edge_of_name[lk.name]])
-        else:
-            tag = ("c", l)
-        for v, _p in lk.ports:
-            ports[v].append(tag)
+    tags = [("c", l) if lk.name is None else ("o", emap[rule.redex_edge_of_name[lk.name]])
+            for l, lk in enumerate(reactum.links)]
 
     def children(refs) -> tuple:
         return tuple(sorted(
@@ -192,7 +186,7 @@ def effect_key(rule: RuleFamily, m: Match) -> tuple:
         return (
             reactum.nodes[j][0].name,
             () if value is None else (value,),
-            tuple(sorted(ports[j])),
+            tuple(sorted([tags[l] for l, c in reactum.node_edges[j] for _ in range(c)])),
             children(reactum.node_children[j]),
         )
 
@@ -515,8 +509,8 @@ def _maps_onto_itself(g: Bigraph, perm: dict[int, int], sigma: dict[str, str],
         w = at(v)
         if g.nodes[w] != (ctrl, _rename(param, sigma)):
             return False
-        kind, q = g.parent(("n", v))
-        if g.parent(("n", w)) != (kind, at(q) if kind == "n" else q):
+        q = g.up[v]  # a parent entity, or below zero a region
+        if g.up[w] != (at(q) if q >= 0 else q):
             return False
     links = {(lk.name, frozenset(lk.ports)) for lk in g.links}
     return links == {
@@ -570,7 +564,7 @@ def _groups(fam: RuleFamily, domains) -> Groups:
     alike: dict[tuple, list[int]] = {}
     for v, (ctrl, _param) in enumerate(redex.nodes):
         if not redex.node_children[v]:
-            alike.setdefault((redex.parent(("n", v)), ctrl.name), []).append(v)
+            alike.setdefault((redex.up[v], ctrl.name), []).append(v)
     groups: list[tuple[int, ...]] = []
     for members in alike.values():
         found: list[list[int]] = []
@@ -590,7 +584,7 @@ def enabled_outcomes(agent: Bigraph, model: Model) -> dict[str, list[Outcome]]:
 
     Actions appear in declaration order; the mapping is empty iff no rule
     matches at all.  Each family reached is searched once, by the first
-    entry that needs it, on tables of `agent` built once: its redex over
+    entry that needs it, on `agent`'s own index: its redex over
     `model.searches`, then, if it has matches, its context condition with no
     exclusions.  A match is blocked when some occurrence of the condition
     lies wholly outside its image.
@@ -600,7 +594,6 @@ def enabled_outcomes(agent: Bigraph, model: Model) -> dict[str, list[Outcome]]:
     member in match order and has the orbit size, the product of the group
     sizes' factorials, as its multiplicity.
     """
-    host = Host(agent)
     valid: dict[str, tuple[list[Match], int]] = {}
 
     def family_matches(fam: RuleFamily) -> tuple[list[Match], int]:
@@ -608,9 +601,9 @@ def enabled_outcomes(agent: Bigraph, model: Model) -> dict[str, list[Outcome]]:
         if found is None:
             search = model.searches[fam.base]
             groups = model.groups.get(fam.base, ())
-            matches = occurrences(host, fam.redex, domains=search.match_domains, groups=groups)
+            matches = occurrences(agent, fam.redex, domains=search.match_domains, groups=groups)
             if matches and fam.condition is not None:
-                blockers = [frozenset(c.nodes) for c in occurrences(host, fam.condition)]
+                blockers = [frozenset(c.nodes) for c in occurrences(agent, fam.condition)]
                 matches = [m for m in matches if not any(b.isdisjoint(m.nodes) for b in blockers)]
             size = math.prod(math.factorial(len(g)) for g in groups)
             found = valid[fam.base] = (matches, size)

@@ -1,7 +1,11 @@
+import re
+
 import pytest
 
 from tickgraph.bigraph import (
+    Bigraph,
     Control,
+    Link,
     close,
     empty,
     ion,
@@ -218,3 +222,66 @@ def test_wide_joins_copy_linear_entities(monkeypatch, op):
         ))
         assert model.init.nnodes == 2 * n
     assert copied[1] <= 2.5 * copied[0]
+
+
+P = Control("P", arity=1)
+A = Control("A")
+L = Control("L", atomic=True)
+
+
+@pytest.mark.parametrize(
+    "parts, problems",
+    [
+        (([(A, None)] * 2, [[("n", 1)], []], [[("n", 0), ("n", 1)]], 0, []),
+         "place reference ('n', 1) has two parents"),
+        (([(P, None)], [[]], [[("n", 0)]], 0, [Link("a", ((0, 0),)), Link("b", ((0, 0),))]),
+         "port (0, 0) occurs in two hyperedges"),
+        (([(A, None)] * 2, [[], []], [[("n", 0)]], 0, []), "entity 1 has no parent"),
+        (([(A, None)], [[]], [[("n", 0)]], 1, []), "site 0 has no parent"),
+        (([(A, None)], [], [[("n", 0)]], 0, []), "node_children must parallel nodes"),
+        # a forest with ill-formed links is built, and validate reports it
+        (([(P, None)], [[]], [[("n", 0)]], 0, []),
+         ["entity 0 (P): 0 linked ports, arity is 1", "entity 0 (P): port 0 dangling"]),
+        (([(P, None)], [[]], [[("n", 0)]], 0, [Link("a", ((0, 0), (0, 1)))]),
+         ["entity 0 (P): 2 linked ports, arity is 1", "hyperedge 0: port (0,1) out of range"]),
+    ],
+    ids=["two-parents", "two-hyperedges", "orphan-entity", "orphan-site", "not-parallel",
+         "dangling", "out-of-range"],
+)
+def test_malformed_bigraphs_are_refused_or_reported(parts, problems):
+    if isinstance(problems, str):
+        with pytest.raises(ValueError, match=re.escape(problems)):
+            Bigraph(*parts)
+    else:
+        assert validate(Bigraph(*parts)) == problems
+
+
+@pytest.mark.parametrize(
+    "parts",
+    [
+        ([(A, None)], [[("s", 1)]], [[("n", 0)]], 1, []),
+        ([(P, None)], [[]], [[("n", 0)]], 0, [Link("a", ((1, 0),))]),
+    ],
+    ids=["site", "port"],
+)
+def test_references_to_missing_entities_or_sites_are_refused(parts):
+    with pytest.raises(ValueError, match="names no entity or site"):
+        Bigraph(*parts)
+
+
+def test_decoding_a_site_out_of_range_raises_value_error():
+    # load_mdp reads a ValueError as an unreadable cache, and rebuilds it
+    from tickgraph.canon import decode_canonical
+
+    with pytest.raises(ValueError, match="names no entity or site"):
+        decode_canonical(b"bg;1;1;R[$0;$3];Y=;X=", {})
+
+
+def test_deep_nest_is_written_without_recursion():
+    # each level of `A.A. ... L` was one frame of the renderer
+    n = 1500
+    g = Bigraph([(A, None)] * n + [(L, None)], [[("n", i + 1)] for i in range(n)] + [[]],
+                [[("n", 0)]], 0, [])
+    assert repr(g) == "<Bigraph " + "A.(" * (n - 1) + "A.L" + ")" * (n - 1) + ">"
+    two = Bigraph([(A, None)] * 2 + [(L, None)], [[("n", 1)], [("n", 2)], []], [[("n", 0)]], 0, [])
+    assert two.pretty() == "A.(A.L)"

@@ -112,6 +112,22 @@ def test_long_closure_chain_is_read_without_recursion(tmp_path):
     assert "close: 1 rules, 3 controls" in r.stdout
 
 
+def test_nested_parenthesised_joins_are_elaborated_without_recursion(tmp_path):
+    # each parenthesised `|` operand was one elaborator frame
+    model = tmp_path / "joins.big"
+    body = "S{c}.Done"
+    for _ in range(3000):
+        body = f"(S{{c}}.Done | {body})"
+    text = (MODELS / "pta.big").read_text()
+    assert text.count("= S{c}.Done;") == 1
+    model.write_text(text.replace("= S{c}.Done;", f"= {body};"))
+    r = run("validate", model)
+    assert r.returncode == 0, r.stderr
+    r = run("build", model, "--out", tmp_path)
+    assert r.returncode == 0, r.stderr
+    assert "14 states, 20 choices, 21 transitions" in r.stdout
+
+
 def test_long_parameter_sum_is_evaluated_without_recursion(tmp_path):
     # `0+0+...+0` leans left 3,000 deep; each `+` was one elaborator frame
     model = tmp_path / "sum.big"
