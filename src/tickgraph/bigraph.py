@@ -10,6 +10,12 @@ Instances are immutable after construction; all the algebraic constructors
 return fresh values.  Entity identifiers are dense, local to one bigraph and
 carry no meaning across values; semantic equality is isomorphism, handled by
 :mod:`tickgraph.canon`.
+
+The algebra is the fixture API that tests build bigraphs with, and the
+reference that the elaborator's output is compared against; the elaborator
+itself does not use it, but builds each `.big` body in one pass
+(:mod:`tickgraph.elaborate`), sharing only :func:`check_ion` and
+:func:`check_nest` with it.
 """
 
 from __future__ import annotations
@@ -269,13 +275,8 @@ def site() -> Bigraph:
     return Bigraph([], [], [[("s", 0)]], 1, [])
 
 
-def ion(ctrl: Control, names: tuple[str, ...] | list[str] = (), param: Term | None = None) -> Bigraph:
-    """Single-entity bigraph with its ports attached openly to `names`.
-
-    Repeated names share a hyperedge.  Non-atomic ions carry one site as
-    their single child; atomic ions have none.
-    """
-    names = tuple(names)
+def check_ion(ctrl: Control, names: tuple[str, ...], param: Term | None) -> None:
+    """Raise ValueError unless an ion of `ctrl` may have these names and parameter."""
     if len(names) != ctrl.arity:
         raise ValueError(
             f"arity mismatch for {ctrl.name}: got {len(names)} names, arity is {ctrl.arity}"
@@ -284,6 +285,16 @@ def ion(ctrl: Control, names: tuple[str, ...] | list[str] = (), param: Term | No
         raise ValueError(f"control {ctrl.name} requires an integer parameter")
     if not ctrl.parameterised and param is not None:
         raise ValueError(f"control {ctrl.name} takes no parameter")
+
+
+def ion(ctrl: Control, names: tuple[str, ...] | list[str] = (), param: Term | None = None) -> Bigraph:
+    """Single-entity bigraph with its ports attached openly to `names`.
+
+    Repeated names share a hyperedge.  Non-atomic ions carry one site as
+    their single child; atomic ions have none.
+    """
+    names = tuple(names)
+    check_ion(ctrl, names, param)
     by_name: dict[str, list[tuple[int, int]]] = {}
     order: list[str] = []
     for p, nm in enumerate(names):
@@ -380,16 +391,21 @@ def parallel(a: Bigraph, b: Bigraph) -> Bigraph:
     return _combine([a, b], flatten=False)
 
 
+def check_nest(outer_sites: int, inner_regions: int, head: Control | None = None) -> None:
+    """Raise ValueError unless an outer with `outer_sites` sites can take an
+    inner with `inner_regions` regions; `head` is the outer's one entity, if
+    it has exactly one."""
+    if outer_sites != 1:
+        if head is not None and head.atomic:
+            raise ValueError(f"atomic control {head.name} cannot contain children")
+        raise ValueError(f"nest: outer must have exactly one site, found {outer_sites}")
+    if inner_regions != 1:
+        raise ValueError(f"nest: inner must have exactly one region, found {inner_regions}")
+
+
 def nest(outer: Bigraph, inner: Bigraph) -> Bigraph:
     """Place `inner`'s single region into `outer`'s single site (the DSL's `.`)."""
-    if outer.nsites != 1:
-        if outer.nnodes == 1 and outer.nodes[0][0].atomic:
-            raise ValueError(
-                f"atomic control {outer.nodes[0][0].name} cannot contain children"
-            )
-        raise ValueError(f"nest: outer must have exactly one site, found {outer.nsites}")
-    if inner.nregions != 1:
-        raise ValueError(f"nest: inner must have exactly one region, found {inner.nregions}")
+    check_nest(outer.nsites, inner.nregions, outer.nodes[0][0] if outer.nnodes == 1 else None)
 
     dn = outer.nnodes
     nodes = list(outer.nodes) + list(inner.nodes)

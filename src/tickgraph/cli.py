@@ -254,42 +254,58 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def main(argv=None) -> int:
-    _setup_logging()
+_OPTIONS = {
+    "--props": dict(required=True, help="property file"),
+    "--format": dict(choices=("prism", "dot"), default="prism", help="export format"),
+    "--max-states": dict(type=_at_least(1), default=100_000, help="exploration state budget"),
+    "--fix-deadlocks": dict(action="store_true", help="give deadlock states a stall self-loop"),
+    "--seed": dict(type=int, default=0, help="simulation seed"),
+    "--steps": dict(type=_at_least(0), default=20, help="simulation length"),
+    "--out": dict(default=".", help="output/cache directory"),
+    "--json": dict(action="store_true", help="machine-readable output"),
+}
+_MDP_FLAGS = ("--max-states", "--fix-deadlocks", "--out")
+_COMMANDS = {
+    "validate": (cmd_validate, "parse, elaborate and check the model and its clocks",
+                 ("--json",)),
+    "build": (cmd_build, "explore the state space and cache the MDP", _MDP_FLAGS + ("--json",)),
+    "export": (cmd_export, "write PRISM explicit files or a DOT graph",
+               ("--format",) + _MDP_FLAGS),
+    "check": (cmd_check, "evaluate a property file against the MDP",
+              ("--props",) + _MDP_FLAGS + ("--json",)),
+    "simulate": (cmd_simulate, "print a seeded random trace", ("--seed", "--steps")),
+}
+
+
+def _parser(names) -> argparse.ArgumentParser:
+    """The parser with the subparsers of the named commands only; its usage
+    line names every command either way."""
     parser = argparse.ArgumentParser(
         prog="tickgraph",
         description="Action bigraphs with digital clocks: build, check and export MDPs.",
     )
-    options = {
-        "--props": dict(required=True, help="property file"),
-        "--format": dict(choices=("prism", "dot"), default="prism", help="export format"),
-        "--max-states": dict(type=_at_least(1), default=100_000,
-                             help="exploration state budget"),
-        "--fix-deadlocks": dict(action="store_true",
-                                help="give deadlock states a stall self-loop"),
-        "--seed": dict(type=int, default=0, help="simulation seed"),
-        "--steps": dict(type=_at_least(0), default=20, help="simulation length"),
-        "--out": dict(default=".", help="output/cache directory"),
-        "--json": dict(action="store_true", help="machine-readable output"),
-    }
-    mdp_flags = ("--max-states", "--fix-deadlocks", "--out")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn, blurb, flags in (
-        ("validate", cmd_validate, "parse, elaborate and check the model and its clocks",
-         ("--json",)),
-        ("build", cmd_build, "explore the state space and cache the MDP",
-         mdp_flags + ("--json",)),
-        ("export", cmd_export, "write PRISM explicit files or a DOT graph",
-         ("--format",) + mdp_flags),
-        ("check", cmd_check, "evaluate a property file against the MDP",
-         ("--props",) + mdp_flags + ("--json",)),
-        ("simulate", cmd_simulate, "print a seeded random trace", ("--seed", "--steps")),
-    ):
+    # the default metavar lists the subparsers made; spelled out only when
+    # some are left out, as it also names the missing command in an error
+    every = "{" + ",".join(_COMMANDS) + "}" if len(names) < len(_COMMANDS) else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=every)
+    for name in names:
+        fn, blurb, flags = _COMMANDS[name]
         p = sub.add_parser(name, help=blurb)
         p.add_argument("model", help="path to the .big model file")
         for flag in flags:
-            p.add_argument(flag, **options[flag])
+            p.add_argument(flag, **_OPTIONS[flag])
         p.set_defaults(fn=fn)
+    return parser
+
+
+def main(argv=None) -> int:
+    _setup_logging()
+    if argv is None:
+        argv = sys.argv[1:]
+    # a command's own parser is enough to run it; anything else (`-h`, an
+    # unknown word, nothing) gets every command's
+    names = argv[:1] if argv and argv[0] in _COMMANDS else list(_COMMANDS)
+    parser = _parser(names)
     args = parser.parse_args(argv)
     try:
         return args.fn(args)

@@ -2,8 +2,13 @@
 
 Every `big` and `react` declaration is evaluated and checked once, where it
 is declared, whether or not anything uses it: a `big` body with its
-parameters as `Var`s, a `react` into its :class:`RuleFamily`.  The `init`
-and `preds` references reuse those values.  Rule and predicate families are
+parameters as `Var`s, a `react` into its :class:`RuleFamily`.  Each body
+(a `big`, a redex, a reactum, a condition) is elaborated in one pass over
+its expression, which appends entities, sites and hyperedges to one set of
+lists and constructs one Bigraph at the end: no ion, nest, join or closure
+becomes a Bigraph of its own.  The result equals, entity for entity, what
+folding the expression with :mod:`tickgraph.bigraph`'s algebra gives.
+The `init` and `preds` references reuse those values.  Rule and predicate families are
 closed over the integer sets named at their use sites in the `rules` and
 `preds` lists (an `int` set keeps the first occurrence of each value),
 priority classes keep their listed order (first class is highest), and
@@ -20,7 +25,7 @@ model against the digital-clocks discipline.
 from __future__ import annotations
 
 from . import lang
-from .bigraph import Bigraph, Control, close, empty, ion, merge_all, nest, parallel_all, site
+from .bigraph import Bigraph, Control, Link, check_ion, check_nest
 from .params import Arith, ParameterLimit, Term, Var, term_eval
 from .rules import Model, Pattern, RuleEntry, RuleFamily
 
@@ -201,57 +206,120 @@ class _Elaborator:
         return values[0]
 
     def eval_big(self, e, env) -> Bigraph:
-        # evaluated from an explicit stack, operands left to right, so depth
-        # costs no Python stack: a chain of nestings is folded innermost
-        # first, after its ions were evaluated outermost first
-        values: list[Bigraph] = []
-        todo = [e]  # expressions, and (node, ion or operand count) to apply
+        # one pass over an explicit stack, operands left to right, so depth
+        # costs no Python stack.  Entities, sites and hyperedges are appended
+        # to one set of lists in source order, which is the order the
+        # algebra gives them: entities and sites in place-forest pre-order,
+        # hyperedges by first port, each hyperedge's ports in source order.
+        nodes: list = []  # (Control, param) per entity
+        kids: list = []  # child references per entity
+        regions: list[list] = []  # child references per region
+        nsites = 0
+        link_names: list = []  # outer name per hyperedge, None once closed
+        link_ports: list[list[tuple[int, int]]] = []
+        names: dict[str, int] = {}  # open name -> its hyperedge, in the current scope
+        # Each expression comes with the list its top-level places join: its
+        # nest head's children or its `|`'s one region; None at the top of
+        # the body, where each place opens a region.  So every place is
+        # appended once, to where it ends up.  A (nest or closure, entity or
+        # outer hyperedge) pair finishes that node once its operand is done.
+        todo = [(e, None)]
         while todo:
-            e = todo.pop()
-            if type(e) is tuple:
+            e, into = todo.pop()
+            kind = type(e)
+            if kind is tuple:
                 node, x = e
-                if isinstance(node, lang.ENest):
+                if type(node) is lang.ENest:
+                    ctrl = nodes[x][0]
                     try:
-                        values.append(nest(x, values.pop()))
+                        check_nest(0 if ctrl.atomic else 1, _regions(node.child), ctrl)
                     except ValueError as exc:
                         raise ElabError(str(exc), node.pos) from exc
-                elif isinstance(node, lang.EClose):
+                else:
+                    # the body's hyperedge of the name is closed; the name
+                    # means again what it meant outside
                     name = node.name
-                    if name not in values[-1].outer_names():
+                    link = names.pop(name, None)
+                    if link is None:
                         raise ElabError(
                             f"/{name}: {name!r} is not an outer name of its body", node.pos
                         )
-                    values.append(close(name, values.pop()))
-                else:
-                    join = merge_all if isinstance(node, lang.EMerge) else parallel_all
-                    parts = values[len(values) - x :]
-                    del values[len(values) - x :]
-                    values.append(join(parts))
-            elif isinstance(e, lang.EIon):
-                values.append(self.eval_ion(e, env))
-            elif isinstance(e, lang.ENest):
-                todo += ((e, self.eval_ion(e.head, env)), e.child)
-            elif isinstance(e, (lang.EMerge, lang.EPar)):
-                parts = _operands(e)
-                todo += ((e, len(parts)), *reversed(parts))
-            elif isinstance(e, lang.EClose):
-                todo += ((e, None), e.body)
-            elif isinstance(e, lang.EId):
-                values.append(site())
-            elif isinstance(e, lang.EOne):
-                values.append(empty())
+                    link_names[link] = None
+                    if x is not None:
+                        names[name] = x
+                continue
+            if kind is lang.EIon or kind is lang.ENest:
+                head = e if kind is lang.EIon else e.head
+                ctrl = self.controls.get(head.ctrl)
+                if ctrl is None:
+                    raise ElabError(f"unknown control {head.ctrl!r}", head.pos)
+                param = None if head.param is None else self.eval_iexpr(head.param, env)
+                try:
+                    check_ion(ctrl, head.names, param)
+                except ValueError as exc:
+                    raise ElabError(str(exc), head.pos) from exc
+                i = len(nodes)
+                nodes.append((ctrl, param))
+                for p, name in enumerate(head.names):
+                    link = names.get(name)
+                    if link is None:
+                        link = names[name] = len(link_ports)
+                        link_names.append(name)
+                        link_ports.append([(i, p)])
+                    else:
+                        link_ports[link].append((i, p))
+                if kind is lang.ENest:
+                    children: list = []
+                    kids.append(children)
+                    todo += (((e, i), None), (e.child, children))
+                elif ctrl.atomic:
+                    kids.append(())
+                else:  # an ion's own site
+                    kids.append((("s", nsites),))
+                    nsites += 1
+                place = ("n", i)
+            elif kind is lang.EMerge or kind is lang.EPar:
+                if kind is lang.EMerge and into is None:
+                    into = []
+                    regions.append(into)
+                todo += [(part, into) for part in reversed(_operands(e))]
+                continue
+            elif kind is lang.EClose:
+                # the name is unbound for the body, whose ports of it form a
+                # new hyperedge; the outer binding waits on the stack
+                todo += (((e, names.pop(e.name, None)), None), (e.body, into))
+                continue
+            elif kind is lang.EId:
+                place = ("s", nsites)
+                nsites += 1
+            elif kind is lang.EOne:
+                if into is None:
+                    regions.append([])
+                continue
             else:
                 raise TypeError(e)
-        return values[0]
+            if into is None:
+                regions.append([place])
+            else:
+                into.append(place)
+        links = [Link(name, tuple(ports)) for name, ports in zip(link_names, link_ports)]
+        return Bigraph(nodes, kids, regions, nsites, links)
 
-    def eval_ion(self, e, env) -> Bigraph:
-        if e.ctrl not in self.controls:
-            raise ElabError(f"unknown control {e.ctrl!r}", e.pos)
-        param = None if e.param is None else self.eval_iexpr(e.param, env)
-        try:
-            return ion(self.controls[e.ctrl], e.names, param=param)
-        except ValueError as exc:
-            raise ElabError(str(exc), e.pos) from exc
+
+def _regions(e) -> int:
+    """How many regions `e` has: `||` adds up its operands', a closure has
+    its body's, anything else has one.  Only the `||` and closures on top of
+    `e` are walked."""
+    n, todo = 0, [e]
+    while todo:
+        e = todo.pop()
+        if type(e) is lang.EPar:
+            todo += e.parts
+        elif type(e) is lang.EClose:
+            todo.append(e.body)
+        else:
+            n += 1
+    return n
 
 
 def _operands(join):

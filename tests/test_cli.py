@@ -575,6 +575,90 @@ def test_subcommand_options(capsys):
     assert sum(map(len, expected.values())) == 16
 
 
+_BUILD_USAGE = (
+    "usage: tickgraph build [-h] [--max-states MAX_STATES] [--fix-deadlocks]\n"
+    "                       [--out OUT] [--json]\n"
+    "                       model\n"
+)
+_TOP_USAGE = "usage: tickgraph [-h] {validate,build,export,check,simulate} ...\n"
+# (stdout, stderr, exit code) when the parser was built with every command,
+# written by Python 3.11 at 80 columns
+_USAGE_PINS = {
+    ("-h",): (
+        _TOP_USAGE + "\n"
+        "Action bigraphs with digital clocks: build, check and export MDPs.\n\n"
+        "positional arguments:\n"
+        "  {validate,build,export,check,simulate}\n"
+        "    validate            parse, elaborate and check the model and its clocks\n"
+        "    build               explore the state space and cache the MDP\n"
+        "    export              write PRISM explicit files or a DOT graph\n"
+        "    check               evaluate a property file against the MDP\n"
+        "    simulate            print a seeded random trace\n\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n",
+        "",
+        0,
+    ),
+    ("build", "-h"): (
+        _BUILD_USAGE + "\n"
+        "positional arguments:\n"
+        "  model                 path to the .big model file\n\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --max-states MAX_STATES\n"
+        "                        exploration state budget\n"
+        "  --fix-deadlocks       give deadlock states a stall self-loop\n"
+        "  --out OUT             output/cache directory\n"
+        "  --json                machine-readable output\n",
+        "",
+        0,
+    ),
+    ("frobnicate", "models/pta.big"): (
+        "",
+        _TOP_USAGE + "tickgraph: error: argument command: invalid choice: 'frobnicate' "
+        "(choose from 'validate', 'build', 'export', 'check', 'simulate')\n",
+        2,
+    ),
+    ("build",): (
+        "",
+        _BUILD_USAGE + "tickgraph build: error: the following arguments are required: model\n",
+        2,
+    ),
+    ("build", "models/pta.big", "--max-states", "0"): (
+        "",
+        _BUILD_USAGE
+        + "tickgraph build: error: argument --max-states: must be at least 1, got 0\n",
+        2,
+    ),
+    ("build", "models/pta.big", "--bogus"): (
+        "",
+        _TOP_USAGE + "tickgraph: error: unrecognized arguments: --bogus\n",
+        2,
+    ),
+}
+
+
+def _exit(call, capsys):
+    with pytest.raises(SystemExit) as stop:
+        call()
+    out, err = capsys.readouterr()
+    return out, err, stop.value.code
+
+
+@pytest.mark.parametrize("argv", list(_USAGE_PINS), ids=" ".join)
+def test_usage_and_errors_do_not_depend_on_the_parsers_built(argv, monkeypatch, capsys):
+    # `main` builds only the named command's parser; help and errors read as
+    # they do with every command's, which `-h` and an unknown word still get
+    from tickgraph import cli
+
+    monkeypatch.setenv("COLUMNS", "80")
+    got = _exit(lambda: cli.main(list(argv)), capsys)
+    every = cli._parser(list(cli._COMMANDS))
+    assert got == _exit(lambda: every.parse_args(list(argv)), capsys)
+    if sys.version_info[:2] == (3, 11):  # argparse's wording moves between versions
+        assert got == _USAGE_PINS[argv]
+
+
 # sha256 of the bundled models' exports and caches (labelled, as `export`
 # writes them back): a change to matching, exploration, export or the cache
 # format must not move a byte
