@@ -30,9 +30,14 @@ Ref = tuple[str, int]
 
 
 class Control(Record):
-    """Entity type: fixes the port count, atomicity and parameter sort."""
+    """Entity type: fixes the port count, atomicity and parameter sort.
 
-    __slots__ = ("name", "arity", "atomic", "parameterised")
+    ``_heads`` maps each parameter seen with this control to what canonical
+    forms derive from the pair (:func:`tickgraph.canon._head`); it is a
+    cache, so equality and hashing skip it."""
+
+    __slots__ = ("name", "arity", "atomic", "parameterised", "_heads")
+    _fields = __slots__[:-1]
 
     def __init__(self, name: str, arity: int = 0, atomic: bool = False,
                  parameterised: bool = False):
@@ -40,6 +45,7 @@ class Control(Record):
         self.arity = arity
         self.atomic = atomic
         self.parameterised = parameterised
+        self._heads = {}
 
 
 class Link(Record):
@@ -188,10 +194,6 @@ class Bigraph:
     def children(self, ref: Ref) -> tuple[Ref, ...]:
         kind, i = ref
         return self.node_children[i] if kind == "n" else self.region_children[i]
-
-    def edge_counts(self, node: int) -> dict[int, int]:
-        """Multiset of hyperedges this entity's ports sit on (edge index -> count)."""
-        return dict(self.node_edges[node])
 
     def preorder(self):
         """Yield place refs region by region, depth first, in child order."""

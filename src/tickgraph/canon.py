@@ -66,16 +66,26 @@ sources:
 
 The generators need not span the whole automorphism group; each must map
 the bigraph onto itself.  Exploring twelve tokens linked in six identical
-closed pairs (28 states) computes 43 forms with 198 leaves in about 0.1 s
-(before generators were used: 169 forms, 759 leaves, 0.2 s); fourteen
-tokens (36 states) take 57 forms, 315 leaves and about 0.15 s.  The worst
-case left is refinement itself: a closed ring of twelve tokens (224 states)
-computes 1,057 forms, not 2,689, with 1,374 leaves and 1,683 refinements.
-Their 14,457 rounds, which spread along the ring, compute 111,144
-signatures (231,572 when every round recomputed every tied class): the
-explore takes about 0.85 s (1.1 s before), 0.35 s of it in refinement
-(0.65 s before).  Times are on a shared 2-core x86 machine.  ``tests/oracle.py`` keeps the plain
-search as the reference these encodings must equal byte for byte.
+closed pairs (28 states) computes 43 forms with 198 leaves in about 0.05 s
+(before generators were used: 169 forms, 759 leaves); fourteen tokens (36
+states) take 57 forms, 315 leaves and about 0.08 s.  The worst case left is
+refinement itself: a closed ring of twelve tokens (224 states) computes
+1,057 forms, not 2,689, with 1,374 leaves and 1,683 refinements.  Their
+14,457 rounds, which spread along the ring, compute 111,144 signatures
+(231,572 when every round recomputed every tied class): the explore takes
+about 0.65 s, 0.27 s of it in refinement.
+
+The inner loops work on the bigraph's index and on tables built once per
+form in one pass: each entity's text up to its closed references, its
+closed (edge, port count) pairs and its initial colour, the head text and
+colour memoised on the control per parameter.  A signature sorts an
+entity's children only when it has two or more, and an entity's edges or a
+hyperedge's members only when there are three or more.  A cloud state (30 entities, 10 closed edges)
+costs about 0.55 to 0.6 of what it did when every signature and text went
+through a sort and every head was formatted anew; ring12's explore took
+about 1.0 s, 0.45 s of it in refinement.  Times are on a shared 2-core x86
+machine.  ``tests/oracle.py`` keeps the plain search as the reference these
+encodings must equal byte for byte.
 """
 
 from __future__ import annotations
@@ -86,40 +96,65 @@ import re
 from .bigraph import Bigraph, Control, Link, Ref
 
 
-def _param_repr(param) -> str:
-    return "" if param is None else str(param)
+def _head(ctrl: Control, param) -> tuple[str, tuple, str]:
+    """An entity's text up to its links, ``name(param){``, its initial
+    colour, (name, parameter text, arity), and its text up to its children
+    when it has no links: memoised on the control, one entry per parameter
+    seen with it."""
+    text = "" if param is None else str(param)
+    head = f"{ctrl.name}({text})" + "{"
+    ctrl._heads[param] = memo = (head, (ctrl.name, text, ctrl.arity), head + "}[")
+    return memo
 
 
 class _Tables:
-    """What a canonical form needs beyond the bigraph's index: each entity's
-    text up to its closed references (head, sorted open names, closed edge
-    per port), the closed edges that carry ports, and an order with every
-    entity after its children.  Built once per `canonical_form` call and
-    shared by the whole search; not kept on the bigraph, since a state's
-    form is computed once and the texts are only needed while it is."""
+    """What a canonical form needs beyond the bigraph's index, built in one
+    pass over `node_edges`: per entity its text up to its closed references
+    (`pre`: head and sorted open names, ending in `}[` when it has no closed
+    reference), its (closed edge, port count) pairs (`refs`) and its initial
+    colour; the closed edges that carry ports and the reference `c<n>` to
+    each number they can get; an order with every entity after its children;
+    and the text before and after the regions.  Built
+    once per `canonical_form` call and shared by the whole search; not kept
+    on the bigraph, since a state's form is computed once and the texts are
+    only needed while it is."""
 
-    __slots__ = ("g", "head", "opens", "closed_refs", "closed", "upward")
+    __slots__ = ("g", "pre", "refs", "colour", "closed", "cref", "upward", "frame")
 
     def __init__(self, g: Bigraph):
         self.g = g
-        names = [lk.name for lk in g.links]
+        opened = [None if lk.name is None else "o" + lk.name for lk in g.links]
         self.closed = [e for e, lk in enumerate(g.links) if lk.name is None and lk.ports]
-        # per entity, `o<name>` per port on an open edge, sorted, and the
-        # closed edge of each other port
-        self.opens = [
-            sorted([f"o{names[e]}" for e, c in pairs if names[e] is not None for _ in range(c)])
-            for pairs in g.node_edges
-        ]
-        self.closed_refs = [
-            [e for e, c in pairs if names[e] is None for _ in range(c)] for pairs in g.node_edges
-        ]
-        self.head = [f"{ctrl.name}({_param_repr(param)})" + "{" for ctrl, param in g.nodes]
+        self.cref = [f"c{n}" for n in range(len(self.closed))]
+        self.pre = pre = []
+        self.colour = colour = []
+        if opened.count(None) == len(opened):
+            self.refs = g.node_edges  # every edge is closed
+            for (ctrl, param), pairs in zip(g.nodes, g.node_edges):
+                memo = ctrl._heads.get(param) or _head(ctrl, param)
+                colour.append(memo[1])
+                pre.append(memo[0] if pairs else memo[2])
+        else:
+            self.refs = refs = []
+            for (ctrl, param), pairs in zip(g.nodes, g.node_edges):
+                memo = ctrl._heads.get(param) or _head(ctrl, param)
+                colour.append(memo[1])
+                # `o<name>` per port on an open edge, sorted, then the closed
+                # edges
+                opens = [opened[e] for e, c in pairs if opened[e] is not None for _ in range(c)]
+                opens.sort()
+                mine = tuple([(e, c) for e, c in pairs if opened[e] is None])
+                text = memo[0] + ",".join(opens) + ("," if opens and mine else "")
+                pre.append(text if mine else text + "}[")
+                refs.append(mine)
         # every entity after its children: a breadth-first order from the
         # region roots, reversed
         down = [c for cs in g.region_children for k, c in cs if k == "n"]
         for i in down:
             down.extend(g.kids[i])
         self.upward = down[::-1]
+        portless = sorted(lk.name for lk in g.links if lk.name is not None and not lk.ports)
+        self.frame = (f"bg;{g.nregions};{g.nsites};", ";Y=" + ",".join(portless) + ";X=")
 
 
 def _classes(keys: list) -> tuple[list[int], list[list[int]]]:
@@ -135,11 +170,14 @@ def _classes(keys: list) -> tuple[list[int], list[list[int]]]:
     return rank, cls
 
 
-def _colours(g: Bigraph) -> tuple[list[int], list[int], list[list[int]], list[list[int]]]:
+def _colours(t: _Tables) -> tuple[list[int], list[int], list[list[int]], list[list[int]]]:
     """Initial ranks, control, parameter and arity for entities, open name or
     closed for hyperedges, and their classes."""
-    nrank, ncls = _classes([(ctrl.name, _param_repr(param), ctrl.arity) for ctrl, param in g.nodes])
-    erank, ecls = _classes([lk.name if lk.name is not None else "\x00closed" for lk in g.links])
+    nrank, ncls = _classes(t.colour)
+    names = [lk.name for lk in t.g.links]
+    if names.count(None) == len(names):  # every edge closed: one class
+        return nrank, [0] * len(names), ncls, [list(range(len(names)))]
+    erank, ecls = _classes([name if name is not None else "\x00closed" for name in names])
     return nrank, erank, ncls, ecls
 
 
@@ -148,13 +186,24 @@ def _relabel(rank: list[int], cls: list[list[int]], splits: dict) -> tuple[list[
     its own onwards, and shift the classes above it; a fresh rank list."""
     if not splits:
         return rank, cls
-    first = min(splits)
-    rank, out = rank[:], cls[:first]
-    for r in range(first, len(cls)):
-        for part in splits.get(r) or (cls[r],):
+    rank, out, done = rank[:], [], 0
+    for r in sorted(splits):
+        if len(out) == done:  # nothing below has split: the ranks stay
+            out += cls[done:r]
+        else:
+            for members in cls[done:r]:
+                for x in members:
+                    rank[x] = len(out)
+                out.append(members)
+        for part in splits[r]:
             for x in part:
                 rank[x] = len(out)
             out.append(part)
+        done = r + 1
+    for members in cls[done:]:
+        for x in members:
+            rank[x] = len(out)
+        out.append(members)
     return rank, out
 
 
@@ -165,9 +214,11 @@ def _refine(
     """Refine the given ranks until no class splits (no salted hashing).
 
     An entity's signature is its parent's rank (-1 under a region), its
-    children's ranks (-1 for a site) and the ranks of the hyperedges on its
-    ports with their port counts; a hyperedge's is its members' ranks with
-    their port counts.  Rounds are synchronous: a tied class splits into parts
+    children's ranks (-1 for a site), sorted, and the ranks of the hyperedges
+    on its ports with their port counts, sorted; a hyperedge's is its
+    members' ranks with their port counts, sorted.  An entity with at most
+    one child or two edges, and a hyperedge with at most two members, builds
+    those tuples without a sort.  Rounds are synchronous: a tied class splits into parts
     ranked by signature within its own place, so a round keeps the order
     between classes.  `ncls` and `ecls` list the members of each rank;
     `ntodo` and `etodo` hold the ranks of the classes whose signatures may
@@ -190,14 +241,27 @@ def _refine(
                 groups: dict = {}
                 for i in ncls[r]:
                     p = up[i]
-                    below = tuple(sorted([nrank[c] for c in kids[i]]))
+                    below = kids[i]
+                    if below:
+                        if len(below) == 1:
+                            below = (nrank[below[0]],)
+                        else:
+                            below = tuple(sorted([nrank[c] for c in below]))
                     if sites[i]:  # a site child ranks -1, below every entity
                         below = (-1,) * len(sites[i]) + below
-                    groups.setdefault((
-                        -1 if p < 0 else nrank[p],
-                        below,
-                        tuple(sorted([(erank[e], c) for e, c in node_edges[i]])),
-                    ), []).append(i)
+                    links = node_edges[i]
+                    if links:
+                        if len(links) == 1:
+                            e, c = links[0]
+                            links = ((erank[e], c),)
+                        elif len(links) == 2:
+                            (e, c), (f, d) = links
+                            x, y = (erank[e], c), (erank[f], d)
+                            links = (x, y) if x <= y else (y, x)
+                        else:
+                            links = tuple(sorted([(erank[e], c) for e, c in links]))
+                    sig = (nrank[p] if p >= 0 else -1, below, links)
+                    groups.setdefault(sig, []).append(i)
                 if len(groups) > 1:
                     nsplit[r] = [groups[sig] for sig in sorted(groups)]
         esplit: dict[int, list[list[int]]] = {}
@@ -205,9 +269,16 @@ def _refine(
             if len(ecls[r]) > 1:
                 groups = {}
                 for f in ecls[r]:
-                    groups.setdefault(
-                        tuple(sorted([(nrank[v], c) for v, c in edge_nodes[f]])), []
-                    ).append(f)
+                    members = edge_nodes[f]
+                    if len(members) == 2:
+                        (a, ca), (b, cb) = members
+                        x, y = (nrank[a], ca), (nrank[b], cb)
+                        sig = (x, y) if x <= y else (y, x)
+                    elif len(members) == 1:
+                        sig = ((nrank[members[0][0]], members[0][1]),)
+                    else:
+                        sig = tuple(sorted([(nrank[v], c) for v, c in members]))
+                    groups.setdefault(sig, []).append(f)
                 if len(groups) > 1:
                     esplit[r] = [groups[sig] for sig in sorted(groups)]
         if not nsplit and not esplit:
@@ -220,14 +291,18 @@ def _refine(
         for parts in nsplit.values():
             for part in parts:
                 for i in part:
-                    if up[i] >= 0:
-                        ntodo.add(nrank[up[i]])
-                    ntodo.update([nrank[c] for c in kids[i]])
-                    etodo.update([erank[e] for e, _c in node_edges[i]])
+                    p = up[i]
+                    if p >= 0:
+                        ntodo.add(nrank[p])
+                    for c in kids[i]:
+                        ntodo.add(nrank[c])
+                    for e, _c in node_edges[i]:
+                        etodo.add(erank[e])
         for parts in esplit.values():
             for part in parts:
                 for f in part:
-                    ntodo.update([nrank[v] for v, _c in edge_nodes[f]])
+                    for v, _c in edge_nodes[f]:
+                        ntodo.add(nrank[v])
     return nrank, erank, ncls, ecls
 
 
@@ -268,6 +343,7 @@ def _search(
     leaves: dict[str, tuple[list[int], list[int], list[str]]] = {}
     autos: list[dict[int, int]] = []  # closed-edge maps of automorphisms, moved edges only
     found: list[Auto] = []
+    closed, edge_nodes = t.closed, t.g.edge_nodes
 
     def visit(nrank, erank, ncls, ecls, ntodo, etodo, path: list[int]) -> int:
         """Search below the node `path` names, refining from the classes in
@@ -276,12 +352,11 @@ def _search(
         subtree onto one already searched)."""
         nrank, erank, ncls, ecls = _refine(t, nrank, erank, ncls, ecls, ntodo, etodo)
         cells: dict[int, list[int]] = {}
-        for e in t.closed:
+        for e in closed:
             cells.setdefault(erank[e], []).append(e)
-        tied = [cell for _r, cell in sorted(cells.items()) if len(cell) > 1]
         depth = len(path)
-        if not tied:
-            order = sorted(t.closed, key=erank.__getitem__)
+        if len(cells) == len(closed):
+            order = [cells[r][0] for r in sorted(cells)]
             text, texts = _encode(t, order)
             if not leaves:
                 # equal siblings reference the same edges under any numbering
@@ -300,17 +375,21 @@ def _search(
             while at[common] == path[common]:
                 common += 1
             return common
-        cell = tied[0]
-        r = erank[cell[0]]
+        # the first tied cell: the closed edges of the lowest rank held by two
+        r = min([r for r, cell in cells.items() if len(cell) > 1])
+        cell = cells[r]
         # the ranks are stable, so splitting the cell can split at first only
         # the entity classes on its edges
-        touched = {nrank[v] for f in cell for v, _c in t.g.edge_nodes[f]}
+        touched = {nrank[v] for f in cell for v, _c in edge_nodes[f]}
         done: list[int] = []
         for e in cell:
             if done and _skipped(e, done, autos, path):
                 continue
             # the chosen edge keeps rank r, the rest of its class move to r + 1
-            split = [x + (x > r or (x == r and f != e)) for f, x in enumerate(erank)]
+            split = [x + (x > r) for x in erank]
+            for f in ecls[r]:
+                if f != e:
+                    split[f] = r + 1
             parts = ecls[:r] + [[e], [f for f in cell if f != e]] + ecls[r + 1 :]
             back = visit(nrank, split, ncls, parts, touched, (), path + [e])
             if back < depth:
@@ -329,24 +408,34 @@ def _encode(t: _Tables, order: list[int]) -> tuple[str, list[str]]:
     so nesting depth costs no stack.  The empty `;X=` tail once listed inner
     names; it stays so that cached bytes do not change."""
     g = t.g
-    num = {e: i for i, e in enumerate(order)}
-    head, opens, closed_refs = t.head, t.opens, t.closed_refs
+    num = [0] * len(g.links)
+    for n, e in enumerate(order):
+        num[e] = n
+    pre, refs, cref, kids, sites = t.pre, t.refs, t.cref, g.kids, g.sites
     texts = [""] * g.nnodes
-
-    def children(refs) -> str:
-        return ";".join(sorted([texts[c] if k == "n" else f"${c}" for k, c in refs]))
-
     for i in t.upward:
-        closed = [f"c{n}" for n in sorted([num[e] for e in closed_refs[i]])]
-        texts[i] = head[i] + ",".join(opens[i] + closed) + "}[" + children(g.node_children[i]) + "]"
-    regions = sorted(children(cs) for cs in g.region_children)
-    portless = sorted(lk.name for lk in g.links if lk.name is not None and not lk.ports)
-    text = (
-        f"bg;{g.nregions};{g.nsites};"
-        + "".join(f"R[{r}]" for r in regions)
-        + ";Y=" + ",".join(portless) + ";X="
+        text = pre[i]
+        mine = refs[i]
+        if len(mine) > 1 or (mine and mine[0][1] > 1):
+            nums = sorted([num[e] for e, c in mine for _ in range(c)])
+            text += ",".join([cref[n] for n in nums]) + "}["
+        elif mine:
+            text += cref[num[mine[0][0]]] + "}["
+        below = kids[i]
+        if sites[i]:
+            below = [texts[c] for c in below] + [f"${s}" for s in sites[i]]
+            text += ";".join(sorted(below))
+        elif len(below) > 1:
+            text += ";".join(sorted([texts[c] for c in below]))
+        elif below:
+            text += texts[below[0]]
+        texts[i] = text + "]"
+    regions = sorted(
+        ";".join(sorted([texts[c] if k == "n" else f"${c}" for k, c in cs]))
+        for cs in g.region_children
     )
-    return text, texts
+    head, tail = t.frame
+    return head + "".join([f"R[{r}]" for r in regions]) + tail, texts
 
 
 def _roots(t: _Tables) -> list[list[int]]:
@@ -364,9 +453,12 @@ def _pair(t: _Tables, ta: list[str], tb: list[str], a: int, b: int, perm: dict[i
         x, y = todo.pop()
         if x != y:
             perm[x] = y
-        todo.extend(
-            zip(sorted(kids[x], key=ta.__getitem__), sorted(kids[y], key=tb.__getitem__))
-        )
+        below = kids[x]
+        if len(below) > 1:
+            pairs = zip(sorted(below, key=ta.__getitem__), sorted(kids[y], key=tb.__getitem__))
+            todo.extend(pairs)
+        elif below:
+            todo.append((below[0], kids[y][0]))
 
 
 def _swaps(t: _Tables, texts: list[str]) -> list[Auto]:
@@ -414,7 +506,7 @@ def canonical_form(g: Bigraph) -> bytes:
             text, texts = _encode(t, t.closed)
             found = _swaps(t, texts)
         else:
-            text, found = _search(t, *_colours(g))
+            text, found = _search(t, *_colours(t))
         g._canon = text.encode("ascii")
         g._autos = tuple(found)
     return g._canon
@@ -422,10 +514,6 @@ def canonical_form(g: Bigraph) -> bytes:
 
 def canonical_digest(g: Bigraph) -> str:
     return hashlib.sha256(canonical_form(g)).hexdigest()
-
-
-def is_iso(a: Bigraph, b: Bigraph) -> bool:
-    return canonical_form(a) == canonical_form(b)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,15 @@
 import pytest
 
 from tickgraph.bigraph import Control, close, ion, merge, merge_all, nest, parallel, site
+from tickgraph.canon import canonical_form
 from tickgraph.params import Arith, Var
 from tickgraph.rules import Model, Pattern, RuleEntry, RuleFamily
+
+
+def is_iso(a, b) -> bool:
+    """Isomorphism as the engine decides it: equal canonical forms."""
+    return canonical_form(a) == canonical_form(b)
+
 
 # --- programmatic PTA model (mirrors models/pta.big) -----------------------
 

@@ -23,6 +23,11 @@ from tickgraph.bigraph import Bigraph, Ref
 from tickgraph.params import Var, term_eval
 
 
+def edge_counts(g: Bigraph, node: int) -> dict[int, int]:
+    """Multiset of hyperedges this entity's ports sit on (edge index -> count)."""
+    return dict(g.node_edges[node])
+
+
 def _binding_of(pattern, nmap, agent, domains):
     """Derive and check the parameter valuation for a candidate entity map."""
     binding = {}
@@ -116,7 +121,7 @@ def _edge_maps(agent, pattern, nmap):
     # per pattern edge: the count every entity on it must exhibit on the image edge
     constraints = {e: {} for e in pat_edges}
     for p in range(pattern.nnodes):
-        for e, cnt in pattern.edge_counts(p).items():
+        for e, cnt in edge_counts(pattern, p).items():
             constraints[e][nmap[p]] = cnt
 
     candidates = {}
@@ -140,8 +145,8 @@ def _edge_maps(agent, pattern, nmap):
     # every port of an image entity must land on a mapped edge (per-entity bijection)
     def per_node_ok(emap):
         for p, u in enumerate(nmap):
-            pat_counts = pattern.edge_counts(p)
-            ag_counts = agent.edge_counts(u)
+            pat_counts = edge_counts(pattern, p)
+            ag_counts = edge_counts(agent, u)
             mapped = {}
             for e, cnt in pat_counts.items():
                 E = emap[e]
@@ -168,7 +173,7 @@ def _fingerprint(g: Bigraph):
             g.nodes[i][0].name,
             str(g.nodes[i][1]),
             len(g.node_children[i]),
-            tuple(sorted(len(g.links[e].ports) for e in g.edge_counts(i))),
+            tuple(sorted(len(g.links[e].ports) for e in edge_counts(g, i))),
         )
         for i in range(g.nnodes)
     )
@@ -507,7 +512,7 @@ def _refine(g: Bigraph, nrank: list[int], erank: list[int]) -> tuple[list[int], 
     result only splits classes and keeps the order between them.
     """
     parents = [g.parent(("n", i)) for i in range(g.nnodes)]
-    counts = [g.edge_counts(i) for i in range(g.nnodes)]
+    counts = [edge_counts(g, i) for i in range(g.nnodes)]
     members = [Counter(n for n, _p in lk.ports) for lk in g.links]
     while True:
         new_n = _ranks([
@@ -558,7 +563,7 @@ def _encode(g: Bigraph, erank: list[int]) -> str:
         ctrl, param = g.nodes[i]
         open_refs: list[str] = []
         closed_refs: list[int] = []
-        for e, cnt in g.edge_counts(i).items():
+        for e, cnt in edge_counts(g, i).items():
             name = g.links[e].name
             if name is None:
                 closed_refs.extend([num[e]] * cnt)

@@ -17,7 +17,8 @@ from tickgraph.bigraph import (
     site,
     validate,
 )
-from tickgraph.canon import is_iso
+
+from .conftest import is_iso
 
 S = Control("S", arity=1)
 INIT = Control("Init", atomic=True)

@@ -5,8 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tickgraph.bigraph import Bigraph, Control, Link, close, ion, merge, nest, parallel, site, validate
-from tickgraph.canon import canonical_form, decode_canonical, is_iso
+from tickgraph.canon import canonical_form, decode_canonical
 
+from .conftest import is_iso
 from .oracle import brute_iso
 
 S = Control("S", arity=1)
@@ -819,6 +820,51 @@ def test_ring12_pinned_forms_and_work(work, monkeypatch):
     model = load_model(str(ROOT / "tests" / "data" / "ring12.big"))
     assert _forms_digest(model) == _PINNED["ring12"]
     assert (work["forms"], work["leaves"], work["refines"]) == (1057, 1374, 1683)
+
+
+# the forms digest of the model on standard input, in a process of its own
+_FORMS_DIGEST = """
+import hashlib, sys
+from tickgraph.elaborate import elaborate
+from tickgraph.lang import parse
+from tickgraph.mdp import explore
+built = explore(elaborate(parse(sys.stdin.read())))
+print(hashlib.sha256(b"\\n".join(built.canon)).hexdigest()[:16])
+"""
+
+
+def test_head_memo_is_per_control_and_bounded():
+    # `LC` is declared three ways: atomic with one port and a parameter (the
+    # clocks), atomic with two ports (a ring), atomic with one port (pairs);
+    # `Clocks` holds the clocks in the first model and is atomic in the
+    # others.  Forms computed after the other models' equal a fresh
+    # process's, and each control keeps one head per parameter seen with it
+    import hashlib
+    import subprocess
+    import sys
+
+    from tickgraph.elaborate import elaborate
+    from tickgraph.lang import parse
+    from tickgraph.mdp import explore
+
+    from .conftest import tick_model, token_model
+
+    texts = [tick_model(3)]
+    texts += [token_model(4, links).replace("Tok", "LC").replace("Floor", "Clocks")
+              for links in ("ring", "pairs")]
+    fresh = [
+        subprocess.run([sys.executable, "-c", _FORMS_DIGEST], input=text, capture_output=True,
+                       text=True, check=True).stdout.strip()
+        for text in texts
+    ]
+    for k in (0, 1, 2, 1, 0):
+        model = elaborate(parse(texts[k]))
+        built = explore(model)
+        assert hashlib.sha256(b"\n".join(built.canon)).hexdigest()[:16] == fresh[k]
+        for ctrl in model.controls.values():
+            seen = {param for g in built.states for c, param in g.nodes if c is ctrl}
+            assert set(ctrl._heads) == seen, ctrl
+    assert Control("LC", 1, True, True) == model.controls["LC"]
 
 
 def deep_nest(depth: int) -> Bigraph:

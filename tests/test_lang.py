@@ -6,10 +6,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tickgraph.bigraph import Control, ion, validate
-from tickgraph.canon import is_iso
 from tickgraph.elaborate import ElabError, elaborate, load_model
 from tickgraph.lang import ParseError, parse
 from tickgraph.rules import Pattern, RuleFamily
+
+from .conftest import is_iso
 
 MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
 

@@ -16,11 +16,11 @@ from tickgraph.bigraph import (
     site,
     validate,
 )
-from tickgraph.canon import is_iso
 from tickgraph.match import Match, occurrences
 from tickgraph.params import Var
 
-from .oracle import brute_occurrences
+from .conftest import is_iso
+from .oracle import brute_occurrences, edge_counts
 
 S = Control("S", arity=1)
 INIT = Control("Init", atomic=True)
@@ -283,7 +283,7 @@ def sub_pattern(rng: random.Random, agent: Bigraph) -> Bigraph:
     # pairs of roots with disjoint subtrees that share an edge
     linked = [
         (u, v) for u in range(agent.nnodes) for v in range(agent.nnodes)
-        if apart(u, v) and set(agent.edge_counts(u)) & set(agent.edge_counts(v))
+        if apart(u, v) and set(edge_counts(agent, u)) & set(edge_counts(agent, v))
     ]
     if linked and rng.random() < 0.8:
         roots = list(rng.choice(linked))

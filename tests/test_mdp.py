@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from tickgraph import __version__
 from tickgraph.bigraph import Control, ion, validate
-from tickgraph.canon import canonical_digest, canonical_form, is_iso
+from tickgraph.canon import canonical_digest, canonical_form
 from tickgraph.elaborate import load_model
 from tickgraph.match import occurrences
 from tickgraph.mdp import (
@@ -25,7 +25,7 @@ from tickgraph.mdp import (
 from tickgraph.rules import Model, RuleEntry, RuleFamily
 from tickgraph.verify import label
 
-from .conftest import DONE, INIT, SEND, WAIT, build_pta_model, pta_state, token_model
+from .conftest import DONE, INIT, SEND, WAIT, build_pta_model, is_iso, pta_state, token_model
 from .oracle import _fingerprint, brute_iso, entry_outcomes, oracle_explore
 
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from tickgraph import rules
 from tickgraph.bigraph import Control, close, ion, merge, nest, parallel, site, validate
-from tickgraph.canon import canonical_form, is_iso
+from tickgraph.canon import canonical_form
 from tickgraph.elaborate import elaborate, load_model
 from tickgraph.lang import parse
 from tickgraph.match import occurrences
@@ -36,6 +36,7 @@ from .conftest import (
     WAIT,
     X,
     S,
+    is_iso,
     loc_state,
     pta_families,
     pta_state,
