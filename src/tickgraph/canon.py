@@ -343,62 +343,66 @@ def _search(
     leaves: dict[str, tuple[list[int], list[int], list[str]]] = {}
     autos: list[dict[int, int]] = []  # closed-edge maps of automorphisms, moved edges only
     found: list[Auto] = []
-    closed, edge_nodes = t.closed, t.g.edge_nodes
-
-    def visit(nrank, erank, ncls, ecls, ntodo, etodo, path: list[int]) -> int:
-        """Search below the node `path` names, refining from the classes in
-        `ntodo` and `etodo`; return the depth at which the search resumes
-        (less than this node's depth when an automorphism maps this node's
-        subtree onto one already searched)."""
-        nrank, erank, ncls, ecls = _refine(t, nrank, erank, ncls, ecls, ntodo, etodo)
-        cells: dict[int, list[int]] = {}
-        for e in closed:
-            cells.setdefault(erank[e], []).append(e)
-        depth = len(path)
-        if len(cells) == len(closed):
-            order = [cells[r][0] for r in sorted(cells)]
-            text, texts = _encode(t, order)
-            if not leaves:
-                # equal siblings reference the same edges under any numbering
-                found.extend(_swaps(t, texts))
-            first, at, first_texts = leaves.setdefault(text, (order, path, texts))
-            if at is path:
-                return depth
-            # equal text: numbering `first` onto `order` is an automorphism; it
-            # fixes the common prefix of the two paths and maps the earlier
-            # leaf's subtree below that prefix onto this leaf's
-            autos.append({a: b for a, b in zip(first, order) if a != b})
-            perm = _leaf_map(t, first_texts, texts)
-            if perm is not None and (perm or autos[-1]):
-                found.append((perm, autos[-1]))
-            common = 0
-            while at[common] == path[common]:
-                common += 1
-            return common
-        # the first tied cell: the closed edges of the lowest rank held by two
-        r = min([r for r, cell in cells.items() if len(cell) > 1])
-        cell = cells[r]
-        # the ranks are stable, so splitting the cell can split at first only
-        # the entity classes on its edges
-        touched = {nrank[v] for f in cell for v, _c in edge_nodes[f]}
-        done: list[int] = []
-        for e in cell:
-            if done and _skipped(e, done, autos, path):
-                continue
-            # the chosen edge keeps rank r, the rest of its class move to r + 1
-            split = [x + (x > r) for x in erank]
-            for f in ecls[r]:
-                if f != e:
-                    split[f] = r + 1
-            parts = ecls[:r] + [[e], [f for f in cell if f != e]] + ecls[r + 1 :]
-            back = visit(nrank, split, ncls, parts, touched, (), path + [e])
-            if back < depth:
-                return back
-            done.append(e)
-        return depth
-
-    visit(nrank, erank, ncls, ecls, range(len(ncls)), range(len(ecls)), [])
+    _visit(t, leaves, autos, found, nrank, erank, ncls, ecls, range(len(ncls)), range(len(ecls)), [])
     return min(leaves), found
+
+
+def _visit(t: _Tables, leaves: dict, autos: list[dict[int, int]], found: list[Auto],
+           nrank, erank, ncls, ecls, ntodo, etodo, path: list[int]) -> int:
+    """Search below the node `path` names, refining from the classes in
+    `ntodo` and `etodo`, adding its leaves to `leaves` and the automorphisms
+    they reveal to `autos` and `found`; return the depth at which the search
+    resumes (less than this node's depth when an automorphism maps this
+    node's subtree onto one already searched).  A module-level function, so
+    that a search leaves no reference cycle behind."""
+    nrank, erank, ncls, ecls = _refine(t, nrank, erank, ncls, ecls, ntodo, etodo)
+    closed = t.closed
+    cells: dict[int, list[int]] = {}
+    for e in closed:
+        cells.setdefault(erank[e], []).append(e)
+    depth = len(path)
+    if len(cells) == len(closed):
+        order = [cells[r][0] for r in sorted(cells)]
+        text, texts = _encode(t, order)
+        if not leaves:
+            # equal siblings reference the same edges under any numbering
+            found.extend(_swaps(t, texts))
+        first, at, first_texts = leaves.setdefault(text, (order, path, texts))
+        if at is path:
+            return depth
+        # equal text: numbering `first` onto `order` is an automorphism; it
+        # fixes the common prefix of the two paths and maps the earlier
+        # leaf's subtree below that prefix onto this leaf's
+        autos.append({a: b for a, b in zip(first, order) if a != b})
+        perm = _leaf_map(t, first_texts, texts)
+        if perm is not None and (perm or autos[-1]):
+            found.append((perm, autos[-1]))
+        common = 0
+        while at[common] == path[common]:
+            common += 1
+        return common
+    # the first tied cell: the closed edges of the lowest rank held by two
+    r = min([r for r, cell in cells.items() if len(cell) > 1])
+    cell = cells[r]
+    # the ranks are stable, so splitting the cell can split at first only
+    # the entity classes on its edges
+    edge_nodes = t.g.edge_nodes
+    touched = {nrank[v] for f in cell for v, _c in edge_nodes[f]}
+    done: list[int] = []
+    for e in cell:
+        if done and _skipped(e, done, autos, path):
+            continue
+        # the chosen edge keeps rank r, the rest of its class move to r + 1
+        split = [x + (x > r) for x in erank]
+        for f in ecls[r]:
+            if f != e:
+                split[f] = r + 1
+        parts = ecls[:r] + [[e], [f for f in cell if f != e]] + ecls[r + 1 :]
+        back = _visit(t, leaves, autos, found, nrank, split, ncls, parts, touched, (), path + [e])
+        if back < depth:
+            return back
+        done.append(e)
+    return depth
 
 
 def _encode(t: _Tables, order: list[int]) -> tuple[str, list[str]]:

@@ -32,6 +32,19 @@ from the index each bigraph builds once (see :class:`Bigraph`); the
 pattern's own search tables (:class:`Tables`) are computed once and kept
 with the pattern, with one plan per host count of its controls.
 
+Set-up is paid once, not per search.  A caller that searches one state for
+several patterns (every rule family and condition of an expansion, every
+predicate of a labelled state) builds the state's :class:`Tally`, its
+control names and counts, once and passes it to each search; nothing of
+it stays on the state.  Each plan is compiled when it is cached: its steps
+hold the source as a small int, the control name, the child-count rule,
+the region, the parameter variable or value, the edge tuples and the group
+bounds, so a search step reads no pattern attribute, and an entity without
+pattern edges goes straight to the next step.  A complete map checks its
+anchors by walking up from each: an anchor lies in the context when
+neither it nor any entity above it is mapped, because a mapped entity's
+unmapped children are exactly the roots its site captures.
+
 A search may be given groups of interchangeable pattern entities (see
 `rules.Model.groups`: leaf siblings of one control that a swap, together
 with their parameters and private outer names, maps onto themselves).
@@ -49,6 +62,8 @@ would be found by.  The member kept is the orbit's first in
 """
 
 from __future__ import annotations
+
+import sys
 
 from .bigraph import Bigraph, Ref
 from .params import Var
@@ -83,14 +98,48 @@ class Match(Record):
         return (self.nodes, self.edges, self.binding)
 
 
+# where a plan step takes its candidates (see `_plan`)
+_KIDS, _UP, _EDGE, _ALL = range(4)
+_SOURCES = {"kids": _KIDS, "up": _UP, "edge": _EDGE, "all": _ALL}
+_MANY = sys.maxsize  # the most children an entity with a site may have
+_NEVER = object()  # stands for an arithmetic redex parameter: equals no host's
+
+
+class Tally:
+    """A host's control name per entity, its number of entities per control
+    and, once a search asks, its entities per control.  Built once per
+    state and shared by every search of it; the state does not keep it."""
+
+    __slots__ = ("names", "counts", "of_control")
+
+    def __init__(self, agent: Bigraph):
+        if not agent.is_ground():
+            raise ValueError("occurrences: agent must be ground (no sites)")
+        self.names = names = [ctrl.name for ctrl, _param in agent.nodes]
+        counts: dict[str, int] = {}
+        for name in names:
+            counts[name] = counts.get(name, 0) + 1
+        self.counts = counts
+        self.of_control: dict[str, list[int]] = {}
+
+    def entities(self, name: str) -> list[int]:
+        """The host's entities of control `name`, in entity order."""
+        found = self.of_control.get(name)
+        if found is None:
+            found = self.of_control[name] = [u for u, c in enumerate(self.names) if c == name]
+        return found
+
+
 class Tables:
     """What a pattern's search needs beyond the pattern's index: per entity
     its pre-order position and sorted ``(edge, count, closed, edge size)``
-    tuples; how many entities of each control the pattern has, as sorted
-    ``(control, count)`` pairs; and the search plans built so far, keyed by
-    the host's counts of those controls and the groups."""
+    tuples; the pattern's controls and how many entities of each it has;
+    per entity with a site, ``(entity, its first site)``; and the search
+    plans built so far, keyed by the host's counts of those controls and
+    the groups: `plans` holds each as ``(steps, bounds)``, `compiled` its
+    steps as `_Search` reads them (see :func:`_compile`)."""
 
-    __slots__ = ("pos", "edges", "need", "plans")
+    __slots__ = ("pos", "edges", "controls", "need", "site_of", "plans", "compiled")
 
     def __init__(self, pattern: Bigraph):
         self.pos = [0] * pattern.nnodes
@@ -102,8 +151,11 @@ class Tables:
             for pairs in pattern.node_edges
         ]
         names = [ctrl.name for ctrl, _p in pattern.nodes]
-        self.need = tuple(sorted((name, names.count(name)) for name in set(names)))
+        self.controls = tuple(sorted(set(names)))
+        self.need = tuple(names.count(name) for name in self.controls)
+        self.site_of = tuple((p, s[0]) for p, s in enumerate(pattern.sites) if s)
         self.plans: dict[tuple, tuple[list[tuple], dict]] = {}
+        self.compiled: dict[tuple, tuple[tuple, ...]] = {}
 
 
 def _plan(pattern: Bigraph, pat: Tables, counts: dict[str, int]) -> list[tuple[int, str, int | None]]:
@@ -123,32 +175,37 @@ def _plan(pattern: Bigraph, pat: Tables, counts: dict[str, int]) -> list[tuple[i
     parent beyond its source.
     """
     n = pattern.nnodes
+    up, kids, edges, pos = pattern.up, pattern.kids, pat.edges, pat.pos
+    rarity = [counts[ctrl.name] for ctrl, _param in pattern.nodes]
+    # per unmapped entity the kind of its best source, kept up to date as
+    # entities are mapped: 0 kids, 1 up, 2 edge, 3 all
+    kind = [3] * n
     done = [False] * n
+    todo = set(range(n))
     linked: set[int] = set()  # the pattern edges of mapped entities
     steps = []
     for _ in range(n):
-        best = None
-        for p in range(n):
-            if done[p]:
-                continue
-            q = pattern.up[p]
-            kid = next((c for c in pattern.kids[p] if done[c]), None)
-            edge = next((e for e, *_ in pat.edges[p] if e in linked), None)
-            if q >= 0 and done[q]:
-                kind, source, src = 0, "kids", q
-            elif kid is not None:
-                kind, source, src = 1, "up", kid
-            elif edge is not None:
-                kind, source, src = 2, "edge", edge
-            else:
-                kind, source, src = 3, "all", None
-            key = (kind, counts[pattern.nodes[p][0].name], pat.pos[p])
-            if best is None or key < best[0]:
-                best = (key, p, source, src)
-        _key, p, source, src = best
-        steps.append((p, source, src))
+        p = min(todo, key=lambda v: (kind[v], rarity[v], pos[v]))
+        if kind[p] == 0:
+            steps.append((p, "kids", up[p]))
+        elif kind[p] == 1:
+            steps.append((p, "up", next(c for c in kids[p] if done[c])))
+        elif kind[p] == 2:
+            steps.append((p, "edge", next(e for e, *_ in edges[p] if e in linked)))
+        else:
+            steps.append((p, "all", None))
+        todo.discard(p)
         done[p] = True
-        linked.update(e for e, *_ in pat.edges[p])
+        for c in kids[p]:
+            kind[c] = 0
+        q = up[p]
+        if q >= 0 and kind[q] > 1:
+            kind[q] = 1
+        for e, *_ in edges[p]:
+            if e not in linked:
+                linked.add(e)
+                for v, _c in pattern.edge_nodes[e]:
+                    kind[v] = min(kind[v], 2)
     return steps
 
 
@@ -167,16 +224,48 @@ def _bounds(steps, groups) -> dict[int, tuple[int | None, int | None, int, int]]
     return bounds
 
 
+def _compile(pattern: Bigraph, pat: Tables, steps, bounds) -> tuple[tuple, ...]:
+    """The plan's steps with what `_Search._assign` reads of each entity:
+    ``(entity, source, source entity or edge, control name, least and most
+    children, region if a region root else -1, parameter variable or None,
+    parameter to equal when there is no variable, edge tuples, group
+    bounds or None)``.  A child count must equal the pattern's unless the
+    entity has a site, which makes it a lower bound.  A group member found
+    by an edge takes every entity of its control: its later members need not
+    share that edge (see :func:`occurrences`)."""
+    compiled = []
+    for p, source, src in steps:
+        ctrl, param = pattern.nodes[p]
+        want = len(pattern.kids[p])
+        q = pattern.up[p]
+        var = param.name if isinstance(param, Var) else None
+        exact = param if param is None or isinstance(param, int) else _NEVER
+        bound = bounds.get(p)
+        kind = _SOURCES[source]
+        if kind == _EDGE and bound is not None:
+            kind = _ALL
+        compiled.append((p, kind, src, ctrl.name, want,
+                         _MANY if pattern.sites[p] else want, ~q if q < 0 else -1,
+                         var, exact, pat.edges[p], bound))
+    return tuple(compiled)
+
+
 class _Search:
-    def __init__(self, agent: Bigraph, names: list[str], pattern: Bigraph, pat: Tables,
-                 steps, bounds, domains):
+    __slots__ = ("agent", "tally", "names", "nodes", "kids", "steps", "last", "site_of",
+                 "nsites", "domains", "results", "nmap", "emap", "used_nodes", "used_edges",
+                 "anchors", "binding")
+
+    def __init__(self, agent: Bigraph, tally: Tally, pattern: Bigraph, pat: Tables,
+                 steps: tuple[tuple, ...], domains):
         self.agent = agent
-        self.names = names  # the agent's control name per entity
-        self.of_control: dict[str, list[int]] = {}  # its entities per control, when asked
-        self.pattern = pattern
-        self.pat = pat
+        self.tally = tally
+        self.names = tally.names
+        self.nodes = agent.nodes
+        self.kids = agent.kids
+        self.last = len(steps)
         self.steps = steps
-        self.bounds = bounds
+        self.site_of = pat.site_of
+        self.nsites = pattern.nsites
         self.domains = domains or {}
         self.results: list[Match] = []
         self.nmap: list[int] = [-1] * pattern.nnodes
@@ -189,151 +278,135 @@ class _Search:
 
     def run(self) -> list[Match]:
         self._assign(0)
-        self.results.sort(key=Match.sort_key)
+        if len(self.results) > 1:
+            self.results.sort(key=Match.sort_key)
         return self.results
 
-    def _candidates(self, p: int, name: str, source: str, src):
-        agent = self.agent
-        if source == "kids":
-            candidates = agent.kids[self.nmap[src]]
-        elif source == "up":
-            a = agent.up[self.nmap[src]]
-            candidates = (a,) if a >= 0 else ()
-        elif source == "edge" and p not in self.bounds:
-            candidates = [v for v, _c in agent.edge_nodes[self.emap[src]]]
-        else:
-            # a group member's later members need not share its edge, so it
-            # counts them among every entity of its control
-            candidates = self.of_control.get(name)
-            if candidates is None:
-                candidates = [u for u, c in enumerate(self.names) if c == name]
-                self.of_control[name] = candidates
-        if p not in self.bounds:
-            return candidates
-        lo, hi, below, above = self.bounds[p]
-        lo = -1 if lo is None else self.nmap[lo]
-        hi = agent.nnodes if hi is None else self.nmap[hi]
-        names = self.names
-        free = sorted(u for u in candidates
-                      if lo < u < hi and names[u] == name and u not in self.used_nodes)
+    def _bounded(self, candidates, name: str, bound) -> list[int]:
+        """The free `candidates` of control `name` that leave a group member
+        room between the members mapped before it (see :func:`_bounds`)."""
+        lo, hi, below, above = bound
+        nmap, used, names = self.nmap, self.used_nodes, self.names
+        lo = -1 if lo is None else nmap[lo]
+        hi = self.agent.nnodes if hi is None else nmap[hi]
+        free = sorted(u for u in candidates if lo < u < hi and names[u] == name and u not in used)
         return free[below : len(free) - above]
 
     def _assign(self, idx: int):
-        if idx == len(self.steps):
+        if idx == self.last:
             self._complete()
             return
-        agent, pattern = self.agent, self.pattern
-        names, nodes, kids, up = self.names, agent.nodes, agent.kids, agent.up
-        p, source, src = self.steps[idx]
-        ctrl, pat_param = pattern.nodes[p]
-        name = ctrl.name
-        want = len(pattern.kids[p])
-        has_site = bool(pattern.sites[p])
-        q = pattern.up[p]
-        r = ~q if q < 0 else None  # the region of a region root
-        var = pat_param.name if isinstance(pat_param, Var) else None
-        dom = self.domains.get(var) if var is not None else None
-        for u in self._candidates(p, name, source, src):
-            if names[u] != name or u in self.used_nodes:
+        p, source, src, name, least, most, r, var, exact, pedges, bound = self.steps[idx]
+        agent, kids = self.agent, self.kids
+        if source == _KIDS:
+            candidates = kids[self.nmap[src]]
+        elif source == _UP:
+            a = agent.up[self.nmap[src]]
+            candidates = (a,) if a >= 0 else ()
+        elif source == _EDGE:
+            candidates = [v for v, _c in agent.edge_nodes[self.emap[src]]]
+        else:
+            candidates = self.tally.entities(name)
+        if bound is not None:
+            candidates = self._bounded(candidates, name, bound)
+        names, nodes, nmap, used = self.names, self.nodes, self.nmap, self.used_nodes
+        bind = False
+        if var is not None:
+            binding = self.binding
+            fixed = binding.get(var)
+            dom = self.domains.get(var)
+            bind = fixed is None
+        anchor = None
+        if r >= 0:
+            up, anchors = agent.up, self.anchors
+            anchor = anchors[r]
+            placing = anchor is None  # this step places region r
+        for u in candidates:
+            if names[u] != name or u in used or not least <= len(kids[u]) <= most:
                 continue
-            # child count feasibility: equality without a site, lower bound with one
-            have = len(kids[u])
-            if have < want if has_site else have != want:
+            value = nodes[u][1]
+            if var is None:
+                if value != exact:
+                    continue
+            elif not bind:
+                if value != fixed:
+                    continue
+            elif not isinstance(value, int) or dom is not None and value not in dom:
                 continue
-            ag_param = nodes[u][1]
-            bind = False
-            if var is not None:
-                if not isinstance(ag_param, int):
+            if r >= 0:
+                if placing:
+                    anchors[r] = up[u]
+                elif up[u] != anchor:
                     continue
-                if var in self.binding:
-                    if self.binding[var] != ag_param:
-                        continue
-                elif dom is not None and ag_param not in dom:
-                    continue
-                else:
-                    bind = True
-            elif isinstance(pat_param, int) or pat_param is None:
-                if pat_param != ag_param:
-                    continue
+            if bind:
+                binding[var] = value
+            nmap[p] = u
+            used.add(u)
+            if pedges:
+                self._assign_edges(u, pedges, 0, idx)
             else:
-                continue  # arithmetic terms are reactum-only
-            anchor_set = False
-            if r is not None:
-                a = up[u]
-                if self.anchors[r] is None:
-                    self.anchors[r] = a
-                    anchor_set = True
-                elif self.anchors[r] != a:
-                    continue
-            if bind:
-                self.binding[var] = ag_param
-            self.nmap[p] = u
-            self.used_nodes.add(u)
-            self._assign_edges(u, self.pat.edges[p], 0, idx)
-            self.used_nodes.discard(u)
-            if bind:
-                del self.binding[var]
-            if anchor_set:
-                self.anchors[r] = None
+                self._assign(idx + 1)
+            used.discard(u)
+        if bind:
+            binding.pop(var, None)
+        if anchor is None and r >= 0:
+            anchors[r] = None
 
     def _assign_edges(self, u: int, pedges, i: int, idx: int):
         """Map the pattern edges of the entity at `idx` from `pedges[i]` on
         onto `u`'s edges, then go on with the next entity, once per
-        consistent choice."""
-        if i == len(pedges):
+        consistent choice.  An edge mapped before must be one of `u`'s with
+        the same port count; the first unmapped one tries each of them."""
+        ag = self.agent.node_edges[u]
+        emap = self.emap
+        for i in range(i, len(pedges)):
+            e, cnt, closed, size = pedges[i]
+            E = emap.get(e)
+            if E is None:
+                break
+            if (E, cnt) not in ag:
+                return
+        else:
             self._assign(idx + 1)
             return
-        e, cnt, closed, size = pedges[i]
-        ag = self.agent.node_edges[u]
-        E = self.emap.get(e)
-        if E is not None:
-            if (E, cnt) in ag:
-                self._assign_edges(u, pedges, i + 1, idx)
-            return
-        links = self.agent.links
+        links, used = self.agent.links, self.used_edges
         for E, c in ag:
-            if c != cnt or E in self.used_edges:
+            if c != cnt or E in used:
                 continue
             # a closed pattern edge is the whole of a closed agent edge
             if closed and (not links[E].closed or len(links[E].ports) != size):
                 continue
-            self.emap[e] = E
-            self.used_edges.add(E)
+            emap[e] = E
+            used.add(E)
             self._assign_edges(u, pedges, i + 1, idx)
-            self.used_edges.discard(E)
-            del self.emap[e]
+            used.discard(E)
+            del emap[e]
 
     def _complete(self):
-        agent, pattern, nmap = self.agent, self.pattern, self.nmap
-        # site contents: unmatched children of matched parents
-        site_images: list[tuple[int, ...]] = [()] * pattern.nsites
-        forest: set[int] = set()
-        for p, u in enumerate(nmap):
-            sites = pattern.sites[p]
-            if not sites:
-                continue
-            matched_children = {nmap[c] for c in pattern.kids[p]}
-            extras = tuple(c for c in agent.kids[u] if c not in matched_children)
-            site_images[sites[0]] = extras
-            for root in extras:
-                forest.add(root)
-                forest |= agent.descendants(root)
-
-        # anchors must lie in the context
+        agent, used = self.agent, self.used_nodes
+        # anchors must lie in the context: neither an anchor nor any entity
+        # above it is mapped.  A mapped entity's unmapped children are the
+        # roots its site captures (one without a site has none), so this
+        # also refuses an anchor inside a captured forest
+        up = agent.up
         for a in self.anchors:
-            if a is not None and a >= 0 and (a in self.used_nodes or a in forest):
-                return
-
-        self.results.append(
-            Match(
-                nodes=tuple(nmap),
-                edges=tuple(sorted(self.emap.items())),
-                anchors=tuple(None if a is None else ("n", a) if a >= 0 else ("r", ~a)
-                              for a in self.anchors),
-                site_images=tuple(site_images),
-                binding=tuple(sorted(self.binding.items())),
-            )
-        )
+            while a is not None and a >= 0:
+                if a in used:
+                    return
+                a = up[a]
+        nmap, kids = self.nmap, agent.kids
+        # site contents: unmapped children of mapped parents
+        site_images: list[tuple[int, ...]] = [()] * self.nsites
+        for p, s in self.site_of:
+            site_images[s] = tuple([c for c in kids[nmap[p]] if c not in used])
+        emap, binding = self.emap, self.binding
+        self.results.append(Match(
+            tuple(nmap),
+            tuple(sorted(emap.items())) if emap else (),
+            tuple([None if a is None else ("n", a) if a >= 0 else ("r", ~a) for a in self.anchors]),
+            tuple(site_images),
+            tuple(sorted(binding.items())) if binding else (),
+        ))
 
 
 def occurrences(
@@ -342,6 +415,7 @@ def occurrences(
     *,
     domains: dict[str, set[int]] | None = None,
     groups: tuple[tuple[int, ...], ...] = (),
+    tally: Tally | None = None,
 ) -> list[Match]:
     """Complete, duplicate-free, deterministically ordered list of matches.
 
@@ -349,22 +423,28 @@ def occurrences(
     parameter variables may bind.  With `groups` (disjoint tuples of
     interchangeable leaf entities) the same search keeps one match per
     orbit, its first; the caller must know that the groups are
-    interchangeable.  A host with fewer entities of some control than the
-    pattern has no match and is not searched; any other is searched along
-    the plan for its counts of the pattern's controls, built on first use
-    and kept with the pattern's tables.
+    interchangeable.  `tally` is the agent's :class:`Tally`, which a
+    caller that searches one state for several patterns builds once; it
+    is built here when not given.  A host with fewer entities of some
+    control than the pattern has no match and is not searched; any other
+    is searched along the plan for its counts of the pattern's controls,
+    built and compiled on first use and kept with the pattern's tables.
     """
-    if not agent.is_ground():
-        raise ValueError("occurrences: agent must be ground (no sites)")
+    if tally is None:
+        tally = Tally(agent)
     pat = pattern._tables
     if pat is None:  # built on first use, kept with the pattern
         pat = pattern._tables = Tables(pattern)
-    names = [ctrl.name for ctrl, _param in agent.nodes]
-    counts = tuple([names.count(name) for name, _need in pat.need])
-    if any(have < need for have, (_name, need) in zip(counts, pat.need)):
-        return []
-    plan = pat.plans.get((counts, groups))
-    if plan is None:
-        steps = _plan(pattern, pat, {name: have for have, (name, _need) in zip(counts, pat.need)})
-        plan = pat.plans[counts, groups] = (steps, _bounds(steps, groups))
-    return _Search(agent, names, pattern, pat, *plan, domains).run()
+    counts = tally.counts
+    have = tuple([counts.get(name, 0) for name in pat.controls])
+    for n, need in zip(have, pat.need):
+        if n < need:
+            return []
+    key = (have, groups)
+    steps = pat.compiled.get(key)
+    if steps is None:
+        plan = _plan(pattern, pat, dict(zip(pat.controls, have)))
+        bounds = _bounds(plan, groups)
+        pat.plans[key] = (plan, bounds)
+        steps = pat.compiled[key] = _compile(pattern, pat, plan, bounds)
+    return _Search(agent, tally, pattern, pat, steps, domains).run()

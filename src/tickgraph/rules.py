@@ -7,7 +7,13 @@ redex is searched once, with its parameters restricted to the union of its
 entries' domains, and its context condition is searched once; every entry
 then keeps the matches whose binding lies in its own domains, and
 parameters that occur only in the reactum range over their whole domain.
-Predicate families (:class:`Pattern`) are matched the same way.
+Predicate families (:class:`Pattern`) are matched the same way.  The
+searches of one state share one control tally of it (`match.Tally`); an
+entry whose family found no valid match is passed over, and an entry whose
+redex carries every formal makes each outcome from its family's own
+`Match`, whose binding is already whole.  What a family's search needs
+besides the state (its pattern and domains, its groups and their orbit
+size) is computed once, with the :class:`Model`.
 
 Priority classes are global and ordered: a rule may fire only when no rule
 of any earlier class has a condition-satisfying match.  Weights turn the
@@ -42,7 +48,7 @@ import math
 
 from .bigraph import Bigraph, Control, Link, Ref
 from .canon import canonical_form
-from .match import Match, occurrences
+from .match import Match, Tally, occurrences
 from .params import Arith, ParameterLimit, Term, Var, is_concrete, term_eval, term_fold, term_vars
 from .records import Record
 
@@ -175,22 +181,28 @@ def effect_key(rule: RuleFamily, m: Match) -> tuple:
     emap = m.edge_map()
     tags = [("c", l) if lk.name is None else ("o", emap[rule.redex_edge_of_name[lk.name]])
             for l, lk in enumerate(reactum.links)]
+    return (m.image, m.anchors, tuple(_written(reactum, values, tags, m.site_images, cs)
+                                      for cs in reactum.region_children))
 
-    def children(refs) -> tuple:
-        return tuple(sorted(
-            entity(c) if k == "n" else ("$", tuple(sorted(m.site_images[c]))) for k, c in refs
-        ))
 
-    def entity(j: int) -> tuple:
-        value = values[j]
-        return (
-            reactum.nodes[j][0].name,
-            () if value is None else (value,),
-            tuple(sorted([tags[l] for l, c in reactum.node_edges[j] for _ in range(c)])),
-            children(reactum.node_children[j]),
-        )
-
-    return (m.image, m.anchors, tuple(children(cs) for cs in reactum.region_children))
+def _written(reactum: Bigraph, values: list, tags: list, site_images, refs) -> tuple:
+    """The sorted :func:`effect_key` entries of the reactum children `refs`:
+    per entity its control, parameter, links and children, per site the
+    agent entities it carries.  A module-level function, so that a key
+    leaves no reference cycle behind."""
+    out = []
+    for k, c in refs:
+        if k == "n":
+            value = values[c]
+            out.append((
+                reactum.nodes[c][0].name,
+                () if value is None else (value,),
+                tuple(sorted([tags[l] for l, n in reactum.node_edges[c] for _ in range(n)])),
+                _written(reactum, values, tags, site_images, reactum.node_children[c]),
+            ))
+        else:
+            out.append(("$", tuple(sorted(site_images[c]))))
+    return tuple(sorted(out))
 
 
 def apply(agent: Bigraph, rule: RuleFamily, m: Match) -> Bigraph:
@@ -286,16 +298,18 @@ class RuleEntry(Record):
 
     `pattern` is the family's redex over those domains; an entry has no
     search of its own but takes, from its family's matches in a state, the
-    ones whose binding lies in its domains (:meth:`outcomes`)."""
+    ones whose binding lies in its domains (:meth:`outcomes`).  `carried`
+    tells whether the redex carries every formal, computed once."""
 
-    __slots__ = ("family", "domains", "pattern")
-    _fields = __slots__[:-1]
+    __slots__ = ("family", "domains", "pattern", "carried")
+    _fields = __slots__[:-2]
     __hash__ = None
 
     def __init__(self, family: RuleFamily, domains: tuple[tuple[int, ...], ...]):
         self.family = family
         self.domains = domains  # aligned with family.formal
         self.pattern = Pattern(family.base, family.redex, family.formal, domains, kind="rule")
+        self.carried = all(ax is None for ax in self.pattern.axes)
 
     @property
     def size(self) -> int:
@@ -313,12 +327,18 @@ class RuleEntry(Record):
     def outcomes(self, matches: list[Match], multiplicity: int) -> list["Outcome"]:
         """The outcomes of this entry among its family's condition-satisfying
         matches in one state, in match order, each standing for
-        `multiplicity` matches."""
+        `multiplicity` matches.  When the redex carries every formal, a
+        match's binding is whole, and its outcome holds that match itself;
+        otherwise a formal that only the reactum uses takes each value of
+        its domain, one outcome per value."""
         fam, pat = self.family, self.pattern
         doms = pat.match_domains
         out: list[Outcome] = []
         for m in matches:
-            if not all(v in doms[name] for name, v in m.binding):
+            if m.binding and not all(v in doms[name] for name, v in m.binding):
+                continue
+            if self.carried:
+                out.append(Outcome(fam, m, fam.weight, multiplicity))
                 continue
             for values in pat.valuations(m.binding):
                 env = dict(zip(fam.formal, values))
@@ -426,11 +446,13 @@ class Model(Record):
     `searches` holds, per rule family (by base name), the pattern that
     :func:`enabled_outcomes` searches: the family's redex over the union of
     its entries' domains.  `groups` holds, per family that has any, its
-    groups of interchangeable redex entities (see :func:`_groups`)."""
+    groups of interchangeable redex entities (see :func:`_groups`), and
+    `orbit_sizes` the number of matches each orbit of them stands for, the
+    product of the group sizes' factorials.  All three are computed once."""
 
     __slots__ = ("controls", "classes", "actions", "patterns", "init", "name",
-                 "action_of", "searches", "groups")
-    _fields = __slots__[:-3]
+                 "action_of", "searches", "groups", "orbit_sizes")
+    _fields = __slots__[:-4]
     __hash__ = None
 
     def __init__(self, controls: dict[str, Control], classes: list[list[RuleEntry]],
@@ -476,6 +498,10 @@ class Model(Record):
             groups = _groups(fam, [e.pattern.match_domains for e in flat if e.family.base == base])
             if groups:
                 self.groups[base] = groups
+        self.orbit_sizes = {
+            base: math.prod(math.factorial(len(g)) for g in groups)
+            for base, groups in self.groups.items()
+        }
 
     @property
     def action_order(self) -> list[str]:
@@ -584,36 +610,42 @@ def enabled_outcomes(agent: Bigraph, model: Model) -> dict[str, list[Outcome]]:
 
     Actions appear in declaration order; the mapping is empty iff no rule
     matches at all.  Each family reached is searched once, by the first
-    entry that needs it, on `agent`'s own index: its redex over
-    `model.searches`, then, if it has matches, its context condition with no
-    exclusions.  A match is blocked when some occurrence of the condition
-    lies wholly outside its image.
+    entry that needs it, on `agent`'s own index and one :class:`Tally` of
+    it that every search of this call shares: its redex over
+    `model.searches`, then, if it has matches, its context condition with
+    no exclusions.  A match is blocked when some occurrence of the
+    condition lies wholly outside its image.  An entry whose family has no
+    valid match is passed over.
 
     A family with `model.groups` is searched once per orbit of its matches
     under permutations inside the groups: each outcome is its orbit's first
-    member in match order and has the orbit size, the product of the group
-    sizes' factorials, as its multiplicity.
+    member in match order and has the orbit size (`model.orbit_sizes`) as
+    its multiplicity.
     """
-    valid: dict[str, tuple[list[Match], int]] = {}
-
-    def family_matches(fam: RuleFamily) -> tuple[list[Match], int]:
-        found = valid.get(fam.base)
-        if found is None:
-            search = model.searches[fam.base]
-            groups = model.groups.get(fam.base, ())
-            matches = occurrences(agent, fam.redex, domains=search.match_domains, groups=groups)
-            if matches and fam.condition is not None:
-                blockers = [frozenset(c.nodes) for c in occurrences(agent, fam.condition)]
-                matches = [m for m in matches if not any(b.isdisjoint(m.nodes) for b in blockers)]
-            size = math.prod(math.factorial(len(g)) for g in groups)
-            found = valid[fam.base] = (matches, size)
-        return found
-
+    tally = Tally(agent)
+    valid: dict[str, list[Match]] = {}
     for cls in model.classes:
         grouped: dict[str, list[Outcome]] = {}
         for entry in cls:
-            for oc in entry.outcomes(*family_matches(entry.family)):
-                grouped.setdefault(model.action_of[oc.rule.base], []).append(oc)
+            fam = entry.family
+            base = fam.base
+            matches = valid.get(base)
+            if matches is None:
+                groups = model.groups.get(base, ())
+                matches = occurrences(agent, fam.redex, domains=model.searches[base].match_domains,
+                                      groups=groups, tally=tally)
+                if matches and fam.condition is not None:
+                    blockers = [frozenset(c.nodes)
+                                for c in occurrences(agent, fam.condition, tally=tally)]
+                    matches = [m for m in matches
+                               if not any(b.isdisjoint(m.nodes) for b in blockers)]
+                valid[base] = matches
+            if not matches:
+                continue
+            size = model.orbit_sizes[base] if base in model.groups else 1
+            found = entry.outcomes(matches, size)
+            if found:
+                grouped.setdefault(model.action_of[base], []).extend(found)
         if grouped:
             return {label: grouped[label] for label in model.action_order if label in grouped}
     return {}

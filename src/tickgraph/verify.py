@@ -36,7 +36,7 @@ from time import perf_counter
 from .kernels import Graph, as_arrays, sweep
 from .lang import ForcedNext, Inevitable, Property, Reach, Safety
 from .lang import parse_properties  # re-exported beside the checker it feeds
-from .match import occurrences
+from .match import Tally, occurrences
 from .mdp import Mdp
 from .records import Record
 from .rules import Pattern
@@ -50,7 +50,8 @@ VI_MAX_SWEEPS = 1_000_000
 def label(mdp: Mdp, patterns: list[Pattern]) -> Mdp:
     """Attach to every state the names of the pattern instances occurring in it.
 
-    One search per pattern per state, each reading the state's own index.
+    One search per pattern per state, each reading the state's own index
+    and one :class:`Tally` of the state that its searches share.
     A body with parameter arithmetic cannot bind its parameters, so such a
     family must be given as one plain pattern per instance (the elaborator
     does so).
@@ -62,8 +63,9 @@ def label(mdp: Mdp, patterns: list[Pattern]) -> Mdp:
     labels: list[set[str]] = [set() for _ in mdp.states]
     searches = matches = 0
     for g, names in zip(mdp.states, labels):
+        tally = Tally(g)
         for p in patterns:
-            found = occurrences(g, p.body, domains=p.match_domains)
+            found = occurrences(g, p.body, domains=p.match_domains, tally=tally)
             searches += 1
             matches += len(found)
             for binding in {m.binding for m in found}:

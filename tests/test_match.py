@@ -131,6 +131,31 @@ def test_anchor_not_in_image():
     assert len(occurrences(agent, nest(ion(A), ion(B)))) == 1
 
 
+def test_anchor_inside_a_captured_forest_is_refused():
+    # pattern A.id || B: A's site captures C.B, D.E.B and D2.E.G.B, so the
+    # anchors C (a captured root), E (one level below one) and G (two
+    # levels below) lie inside the forest; the B below F, beside A, is the
+    # one match, as the brute-force matcher finds
+    A, C, D, E, F, G = (Control(n) for n in "ACDEFG")
+    B = Control("B", atomic=True)
+    below_a = merge_all([
+        nest(ion(C), ion(B)),
+        nest(ion(D), nest(ion(E), ion(B))),
+        nest(ion(D), nest(ion(E), nest(ion(G), ion(B)))),
+    ])
+    agent = merge(nest(ion(A), below_a), nest(ion(F), ion(B)))
+    pat = parallel(nest(ion(A), site()), ion(B))
+    found = occurrences(agent, pat)
+    assert {(m.nodes, m.edges, m.binding) for m in found} == brute_occurrences(agent, pat)
+    (m,) = found
+    (f,) = [u for u, (ctrl, _p) in enumerate(agent.nodes) if ctrl.name == "F"]
+    assert m.anchors == (("r", 0), ("n", f))
+    assert len(m.site_images[0]) == 3
+    # without F.B every B lies in the forest
+    assert occurrences(nest(ion(A), below_a), pat) == []
+    assert brute_occurrences(nest(ion(A), below_a), pat) == set()
+
+
 def test_two_pattern_regions_may_share_anchor():
     A = Control("A", atomic=True)
     B = Control("B", atomic=True)

@@ -15,7 +15,7 @@ from tickgraph.bigraph import Control, close, ion, merge, nest, parallel, site, 
 from tickgraph.canon import canonical_form
 from tickgraph.elaborate import elaborate, load_model
 from tickgraph.lang import parse
-from tickgraph.match import occurrences
+from tickgraph.match import Match, occurrences
 from tickgraph.mdp import explore
 from tickgraph.params import Arith, ParameterLimit, Var
 from tickgraph.rules import (
@@ -292,26 +292,123 @@ def test_family_matching_equals_expanded_instances(pta_model_prog):
         assert table == ref
 
 
-def test_reactum_only_parameter_enumerated():
-    # n occurs only in the reactum: each match yields one outcome per value
-    from .oracle import expanded_outcomes
-
+def _spawn_model() -> Model:
+    """Box.Go -> Box.B(n + m), with n in {3, 1} and m in {10, 20}, on two
+    Box.Go: neither formal occurs in the redex."""
     box, go = Control("Box", 0), Control("Go", 0, atomic=True)
     b = Control("B", 0, atomic=True, parameterised=True)
     fam = RuleFamily("spawn", ("n", "m"), nest(ion(box), ion(go)),
                      nest(ion(box), ion(b, param=Arith("+", Var("n"), Var("m")))), 1.0)
-    model = Model(
+    return Model(
         controls={c.name: c for c in (box, go, b)},
         classes=[[RuleEntry(fam, ((3, 1), (10, 20)))]],
         actions=[("go", ("spawn",))],
         patterns=[],
         init=merge(nest(ion(box), ion(go)), nest(ion(box), ion(go))),
     )
+
+
+def test_reactum_only_parameter_enumerated():
+    # n occurs only in the reactum: each match yields one outcome per value
+    from .oracle import expanded_outcomes
+
+    model = _spawn_model()
     out = enabled_outcomes(model.init, model)
     assert [oc.name for oc in out["go"]] == [
         f"spawn({n},{m})" for _match in range(2) for n in (3, 1) for m in (10, 20)
     ]
     assert _outcome_table(model.init, model) == expanded_outcomes(model.init, model)
+
+
+def _searched(monkeypatch) -> list:
+    """Every match that `rules.occurrences` returns from now on."""
+    found = []
+    real = rules.occurrences
+
+    def spy(*args, **kwargs):
+        matches = real(*args, **kwargs)
+        found.extend(matches)
+        return matches
+
+    monkeypatch.setattr(rules, "occurrences", spy)
+    return found
+
+
+@pytest.mark.parametrize("name", ["pta", "cloud"])
+def test_outcome_holds_its_family_search_match(monkeypatch, name):
+    # every entry of pta and cloud carries its formals in its redex, so each
+    # outcome holds the very Match object that its family's search returned
+    model = _model(name)
+    assert all(e.carried for cls in model.classes for e in cls)
+    states = explore(model).states
+    searched = _searched(monkeypatch)
+    outcomes = 0
+    for agent in states:
+        searched.clear()
+        for ocs in enabled_outcomes(agent, model).values():
+            for oc in ocs:
+                assert any(oc.match is m for m in searched)
+                outcomes += 1
+    assert outcomes == {"pta": 21, "cloud": 190}[name]
+
+
+def test_reactum_only_formal_binds_each_value(monkeypatch):
+    # spawn's formals occur only in its reactum: each search match gives one
+    # outcome per valuation, in domain order, each a new Match that binds it
+    model = _spawn_model()
+    (entry,) = model.classes[0]
+    assert not entry.carried
+    searched = _searched(monkeypatch)
+    out = enabled_outcomes(model.init, model)["go"]
+    assert len(searched) == 2 and all(m.binding == () for m in searched)
+    assert [oc.match.binding_env() for oc in out] == [
+        {"n": n, "m": m} for _match in range(2) for n in (3, 1) for m in (10, 20)
+    ]
+    for oc, m in zip(out, [m for m in searched for _values in range(4)]):
+        assert oc.match is not m
+        assert (oc.match.nodes, oc.match.edges, oc.match.anchors, oc.match.site_images) == (
+            m.nodes, m.edges, m.anchors, m.site_images)
+
+
+def _outcomes_entry_by_entry(agent, model) -> dict[str, list[Outcome]]:
+    """`enabled_outcomes` written out: per priority class, per entry its
+    family's search with the condition checked per match, and per valuation
+    of the entry's formals a new Match."""
+    for cls in model.classes:
+        grouped: dict[str, list[Outcome]] = {}
+        for entry in cls:
+            fam, pat = entry.family, entry.pattern
+            groups = model.groups.get(fam.base, ())
+            size = math.prod(math.factorial(len(g)) for g in groups)
+            found = occurrences(agent, fam.redex, domains=model.searches[fam.base].match_domains,
+                                groups=groups)
+            for m in found:
+                if fam.condition is not None and any(
+                    frozenset(c.nodes).isdisjoint(m.nodes) for c in occurrences(agent, fam.condition)
+                ):
+                    continue
+                if not all(v in pat.match_domains[x] for x, v in m.binding):
+                    continue
+                for values in pat.valuations(m.binding):
+                    full = Match(m.nodes, m.edges, m.anchors, m.site_images,
+                                 tuple(sorted(zip(fam.formal, values))))
+                    grouped.setdefault(model.action_of[fam.base], []).append(
+                        Outcome(fam, full, fam.weight, size))
+        if grouped:
+            return {a: grouped[a] for a in model.action_order if a in grouped}
+    return {}
+
+
+@pytest.mark.parametrize("name", ["pta", "cloud"])
+def test_outcome_order_is_entry_then_match_order(name):
+    # actions in declaration order; within one, entries in class order and
+    # each entry's outcomes in match order, with the orbit multiplicity
+    model = _model(name)
+    for agent in explore(model).states:
+        got = enabled_outcomes(agent, model)
+        want = _outcomes_entry_by_entry(agent, model)
+        assert list(got) == list(want)
+        assert got == want
 
 
 def test_out_of_range_clock_matches_nothing(pta_model_prog):
@@ -508,6 +605,25 @@ def test_distinct_effects_merge_by_canonical_form(monkeypatch):
     dist = action_distribution(agent, moves)
     assert len(calls) == 5
     assert [p for _g, p in dist] == [sum([1 / 5] * 5)]
+
+
+def test_explore_and_label_leave_no_cyclic_garbage():
+    # canonical-form searches and effect keys hold no reference cycles, so
+    # nothing that explore or label makes waits for the cyclic collector
+    import gc
+
+    from tickgraph.verify import label
+
+    models = [_model(name) for name in
+              ("pta", "cloud", "sensor", "token-ring-4", "token-pairs-4", "token-none-5")]
+    gc.collect()
+    gc.disable()
+    try:
+        for model in models:
+            label(explore(model), model.patterns)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # --- one search per family per state -------------------------------------------
