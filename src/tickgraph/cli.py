@@ -34,6 +34,7 @@ from .mdp import (
     load_mdp,
     save_mdp,
 )
+from .match import PatternLimit
 from .params import ParameterLimit
 from .rules import apply, enabled_outcomes, integer_weights
 from .verify import UnknownLabel, check, label, solver_graph
@@ -312,7 +313,7 @@ def main(argv=None) -> int:
     except ExplorationLimit as exc:
         print(f"tickgraph: {exc} (frontier {exc.frontier})", file=sys.stderr)
         return EXIT_LIMIT
-    except ParameterLimit as exc:
+    except (ParameterLimit, PatternLimit) as exc:
         print(f"tickgraph: {exc}", file=sys.stderr)
         return EXIT_LIMIT
     except (ParseError, ElabError, UnknownLabel) as exc:

@@ -24,7 +24,10 @@ model against the digital-clocks discipline.
 
 from __future__ import annotations
 
+from itertools import repeat
+
 from . import lang
+from .lang import EClose, EId, EIon, EMerge, ENest, EOne, EPar, IVar
 from .bigraph import Bigraph, Control, Link, check_ion, check_nest
 from .params import Arith, ParameterLimit, Term, Var, term_eval
 from .rules import Model, Pattern, RuleEntry, RuleFamily
@@ -103,10 +106,11 @@ class _Elaborator:
         seen_preds: set[str] = set()
         for ref in abrs.preds:
             fam = self.pred_family(ref, ints)
-            for pname in fam.instance_names():
-                if pname in seen_preds:
-                    raise ElabError(f"predicate {pname} defined twice", ref.pos)
-                seen_preds.add(pname)
+            names = fam.instance_names()  # distinct, as the values are distinct
+            if not seen_preds.isdisjoint(names):
+                pname = next(n for n in names if n in seen_preds)
+                raise ElabError(f"predicate {pname} defined twice", ref.pos)
+            seen_preds.update(names)
             if fam.has_arithmetic:
                 patterns.extend(Pattern(n, b) for n, b in fam.instances())
             else:
@@ -218,24 +222,91 @@ class _Elaborator:
         link_names: list = []  # outer name per hyperedge, None once closed
         link_ports: list[list[tuple[int, int]]] = []
         names: dict[str, int] = {}  # open name -> its hyperedge, in the current scope
+        controls = self.controls
         # Each expression comes with the list its top-level places join: its
         # nest head's children or its `|`'s one region; None at the top of
         # the body, where each place opens a region.  So every place is
-        # appended once, to where it ends up.  A (nest or closure, entity or
-        # outer hyperedge) pair finishes that node once its operand is done.
+        # appended once, to where it ends up.  A (closure, outer hyperedge)
+        # pair restores the name's outer meaning once the body is done, and
+        # a (nest, entity) pair raises the nest's error once its child is.
         todo = [(e, None)]
         while todo:
             e, into = todo.pop()
             kind = type(e)
-            if kind is tuple:
-                node, x = e
-                if type(node) is lang.ENest:
-                    ctrl = nodes[x][0]
-                    try:
-                        check_nest(0 if ctrl.atomic else 1, _regions(node.child), ctrl)
-                    except ValueError as exc:
-                        raise ElabError(str(exc), node.pos) from exc
+            # a chain of nests is followed down to its last head without the
+            # stack; `else` takes any other expression, where the chain ends
+            while kind is EIon or kind is ENest:
+                head = e if kind is EIon else e.head
+                ctrl = controls.get(head.ctrl)
+                if ctrl is None:
+                    raise ElabError(f"unknown control {head.ctrl!r}", head.pos)
+                param = head.param
+                if param is None or type(param) is int:
+                    pass
+                elif type(param) is IVar and param.name in env:
+                    param = env[param.name]
                 else:
+                    param = self.eval_iexpr(param, env)
+                ion_names = head.names
+                if len(ion_names) != ctrl.arity or (param is None) == ctrl.parameterised:
+                    try:
+                        check_ion(ctrl, ion_names, param)
+                    except ValueError as exc:
+                        raise ElabError(str(exc), head.pos) from exc
+                i = len(nodes)
+                nodes.append((ctrl, param))
+                for p, name in enumerate(ion_names):
+                    link = names.get(name)
+                    if link is None:
+                        names[name] = len(link_ports)
+                        link_names.append(name)
+                        link_ports.append([(i, p)])
+                    else:
+                        link_ports[link].append((i, p))
+                if into is None:
+                    regions.append([("n", i)])
+                else:
+                    into.append(("n", i))
+                if kind is EIon:
+                    if ctrl.atomic:
+                        kids.append(())
+                    else:  # an ion's own site
+                        kids.append((("s", nsites),))
+                        nsites += 1
+                    break
+                into = []
+                kids.append(into)
+                child = e.child
+                if ctrl.atomic or (type(child) in _MULTI and _regions(child) != 1):
+                    todo.append(((e, i), None))
+                e, kind = child, type(child)
+            else:
+                if kind is EMerge or kind is EPar:
+                    if kind is EMerge and into is None:
+                        into = []
+                        regions.append(into)
+                    todo += zip(reversed(_operands(e)), repeat(into))
+                elif kind is EClose:
+                    # the name is unbound for the body, whose ports of it form a
+                    # new hyperedge; the outer binding waits on the stack
+                    todo += (((e, names.pop(e.name, None)), None), (e.body, into))
+                elif kind is EId:
+                    if into is None:
+                        regions.append([("s", nsites)])
+                    else:
+                        into.append(("s", nsites))
+                    nsites += 1
+                elif kind is EOne:
+                    if into is None:
+                        regions.append([])
+                elif kind is tuple:
+                    node, x = e
+                    if type(node) is ENest:
+                        ctrl = nodes[x][0]
+                        try:
+                            check_nest(0 if ctrl.atomic else 1, _regions(node.child), ctrl)
+                        except ValueError as exc:
+                            raise ElabError(str(exc), node.pos) from exc
                     # the body's hyperedge of the name is closed; the name
                     # means again what it meant outside
                     name = node.name
@@ -247,63 +318,14 @@ class _Elaborator:
                     link_names[link] = None
                     if x is not None:
                         names[name] = x
-                continue
-            if kind is lang.EIon or kind is lang.ENest:
-                head = e if kind is lang.EIon else e.head
-                ctrl = self.controls.get(head.ctrl)
-                if ctrl is None:
-                    raise ElabError(f"unknown control {head.ctrl!r}", head.pos)
-                param = None if head.param is None else self.eval_iexpr(head.param, env)
-                try:
-                    check_ion(ctrl, head.names, param)
-                except ValueError as exc:
-                    raise ElabError(str(exc), head.pos) from exc
-                i = len(nodes)
-                nodes.append((ctrl, param))
-                for p, name in enumerate(head.names):
-                    link = names.get(name)
-                    if link is None:
-                        link = names[name] = len(link_ports)
-                        link_names.append(name)
-                        link_ports.append([(i, p)])
-                    else:
-                        link_ports[link].append((i, p))
-                if kind is lang.ENest:
-                    children: list = []
-                    kids.append(children)
-                    todo += (((e, i), None), (e.child, children))
-                elif ctrl.atomic:
-                    kids.append(())
-                else:  # an ion's own site
-                    kids.append((("s", nsites),))
-                    nsites += 1
-                place = ("n", i)
-            elif kind is lang.EMerge or kind is lang.EPar:
-                if kind is lang.EMerge and into is None:
-                    into = []
-                    regions.append(into)
-                todo += [(part, into) for part in reversed(_operands(e))]
-                continue
-            elif kind is lang.EClose:
-                # the name is unbound for the body, whose ports of it form a
-                # new hyperedge; the outer binding waits on the stack
-                todo += (((e, names.pop(e.name, None)), None), (e.body, into))
-                continue
-            elif kind is lang.EId:
-                place = ("s", nsites)
-                nsites += 1
-            elif kind is lang.EOne:
-                if into is None:
-                    regions.append([])
-                continue
-            else:
-                raise TypeError(e)
-            if into is None:
-                regions.append([place])
-            else:
-                into.append(place)
+                else:
+                    raise TypeError(e)
         links = [Link(name, tuple(ports)) for name, ports in zip(link_names, link_ports)]
         return Bigraph(nodes, kids, regions, nsites, links)
+
+
+# a nest's child with other than one region is one of these
+_MULTI = (EPar, EClose)
 
 
 def _regions(e) -> int:
@@ -313,9 +335,9 @@ def _regions(e) -> int:
     n, todo = 0, [e]
     while todo:
         e = todo.pop()
-        if type(e) is lang.EPar:
+        if type(e) is EPar:
             todo += e.parts
-        elif type(e) is lang.EClose:
+        elif type(e) is EClose:
             todo.append(e.body)
         else:
             n += 1
@@ -326,7 +348,7 @@ def _operands(join):
     """The operands of a join, each operand that is a join of the same kind
     replaced by its own operands: joining them in one pass gives the bigraph,
     entity for entity, that joining the inner join first gave."""
-    if not any(type(e) is type(join) for e in join.parts):
+    if type(join) not in set(map(type, join.parts)):
         return join.parts
     out, todo = [], list(reversed(join.parts))
     while todo:

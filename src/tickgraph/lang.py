@@ -14,6 +14,14 @@ A `.props` document holds one property per line over label expressions of
 quoted pattern names (see :func:`parse_properties`).  In both languages `#`
 starts a comment and every error is a :class:`ParseError` carrying its
 `line:col`.
+
+The lexer scans each line with one match of one regex per token: the match
+takes the blanks and any comment before its token, and as its last two
+alternatives (the end of the line, any other character) always match, it
+never gives back what the blanks took.  A token is a plain tuple
+``(kind, text, (line, col))``, kind one of IDENT KEYWORD INT FLOAT STRING
+PUNCT EOF, a STRING's text with its quotes.  The parser reads its fields by
+index, and each AST node keeps the position tuple of the token it starts at.
 """
 
 from __future__ import annotations
@@ -34,17 +42,19 @@ KEYWORDS = {
 # accept.  Identifiers are ASCII: canonical forms, and so cache files, spell
 # control names in ASCII.
 _TOKEN = re.compile(
-    r"""
-      (?P<SKIP>[ \t\r]+|\#[^\n]*)
-    | (?P<NEWLINE>\n)
-    | (?P<FLOAT>\d+\.\d+)
-    | (?P<INT>\d+)
-    | (?P<STRING>"[^"\n]*")
-    | (?P<WORD>[A-Za-z_][A-Za-z0-9_]*)
-    | (?P<PUNCT>\|\||-\[|\]->|->|<=|>=|[{}()\[\]=;,.|/+\-*!<>&])
+    r"""[ \t\r]*(?:\#.*)?
+    (?: ([A-Za-z_][A-Za-z0-9_]*)
+      | (\|\||-\[|\]->|->|<=|>=|[{}()\[\]=;,.|/+\-*!<>&])
+      | (\d+\.\d+)
+      | (\d+)
+      | ("[^"]*")
+      | (\Z)
+      | (.) )
     """,
     re.VERBOSE,
-)
+).finditer
+_KIND = (None, "IDENT", "PUNCT", "FLOAT", "INT", "STRING")
+_WORD = dict.fromkeys(KEYWORDS, "KEYWORD")
 
 
 class ParseError(Exception):
@@ -57,37 +67,30 @@ class ParseError(Exception):
         self.expected = expected
 
 
-class Token(Record):
-    __slots__ = ("kind", "text", "line", "col")
-
-    def __init__(self, kind: str, text: str, line: int, col: int):
-        self.kind = kind  # IDENT KEYWORD INT FLOAT STRING PUNCT EOF
-        self.text = text
-        self.line = line
-        self.col = col
+Token = tuple[str, str, tuple[int, int]]  # kind, text, (line, col)
 
 
 def tokenize(text: str) -> list[Token]:
+    """The tokens of `text`, line by line, ending with one EOF token at the
+    end of the text, or at the `#` of a comment that ends it."""
     toks: list[Token] = []
-    line, line_start = 1, 0
-    pos = end = 0  # end: where the EOF token sits, at the '#' of a final comment
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        col = pos - line_start + 1
-        if m is None:
-            if text[pos] == '"':
-                raise ParseError("unterminated string", line, col)
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        kind, word = m.lastgroup, m.group()
-        end = pos if word[0] == "#" else m.end()
-        pos = m.end()
-        if kind == "NEWLINE":
-            line, line_start = line + 1, pos
-        elif kind == "WORD":
-            toks.append(Token("KEYWORD" if word in KEYWORDS else "IDENT", word, line, col))
-        elif kind != "SKIP":
-            toks.append(Token(kind, word, line, col))
-    toks.append(Token("EOF", "", line, end - line_start + 1))
+    append = toks.append
+    for n, line in enumerate(text.split("\n"), 1):
+        for m in _TOKEN(line):
+            k = m.lastindex
+            if k == 1:
+                word = m[1]
+                append((_WORD.get(word, "IDENT"), word, (n, m.start(1) + 1)))
+            elif k < 6:
+                append((_KIND[k], m[k], (n, m.start(k) + 1)))
+            elif k == 6:
+                break
+            elif m[7] == '"':
+                raise ParseError("unterminated string", n, m.start(7) + 1)
+            else:
+                raise ParseError(f"unexpected character {m[7]!r}", n, m.start(7) + 1)
+    end = line.find("#", m.start())
+    toks.append(("EOF", "", (n, (len(line) if end < 0 else end) + 1)))
     return toks
 
 
@@ -328,53 +331,67 @@ _T = TypeVar("_T")
 
 
 class _Parser:
-    def __init__(self, toks: list[Token]):
-        self.toks = toks
-        self.i = 0
+    """Reads a token list.  `tok` is the current token, whose fields are read
+    by index (0 kind, 1 text, 2 position), and `next` returns the one after
+    it; a node takes the position tuple of the token that starts it."""
 
-    @property
-    def cur(self) -> Token:
-        return self.toks[self.i]
+    def __init__(self, toks: list[Token]):
+        self.next = iter(toks).__next__
+        self.tok = self.next()
 
     def at(self, text: str) -> bool:
-        return self.cur.text == text  # a STRING's text keeps its quotes
+        return self.tok[1] == text  # a STRING's text keeps its quotes
 
     def bump(self) -> Token:
-        tok = self.cur
-        self.i += 1
+        tok = self.tok
+        self.tok = self.next()
         return tok
 
-    def expect(self, text: str) -> Token:
-        if not self.at(text):
+    def expect(self, text: str) -> None:
+        if self.tok[1] != text:
             self.unexpected(text)
-        return self.bump()
+        self.tok = self.next()
 
-    def ident(self, what="identifier") -> Token:
-        if self.cur.kind != "IDENT":
+    def name(self, what: str) -> str:
+        """The text of an identifier, which is consumed."""
+        kind, text, _pos = self.tok
+        if kind != "IDENT":
             self.unexpected(what)
-        return self.bump()
+        self.tok = self.next()
+        return text
 
     def integer(self) -> int:
         """The value of the current INT token, which is consumed."""
+        text = self.tok[1]
         try:
-            value = int(self.cur.text)
+            value = int(text)
         except ValueError:  # more digits than the interpreter converts
-            self.fail(f"integer literal of {len(self.cur.text)} digits is too long")
+            self.fail(f"integer literal of {len(text)} digits is too long")
         self.bump()
         return value
 
     def fail(self, msg: str, expected: tuple[str, ...] = ()):
-        raise ParseError(msg, self.cur.line, self.cur.col, expected)
+        raise ParseError(msg, *self.tok[2], expected)
 
     def unexpected(self, *expected: str):
-        self.fail(f"found {self.cur.text or 'end of input'!r}", expected)
+        self.fail(f"found {self.tok[1] or 'end of input'!r}", expected)
 
-    def commas(self, item: Callable[[], _T]) -> list[_T]:
-        """item (',' item)*"""
-        items = [item()]
-        while self.at(","):
-            self.bump()
-            items.append(item())
+    def commas(self, item: Callable[..., _T], *args) -> list[_T]:
+        """item (',' item)*, each item read by ``item(*args)``"""
+        items = [item(*args)]
+        while self.tok[1] == ",":
+            self.tok = self.next()
+            items.append(item(*args))
+        return items
+
+    def listed(self, opening: str, item: Callable[[], _T], closing: str) -> list[_T]:
+        """keyword '=' opening item (',' item)* closing ';'"""
+        self.bump()
+        self.expect("=")
+        self.expect(opening)
+        items = self.commas(item)
+        self.expect(closing)
+        self.expect(";")
         return items
 
     # -- declarations -------------------------------------------------------
@@ -384,26 +401,24 @@ class _Parser:
         bigs: list[BigDecl] = []
         reacts: list[ReactDecl] = []
         abrs: AbrsBlock | None = None
-        while self.cur.kind != "EOF":
-            tok = self.cur
-            atomic = False
-            funny = False
-            if self.at("atomic"):
-                atomic = True
+        while self.tok[0] != "EOF":
+            pos = self.tok[2]
+            atomic = self.at("atomic")
+            if atomic:
                 self.bump()
-            if self.at("fun"):
-                funny = True
+            funny = self.at("fun")
+            if funny:
                 self.bump()
             if self.at("ctrl"):
-                controls.append(self.ctrl_decl(atomic, funny, (tok.line, tok.col)))
+                controls.append(self.ctrl_decl(atomic, funny, pos))
             elif self.at("big"):
                 if atomic:
                     self.fail("'atomic' only applies to controls")
-                bigs.append(self.big_decl(funny, (tok.line, tok.col)))
+                bigs.append(self.big_decl(funny, pos))
             elif self.at("react"):
                 if atomic:
                     self.fail("'atomic' only applies to controls")
-                reacts.append(self.react_decl(funny, (tok.line, tok.col)))
+                reacts.append(self.react_decl(funny, pos))
             elif self.at("begin"):
                 if atomic or funny:
                     self.fail("unexpected modifier before 'begin'")
@@ -418,37 +433,37 @@ class _Parser:
         if not self.at("("):
             return ()
         self.bump()
-        names = self.commas(lambda: self.ident("parameter name").text)
+        names = self.commas(self.name, "parameter name")
         self.expect(")")
         return tuple(names)
 
     def ctrl_decl(self, atomic: bool, funny: bool, pos: Pos) -> CtrlDecl:
         self.expect("ctrl")
-        name = self.ident("control name")
+        name = self.name("control name")
         params = self._formals()
         if funny and not params:
-            self.fail(f"fun ctrl {name.text} needs a parameter list")
+            self.fail(f"fun ctrl {name} needs a parameter list")
         if not funny and params:
-            self.fail(f"ctrl {name.text} with parameters must be declared 'fun ctrl'")
+            self.fail(f"ctrl {name} with parameters must be declared 'fun ctrl'")
         self.expect("=")
-        if self.cur.kind != "INT":
+        if self.tok[0] != "INT":
             self.fail("arity must be an integer", ("integer",))
         arity = self.integer()
         self.expect(";")
-        return CtrlDecl(name.text, params, arity, atomic, pos)
+        return CtrlDecl(name, params, arity, atomic, pos)
 
     def big_decl(self, funny: bool, pos: Pos) -> BigDecl:
         self.expect("big")
-        name = self.ident("bigraph name")
+        name = self.name("bigraph name")
         params = self._formals() if funny else ()
         self.expect("=")
         body = self.bexpr()
         self.expect(";")
-        return BigDecl(name.text, params, body, pos)
+        return BigDecl(name, params, body, pos)
 
     def react_decl(self, funny: bool, pos: Pos) -> ReactDecl:
         self.expect("react")
-        name = self.ident("rule name")
+        name = self.name("rule name")
         params = self._formals() if funny else ()
         self.expect("=")
         redex = self.bexpr()
@@ -464,54 +479,36 @@ class _Parser:
             self.expect("in")
             self.expect("ctx")
         self.expect(";")
-        return ReactDecl(name.text, params, redex, weight, reactum, condition, pos)
+        return ReactDecl(name, params, redex, weight, reactum, condition, pos)
 
     def number(self) -> float:
-        if self.cur.kind not in ("INT", "FLOAT"):
+        if self.tok[0] not in ("INT", "FLOAT"):
             self.fail("expected a numeric weight", ("number",))
-        return float(self.bump().text)
+        return float(self.bump()[1])
 
     # -- abrs block ----------------------------------------------------------
 
     def abrs_block(self) -> AbrsBlock:
-        pos = (self.cur.line, self.cur.col)
+        pos = self.tok[2]
         self.expect("begin")
         self.expect("abrs")
         ints: list[IntDecl] = []
-        init_name = None
-        classes = None
-        actions = None
-        preds = None
+        init_name = classes = actions = preds = None
         while not self.at("end"):
-            if self.cur.kind == "EOF":
+            if self.tok[0] == "EOF":
                 self.fail("abrs block not closed", ("end",))
             if self.at("int"):
                 ints.append(self.int_decl())
             elif self.at("init"):
                 self.bump()
-                init_name = self.ident("initial bigraph name").text
+                init_name = self.name("initial bigraph name")
                 self.expect(";")
             elif self.at("rules"):
-                self.bump()
-                self.expect("=")
-                self.expect("[")
-                classes = self.commas(self.rule_class)
-                self.expect("]")
-                self.expect(";")
+                classes = self.listed("[", self.rule_class, "]")
             elif self.at("actions"):
-                self.bump()
-                self.expect("=")
-                self.expect("[")
-                actions = self.commas(self.action_decl)
-                self.expect("]")
-                self.expect(";")
+                actions = self.listed("[", self.action_decl, "]")
             elif self.at("preds"):
-                self.bump()
-                self.expect("=")
-                self.expect("{")
-                preds = self.commas(self.rule_ref)
-                self.expect("}")
-                self.expect(";")
+                preds = self.listed("{", self.rule_ref, "}")
             else:
                 self.unexpected("int", "init", "rules", "actions", "preds", "end")
         self.expect("end")
@@ -521,19 +518,13 @@ class _Parser:
             self.fail("abrs block has no rules")
         if actions is None:
             self.fail("abrs block has no actions")
-        return AbrsBlock(
-            tuple(ints),
-            init_name,
-            tuple(tuple(c) for c in classes),
-            tuple(actions),
-            tuple(preds or ()),
-            pos,
-        )
+        classes = tuple(tuple(c) for c in classes)
+        return AbrsBlock(tuple(ints), init_name, classes, tuple(actions), tuple(preds or ()), pos)
 
     def int_decl(self) -> IntDecl:
-        pos = (self.cur.line, self.cur.col)
+        pos = self.tok[2]
         self.expect("int")
-        name = self.ident("int binding name").text
+        name = self.name("int binding name")
         self.expect("=")
         values: list[int] = []
         if self.at("{"):
@@ -547,7 +538,7 @@ class _Parser:
         return IntDecl(name, tuple(values), pos)
 
     def int_lit(self) -> int:
-        if self.cur.kind != "INT":
+        if self.tok[0] != "INT":
             self.fail("expected an integer", ("integer",))
         return self.integer()
 
@@ -558,30 +549,33 @@ class _Parser:
         return refs
 
     def rule_ref(self) -> RuleRef:
-        tok = self.ident("rule name")
+        pos = self.tok[2]
+        name = self.name("rule name")
         args: list[int | str] = []
         if self.at("("):
             self.bump()
             args = self.commas(self.ref_arg)
             self.expect(")")
-        return RuleRef(tok.text, tuple(args), (tok.line, tok.col))
+        return RuleRef(name, tuple(args), pos)
 
     def ref_arg(self) -> int | str:
-        if self.cur.kind == "INT":
+        if self.tok[0] == "INT":
             return self.integer()
-        return self.ident("int binding or literal").text
+        return self.name("int binding or literal")
 
     def action_decl(self) -> ActionDecl:
-        tok = self.ident("action name")
+        pos = self.tok[2]
+        name = self.name("action name")
         self.expect("=")
         self.expect("{")
-        rules = self.commas(lambda: self.ident("rule name").text)
+        rules = self.commas(self.name, "rule name")
         self.expect("}")
-        return ActionDecl(tok.text, tuple(rules), (tok.line, tok.col))
+        return ActionDecl(name, tuple(rules), pos)
 
     # -- bigraph expressions --------------------------------------------------
     # bexpr := ('/' name)* par ; par := mer ('||' mer)* ; mer := prim ('|' prim)*
     # prim := 'id' | '1' | '(' bexpr ')' | ion ['.' prim]
+    # ion := name ['(' iexpr ')'] ['{' name (',' name)* '}']
 
     # Both expression languages are read in one loop each, as `lexpr` reads
     # properties: a '(' saves the enclosing expression's unfinished parts on
@@ -592,46 +586,61 @@ class _Parser:
     def closures(self) -> list[tuple[str, Pos]]:
         """('/' name)*, with each '/' position."""
         closes = []
-        while self.at("/"):
-            pos = (self.cur.line, self.cur.col)
-            self.bump()
-            closes.append((self.ident("link name").text, pos))
+        while self.tok[1] == "/":
+            pos = self.bump()[2]
+            closes.append((self.name("link name"), pos))
         return closes
 
     def bexpr(self) -> BExpr:
+        advance = self.next
         frames = []  # per open '(': the closures, parts and nest heads around it
         closes, pars, mers, heads = self.closures(), [], [], []
-        par_pos = mer_pos = (self.cur.line, self.cur.col)
+        par_pos = mer_pos = self.tok[2]
         while True:
-            if self.at("id"):
-                tok = self.bump()
-                e = EId((tok.line, tok.col))
-            elif self.cur.kind == "INT" and self.cur.text == "1":
-                tok = self.bump()
-                e = EOne((tok.line, tok.col))
-            elif self.at("("):
-                self.bump()
+            kind, text, pos = self.tok
+            if kind == "IDENT":  # an ion: K, K(param), K{names}
+                self.tok = advance()
+                param = None
+                if self.tok[1] == "(":
+                    self.tok = advance()
+                    param = self.iexpr()
+                    self.expect(")")
+                names: tuple[str, ...] = ()
+                if self.tok[1] == "{":
+                    self.tok = advance()
+                    names = tuple(self.commas(self.name, "link name"))
+                    self.expect("}")
+                e = EIon(text, param, names, pos)
+                if self.tok[1] == ".":
+                    heads.append((e, self.tok[2]))
+                    self.tok = advance()
+                    continue
+            elif text == "id":
+                self.tok = advance()
+                e = EId(pos)
+            elif text == "1":  # an INT
+                self.tok = advance()
+                e = EOne(pos)
+            elif text == "(":
+                self.tok = advance()
                 frames.append((closes, par_pos, pars, mer_pos, mers, heads))
                 closes, pars, mers, heads = self.closures(), [], [], []
-                par_pos = mer_pos = (self.cur.line, self.cur.col)
+                par_pos = mer_pos = self.tok[2]
                 continue
             else:
-                e = self.ion()
-                if self.at("."):
-                    heads.append((e, (self.cur.line, self.cur.col)))
-                    self.bump()
-                    continue
+                self.unexpected("control name")
             # a whole prim: join it to the chains, closing each ')' that ends them
             while True:
                 for ion, pos in reversed(heads):
                     e = ENest(ion, e, pos)
                 heads = []
                 mers.append(e)
-                if self.at("|"):
+                text = self.tok[1]
+                if text == "|":
                     break
                 pars.append(mers[0] if len(mers) == 1 else EMerge(tuple(mers), mer_pos))
                 mers = []
-                if self.at("||"):
+                if text == "||":
                     break
                 e = pars[0] if len(pars) == 1 else EPar(tuple(pars), par_pos)
                 for name, pos in reversed(closes):
@@ -640,23 +649,9 @@ class _Parser:
                     return e
                 self.expect(")")
                 closes, par_pos, pars, mer_pos, mers, heads = frames.pop()
-            self.bump()
+            self.tok = advance()
             if not mers:  # a new mer starts after '||'
-                mer_pos = (self.cur.line, self.cur.col)
-
-    def ion(self) -> EIon:
-        tok = self.ident("control name")
-        param = None
-        if self.at("("):
-            self.bump()
-            param = self.iexpr()
-            self.expect(")")
-        names: tuple[str, ...] = ()
-        if self.at("{"):
-            self.bump()
-            names = tuple(self.commas(lambda: self.ident("link name").text))
-            self.expect("}")
-        return EIon(tok.text, param, names, (tok.line, tok.col))
+                mer_pos = self.tok[2]
 
     # -- integer expressions ---------------------------------------------------
     # iexpr := iterm (('+' | '-') iterm)* ; iterm := ifactor ('*' ifactor)*
@@ -667,11 +662,12 @@ class _Parser:
         # (left operand, operator, its position) awaiting a right operand
         total = product = None
         while True:
-            if self.cur.kind == "INT":
+            kind = self.tok[0]
+            if kind == "INT":
                 e = self.integer()
-            elif self.cur.kind == "IDENT":
-                tok = self.bump()
-                e = IVar(tok.text, (tok.line, tok.col))
+            elif kind == "IDENT":
+                _kind, name, pos = self.bump()
+                e = IVar(name, pos)
             elif self.at("("):
                 self.bump()
                 frames.append((total, product))
@@ -685,15 +681,15 @@ class _Parser:
                     e = IBin(product[1], product[0], e, product[2])
                     product = None
                 if self.at("*"):
-                    op = self.bump()
-                    product = (e, op.text, (op.line, op.col))
+                    _kind, op, pos = self.bump()
+                    product = (e, op, pos)
                     break
                 if total is not None:
                     e = IBin(total[1], total[0], e, total[2])
                     total = None
                 if self.at("+") or self.at("-"):
-                    op = self.bump()
-                    total = (e, op.text, (op.line, op.col))
+                    _kind, op, pos = self.bump()
+                    total = (e, op, pos)
                     break
                 if not frames:
                     return e
@@ -709,14 +705,14 @@ class _Parser:
     def prop(self, source: str) -> Property:
         if self.at("P"):
             self.bump()
-            if self.cur.text not in (">=", ">", "<=", "<"):
+            if self.tok[1] not in (">=", ">", "<=", "<"):
                 self.unexpected(">=", ">", "<=", "<")
-            bound = self.bump().text
-            if self.cur.kind not in ("INT", "FLOAT"):
+            bound = self.bump()[1]
+            if self.tok[0] not in ("INT", "FLOAT"):
                 self.unexpected("probability")
-            if float(self.cur.text) > 1.0:
-                self.fail(f"probability bound {self.cur.text} is outside [0, 1]")
-            p = float(self.bump().text)
+            if float(self.tok[1]) > 1.0:
+                self.fail(f"probability bound {self.tok[1]} is outside [0, 1]")
+            p = float(self.bump()[1])
             prop = Reach(bound, p, self.eventually(), "min" if bound[0] == ">" else "max", source)
         elif self.at("E"):
             self.bump()
@@ -744,8 +740,8 @@ class _Parser:
             prop = ForcedNext(trigger, self.lexpr(), source)
         else:
             self.unexpected("P", "E", "A", "FORCEDNEXT")
-        if self.cur.kind != "EOF":
-            self.fail(f"trailing input {self.cur.text!r}")
+        if self.tok[0] != "EOF":
+            self.fail(f"trailing input {self.tok[1]!r}")
         return prop
 
     def eventually(self) -> tuple:
@@ -771,9 +767,9 @@ class _Parser:
                 frames.append((nots, ors, ands))
                 ors = ands = None
                 continue
-            if self.cur.kind != "STRING":
+            if self.tok[0] != "STRING":
                 self.unexpected("quoted pattern name")
-            e = ("name", self.bump().text[1:-1])
+            e = ("name", self.bump()[1][1:-1])
             # a whole factor: join it to the chains, closing each ')' that ends them
             while True:
                 for _ in range(nots):
@@ -824,9 +820,10 @@ def parse_properties(text: str) -> list[Property]:
     first token to its last."""
     lines = text.split("\n")
     props = []
-    for line, group in itertools.groupby(tokenize(text)[:-1], key=lambda t: t.line):
+    for line, group in itertools.groupby(tokenize(text)[:-1], key=lambda t: t[2][0]):
         toks = list(group)
-        end = toks[-1].col + len(toks[-1].text)
-        source = lines[line - 1][toks[0].col - 1 : end - 1]
-        props.append(_Parser(toks + [Token("EOF", "", line, end)]).prop(source))
+        _kind, last, (_line, col) = toks[-1]
+        end = col + len(last)
+        source = lines[line - 1][toks[0][2][1] - 1 : end - 1]
+        props.append(_Parser(toks + [("EOF", "", (line, end))]).prop(source))
     return props

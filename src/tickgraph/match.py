@@ -45,6 +45,12 @@ anchors by walking up from each: an anchor lies in the context when
 neither it nor any entity above it is mapped, because a mapped entity's
 unmapped children are exactly the roots its site captures.
 
+The search recurses once per pattern entity and once more per entity with
+ports and per pattern edge, so a pattern whose entities plus edges leave
+its callers too little of the interpreter's recursion limit cannot be
+searched: building its tables raises :class:`PatternLimit`, once per
+pattern, and a search of a shallow pattern checks nothing.
+
 A search may be given groups of interchangeable pattern entities (see
 `rules.Model.groups`: leaf siblings of one control that a swap, together
 with their parameters and private outer names, maps onto themselves).
@@ -98,6 +104,15 @@ class Match(Record):
         return (self.nodes, self.edges, self.binding)
 
 
+class PatternLimit(ValueError):
+    """A pattern too deep to search: mapping it nests more calls than the
+    interpreter's recursion limit leaves room for (see :class:`Tables`)."""
+
+
+# the recursion limit less this is what a search may use; the rest is for
+# its callers, a command's or a test runner's
+_HEADROOM = 100
+
 # where a plan step takes its candidates (see `_plan`)
 _KIDS, _UP, _EDGE, _ALL = range(4)
 _SOURCES = {"kids": _KIDS, "up": _UP, "edge": _EDGE, "all": _ALL}
@@ -137,7 +152,9 @@ class Tables:
     per entity with a site, ``(entity, its first site)``; and the search
     plans built so far, keyed by the host's counts of those controls and
     the groups: `plans` holds each as ``(steps, bounds)``, `compiled` its
-    steps as `_Search` reads them (see :func:`_compile`)."""
+    steps as `_Search` reads them (see :func:`_compile`).  A pattern whose
+    search would nest more calls than the recursion limit less `_HEADROOM`
+    raises :class:`PatternLimit` instead."""
 
     __slots__ = ("pos", "edges", "controls", "need", "site_of", "plans", "compiled")
 
@@ -154,6 +171,15 @@ class Tables:
         self.controls = tuple(sorted(set(names)))
         self.need = tuple(names.count(name) for name in self.controls)
         self.site_of = tuple((p, s[0]) for p, s in enumerate(pattern.sites) if s)
+        # one `_assign` frame per entity, one `_assign_edges` more per entity
+        # with ports and per edge, and the search's own few
+        depth = pattern.nnodes + sum(1 for es in self.edges if es) + len(links) + 3
+        budget = sys.getrecursionlimit() - _HEADROOM
+        if depth > budget:
+            raise PatternLimit(
+                f"{pattern.nnodes} entities and {len(links)} hyperedges need {depth} nested "
+                f"search calls, more than the {budget} the interpreter's stack allows"
+            )
         self.plans: dict[tuple, tuple[list[tuple], dict]] = {}
         self.compiled: dict[tuple, tuple[tuple, ...]] = {}
 

@@ -48,7 +48,7 @@ import math
 
 from .bigraph import Bigraph, Control, Link, Ref
 from .canon import canonical_form
-from .match import Match, Tally, occurrences
+from .match import Match, PatternLimit, Tally, occurrences
 from .params import Arith, ParameterLimit, Term, Var, is_concrete, term_eval, term_fold, term_vars
 from .records import Record
 
@@ -82,16 +82,21 @@ def _check_rule_shape(redex: Bigraph, reactum: Bigraph, weight: float, label: st
             )
 
 
-def _check_bound(what: str, formal: tuple[str, ...], bodies: tuple[Bigraph, ...]):
-    """Every parameter variable in `bodies` must be one of `formal`."""
+def _check_bound(what: str, formal: tuple[str, ...], bodies: tuple[Bigraph, ...]) -> set[str]:
+    """Every parameter variable in `bodies` must be one of `formal`.  Returns
+    the variables that some entity carries bare, as its whole parameter."""
+    carried = set()
     free = set()
     for g in bodies:
         for _ctrl, param in g.nodes:
-            if param is not None and not isinstance(param, int):
+            if type(param) is Var:
+                carried.add(param.name)
+            elif param is not None and not isinstance(param, int):
                 free |= term_vars(param)
-    missing = free - set(formal)
+    missing = (carried | free).difference(formal)
     if missing:
         raise ValueError(f"{what}: unbound parameters {sorted(missing)}")
+    return carried
 
 
 def _subst(g: Bigraph, env: dict[str, int]) -> Bigraph:
@@ -389,20 +394,22 @@ class Pattern(Record):
         what = f"{kind} {name}"
         if len(domains) != len(formal):
             raise ValueError(f"{what}: {len(domains)} domain(s) for {len(formal)} formal(s)")
-        for v, dom in zip(formal, domains):
-            if not dom:
-                raise ValueError(f"{what}: empty domain for {v!r}")
-        _check_bound(what, formal, (body,))
+        if not all(domains):
+            v = next(v for v, dom in zip(formal, domains) if not dom)
+            raise ValueError(f"{what}: empty domain for {v!r}")
+        carried = _check_bound(what, formal, (body,))
         self.name = name
         self.body = body
         self.formal = formal
         self.domains = domains
         self.kind = kind
-        carried = {p.name for _ctrl, p in body.nodes if isinstance(p, Var)}
-        self.match_domains = {v: frozenset(d) for v, d in zip(formal, domains)}
-        self.axes = tuple(
-            None if v in carried else tuple(dict.fromkeys(d)) for v, d in zip(formal, domains)
-        )
+        self.match_domains = {}
+        self.axes = ()
+        if formal:
+            self.match_domains = {v: frozenset(d) for v, d in zip(formal, domains)}
+            self.axes = tuple(
+                None if v in carried else tuple(dict.fromkeys(d)) for v, d in zip(formal, domains)
+            )
 
     @property
     def size(self) -> int:
@@ -425,10 +432,13 @@ class Pattern(Record):
     def instance_name(self, values: tuple[int, ...]) -> str:
         if not values:
             return self.name
-        return self.name + "_" + "_".join(str(v) for v in values)
+        return self.name + "_" + "_".join(map(str, values))
 
     def instance_names(self) -> list[str]:
-        return [self.instance_name(vs) for vs in itertools.product(*self.domains)]
+        if not self.formal:
+            return [self.name]
+        head = self.name + "_"
+        return [head + "_".join(map(str, vs)) for vs in itertools.product(*self.domains)]
 
     def instances(self) -> list[tuple[str, Bigraph]]:
         """One (name, concrete body) pair per valuation, in domain order."""
@@ -475,8 +485,15 @@ class Model(Record):
                 if entry.family.base not in self.action_of:
                     raise ValueError(f"rule {entry.family.base} belongs to no action")
         flat = [e for cls in self.classes for e in cls]
-        for i, a in enumerate(flat):
-            for b in flat[i + 1 :]:
+        of_base: dict[str, list[RuleEntry]] = {}  # per family, its entries in `flat` order
+        for entry in flat:
+            of_base.setdefault(entry.family.base, []).append(entry)
+        # only entries of one family can overlap: each is compared with the
+        # later entries of its family, pairs in the order of `flat`
+        passed = dict.fromkeys(of_base, 0)
+        for a in flat:
+            k = passed[a.family.base] = passed[a.family.base] + 1
+            for b in of_base[a.family.base][k:]:
                 if a.overlaps(b):
                     raise ValueError(
                         f"rule instances of {a.family.base} appear in two priority classes"
@@ -484,18 +501,22 @@ class Model(Record):
         families: dict[str, tuple[RuleFamily, list[dict[int, None]]]] = {}
         for entry in flat:
             fam = entry.family
-            first, union = families.setdefault(fam.base, (fam, [{} for _ in fam.formal]))
-            if first != fam:
+            if fam.base not in families:
+                families[fam.base] = (fam, [{} for _ in fam.formal])
+            first, union = families[fam.base]
+            if first is not fam and first != fam:
                 raise ValueError(f"rule {fam.base} has two definitions")
             for dom, values in zip(union, entry.domains):
                 dom.update(dict.fromkeys(values))
-        self.searches: dict[str, Pattern] = {
-            base: Pattern(base, fam.redex, fam.formal, tuple(tuple(d) for d in union), kind="rule")
-            for base, (fam, union) in families.items()
-        }
+        self.searches: dict[str, Pattern] = {}
+        for base, (fam, union) in families.items():
+            domains = tuple(tuple(d) for d in union)
+            first = of_base[base][0]  # its domains are the union when it is the only entry
+            self.searches[base] = (first.pattern if domains == first.domains else
+                                   Pattern(base, fam.redex, fam.formal, domains, kind="rule"))
         self.groups: dict[str, Groups] = {}
         for base, (fam, _union) in families.items():
-            groups = _groups(fam, [e.pattern.match_domains for e in flat if e.family.base == base])
+            groups = _groups(fam, [e.pattern.match_domains for e in of_base[base]])
             if groups:
                 self.groups[base] = groups
         self.orbit_sizes = {
@@ -525,15 +546,15 @@ def _rename(term: Term | None, sigma: dict[str, str]) -> Term | None:
     return term_fold(term, leaf, Arith) if isinstance(term, Arith) else leaf(term)
 
 
-def _maps_onto_itself(g: Bigraph, perm: dict[int, int], sigma: dict[str, str],
+def _maps_onto_itself(g: Bigraph, perm: dict[int, int], params: list,
                       tau: dict[str, str]) -> bool:
-    """Whether moving each entity v to ``perm.get(v, v)``, renaming parameter
-    variables by `sigma` and outer names by `tau` gives `g` back: equal
-    controls and parameters, parents and hyperedges, port by port."""
+    """Whether moving each entity v to ``perm.get(v, v)`` with parameter
+    ``params[v]`` (renamed) and renaming outer names by `tau` gives `g` back:
+    equal controls and parameters, parents and hyperedges, port by port."""
     at = lambda v: perm.get(v, v)
-    for v, (ctrl, param) in enumerate(g.nodes):
+    for v, ((ctrl, _param), param) in enumerate(zip(g.nodes, params)):
         w = at(v)
-        if g.nodes[w] != (ctrl, _rename(param, sigma)):
+        if g.nodes[w] != (ctrl, param):
             return False
         q = g.up[v]  # a parent entity, or below zero a region
         if g.up[w] != (at(q) if q >= 0 else q):
@@ -545,17 +566,18 @@ def _maps_onto_itself(g: Bigraph, perm: dict[int, int], sigma: dict[str, str],
     }
 
 
-def _interchangeable(fam: RuleFamily, i: int, j: int, domains) -> bool:
+def _interchangeable(fam: RuleFamily, i: int, j: int, domains, reactum_vars) -> bool:
     """Whether swapping redex entities `i` and `j` (same parent and control,
     no children, no sites), together with their parameter variables and
     their private outer names, maps the redex and the reactum onto
     themselves and every one of `domains` (formal -> value set) onto itself.
     The renaming must rewrite no reactum entity, and then the reactum maps
-    onto itself unmoved, or exactly two leaves, and then their swap must."""
+    onto itself unmoved, or exactly two leaves, and then their swap must.
+    `reactum_vars` holds the variables of each reactum entity's parameter."""
     redex, reactum = fam.redex, fam.reactum
     pi, pj = redex.nodes[i][1], redex.nodes[j][1]
     sigma = {}
-    if isinstance(pi, Var) and isinstance(pj, Var):
+    if isinstance(pi, Var) and isinstance(pj, Var) and pi.name != pj.name:
         sigma = {pi.name: pj.name, pj.name: pi.name}
     if any(dom[a] != dom[b] for dom in domains for a, b in sigma.items()):
         return False
@@ -566,13 +588,19 @@ def _interchangeable(fam: RuleFamily, i: int, j: int, domains) -> bool:
         a, b = link_of[(i, p)], link_of[(j, p)]
         if private(a, i) and private(b, j):
             tau[a.name], tau[b.name] = b.name, a.name
-    if not _maps_onto_itself(redex, {i: j, j: i}, sigma, tau):
+    params = [_rename(x, sigma) for _c, x in redex.nodes]
+    if not _maps_onto_itself(redex, {i: j, j: i}, params, tau):
         return False
+    # a swap of two distinct variables rewrites exactly the terms that hold one
+    rewritten = [v for v, names in enumerate(reactum_vars) if not sigma.keys().isdisjoint(names)]
+    params = [x for _c, x in reactum.nodes]
+    for v in rewritten:
+        params[v] = _rename(params[v], sigma)
     renamed = sorted({v for lk in reactum.links if lk.name in tau for v, _p in lk.ports}
-                     | {v for v, (_c, x) in enumerate(reactum.nodes) if _rename(x, sigma) != x})
+                     | set(rewritten))
     if len(renamed) not in (0, 2) or any(reactum.node_children[v] for v in renamed):
         return False
-    return _maps_onto_itself(reactum, dict(zip(renamed, reversed(renamed))), sigma, tau)
+    return _maps_onto_itself(reactum, dict(zip(renamed, reversed(renamed))), params, tau)
 
 
 def _groups(fam: RuleFamily, domains) -> Groups:
@@ -592,11 +620,16 @@ def _groups(fam: RuleFamily, domains) -> Groups:
         if not redex.node_children[v]:
             alike.setdefault((redex.up[v], ctrl.name), []).append(v)
     groups: list[tuple[int, ...]] = []
+    reactum_vars = None
     for members in alike.values():
+        if len(members) < 2:
+            continue
+        if reactum_vars is None:
+            reactum_vars = [() if is_concrete(x) else term_vars(x) for _c, x in fam.reactum.nodes]
         found: list[list[int]] = []
         for v in members:
             for group in found:
-                if _interchangeable(fam, group[0], v, domains):
+                if _interchangeable(fam, group[0], v, domains, reactum_vars):
                     group.append(v)
                     break
             else:
@@ -632,13 +665,16 @@ def enabled_outcomes(agent: Bigraph, model: Model) -> dict[str, list[Outcome]]:
             matches = valid.get(base)
             if matches is None:
                 groups = model.groups.get(base, ())
-                matches = occurrences(agent, fam.redex, domains=model.searches[base].match_domains,
-                                      groups=groups, tally=tally)
-                if matches and fam.condition is not None:
-                    blockers = [frozenset(c.nodes)
-                                for c in occurrences(agent, fam.condition, tally=tally)]
-                    matches = [m for m in matches
-                               if not any(b.isdisjoint(m.nodes) for b in blockers)]
+                try:
+                    matches = occurrences(agent, fam.redex, groups=groups, tally=tally,
+                                          domains=model.searches[base].match_domains)
+                    if matches and fam.condition is not None:
+                        blockers = [frozenset(c.nodes)
+                                    for c in occurrences(agent, fam.condition, tally=tally)]
+                        matches = [m for m in matches
+                                   if not any(b.isdisjoint(m.nodes) for b in blockers)]
+                except PatternLimit as exc:
+                    raise PatternLimit(f"rule {base}: {exc}") from None
                 valid[base] = matches
             if not matches:
                 continue

@@ -36,7 +36,7 @@ from time import perf_counter
 from .kernels import Graph, as_arrays, sweep
 from .lang import ForcedNext, Inevitable, Property, Reach, Safety
 from .lang import parse_properties  # re-exported beside the checker it feeds
-from .match import Tally, occurrences
+from .match import PatternLimit, Tally, occurrences
 from .mdp import Mdp
 from .records import Record
 from .rules import Pattern
@@ -65,7 +65,10 @@ def label(mdp: Mdp, patterns: list[Pattern]) -> Mdp:
     for g, names in zip(mdp.states, labels):
         tally = Tally(g)
         for p in patterns:
-            found = occurrences(g, p.body, domains=p.match_domains, tally=tally)
+            try:
+                found = occurrences(g, p.body, domains=p.match_domains, tally=tally)
+            except PatternLimit as exc:
+                raise PatternLimit(f"pattern {p.name}: {exc}") from None
             searches += 1
             matches += len(found)
             for binding in {m.binding for m in found}:

@@ -15,12 +15,15 @@ from __future__ import annotations
 
 import copy
 import itertools
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from tickgraph.bigraph import Bigraph, Ref
+from tickgraph.lang import KEYWORDS, ParseError
 from tickgraph.params import Var, term_eval
+from tickgraph.records import Record
 
 
 def edge_counts(g: Bigraph, node: int) -> dict[int, int]:
@@ -692,3 +695,60 @@ def gauss_seidel(choices, target: list[bool], mode: str, tol: float = 1e-13) -> 
             delta = max(delta, abs(best - values[s]))
             values[s] = best
     return values
+
+
+# ---------------------------------------------------------------------------
+# the reference lexer: one regex match per token and per run of blanks, one
+# record per token; `tickgraph.lang.tokenize` must give the same stream
+
+
+# The alternatives are tried in order: a FLOAT before an INT, each operator
+# before its prefixes.  `\d` is a decimal digit, which `int` and `float`
+# accept.  Identifiers are ASCII: canonical forms, and so cache files, spell
+# control names in ASCII.
+_TOKEN = re.compile(
+    r"""
+      (?P<SKIP>[ \t\r]+|\#[^\n]*)
+    | (?P<NEWLINE>\n)
+    | (?P<FLOAT>\d+\.\d+)
+    | (?P<INT>\d+)
+    | (?P<STRING>"[^"\n]*")
+    | (?P<WORD>[A-Za-z_][A-Za-z0-9_]*)
+    | (?P<PUNCT>\|\||-\[|\]->|->|<=|>=|[{}()\[\]=;,.|/+\-*!<>&])
+    """,
+    re.VERBOSE,
+)
+
+
+class Token(Record):
+    __slots__ = ("kind", "text", "line", "col")
+
+    def __init__(self, kind: str, text: str, line: int, col: int):
+        self.kind = kind  # IDENT KEYWORD INT FLOAT STRING PUNCT EOF
+        self.text = text
+        self.line = line
+        self.col = col
+
+
+def reference_tokenize(text: str) -> list[Token]:
+    toks: list[Token] = []
+    line, line_start = 1, 0
+    pos = end = 0  # end: where the EOF token sits, at the '#' of a final comment
+    while pos < len(text):
+        m = _TOKEN.match(text, pos)
+        col = pos - line_start + 1
+        if m is None:
+            if text[pos] == '"':
+                raise ParseError("unterminated string", line, col)
+            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
+        kind, word = m.lastgroup, m.group()
+        end = pos if word[0] == "#" else m.end()
+        pos = m.end()
+        if kind == "NEWLINE":
+            line, line_start = line + 1, pos
+        elif kind == "WORD":
+            toks.append(Token("KEYWORD" if word in KEYWORDS else "IDENT", word, line, col))
+        elif kind != "SKIP":
+            toks.append(Token(kind, word, line, col))
+    toks.append(Token("EOF", "", line, end - line_start + 1))
+    return toks

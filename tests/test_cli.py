@@ -102,6 +102,19 @@ def test_deep_nest_chain_is_read_without_recursion(tmp_path):
     assert "1 states, 1 choices, 1 transitions" in r.stdout
 
 
+def test_deep_predicate_is_a_named_limit(tmp_path):
+    # the matcher recurses once per pattern entity: a 1,501-entity predicate
+    # was an internal RecursionError (exit 4); now the pattern is refused,
+    # by name and size, before its first search
+    text = (DATA / "deep_pred.big").read_text()
+    assert text.count("A." * 1500 + "L;") == 2
+    r = run("check", DATA / "deep_pred.big", "--props", DATA / "deep_pred.props",
+            "--out", tmp_path)
+    assert (r.returncode, r.stdout) == (3, ""), r.stderr
+    assert r.stderr.startswith("tickgraph: pattern p: 1501 entities and 0 hyperedges need ")
+    assert "internal error" not in r.stderr
+
+
 def test_long_closure_chain_is_read_without_recursion(tmp_path):
     # each `/t` was one parser frame, and one elaborator frame
     n = 1200

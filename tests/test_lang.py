@@ -7,10 +7,33 @@ from hypothesis import strategies as st
 
 from tickgraph.bigraph import Control, ion, validate
 from tickgraph.elaborate import ElabError, elaborate, load_model
-from tickgraph.lang import ParseError, parse
+from tickgraph.lang import (
+    KEYWORDS,
+    AbrsBlock,
+    ActionDecl,
+    BigDecl,
+    CtrlDecl,
+    EClose,
+    EId,
+    EIon,
+    EMerge,
+    ENest,
+    EOne,
+    EPar,
+    IBin,
+    IntDecl,
+    IVar,
+    ParseError,
+    ReactDecl,
+    RuleRef,
+    parse,
+    read_source,
+    tokenize,
+)
 from tickgraph.rules import Pattern, RuleFamily
 
 from .conftest import is_iso
+from .oracle import reference_tokenize
 
 MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
 
@@ -113,6 +136,134 @@ def test_parser_survives_octets(blob):
         parse(blob.decode("utf-8", errors="replace"))
     except ParseError:
         pass
+
+
+# ---------------------------------------------------------------------------
+# the lexer against the reference one, and the positions the parser keeps
+
+ROOT = MODELS.parent
+SOURCES = sorted(
+    [*MODELS.glob("*.big"), *MODELS.glob("*.props"), *(ROOT / "tests" / "data").glob("*.big"),
+     *(ROOT / "tests" / "data").glob("*.props")]
+)
+
+
+def _lexed(lex, text):
+    """(kind, text, line, col) per token, or the error's message and line:col."""
+    try:
+        toks = lex(text)
+    except ParseError as exc:
+        return ("error", str(exc), exc.line, exc.col)
+    if lex is reference_tokenize:
+        return [(t.kind, t.text, t.line, t.col) for t in toks]
+    return [(kind, word, line, col) for kind, word, (line, col) in toks]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_lexer_equals_the_reference_on_every_source(path):
+    text = read_source(path)
+    assert _lexed(tokenize, text) == _lexed(reference_tokenize, text)
+
+
+# the language's alphabet, blanks of every kind, and what is not in it
+_PIECES = st.sampled_from(
+    [*sorted(KEYWORDS), "A", "x_1", "_", "0", "7", "1.5", "12.", ".5", "9" * 40, "1" * 5000,
+     "||", "|", "-[", "]->", "->", "-", "<=", ">=", "<", ">", *"{}()[]=;,./+*!&", '"p"',
+     '"', '"un', " ", "  ", "\t", "\r", "\n", "\r\n", "#", "# c", "# c\n", "é", "Dóne",
+     "²", "٣", "$", "'"]
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.one_of(_PIECES, st.text(max_size=2)), max_size=30).map("".join))
+@example("ctrl A = 0; # a comment at the end, with no newline")
+@example('big b = "open string\nA;')
+@example("atomic ctrl Dóne = 0;")
+@example("int k = {" + "9" * 5000 + "};")
+@example("\t\r\n  \r")
+@example("")
+def test_lexer_equals_the_reference_on_generated_text(text):
+    assert _lexed(tokenize, text) == _lexed(reference_tokenize, text)
+
+
+def _start(e):
+    """Where expression `e` starts in the source: its first token, or None
+    for an integer literal, which is no node."""
+    while isinstance(e, (ENest, IBin)):
+        e = e.head if isinstance(e, ENest) else e.left
+    return None if isinstance(e, int) else e.pos
+
+
+def _nodes(ast):
+    todo = [*ast.controls, *ast.bigs, *ast.reacts, ast.abrs]
+    while todo:
+        node = todo.pop()
+        if node is None or isinstance(node, (int, float, str)):
+            continue
+        if isinstance(node, tuple):  # a priority class: a tuple of rule references
+            todo.extend(node)
+            continue
+        yield node
+        for field in node._fields:
+            value = getattr(node, field)
+            todo.extend(value if isinstance(value, tuple) else [value])
+
+
+# every operator and bracket that no model file holds
+OPERATORS = """atomic fun ctrl X(n) = 1; ctrl S = 1; atomic ctrl L = 0;
+fun react r(n) = /c (S{c}.(id | 1) || X(n){c}) -[0.5]->
+  /c (S{c}.((id) | (L | L)) || X((n - 1) * (2 + n) * 3){c}) if ! S{d}.1 in ctx;
+big s = /c (S{c}.1 || X(0){c});
+begin abrs int k = {1, 2}; init s; rules = [ {r(k)} ]; actions = [ a = {r} ]; end
+"""
+
+
+@pytest.mark.parametrize(
+    "text", [*(p for p in SOURCES if p.suffix == ".big"), OPERATORS],
+    ids=lambda p: getattr(p, "name", "operators"),
+)
+def test_every_node_points_at_the_first_token_of_its_construct(text):
+    # read with the reference lexer: a position is checked against tokens
+    # the code under test did not find
+    if not isinstance(text, str):
+        text = read_source(text)
+    toks = reference_tokenize(text)
+    at = {(t.line, t.col): k for k, t in enumerate(toks)}
+    word = lambda k: toks[k].text
+    after = lambda k, *words: next(j for j in range(k, len(toks)) if toks[j].text not in words)
+    # where an expression starting at token k may start: k, or past some of
+    # the parentheses that open there
+    opening = lambda k: {(t.line, t.col) for t in toks[k : after(k, "(") + 1]}
+    seen = 0
+    for node in _nodes(parse(text)):
+        k = at[node.pos]  # every node starts at a token
+        kind = type(node)
+        if kind in (CtrlDecl, BigDecl, ReactDecl):
+            j = after(k, "atomic", "fun")  # at its first modifier, if it has one
+            keyword = {CtrlDecl: "ctrl", BigDecl: "big", ReactDecl: "react"}[kind]
+            assert (word(j), word(j + 1)) == (keyword, node.name)
+            assert k == 0 or word(k - 1) not in ("atomic", "fun")
+        elif kind is AbrsBlock:
+            assert word(k) == "begin"
+        elif kind is IntDecl:
+            assert (word(k), word(k + 1)) == ("int", node.name)
+        elif kind in (RuleRef, ActionDecl, IVar):
+            assert word(k) == node.name
+        elif kind is EIon:
+            assert word(k) == node.ctrl
+        elif kind in (EId, EOne):
+            assert word(k) == ("id" if kind is EId else "1")
+        elif kind is EClose:
+            assert (word(k), word(k + 1)) == ("/", node.name)
+        elif kind in (ENest, IBin):  # infix: at its operator, the right operand next
+            assert word(k) == ("." if kind is ENest else node.op)
+            right = node.child if kind is ENest else node.right
+            assert _start(right) in opening(k + 1) | {None}  # None: an integer literal
+        else:  # a join: where its first operand starts, or at a parenthesis that opens it
+            assert kind in (EMerge, EPar)
+            assert _start(node.parts[0]) in opening(k)
+        seen += 1
+    assert seen > 10
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -270,15 +271,18 @@ def random_pattern(rng: random.Random, max_nodes=3) -> Bigraph:
     return Bigraph(nodes, node_children, region_children, nsites, links)
 
 
-def sub_pattern(rng: random.Random, agent: Bigraph) -> Bigraph:
+def sub_pattern(rng: random.Random, agent: Bigraph, nested: float = 0.0) -> Bigraph:
     """A pattern cut out of the agent, so that it occurs at least once unless
     a variable's domain or an exclusion rules that out.
 
     Each chosen entity keeps a random subset of its children and gets a site
     when it drops one (and at random otherwise); parameters become shared
-    variables at random.  Mostly, when the agent has two entities with
-    disjoint subtrees that share an edge, they root two regions;
-    otherwise a second region is drawn at random.  An agent edge all of
+    variables at random.  With probability `nested`, a second region is
+    rooted at an entity inside the first region's captured forest (below a
+    dropped child), where its anchor must be refused, so the pattern occurs
+    elsewhere or not at all.  Otherwise, mostly, when the agent has two
+    entities with disjoint subtrees that share an edge, they root two
+    regions; else a second region is drawn at random.  An agent edge all of
     whose ports are chosen may stay closed; any other becomes an outer name.
     """
     nodes, node_children, region_children = [], [], []
@@ -302,6 +306,13 @@ def sub_pattern(rng: random.Random, agent: Bigraph) -> Bigraph:
             nsites += 1
         return i
 
+    def above(u: int) -> set[int]:
+        up = set()
+        while agent.up[u] >= 0:
+            u = agent.up[u]
+            up.add(u)
+        return up
+
     def apart(u: int, v: int) -> bool:
         return u != v and v not in agent.descendants(u) and u not in agent.descendants(v)
 
@@ -310,7 +321,14 @@ def sub_pattern(rng: random.Random, agent: Bigraph) -> Bigraph:
         (u, v) for u in range(agent.nnodes) for v in range(agent.nnodes)
         if apart(u, v) and set(edge_counts(agent, u)) & set(edge_counts(agent, v))
     ]
-    if linked and rng.random() < 0.8:
+    # entities with a grandchild: a forest captured below them can hold a root
+    deep = [u for u in range(agent.nnodes) if any(agent.kids[c] for c in agent.kids[u])]
+    if deep and nested and rng.random() < nested:
+        region_children.append([("n", take(rng.choice(deep)))])
+        forest = [v for v in range(agent.nnodes) if v not in new_id and agent.up[v] >= 0
+                  and agent.up[v] not in new_id and new_id.keys() & above(agent.up[v])]
+        roots = [rng.choice(forest)] if forest else []
+    elif linked and rng.random() < 0.8:
         roots = list(rng.choice(linked))
     else:
         roots = [rng.randrange(agent.nnodes)]
@@ -335,7 +353,7 @@ def check_agreement(seed: int) -> tuple[int, int]:
     (else 0)."""
     rng = random.Random(seed)
     agent = random_ground(rng)
-    pattern = sub_pattern(rng, agent) if rng.random() < 0.5 else random_pattern(rng)
+    pattern = sub_pattern(rng, agent, nested=0.5) if rng.random() < 0.5 else random_pattern(rng)
     n = assert_agreement(rng, agent, pattern, seed)
     return n, n if second_root_linked(pattern) else 0
 
@@ -381,7 +399,10 @@ def test_matcher_agrees_with_enumerator(block):
         hits += n
         linked_hits += linked
     # each block holds matches, some of them of a second root found through
-    # an edge it shares with the first region (26-36 and 3-12 per block)
+    # an edge it shares with the first region (32-45 and 3-12 per block);
+    # some patterns root their second region inside the first one's
+    # captured forest, where no anchor may lie (half the blocks fail when
+    # `_Search._complete` checks the anchor alone, not the entities above it)
     assert hits >= 20
     assert linked_hits >= 2
 
@@ -472,3 +493,26 @@ def test_cloud_explore_search_steps(monkeypatch):
     mdp = explore(model)
     assert (mdp.n_states, mdp.n_choices, mdp.n_transitions) == (106, 106, 120)
     assert calls[0] == 3_697 <= 12_234 // 3
+
+
+def _chain(n: int) -> Bigraph:
+    """n entities, each the only child of the one before."""
+    a, leaf = Control("A"), Control("L", atomic=True)
+    kids = [[("n", i + 1)] for i in range(n - 1)] + [[]]
+    return Bigraph([(a, None)] * (n - 1) + [(leaf, None)], kids, [[("n", 0)]], 0, [])
+
+
+def test_pattern_deeper_than_the_stack_is_a_named_limit():
+    # the search nests one call per entity: a pattern deeper than the stack
+    # leaves room for is refused when its tables are built, before any search
+    budget = sys.getrecursionlimit() - match._HEADROOM
+    fits = _chain(budget - 3)  # its search nests `budget` calls
+    assert len(occurrences(fits, fits)) == 1
+    deep = _chain(budget - 2)
+    message = f"{budget - 2} entities and 0 hyperedges need {budget + 1} nested search calls"
+    for _ in range(2):  # refused each time, as no tables are kept
+        with pytest.raises(match.PatternLimit, match=message):
+            occurrences(deep, deep)
+        assert deep._tables is None
+    # a state holding the deep chain is searched for shallow patterns as before
+    assert len(occurrences(deep, _chain(3))) == 1  # at the chain's foot

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tickgraph import rules
+from tickgraph import match, rules
 from tickgraph.bigraph import Control, close, ion, merge, nest, parallel, site, validate
 from tickgraph.canon import canonical_form
 from tickgraph.elaborate import elaborate, load_model
@@ -785,3 +785,14 @@ def test_interchangeable_clocks_with_deep_terms():
     ))
     built = explore(model)
     assert (built.n_states, built.n_choices, built.n_transitions) == (3, 2, 2)
+
+
+def test_deep_redex_is_a_limit_naming_its_rule():
+    deep = "A." * 1500 + "L"
+    model = elaborate(parse(
+        "ctrl A = 0;\natomic ctrl L = 0;\n"
+        f"react r = {deep} -[1]-> {deep};\nbig s = {deep};\n"
+        "begin abrs\n  init s;\n  rules = [ {r} ];\n  actions = [ a = {r} ];\nend\n"
+    ))
+    with pytest.raises(match.PatternLimit, match=r"^rule r: 1501 entities and 0 hyperedges"):
+        rules.enabled_outcomes(model.init, model)
