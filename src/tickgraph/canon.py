@@ -66,26 +66,22 @@ sources:
 
 The generators need not span the whole automorphism group; each must map
 the bigraph onto itself.  Exploring twelve tokens linked in six identical
-closed pairs (28 states) computes 43 forms with 198 leaves in about 0.05 s
-(before generators were used: 169 forms, 759 leaves); fourteen tokens (36
-states) take 57 forms, 315 leaves and about 0.08 s.  The worst case left is
-refinement itself: a closed ring of twelve tokens (224 states) computes
-1,057 forms, not 2,689, with 1,374 leaves and 1,683 refinements.  Their
-14,457 rounds, which spread along the ring, compute 111,144 signatures
-(231,572 when every round recomputed every tied class): the explore takes
-about 0.65 s, 0.27 s of it in refinement.
+closed pairs (28 states) computes 43 forms with 198 leaves in about 0.05 s;
+fourteen tokens (36 states) take 57 forms, 315 leaves and about 0.08 s.
+The worst case left is refinement itself: a closed ring of twelve tokens
+(224 states) computes 1,057 forms, not 2,689, with 1,374 leaves and 1,683
+refinements.  Their 14,457 rounds, which spread along the ring, compute
+111,144 signatures: the explore takes about 0.65 s, 0.27 s of it in
+refinement.
 
 The inner loops work on the bigraph's index and on tables built once per
 form in one pass: each entity's text up to its closed references, its
 closed (edge, port count) pairs and its initial colour, the head text and
 colour memoised on the control per parameter.  A signature sorts an
 entity's children only when it has two or more, and an entity's edges or a
-hyperedge's members only when there are three or more.  A cloud state (30 entities, 10 closed edges)
-costs about 0.55 to 0.6 of what it did when every signature and text went
-through a sort and every head was formatted anew; ring12's explore took
-about 1.0 s, 0.45 s of it in refinement.  Times are on a shared 2-core x86
-machine.  ``tests/oracle.py`` keeps the plain search as the reference these
-encodings must equal byte for byte.
+hyperedge's members only when there are three or more.  Times are on a
+shared 2-core x86 machine.  ``tests/oracle.py`` keeps the plain search as
+the reference these encodings must equal byte for byte.
 """
 
 from __future__ import annotations

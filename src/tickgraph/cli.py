@@ -3,6 +3,8 @@
 Each subcommand takes only the flags it reads.  `validate` also checks the
 model's digital-clocks discipline (see `elaborate.clock_problems`) and
 reports each breach as a problem; `build`, `export` and `check` do not.
+Each of these three reads the MDP cache once: a fresh cache answers
+`build`, and a labelled one `check` and `export`, without the model.
 
 Exit codes: 0 success (all properties hold), 1 property failure, 2 usage or
 model error (including any `validate` problem), 3 resource limit, 4
@@ -27,6 +29,7 @@ from .lang import ParseError, parse_properties, read_source
 from .mdp import (
     ExplorationLimit,
     add_stall_loops,
+    decode_states,
     explore,
     export_dot,
     export_prism,
@@ -76,54 +79,48 @@ def _model_key(path: str, fix_deadlocks: bool) -> str:
     return file_digest(path) + (":stall" if fix_deadlocks else "")
 
 
-def _out_stem(args) -> str:
-    """`--out` joined with the model file's stem, which `load_model` names
-    the model by."""
-    return os.path.join(args.out, os.path.splitext(os.path.basename(args.model))[0])
+def _model_stem(args) -> str:
+    """The model file's stem, which `load_model` names the model by."""
+    return os.path.splitext(os.path.basename(args.model))[0]
 
 
 def _cache_path(args) -> str:
-    return _out_stem(args) + ".mdpc"
+    return os.path.join(args.out, _model_stem(args) + ".mdpc")
 
 
-def _obtain_mdp(args, model, key: str):
-    """The cached MDP when fresh, else a new exploration; and whether it is new."""
-    cache = _cache_path(args)
-    mdp = load_mdp(cache, model.controls, key)
-    # over the budget, exploring again fails exactly as the first build did
-    if mdp is not None and mdp.n_states <= args.max_states:
-        log.info("reusing cache %s", cache)
-        return mdp, False
+def _read_cache(args, key: str):
+    """The fresh cached MDP, undecoded, or None; over `--max-states` it is
+    dropped, so that exploring again fails exactly as the first build did."""
+    mdp = load_mdp(_cache_path(args), key)
+    return mdp if mdp is not None and mdp.n_states <= args.max_states else None
+
+
+def _explore(args, model):
     mdp = explore(model, max_states=args.max_states)
     if args.fix_deadlocks:
         add_stall_loops(mdp)
-    return mdp, True
-
-
-def _save(args, mdp, key: str) -> None:
-    os.makedirs(args.out, exist_ok=True)
-    save_mdp(_cache_path(args), mdp, key)
+    return mdp
 
 
 def _labelled_mdp(args):
-    """The labelled MDP that `check` and `export` read.
-
-    A fresh cache with labels answers alone: the model is not elaborated,
-    and no state is decoded or matched.  Otherwise the MDP is obtained as
-    for `build`, labelled and written back with its labels; a write-back
-    that fails only warns.
-    """
+    """The labelled MDP for `check` and `export`: a fresh labelled cache
+    alone; else the fresh cache decoded, or a new exploration, labelled and
+    written back (a write-back that fails only warns)."""
     key = _model_key(args.model, args.fix_deadlocks)
     cache = _cache_path(args)
-    mdp = load_mdp(cache, None, key)  # only a labelled cache loads without controls
-    if mdp is not None and mdp.n_states <= args.max_states:
+    mdp = _read_cache(args, key)
+    if mdp is not None and mdp.label_names is not None:
         log.info("reusing cache %s with labels", cache)
         return mdp
     model = load_model(args.model)
-    mdp, _new = _obtain_mdp(args, model, key)
+    if mdp is not None and decode_states(mdp, model.controls) is not None:
+        log.info("reusing cache %s", cache)
+    else:
+        mdp = _explore(args, model)
     label(mdp, model.patterns)
     try:
-        _save(args, mdp, key)
+        os.makedirs(args.out, exist_ok=True)
+        save_mdp(cache, mdp, key)
     except OSError as exc:
         log.warning("could not write the labelled cache %s: %s", cache, exc)
     return mdp
@@ -153,15 +150,18 @@ def cmd_validate(args) -> int:
 
 
 def cmd_build(args) -> int:
-    model = load_model(args.model)
     key = _model_key(args.model, args.fix_deadlocks)
-    mdp, new = _obtain_mdp(args, model, key)
-    if new:
-        _save(args, mdp, key)
     cache = _cache_path(args)
+    mdp = _read_cache(args, key)
+    if mdp is not None:
+        log.info("reusing cache %s", cache)
+    else:
+        mdp = _explore(args, load_model(args.model))
+        os.makedirs(args.out, exist_ok=True)
+        save_mdp(cache, mdp, key)
     initial_actions = [c.action for c in mdp.choices[0]]
     stats = {
-        "model": model.name,
+        "model": _model_stem(args),
         "states": mdp.n_states,
         "choices": mdp.n_choices,
         "transitions": mdp.n_transitions,
@@ -174,7 +174,7 @@ def cmd_build(args) -> int:
         print(json.dumps(stats, indent=2))
     else:
         print(
-            f"{model.name}: {stats['states']} states, {stats['choices']} choices, "
+            f"{stats['model']}: {stats['states']} states, {stats['choices']} choices, "
             f"{stats['transitions']} transitions, {stats['deadlocks']} deadlocks"
         )
         print(f"initial actions: {{{', '.join(initial_actions)}}}")
@@ -185,7 +185,7 @@ def cmd_build(args) -> int:
 def cmd_export(args) -> int:
     mdp = _labelled_mdp(args)
     os.makedirs(args.out, exist_ok=True)
-    stem = _out_stem(args)
+    stem = os.path.join(args.out, _model_stem(args))
     written = []
     if args.format == "prism":
         tra, lab, sta = export_prism(mdp)

@@ -150,13 +150,12 @@ class Tables:
     its pre-order position and sorted ``(edge, count, closed, edge size)``
     tuples; the pattern's controls and how many entities of each it has;
     per entity with a site, ``(entity, its first site)``; and the search
-    plans built so far, keyed by the host's counts of those controls and
-    the groups: `plans` holds each as ``(steps, bounds)``, `compiled` its
-    steps as `_Search` reads them (see :func:`_compile`).  A pattern whose
-    search would nest more calls than the recursion limit less `_HEADROOM`
-    raises :class:`PatternLimit` instead."""
+    plans compiled so far (see :func:`_compile`), keyed by the host's
+    counts of those controls and the groups.  A pattern whose search would
+    nest more calls than the recursion limit less `_HEADROOM` raises
+    :class:`PatternLimit` instead."""
 
-    __slots__ = ("pos", "edges", "controls", "need", "site_of", "plans", "compiled")
+    __slots__ = ("pos", "edges", "controls", "need", "site_of", "compiled")
 
     def __init__(self, pattern: Bigraph):
         self.pos = [0] * pattern.nnodes
@@ -180,7 +179,6 @@ class Tables:
                 f"{pattern.nnodes} entities and {len(links)} hyperedges need {depth} nested "
                 f"search calls, more than the {budget} the interpreter's stack allows"
             )
-        self.plans: dict[tuple, tuple[list[tuple], dict]] = {}
         self.compiled: dict[tuple, tuple[tuple, ...]] = {}
 
 
@@ -470,7 +468,5 @@ def occurrences(
     steps = pat.compiled.get(key)
     if steps is None:
         plan = _plan(pattern, pat, dict(zip(pat.controls, have)))
-        bounds = _bounds(plan, groups)
-        pat.plans[key] = (plan, bounds)
-        steps = pat.compiled[key] = _compile(pattern, pat, plan, bounds)
+        steps = pat.compiled[key] = _compile(pattern, pat, plan, _bounds(plan, groups))
     return _Search(agent, tally, pattern, pat, steps, domains).run()

@@ -8,9 +8,10 @@ deterministic.  The CLI caches a built MDP as one JSON document: the action
 names, each state's canonical form, and each choice as an action index with
 its `[target, probability]` pairs.  Once labelled (by `check` or `export`)
 it also holds the sorted label names and, per state, sorted indices into
-them; such a cache answers without the model, so its canonical forms are
-not decoded.  It is keyed on the model file's hash, `--fix-deadlocks` and
-the package version, and rebuilt when any differs.
+them.  `load_mdp` checks every field and decodes nothing; `decode_states`
+decodes the forms of a cache that is still to be labelled.  The cache is
+keyed on the model file's hash, `--fix-deadlocks` and the package version,
+and rebuilt when any differs.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ class Mdp(Record):
     def __init__(self, states: list[Bigraph], canon: list[bytes], choices: list[list[Choice]],
                  actions: list[str], labels: list[set[str]] | None = None,
                  label_names: set[str] | None = None):
-        self.states = states  # empty when loaded from a labelled cache
+        self.states = states  # empty when loaded from a cache, until decode_states
         self.canon = canon
         self.choices = choices
         self.actions = actions  # declared action order
@@ -286,14 +287,13 @@ def _is_label_row(x, n_names: int) -> bool:
     )
 
 
-def load_mdp(path, controls: dict[str, Control] | None, model_hash: str) -> Mdp | None:
+def load_mdp(path, model_hash: str) -> Mdp | None:
     """Reload a cached MDP; None, never an exception, when the file is
     missing, unreadable or malformed, or has another format, version or key.
 
-    A labelled cache loads with its labels and without decoding: `states`
-    is empty and the canonical forms are only checked to be distinct ASCII
-    strings.  An unlabelled one is decoded over `controls`; with `controls`
-    None it loads None.
+    Nothing is decoded: `states` is empty and the canonical forms are only
+    checked to be distinct ASCII strings (see `decode_states`).  A labelled
+    cache loads with its labels and label names.
     """
     try:
         with open(path, "rb") as fh:
@@ -304,37 +304,35 @@ def load_mdp(path, controls: dict[str, Control] | None, model_hash: str) -> Mdp 
         return None
     if (doc.get("format"), doc.get("version"), doc.get("key")) != (_FORMAT, __version__, model_hash):
         return None
-    labelled = "label_names" in doc or "labels" in doc
-    if not labelled and controls is None:
-        return None
     actions, texts, table = doc.get("actions"), doc.get("states"), doc.get("choices")
     if not (_is_list_of(actions, str) and _is_list_of(texts, str) and _is_list_of(table, list)):
         return None
-    # one choice list per state, at least the initial state, no state twice
-    if not 0 < len(texts) == len(table) == len(set(texts)):
+    # ASCII forms, one choice list per state, at least the initial state, no state twice
+    if not (all(map(str.isascii, texts)) and 0 < len(texts) == len(table) == len(set(texts))):
         return None
     if not all(_is_choice(c, len(actions), len(texts)) for cs in table for c in cs):
         return None
-    try:
-        canon = [text.encode("ascii") for text in texts]
-    except ValueError:
-        return None
+    canon = [text.encode("ascii") for text in texts]
     choices = [[Choice(actions[a], [(t, p) for t, p in dist]) for a, dist in cs] for cs in table]
-    if labelled:
-        names, rows = doc.get("label_names"), doc.get("labels")
-        if not (_is_list_of(names, str) and len(set(names)) == len(names)):
-            return None
-        if not (type(rows) is list and len(rows) == len(texts)):
-            return None
-        if not all(_is_label_row(row, len(names)) for row in rows):
-            return None
-        labels = [{names[i] for i in row} for row in rows]
-        return Mdp([], canon, choices, actions, labels, label_names=set(names))
+    if "label_names" not in doc and "labels" not in doc:
+        return Mdp([], canon, choices, actions, labels=[set() for _ in texts])
+    names, rows = doc.get("label_names"), doc.get("labels")
+    if not (_is_list_of(names, str) and len(set(names)) == len(names)
+            and type(rows) is list and len(rows) == len(texts)
+            and all(_is_label_row(row, len(names)) for row in rows)):
+        return None
+    labels = [{names[i] for i in row} for row in rows]
+    return Mdp([], canon, choices, actions, labels, label_names=set(names))
+
+
+def decode_states(mdp: Mdp, controls: dict[str, Control]) -> Mdp | None:
+    """`mdp` with its canonical forms decoded over `controls` into `states`;
+    None, leaving `states` as it was, when a form does not decode."""
     try:
-        states = [decode_canonical(key, controls) for key in canon]
+        mdp.states = [decode_canonical(key, controls) for key in mdp.canon]
     except ValueError:  # not a canonical form over these controls
         return None
-    return Mdp(states, canon, choices, actions, labels=[set() for _ in texts])
+    return mdp
 
 
 def file_digest(path) -> str:

@@ -1,9 +1,11 @@
 import pytest
 
-from tickgraph.bigraph import Control, close, ion, merge, merge_all, nest, parallel, site
+from tickgraph.bigraph import Control
 from tickgraph.canon import canonical_form
 from tickgraph.params import Arith, Var
 from tickgraph.rules import Model, Pattern, RuleEntry, RuleFamily
+
+from .algebra import close, ion, merge, merge_all, nest, parallel, site
 
 
 def is_iso(a, b) -> bool:

@@ -17,13 +17,14 @@ from collections import Counter
 import pytest
 
 from tickgraph import rules
-from tickgraph.bigraph import Bigraph, merge, parallel
+from tickgraph.bigraph import Bigraph
 from tickgraph.canon import canonical_form
 from tickgraph.elaborate import elaborate, load_model
 from tickgraph.lang import parse
 from tickgraph.mdp import explore
 from tickgraph.rules import action_distribution, apply, enabled_outcomes
 
+from .algebra import merge, parallel
 from .conftest import token_model
 from .oracle import every_match, reference_action_distribution
 from .test_canon import near_symmetric, random_bigraph, weakly_refined

@@ -2,22 +2,9 @@ import re
 
 import pytest
 
-from tickgraph.bigraph import (
-    Bigraph,
-    Control,
-    Link,
-    close,
-    empty,
-    ion,
-    merge,
-    merge_all,
-    nest,
-    parallel,
-    parallel_all,
-    site,
-    validate,
-)
+from tickgraph.bigraph import Bigraph, Control, Link, validate
 
+from .algebra import close, empty, ion, merge, merge_all, nest, parallel, parallel_all, site
 from .conftest import is_iso
 
 S = Control("S", arity=1)

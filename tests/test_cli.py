@@ -1000,7 +1000,7 @@ def _forbid_bigraph_work(monkeypatch):
     from tickgraph import cli, mdp, verify
 
     def forbidden(*_args, **_kwargs):
-        raise AssertionError("bigraph work on a labelled cache")
+        raise AssertionError("bigraph work where the cache answers")
 
     for module, name in ((cli, "load_model"), (mdp, "decode_canonical"), (verify, "occurrences")):
         monkeypatch.setattr(module, name, forbidden)
@@ -1071,6 +1071,123 @@ def test_labelled_check_and_export_do_no_bigraph_work(tmp_path, monkeypatch, cap
     assert sorted(exports["pta", "prism"]) == ["pta.lab", "pta.mdpc", "pta.sta", "pta.tra"]
 
 
+@pytest.mark.parametrize("stem", ["pta", "cloud"])
+def test_build_on_a_fresh_cache_does_no_bigraph_work(tmp_path, monkeypatch, capsys, caplog, stem):
+    # a second build reads the cache alone, unlabelled or labelled, and
+    # prints what the first one did (with the digest of the file it finds)
+    import logging
+
+    from tickgraph import cli
+
+    model = str(MODELS / f"{stem}.big")
+    cache = tmp_path / f"{stem}.mdpc"
+
+    def build(flags):
+        assert cli.main(["build", model, "--out", str(tmp_path)] + flags) == 0
+        return capsys.readouterr().out
+
+    cold = {}
+    for flags in ([], ["--json"]):
+        cache.unlink(missing_ok=True)
+        cold[tuple(flags)] = build(flags)
+    built = cache.read_bytes()
+    digest = hashlib.sha256(built).hexdigest()
+    for labelled in (False, True):
+        if labelled:
+            assert cli.main(["check", model, "--props", str(MODELS / f"{stem}.props"),
+                             "--out", str(tmp_path)]) == 0
+            capsys.readouterr()
+            assert _is_labelled(cache)
+        before = cache.read_bytes()
+        now = hashlib.sha256(before).hexdigest()
+        with monkeypatch.context() as patched:
+            _forbid_bigraph_work(patched)
+            for flags in ([], ["--json"]):
+                caplog.clear()
+                with caplog.at_level(logging.INFO, logger="tickgraph"):
+                    got = build(flags)
+                assert got == cold[tuple(flags)].replace(digest, now)
+                lines = [r.getMessage() for r in caplog.records]
+                assert lines == [f"reusing cache {cache}"]
+        assert cache.read_bytes() == before
+    assert json.loads(got)["cache_digest"] != digest  # the labelled file's
+
+
+@pytest.mark.parametrize("stem", ["pta", "cloud"])
+@pytest.mark.parametrize("command", ["check", "export"])
+def test_check_or_export_after_build_decodes_the_cache_once(tmp_path, monkeypatch, capsys,
+                                                            stem, command):
+    from collections import Counter
+
+    from tickgraph import cli, mdp
+
+    model = str(MODELS / f"{stem}.big")
+    assert cli.main(["build", model, "--out", str(tmp_path), "--json"]) == 0
+    states = json.loads(capsys.readouterr().out)["states"]
+    calls = Counter()
+
+    def count(module, name):
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    def forbidden(*_args, **_kwargs):
+        raise AssertionError("explored though the cache is fresh")
+
+    count(cli, "load_mdp")
+    count(mdp, "decode_canonical")
+    monkeypatch.setattr(cli, "explore", forbidden)
+    if command == "check":
+        argv = ["check", model, "--props", str(MODELS / f"{stem}.props")]
+    else:
+        argv = ["export", model]
+    assert cli.main(argv + ["--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert calls == {"load_mdp": 1, "decode_canonical": states}
+    assert _is_labelled(tmp_path / f"{stem}.mdpc")
+
+
+def test_check_rebuilds_a_cache_whose_form_does_not_decode(tmp_path, capsys, caplog):
+    # `build` reads no form, so it reuses such a cache; the first `check`
+    # finds the form undecodable, explores afresh and writes the cache that
+    # a cold check writes
+    import logging
+
+    from tickgraph import cli
+    from tickgraph.mdp import load_mdp
+
+    model = str(MODELS / "pta.big")
+    argv = ["check", model, "--props", str(MODELS / "pta.props"), "--json", "--out"]
+    assert cli.main(argv + [str(tmp_path / "cold")]) == 0
+    cold = capsys.readouterr().out
+    out = tmp_path / "damaged"
+    assert cli.main(["build", model, "--out", str(out)]) == 0
+    cache = out / "pta.mdpc"
+    doc = json.loads(cache.read_bytes())
+    doc["states"][0] = "bg;"
+    cache.write_text(json.dumps(doc, separators=(",", ":")))
+    damaged = cache.read_bytes()
+    with caplog.at_level(logging.INFO, logger="tickgraph"):
+        assert cli.main(["build", model, "--out", str(out)]) == 0
+    assert f"reusing cache {cache}" in [r.getMessage() for r in caplog.records]
+    assert cache.read_bytes() == damaged
+    capsys.readouterr()
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="tickgraph"):
+        assert cli.main(argv + [str(out)]) == 0
+    assert capsys.readouterr().out == cold
+    lines = [r.getMessage() for r in caplog.records]
+    assert not any(line.startswith("reusing cache") for line in lines)
+    assert any(line.startswith("explore:") for line in lines)
+    assert cache.read_bytes() == (tmp_path / "cold" / "pta.mdpc").read_bytes()
+    relabelled = load_mdp(cache, cli._model_key(model, False))
+    assert relabelled is not None and relabelled.label_names is not None
+
+
 def test_labelled_check_keeps_its_errors(tmp_path, monkeypatch, capsys):
     from tickgraph import cli
 
@@ -1117,7 +1234,7 @@ def test_editing_the_model_relabels_the_cache(tmp_path, capsys, caplog):
     assert capsys.readouterr().out.startswith("HOLDS")
     assert any(r.getMessage().startswith("label: 14 states") for r in caplog.records)
     key = cli._model_key(str(model), False)
-    relabelled = load_mdp(tmp_path / "pta.mdpc", None, key)
+    relabelled = load_mdp(tmp_path / "pta.mdpc", key)
     assert relabelled is not None and not any("in_Done_state" in ls for ls in relabelled.labels)
 
 

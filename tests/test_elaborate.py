@@ -14,9 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tickgraph import bigraph, lang
-from tickgraph.bigraph import Control, close, empty, ion, merge_all, nest, parallel_all, site
+from tickgraph.bigraph import Control
 from tickgraph.elaborate import ElabError, _Elaborator, _operands, load_model
 from tickgraph.params import _MAX_DIGITS
+
+from .algebra import close, empty, ion, merge_all, nest, parallel_all, site
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 MODEL_FILES = sorted((ROOT / "models").glob("*.big")) + sorted(

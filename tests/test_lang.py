@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tickgraph.bigraph import Control, ion, validate
+from tickgraph.bigraph import Control, validate
 from tickgraph.elaborate import ElabError, elaborate, load_model
 from tickgraph.lang import (
     KEYWORDS,
@@ -32,6 +32,7 @@ from tickgraph.lang import (
 )
 from tickgraph.rules import Pattern, RuleFamily
 
+from .algebra import ion
 from .conftest import is_iso
 from .oracle import reference_tokenize
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tickgraph import __version__
-from tickgraph.bigraph import Control, ion, validate
+from tickgraph.bigraph import Control, validate
 from tickgraph.canon import canonical_digest, canonical_form
 from tickgraph.elaborate import load_model
 from tickgraph.match import occurrences
@@ -16,6 +16,7 @@ from tickgraph.mdp import (
     ExplorationLimit,
     Mdp,
     add_stall_loops,
+    decode_states,
     explore,
     export_dot,
     export_prism,
@@ -25,6 +26,7 @@ from tickgraph.mdp import (
 from tickgraph.rules import Model, RuleEntry, RuleFamily
 from tickgraph.verify import label
 
+from .algebra import ion
 from .conftest import DONE, INIT, SEND, WAIT, build_pta_model, is_iso, pta_state, token_model
 from .oracle import _fingerprint, brute_iso, entry_outcomes, oracle_explore
 
@@ -286,39 +288,40 @@ def test_export_dot_shape(pta_mdp):
 def test_cache_round_trip(tmp_path, pta_mdp, pta_model_prog):
     path = tmp_path / "pta.mdpc"
     save_mdp(path, pta_mdp, model_hash="abc123")
-    again = load_mdp(path, pta_model_prog.controls, "abc123")
+    again = load_mdp(path, "abc123")
     assert again is not None
     assert again.canon == pta_mdp.canon
     assert [[(c.action, c.dist) for c in cs] for cs in again.choices] == [
         [(c.action, c.dist) for c in cs] for cs in pta_mdp.choices
     ]
+    # loading decodes nothing; decoding gives the explored states back
+    assert again.states == [] and again.label_names is None
+    assert decode_states(again, pta_model_prog.controls) is again
+    assert len(again.states) == len(pta_mdp.states)
     for orig, back in zip(pta_mdp.states, again.states):
         assert is_iso(orig, back)
-    assert load_mdp(path, pta_model_prog.controls, "otherhash") is None
-    assert load_mdp(tmp_path / "missing.mdpc", pta_model_prog.controls, "abc123") is None
-    # without labels, a cache needs the controls to decode its states
-    assert load_mdp(path, None, "abc123") is None
+    assert load_mdp(path, "otherhash") is None
+    assert load_mdp(tmp_path / "missing.mdpc", "abc123") is None
 
 
 def test_labelled_cache_round_trip(tmp_path, bundled_caches):
     # labels come back as they were, and no state is decoded
-    _blob, controls, mdp = bundled_caches["pta"]
+    _blob, _controls, mdp = bundled_caches["pta"]
     blob, labelled = bundled_caches["pta labelled"]
     assert labelled.label_names and any(labelled.labels)
-    for known in (None, controls):
-        path = tmp_path / "pta.mdpc"
-        path.write_bytes(blob)
-        again = load_mdp(path, known, "k")
-        assert again.states == [] and again.canon == mdp.canon
-        assert (again.n_states, again.n_choices, again.n_transitions) == (14, 20, 21)
-        assert again.labels == labelled.labels and again.label_names == labelled.label_names
-        assert [[(c.action, c.dist) for c in cs] for cs in again.choices] == [
-            [(c.action, c.dist) for c in cs] for cs in mdp.choices
-        ]
-        assert export_prism(again) == export_prism(labelled)
-        assert export_dot(again) == export_dot(labelled)
-        save_mdp(tmp_path / "again.mdpc", again, "k")
-        assert (tmp_path / "again.mdpc").read_bytes() == blob
+    path = tmp_path / "pta.mdpc"
+    path.write_bytes(blob)
+    again = load_mdp(path, "k")
+    assert again.states == [] and again.canon == mdp.canon
+    assert (again.n_states, again.n_choices, again.n_transitions) == (14, 20, 21)
+    assert again.labels == labelled.labels and again.label_names == labelled.label_names
+    assert [[(c.action, c.dist) for c in cs] for cs in again.choices] == [
+        [(c.action, c.dist) for c in cs] for cs in mdp.choices
+    ]
+    assert export_prism(again) == export_prism(labelled)
+    assert export_dot(again) == export_dot(labelled)
+    save_mdp(tmp_path / "again.mdpc", again, "k")
+    assert (tmp_path / "again.mdpc").read_bytes() == blob
 
 
 def test_repeated_exploration_identical(pta_model_prog):
@@ -329,7 +332,7 @@ def test_repeated_exploration_identical(pta_model_prog):
     assert export_prism(one) == export_prism(many)
 
 
-def test_truncated_cache_loads_none(tmp_path, pta_mdp, pta_model_prog):
+def test_truncated_cache_loads_none(tmp_path, pta_mdp):
     path = tmp_path / "pta.mdpc"
     save_mdp(path, pta_mdp, model_hash="abc123")
     blob = path.read_bytes()
@@ -337,9 +340,9 @@ def test_truncated_cache_loads_none(tmp_path, pta_mdp, pta_model_prog):
     cut = tmp_path / "cut.mdpc"
     for n in range(len(blob)):
         cut.write_bytes(blob[:n])
-        assert load_mdp(cut, pta_model_prog.controls, "abc123") is None, n
+        assert load_mdp(cut, "abc123") is None, n
     cut.write_bytes(blob + b"\x00")
-    assert load_mdp(cut, pta_model_prog.controls, "abc123") is None
+    assert load_mdp(cut, "abc123") is None
 
 
 def test_cache_holds_no_rule_names(tmp_path, pta_mdp):
@@ -376,7 +379,7 @@ def test_cache_of_another_encoding_is_rebuilt(tmp_path, capsys):
     model = MODELS / "pta.big"
     cache = tmp_path / "pta.mdpc"
     cache.write_bytes(old)
-    assert load_mdp(cache, load_model(model).controls, cli._model_key(str(model), False)) is None
+    assert load_mdp(cache, cli._model_key(str(model), False)) is None
     assert cli.main(["build", str(model), "--out", str(tmp_path), "--json"]) == 0
     first = json.loads(capsys.readouterr().out)
     assert first["states"] == 14
@@ -472,7 +475,8 @@ MALFORMED = {
     ),
 }
 
-# a labelled cache is not decoded, so only these two cases load there
+# these two load, and their forms do not decode; a labelled cache is never
+# decoded, so there they are only distinct strings
 DECODING = {"undecodable canonical form", "unknown control"}
 
 
@@ -507,24 +511,26 @@ def test_malformed_cache_loads_none(tmp_path, bundled_caches, case):
     blob, controls, _mdp = bundled_caches["pta"]
     path = tmp_path / "pta.mdpc"
     path.write_bytes(blob)
-    assert load_mdp(path, controls, "k") is not None
+    assert decode_states(load_mdp(path, "k"), controls) is not None
     path.write_bytes(MALFORMED[case](blob))
-    assert load_mdp(path, controls, "k") is None
+    got = load_mdp(path, "k")
+    if case in DECODING:
+        assert got is not None and decode_states(got, controls) is None
+    else:
+        assert got is None
 
 
 @pytest.mark.parametrize(
     "case", [c for c in MALFORMED if c not in DECODING] + list(LABELS_MALFORMED)
 )
 def test_malformed_labelled_cache_loads_none(tmp_path, bundled_caches, case):
-    _blob, controls, _mdp = bundled_caches["pta"]
     blob, _labelled = bundled_caches["pta labelled"]
     damage = MALFORMED.get(case) or LABELS_MALFORMED[case]
     path = tmp_path / "pta.mdpc"
-    for known in (None, controls):
-        path.write_bytes(blob)
-        assert load_mdp(path, known, "k") is not None
-        path.write_bytes(damage(blob))
-        assert load_mdp(path, known, "k") is None
+    path.write_bytes(blob)
+    assert load_mdp(path, "k") is not None
+    path.write_bytes(damage(blob))
+    assert load_mdp(path, "k") is None
 
 
 @pytest.mark.parametrize("case", sorted(DECODING))
@@ -534,7 +540,7 @@ def test_labelled_cache_is_not_decoded(tmp_path, bundled_caches, case):
     blob, _labelled = bundled_caches["pta labelled"]
     path = tmp_path / "pta.mdpc"
     path.write_bytes(MALFORMED[case](blob))
-    assert load_mdp(path, None, "k").n_states == 14
+    assert load_mdp(path, "k").n_states == 14
 
 
 @settings(max_examples=150, deadline=None)
@@ -542,13 +548,12 @@ def test_labelled_cache_is_not_decoded(tmp_path, bundled_caches, case):
 def test_hypothesis_damaged_cache_never_raises(
     tmp_path_factory, bundled_caches, stem, labelled, data
 ):
-    # truncations, byte flips and insertions: the loader gives None or an MDP
-    # whose targets are states, whose probabilities lie in (0, 1] and whose
-    # labels are among its label names
-    blob, controls, mdp = bundled_caches[stem]
+    # truncations, byte flips and insertions: the loader gives None or an
+    # undecoded MDP whose targets are states, whose probabilities lie in
+    # (0, 1] and whose labels are among its label names
+    blob, _controls, mdp = bundled_caches[stem]
     if labelled:
         blob, _labelled = bundled_caches[f"{stem} labelled"]
-        controls = None
     damaged = bytearray(blob)
     for _ in range(data.draw(st.integers(1, 3))):
         kind = data.draw(st.sampled_from(["cut", "flip", "insert"]))
@@ -561,15 +566,15 @@ def test_hypothesis_damaged_cache_never_raises(
             damaged[at:at] = data.draw(st.binary(min_size=1, max_size=4))
     path = tmp_path_factory.getbasetemp() / f"damaged-{stem}.mdpc"
     path.write_bytes(bytes(damaged))
-    got = load_mdp(path, controls, "k")
+    got = load_mdp(path, "k")
     if got is None:
         return
     assert got.n_states == len(got.canon) == len(got.choices) == len(got.labels) == mdp.n_states
-    assert len(set(got.canon)) == got.n_states
+    assert len(set(got.canon)) == got.n_states and got.states == []
     if labelled:
-        assert got.states == [] and all(ls <= got.label_names for ls in got.labels)
+        assert all(ls <= got.label_names for ls in got.labels)
     else:
-        assert len(got.states) == got.n_states and got.label_names is None
+        assert got.label_names is None
     for cs in got.choices:
         for c in cs:
             assert c.action in got.actions

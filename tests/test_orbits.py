@@ -218,10 +218,10 @@ def test_orbit_search_counts_a_member_found_by_edge_among_its_control():
     kept = occurrences(agent, pattern, groups=((2, 3),))
     assert kept == [m for m in every if _ascending(((2, 3),), m.nodes)]
     assert len(kept) == 1
-    # one plan, with and without the group
-    for steps, _bounds in pattern._tables.plans.values():
-        assert [(p, source) for p, source, *_ in steps] == [
-            (0, "all"), (2, "edge"), (1, "up"), (3, "kids")]
+    # one plan, with and without the group (the group shapes only its bounds)
+    steps = match._plan(pattern, pattern._tables, match.Tally(agent).counts)
+    assert [(p, source) for p, source, *_ in steps] == [
+        (0, "all"), (2, "edge"), (1, "up"), (3, "kids")]
 
 
 @pytest.mark.parametrize("k", [16, 30])

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tickgraph import match, rules
-from tickgraph.bigraph import Control, close, ion, merge, nest, parallel, site, validate
+from tickgraph.bigraph import Control, validate
 from tickgraph.canon import canonical_form
 from tickgraph.elaborate import elaborate, load_model
 from tickgraph.lang import parse
@@ -29,6 +29,7 @@ from tickgraph.rules import (
     enabled_outcomes,
 )
 
+from .algebra import close, ion, merge, nest, parallel, site
 from .conftest import (
     DONE,
     INIT,

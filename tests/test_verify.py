@@ -263,8 +263,10 @@ def test_predicate_name_collision_has_position():
 
 
 def test_pattern_checks_its_parameters():
-    from tickgraph.bigraph import Control, ion
+    from tickgraph.bigraph import Control
     from tickgraph.params import Arith, Var
+
+    from .algebra import ion
 
     x = Control("X", atomic=True, parameterised=True)
     with pytest.raises(ValueError, match=r"unbound parameters \['m'\]"):
