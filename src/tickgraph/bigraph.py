@@ -3,7 +3,13 @@
 A bigraph couples two structures over one entity set: a *place graph* (a
 forest of entities below numbered regions, with numbered sites standing for
 unspecified sub-bigraphs) and a *link graph* (hyperedges over entity ports,
-carrying an outer name when open and nothing when closed).
+carrying an outer name when open and nothing when closed).  As in Milner's
+definition (*The Space and Motion of Communicating Agents*, 2009, ch. 2),
+the place graph is stored as its parent map alone: each entity and each
+site names its parent, an entity or a region.  Siblings are unordered, so
+a parent map writes each place graph exactly one way, and every builder
+(the elaborator, `rules.apply`, the canonical-form decoder) writes parents
+directly.
 
 Instances are immutable after construction.  Entity identifiers are dense,
 local to one bigraph and carry no meaning across values; semantic equality
@@ -20,10 +26,6 @@ from __future__ import annotations
 
 from .params import Term
 from .records import Record
-
-# Place references: ("n", node id), ("s", site index), ("r", region index).
-Ref = tuple[str, int]
-
 
 class Control(Record):
     """Entity type: fixes the port count, atomicity and parameter sort.
@@ -68,29 +70,30 @@ _ONE_PORT = tuple((x, 1) for x in range(1024))
 class Bigraph:
     """Immutable bigraph value.
 
-    ``nodes[i]`` is a ``(Control, param)`` pair; ``node_children[i]`` and
-    ``region_children[r]`` hold ordered child references (order is only
-    significant for site numbering, sibling order is not part of identity).
+    ``nodes[i]`` is a ``(Control, param)`` pair.  The place graph is its
+    parent map (Milner's ``prnt``): ``up[i]`` is entity i's parent and
+    ``site_up[s]`` site s's, each an entity id, or ``~r`` for region r;
+    there are ``nregions`` regions.  Siblings are unordered; the
+    constructor lists each place's children in id order.
 
-    The constructor also builds the one place-and-link index that
-    navigation, matching and canonical forms read: per entity i its parent
-    ``up[i]`` (an entity, or ``~r`` below region r), its entity and site
-    children ``kids[i]`` and ``sites[i]`` (in child order) and its
-    ``(edge, port count)`` pairs ``node_edges[i]`` (in edge order); per site
-    s its parent ``site_up[s]``; per hyperedge e its ``(entity, port
-    count)`` pairs ``edge_nodes[e]`` (in port order).
+    The constructor also builds the index that navigation, matching and
+    canonical forms read: per entity i its entity and site children
+    ``kids[i]`` and ``sites[i]`` and its ``(edge, port count)`` pairs
+    ``node_edges[i]`` (in edge order); per region r its entity and site
+    children ``roots[r]`` and ``region_sites[r]``; per hyperedge e its
+    ``(entity, port count)`` pairs ``edge_nodes[e]`` (in port order).
     """
 
     __slots__ = (
         "nodes",
-        "node_children",
-        "region_children",
-        "nsites",
-        "links",
         "up",
         "site_up",
+        "nregions",
+        "links",
         "kids",
         "sites",
+        "roots",
+        "region_sites",
         "node_edges",
         "edge_nodes",
         "_canon",
@@ -101,47 +104,29 @@ class Bigraph:
     def __init__(
         self,
         nodes: list[tuple[Control, Term | None]],
-        node_children: list[list[Ref]],
-        region_children: list[list[Ref]],
-        nsites: int,
+        up: list[int],
+        site_up: list[int],
+        nregions: int,
         links: list[Link],
     ):
         self.nodes = tuple(nodes)
-        self.node_children = tuple(map(tuple, node_children))
-        self.region_children = tuple(map(tuple, region_children))
-        self.nsites = nsites
+        self.up = up
+        self.site_up = site_up
+        self.nregions = nregions
         self.links = tuple(links)
         self._canon = None
         self._autos = None  # automorphism generators, found with the canonical form
         self._tables = None  # match.py's search tables, when used as a pattern
 
         n = len(self.nodes)
-        if len(self.node_children) != n:
-            raise ValueError("node_children must parallel nodes")
-        self.up = up = [None] * n
-        self.site_up = site_up = [None] * nsites
-        self.kids = kids = [()] * n
-        self.sites = sites = [()] * n
+        if len(up) != n:
+            raise ValueError("up must parallel nodes")
+        self.kids, self.roots = _children(up, n, nregions)
+        self.sites, self.region_sites = _children(site_up, n, nregions)
         self.node_edges = node_edges = [()] * n
         self.edge_nodes = edge_nodes = []
         one = _ONE_PORT
         try:
-            for r, children in enumerate(self.region_children):
-                for kind, c in children:
-                    (up if kind == "n" else site_up)[c] = ~r
-            for i, children in enumerate(self.node_children):
-                if not children:
-                    continue
-                ks, ss = [], []
-                for ref in children:
-                    kind, c = ref
-                    at, same = (up, ks) if kind == "n" else (site_up, ss)
-                    if at[c] is not None:
-                        raise ValueError(f"place reference {ref} has two parents")
-                    at[c] = i
-                    same.append(c)
-                kids[i] = tuple(ks)
-                sites[i] = tuple(ss)
             for e, lk in enumerate(self.links):
                 counts: dict[int, int] = {}
                 for v, _p in lk.ports:
@@ -153,70 +138,46 @@ class Bigraph:
                     node_edges[v] += alone if c == 1 else ((e, c),)
                 edge_nodes.append(tuple(members))
         except IndexError:
-            raise ValueError("a child reference or port names no entity or site") from None
+            raise ValueError("a port names no entity") from None
         ports = [port for lk in self.links for port in lk.ports]
         if len(set(ports)) < len(ports):
             twice = next(port for k, port in enumerate(ports) if port in ports[:k])
             raise ValueError(f"port {twice} occurs in two hyperedges")
-        if None in up:
-            raise ValueError(f"entity {up.index(None)} has no parent")
-        if None in site_up:
-            raise ValueError(f"site {site_up.index(None)} has no parent")
 
     # -- interface views ---------------------------------------------------
-
-    @property
-    def nregions(self) -> int:
-        return len(self.region_children)
 
     @property
     def nnodes(self) -> int:
         return len(self.nodes)
 
+    @property
+    def nsites(self) -> int:
+        return len(self.site_up)
+
     def outer_names(self) -> set[str]:
         return {lk.name for lk in self.links if lk.name is not None}
 
     def is_ground(self) -> bool:
-        return self.nsites == 0
+        return not self.site_up
 
     # -- navigation --------------------------------------------------------
 
-    def parent(self, ref: Ref) -> Ref:
-        """The parent of an entity or a site."""
-        kind, i = ref
-        p = (self.up if kind == "n" else self.site_up)[i]
-        return ("n", p) if p >= 0 else ("r", ~p)
-
-    def children(self, ref: Ref) -> tuple[Ref, ...]:
-        kind, i = ref
-        return self.node_children[i] if kind == "n" else self.region_children[i]
-
     def preorder(self):
-        """Yield place refs region by region, depth first, in child order."""
-        stack: list[Ref] = []
-        for r in range(self.nregions):
-            stack = list(reversed(self.region_children[r]))
+        """Yield entity ids region by region, depth first, children in id
+        order."""
+        kids = self.kids
+        for roots in self.roots:
+            stack = list(reversed(roots))
             while stack:
-                ref = stack.pop()
-                yield ref
-                if ref[0] == "n":
-                    stack.extend(reversed(self.node_children[ref[1]]))
-
-    def descendants(self, node: int) -> set[int]:
-        out: set[int] = set()
-        todo = [node]
-        while todo:
-            v = todo.pop()
-            for c in self.kids[v]:
-                if c not in out:
-                    out.add(c)
-                    todo.append(c)
-        return out
+                v = stack.pop()
+                yield v
+                stack.extend(reversed(kids[v]))
 
     # -- rendering ---------------------------------------------------------
 
     def pretty(self) -> str:
-        """Algebraic rendering, mainly for diagnostics and traces."""
+        """Algebraic rendering, mainly for diagnostics and traces: a place's
+        entity children in id order, then one `id` per site."""
         closed_names: dict[int, str] = {}
         for e, lk in enumerate(self.links):
             if lk.closed and lk.ports:
@@ -230,12 +191,10 @@ class Bigraph:
         # nesting depth costs no stack
         texts: list[str] = [""] * self.nnodes
 
-        def join(refs) -> str:
-            return " | ".join(texts[c] if kind == "n" else "id" for kind, c in refs)
+        def join(kids, sites) -> str:
+            return " | ".join([texts[c] for c in kids] + ["id"] * len(sites)) or "1"
 
-        for kind, i in reversed(list(self.preorder())):
-            if kind == "s":
-                continue
+        for i in reversed(list(self.preorder())):
             ctrl, param = self.nodes[i]
             s = ctrl.name
             if param is not None:
@@ -243,13 +202,12 @@ class Bigraph:
             if ctrl.arity:
                 names = sorted(link_ref(e) for e, k in self.node_edges[i] for _ in range(k))
                 s += "{" + ",".join(names) + "}"
-            kids = self.node_children[i]
-            if kids:
-                body = join(kids)
-                s += f".({body})" if (len(kids) > 1 or "|" in body or "." in body) else f".{body}"
+            body = join(self.kids[i], self.sites[i])
+            if body != "1":
+                s += f".({body})" if "|" in body or "." in body else f".{body}"
             texts[i] = s
 
-        regions = [join(kids) if kids else "1" for kids in self.region_children]
+        regions = [join(kids, sites) for kids, sites in zip(self.roots, self.region_sites)]
         body = " || ".join(regions) if regions else "0"
         if closed_names:
             return "/" + "/".join(closed_names.values()) + f" ({body})"
@@ -257,6 +215,28 @@ class Bigraph:
 
     def __repr__(self) -> str:
         return f"<Bigraph {self.pretty()}>"
+
+
+def _children(parents: list[int], n: int, nregions: int) -> tuple[list, list]:
+    """Per entity and per region, the ids whose parent it is (entity i, or
+    ``~r`` for region r), in id order; ValueError for a parent that is no
+    entity or region."""
+    below: dict[int, list[int]] = {}
+    for v, p in enumerate(parents):
+        if p in below:
+            below[p].append(v)
+        else:
+            below[p] = [v]
+    of_entity, of_region = [()] * n, [()] * nregions
+    try:
+        for p, vs in below.items():
+            if p >= 0:
+                of_entity[p] = tuple(vs)
+            else:
+                of_region[~p] = tuple(vs)
+    except (IndexError, TypeError):
+        raise ValueError(f"parent {p!r} is no entity or region") from None
+    return of_entity, of_region
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +286,7 @@ def validate(g: Bigraph) -> list[str]:
             errs.append(f"entity {i} ({ctrl.name}): missing parameter")
         if not ctrl.parameterised and param is not None:
             errs.append(f"entity {i} ({ctrl.name}): unexpected parameter")
-        if ctrl.atomic and g.node_children[i]:
+        if ctrl.atomic and (g.kids[i] or g.sites[i]):
             errs.append(f"entity {i} ({ctrl.name}): atomic control has children")
     seen_names: set[str] = set()
     for e, lk in enumerate(g.links):
@@ -317,13 +297,7 @@ def validate(g: Bigraph) -> list[str]:
         for n, p in lk.ports:
             if p >= g.nodes[n][0].arity:
                 errs.append(f"hyperedge {e}: port ({n},{p}) out of range")
-    # forest shape: every entity/site has exactly one parent (constructor enforces
-    # at-least-one; double parents raise at construction, so only count check left)
-    refs = list(g.preorder())
-    entities = [r for r in refs if r[0] == "n"]
-    if len(entities) != g.nnodes:
+    # forest shape: every entity is reached from a region (no parent cycle)
+    if sum(1 for _v in g.preorder()) != g.nnodes:
         errs.append("place graph is not a forest rooted at the regions")
-    sites = sorted(r[1] for r in refs if r[0] == "s")
-    if sites != list(range(g.nsites)):
-        errs.append(f"sites not numbered 0..{g.nsites - 1}: {sites}")
     return errs

@@ -74,10 +74,11 @@ refinements.  Their 14,457 rounds, which spread along the ring, compute
 111,144 signatures: the explore takes about 0.65 s, 0.27 s of it in
 refinement.
 
-The inner loops work on the bigraph's index and on tables built once per
-form in one pass: each entity's text up to its closed references, its
-closed (edge, port count) pairs and its initial colour, the head text and
-colour memoised on the control per parameter.  A signature sorts an
+The inner loops work on the bigraph's parent map, the index derived from
+it (children in id order, the roots and sites of each region) and tables
+built once per form in one pass: each entity's text up to its closed
+references, its closed (edge, port count) pairs and its initial colour,
+the head text and colour memoised on the control per parameter.  A signature sorts an
 entity's children only when it has two or more, and an entity's edges or a
 hyperedge's members only when there are three or more.  Times are on a
 shared 2-core x86 machine.  ``tests/oracle.py`` keeps the plain search as
@@ -89,7 +90,7 @@ from __future__ import annotations
 import hashlib
 import re
 
-from .bigraph import Bigraph, Control, Link, Ref
+from .bigraph import Bigraph, Control, Link
 
 
 def _head(ctrl: Control, param) -> tuple[str, tuple, str]:
@@ -145,7 +146,7 @@ class _Tables:
                 refs.append(mine)
         # every entity after its children: a breadth-first order from the
         # region roots, reversed
-        down = [c for cs in g.region_children for k, c in cs if k == "n"]
+        down = [c for roots in g.roots for c in roots]
         for i in down:
             down.extend(g.kids[i])
         self.upward = down[::-1]
@@ -431,16 +432,11 @@ def _encode(t: _Tables, order: list[int]) -> tuple[str, list[str]]:
             text += texts[below[0]]
         texts[i] = text + "]"
     regions = sorted(
-        ";".join(sorted([texts[c] if k == "n" else f"${c}" for k, c in cs]))
-        for cs in g.region_children
+        ";".join(sorted([texts[c] for c in roots] + [f"${s}" for s in sites]))
+        for roots, sites in zip(g.roots, g.region_sites)
     )
     head, tail = t.frame
     return head + "".join([f"R[{r}]" for r in regions]) + tail, texts
-
-
-def _roots(t: _Tables) -> list[list[int]]:
-    """The entity children of each region."""
-    return [[c for k, c in cs if k == "n"] for cs in t.g.region_children]
 
 
 def _pair(t: _Tables, ta: list[str], tb: list[str], a: int, b: int, perm: dict[int, int]):
@@ -468,7 +464,7 @@ def _swaps(t: _Tables, texts: list[str]) -> list[Auto]:
     found: list[Auto] = []
     if len(set(zip(t.g.up, texts))) == len(texts):
         return found  # no two siblings (or region roots) write the same text
-    for kids in t.g.kids + _roots(t):
+    for kids in t.g.kids + t.g.roots:
         if len(kids) > 1 and len({texts[c] for c in kids}) < len(kids):
             kids = sorted(kids, key=texts.__getitem__)
             for a, b in zip(kids, kids[1:]):
@@ -485,7 +481,7 @@ def _leaf_map(t: _Tables, ta: list[str], tb: list[str]) -> dict[int, int] | None
     entities paired in text order, region by region; None when it would move
     one region's content to another region."""
     perm: dict[int, int] = {}
-    for roots in _roots(t):
+    for roots in t.g.roots:
         xs, ys = sorted(roots, key=ta.__getitem__), sorted(roots, key=tb.__getitem__)
         if [ta[x] for x in xs] != [tb[y] for y in ys]:
             return None
@@ -549,33 +545,39 @@ def decode_canonical(data: bytes, controls: dict[str, Control]) -> Bigraph:
         fail("expected 'bg;<regions>;<sites>;'")
     pos = head.end()
     nodes: list[tuple[Control, int | None]] = []
-    node_children: list[list[Ref]] = []
-    region_children: list[list[Ref]] = []
+    up: list[int] = []
+    nregions = 0
+    sites: dict[int, int] = {}  # site number -> its parent
     edges: dict[str, list[tuple[int, int]]] = {}  # by reference: c<number> or o<name>
-    stack: list[list[Ref]] = []  # the child lists of the brackets still open
+    stack: list[int] = []  # the places whose brackets are still open: entities, ~r for region r
     while (m := _ITEM.match(text, pos)) and (stack or m.lastgroup == "region"):
         kind = m.lastgroup
         if kind == "region":
             if stack:
                 fail("'R[' inside a region")
-            region_children.append([])
-            stack.append(region_children[-1])
+            stack.append(~nregions)
+            nregions += 1
         elif kind == "node":
             if m["ctrl"] not in controls:
                 fail(f"unknown control {m['ctrl']!r}")
             for port, ref in enumerate(m["refs"].split(",") if m["refs"] else ()):
                 edges.setdefault(ref, []).append((len(nodes), port))
-            stack[-1].append(("n", len(nodes)))
+            up.append(stack[-1])
+            stack.append(len(nodes))
             nodes.append((controls[m["ctrl"]], None if m["param"] is None else int(m["param"])))
-            node_children.append([])
-            stack.append(node_children[-1])
         elif kind == "site":
-            stack[-1].append(("s", int(m["site"])))
+            s = int(m["site"])
+            if s in sites:
+                fail(f"site ${s} written twice")
+            sites[s] = stack[-1]
         elif kind == "close":
             stack.pop()
         pos = m.end()
-    if stack or len(region_children) != int(head[1]):
+    if stack or nregions != int(head[1]):
         fail(f"expected {head[1]} closed regions")
+    nsites = int(head[2])
+    if len(sites) != nsites or any(s >= nsites for s in sites):
+        fail(f"expected {nsites} sites, numbered from $0, each written once")
     tail = _TAIL.match(text, pos)
     if tail is None:
         fail("expected ';Y=<names>;X='")
@@ -586,4 +588,4 @@ def decode_canonical(data: bytes, controls: dict[str, Control]) -> Bigraph:
     links = [Link(None, tuple(ports)) for _num, ports in closed]
     links += [Link(ref[1:], tuple(edges[ref])) for ref in sorted(edges) if ref[0] == "o"]
     links += [Link(name, ()) for name in tail[1].split(",")] if tail[1] else []
-    return Bigraph(nodes, node_children, region_children, int(head[2]), links)
+    return Bigraph(nodes, up, [sites[s] for s in range(nsites)], nregions, links)

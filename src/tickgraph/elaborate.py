@@ -216,19 +216,19 @@ class _Elaborator:
         # algebra gives them: entities and sites in place-forest pre-order,
         # hyperedges by first port, each hyperedge's ports in source order.
         nodes: list = []  # (Control, param) per entity
-        kids: list = []  # child references per entity
-        regions: list[list] = []  # child references per region
-        nsites = 0
+        up: list[int] = []  # parent per entity: an entity, or ~r for region r
+        site_up: list[int] = []  # parent per site
+        nregions = 0
         link_names: list = []  # outer name per hyperedge, None once closed
         link_ports: list[list[tuple[int, int]]] = []
         names: dict[str, int] = {}  # open name -> its hyperedge, in the current scope
         controls = self.controls
-        # Each expression comes with the list its top-level places join: its
-        # nest head's children or its `|`'s one region; None at the top of
-        # the body, where each place opens a region.  So every place is
-        # appended once, to where it ends up.  A (closure, outer hyperedge)
-        # pair restores the name's outer meaning once the body is done, and
-        # a (nest, entity) pair raises the nest's error once its child is.
+        # Each expression comes with the parent of its top-level places: its
+        # nest head or its `|`'s one region; None at the top of the body,
+        # where each place opens a region.  So every place gets its parent
+        # once, when it is made.  A (closure, outer hyperedge) pair restores
+        # the name's outer meaning once the body is done, and a (nest,
+        # entity) pair raises the nest's error once its child is.
         todo = [(e, None)]
         while todo:
             e, into = todo.pop()
@@ -264,18 +264,15 @@ class _Elaborator:
                     else:
                         link_ports[link].append((i, p))
                 if into is None:
-                    regions.append([("n", i)])
+                    up.append(~nregions)
+                    nregions += 1
                 else:
-                    into.append(("n", i))
+                    up.append(into)
                 if kind is EIon:
-                    if ctrl.atomic:
-                        kids.append(())
-                    else:  # an ion's own site
-                        kids.append((("s", nsites),))
-                        nsites += 1
+                    if not ctrl.atomic:  # an ion's own site
+                        site_up.append(i)
                     break
-                into = []
-                kids.append(into)
+                into = i
                 child = e.child
                 if ctrl.atomic or (type(child) in _MULTI and _regions(child) != 1):
                     todo.append(((e, i), None))
@@ -283,8 +280,8 @@ class _Elaborator:
             else:
                 if kind is EMerge or kind is EPar:
                     if kind is EMerge and into is None:
-                        into = []
-                        regions.append(into)
+                        into = ~nregions
+                        nregions += 1
                     todo += zip(reversed(_operands(e)), repeat(into))
                 elif kind is EClose:
                     # the name is unbound for the body, whose ports of it form a
@@ -292,13 +289,13 @@ class _Elaborator:
                     todo += (((e, names.pop(e.name, None)), None), (e.body, into))
                 elif kind is EId:
                     if into is None:
-                        regions.append([("s", nsites)])
+                        site_up.append(~nregions)
+                        nregions += 1
                     else:
-                        into.append(("s", nsites))
-                    nsites += 1
+                        site_up.append(into)
                 elif kind is EOne:
                     if into is None:
-                        regions.append([])
+                        nregions += 1
                 elif kind is tuple:
                     node, x = e
                     if type(node) is ENest:
@@ -321,7 +318,7 @@ class _Elaborator:
                 else:
                     raise TypeError(e)
         links = [Link(name, tuple(ports)) for name, ports in zip(link_names, link_ports)]
-        return Bigraph(nodes, kids, regions, nsites, links)
+        return Bigraph(nodes, up, site_up, nregions, links)
 
 
 # a nest's child with other than one region is one of these

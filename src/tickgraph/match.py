@@ -10,11 +10,12 @@ a closed agent edge all of whose ports are covered by the image; an open
 pattern edge may map to any agent edge (extra ports stay with the context).
 
 Pattern regions place independently: the top-level entities of one region
-share a parent in the agent (the region's *anchor*), distinct regions may
-share an anchor, and anchors must lie in the context (not in the image, not
-inside a site's captured forest).  Unmatched children of a matched entity
-are captured by that entity's site and survive rewriting; a matched entity
-without a site admits no extra children.
+share a parent in the agent (the region's *anchor*, written as a parent is:
+an entity, or ``~r`` for region r), distinct regions may share an anchor,
+and anchors must lie in the context (not in the image, not inside a site's
+captured forest).  Unmatched children of a matched entity are captured by
+that entity's site and survive rewriting; a matched entity without a site
+admits no extra children.
 
 A host that holds fewer entities of some control than the pattern has no
 match, and the search ends before it starts.  Otherwise it maps pattern
@@ -26,11 +27,11 @@ in agent entity order, from the children of its parent's image; else the
 parent of a mapped child takes the parent of that child's image; else an
 entity on a mapped edge takes the entities on that edge's image.  A parent
 is mapped as soon as the subtree of its first mapped child is, so these
-sources alone keep each entity the child of its parent's image.  Parents,
-children and edge memberships, of the agent and of the pattern, are read
-from the index each bigraph builds once (see :class:`Bigraph`); the
-pattern's own search tables (:class:`Tables`) are computed once and kept
-with the pattern, with one plan per host count of its controls.
+sources alone keep each entity the child of its parent's image.  Parents
+are read from each bigraph's parent map, children and edge memberships
+from the index it derives once (see :class:`Bigraph`); the pattern's own
+search tables (:class:`Tables`) are computed once and kept with the
+pattern, with one plan per host count of its controls.
 
 Set-up is paid once, not per search.  A caller that searches one state for
 several patterns (every rule family and condition of an expansion, every
@@ -71,7 +72,7 @@ from __future__ import annotations
 
 import sys
 
-from .bigraph import Bigraph, Ref
+from .bigraph import Bigraph
 from .params import Var
 from .records import Record
 
@@ -82,11 +83,11 @@ class Match(Record):
     __slots__ = ("nodes", "edges", "anchors", "site_images", "binding")
 
     def __init__(self, nodes: tuple[int, ...], edges: tuple[tuple[int, int], ...],
-                 anchors: tuple[Ref | None, ...], site_images: tuple[tuple[int, ...], ...],
+                 anchors: tuple[int | None, ...], site_images: tuple[tuple[int, ...], ...],
                  binding: tuple[tuple[str, int], ...] = ()):
         self.nodes = nodes  # pattern entity id -> agent entity id
         self.edges = edges  # (pattern link idx, agent link idx), sorted
-        self.anchors = anchors  # per pattern region
+        self.anchors = anchors  # per pattern region: an entity, ~r for region r, or None
         self.site_images = site_images  # per pattern site: captured root entities
         self.binding = binding  # bound rule parameters, sorted
 
@@ -159,7 +160,7 @@ class Tables:
 
     def __init__(self, pattern: Bigraph):
         self.pos = [0] * pattern.nnodes
-        for k, i in enumerate(i for kind, i in pattern.preorder() if kind == "n"):
+        for k, i in enumerate(pattern.preorder()):
             self.pos[i] = k
         links = pattern.links
         self.edges = [
@@ -296,7 +297,7 @@ class _Search:
         self.emap: dict[int, int] = {}
         self.used_nodes: set[int] = set()
         self.used_edges: set[int] = set()
-        # per pattern region, its anchor as an agent index entry (see Bigraph.up)
+        # per pattern region, its anchor as a parent (see Bigraph.up)
         self.anchors: list[int | None] = [None] * pattern.nregions
         self.binding: dict[str, int] = {}
 
@@ -427,7 +428,7 @@ class _Search:
         self.results.append(Match(
             tuple(nmap),
             tuple(sorted(emap.items())) if emap else (),
-            tuple([None if a is None else ("n", a) if a >= 0 else ("r", ~a) for a in self.anchors]),
+            tuple(self.anchors),
             tuple(site_images),
             tuple(sorted(binding.items())) if binding else (),
         ))

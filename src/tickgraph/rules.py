@@ -46,7 +46,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from .bigraph import Bigraph, Control, Link, Ref
+from .bigraph import Bigraph, Control, Link
 from .canon import canonical_form
 from .match import Match, PatternLimit, Tally, occurrences
 from .params import Arith, ParameterLimit, Term, Var, is_concrete, term_eval, term_fold, term_vars
@@ -106,13 +106,7 @@ def _subst(g: Bigraph, env: dict[str, int]) -> Bigraph:
             nodes.append((ctrl, param))
         else:
             nodes.append((ctrl, term_eval(param, env)))
-    return Bigraph(
-        nodes,
-        [list(cs) for cs in g.node_children],
-        [list(cs) for cs in g.region_children],
-        g.nsites,
-        list(g.links),
-    )
+    return Bigraph(nodes, g.up, g.site_up, g.nregions, g.links)
 
 
 class RuleFamily(Record):
@@ -186,27 +180,27 @@ def effect_key(rule: RuleFamily, m: Match) -> tuple:
     emap = m.edge_map()
     tags = [("c", l) if lk.name is None else ("o", emap[rule.redex_edge_of_name[lk.name]])
             for l, lk in enumerate(reactum.links)]
-    return (m.image, m.anchors, tuple(_written(reactum, values, tags, m.site_images, cs)
-                                      for cs in reactum.region_children))
+    return (m.image, m.anchors, tuple([
+        _written(reactum, values, tags, m.site_images, kids, sites)
+        for kids, sites in zip(reactum.roots, reactum.region_sites)
+    ]))
 
 
-def _written(reactum: Bigraph, values: list, tags: list, site_images, refs) -> tuple:
-    """The sorted :func:`effect_key` entries of the reactum children `refs`:
-    per entity its control, parameter, links and children, per site the
-    agent entities it carries.  A module-level function, so that a key
-    leaves no reference cycle behind."""
-    out = []
-    for k, c in refs:
-        if k == "n":
-            value = values[c]
-            out.append((
-                reactum.nodes[c][0].name,
-                () if value is None else (value,),
-                tuple(sorted([tags[l] for l, n in reactum.node_edges[c] for _ in range(n)])),
-                _written(reactum, values, tags, site_images, reactum.node_children[c]),
-            ))
-        else:
-            out.append(("$", tuple(sorted(site_images[c]))))
+def _written(reactum: Bigraph, values: list, tags: list, site_images, kids, sites) -> tuple:
+    """The sorted :func:`effect_key` entries of the reactum entities `kids`
+    and sites `sites`, the children of one place: per entity its control,
+    parameter, links and children, per site the agent entities it carries.
+    A module-level function, so that a key leaves no reference cycle
+    behind."""
+    out = [("$", tuple(sorted(site_images[s]))) for s in sites]
+    for c in kids:
+        value = values[c]
+        out.append((
+            reactum.nodes[c][0].name,
+            () if value is None else (value,),
+            tuple(sorted([tags[l] for l, n in reactum.node_edges[c] for _ in range(n)])),
+            _written(reactum, values, tags, site_images, reactum.kids[c], reactum.sites[c]),
+        ))
     return tuple(sorted(out))
 
 
@@ -216,10 +210,12 @@ def apply(agent: Bigraph, rule: RuleFamily, m: Match) -> Bigraph:
     `m` must be the match of an outcome that :func:`enabled_outcomes`
     returned for `rule` on `agent`: it already checked the context
     condition, and the binding holds every formal.
-    The context is preserved as-is, each redex site's content moves to the
-    reactum site of the same index, reactum ports on an outer name reattach
-    to the agent hyperedge that name matched, and fully consumed closed
-    edges vanish.
+    The context is preserved as-is: a surviving entity keeps its parent,
+    except that a root captured by redex site s moves to the place of
+    reactum site s.  Reactum entity j becomes entity ``base + j`` after the
+    survivors, and a reactum region's roots go to the region's anchor.
+    Reactum ports on an outer name reattach to the agent hyperedge that
+    name matched, and fully consumed closed edges vanish.
     """
     if not agent.is_ground():
         raise ValueError("apply: agent must be ground")
@@ -234,42 +230,20 @@ def apply(agent: Bigraph, rule: RuleFamily, m: Match) -> Bigraph:
     survivors = [v for v in range(agent.nnodes) if v not in image]
     new_id = {old: i for i, old in enumerate(survivors)}
     nodes: list[tuple[Control, Term | None]] = [agent.nodes[v] for v in survivors]
-    node_children: list[list[Ref]] = []
+    base = len(nodes)
+    nodes += [(ctrl, value) for (ctrl, _p), value in zip(reactum.nodes, _reactum_values(rule, env))]
+
+    # where each reactum region's roots go: its anchor's new place
+    where = [~(r if r < agent.nregions else 0) if a is None else a if a < 0 else new_id[a]
+             for r, a in enumerate(m.anchors)]
+    place = lambda x: base + x if x >= 0 else where[~x]  # of a reactum parent
+    moved = {root: place(reactum.site_up[s])
+             for s, roots in enumerate(m.site_images) for root in roots}
+    up = []
     for v in survivors:
-        node_children.append(
-            [("n", new_id[c]) for k, c in agent.node_children[v] if c not in image]
-        )
-    region_children: list[list[Ref]] = []
-    for r in range(agent.nregions):
-        region_children.append(
-            [("n", new_id[c]) for k, c in agent.region_children[r] if c not in image]
-        )
-
-    react_id: dict[int, int] = {}
-    for j, value in enumerate(_reactum_values(rule, env)):
-        react_id[j] = len(nodes)
-        nodes.append((reactum.nodes[j][0], value))
-        node_children.append([])
-
-    def place(target: list[Ref], children):
-        for k, c in children:
-            if k == "n":
-                target.append(("n", react_id[c]))
-            else:
-                for root in m.site_images[c]:
-                    target.append(("n", new_id[root]))
-
-    for j in range(reactum.nnodes):
-        place(node_children[react_id[j]], reactum.node_children[j])
-    for r in range(reactum.nregions):
-        anchor = m.anchors[r]
-        if anchor is None:
-            target = region_children[r if r < len(region_children) else 0]
-        elif anchor[0] == "r":
-            target = region_children[anchor[1]]
-        else:
-            target = node_children[new_id[anchor[1]]]
-        place(target, reactum.region_children[r])
+        p = agent.up[v]
+        up.append(p if p < 0 else moved[v] if p in image else new_id[p])
+    up += [place(p) for p in reactum.up]
 
     # links: surviving agent ports keep their edges; reactum ports join the
     # matched edge of their outer name or form fresh closed edges
@@ -278,7 +252,7 @@ def apply(agent: Bigraph, rule: RuleFamily, m: Match) -> Bigraph:
     ]
     fresh: list[Link] = []
     for lk in reactum.links:
-        ports = [(react_id[v], p) for v, p in lk.ports]
+        ports = [(base + v, p) for v, p in lk.ports]
         if lk.name is not None:
             E = emap[rule.redex_edge_of_name[lk.name]]
             new_ports[E].extend(ports)
@@ -291,7 +265,7 @@ def apply(agent: Bigraph, rule: RuleFamily, m: Match) -> Bigraph:
             links.append(Link(lk.name, tuple(new_ports[E])))
     links.extend(fresh)
 
-    return Bigraph(nodes, node_children, region_children, 0, links)
+    return Bigraph(nodes, up, [], agent.nregions, links)
 
 
 # ---------------------------------------------------------------------------
@@ -598,7 +572,7 @@ def _interchangeable(fam: RuleFamily, i: int, j: int, domains, reactum_vars) -> 
         params[v] = _rename(params[v], sigma)
     renamed = sorted({v for lk in reactum.links if lk.name in tau for v, _p in lk.ports}
                      | set(rewritten))
-    if len(renamed) not in (0, 2) or any(reactum.node_children[v] for v in renamed):
+    if len(renamed) not in (0, 2) or any(reactum.kids[v] or reactum.sites[v] for v in renamed):
         return False
     return _maps_onto_itself(reactum, dict(zip(renamed, reversed(renamed))), params, tau)
 
@@ -617,7 +591,7 @@ def _groups(fam: RuleFamily, domains) -> Groups:
     redex = fam.redex
     alike: dict[tuple, list[int]] = {}
     for v, (ctrl, _param) in enumerate(redex.nodes):
-        if not redex.node_children[v]:
+        if not (redex.kids[v] or redex.sites[v]):
             alike.setdefault((redex.up[v], ctrl.name), []).append(v)
     groups: list[tuple[int, ...]] = []
     reactum_vars = None
@@ -710,7 +684,7 @@ def _orbit(m: Match, autos, cap: int) -> list[Match]:
             key = (
                 tuple([at(u, u) for u in x.nodes]),
                 tuple([(e, edges.get(E, E)) for e, E in x.edges]),
-                tuple([("n", at(a[1], a[1])) if a and a[0] == "n" else a for a in x.anchors]),
+                tuple([a if a is None or a < 0 else at(a, a) for a in x.anchors]),
             )
             if key in seen:
                 continue

@@ -10,18 +10,18 @@ from __future__ import annotations
 
 import warnings
 
-from tickgraph.bigraph import Bigraph, Control, Link, Ref, check_ion, check_nest
+from tickgraph.bigraph import Bigraph, Control, Link, check_ion, check_nest
 from tickgraph.params import Term
 
 
 def empty(regions: int = 1) -> Bigraph:
     """The empty bigraph: `regions` barren regions (0 regions = unit of ||)."""
-    return Bigraph([], [], [[] for _ in range(regions)], 0, [])
+    return Bigraph([], [], [], regions, [])
 
 
 def site() -> Bigraph:
     """A single region holding one site; the DSL's `id`."""
-    return Bigraph([], [], [[("s", 0)]], 1, [])
+    return Bigraph([], [], [~0], 1, [])
 
 
 def ion(ctrl: Control, names: tuple[str, ...] | list[str] = (), param: Term | None = None) -> Bigraph:
@@ -33,23 +33,10 @@ def ion(ctrl: Control, names: tuple[str, ...] | list[str] = (), param: Term | No
     names = tuple(names)
     check_ion(ctrl, names, param)
     by_name: dict[str, list[tuple[int, int]]] = {}
-    order: list[str] = []
     for p, nm in enumerate(names):
-        if nm not in by_name:
-            by_name[nm] = []
-            order.append(nm)
-        by_name[nm].append((0, p))
-    links = [Link(nm, tuple(by_name[nm])) for nm in order]
-    if ctrl.atomic:
-        return Bigraph([(ctrl, param)], [[]], [[("n", 0)]], 0, links)
-    return Bigraph([(ctrl, param)], [[("s", 0)]], [[("n", 0)]], 1, links)
-
-
-def _shift_ref(ref: Ref, dn: int, ds: int) -> Ref:
-    kind, i = ref
-    if kind == "n":
-        return ("n", i + dn)
-    return ("s", i + ds)
+        by_name.setdefault(nm, []).append((0, p))
+    links = [Link(nm, tuple(ports)) for nm, ports in by_name.items()]
+    return Bigraph([(ctrl, param)], [~0], [] if ctrl.atomic else [0], 1, links)
 
 
 def _fuse_links(parts: list[Bigraph], shifts: list[int]) -> list[Link]:
@@ -72,50 +59,26 @@ def _fuse_links(parts: list[Bigraph], shifts: list[int]) -> list[Link]:
     return links
 
 
-def _renumber_sites(g: Bigraph) -> Bigraph:
-    """Renumber sites in place-forest pre-order (left to right)."""
-    mapping: dict[int, int] = {}
-    for ref in g.preorder():
-        if ref[0] == "s":
-            mapping[ref[1]] = len(mapping)
-    if all(mapping[s] == s for s in mapping):
-        return g
-
-    def fix(children):
-        return [("s", mapping[i]) if k == "s" else (k, i) for k, i in children]
-
-    return Bigraph(
-        list(g.nodes),
-        [fix(cs) for cs in g.node_children],
-        [fix(cs) for cs in g.region_children],
-        g.nsites,
-        list(g.links),
-    )
-
-
 def _combine(parts: list[Bigraph], flatten: bool) -> Bigraph:
-    """The parts side by side, in one pass: their regions in order (all under
-    one region when `flatten`), like outer names fused, sites numbered once."""
+    """The parts side by side, in one pass: their entities, sites and regions
+    in order (all under one region when `flatten`), like outer names fused.
+    Each part's sites follow the earlier parts', which is pre-order."""
     nodes: list[tuple[Control, Term | None]] = []
-    node_children: list[list[Ref]] = []
-    region_children: list[list[Ref]] = []
+    up: list[int] = []
+    site_up: list[int] = []
     shifts: list[int] = []
-    nsites = 0
+    nregions = 0
     for g in parts:
-        dn, ds = len(nodes), nsites
+        dn, dr = len(nodes), nregions
+        # a region parent ~r moves to region r + dr, or to region 0
+        move = lambda p: p + dn if p >= 0 else ~0 if flatten else p - dr
         shifts.append(dn)
         nodes += g.nodes
-        if dn or ds:
-            node_children += [[_shift_ref(c, dn, ds) for c in cs] for cs in g.node_children]
-            region_children += [[_shift_ref(c, dn, ds) for c in cs] for cs in g.region_children]
-        else:
-            node_children += g.node_children
-            region_children += g.region_children
-        nsites += g.nsites
-    if flatten:
-        region_children = [[c for cs in region_children for c in cs]]
+        up += map(move, g.up)
+        site_up += map(move, g.site_up)
+        nregions += g.nregions
     links = _fuse_links(parts, shifts)
-    return _renumber_sites(Bigraph(nodes, node_children, region_children, nsites, links))
+    return Bigraph(nodes, up, site_up, 1 if flatten else nregions, links)
 
 
 def merge(a: Bigraph, b: Bigraph) -> Bigraph:
@@ -129,30 +92,15 @@ def parallel(a: Bigraph, b: Bigraph) -> Bigraph:
 
 
 def nest(outer: Bigraph, inner: Bigraph) -> Bigraph:
-    """Place `inner`'s single region into `outer`'s single site (the DSL's `.`)."""
+    """Place `inner`'s single region into `outer`'s single site (the DSL's `.`):
+    inner's region roots and region sites take that site's parent."""
     check_nest(outer.nsites, inner.nregions, outer.nodes[0][0] if outer.nnodes == 1 else None)
-
     dn = outer.nnodes
-    nodes = list(outer.nodes) + list(inner.nodes)
-    inner_fix = lambda cs: [_shift_ref(c, dn, 0) for c in cs]
-    inner_top = inner_fix(inner.region_children[0])
-
-    def splice(children):
-        out: list[Ref] = []
-        for c in children:
-            if c == ("s", 0):
-                out.extend(inner_top)
-            else:
-                out.append(c)
-        return out
-
-    node_children = [splice(cs) for cs in outer.node_children]
-    node_children += [inner_fix(cs) for cs in inner.node_children]
-    region_children = [splice(cs) for cs in outer.region_children]
+    at = outer.site_up[0]
+    move = lambda p: p + dn if p >= 0 else at
     links = _fuse_links([outer, inner], [0, dn])
-    return _renumber_sites(
-        Bigraph(nodes, node_children, region_children, inner.nsites, links)
-    )
+    return Bigraph([*outer.nodes, *inner.nodes], [*outer.up, *map(move, inner.up)],
+                   list(map(move, inner.site_up)), outer.nregions, links)
 
 
 def close(name: str, g: Bigraph) -> Bigraph:
@@ -161,13 +109,7 @@ def close(name: str, g: Bigraph) -> Bigraph:
         warnings.warn(f"close: {name!r} is not an outer name, bigraph unchanged")
         return g
     links = [Link(None, lk.ports) if lk.name == name else lk for lk in g.links]
-    return Bigraph(
-        list(g.nodes),
-        [list(cs) for cs in g.node_children],
-        [list(cs) for cs in g.region_children],
-        g.nsites,
-        links,
-    )
+    return Bigraph(g.nodes, g.up, g.site_up, g.nregions, links)
 
 
 def merge_all(parts: list[Bigraph]) -> Bigraph:

@@ -20,7 +20,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from tickgraph.bigraph import Bigraph, Ref
+from tickgraph.bigraph import Bigraph
 from tickgraph.lang import KEYWORDS, ParseError
 from tickgraph.params import Var, term_eval
 from tickgraph.records import Record
@@ -84,25 +84,42 @@ def brute_occurrences(agent: Bigraph, pattern: Bigraph, domains=None, excluded=f
     return results
 
 
+def below(g: Bigraph, place: int) -> tuple[list[int], list[int]]:
+    """The entities and the sites whose parent is `place` (an entity, or
+    ``~r`` for region r), read off the parent map alone, not the index the
+    engine derives from it."""
+    return ([v for v, p in enumerate(g.up) if p == place],
+            [s for s, p in enumerate(g.site_up) if p == place])
+
+
+def descendants(g: Bigraph, node: int) -> set[int]:
+    """The entities below `node`."""
+    out: set[int] = set()
+    todo = [node]
+    while todo:
+        v = todo.pop()
+        for c in below(g, v)[0]:
+            if c not in out:
+                out.add(c)
+                todo.append(c)
+    return out
+
+
 def _place_respected(agent, pattern, nmap):
-    anchors = {}
+    anchors = {}  # per pattern region, the parent of its roots' images
     image = set(nmap)
     for p, u in enumerate(nmap):
-        par = pattern.parent(("n", p))
-        if par[0] == "n":
-            if agent.parent(("n", u)) != ("n", nmap[par[1]]):
+        q = pattern.up[p]
+        if q >= 0:
+            if agent.up[u] != nmap[q]:
                 return False
-        else:
-            r = par[1]
-            a = agent.parent(("n", u))
-            if anchors.setdefault(r, a) != a:
-                return False
+        elif anchors.setdefault(~q, agent.up[u]) != agent.up[u]:
+            return False
     # children exactness / site capture
     forest = set()
     for p, u in enumerate(nmap):
-        pat_kids = [c for k, c in pattern.node_children[p] if k == "n"]
-        sites = [c for k, c in pattern.node_children[p] if k == "s"]
-        agent_kids = [c for k, c in agent.node_children[u] if k == "n"]
+        pat_kids, sites = below(pattern, p)
+        agent_kids = below(agent, u)[0]
         images = {nmap[c] for c in pat_kids}
         if not images <= set(agent_kids):
             return False
@@ -111,9 +128,9 @@ def _place_respected(agent, pattern, nmap):
             return False
         for root in extras:
             forest.add(root)
-            forest |= agent.descendants(root)
+            forest |= descendants(agent, root)
     for a in anchors.values():
-        if a[0] == "n" and (a[1] in image or a[1] in forest):
+        if a >= 0 and (a in image or a in forest):
             return False
     return True
 
@@ -175,7 +192,7 @@ def _fingerprint(g: Bigraph):
         (
             g.nodes[i][0].name,
             str(g.nodes[i][1]),
-            len(g.node_children[i]),
+            sum(map(len, below(g, i))),
             tuple(sorted(len(g.links[e].ports) for e in edge_counts(g, i))),
         )
         for i in range(g.nnodes)
@@ -198,7 +215,7 @@ def brute_iso(a: Bigraph, b: Bigraph) -> bool:
         return (
             g.nodes[v][0].name,
             str(g.nodes[v][1]),
-            len(g.node_children[v]),
+            sum(map(len, below(g, v))),
         )
 
     def edges_ok(bij):
@@ -225,16 +242,19 @@ def brute_iso(a: Bigraph, b: Bigraph) -> bool:
         return True
 
     def site_parents_ok(bij, region_map):
-        for s in range(a.nsites):
-            par = a.parent(("s", s))
-            want = ("n", bij[par[1]]) if par[0] == "n" else ("r", region_map[par[1]])
-            if b.parent(("s", s)) != want:
+        for p, q in zip(a.site_up, b.site_up):
+            if q != (bij[p] if p >= 0 else ~region_map[~p]):
                 return False
         return True
 
     for perm in itertools.permutations(range(b.nregions)):
         region_map = dict(enumerate(perm))
-        order = [v for ref in a.preorder() if ref[0] == "n" for v in [ref[1]]]
+        order = []  # parents before children
+        todo = [~r for r in range(a.nregions)]
+        while todo:
+            kids = below(a, todo.pop())[0]
+            order += kids
+            todo += kids
         bij: dict[int, int] = {}
         used: set[int] = set()
 
@@ -242,11 +262,8 @@ def brute_iso(a: Bigraph, b: Bigraph) -> bool:
             if idx == len(order):
                 return site_parents_ok(bij, region_map) and edges_ok(bij)
             v = order[idx]
-            par = a.parent(("n", v))
-            if par[0] == "n":
-                pool = [c for k, c in b.node_children[bij[par[1]]] if k == "n"]
-            else:
-                pool = [c for k, c in b.region_children[region_map[par[1]]] if k == "n"]
+            p = a.up[v]
+            pool = below(b, bij[p] if p >= 0 else ~region_map[~p])[0]
             want = key(a, v)
             for u in pool:
                 if u in used or key(b, u) != want:
@@ -415,13 +432,7 @@ def reference_action_distribution(agent: Bigraph, outcomes: list) -> list:
 
 def _subst(g: Bigraph, env: dict[str, int]) -> Bigraph:
     nodes = [(c, p if p is None or isinstance(p, int) else term_eval(p, env)) for c, p in g.nodes]
-    return Bigraph(
-        nodes,
-        [list(cs) for cs in g.node_children],
-        [list(cs) for cs in g.region_children],
-        g.nsites,
-        list(g.links),
-    )
+    return Bigraph(nodes, g.up, g.site_up, g.nregions, g.links)
 
 
 def instantiate(family, env: dict[str, int]):
@@ -514,18 +525,18 @@ def _refine(g: Bigraph, nrank: list[int], erank: list[int]) -> tuple[list[int], 
     rank and its members' ranks.  Ranks index the sorted signatures, so the
     result only splits classes and keeps the order between them.
     """
-    parents = [g.parent(("n", i)) for i in range(g.nnodes)]
     counts = [edge_counts(g, i) for i in range(g.nnodes)]
+    children = [below(g, i) for i in range(g.nnodes)]
     members = [Counter(n for n, _p in lk.ports) for lk in g.links]
     while True:
         new_n = _ranks([
             (
                 nrank[i],
-                -1 if par[0] == "r" else nrank[par[1]],
-                tuple(sorted(nrank[c] if k == "n" else -1 for k, c in g.node_children[i])),
+                -1 if p < 0 else nrank[p],
+                tuple(sorted([nrank[c] for c in children[i][0]] + [-1] * len(children[i][1]))),
                 tuple(sorted((erank[e], cnt) for e, cnt in counts[i].items())),
             )
-            for i, par in enumerate(parents)
+            for i, p in enumerate(g.up)
         ])
         new_e = _ranks([
             (erank[e], tuple(sorted((nrank[n], c) for n, c in m.items())))
@@ -576,13 +587,14 @@ def _encode(g: Bigraph, erank: list[int]) -> str:
         return (
             f"{ctrl.name}({_param_repr(param)})"
             + "{" + ",".join(refs) + "}"
-            + "[" + children(g.node_children[i]) + "]"
+            + "[" + children(i) + "]"
         )
 
-    def children(refs: tuple[Ref, ...]) -> str:
-        return ";".join(sorted(node(c) if k == "n" else f"${c}" for k, c in refs))
+    def children(place: int) -> str:
+        kids, sites = below(g, place)
+        return ";".join(sorted([node(c) for c in kids] + [f"${s}" for s in sites]))
 
-    regions = sorted(children(cs) for cs in g.region_children)
+    regions = sorted(children(~r) for r in range(g.nregions))
     portless = sorted(lk.name for lk in g.links if lk.name is not None and not lk.ports)
     return (
         f"bg;{g.nregions};{g.nsites};"

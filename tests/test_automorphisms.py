@@ -63,12 +63,11 @@ def is_automorphism(g: Bigraph, nodes: dict[int, int], edges: dict[int, int]) ->
     for v in range(g.nnodes):
         if g.nodes[at(v)] != g.nodes[v]:
             return False
-        kind, q = g.parent(("n", v))
-        if g.parent(("n", at(v))) != (kind, at(q) if kind == "n" else q):
+        q = g.up[v]  # a parent entity, or below zero a region
+        if g.up[at(v)] != (at(q) if q >= 0 else q):
             return False
-    for s in range(g.nsites):
-        kind, q = g.parent(("s", s))
-        if kind == "n" and at(q) != q:
+    for q in g.site_up:
+        if q >= 0 and at(q) != q:
             return False
     for e, lk in enumerate(g.links):
         image = g.links[on(e)]
@@ -154,8 +153,8 @@ def test_skipped_outcomes_join_an_isomorphic_result(name):
             want = reference_action_distribution(agent, every[action])
             assert len(got) == len(want)
             for (g, p), (h, q) in zip(got, want):
-                assert (g.nodes, g.node_children, g.region_children, g.links) == (
-                    h.nodes, h.node_children, h.region_children, h.links
+                assert (g.nodes, g.up, g.site_up, g.nregions, g.links) == (
+                    h.nodes, h.up, h.site_up, h.nregions, h.links
                 )
                 assert p.hex() == q.hex()
 

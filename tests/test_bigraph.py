@@ -51,7 +51,7 @@ def test_ion_repeated_names_share_hyperedge():
 def test_nest():
     g = nest(ion(S, ["c"]), ion(INIT))
     assert g.nnodes == 2 and g.nsites == 0
-    assert g.children(("n", 0)) == (("n", 1),)
+    assert g.kids[0] == (1,) and g.up == [~0, 0]
     assert validate(g) == []
 
 
@@ -70,7 +70,7 @@ def test_nest_localclocks_container():
     lcs = merge(merge(ion(LC, ["c1"], param=0), ion(LC, ["c2"], param=0)), ion(LC, ["c3"], param=0))
     g = nest(ion(LOCALCLOCKS), lcs)
     assert g.nnodes == 4
-    assert len(g.children(("n", 0))) == 3
+    assert g.kids[0] == (1, 2, 3)
     assert validate(g) == []
 
 
@@ -121,10 +121,8 @@ def test_close_single_port():
 def test_site_numbering_preorder():
     # S.(id) | S.(id): site under first S must be site 0
     g = merge(ion(S, ["a"]), ion(S, ["b"]))
-    refs = [r for r in g.preorder() if r[0] == "s"]
-    assert refs == [("s", 0), ("s", 1)]
-    parents = [g.parent(r) for r in refs]
-    assert parents == [("n", 0), ("n", 1)]
+    assert list(g.preorder()) == [0, 1]
+    assert g.site_up == [0, 1]
 
 
 def test_constructors_always_valid():
@@ -164,7 +162,7 @@ def test_nest_chain_associative():
 
 
 def _structure(g):
-    return g.nodes, g.node_children, g.region_children, g.nsites, [(lk.name, lk.ports) for lk in g.links]
+    return g.nodes, g.up, g.site_up, g.nregions, [(lk.name, lk.ports) for lk in g.links]
 
 
 def test_n_ary_joins_equal_pairwise_folds():
@@ -220,21 +218,23 @@ L = Control("L", atomic=True)
 @pytest.mark.parametrize(
     "parts, problems",
     [
-        (([(A, None)] * 2, [[("n", 1)], []], [[("n", 0), ("n", 1)]], 0, []),
-         "place reference ('n', 1) has two parents"),
-        (([(P, None)], [[]], [[("n", 0)]], 0, [Link("a", ((0, 0),)), Link("b", ((0, 0),))]),
+        (([(A, None)] * 2, [~0, 2], [], 1, []), "parent 2 is no entity or region"),
+        (([(A, None)], [~1], [], 1, []), "parent -2 is no entity or region"),
+        (([(A, None)], [~0], [1], 1, []), "parent 1 is no entity or region"),
+        (([(P, None)], [~0], [], 1, [Link("a", ((0, 0),)), Link("b", ((0, 0),))]),
          "port (0, 0) occurs in two hyperedges"),
-        (([(A, None)] * 2, [[], []], [[("n", 0)]], 0, []), "entity 1 has no parent"),
-        (([(A, None)], [[]], [[("n", 0)]], 1, []), "site 0 has no parent"),
-        (([(A, None)], [], [[("n", 0)]], 0, []), "node_children must parallel nodes"),
-        # a forest with ill-formed links is built, and validate reports it
-        (([(P, None)], [[]], [[("n", 0)]], 0, []),
+        (([(A, None)], [], [], 1, []), "up must parallel nodes"),
+        # a parent map with a cycle or ill-formed links is built, and
+        # validate reports it
+        (([(A, None)] * 3, [~0, 2, 1], [1], 1, []),
+         ["place graph is not a forest rooted at the regions"]),
+        (([(P, None)], [~0], [], 1, []),
          ["entity 0 (P): 0 linked ports, arity is 1", "entity 0 (P): port 0 dangling"]),
-        (([(P, None)], [[]], [[("n", 0)]], 0, [Link("a", ((0, 0), (0, 1)))]),
+        (([(P, None)], [~0], [], 1, [Link("a", ((0, 0), (0, 1)))]),
          ["entity 0 (P): 2 linked ports, arity is 1", "hyperedge 0: port (0,1) out of range"]),
     ],
-    ids=["two-parents", "two-hyperedges", "orphan-entity", "orphan-site", "not-parallel",
-         "dangling", "out-of-range"],
+    ids=["no-entity", "no-region", "site-no-entity", "two-hyperedges", "not-parallel",
+         "cycle", "dangling", "out-of-range"],
 )
 def test_malformed_bigraphs_are_refused_or_reported(parts, problems):
     if isinstance(problems, str):
@@ -247,13 +247,13 @@ def test_malformed_bigraphs_are_refused_or_reported(parts, problems):
 @pytest.mark.parametrize(
     "parts",
     [
-        ([(A, None)], [[("s", 1)]], [[("n", 0)]], 1, []),
-        ([(P, None)], [[]], [[("n", 0)]], 0, [Link("a", ((1, 0),))]),
+        ([(A, None)], [~0], [~0, 1], 1, []),
+        ([(P, None)], [~0], [], 1, [Link("a", ((1, 0),))]),
     ],
     ids=["site", "port"],
 )
 def test_references_to_missing_entities_or_sites_are_refused(parts):
-    with pytest.raises(ValueError, match="names no entity or site"):
+    with pytest.raises(ValueError, match="no entity"):
         Bigraph(*parts)
 
 
@@ -261,15 +261,16 @@ def test_decoding_a_site_out_of_range_raises_value_error():
     # load_mdp reads a ValueError as an unreadable cache, and rebuilds it
     from tickgraph.canon import decode_canonical
 
-    with pytest.raises(ValueError, match="names no entity or site"):
+    with pytest.raises(ValueError, match="expected 1 sites"):
         decode_canonical(b"bg;1;1;R[$0;$3];Y=;X=", {})
 
 
 def test_deep_nest_is_written_without_recursion():
     # each level of `A.A. ... L` was one frame of the renderer
     n = 1500
-    g = Bigraph([(A, None)] * n + [(L, None)], [[("n", i + 1)] for i in range(n)] + [[]],
-                [[("n", 0)]], 0, [])
+    g = Bigraph([(A, None)] * n + [(L, None)], [~0, *range(n)], [], 1, [])
     assert repr(g) == "<Bigraph " + "A.(" * (n - 1) + "A.L" + ")" * (n - 1) + ">"
-    two = Bigraph([(A, None)] * 2 + [(L, None)], [[("n", 1)], [("n", 2)], []], [[("n", 0)]], 0, [])
+    two = Bigraph([(A, None)] * 2 + [(L, None)], [~0, 0, 1], [], 1, [])
     assert two.pretty() == "A.(A.L)"
+    # a parent's sites are written after its entity children
+    assert Bigraph([(A, None), (L, None)], [~0, 0], [0, ~0], 1, []).pretty() == "A.(L | id) | id"

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -43,19 +44,14 @@ def test_entity_renumbering_invariance():
     # rebuild with node ids permuted by hand
     perm = {0: 2, 1: 0, 2: 1}
     nodes = [None] * 3
-    node_children = [None] * 3
+    up = [None] * 3
     for old, new in perm.items():
         nodes[new] = g.nodes[old]
-        node_children[new] = [
-            ("n", perm[i]) if k == "n" else (k, i) for k, i in g.node_children[old]
-        ]
-    region_children = [
-        [("n", perm[i]) if k == "n" else (k, i) for k, i in cs] for cs in g.region_children
-    ]
+        up[new] = perm[g.up[old]] if g.up[old] >= 0 else g.up[old]
     links = [
         Link(lk.name, tuple((perm[n], p) for n, p in lk.ports)) for lk in g.links
     ]
-    h = Bigraph(nodes, node_children, region_children, g.nsites, links)
+    h = Bigraph(nodes, up, g.site_up, g.nregions, links)
     assert canonical_form(g) == canonical_form(h)
 
 
@@ -120,6 +116,31 @@ def test_decode_rejects_bytes_after_tail(tmp_path):
     assert decode_states(load_mdp(path, "key"), controls) is None
 
 
+@pytest.mark.parametrize(
+    "text, why",
+    [
+        (b"bg;1;1;R[$0;$0];Y=;X=", "site $0 written twice"),
+        (b"bg;1;2;R[N(){}[$0];$0];Y=;X=", "site $0 written twice"),
+        (b"bg;1;2;R[$1];Y=;X=", "expected 2 sites"),
+        (b"bg;1;1;R[$1];Y=;X=", "expected 1 sites"),
+        (b"bg;1;0;R[N(){}[$0]];Y=;X=", "expected 0 sites"),
+    ],
+    ids=["twice", "twice-in-two-places", "missing", "out-of-range", "unannounced"],
+)
+def test_decode_refuses_misnumbered_sites(tmp_path, text, why):
+    # a parent map cannot tell a site written twice or not at all, so the
+    # decoder checks that $0 .. $n-1 each occur exactly once
+    from tickgraph.mdp import Mdp, decode_states, load_mdp, save_mdp
+
+    controls = {"N": Control("N")}
+    with pytest.raises(ValueError, match=re.escape(why)):
+        decode_canonical(text, controls)
+    # a cache holding such a form does not decode, so it is rebuilt
+    path = tmp_path / "m.mdpc"
+    save_mdp(path, Mdp([pta_state(INIT, 2)], [text], [[]], ["a"]), "key")
+    assert decode_states(load_mdp(path, "key"), controls) is None
+
+
 # randomized renaming / perturbation checks -------------------------------
 
 _POOL = [
@@ -137,15 +158,14 @@ def random_bigraph(rng: random.Random, max_nodes=6):
     n = rng.randint(1, max_nodes)
     picks = [rng.choice(_POOL) for _ in range(n)]
     nodes = [(c, rng.randint(0, 2) if c.parameterised else None) for c in picks]
-    node_children = [[] for _ in range(n)]
+    up = []
     nregions = rng.randint(1, 2)
-    region_children = [[] for _ in range(nregions)]
     for i in range(n):
         candidates = [j for j in range(i) if not picks[j].atomic]
         if candidates and rng.random() < 0.6:
-            node_children[rng.choice(candidates)].append(("n", i))
+            up.append(rng.choice(candidates))
         else:
-            region_children[rng.randrange(nregions)].append(("n", i))
+            up.append(~rng.randrange(nregions))
     ports = [(i, p) for i in range(n) for p in range(picks[i].arity)]
     rng.shuffle(ports)
     links = []
@@ -155,36 +175,28 @@ def random_bigraph(rng: random.Random, max_nodes=6):
         ports = ports[k:]
         name = f"y{len(links)}" if rng.random() < 0.2 else None  # mostly closed
         links.append(Link(name, chunk))
-    return Bigraph(nodes, node_children, region_children, 0, links)
+    return Bigraph(nodes, up, [], nregions, links)
 
 
 def permuted_copy(rng: random.Random, g: Bigraph) -> Bigraph:
+    """`g` with its entities, regions and links renumbered at random."""
     n = g.nnodes
     perm = list(range(n))
     rng.shuffle(perm)
+    regions = list(range(g.nregions))  # new region k is old region regions[k]
+    rng.shuffle(regions)
+    moved = lambda p: perm[p] if p >= 0 else ~regions.index(~p)
     nodes = [None] * n
-    node_children = [None] * n
+    up = [None] * n
     for old in range(n):
         nodes[perm[old]] = g.nodes[old]
-        node_children[perm[old]] = [
-            ("n", perm[i]) if k == "n" else (k, i) for k, i in g.node_children[old]
-        ]
-    regions = list(range(g.nregions))
-    rng.shuffle(regions)
-    region_children = [
-        [("n", perm[i]) if k == "n" else (k, i) for k, i in g.region_children[r]]
-        for r in regions
-    ]
-    for cs in node_children:
-        rng.shuffle(cs)
-    for cs in region_children:
-        rng.shuffle(cs)
+        up[perm[old]] = moved(g.up[old])
     links = [
         Link(lk.name, tuple(sorted((perm[v], p) for v, p in lk.ports)))
         for lk in g.links
     ]
     rng.shuffle(links)
-    return Bigraph(nodes, node_children, region_children, g.nsites, links)
+    return Bigraph(nodes, up, [moved(p) for p in g.site_up], g.nregions, links)
 
 
 def test_agrees_with_brute_force_iso_on_near_misses():
@@ -203,10 +215,7 @@ def test_agrees_with_brute_force_iso_on_near_misses():
         hosts = rng.randint(1, 3)
         toks = [rng.choice([K1, K2]) for _ in range(n)]
         nodes = [(N, None)] * hosts + [(c, None) for c in toks]
-        node_children = [[] for _ in range(hosts + n)]
-        region_children = [[("n", i) for i in range(hosts)]]
-        for i in range(n):
-            node_children[rng.randrange(hosts)].append(("n", hosts + i))
+        up = [~0] * hosts + [rng.randrange(hosts) for _i in range(n)]
         ports = [(hosts + i, p) for i in range(n) for p in range(toks[i].arity)]
         rng.shuffle(ports)
         links = []
@@ -214,7 +223,7 @@ def test_agrees_with_brute_force_iso_on_near_misses():
             k = min(len(ports), rng.choice([1, 2, 2, 3]))
             links.append(Link(None, tuple(ports[:k])))
             ports = ports[k:]
-        return Bigraph(nodes, node_children, region_children, 0, links)
+        return Bigraph(nodes, up, [], 1, links)
 
     rng = random.Random(99)
     graphs = [symgraph(rng) for _ in range(1000)]
@@ -269,13 +278,12 @@ def test_closed_link_stars(k):
         # hub and two boxes at the root; each leaf at the root or in a box
         nodes = [(hub, None), (box, None), (box, None)]
         nodes += [(leaf, rng.randint(0, 1)) for _ in range(k)]
-        node_children = [[] for _ in nodes]
-        root = [("n", 0), ("n", 1), ("n", 2)]
-        for i in range(3, 3 + k):
+        up = [~0, ~0, ~0]
+        for _i in range(k):
             where = rng.randrange(3)
-            (root if where == 0 else node_children[where]).append(("n", i))
+            up.append(~0 if where == 0 else where)
         links = [Link(None, ((0, j), (3 + j, 0))) for j in range(k)]
-        return Bigraph(nodes, node_children, [root], 0, links)
+        return Bigraph(nodes, up, [], 1, links)
 
     rng = random.Random(k)
     stars = [star(rng) for _ in range(40)]
@@ -307,21 +315,16 @@ def test_random_perturbation_changes_encoding(seed):
             idx = next(i for i, (c, _) in enumerate(h.nodes) if c.parameterised)
             nodes = list(h.nodes)
             nodes[idx] = (nodes[idx][0], nodes[idx][1] + 7)
-            h2 = Bigraph(nodes, [list(c) for c in h.node_children],
-                         [list(c) for c in h.region_children], h.nsites, list(h.links))
+            h2 = Bigraph(nodes, h.up, h.site_up, h.nregions, h.links)
         elif mode == 1 and h.links:
             links = list(h.links)
             lk = links[0]
             links[0] = Link("zz_fresh" if lk.name is None else None, lk.ports)
-            h2 = Bigraph(list(h.nodes), [list(c) for c in h.node_children],
-                         [list(c) for c in h.region_children], h.nsites, links)
+            h2 = Bigraph(h.nodes, h.up, h.site_up, h.nregions, links)
         else:
             extra = Control("ZZ", 0, atomic=True)
             nodes = list(h.nodes) + [(extra, None)]
-            node_children = [list(c) for c in h.node_children] + [[]]
-            region_children = [list(c) for c in h.region_children]
-            region_children[0] = region_children[0] + [("n", len(nodes) - 1)]
-            h2 = Bigraph(nodes, node_children, region_children, h.nsites, list(h.links))
+            h2 = Bigraph(nodes, h.up + [~0], h.site_up, h.nregions, h.links)
         assert canonical_form(g) != canonical_form(h2)
 
 
@@ -335,18 +338,11 @@ def bigraphs(draw, max_nodes=6):
     picks = draw(st.lists(st.sampled_from(_POOL), min_size=n, max_size=n))
     nodes = [(c, draw(st.integers(0, 2)) if c.parameterised else None) for c in picks]
     nregions = draw(st.integers(1, 2))
-    node_children: list[list] = [[] for _ in range(n)]
-    region_children: list[list] = [[] for _ in range(nregions)]
-
-    def place(ref, hosts):
-        kind, i = draw(st.sampled_from([("r", r) for r in range(nregions)] + hosts))
-        (region_children if kind == "r" else node_children)[i].append(ref)
-
-    for i in range(n):
-        place(("n", i), [("n", j) for j in range(i) if not picks[j].atomic])
+    # a parent: ~r for region r, or an entity that can hold children
+    place = lambda hosts: draw(st.sampled_from([~r for r in range(nregions)] + hosts))
+    up = [place([j for j in range(i) if not picks[j].atomic]) for i in range(n)]
     nsites = draw(st.integers(0, 2))
-    for s in range(nsites):
-        place(("s", s), [("n", j) for j in range(n) if not picks[j].atomic])
+    site_up = [place([j for j in range(n) if not picks[j].atomic]) for _s in range(nsites)]
     ports = draw(st.permutations([(i, p) for i in range(n) for p in range(picks[i].arity)]))
     links = []
     while ports:
@@ -356,7 +352,7 @@ def bigraphs(draw, max_nodes=6):
         ports = ports[k:]
     if draw(st.booleans()):
         links.append(Link("idle", ()))  # a portless open name
-    return Bigraph(nodes, node_children, region_children, nsites, links)
+    return Bigraph(nodes, up, site_up, nregions, links)
 
 
 @settings(max_examples=200, deadline=None)
@@ -409,8 +405,7 @@ def test_hypothesis_near_misses_agree_with_brute_force(g, data):
     for lk in g.links:
         links.append(Link(lk.name, tuple(ports[: len(lk.ports)])))
         ports = ports[len(lk.ports) :]
-    h = Bigraph(list(g.nodes), [list(c) for c in g.node_children],
-                [list(c) for c in g.region_children], g.nsites, links)
+    h = Bigraph(g.nodes, g.up, g.site_up, g.nregions, links)
     assert is_iso(g, h) == brute_iso(g, h)
 
 
@@ -482,13 +477,12 @@ def near_symmetric(k: int, shape: str, variant: str = "none", at: int = 0) -> Bi
     swap one end each, so each joins one D of either copy.
     """
     nodes: list = []
-    kids: list[list] = []
-    roots: list = []
+    up: list[int] = []
+    site_up: list[int] = []
 
-    def add(ctrl, param=None, parent=None) -> int:
+    def add(ctrl, param=None, parent=~0) -> int:
         nodes.append((ctrl, param))
-        kids.append([])
-        (roots if parent is None else kids[parent]).append(("n", len(nodes) - 1))
+        up.append(parent)
         return len(nodes) - 1
 
     links: list[list] = []
@@ -510,16 +504,14 @@ def near_symmetric(k: int, shape: str, variant: str = "none", at: int = 0) -> Bi
             ds.append(add(_DEEP, parent=h))
             add(_LEAF, 2 if (variant, i, j) == ("param", at, 1) else j, parent=ds[-1])
         if (variant, i) == ("site", at):
-            kids[ds[0]].append(("s", 0))
+            site_up.append(ds[0])
         deep.append(ds)
     pairs = [[deep[i][0], deep[i][1]] for i in range(k)]
     if variant == "link":
         nxt = (at + 1) % k
         pairs[at], pairs[nxt] = [deep[at][0], deep[nxt][0]], [deep[at][1], deep[nxt][1]]
     links += [[(d, 0) for d in ds] for ds in pairs]
-    return Bigraph(
-        nodes, kids, [roots], int(variant == "site"), [Link(None, tuple(ports)) for ports in links]
-    )
+    return Bigraph(nodes, up, site_up, 1, [Link(None, tuple(ports)) for ports in links])
 
 
 @pytest.mark.parametrize("shape, k", [("pairs", 3), ("pairs", 4), ("ring", 4), ("ring", 5)])
@@ -570,13 +562,10 @@ def weakly_refined(rng: random.Random) -> Bigraph:
     vertex = Control(f"V{arity}", arity)
     boxes = rng.randint(1, 2)
     nodes = [(Control("Box", 0), None)] * boxes + [(vertex, None)] * n
-    kids: list[list] = [[] for _ in nodes]
-    for v in range(boxes, boxes + n):
-        kids[rng.randrange(boxes)].append(("n", v))
+    up = [~0] * boxes + [rng.randrange(boxes) for _v in range(n)]
     for v in rng.sample(range(boxes, boxes + n), rng.randint(0, 2)):
-        kids[v].append(("n", len(nodes)))
+        up.append(v)
         nodes.append((_LEAF, rng.randint(0, 1)))
-        kids.append([])
     used = [0] * len(nodes)
     links = []
     for a, b in ends:
@@ -584,7 +573,7 @@ def weakly_refined(rng: random.Random) -> Bigraph:
         links.append(Link(None, ((a, used[a]), (b, used[b]))))
         used[a] += 1
         used[b] += 1
-    return Bigraph(nodes, kids, [[("n", b) for b in range(boxes)]], 0, links)
+    return Bigraph(nodes, up, [], 1, links)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -659,8 +648,7 @@ def test_orbit_pruning_uses_only_automorphisms_that_fix_the_path(work):
     for i, (a, b) in enumerate(edges):
         ports[a].append((i, 0))
         ports[b].append((i, 1))
-    g = Bigraph([(e, None)] * len(edges), [[] for _ in edges],
-                [[("n", i) for i in range(len(edges))]], 0,
+    g = Bigraph([(e, None)] * len(edges), [~0] * len(edges), [], 1,
                 [Link(None, tuple(ports[v])) for v in (4, 3, 2, 7, 1, 5, 0, 6)])
     assert canonical_form(g) == reference_canonical_form(g)
     assert work["leaves"] == 7  # 6 when vertex 5 is skipped
@@ -875,11 +863,9 @@ def deep_nest(depth: int) -> Bigraph:
     one open name."""
     c, leaf = Control("C", arity=1), Control("L", arity=1, atomic=True)
     nodes = [(c, None)] * depth + [(leaf, None)]
-    kids = [[("n", i + 1)] for i in range(depth)] + [[]]
-    kids[depth // 2].append(("s", 0))
     links = [Link(None, ((i, 0), (depth - i, 0))) for i in range(depth // 2)]
     links.append(Link("x", ((depth // 2, 0),)))
-    return Bigraph(nodes, kids, [[("n", 0)]], 1, links)
+    return Bigraph(nodes, [~0, *range(depth)], [depth // 2], 1, links)
 
 
 def test_deep_nest_equals_reference():

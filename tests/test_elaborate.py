@@ -78,7 +78,7 @@ def _algebra_ion(el, e, env):
 
 
 def entities(g):
-    return (g.nodes, g.node_children, g.region_children, g.nsites, g.links)
+    return (g.nodes, list(g.up), list(g.site_up), g.nregions, g.links)
 
 
 def outcome(evaluate):

@@ -10,7 +10,7 @@ from tickgraph.params import Var
 
 from .algebra import close, ion, merge, merge_all, nest, parallel, site
 from .conftest import is_iso
-from .oracle import brute_occurrences, edge_counts
+from .oracle import brute_occurrences, descendants, edge_counts
 
 S = Control("S", arity=1)
 INIT = Control("Init", atomic=True)
@@ -139,7 +139,7 @@ def test_anchor_inside_a_captured_forest_is_refused():
     assert {(m.nodes, m.edges, m.binding) for m in found} == brute_occurrences(agent, pat)
     (m,) = found
     (f,) = [u for u, (ctrl, _p) in enumerate(agent.nodes) if ctrl.name == "F"]
-    assert m.anchors == (("r", 0), ("n", f))
+    assert m.anchors == (~0, f)
     assert len(m.site_images[0]) == 3
     # without F.B every B lies in the forest
     assert occurrences(nest(ion(A), below_a), pat) == []
@@ -212,15 +212,14 @@ def random_ground(rng: random.Random, max_nodes=6) -> Bigraph:
     n = rng.randint(1, max_nodes)
     picks = [rng.choice(_POOL) for _ in range(n)]
     nodes = [(c, rng.randint(0, 1) if c.parameterised else None) for c in picks]
-    node_children = [[] for _ in range(n)]
+    up = []
     nregions = rng.randint(1, 2)
-    region_children = [[] for _ in range(nregions)]
     for i in range(n):
         hosts = [j for j in range(i) if not picks[j].atomic]
         if hosts and rng.random() < 0.6:
-            node_children[rng.choice(hosts)].append(("n", i))
+            up.append(rng.choice(hosts))
         else:
-            region_children[rng.randrange(nregions)].append(("n", i))
+            up.append(~rng.randrange(nregions))
     ports = [(i, p) for i in range(n) for p in range(picks[i].arity)]
     rng.shuffle(ports)
     links = []
@@ -228,27 +227,22 @@ def random_ground(rng: random.Random, max_nodes=6) -> Bigraph:
         k = min(len(ports), rng.randint(1, 2))
         chunk, ports = tuple(ports[:k]), ports[k:]
         links.append(Link(None, chunk))
-    return Bigraph(nodes, node_children, region_children, 0, links)
+    return Bigraph(nodes, up, [], nregions, links)
 
 
 def random_pattern(rng: random.Random, max_nodes=3) -> Bigraph:
     n = rng.randint(1, max_nodes)
     picks = [rng.choice(_POOL) for _ in range(n)]
     nodes = [(c, rng.randint(0, 1) if c.parameterised else None) for c in picks]
-    node_children = [[] for _ in range(n)]
+    up = []
     nregions = rng.randint(1, 2)
-    region_children = [[] for _ in range(nregions)]
     for i in range(n):
         hosts = [j for j in range(i) if not picks[j].atomic]
         if hosts and rng.random() < 0.5:
-            node_children[rng.choice(hosts)].append(("n", i))
+            up.append(rng.choice(hosts))
         else:
-            region_children[rng.randrange(nregions)].append(("n", i))
-    nsites = 0
-    for i in range(n):
-        if not picks[i].atomic and rng.random() < 0.5:
-            node_children[i].append(("s", nsites))
-            nsites += 1
+            up.append(~rng.randrange(nregions))
+    site_up = [i for i in range(n) if not picks[i].atomic and rng.random() < 0.5]
     ports = [(i, p) for i in range(n) for p in range(picks[i].arity)]
     rng.shuffle(ports)
     links = []
@@ -257,7 +251,7 @@ def random_pattern(rng: random.Random, max_nodes=3) -> Bigraph:
         chunk, ports = tuple(ports[:k]), ports[k:]
         name = f"y{len(links)}" if rng.random() < 0.7 else None
         links.append(Link(name, chunk))
-    return Bigraph(nodes, node_children, region_children, nsites, links)
+    return Bigraph(nodes, up, site_up, nregions, links)
 
 
 def sub_pattern(rng: random.Random, agent: Bigraph, nested: float = 0.0) -> Bigraph:
@@ -274,26 +268,28 @@ def sub_pattern(rng: random.Random, agent: Bigraph, nested: float = 0.0) -> Bigr
     regions; else a second region is drawn at random.  An agent edge all of
     whose ports are chosen may stay closed; any other becomes an outer name.
     """
-    nodes, node_children, region_children = [], [], []
+    nodes, up, site_up = [], [], []
     new_id: dict[int, int] = {}
-    nsites = 0
+    nregions = 0
 
-    def take(u: int) -> int:
-        nonlocal nsites
+    def take(u: int, parent: int):
         i = new_id[u] = len(nodes)
         ctrl, param = agent.nodes[u]
         if ctrl.parameterised and rng.random() < 0.6:
             param = Var(rng.choice("vw"))
         nodes.append((ctrl, param))
-        node_children.append([])
-        kids = [c for _k, c in agent.node_children[u]]
+        up.append(parent)
+        kids = agent.kids[u]
         keep = [c for c in kids if rng.random() < 0.6]
         for c in keep:
-            node_children[i].append(("n", take(c)))
+            take(c, i)
         if not ctrl.atomic and (len(keep) < len(kids) or rng.random() < 0.5):
-            node_children[i].append(("s", nsites))
-            nsites += 1
-        return i
+            site_up.append(i)
+
+    def root(u: int):  # `u` roots a new region
+        nonlocal nregions
+        nregions += 1
+        take(u, ~(nregions - 1))
 
     def above(u: int) -> set[int]:
         up = set()
@@ -303,7 +299,7 @@ def sub_pattern(rng: random.Random, agent: Bigraph, nested: float = 0.0) -> Bigr
         return up
 
     def apart(u: int, v: int) -> bool:
-        return u != v and v not in agent.descendants(u) and u not in agent.descendants(v)
+        return u != v and v not in descendants(agent, u) and u not in descendants(agent, v)
 
     # pairs of roots with disjoint subtrees that share an edge
     linked = [
@@ -313,7 +309,7 @@ def sub_pattern(rng: random.Random, agent: Bigraph, nested: float = 0.0) -> Bigr
     # entities with a grandchild: a forest captured below them can hold a root
     deep = [u for u in range(agent.nnodes) if any(agent.kids[c] for c in agent.kids[u])]
     if deep and nested and rng.random() < nested:
-        region_children.append([("n", take(rng.choice(deep)))])
+        root(rng.choice(deep))
         forest = [v for v in range(agent.nnodes) if v not in new_id and agent.up[v] >= 0
                   and agent.up[v] not in new_id and new_id.keys() & above(agent.up[v])]
         roots = [rng.choice(forest)] if forest else []
@@ -324,8 +320,8 @@ def sub_pattern(rng: random.Random, agent: Bigraph, nested: float = 0.0) -> Bigr
         free = [v for v in range(agent.nnodes) if apart(roots[0], v)]
         if free and rng.random() < 0.5:
             roots.append(rng.choice(free))
-    for root in roots:
-        region_children.append([("n", take(root))])
+    for u in roots:
+        root(u)
     links = []
     for e, lk in enumerate(agent.links):
         ports = tuple((new_id[v], p) for v, p in lk.ports if v in new_id)
@@ -333,7 +329,7 @@ def sub_pattern(rng: random.Random, agent: Bigraph, nested: float = 0.0) -> Bigr
             continue
         whole = len(ports) == len(lk.ports) and lk.closed
         links.append(Link(None if whole and rng.random() < 0.5 else f"y{e}", ports))
-    return Bigraph(nodes, node_children, region_children, nsites, links)
+    return Bigraph(nodes, up, site_up, nregions, links)
 
 
 def check_agreement(seed: int) -> tuple[int, int]:
@@ -370,10 +366,9 @@ def second_root_linked(pattern: Bigraph) -> bool:
     if pattern.nregions < 2:
         return False
     first = set()
-    for k, c in pattern.region_children[0]:
-        if k == "n":
-            first |= {c} | pattern.descendants(c)
-    roots = {c for k, c in pattern.region_children[1] if k == "n"}
+    for c in pattern.roots[0]:
+        first |= {c} | descendants(pattern, c)
+    roots = set(pattern.roots[1])
     return any(
         {v for v, _p in lk.ports} & roots and {v for v, _p in lk.ports} & first
         for lk in pattern.links
@@ -406,23 +401,22 @@ def rare_case(rng: random.Random) -> tuple[Bigraph, Bigraph]:
     The agent holds every other control of the pattern at least twice."""
     while True:
         agent = random_ground(rng, max_nodes=7)
-        below = [u for u in range(agent.nnodes) if agent.parent(("n", u))[0] == "n"]
+        below = [u for u in range(agent.nnodes) if agent.up[u] >= 0]
         if not below:
             continue
         u = rng.choice(below)
         ctrl, param = agent.nodes[u]
         nodes = list(agent.nodes)
         nodes[u] = (Control("R", ctrl.arity, ctrl.atomic, ctrl.parameterised), param)
-        agent = Bigraph(nodes, agent.node_children, agent.region_children, 0, agent.links)
+        agent = Bigraph(nodes, agent.up, agent.site_up, agent.nregions, agent.links)
         names = [c.name for c, _v in agent.nodes]
         for _ in range(20):
             pattern = sub_pattern(rng, agent)
             (r,) = [p for p, (c, _v) in enumerate(pattern.nodes) if c.name == "R"] or [None]
             if r is None or any(names.count(c.name) < 2 for c, _v in pattern.nodes if c.name != "R"):
                 continue
-            if pattern.parent(("n", r))[0] == "n" or (
-                pattern.parent(("n", r)) == ("r", 1) and second_root_linked(pattern)
-            ):
+            q = pattern.up[r]
+            if q >= 0 or (q == ~1 and second_root_linked(pattern)):
                 return agent, pattern
 
 
@@ -487,8 +481,7 @@ def test_cloud_explore_search_steps(monkeypatch):
 def _chain(n: int) -> Bigraph:
     """n entities, each the only child of the one before."""
     a, leaf = Control("A"), Control("L", atomic=True)
-    kids = [[("n", i + 1)] for i in range(n - 1)] + [[]]
-    return Bigraph([(a, None)] * (n - 1) + [(leaf, None)], kids, [[("n", 0)]], 0, [])
+    return Bigraph([(a, None)] * (n - 1) + [(leaf, None)], [~0, *range(n - 1)], [], 1, [])
 
 
 def test_pattern_deeper_than_the_stack_is_a_named_limit():

@@ -32,6 +32,7 @@ from .oracle import _fingerprint, brute_iso, entry_outcomes, oracle_explore
 
 
 MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
+DATA = pathlib.Path(__file__).resolve().parent / "data"
 
 
 def find_state(mdp: Mdp, pattern) -> list[int]:
@@ -190,33 +191,52 @@ def test_fixpoint_on_dead_model():
     assert mdp.choices[0][0].action == "stall"
 
 
-def test_oracle_explorer_agrees_on_pta(pta_model_prog, pta_mdp):
-    oracle = oracle_explore(pta_model_prog)
-    assert len(oracle.states) == pta_mdp.n_states == 14
-    assert oracle.n_choices == pta_mdp.n_choices
-    assert oracle.n_transitions == pta_mdp.n_transitions
+def assert_agrees_with_oracle(model, mdp: Mdp):
+    """`mdp` is `model`'s MDP as the brute-force explorer finds it: a
+    bijection of states by brute-force isomorphism, and per state the same
+    choices, each with the same distribution."""
+    oracle = oracle_explore(model)
+    assert len(oracle.states) == mdp.n_states
+    assert oracle.n_choices == mdp.n_choices
+    assert oracle.n_transitions == mdp.n_transitions
 
     # bijection via brute-force isomorphism, then structure comparison
     buckets = {}
     for i, g in enumerate(oracle.states):
         buckets.setdefault(_fingerprint(g), []).append(i)
     mapping = {}
-    for s, g in enumerate(pta_mdp.states):
+    for s, g in enumerate(mdp.states):
         cands = [i for i in buckets.get(_fingerprint(g), ()) if brute_iso(g, oracle.states[i])]
         assert len(cands) == 1, f"state {s} has {len(cands)} oracle twins"
         mapping[s] = cands[0]
-    assert len(set(mapping.values())) == pta_mdp.n_states
+    assert len(set(mapping.values())) == mdp.n_states
 
-    for s in range(pta_mdp.n_states):
+    for s in range(mdp.n_states):
         mine = {
             (c.action, tuple(sorted((mapping[t], round(p, 12)) for t, p in c.dist)))
-            for c in pta_mdp.choices[s]
+            for c in mdp.choices[s]
         }
         theirs = {
             (action, tuple(sorted((t, round(p, 12)) for t, p in dist)))
             for action, dist in oracle.choices[mapping[s]]
         }
         assert mine == theirs
+
+
+def test_oracle_explorer_agrees_on_pta(pta_model_prog, pta_mdp):
+    assert pta_mdp.n_states == 14
+    assert_agrees_with_oracle(pta_model_prog, pta_mdp)
+
+
+def test_oracle_explorer_agrees_on_prod2():
+    # two send/retry processes, each with its own closed-linked clock, and
+    # one lockstep tick over both: several closed-linked timed components
+    # and two-region redexes, which no bundled model has
+    model = load_model(DATA / "prod2.big")
+    mdp = explore(model)
+    assert (mdp.n_states, mdp.n_choices, mdp.n_transitions) == (456, 726, 946)
+    assert len(mdp.deadlocks()) == 80
+    assert_agrees_with_oracle(model, mdp)
 
 
 def test_sensor_oracle_and_bias(sensor_model_prog):

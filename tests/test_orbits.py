@@ -64,7 +64,7 @@ def _orbit_key(model, oc):
 
 
 def _same_distribution(a, b) -> bool:
-    shape = lambda g: (g.nodes, g.node_children, g.region_children, g.links)
+    shape = lambda g: (g.nodes, g.up, g.site_up, g.nregions, g.links)
     return [(shape(g), p) for g, p in a] == [(shape(g), p) for g, p in b]
 
 
@@ -155,15 +155,20 @@ def test_eight_clock_tick_matches_once_per_state(monkeypatch):
         assert ms == [m for m in every if _ascending((group,), m.nodes)][:1]
 
 
-def test_orbit_search_orders_images_by_entity_id():
-    # the pattern lists its two A children in reverse id order, so the
-    # search maps entity 2 before entity 1; the match kept must still be
-    # the one whose images ascend with the entity id: the first by sort_key
+def _plan_in(monkeypatch, order):
+    """Make every search map entity 0 first, then its children in `order`."""
+    steps = [(0, "all", None)] + [(p, "kids", 0) for p in order]
+    monkeypatch.setattr(match, "_plan", lambda *args: steps)
+
+
+def test_orbit_search_orders_images_by_entity_id(monkeypatch):
+    # the plan maps the two A children in reverse id order, entity 2 before
+    # entity 1; the match kept must still be the one whose images ascend
+    # with the entity id: the first by sort_key
     P, A = Control("P"), Control("A", atomic=True)
-    pattern = Bigraph([(P, None), (A, None), (A, None)],
-                      [[("n", 2), ("n", 1)], [], []], [[("n", 0)]], 0, [])
-    agent = Bigraph([(P, None), (A, None), (A, None)],
-                    [[("n", 1), ("n", 2)], [], []], [[("n", 0)]], 0, [])
+    pattern = Bigraph([(P, None), (A, None), (A, None)], [~0, 0, 0], [], 1, [])
+    agent = Bigraph([(P, None), (A, None), (A, None)], [~0, 0, 0], [], 1, [])
+    _plan_in(monkeypatch, (2, 1))
     every = occurrences(agent, pattern)
     assert [m.nodes for m in every] == [(0, 1, 2), (0, 2, 1)]
     assert occurrences(agent, pattern, groups=((1, 2),)) == every[:1]
@@ -171,19 +176,17 @@ def test_orbit_search_orders_images_by_entity_id():
 
 @pytest.mark.parametrize("order", list(itertools.permutations((1, 2, 3))))
 def test_orbit_search_prunes_by_entity_id_in_any_search_order(monkeypatch, order):
-    # the pattern P.(A | A | A | id) lists its A children in `order`, so the
-    # search maps them in that order; the agent's P holds five A children
-    # and a B, out of id order.  Each kept match is the one of its orbit
-    # whose images ascend with the entity id, none is lost to the bounds or
-    # to the room that the later members need, and the search enters no
-    # prefix that does not extend to a kept match
+    # the plan maps the A children of the pattern P.(A | A | A | id) in
+    # `order`; the agent's P holds five A children and a B.  Each kept
+    # match is the one of its orbit whose images ascend with the entity id,
+    # none is lost to the bounds or to the room that the later members
+    # need, and the search enters no prefix that does not extend to a kept
+    # match
     P, A, B = Control("P"), Control("A", atomic=True), Control("B", atomic=True)
-    pattern = Bigraph([(P, None)] + [(A, None)] * 3,
-                      [[("n", p) for p in order] + [("s", 0)], [], [], []],
-                      [[("n", 0)]], 1, [])
+    pattern = Bigraph([(P, None)] + [(A, None)] * 3, [~0, 0, 0, 0], [0], 1, [])
     nodes = [(P, None), (A, None), (A, None), (B, None), (A, None), (A, None), (A, None)]
-    agent = Bigraph(nodes, [[("n", u) for u in (5, 2, 3, 6, 1, 4)]] + [[]] * 6,
-                    [[("n", 0)]], 0, [])
+    agent = Bigraph(nodes, [~0] + [0] * 6, [], 1, [])
+    _plan_in(monkeypatch, order)
     every = occurrences(agent, pattern)
     assert len(every) == 5 * 4 * 3
     entered = []
@@ -207,11 +210,9 @@ def test_orbit_search_counts_a_member_found_by_edge_among_its_control():
     # room it needs above would drop A 1 and lose the match kept
     R = Control("R", arity=2, atomic=True)
     P, A = Control("P"), Control("A", arity=1, atomic=True)
-    pattern = Bigraph([(R, None), (P, None), (A, None), (A, None)],
-                      [[], [("n", 2), ("n", 3)], [], []], [[("n", 0)], [("n", 1)]], 0,
+    pattern = Bigraph([(R, None), (P, None), (A, None), (A, None)], [~0, ~1, 1, 1], [], 2,
                       [Link("y1", ((0, 0), (2, 0))), Link("y2", ((0, 1), (3, 0)))])
-    agent = Bigraph([(P, None), (A, None), (A, None), (R, None)],
-                    [[("n", 1), ("n", 2)], [], [], []], [[("n", 0), ("n", 3)]], 0,
+    agent = Bigraph([(P, None), (A, None), (A, None), (R, None)], [~0, 0, 0, ~0], [], 1,
                     [Link("e0", ((3, 0), (2, 0))), Link("e1", ((3, 1), (1, 0)))])
     every = occurrences(agent, pattern)
     assert len(every) == 2
