@@ -140,6 +140,8 @@ class Bigraph:
         except IndexError:
             raise ValueError("a port names no entity") from None
         ports = [port for lk in self.links for port in lk.ports]
+        if ports and min(ports)[0] < 0:  # indexed above as counted from the end
+            raise ValueError("a port names no entity")
         if len(set(ports)) < len(ports):
             twice = next(port for k, port in enumerate(ports) if port in ports[:k])
             raise ValueError(f"port {twice} occurs in two hyperedges")

@@ -40,7 +40,7 @@ from .mdp import (
 from .match import PatternLimit
 from .params import ParameterLimit
 from .rules import apply, enabled_outcomes, integer_weights
-from .verify import UnknownLabel, check, label, solver_graph
+from .verify import UnknownLabel, check, label
 
 log = logging.getLogger("tickgraph")
 
@@ -208,11 +208,10 @@ def cmd_check(args) -> int:
         print("check: no properties in file", file=sys.stderr)
         return EXIT_USAGE
     mdp = _labelled_mdp(args)
-    graph = solver_graph(mdp)  # one graph for every property
     all_hold = True
     results = []
     for prop in props:
-        verdict = check(mdp, prop, graph)
+        verdict = check(mdp, prop)
         all_hold &= verdict.holds
         results.append(
             {

@@ -1,12 +1,12 @@
 """Flat MDP lists and the graph and sweep kernels of the reachability solver.
 
-``as_arrays`` flattens an MDP's choices into CSR (compressed sparse row)
-Python lists.  ``Graph`` keeps them for the qualitative worklists and adds
-the predecessor CSR, built by a stable counting sort in Python, backward
-reachability and an iterative Tarjan decomposition into strongly connected
-components.  One graph serves every query on its MDP.  ``sweep`` is one
-vectorised Jacobi sweep of value iteration over the states of one SCC; it
-is the only kernel that uses numpy, which it imports on first use, so a
+``as_arrays`` flattens an MDP's ``Choice`` records into CSR (compressed
+sparse row) Python lists.  ``Graph`` keeps them for the qualitative
+worklists and adds the predecessor CSR, built by a stable counting sort in
+Python, backward reachability and an iterative Tarjan decomposition into
+strongly connected components; an MDP keeps its graph (``Mdp._graph``).
+``sweep`` is one vectorised Jacobi sweep of value iteration over one SCC's
+states, and the only kernel that uses numpy, imported on first use, so a
 command that makes no sweep never loads numpy.
 """
 
@@ -16,7 +16,7 @@ from itertools import accumulate
 
 
 def as_arrays(choices_per_state):
-    """Flatten per-state choices into CSR-style lists.
+    """Flatten per-state ``Choice`` records into CSR-style lists.
 
     Returns ``(choice_ptr, trans_ptr, targets, probs)``: the choices of state
     ``s`` are ``choice_ptr[s]:choice_ptr[s+1]`` and the transitions of choice
@@ -27,8 +27,8 @@ def as_arrays(choices_per_state):
     targets: list[int] = []
     probs: list[float] = []
     for cs in choices_per_state:
-        for _action, dist in cs:
-            for t, p in dist:
+        for c in cs:
+            for t, p in c.dist:
                 targets.append(t)
                 probs.append(p)
             trans_ptr.append(len(targets))

@@ -52,7 +52,12 @@ class Choice(Record):
 
 
 class Mdp(Record):
-    __slots__ = ("states", "canon", "choices", "actions", "labels", "label_names")
+    """``_graph`` caches the solver's graph of ``choices`` (`kernels.Graph`),
+    which the MDP's first query builds and every later one reads; whoever
+    changes ``choices`` after a query sets it to None.  Equality skips it."""
+
+    __slots__ = ("states", "canon", "choices", "actions", "labels", "label_names", "_graph")
+    _fields = __slots__[:-1]
     __hash__ = None
 
     def __init__(self, states: list[Bigraph], canon: list[bytes], choices: list[list[Choice]],
@@ -62,8 +67,9 @@ class Mdp(Record):
         self.canon = canon
         self.choices = choices
         self.actions = actions  # declared action order
-        self.labels = [] if labels is None else labels
+        self.labels = [set() for _ in canon] if labels is None else labels
         self.label_names = label_names  # set by verify.label
+        self._graph = None
 
     @property
     def n_states(self) -> int:
@@ -148,19 +154,18 @@ def explore(model: Model, max_states: int = 100_000) -> Mdp:
         canon=list(index),
         choices=choices,
         actions=list(model.action_order),
-        labels=[set() for _ in states],
     )
 
 
 def add_stall_loops(mdp: Mdp) -> int:
     """Give deadlock states a self-loop under the reserved action `stall`."""
-    fixed = 0
-    for s in mdp.deadlocks():
+    dead = mdp.deadlocks()
+    for s in dead:
         mdp.choices[s].append(Choice("stall", [(s, 1.0)]))
-        fixed += 1
-    if fixed and "stall" not in mdp.actions:
+    if dead and "stall" not in mdp.actions:
         mdp.actions.append("stall")
-    return fixed
+    mdp._graph = None  # it lacks the stall loops
+    return len(dead)
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +320,7 @@ def load_mdp(path, model_hash: str) -> Mdp | None:
     canon = [text.encode("ascii") for text in texts]
     choices = [[Choice(actions[a], [(t, p) for t, p in dist]) for a, dist in cs] for cs in table]
     if "label_names" not in doc and "labels" not in doc:
-        return Mdp([], canon, choices, actions, labels=[set() for _ in texts])
+        return Mdp([], canon, choices, actions)
     names, rows = doc.get("label_names"), doc.get("labels")
     if not (_is_list_of(names, str) and len(set(names)) == len(names)
             and type(rows) is list and len(rows) == len(texts)

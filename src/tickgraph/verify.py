@@ -12,10 +12,10 @@ text by :func:`tickgraph.lang.parse_properties`, which this module
 re-exports; nothing here parses.
 
 Reachability is solved in two phases over the solver's graph of the MDP
-(`solver_graph`: its CSR lists and predecessor index, in pure Python).  The
-graph depends only on the MDP, so `check` takes one and a command that
-checks a property file builds it once for all of them; a caller that
-passes none gets one built per query.  First the states whose value is
+(:class:`tickgraph.kernels.Graph`: its CSR lists and predecessor index, in
+pure Python).  The graph depends only on the MDP's choices, so the MDP's
+first query builds it and keeps it in `Mdp._graph`, and every later query
+on that MDP reads it.  First the states whose value is
 exactly 0 or 1 are found by worklist fixpoints, so 0 and 1 answers are
 exact.  Then the remaining states are split into strongly connected
 components (SCCs), solved in reverse topological order so that every
@@ -301,20 +301,14 @@ def _iterate(g: Graph, vals: list[float], comp: list[int], minimize: bool) -> in
     return None
 
 
-def solver_graph(mdp: Mdp) -> Graph:
-    """The MDP's CSR lists and predecessor index, which every query on it reads."""
-    return Graph(*as_arrays([[(c.action, c.dist) for c in cs] for cs in mdp.choices]))
-
-
-def reach_vector(
-    mdp: Mdp, target: list[bool], mode: str, graph: Graph | None = None
-) -> list[float]:
-    """Per-state probability of eventually reaching the target set.  `graph`
-    is `solver_graph(mdp)`, built here when None."""
+def reach_vector(mdp: Mdp, target: list[bool], mode: str) -> list[float]:
+    """Per-state probability of eventually reaching the target set."""
     if mode not in ("min", "max"):
         raise ValueError("mode must be min or max")
     start = perf_counter()
-    g = graph if graph is not None else solver_graph(mdp)
+    g = mdp._graph
+    if g is None:  # the MDP's first query
+        g = mdp._graph = Graph(*as_arrays(mdp.choices))
     zero, one = zero_one(g, target, mode)
     minimize = mode == "min"
     vals = [1.0 if o else 0.0 for o in one]
@@ -342,20 +336,19 @@ def reach_vector(
     return vals
 
 
-def reach_prob(mdp: Mdp, target_expr, mode: str, graph: Graph | None = None) -> float:
+def reach_prob(mdp: Mdp, target_expr, mode: str) -> float:
     """Probability of reaching states satisfying the expression, from state 0."""
-    return reach_vector(mdp, satisfying(mdp, target_expr), mode, graph)[0]
+    return reach_vector(mdp, satisfying(mdp, target_expr), mode)[0]
 
 
 # ---------------------------------------------------------------------------
 # checking
 
 
-def check(mdp: Mdp, prop: Property, graph: Graph | None = None) -> Verdict:
-    """The verdict of one property.  `graph` is `solver_graph(mdp)`; pass the
-    same one for every property of an MDP to build it once."""
+def check(mdp: Mdp, prop: Property) -> Verdict:
+    """The verdict of one property."""
     if isinstance(prop, Reach):
-        v = reach_prob(mdp, prop.target, prop.mode, graph)
+        v = reach_prob(mdp, prop.target, prop.mode)
         holds = {
             ">=": v >= prop.p,
             ">": v > prop.p,
@@ -364,15 +357,15 @@ def check(mdp: Mdp, prop: Property, graph: Graph | None = None) -> Verdict:
         }[prop.bound]
         return Verdict(holds, v, f"P{prop.mode} = {v:.10g}")
     if isinstance(prop, Safety):
-        v = reach_prob(mdp, prop.bad, "max", graph)
+        v = reach_prob(mdp, prop.bad, "max")
         return Verdict(v == 0.0, v, f"Pmax(bad) = {v:.10g}")
     if isinstance(prop, Inevitable):
-        v = reach_prob(mdp, prop.goal, "min", graph)
+        v = reach_prob(mdp, prop.goal, "min")
         return Verdict(v == 1.0, v, f"Pmin = {v:.10g}")
     if isinstance(prop, ForcedNext):
         trig = satisfying(mdp, prop.trigger)
         nxt = satisfying(mdp, prop.next)
-        v = reach_vector(mdp, trig, "min", graph)[0]
+        v = reach_vector(mdp, trig, "min")[0]
         if v != 1.0:
             return Verdict(False, v, f"trigger not inevitable (Pmin = {v:.10g})")
         for s in range(mdp.n_states):

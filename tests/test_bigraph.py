@@ -249,8 +249,9 @@ def test_malformed_bigraphs_are_refused_or_reported(parts, problems):
     [
         ([(A, None)], [~0], [~0, 1], 1, []),
         ([(P, None)], [~0], [], 1, [Link("a", ((1, 0),))]),
+        ([(P, None)], [~0], [], 1, [Link("a", ((-1, 0),))]),
     ],
-    ids=["site", "port"],
+    ids=["site", "port", "negative-port"],
 )
 def test_references_to_missing_entities_or_sites_are_refused(parts):
     with pytest.raises(ValueError, match="no entity"):

@@ -924,6 +924,7 @@ def test_dataclasses_is_never_imported(tmp_path):
 
 def test_check_builds_one_graph_with_the_same_answers(tmp_path, monkeypatch, capsys):
     from tickgraph import cli, verify
+    from tickgraph.mdp import load_mdp
 
     graphs = []
 
@@ -934,9 +935,9 @@ def test_check_builds_one_graph_with_the_same_answers(tmp_path, monkeypatch, cap
 
     checked = []
 
-    def recording(mdp, prop, graph=None):
-        verdict = verify.check(mdp, prop, graph)
-        checked.append((mdp, prop, graph, verdict))
+    def recording(mdp, prop):
+        verdict = verify.check(mdp, prop)
+        checked.append((mdp, prop, verdict))
         return verdict
 
     def bits(v):
@@ -959,10 +960,13 @@ def test_check_builds_one_graph_with_the_same_answers(tmp_path, monkeypatch, cap
             capsys.readouterr()
             assert len(graphs) == 1
             assert len(checked) == len(verify.parse_properties(props.read_text()))
-            assert all(graph is graphs[0] for _m, _p, graph, _v in checked)
-            for mdp, prop, _graph, verdict in checked:
-                assert bits(verify.check(mdp, prop)) == bits(verdict), prop.source
-            assert len(graphs) == 1 + len(checked)  # one graph per unshared check
+            assert all(mdp is checked[0][0] for mdp, _p, _v in checked)
+            # an independent solve: the same cache loaded afresh
+            fresh = load_mdp(tmp_path / (model.stem + ".mdpc"), cli._model_key(str(model), False))
+            assert fresh is not None and fresh is not checked[0][0]
+            for _mdp, prop, verdict in checked:
+                assert bits(verify.check(fresh, prop)) == bits(verdict), prop.source
+            assert len(graphs) == 2 and fresh._graph is graphs[1]
 
 
 # --- a labelled cache answers `check` and `export` alone ----------------------

@@ -13,6 +13,7 @@ from tickgraph.canon import canonical_digest, canonical_form
 from tickgraph.elaborate import load_model
 from tickgraph.match import occurrences
 from tickgraph.mdp import (
+    Choice,
     ExplorationLimit,
     Mdp,
     add_stall_loops,
@@ -24,7 +25,7 @@ from tickgraph.mdp import (
     save_mdp,
 )
 from tickgraph.rules import Model, RuleEntry, RuleFamily
-from tickgraph.verify import label
+from tickgraph.verify import check, label, parse_properties
 
 from .algebra import ion
 from .conftest import DONE, INIT, SEND, WAIT, build_pta_model, is_iso, pta_state, token_model
@@ -270,6 +271,16 @@ def test_export_prism_minimal():
     assert lab.splitlines()[0] == '0="init" 1="deadlock"'
     assert lab.splitlines()[1] == "0: 0"
     assert sta == "(state)\n0:(0)\n"
+
+
+def test_mdp_without_labels_has_an_empty_set_per_state():
+    mdp = Mdp([], [b"a", b"b"], [[Choice("go", [(1, 1.0)])], []], ["go"])
+    assert mdp.labels == [set(), set()]
+    _tra, lab, _sta = export_prism(mdp)
+    assert lab == '0="init" 1="deadlock"\n0: 0\n1: 1\n'
+    assert "s1 [label=\"1\"]" in export_dot(mdp)
+    (prop,) = parse_properties('A [ G ! "x" ]')
+    assert check(mdp, prop).holds
 
 
 def test_export_prism_round_trip(pta_mdp):

@@ -11,7 +11,7 @@ from tickgraph import verify
 from tickgraph.elaborate import ElabError, elaborate, load_model
 from tickgraph.kernels import Graph, as_arrays, sweep
 from tickgraph.lang import ParseError, parse
-from tickgraph.mdp import Choice, Mdp, explore
+from tickgraph.mdp import Choice, Mdp, add_stall_loops, explore
 from tickgraph.verify import (
     ForcedNext,
     Inevitable,
@@ -39,7 +39,7 @@ def tiny_mdp(choices, n=None, labels=None):
         canon=[str(i).encode() for i in range(n)],
         choices=choices,
         actions=["a", "b"],
-        labels=labels or [set() for _ in range(n)],
+        labels=labels,
     )
     mdp.label_names = {nm for ls in mdp.labels for nm in ls}
     return mdp
@@ -145,19 +145,16 @@ def test_pta_properties(pta_model_prog):
 
 
 def test_forced_next():
-    mdp = tiny_mdp(
-        [
-            [Choice("a", [(1, 1.0)])],
-            [Choice("go", [(2, 1.0)])],
-            [],
-        ],
-        labels=[set(), {"trig"}, {"done"}],
-    )
-    assert check(mdp, ForcedNext(("name", "trig"), ("name", "done"))).holds
-    # add an escaping choice: no longer forced
-    mdp.choices[1].append(Choice("other", [(0, 1.0)]))
-    v = check(mdp, ForcedNext(("name", "trig"), ("name", "done")))
-    assert not v.holds
+    def forced(trigger_choices):
+        mdp = tiny_mdp(
+            [[Choice("a", [(1, 1.0)])], trigger_choices, []],
+            labels=[set(), {"trig"}, {"done"}],
+        )
+        return check(mdp, ForcedNext(("name", "trig"), ("name", "done")))
+
+    assert forced([Choice("go", [(2, 1.0)])]).holds
+    # an escaping choice: no longer forced
+    assert not forced([Choice("go", [(2, 1.0)]), Choice("other", [(0, 1.0)])]).holds
 
 
 def test_forced_next_needs_inevitable_trigger():
@@ -457,7 +454,7 @@ def test_solver_matches_reference(make, monkeypatch):
     rng = random.Random(make.__name__)
     for _ in range(200):
         choices, target = make(rng)
-        g = Graph(*as_arrays(choices))
+        g = Graph(*as_arrays(as_mdp(choices).choices))
         for mode in ("min", "max"):
             zero, one = zero_one(g, target, mode)
             want_zero, want_one = oracle.zero_one_sets(choices, target, mode)
@@ -477,7 +474,7 @@ def test_sweep_matches_reference():
         for _s in range(n)
     ] + [[], []]
     target = [s == n for s in range(n + 2)]
-    choice_ptr, trans_ptr, targets, probs = map(np.asarray, as_arrays(choices))
+    choice_ptr, trans_ptr, targets, probs = map(np.asarray, as_arrays(as_mdp(choices).choices))
     states = np.arange(n)
     for mode in ("min", "max"):
         values = np.zeros(n + 2)
@@ -563,7 +560,7 @@ def test_predecessor_csr_matches_sorted_reference():
         seen["deadlock"] += any(not cs for cs in choices)
         seen["empty"] += any(not d for cs in choices for _a, d in cs)
         seen["twice"] += any(len({t for t, _p in d}) < len(d) for cs in choices for _a, d in cs)
-        g = Graph(*as_arrays(choices))
+        g = Graph(*as_arrays(as_mdp(choices).choices))
         assert (g.pred_ptr, g.pred_choice, g.pred_state, g.choice_state) == _pred_reference(
             choices
         ), choices
@@ -573,13 +570,37 @@ def test_predecessor_csr_matches_sorted_reference():
 
 def test_graph_holds_python_lists():
     choices = [[("a", [(1, 0.5), (1, 0.25), (2, 0.25)])], [], [("a", [])]]
-    g = Graph(*as_arrays(choices))
+    g = Graph(*as_arrays(as_mdp(choices).choices))
     for name in ("choice_ptr", "trans_ptr", "targets", "probs", "choice_state",
                  "pred_ptr", "pred_choice", "pred_state"):
         assert type(getattr(g, name)) is list, name
     assert (g.pred_ptr, g.pred_choice) == ([0, 0, 2, 3], [0, 0, 0])
     values = reach_vector(as_mdp(choices), [False, False, True], "max")
     assert values == [0.25, 0.0, 1.0] and all(type(v) is float for v in values)
+
+
+def test_queries_on_one_mdp_share_one_graph(monkeypatch):
+    built = []
+
+    class CountingGraph(Graph):
+        def __init__(self, *args):
+            built.append(self)
+            super().__init__(*args)
+
+    monkeypatch.setattr(verify, "Graph", CountingGraph)
+    # state 0 moves to the deadlocks 1 and the goal 2
+    mdp = tiny_mdp([[Choice("a", [(1, 0.5), (2, 0.5)])], [], []],
+                   labels=[set(), set(), {"goal"}])
+    props = parse_properties('P >= 0.5 [ F "goal" ]\nP <= 0.5 [ F "goal" ]\n'
+                             'A [ F "goal" ]\nA [ G ! "goal" ]\n')
+    before = [check(mdp, prop) for prop in props]
+    reach_vector(mdp, [True, False, False], "max")
+    assert len(built) == 1 and mdp._graph is built[0]
+    assert add_stall_loops(mdp) == 2 and mdp._graph is None
+    # the next query builds a graph that holds the stall loops
+    assert [check(mdp, prop) for prop in props] == before
+    assert len(built) == 2 and mdp._graph is built[1]
+    assert (built[1].choice_ptr, built[1].targets) == ([0, 1, 2, 3], [1, 2, 1, 2])
 
 
 def test_reach_vector_logs_one_line_per_query(monkeypatch, caplog):
