@@ -3,8 +3,13 @@
 ``as_arrays`` flattens an MDP's ``Choice`` records into CSR (compressed
 sparse row) Python lists.  ``Graph`` keeps them for the qualitative
 worklists and adds the predecessor CSR, built by a stable counting sort in
-Python, backward reachability and an iterative Tarjan decomposition into
-strongly connected components; an MDP keeps its graph (``Mdp._graph``).
+Python, backward reachability and the strongly connected components (SCCs)
+of a masked subgraph; an MDP keeps its graph (``Mdp._graph``).  The first
+``sccs`` call builds the condensation of the whole graph (its SCCs in
+reverse topological order, by an iterative Tarjan) and logs one INFO line
+with its states, choices, transitions, SCCs, cyclic SCCs, largest SCC and
+seconds; the graph keeps it, and every later call derives its SCCs from it,
+running Tarjan again only inside a cyclic SCC that the mask cuts.
 ``sweep`` is one vectorised Jacobi sweep of value iteration over one SCC's
 states, and the only kernel that uses numpy, imported on first use, so a
 command that makes no sweep never loads numpy.
@@ -12,7 +17,11 @@ command that makes no sweep never loads numpy.
 
 from __future__ import annotations
 
+import logging
 from itertools import accumulate
+from time import perf_counter
+
+log = logging.getLogger(__name__)
 
 
 def as_arrays(choices_per_state):
@@ -71,6 +80,7 @@ class Graph:
         self.pred_ptr = pred_ptr
         self.pred_choice = pred_choice
         self.pred_state = [choice_state[c] for c in pred_choice]
+        self._condensation = None  # built by the first `sccs`
 
     def backward(self, seeds: list[bool], through: list[bool] | None = None) -> list[bool]:
         """States with a path into a seed; every state on it but the last is
@@ -92,17 +102,68 @@ class Graph:
         included states, each sorted, in reverse topological order: a
         component comes after every component it has an edge into.
 
-        Iterative Tarjan: ``work`` holds (state, next transition) frames in
-        place of the recursion stack.
+        They are derived from the condensation of the whole graph, built by
+        the first call and kept: a one-state component is kept or dropped by
+        its mask, a cyclic component wholly inside the mask is returned as it
+        is, and only one that the mask cuts is split again, by Tarjan over its
+        own included states.  The parts of a cut component take its place in
+        the order, as every edge out of it leads to an earlier component.
+        The lists returned may be the graph's own: callers do not change them.
         """
-        n, cp, tp, tg = self.n, self.choice_ptr, self.trans_ptr, self.targets
-        index = [-1] * n
-        low = [0] * n
-        on_stack = [False] * n
-        stack: list[int] = []
+        comps = self._condensation
+        if comps is None:
+            comps = self._condensation = self._condense()
         out: list[list[int]] = []
+        member = None
+        for comp in comps:
+            if len(comp) == 1:
+                if include[comp[0]]:
+                    out.append(comp)
+                continue
+            kept = [s for s in comp if include[s]]
+            if len(kept) == len(comp):
+                out.append(comp)
+            elif kept:
+                if member is None:  # work arrays for every cut component of this call
+                    n = self.n
+                    member, index, low, on_stack = [False] * n, [-1] * n, [0] * n, [False] * n
+                # a state of an earlier cut component stays a member, but it is
+                # numbered and off the stack, so Tarjan passes over it
+                for s in kept:
+                    member[s] = True
+                self._tarjan(kept, member, index, low, on_stack, out)
+        return out
+
+    def _condense(self) -> list[list[int]]:
+        """The SCCs of the whole graph, each sorted, in reverse topological order."""
+        start = perf_counter()
+        n = self.n
+        comps: list[list[int]] = []
+        self._tarjan(range(n), [True] * n, [-1] * n, [0] * n, [False] * n, comps)
+        log.info(
+            "condensation: %d states, %d choices, %d transitions, %d SCCs (%d cyclic), "
+            "largest %d, %.3f s",
+            n, len(self.trans_ptr) - 1, len(self.targets), len(comps),
+            sum(len(c) > 1 for c in comps), max(map(len, comps), default=0),
+            perf_counter() - start,
+        )
+        return comps
+
+    def _tarjan(self, roots, include, index, low, on_stack, out) -> None:
+        """Append to ``out`` the SCCs, each sorted, in reverse topological
+        order, of the subgraph induced by the included states, as far as it
+        is reached from ``roots``.
+
+        Iterative Tarjan: ``work`` holds (state, next transition) frames in
+        place of the recursion stack.  ``index`` (-1 for a state not yet
+        numbered), ``low`` and ``on_stack`` are the caller's work arrays; a
+        state numbered by an earlier call is off the stack, so its number is
+        never compared with this call's.
+        """
+        cp, tp, tg = self.choice_ptr, self.trans_ptr, self.targets
+        stack: list[int] = []
         counter = 0
-        for root in range(n):
+        for root in roots:
             if not include[root] or index[root] >= 0:
                 continue
             index[root] = low[root] = counter
@@ -147,7 +208,6 @@ class Graph:
                             break
                     comp.sort()
                     out.append(comp)
-        return out
 
 
 def sweep(values, states, minimize, choice_starts, trans_starts, targets, probs):

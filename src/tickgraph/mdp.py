@@ -52,9 +52,10 @@ class Choice(Record):
 
 
 class Mdp(Record):
-    """``_graph`` caches the solver's graph of ``choices`` (`kernels.Graph`),
-    which the MDP's first query builds and every later one reads; whoever
-    changes ``choices`` after a query sets it to None.  Equality skips it."""
+    """``_graph`` caches the solver's graph of ``choices`` (`kernels.Graph`,
+    with its condensation), which the MDP's first query builds and every
+    later one reads; whoever changes ``choices`` after a query sets it to
+    None.  Equality skips it."""
 
     __slots__ = ("states", "canon", "choices", "actions", "labels", "label_names", "_graph")
     _fields = __slots__[:-1]

@@ -15,17 +15,20 @@ Reachability is solved in two phases over the solver's graph of the MDP
 (:class:`tickgraph.kernels.Graph`: its CSR lists and predecessor index, in
 pure Python).  The graph depends only on the MDP's choices, so the MDP's
 first query builds it and keeps it in `Mdp._graph`, and every later query
-on that MDP reads it.  First the states whose value is
-exactly 0 or 1 are found by worklist fixpoints, so 0 and 1 answers are
-exact.  Then the remaining states are split into strongly connected
-components (SCCs), solved in reverse topological order so that every
-successor outside an SCC is final: a single-state SCC in closed form, a
-cyclic SCC by Jacobi value iteration over its own states until no value
-moves by VI_TOL.  Values are Python floats; only the sweeps over a cyclic
-SCC use numpy, imported on first use, so a check that makes no sweep never
-loads it.  An SCC that does not converge within VI_MAX_SWEEPS raises a
-RuntimeError naming its size, lowest state and actions.  Each query logs
-one INFO line: its mode, states, 0/1 set sizes, SCCs, sweeps and seconds.
+on that MDP reads it.  The graph also keeps its condensation: the strongly
+connected components (SCCs) of the whole MDP in reverse topological order,
+built by the first query, from which each query derives the SCCs of its
+own subgraph.  First the states whose value is exactly 0 or 1 are found by
+worklist fixpoints, so 0 and 1 answers are exact.  Then the remaining
+states are split into SCCs, solved in reverse topological order so that
+every successor outside an SCC is final: a single-state SCC in closed
+form, a cyclic SCC by Jacobi value iteration over its own states until no
+value moves by VI_TOL.  Values are Python floats; only the sweeps over a
+cyclic SCC use numpy, imported on first use, so a check that makes no
+sweep never loads it.  An SCC that does not converge within VI_MAX_SWEEPS
+raises a RuntimeError naming its size, lowest state and actions.  Each
+query logs one INFO line: its mode, states, 0/1 set sizes, SCCs, sweeps
+and seconds.
 """
 
 from __future__ import annotations
@@ -147,29 +150,25 @@ class Verdict(Record):
 def _avoid_set(g: Graph, target: list[bool]) -> list[bool]:
     """States from which some scheduler avoids the target forever (Pmin = 0).
 
-    Greatest fixpoint from the non-target states, as a worklist: per choice
-    the count of transitions leaving the set, per state the count of choices
-    still wholly inside it.  A state with choices leaves when that count
-    drops to zero; deadlocks never leave.
+    Greatest fixpoint from the non-target states, as a worklist over the
+    predecessor CSR: per choice the count of transitions leaving the set,
+    per state the count of choices still wholly inside it.  The worklist
+    starts from the target states, so the walk over their predecessors
+    seeds the counts; a state leaves when its count drops to zero, so a
+    deadlock, or a state with an empty choice, never leaves.
     """
-    cp, tp, tg = g.choice_ptr, g.trans_ptr, g.targets
+    cp, ptr, pred_choice, choice_state = g.choice_ptr, g.pred_ptr, g.pred_choice, g.choice_state
     avoid = [not t for t in target]
-    outside = [0] * len(g.choice_state)
-    inside = [0] * g.n
-    for c, s in enumerate(g.choice_state):
-        outside[c] = sum(1 for k in range(tp[c], tp[c + 1]) if target[tg[k]])
-        if not outside[c]:
-            inside[s] += 1
-    todo = [s for s in range(g.n) if avoid[s] and cp[s] < cp[s + 1] and not inside[s]]
-    for s in todo:
-        avoid[s] = False
+    outside = [0] * len(choice_state)
+    inside = [cp[s + 1] - cp[s] for s in range(g.n)]
+    todo = [t for t in range(g.n) if target[t]]
     while todo:
         t = todo.pop()
-        for j in range(g.pred_ptr[t], g.pred_ptr[t + 1]):
-            c = g.pred_choice[j]
+        for j in range(ptr[t], ptr[t + 1]):
+            c = pred_choice[j]
             outside[c] += 1
             if outside[c] == 1:
-                s = g.choice_state[c]
+                s = choice_state[c]
                 inside[s] -= 1
                 if not inside[s] and avoid[s]:
                     avoid[s] = False
@@ -180,12 +179,15 @@ def _avoid_set(g: Graph, target: list[bool]) -> list[bool]:
 def _sure_set(g: Graph, target: list[bool], reach: list[bool]) -> list[bool]:
     """States where the best scheduler reaches the target with probability one.
 
-    The nested fixpoint (greatest over candidate sets X of the least set grown
-    from the target through choices that stay inside X and touch the grown
-    set), run SCC by SCC in reverse topological order over the non-target
-    states that can reach the target.  Targets are absorbing, and every
-    successor outside the SCC is already known to be in the set or not, so
-    a chain costs O(states + transitions).
+    Run SCC by SCC, in reverse topological order, over the non-target states
+    that can reach the target; the SCCs come from the graph's condensation.
+    Targets are absorbing, and every successor outside the SCC is already
+    known to be in the set or not, so a chain costs O(states + transitions).
+    A one-state SCC {s} is decided directly: s is in the set when some choice
+    has every successor in {s} or the set and at least one in the set.  A
+    cyclic SCC runs the nested fixpoint (greatest over candidate sets X of
+    the least set grown from the target through choices that stay inside X
+    and touch the grown set).
     """
     cp, tp, tg = g.choice_ptr, g.trans_ptr, g.targets
     one = list(target)
@@ -193,6 +195,15 @@ def _sure_set(g: Graph, target: list[bool], reach: list[bool]) -> list[bool]:
     in_y = [False] * g.n
     enabled = [False] * len(g.choice_state)
     for comp in g.sccs([r and not t for r, t in zip(reach, target)]):
+        if len(comp) == 1:
+            s = comp[0]
+            for c in range(cp[s], cp[s + 1]):
+                succ = tg[tp[c] : tp[c + 1]]
+                hits = sum(map(one.__getitem__, succ))  # s itself is not in the set yet
+                if hits and hits + succ.count(s) == len(succ):
+                    one[s] = True
+                    break
+            continue
         x = comp
         while x:
             for s in x:

@@ -582,10 +582,16 @@ def test_graph_holds_python_lists():
 def test_queries_on_one_mdp_share_one_graph(monkeypatch):
     built = []
 
+    condensed = []
+
     class CountingGraph(Graph):
         def __init__(self, *args):
             built.append(self)
             super().__init__(*args)
+
+        def _condense(self):
+            condensed.append(self)
+            return super()._condense()
 
     monkeypatch.setattr(verify, "Graph", CountingGraph)
     # state 0 moves to the deadlocks 1 and the goal 2
@@ -596,10 +602,13 @@ def test_queries_on_one_mdp_share_one_graph(monkeypatch):
     before = [check(mdp, prop) for prop in props]
     reach_vector(mdp, [True, False, False], "max")
     assert len(built) == 1 and mdp._graph is built[0]
+    assert condensed == built  # every query derives its SCCs from one condensation
     assert add_stall_loops(mdp) == 2 and mdp._graph is None
-    # the next query builds a graph that holds the stall loops
+    # the next query builds a graph that holds the stall loops, and its condensation
     assert [check(mdp, prop) for prop in props] == before
     assert len(built) == 2 and mdp._graph is built[1]
+    assert condensed == built
+    assert built[1]._condensation == [[1], [2], [0]]
     assert (built[1].choice_ptr, built[1].targets) == ([0, 1, 2, 3], [1, 2, 1, 2])
 
 
@@ -624,3 +633,116 @@ def test_reach_vector_logs_one_line_per_query(monkeypatch, caplog):
             line,
         ), line
         assert sweeps > 1
+
+
+# ---------------------------------------------------------------------------
+# SCCs derived from the condensation, against mutual reachability
+
+
+def _scc_reference(choices, include):
+    """The SCCs of the subgraph induced by the included states, as sets:
+    s and t share one when each reaches the other inside the subgraph."""
+    succ = [{t for _a, d in cs for t, _p in d if include[t]} for cs in choices]
+    reach = []
+    for s in range(len(choices)):
+        seen, todo = {s}, [s]
+        while todo:
+            for t in succ[todo.pop()]:
+                if t not in seen:
+                    seen.add(t)
+                    todo.append(t)
+        reach.append(seen)
+    kept = [s for s in range(len(choices)) if include[s]]
+    return {frozenset(t for t in kept if t in reach[s] and s in reach[t]) for s in kept}
+
+
+def _assert_sccs(g, choices, include):
+    got = g.sccs(include)
+    assert {frozenset(c) for c in got} == _scc_reference(choices, include), (choices, include)
+    assert sum(map(len, got)) == sum(include)
+    assert all(c == sorted(c) for c in got)
+    position = {s: i for i, c in enumerate(got) for s in c}
+    for s, cs in enumerate(choices):  # every edge between components points to an earlier one
+        for _a, d in cs:
+            for t, _p in d:
+                if include[s] and include[t]:
+                    assert position[t] <= position[s], (choices, include, got)
+
+
+def test_sccs_match_mutual_reachability():
+    rng = random.Random("sccs")
+    seen = {"inside": 0, "cut": 0, "outside": 0, "deadlock": 0, "empty": 0, "twice": 0}
+    for i in range(300):
+        choices, _target = (random_mdp if i % 2 else scc_sequence)(rng)
+        seen["deadlock"] += any(not cs for cs in choices)
+        seen["empty"] += any(not d for cs in choices for _a, d in cs)
+        seen["twice"] += any(len({t for t, _p in d}) < len(d) for cs in choices for _a, d in cs)
+        g = Graph(*as_arrays(as_mdp(choices).choices))
+        whole = _scc_reference(choices, [True] * len(choices))
+        # several masks on one graph: each cyclic component of the whole graph
+        # is wholly inside the mask, cut by it or outside it
+        for _q in range(4):
+            include = [False] * len(choices)
+            for comp in whole:
+                how = rng.choice(("inside", "cut", "outside"))
+                for s in comp:
+                    include[s] = how == "inside" or how == "cut" and rng.random() < 0.5
+                if len(comp) > 1:
+                    kept = sum(include[s] for s in comp)
+                    seen["inside" if kept == len(comp) else "cut" if kept else "outside"] += 1
+            _assert_sccs(g, choices, include)
+        _assert_sccs(g, choices, [True] * len(choices))
+    assert min(seen.values()) > 0, seen
+
+
+def cycle_ladder(rng, k):
+    """k two-state cycles in a row: each state moves to its partner, on to
+    the next cycle (from the last one: the goal) or to the fail sink."""
+    goal, fail = 2 * k, 2 * k + 1
+    choices = []
+    for s in range(2 * k):
+        on = s + 2 - s % 2 if s < 2 * k - 2 else goal
+        cs = []
+        for a in ("a", "b"):
+            leak, forward = rng.uniform(0.01, 0.05), rng.uniform(0.2, 0.8)
+            cs.append((a, [(s ^ 1, (1 - leak) * (1 - forward)), (on, (1 - leak) * forward), (fail, leak)]))
+        choices.append(cs)
+    choices += [[], []]
+    return choices, [s == goal for s in range(2 * k + 2)]
+
+
+def test_cycle_ladder_matches_reference(monkeypatch, caplog):
+    monkeypatch.setattr(verify, "VI_TOL", 1e-14)
+    choices, target = cycle_ladder(random.Random(7), 50)
+    mdp = as_mdp(choices)
+    for mode in ("min", "max"):
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="tickgraph.verify"):
+            got = reach_vector(mdp, target, mode)
+        # every cycle is one cyclic SCC, solved after the cycle it leaks into
+        line = caplog.records[-1].getMessage()
+        assert re.match(rf"reach P{mode}: 102 states, .* \(50 cyclic\)", line), line
+        want = oracle.gauss_seidel(choices, target, mode)
+        assert np.allclose(got, want, rtol=0.0, atol=1e-10), mode
+        assert 0.0 < got[0] < 1.0
+
+
+def test_condensation_logs_one_line(caplog):
+    # states 1 and 2 form a cyclic SCC that leaks to the goal 3 and the sink 4
+    mdp = as_mdp([
+        [("a", [(1, 1.0)])],
+        [("a", [(2, 0.5), (3, 0.25), (4, 0.25)])],
+        [("a", [(1, 0.5), (3, 0.25), (4, 0.25)])],
+        [],
+        [],
+    ])
+    target = [s == 3 for s in range(5)]
+    with caplog.at_level(logging.INFO, logger="tickgraph.kernels"):
+        for mode in ("min", "max", "min"):
+            reach_vector(mdp, target, mode)
+    (line,) = [r.getMessage() for r in caplog.records if r.name == "tickgraph.kernels"]
+    assert re.fullmatch(
+        r"condensation: 5 states, 3 choices, 7 transitions, 4 SCCs \(1 cyclic\), "
+        r"largest 2, \d+\.\d{3} s",
+        line,
+    ), line
