@@ -7,10 +7,10 @@ Each of these three reads the MDP cache once: a fresh cache answers
 `build`, and a labelled one `check` and `export`, without the model.
 
 Exit codes: 0 success (all properties hold), 1 property failure, 2 usage or
-model error (including any `validate` problem), 3 resource limit, 4
-internal error (a one-line diagnostic on stderr, such as value iteration
-not converging).  All outputs are byte deterministic for identical inputs
-and flags.
+model error (including any `validate` problem), 3 resource limit (such as
+the state budget, or value iteration not converging within its sweeps), 4
+internal error (a one-line diagnostic on stderr).  All outputs are byte
+deterministic for identical inputs and flags.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .mdp import (
 from .match import PatternLimit
 from .params import ParameterLimit
 from .rules import apply, enabled_outcomes, integer_weights
-from .verify import UnknownLabel, check, label
+from .verify import SweepLimit, UnknownLabel, check, label
 
 log = logging.getLogger("tickgraph")
 
@@ -312,7 +312,7 @@ def main(argv=None) -> int:
     except ExplorationLimit as exc:
         print(f"tickgraph: {exc} (frontier {exc.frontier})", file=sys.stderr)
         return EXIT_LIMIT
-    except (ParameterLimit, PatternLimit) as exc:
+    except (ParameterLimit, PatternLimit, SweepLimit) as exc:
         print(f"tickgraph: {exc}", file=sys.stderr)
         return EXIT_LIMIT
     except (ParseError, ElabError, UnknownLabel) as exc:

@@ -295,22 +295,6 @@ class Reach(Record):
         self.source = source
 
 
-class Safety(Record):
-    __slots__ = ("bad", "source")
-
-    def __init__(self, bad: tuple, source: str = ""):
-        self.bad = bad
-        self.source = source
-
-
-class Inevitable(Record):
-    __slots__ = ("goal", "source")
-
-    def __init__(self, goal: tuple, source: str = ""):
-        self.goal = goal
-        self.source = source
-
-
 class ForcedNext(Record):
     __slots__ = ("trigger", "next", "source")
 
@@ -320,7 +304,7 @@ class ForcedNext(Record):
         self.source = source
 
 
-Property = Reach | Safety | Inevitable | ForcedNext
+Property = Reach | ForcedNext
 
 
 # ---------------------------------------------------------------------------
@@ -726,12 +710,14 @@ class _Parser:
                 if not self.at("!"):
                     self.fail("A [ G ... ] takes a negated expression", ("!",))
                 self.bump()
-                prop = Safety(self.lexpr(factor=True), source)
+                # A G !phi  <=>  Pmax(F phi) <= 0
+                prop = Reach("<=", 0.0, self.lexpr(factor=True), "max", source)
             else:
                 if not self.at("F"):
                     self.unexpected("F", "G")
                 self.bump()
-                prop = Inevitable(self.lexpr(), source)
+                # A F phi  <=>  Pmin(F phi) >= 1
+                prop = Reach(">=", 1.0, self.lexpr(), "min", source)
             self.expect("]")
         elif self.at("FORCEDNEXT"):
             self.bump()

@@ -4,9 +4,10 @@ A pattern labels every state it occurs in.  A predicate family is one
 pattern: its symbolic body is searched once per state with its parameters
 restricted to their domains, and each distinct binding names the instances
 (`base_v1_v2...`) that hold there.  Properties range over boolean
-combinations of labels: probabilistic reachability with a bound, safety
-("never bad"), inevitability ("always eventually goal"), and the forced-next
-idiom ("whenever the trigger holds, every possible next state satisfies the
+combinations of labels.  Each threshold property is one reachability bound
+(:class:`Reach`); `E [ F phi ]`, `A [ G !phi ]` and `A [ F phi ]` are
+Pmax > 0, Pmax <= 0 and Pmin >= 1.  The other kind is the forced-next idiom
+("whenever the trigger holds, every possible next state satisfies the
 target" plus the trigger being inevitable).  They are parsed from `.props`
 text by :func:`tickgraph.lang.parse_properties`, which this module
 re-exports; nothing here parses.
@@ -23,21 +24,23 @@ worklist fixpoints, so 0 and 1 answers are exact.  Then the remaining
 states are split into SCCs, solved in reverse topological order so that
 every successor outside an SCC is final: a single-state SCC in closed
 form, a cyclic SCC by Jacobi value iteration over its own states until no
-value moves by VI_TOL.  Values are Python floats; only the sweeps over a
-cyclic SCC use numpy, imported on first use, so a check that makes no
-sweep never loads it.  An SCC that does not converge within VI_MAX_SWEEPS
-raises a RuntimeError naming its size, lowest state and actions.  Each
-query logs one INFO line: its mode, states, 0/1 set sizes, SCCs, sweeps
-and seconds.
+value moves by VI_TOL.  Last, every value outside both sets is put
+strictly inside (0, 1), so a bound at 0 or 1 is decided by the sets alone.
+Values are Python floats; only the sweeps over a cyclic SCC use numpy,
+imported on first use, so a check that makes no sweep never loads it.  An
+SCC that does not converge within VI_MAX_SWEEPS raises a SweepLimit naming
+its size, lowest state and actions.  Each query logs one INFO line: its
+mode, states, 0/1 set sizes, SCCs, sweeps and seconds.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from time import perf_counter
 
 from .kernels import Graph, as_arrays, sweep
-from .lang import ForcedNext, Inevitable, Property, Reach, Safety
+from .lang import ForcedNext, Property, Reach
 from .lang import parse_properties  # re-exported beside the checker it feeds
 from .match import PatternLimit, Tally, occurrences
 from .mdp import Mdp
@@ -145,6 +148,10 @@ class Verdict(Record):
 
 # ---------------------------------------------------------------------------
 # reachability
+
+
+class SweepLimit(RuntimeError):
+    """A cyclic SCC whose values still moved after VI_MAX_SWEEPS sweeps."""
 
 
 def _avoid_set(g: Graph, target: list[bool]) -> list[bool]:
@@ -313,7 +320,8 @@ def _iterate(g: Graph, vals: list[float], comp: list[int], minimize: bool) -> in
 
 
 def reach_vector(mdp: Mdp, target: list[bool], mode: str) -> list[float]:
-    """Per-state probability of eventually reaching the target set."""
+    """Per-state probability of eventually reaching the target set: exactly
+    0 or 1 on the 0/1 sets, strictly between them everywhere else."""
     if mode not in ("min", "max"):
         raise ValueError("mode must be min or max")
     start = perf_counter()
@@ -334,12 +342,18 @@ def reach_vector(mdp: Mdp, target: list[bool], mode: str) -> list[float]:
         made = _iterate(g, vals, comp, minimize)
         if made is None:
             actions = sorted({c.action for s in comp for c in mdp.choices[s]})
-            raise RuntimeError(
+            raise SweepLimit(
                 f"value iteration did not converge within {VI_MAX_SWEEPS} sweeps "
                 f"on an SCC of {len(comp)} states (lowest state {comp[0]}) "
                 f"with actions {', '.join(actions)}"
             )
         sweeps += made
+    # an underflow or a rounding to 1 must not read as a 0/1 answer; moved
+    # only now, so that no other value reads the moved ones
+    for comp in sccs:
+        for s in comp:
+            if not 0.0 < vals[s] < 1.0:
+                vals[s] = math.ulp(0.0) if vals[s] <= 0.0 else math.nextafter(1.0, 0.0)
     log.info(
         "reach P%s: %d states, %d zero, %d one, %d SCCs (%d cyclic), %d sweeps, %.3f s",
         mode, g.n, sum(zero), sum(one), len(sccs), cyclic, sweeps, perf_counter() - start,
@@ -356,29 +370,25 @@ def reach_prob(mdp: Mdp, target_expr, mode: str) -> float:
 # checking
 
 
+def _show(v: float) -> str:
+    """`v` to 10 significant digits, in full where those would read as an
+    exact 0 or 1 that `v` is not."""
+    text = f"{v:.10g}"
+    return repr(v) if text in ("0", "1") and v != float(text) else text
+
+
 def check(mdp: Mdp, prop: Property) -> Verdict:
     """The verdict of one property."""
     if isinstance(prop, Reach):
-        v = reach_prob(mdp, prop.target, prop.mode)
-        holds = {
-            ">=": v >= prop.p,
-            ">": v > prop.p,
-            "<=": v <= prop.p,
-            "<": v < prop.p,
-        }[prop.bound]
-        return Verdict(holds, v, f"P{prop.mode} = {v:.10g}")
-    if isinstance(prop, Safety):
-        v = reach_prob(mdp, prop.bad, "max")
-        return Verdict(v == 0.0, v, f"Pmax(bad) = {v:.10g}")
-    if isinstance(prop, Inevitable):
-        v = reach_prob(mdp, prop.goal, "min")
-        return Verdict(v == 1.0, v, f"Pmin = {v:.10g}")
+        v, p = reach_prob(mdp, prop.target, prop.mode), prop.p
+        holds = {">=": v >= p, ">": v > p, "<=": v <= p, "<": v < p}[prop.bound]
+        return Verdict(holds, v, f"P{prop.mode} = {_show(v)}")
     if isinstance(prop, ForcedNext):
         trig = satisfying(mdp, prop.trigger)
         nxt = satisfying(mdp, prop.next)
         v = reach_vector(mdp, trig, "min")[0]
         if v != 1.0:
-            return Verdict(False, v, f"trigger not inevitable (Pmin = {v:.10g})")
+            return Verdict(False, v, f"trigger not inevitable (Pmin = {_show(v)})")
         for s in range(mdp.n_states):
             if not trig[s]:
                 continue

@@ -20,7 +20,6 @@ from tickgraph.verify import (
     ForcedNext,
     Pattern,
     Reach,
-    Safety,
     check,
     label,
     parse_properties,

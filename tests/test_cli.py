@@ -851,9 +851,9 @@ def test_solver_non_convergence_exit_code(tmp_path, monkeypatch, capsys):
     assert cli.main(["check", str(model), "--props", str(props), "--out", str(tmp_path)]) == 0
     monkeypatch.setattr(verify, "VI_MAX_SWEEPS", 1)
     code = cli.main(["check", str(model), "--props", str(props), "--out", str(tmp_path)])
-    assert code == cli.EXIT_INTERNAL == 4
+    assert code == cli.EXIT_LIMIT == 3
     assert capsys.readouterr().err == (
-        "tickgraph: internal error: RuntimeError: value iteration did not converge "
+        "tickgraph: value iteration did not converge "
         "within 1 sweeps on an SCC of 2 states (lowest state 0) with actions step\n"
     )
 

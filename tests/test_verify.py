@@ -1,4 +1,5 @@
 import logging
+import math
 import pathlib
 import random
 import re
@@ -14,10 +15,8 @@ from tickgraph.lang import ParseError, parse
 from tickgraph.mdp import Choice, Mdp, add_stall_loops, explore
 from tickgraph.verify import (
     ForcedNext,
-    Inevitable,
     Pattern,
     Reach,
-    Safety,
     UnknownLabel,
     check,
     label,
@@ -135,7 +134,7 @@ def test_pta_properties(pta_model_prog):
     assert check(mdp, Reach(">=", 0.99, done_and_reset, "min")).holds
 
     bad = ("and", ("name", "in_Wait_state"), ("name", "clock_X_9"))
-    v3 = check(mdp, Safety(bad))
+    v3 = check(mdp, Reach("<=", 0.0, bad, "max"))
     assert v3.holds and v3.value == 0.0
 
     # a property that fails, with its computed probability
@@ -174,7 +173,7 @@ def test_unknown_label_rejected(pta_model_prog):
     mdp = explore(pta_model_prog)
     label(mdp, [Pattern(n, b) for n, b in pta_model_prog.predicates])
     with pytest.raises(UnknownLabel):
-        check(mdp, Inevitable(("name", "nonsense")))
+        check(mdp, Reach(">=", 1.0, ("name", "nonsense"), "min"))
 
 
 def test_label_assigns_expected_sets(pta_model_prog):
@@ -311,14 +310,16 @@ P < 0.5 [ F !"a" | "b" ]
     assert [type(p).__name__ for p in props] == [
         "Reach",
         "Reach",
-        "Safety",
-        "Inevitable",
+        "Reach",
+        "Reach",
         "ForcedNext",
         "Reach",
         "Reach",
     ]
     assert props[0].mode == "min" and props[0].p == 0.99
-    assert props[2].bad == ("and", ("name", "in_Wait_state"), ("name", "clock_X_9"))
+    assert (props[2].bound, props[2].p, props[2].mode) == ("<=", 0.0, "max")
+    assert (props[3].bound, props[3].p, props[3].mode) == (">=", 1.0, "min")
+    assert props[2].target == ("and", ("name", "in_Wait_state"), ("name", "clock_X_9"))
     assert props[5].mode == "max" and props[5].bound == ">"
     assert props[6].mode == "max"
 
@@ -346,7 +347,7 @@ def test_nested_parentheses_are_read_without_recursion():
     (plain,) = parse_properties(f"P >= 0.5 [ F {body} ]")
     assert deep.target == plain.target
     (deep,) = parse_properties(f"A [ G !{'(' * 3000}{body}{')' * 3000} ]")
-    assert deep.bad == plain.target
+    assert deep.target == plain.target
     cases = [  # the positions the recursive reader gave
         ('P >= 0.5 [ F (("a") ]', "1:21: found ']' (expected ))"),
         ('A [ G !(("a" & ) ]', "1:16: found ')' (expected quoted pattern name)"),
@@ -460,7 +461,10 @@ def test_solver_matches_reference(make, monkeypatch):
             want_zero, want_one = oracle.zero_one_sets(choices, target, mode)
             assert {s for s, z in enumerate(zero) if z} == want_zero
             assert {s for s, o in enumerate(one) if o} == want_one
-            got = np.asarray(reach_vector(as_mdp(choices), target, mode))
+            got = reach_vector(as_mdp(choices), target, mode)
+            # a value reads as exactly 0 or 1 on the 0/1 sets and nowhere else
+            assert [v == 0.0 for v in got] == zero and [v == 1.0 for v in got] == one
+            got = np.asarray(got)
             want = oracle.gauss_seidel(choices, target, mode)
             assert np.allclose(got, want, rtol=0.0, atol=1e-8), (choices, target, mode)
 
@@ -746,3 +750,56 @@ def test_condensation_logs_one_line(caplog):
         r"largest 2, \d+\.\d{3} s",
         line,
     ), line
+
+
+def labelled(choices, target, name):
+    mdp = as_mdp(choices)
+    mdp.labels = [{name} if t else set() for t in target]
+    mdp.label_names = {name}
+    return mdp
+
+
+def test_underflowed_value_is_not_a_zero_answer():
+    # the goal is reachable from state 0, but only through 3,000 leaky
+    # cycles: Pmax underflows to 0.0 in the solver's floats
+    choices, target = cycle_ladder(random.Random(7), 3000)
+    mdp = labelled(choices, target, "goal")
+    zero, _one = zero_one(Graph(*as_arrays(mdp.choices)), target, "max")
+    assert not zero[0]
+    never, some = parse_properties('A [ G !"goal" ]\nE [ F "goal" ]')
+    v = check(mdp, never)
+    assert not v.holds and v.value > 0.0, v
+    assert v.detail == "Pmax = 4.940656458e-324"
+    assert check(mdp, some).holds
+
+
+def test_value_rounded_to_one_is_not_a_one_answer():
+    # state 2 leaks 2^-53 to the sink, so Pmin(0) = 1 - 2^-54 rounds to 1.0
+    below_one = math.nextafter(1.0, 0.0)
+    mdp = labelled(
+        [
+            [("a", [(1, 0.5), (2, 0.5)])],
+            [],
+            [("a", [(1, below_one), (3, 1.0 - below_one)])],
+            [],
+        ],
+        [False, True, False, False],
+        "g",
+    )
+    assert reach_vector(mdp, [False, True, False, False], "min")[0] == below_one
+    (always,) = parse_properties('A [ F "g" ]')
+    v = check(mdp, always)
+    assert not v.holds and v.detail == "Pmin = 0.9999999999999999", v
+
+
+def test_printed_value_is_not_an_exact_one():
+    # Pmin = 1 - 1e-12, which 10 significant digits print as 1
+    mdp = labelled(
+        [[("a", [(1, 1 - 1e-12), (2, 1e-12)])], [], []], [False, True, False], "g"
+    )
+    (prop,) = parse_properties('P >= 1 [ F "g" ]')
+    v = check(mdp, prop)
+    assert not v.holds and v.detail == f"Pmin = {1 - 1e-12!r}", v
+    # an exact answer prints as before
+    (prop,) = parse_properties('P >= 0.5 [ F !"g" ]')
+    assert check(mdp, prop).detail == "Pmin = 1"
