@@ -28,7 +28,6 @@ from .elaborate import ElabError, clock_problems, load_model
 from .lang import ParseError, parse_properties, read_source
 from .mdp import (
     ExplorationLimit,
-    add_stall_loops,
     decode_states,
     explore,
     export_dot,
@@ -95,13 +94,6 @@ def _read_cache(args, key: str):
     return mdp if mdp is not None and mdp.n_states <= args.max_states else None
 
 
-def _explore(args, model):
-    mdp = explore(model, max_states=args.max_states)
-    if args.fix_deadlocks:
-        add_stall_loops(mdp)
-    return mdp
-
-
 def _labelled_mdp(args):
     """The labelled MDP for `check` and `export`: a fresh labelled cache
     alone; else the fresh cache decoded, or a new exploration, labelled and
@@ -116,7 +108,7 @@ def _labelled_mdp(args):
     if mdp is not None and decode_states(mdp, model.controls) is not None:
         log.info("reusing cache %s", cache)
     else:
-        mdp = _explore(args, model)
+        mdp = explore(model, args.max_states, args.fix_deadlocks)
     label(mdp, model.patterns)
     try:
         os.makedirs(args.out, exist_ok=True)
@@ -156,7 +148,7 @@ def cmd_build(args) -> int:
     if mdp is not None:
         log.info("reusing cache %s", cache)
     else:
-        mdp = _explore(args, load_model(args.model))
+        mdp = explore(load_model(args.model), args.max_states, args.fix_deadlocks)
         os.makedirs(args.out, exist_ok=True)
         save_mdp(cache, mdp, key)
     initial_actions = [c.action for c in mdp.choices[0]]

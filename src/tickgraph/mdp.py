@@ -2,7 +2,10 @@
 
 States are bigraphs deduplicated by canonical form and numbered in BFS
 order; per state, each enabled action contributes one choice holding a
-probability distribution over successor states.  Exporters write the PRISM
+probability distribution over successor states.  With `fix_deadlocks`,
+`explore` gives a state with no enabled action a self-loop under the
+reserved action `stall` when it expands it, so an MDP's choices are final
+once `explore` (or `load_mdp`) returns.  Exporters write the PRISM
 explicit-engine triple (.tra/.lab/.sta) and a DOT rendering; both are byte
 deterministic.  The CLI caches a built MDP as one JSON document: the action
 names, each state's canonical form, and each choice as an action index with
@@ -52,10 +55,10 @@ class Choice(Record):
 
 
 class Mdp(Record):
-    """``_graph`` caches the solver's graph of ``choices`` (`kernels.Graph`,
+    """``_graph`` caches the solver's graph of ``choices`` (`verify.Graph`,
     with its condensation), which the MDP's first query builds and every
-    later one reads; whoever changes ``choices`` after a query sets it to
-    None.  Equality skips it."""
+    later one reads: ``choices`` are final once `explore` or `load_mdp`
+    returns.  Equality skips it."""
 
     __slots__ = ("states", "canon", "choices", "actions", "labels", "label_names", "_graph")
     _fields = __slots__[:-1]
@@ -88,7 +91,7 @@ class Mdp(Record):
         return [s for s, cs in enumerate(self.choices) if not cs]
 
 
-def explore(model: Model, max_states: int = 100_000) -> Mdp:
+def explore(model: Model, max_states: int = 100_000, fix_deadlocks: bool = False) -> Mdp:
     """Breadth-first closure from the initial bigraph.
 
     States are numbered in discovery order: level by level, and within a
@@ -101,7 +104,9 @@ def explore(model: Model, max_states: int = 100_000) -> Mdp:
     canonicalised, and its automorphisms recorded, when it was discovered).
     The distributions are those of every match, each probability summed
     exactly and rounded once.  A rule's probability that rounds to 0 raises
-    `params.ParameterLimit`.
+    `params.ParameterLimit`.  With `fix_deadlocks`, a state with no enabled
+    action gets one choice, a self-loop under the reserved action `stall`,
+    which is appended to `actions` unless the model declares it.
     At log level INFO each BFS level logs its depth, frontier size, the
     states discovered so far and the rate since the start.
     """
@@ -113,6 +118,7 @@ def explore(model: Model, max_states: int = 100_000) -> Mdp:
     index: dict[bytes, int] = {canonical_form(init): 0}
     states = [init]
     choices: list[list[Choice]] = [[]]
+    actions = list(model.action_order)
     frontier = [0]
     depth = 0
     start = perf_counter()
@@ -142,6 +148,10 @@ def explore(model: Model, max_states: int = 100_000) -> Mdp:
                         next_frontier.append(t)
                     dist.append((t, prob))
                 choices[s].append(Choice(action, dist))
+            if fix_deadlocks and not choices[s]:
+                choices[s].append(Choice("stall", [(s, 1.0)]))
+                if "stall" not in actions:
+                    actions.append("stall")
         if log.isEnabledFor(logging.INFO):
             elapsed = perf_counter() - start
             log.info(
@@ -150,23 +160,7 @@ def explore(model: Model, max_states: int = 100_000) -> Mdp:
             )
         frontier = next_frontier
         depth += 1
-    return Mdp(
-        states=states,
-        canon=list(index),
-        choices=choices,
-        actions=list(model.action_order),
-    )
-
-
-def add_stall_loops(mdp: Mdp) -> int:
-    """Give deadlock states a self-loop under the reserved action `stall`."""
-    dead = mdp.deadlocks()
-    for s in dead:
-        mdp.choices[s].append(Choice("stall", [(s, 1.0)]))
-    if dead and "stall" not in mdp.actions:
-        mdp.actions.append("stall")
-    mdp._graph = None  # it lacks the stall loops
-    return len(dead)
+    return Mdp(states=states, canon=list(index), choices=choices, actions=actions)
 
 
 # ---------------------------------------------------------------------------

@@ -670,16 +670,36 @@ def integer_weights(outcomes: list[Outcome]) -> list[int]:
     return [n * (common // d) * oc.multiplicity for (n, d), oc in zip(ratios, outcomes)]
 
 
-def _orbit(m: Match, autos, cap: int) -> list[Match]:
+def _movers(autos) -> tuple[dict[int, list[int]], dict[int, list[int]]]:
+    """Per entity and per edge, the positions in `autos` of the
+    automorphisms that move it, in order."""
+    by_node: dict[int, list[int]] = {}
+    by_edge: dict[int, list[int]] = {}
+    for i, (nodes, edges) in enumerate(autos):
+        for u in nodes:
+            by_node.setdefault(u, []).append(i)
+        for e in edges:
+            by_edge.setdefault(e, []).append(i)
+    return by_node, by_edge
+
+
+def _orbit(m: Match, autos, movers, cap: int) -> list[Match]:
     """Up to `cap` images of `m`, in breadth-first order and `m` left out,
     under the group generated by `autos`: automorphisms of the agent, as
     (entity map, edge map) pairs that list only what they move.  Images are
     told apart by entities, edges and anchors: those fix the site images up
-    to order."""
+    to order.  Each image tries, in order, only the automorphisms that
+    `movers` (see :func:`_movers`) lists for one of its entities, edges or
+    anchor entities: any other maps it onto itself, an image already seen."""
+    by_node, by_edge = movers
     seen = {(m.nodes, m.edges, m.anchors)}
     out = [m]
     for x in out:
-        for nodes, edges in autos:
+        lists = [by_node[u] for u in x.nodes if u in by_node]
+        lists += [by_edge[E] for _e, E in x.edges if E in by_edge]
+        lists += [by_node[a] for a in x.anchors if a in by_node]  # not None or a region
+        for i in lists[0] if len(lists) == 1 else sorted(set().union(*lists)):
+            nodes, edges = autos[i]
             at = nodes.get
             key = (
                 tuple([at(u, u) for u in x.nodes]),
@@ -711,6 +731,7 @@ def _successors(agent: Bigraph, outcomes: list[Outcome]) -> tuple[list[Bigraph],
     has nothing to join, so its key is not computed.
     """
     autos = agent._autos or ()
+    movers = None  # built by the first orbit walk
     lone = len(outcomes) == 1
     by_effect: dict[tuple | None, int] = {}
     by_canon: dict[bytes, int] = {}
@@ -726,7 +747,9 @@ def _successors(agent: Bigraph, outcomes: list[Outcome]) -> tuple[list[Bigraph],
                 results.append(succ)
             by_effect[effect] = i
             if autos and not lone:
-                for image in _orbit(oc.match, autos, len(outcomes)):
+                if movers is None:
+                    movers = _movers(autos)
+                for image in _orbit(oc.match, autos, movers, len(outcomes)):
                     by_effect.setdefault(effect_key(oc.rule, image), i)
         joined.append(i)
     return results, joined

@@ -424,6 +424,32 @@ def reference_action_distribution(agent: Bigraph, outcomes: list) -> list:
     return [(g, float(w / total)) for g, w in entries]
 
 
+def every_generator_orbit(m, autos, cap: int) -> list:
+    """`rules._orbit` by the plain walk: every generator in `autos` tried on
+    every image, in order.  Up to `cap` images of `m`, breadth first and `m`
+    left out, told apart by entities, edges and anchors."""
+    from tickgraph.match import Match
+
+    seen = {(m.nodes, m.edges, m.anchors)}
+    out = [m]
+    for x in out:
+        for nodes, edges in autos:
+            at = nodes.get
+            key = (
+                tuple(at(u, u) for u in x.nodes),
+                tuple((e, edges.get(E, E)) for e, E in x.edges),
+                tuple(a if a is None or a < 0 else at(a, a) for a in x.anchors),
+            )
+            if key in seen:
+                continue
+            if len(out) > cap:
+                return out[1:]
+            seen.add(key)
+            sites = tuple(tuple(at(u, u) for u in s) for s in x.site_images)
+            out.append(Match(*key, sites, x.binding))
+    return out[1:]
+
+
 # ---------------------------------------------------------------------------
 # rule outcomes by expansion: every valuation becomes a concrete rule that is
 # matched on its own, an independent route to what one symbolic match per

@@ -21,14 +21,15 @@ from tickgraph.bigraph import Bigraph
 from tickgraph.canon import canonical_form
 from tickgraph.elaborate import elaborate, load_model
 from tickgraph.lang import parse
+from tickgraph.match import Match
 from tickgraph.mdp import explore
 from tickgraph.rules import action_distribution, apply, enabled_outcomes
 
 from .algebra import merge, parallel
 from .conftest import token_model
-from .oracle import every_match, reference_action_distribution
+from .oracle import every_generator_orbit, every_match, reference_action_distribution
 from .test_canon import near_symmetric, random_bigraph, weakly_refined
-from .test_cli import MODELS
+from .test_cli import MODELS, _deep_model
 
 TOKENS = [f"none-{k}" for k in range(2, 9)] + [f"pairs-{k}" for k in (2, 4, 6, 8)] + [
     f"ring-{k}" for k in range(3, 9)
@@ -212,3 +213,85 @@ def test_agent_without_canonical_form_skips_nothing(monkeypatch):
     calls.clear()
     assert len(action_distribution(agent, moves)) == 1
     assert len(calls) == 1
+
+
+def _orbits_agree(agent, matches) -> tuple[int, int]:
+    """`rules._orbit` against the walk over every generator, for each match
+    at caps that do and do not cut its orbit; returns how many orbits were
+    not empty and how many a cap cut."""
+    autos = agent._autos
+    movers = rules._movers(autos)
+    moved = cut = 0
+    for m in matches:
+        full = every_generator_orbit(m, autos, 10**9)
+        moved += bool(full)
+        for cap in (0, 1, 2, len(full) - 1, len(full), 10**9):
+            got = rules._orbit(m, autos, movers, cap)
+            assert got == every_generator_orbit(m, autos, cap), (m, cap)
+            cut += len(got) < len(full)
+    return moved, cut
+
+
+def _random_matches(rng, g, count):
+    """Match-shaped tuples over the entities and edges of `g`: an orbit
+    reads only those, so they need not be occurrences of any pattern."""
+    for _ in range(count):
+        nodes = tuple(rng.sample(range(g.nnodes), rng.randint(1, min(3, g.nnodes))))
+        edges = tuple((i, rng.randrange(len(g.links))) for i in range(rng.randint(0, 2))
+                      if g.links)
+        anchors = tuple(rng.choice((None, ~0, rng.randrange(g.nnodes)))
+                        for _ in range(rng.randint(1, 2)))
+        sites = tuple(tuple(rng.sample(range(g.nnodes), rng.randint(0, min(2, g.nnodes))))
+                      for _ in range(rng.randint(0, 2)))
+        yield Match(nodes, edges, anchors, sites)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_orbit_equals_the_walk_over_every_generator(seed):
+    # `_orbit` tries on each image only the generators that move one of its
+    # entities, edges or anchors
+    rng = random.Random(seed)
+    shape = rng.choice(("pairs", "ring"))
+    variant = rng.choice(("none", "param", "site", "link"))
+    graphs = [near_symmetric(rng.randint(3, 5), shape, variant), weakly_refined(rng)]
+    g = random_bigraph(rng)
+    graphs.append(merge(g, merge(g, g)) if g.nregions == 1 else parallel(g, g))
+    moved = cut = 0
+    for g in graphs:
+        canonical_form(g)
+        m, c = _orbits_agree(g, _random_matches(rng, g, 30))
+        moved, cut = moved + m, cut + c
+    assert moved and cut
+
+
+@pytest.mark.parametrize("name", ["marked-4", "none-6", "pairs-4", "ring-6"])
+def test_orbit_of_every_match_equals_the_walk_over_every_generator(name):
+    model = _model(name)
+    moved = 0
+    for agent in explore(model).states:
+        for ocs in enabled_outcomes(agent, every_match(model)).values():
+            moved += _orbits_agree(agent, [oc.match for oc in ocs])[0]
+    assert moved
+
+
+def test_wide_orbit_reads_linearly_many_entity_maps(tmp_path):
+    # 1,500 L leaves under one A and the rule L -> L: the first match's
+    # orbit holds every leaf, and trying each of the 1,499 generators on
+    # each of its 1,500 images read the entity maps about 4.5 million times
+    n = 1500
+    model = load_model(_deep_model(tmp_path, "wide", "A.(" + " | ".join(["L"] * n) + ")"))
+    agent = model.init
+    canonical_form(agent)
+    reads = [0]
+
+    class Counting(dict):
+        def get(self, *args):
+            reads[0] += 1
+            return super().get(*args)
+
+    agent._autos = tuple((Counting(nodes), edges) for nodes, edges in agent._autos)
+    assert len(agent._autos) == n - 1
+    (moves,) = enabled_outcomes(agent, model).values()
+    assert len(moves) == n
+    assert [p for _g, p in action_distribution(agent, moves)] == [1.0]
+    assert 0 < reads[0] <= 10 * n, reads

@@ -16,7 +16,6 @@ from tickgraph.mdp import (
     Choice,
     ExplorationLimit,
     Mdp,
-    add_stall_loops,
     decode_states,
     explore,
     export_dot,
@@ -25,7 +24,7 @@ from tickgraph.mdp import (
     save_mdp,
 )
 from tickgraph.rules import Model, RuleEntry, RuleFamily
-from tickgraph.verify import check, label, parse_properties
+from tickgraph.verify import UnknownLabel, check, label, parse_properties
 
 from .algebra import ion
 from .conftest import DONE, INIT, SEND, WAIT, build_pta_model, is_iso, pta_state, token_model
@@ -188,8 +187,9 @@ def test_fixpoint_on_dead_model():
     mdp = explore(model)
     assert mdp.n_states == 1 and mdp.n_choices == 0
     assert mdp.deadlocks() == [0]
-    assert add_stall_loops(mdp) == 1
-    assert mdp.choices[0][0].action == "stall"
+    mdp = explore(model, fix_deadlocks=True)
+    assert mdp.deadlocks() == [] and mdp.choices[0] == [Choice("stall", [(0, 1.0)])]
+    assert mdp.actions == ["r", "stall"]
 
 
 def assert_agrees_with_oracle(model, mdp: Mdp):
@@ -280,7 +280,8 @@ def test_mdp_without_labels_has_an_empty_set_per_state():
     assert lab == '0="init" 1="deadlock"\n0: 0\n1: 1\n'
     assert "s1 [label=\"1\"]" in export_dot(mdp)
     (prop,) = parse_properties('A [ G ! "x" ]')
-    assert check(mdp, prop).holds
+    with pytest.raises(UnknownLabel, match="carries no labels"):
+        check(mdp, prop)
 
 
 def test_export_prism_round_trip(pta_mdp):
