@@ -27,13 +27,18 @@ found by worklist fixpoints, so 0 and 1 answers are exact.  Then the
 remaining states are split into SCCs, solved in reverse topological order
 so that every successor outside an SCC is final: a single-state SCC in
 closed form, a cyclic SCC by Jacobi value iteration (`sweep`) over its own
-states until no value moves by VI_TOL.  Last, every value outside both
-sets is put strictly inside (0, 1), so a bound at 0 or 1 is decided by the
-sets alone.  Values are Python floats; only the sweeps over a cyclic SCC
-use numpy, imported on first use, so a check that makes no sweep never
-loads it.  An SCC that does not converge within VI_MAX_SWEEPS raises a
-SweepLimit naming its size, lowest state and actions.  Each query logs one
-INFO line: its mode, states, 0/1 set sizes, SCCs, sweeps and seconds.
+states until no value moves by VI_TOL.  A cyclic SCC's sweep arrays (its
+local CSR) are built by the first query that keeps it whole and stored in
+the graph, so a later query only gathers the values it reads and sweeps;
+one that a query's 0/1 sets cut is built for that query alone.  Last,
+every value outside both sets is put strictly inside (0, 1), so a bound at
+0 or 1 is decided by the sets alone.  Values are Python floats; only the
+sweeps over a cyclic SCC use numpy, imported on first use, so a check that
+makes no sweep never loads it.  An SCC that does not converge within
+VI_MAX_SWEEPS raises a SweepLimit naming its size, lowest state and
+actions.  Each query logs one INFO line: its mode, states, 0/1 set sizes,
+SCCs, cyclic SCCs and how many of those it built arrays for, sweeps and
+seconds.
 """
 
 from __future__ import annotations
@@ -183,6 +188,11 @@ class Graph:
     entry names the choice it belongs to (``pred_choice``) and that choice's
     state (``pred_state``), one entry per transition in transition order, so
     a distribution that names ``t`` twice appears twice.
+
+    The graph also keeps what its queries derive from it alone: the
+    condensation (`sccs`) and, per cyclic component of it that some query
+    swept whole, that component's sweep arrays (`local`).  Neither depends
+    on a query's target, so neither goes stale.
     """
 
     def __init__(self, choice_ptr, trans_ptr, targets, probs):
@@ -212,6 +222,8 @@ class Graph:
         self.pred_choice = pred_choice
         self.pred_state = [choice_state[c] for c in pred_choice]
         self._condensation = None  # built by the first `sccs`
+        self._comp_of: list[int] = []  # per state, its component's position in `_condensation`
+        self._local: dict[int, tuple] = {}  # `local` arrays per whole cyclic component
 
     def backward(self, seeds: list[bool], through: list[bool] | None = None) -> list[bool]:
         """States with a path into a seed; every state on it but the last is
@@ -239,7 +251,8 @@ class Graph:
         is, and only one that the mask cuts is split again, by Tarjan over its
         own included states.  The parts of a cut component take its place in
         the order, as every edge out of it leads to an earlier component.
-        The lists returned may be the graph's own: callers do not change them.
+        A whole component is returned as the graph's own list, which `local`
+        tells from a part by identity: callers do not change them.
         """
         comps = self._condensation
         if comps is None:
@@ -265,12 +278,71 @@ class Graph:
                 self._tarjan(kept, member, index, low, on_stack, out)
         return out
 
+    def local(self, comp: list[int]) -> tuple[tuple, bool]:
+        """The arrays `_iterate` sweeps over the cyclic SCC ``comp``, one of
+        the lists `sccs` returned, and whether this call built them.
+
+        A whole component of the condensation has its arrays built by its
+        first query and kept, so every later query reads them; a part of one
+        that a query's mask cut is built for that query alone.  So the store
+        holds at most one entry per cyclic component of the condensation.
+        """
+        i = self._comp_of[comp[0]]
+        whole = self._condensation[i] is comp
+        if whole and i in self._local:
+            return self._local[i], False
+        arrays = self._build_local(comp)
+        if whole:
+            self._local[i] = arrays
+        return arrays, True
+
+    def _build_local(self, comp: list[int]) -> tuple:
+        """``(index, choice_starts, trans_starts, targets, probs)`` over the
+        SCC alone, in the layout `sweep` reads.
+
+        ``index`` lists the states the local indices stand for: the SCC's
+        own states first, then the successors outside it, whose values stay
+        fixed while it is swept.  Choices without transitions are left out:
+        they are worth 0, so they never decide a maximum, and under the
+        minimum a state with one has Pmin = 0 and is decided before value
+        iteration.  ``index`` is a list, the other four numpy arrays.
+        """
+        import numpy as np
+
+        cp, tp, tg, pr = self.choice_ptr, self.trans_ptr, self.targets, self.probs
+        local = {s: i for i, s in enumerate(comp)}
+        index = list(comp)
+        choice_starts, trans_starts, targets, probs = [], [], [], []
+        for s in comp:
+            choice_starts.append(len(trans_starts))
+            for c in range(cp[s], cp[s + 1]):
+                if tp[c] < tp[c + 1]:
+                    trans_starts.append(len(targets))
+                    for k in range(tp[c], tp[c + 1]):
+                        i = local.get(tg[k])
+                        if i is None:
+                            i = local[tg[k]] = len(index)
+                            index.append(tg[k])
+                        targets.append(i)
+                    probs += pr[tp[c] : tp[c + 1]]
+        return (
+            index,
+            np.asarray(choice_starts, dtype=np.int64),
+            np.asarray(trans_starts, dtype=np.int64),
+            np.asarray(targets, dtype=np.int64),
+            np.asarray(probs, dtype=np.float64),
+        )
+
     def _condense(self) -> list[list[int]]:
         """The SCCs of the whole graph, each sorted, in reverse topological order."""
         start = perf_counter()
         n = self.n
         comps: list[list[int]] = []
         self._tarjan(range(n), [True] * n, [-1] * n, [0] * n, [False] * n, comps)
+        comp_of = self._comp_of = [0] * n
+        for i, comp in enumerate(comps):
+            for s in comp:
+                comp_of[s] = i
         log.info(
             "condensation: %d states, %d choices, %d transitions, %d SCCs (%d cyclic), "
             "largest %d, %.3f s",
@@ -398,13 +470,19 @@ def _sure_set(g: Graph, target: list[bool], reach: list[bool]) -> list[bool]:
     enabled = [False] * len(g.choice_state)
     for comp in g.sccs([r and not t for r, t in zip(reach, target)]):
         if len(comp) == 1:
-            s = comp[0]
+            s = comp[0]  # not in the set yet
             for c in range(cp[s], cp[s + 1]):
-                succ = tg[tp[c] : tp[c + 1]]
-                hits = sum(map(one.__getitem__, succ))  # s itself is not in the set yet
-                if hits and hits + succ.count(s) == len(succ):
-                    one[s] = True
-                    break
+                hit = False
+                for k in range(tp[c], tp[c + 1]):
+                    t = tg[k]
+                    if one[t]:
+                        hit = True
+                    elif t != s:
+                        break
+                else:
+                    if hit:
+                        one[s] = True
+                        break
             continue
         x = comp
         while x:
@@ -484,49 +562,25 @@ def sweep(values, minimize, choice_starts, trans_starts, targets, probs):
     per_choice = np.add.reduceat(probs * values[targets], trans_starts)
     best = (np.minimum if minimize else np.maximum).reduceat(per_choice, choice_starts)
     swept = values[: len(best)]  # a view
-    delta = float(np.max(np.abs(best - swept)))
+    diff = best - swept
+    np.abs(diff, out=diff)
+    delta = float(diff.max())
     swept[:] = best
     return delta
 
 
-def _iterate(g: Graph, vals: list[float], comp: list[int], minimize: bool) -> int | None:
+def _iterate(vals: list[float], comp: list[int], local: tuple, minimize: bool) -> int | None:
     """Jacobi value iteration over one cyclic SCC whose successors outside it
-    are all solved; writes the SCC's values into `vals` and returns the
-    number of sweeps, or None if it did not converge within VI_MAX_SWEEPS.
-
-    The arrays hold only this SCC: its states first, then the successors
-    outside it, whose values stay fixed.  Choices without transitions are
-    left out: they are worth 0, so they never decide a maximum, and under
-    the minimum a state with one has Pmin = 0 and is decided before this
-    phase."""
+    are all solved, on its arrays from `Graph.local`; writes the SCC's values
+    into `vals` and returns the number of sweeps, or None if it did not
+    converge within VI_MAX_SWEEPS.  Only the values of the SCC and its
+    successors are read, and only the SCC's are written."""
     import numpy as np
 
-    cp, tp, tg, pr = g.choice_ptr, g.trans_ptr, g.targets, g.probs
-    local = {s: i for i, s in enumerate(comp)}
-    outside: list[int] = []
-    choice_starts, trans_starts, targets, probs = [], [], [], []
-    for s in comp:
-        choice_starts.append(len(trans_starts))
-        for c in range(cp[s], cp[s + 1]):
-            if tp[c] < tp[c + 1]:
-                trans_starts.append(len(targets))
-                for k in range(tp[c], tp[c + 1]):
-                    i = local.get(tg[k])
-                    if i is None:
-                        i = local[tg[k]] = len(local)
-                        outside.append(tg[k])
-                    targets.append(i)
-                probs += pr[tp[c] : tp[c + 1]]
-    values = np.asarray([vals[s] for s in comp] + [vals[t] for t in outside], dtype=np.float64)
-    args = (
-        minimize,
-        np.asarray(choice_starts, dtype=np.int64),
-        np.asarray(trans_starts, dtype=np.int64),
-        np.asarray(targets, dtype=np.int64),
-        np.asarray(probs, dtype=np.float64),
-    )
+    index, *args = local
+    values = np.fromiter(map(vals.__getitem__, index), dtype=np.float64, count=len(index))
     for sweeps in range(1, VI_MAX_SWEEPS + 1):
-        if sweep(values, *args) < VI_TOL:
+        if sweep(values, minimize, *args) < VI_TOL:
             for s, v in zip(comp, values[: len(comp)].tolist()):
                 vals[s] = v
             return sweeps
@@ -546,14 +600,16 @@ def reach_vector(mdp: Mdp, target: list[bool], mode: str) -> list[float]:
     minimize = mode == "min"
     vals = [1.0 if o else 0.0 for o in one]
     sccs = g.sccs([not (z or o) for z, o in zip(zero, one)])
-    cyclic = sweeps = 0
+    cyclic = built = sweeps = 0
     for comp in sccs:
         if len(comp) == 1:
             s = comp[0]
             vals[s] = _closed_form(g, vals, s, minimize)
             continue
         cyclic += 1
-        made = _iterate(g, vals, comp, minimize)
+        local, fresh = g.local(comp)
+        built += fresh
+        made = _iterate(vals, comp, local, minimize)
         if made is None:
             actions = sorted({c.action for s in comp for c in mdp.choices[s]})
             raise SweepLimit(
@@ -569,8 +625,10 @@ def reach_vector(mdp: Mdp, target: list[bool], mode: str) -> list[float]:
             if not 0.0 < vals[s] < 1.0:
                 vals[s] = math.ulp(0.0) if vals[s] <= 0.0 else math.nextafter(1.0, 0.0)
     log.info(
-        "reach P%s: %d states, %d zero, %d one, %d SCCs (%d cyclic), %d sweeps, %.3f s",
-        mode, g.n, sum(zero), sum(one), len(sccs), cyclic, sweeps, perf_counter() - start,
+        "reach P%s: %d states, %d zero, %d one, %d SCCs (%d cyclic, %d built), %d sweeps, "
+        "%.3f s",
+        mode, g.n, sum(zero), sum(one), len(sccs), cyclic, built, sweeps,
+        perf_counter() - start,
     )
     return vals
 

@@ -8,13 +8,15 @@ depth-first and deduplicates states by fingerprint buckets plus brute-force
 isomorphism, never touching canonical forms.  The canonical-form reference
 is the plain search the engine's pruned one must equal.  The reachability
 references compute the 0/1 sets by plain nested fixpoints and values by Gauss-Seidel
-value iteration in state order.
+value iteration in state order; the checker's own Jacobi iteration, as it was
+before its arrays were kept, is the reference its values must equal bit for bit.
 """
 
 from __future__ import annotations
 
 import copy
 import itertools
+import math
 import re
 from collections import Counter
 from dataclasses import dataclass, field
@@ -733,6 +735,84 @@ def gauss_seidel(choices, target: list[bool], mode: str, tol: float = 1e-13) -> 
             delta = max(delta, abs(best - values[s]))
             values[s] = best
     return values
+
+
+# ---------------------------------------------------------------------------
+# The checker's value iteration as it was before each cyclic SCC kept its
+# arrays, kept as the bit-for-bit reference: every query builds the SCC's
+# local CSR anew, and the sweep is the same arithmetic without the in-place
+# change.  The 0/1 sets are the reference's own; the SCCs and closed forms
+# are the checker's, whose results do not depend on the arrays being kept.
+
+
+def reference_sweep(values, minimize, choice_starts, trans_starts, targets, probs):
+    import numpy as np
+
+    per_choice = np.add.reduceat(probs * values[targets], trans_starts)
+    best = (np.minimum if minimize else np.maximum).reduceat(per_choice, choice_starts)
+    swept = values[: len(best)]
+    delta = float(np.max(np.abs(best - swept)))
+    swept[:] = best
+    return delta
+
+
+def reference_iterate(g, vals: list[float], comp: list[int], minimize: bool) -> int | None:
+    import numpy as np
+
+    from tickgraph import verify
+
+    cp, tp, tg, pr = g.choice_ptr, g.trans_ptr, g.targets, g.probs
+    local = {s: i for i, s in enumerate(comp)}
+    outside: list[int] = []
+    choice_starts, trans_starts, targets, probs = [], [], [], []
+    for s in comp:
+        choice_starts.append(len(trans_starts))
+        for c in range(cp[s], cp[s + 1]):
+            if tp[c] < tp[c + 1]:
+                trans_starts.append(len(targets))
+                for k in range(tp[c], tp[c + 1]):
+                    i = local.get(tg[k])
+                    if i is None:
+                        i = local[tg[k]] = len(local)
+                        outside.append(tg[k])
+                    targets.append(i)
+                probs += pr[tp[c] : tp[c + 1]]
+    values = np.asarray([vals[s] for s in comp] + [vals[t] for t in outside], dtype=np.float64)
+    args = (
+        minimize,
+        np.asarray(choice_starts, dtype=np.int64),
+        np.asarray(trans_starts, dtype=np.int64),
+        np.asarray(targets, dtype=np.int64),
+        np.asarray(probs, dtype=np.float64),
+    )
+    for sweeps in range(1, verify.VI_MAX_SWEEPS + 1):
+        if reference_sweep(values, *args) < verify.VI_TOL:
+            for s, v in zip(comp, values[: len(comp)].tolist()):
+                vals[s] = v
+            return sweeps
+    return None
+
+
+def reference_reach_vector(choices, target: list[bool], mode: str) -> list[float]:
+    """`verify.reach_vector` on ``[(action, dist), ...]`` lists per state,
+    with every cyclic SCC swept by `reference_iterate`."""
+    from tickgraph import verify
+    from tickgraph.mdp import Choice
+
+    g = verify.Graph(*verify.as_arrays([[Choice(a, d) for a, d in cs] for cs in choices]))
+    zero, one = zero_one_sets(choices, target, mode)
+    vals = [1.0 if s in one else 0.0 for s in range(len(choices))]
+    sccs = g.sccs([s not in zero and s not in one for s in range(len(choices))])
+    for comp in sccs:
+        if len(comp) == 1:
+            vals[comp[0]] = verify._closed_form(g, vals, comp[0], mode == "min")
+        elif reference_iterate(g, vals, comp, mode == "min") is None:
+            raise verify.SweepLimit(f"no convergence on the SCC of state {comp[0]}")
+    for comp in sccs:
+        for s in comp:
+            if not 0.0 < vals[s] < 1.0:
+                vals[s] = math.ulp(0.0) if vals[s] <= 0.0 else math.nextafter(1.0, 0.0)
+    return vals
 
 
 # ---------------------------------------------------------------------------

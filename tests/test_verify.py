@@ -575,8 +575,93 @@ def test_non_convergence_names_the_scc(monkeypatch):
     ]
     monkeypatch.setattr(verify, "VI_MAX_SWEEPS", 1)
     msg = r"within 1 sweeps on an SCC of 2 states \(lowest state 1\) with actions a$"
-    with pytest.raises(RuntimeError, match=msg):
-        reach_vector(as_mdp(choices), [s == 3 for s in range(5)], "max")
+    mdp = as_mdp(choices)
+    raised = []
+    for _ in range(2):  # the second query sweeps the arrays the first one kept
+        with pytest.raises(verify.SweepLimit, match=msg) as exc:
+            reach_vector(mdp, [s == 3 for s in range(5)], "max")
+        raised.append(str(exc.value))
+    assert raised[0] == raised[1]
+
+
+class RecordingGraph(Graph):
+    """A Graph that records each build of a cyclic SCC's arrays, and per
+    `local` call the SCC and whether that call built them."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.built, self.reads = [], []
+
+    def _build_local(self, comp):
+        self.built.append(comp)
+        return super()._build_local(comp)
+
+    def local(self, comp):
+        arrays, fresh = super().local(comp)
+        self.reads.append((comp, fresh))
+        return arrays, fresh
+
+    def whole(self, comp):
+        return any(c is comp for c in self._condensation)
+
+
+def _hex(values):
+    return [v.hex() for v in values]
+
+
+def test_kept_arrays_give_the_reference_bits(monkeypatch):
+    # three targets per MDP, each queried in both modes on one Mdp: later
+    # queries read the arrays earlier ones kept, and a random target can cut
+    # a cyclic component, whose parts are built per query
+    monkeypatch.setattr(verify, "Graph", RecordingGraph)
+    rng = random.Random("kept-arrays")
+    seen = {"kept": 0, "cut": 0}
+    for i in range(300):
+        choices, target = (random_mdp if i % 2 else scc_sequence)(rng)
+        mdp = as_mdp(choices)
+        for tgt in (target, [rng.random() < 0.3 for _ in choices], target):
+            for mode in ("min", "max"):
+                want = oracle.reference_reach_vector(choices, tgt, mode)
+                assert _hex(reach_vector(mdp, tgt, mode)) == _hex(want), (choices, tgt, mode)
+        g = mdp._graph
+        seen["kept"] += sum(not fresh for _comp, fresh in g.reads)
+        seen["cut"] += sum(not g.whole(comp) for comp in g.built)
+        assert all(g.whole(comp) for comp, fresh in g.reads if not fresh)
+        assert len(g._local) <= sum(len(c) > 1 for c in g._condensation)
+    assert min(seen.values()) > 0, seen
+
+
+def test_whole_cyclic_sccs_build_their_arrays_once(monkeypatch, caplog):
+    # states 1 to 4 form one cyclic SCC (1 <-> 2 -> 3 <-> 4 -> 1) that leaks
+    # to the goal 5 and the sink 6; with 3 in the target too, the 1-set cuts
+    # it and leaves the cycle {1, 2}
+    choices = [
+        [("a", [(1, 1.0)])],
+        [("a", [(2, 0.5), (5, 0.25), (6, 0.25)])],
+        [("a", [(1, 0.4), (3, 0.3), (5, 0.15), (6, 0.15)])],
+        [("a", [(4, 0.5), (5, 0.25), (6, 0.25)])],
+        [("a", [(3, 0.4), (1, 0.3), (5, 0.15), (6, 0.15)])],
+        [],
+        [],
+    ]
+    whole = [s == 5 for s in range(7)]
+    cut = [s in (3, 5) for s in range(7)]
+    monkeypatch.setattr(verify, "Graph", RecordingGraph)
+    mdp = as_mdp(choices)
+    builds = 0
+    for target, mode, fresh in [(whole, "min", 1), (whole, "max", 0), (cut, "min", 1),
+                                (cut, "max", 1), (whole, "min", 0)]:
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="tickgraph.verify"):
+            got = reach_vector(mdp, target, mode)
+        assert _hex(got) == _hex(oracle.reference_reach_vector(choices, target, mode))
+        builds += fresh
+        g = mdp._graph
+        assert len(g.built) == builds
+        assert len(g._local) == 1  # the whole SCC's arrays; a cut part's are never kept
+        (line,) = [r.getMessage() for r in caplog.records
+                   if r.getMessage().startswith("reach ")]
+        assert f" (1 cyclic, {fresh} built), " in line, line
 
 
 def _pred_reference(choices):
@@ -665,7 +750,7 @@ def test_reach_vector_logs_one_line_per_query(monkeypatch, caplog):
         (line,) = [r.getMessage() for r in caplog.records
                    if r.getMessage().startswith("reach ")]
         assert re.fullmatch(
-            rf"reach P{mode}: 5 states, 1 zero, 1 one, 2 SCCs \(1 cyclic\), "
+            rf"reach P{mode}: 5 states, 1 zero, 1 one, 2 SCCs \(1 cyclic, 1 built\), "
             rf"{sweeps} sweeps, \d+\.\d{{3}} s",
             line,
         ), line
@@ -756,9 +841,11 @@ def test_cycle_ladder_matches_reference(monkeypatch, caplog):
         caplog.clear()
         with caplog.at_level(logging.INFO, logger="tickgraph.verify"):
             got = reach_vector(mdp, target, mode)
-        # every cycle is one cyclic SCC, solved after the cycle it leaks into
+        # every cycle is one cyclic SCC, solved after the cycle it leaks into;
+        # the first query builds the arrays of each, the second reads them
         line = caplog.records[-1].getMessage()
-        assert re.match(rf"reach P{mode}: 102 states, .* \(50 cyclic\)", line), line
+        built = 50 if mode == "min" else 0
+        assert re.match(rf"reach P{mode}: 102 states, .* \(50 cyclic, {built} built\)", line), line
         want = oracle.gauss_seidel(choices, target, mode)
         assert np.allclose(got, want, rtol=0.0, atol=1e-10), mode
         assert 0.0 < got[0] < 1.0
