@@ -43,7 +43,10 @@ leaf:
 Entities that carry no closed edges never branch: equal subtrees write
 equal text, so any number of interchangeable atoms costs one leaf.  Closed-
 linked symmetry costs about one extra path per search level, not a
-factorial.
+factorial.  The search recurses once per closed edge it individualises, so
+a path longer than the interpreter's recursion limit allows (less the
+matcher's headroom) raises :class:`CanonLimit`, a resource limit, instead
+of overflowing the stack.
 
 Automorphisms found on the way are kept with the encoding, as generators
 (`Bigraph._autos`), for `rules.action_distribution`, which applies one
@@ -89,8 +92,16 @@ from __future__ import annotations
 
 import hashlib
 import re
+import sys
 
 from .bigraph import Bigraph, Control, Link
+from .match import _HEADROOM
+
+
+class CanonLimit(ValueError):
+    """A bigraph whose canonical-form search would nest more calls than the
+    interpreter's recursion limit, less the matcher's `_HEADROOM`, leaves
+    room for: the search recurses once per closed edge it individualises."""
 
 
 def _head(ctrl: Control, param) -> tuple[str, tuple, str]:
@@ -378,6 +389,14 @@ def _visit(t: _Tables, leaves: dict, autos: list[dict[int, int]], found: list[Au
         while at[common] == path[common]:
             common += 1
         return common
+    # one frame per edge on the path, and the search's own few below it
+    budget = sys.getrecursionlimit() - _HEADROOM
+    if depth + 6 > budget:
+        raise CanonLimit(
+            f"canonical form: {t.g.nnodes} entities and {len(closed)} closed edges with "
+            f"ports need more nested search calls than the {budget} the interpreter's "
+            "stack allows"
+        )
     # the first tied cell: the closed edges of the lowest rank held by two
     r = min([r for r, cell in cells.items() if len(cell) > 1])
     cell = cells[r]
@@ -533,7 +552,13 @@ _TAIL = re.compile(r";Y=(\w+(?:,\w+)*)?;X=", re.ASCII)
 
 
 def decode_canonical(data: bytes, controls: dict[str, Control]) -> Bigraph:
-    """Rebuild a bigraph from its canonical encoding (inverse up to iso)."""
+    """Rebuild a bigraph from its canonical encoding (inverse up to iso).
+
+    Raises ValueError for text that no canonical form writes, and for an
+    entity that its control does not allow: references other than one per
+    port, a parameter it does not take or lacks, or children (a site
+    included) under an atomic control; and for an outer name on two
+    hyperedges."""
     text = data.decode("latin-1")  # one character per byte; the patterns take ASCII only
     pos = 0
 
@@ -558,17 +583,27 @@ def decode_canonical(data: bytes, controls: dict[str, Control]) -> Bigraph:
             stack.append(~nregions)
             nregions += 1
         elif kind == "node":
-            if m["ctrl"] not in controls:
+            ctrl = controls.get(m["ctrl"])
+            if ctrl is None:
                 fail(f"unknown control {m['ctrl']!r}")
-            for port, ref in enumerate(m["refs"].split(",") if m["refs"] else ()):
+            refs = m["refs"].split(",") if m["refs"] else ()
+            if len(refs) != ctrl.arity:
+                fail(f"{len(refs)} references on {ctrl.name}, of arity {ctrl.arity}")
+            if (m["param"] is None) == ctrl.parameterised:
+                fail(f"{ctrl.name} {'without' if ctrl.parameterised else 'with'} a parameter")
+            if stack[-1] >= 0 and nodes[stack[-1]][0].atomic:
+                fail(f"a child of atomic {nodes[stack[-1]][0].name}")
+            for port, ref in enumerate(refs):
                 edges.setdefault(ref, []).append((len(nodes), port))
             up.append(stack[-1])
             stack.append(len(nodes))
-            nodes.append((controls[m["ctrl"]], None if m["param"] is None else int(m["param"])))
+            nodes.append((ctrl, None if m["param"] is None else int(m["param"])))
         elif kind == "site":
             s = int(m["site"])
             if s in sites:
                 fail(f"site ${s} written twice")
+            if stack[-1] >= 0 and nodes[stack[-1]][0].atomic:
+                fail(f"a site in atomic {nodes[stack[-1]][0].name}")
             sites[s] = stack[-1]
         elif kind == "close":
             stack.pop()
@@ -584,8 +619,12 @@ def decode_canonical(data: bytes, controls: dict[str, Control]) -> Bigraph:
     pos = tail.end()
     if pos != len(text):
         fail("trailing bytes after ';X='")
+    portless = tail[1].split(",") if tail[1] else []
+    for k, name in enumerate(portless):
+        if "o" + name in edges or name in portless[:k]:
+            fail(f"outer name {name!r} on two hyperedges")
     closed = sorted((int(ref[1:]), ports) for ref, ports in edges.items() if ref[0] == "c")
     links = [Link(None, tuple(ports)) for _num, ports in closed]
     links += [Link(ref[1:], tuple(edges[ref])) for ref in sorted(edges) if ref[0] == "o"]
-    links += [Link(name, ()) for name in tail[1].split(",")] if tail[1] else []
+    links += [Link(name, ()) for name in portless]
     return Bigraph(nodes, up, [sites[s] for s in range(nsites)], nregions, links)

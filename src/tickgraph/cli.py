@@ -4,13 +4,17 @@ Each subcommand takes only the flags it reads.  `validate` also checks the
 model's digital-clocks discipline (see `elaborate.clock_problems`) and
 reports each breach as a problem; `build`, `export` and `check` do not.
 Each of these three reads the MDP cache once: a fresh cache answers
-`build`, and a labelled one `check` and `export`, without the model.
+`build`, and a labelled one `check` and `export`, without the model.  A
+cache is fresh when it was written under the same model file hash and
+`--fix-deadlocks` (the key `_model_key` makes) by the same package code
+(see `mdp.load_mdp`).
 
 Exit codes: 0 success (all properties hold), 1 property failure, 2 usage or
 model error (including any `validate` problem), 3 resource limit (such as
-the state budget, or value iteration not converging within its sweeps), 4
-internal error (a one-line diagnostic on stderr).  All outputs are byte
-deterministic for identical inputs and flags.
+the state budget, a canonical-form search deeper than the stack allows, or
+value iteration not converging within its sweeps), 4 internal error (a
+one-line diagnostic on stderr).  All outputs are byte deterministic for
+identical inputs and flags.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import os
 import random
 import sys
 
-from .canon import canonical_digest
+from .canon import CanonLimit, canonical_digest
 from .bigraph import validate
 from .elaborate import ElabError, clock_problems, load_model
 from .lang import ParseError, parse_properties, read_source
@@ -304,7 +308,7 @@ def main(argv=None) -> int:
     except ExplorationLimit as exc:
         print(f"tickgraph: {exc} (frontier {exc.frontier})", file=sys.stderr)
         return EXIT_LIMIT
-    except (ParameterLimit, PatternLimit, SweepLimit) as exc:
+    except (CanonLimit, ParameterLimit, PatternLimit, SweepLimit) as exc:
         print(f"tickgraph: {exc}", file=sys.stderr)
         return EXIT_LIMIT
     except (ParseError, ElabError, UnknownLabel) as exc:

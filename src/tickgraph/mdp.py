@@ -13,19 +13,22 @@ its `[target, probability]` pairs.  Once labelled (by `check` or `export`)
 it also holds the sorted label names and, per state, sorted indices into
 them.  `load_mdp` checks every field and decodes nothing; `decode_states`
 decodes the forms of a cache that is still to be labelled.  The cache is
-keyed on the model file's hash, `--fix-deadlocks` and the package version,
-and rebuilt when any differs.
+keyed on the model file's hash and `--fix-deadlocks` (the caller's key) and
+on the code that wrote it: a sha256 over this package's own `*.py` files,
+computed on the first cache read or write in a process.  A cache is rebuilt
+when either differs, so any edit to the package, a comment included,
+retires every cache written before it.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import logging
 import os
 from time import perf_counter
 
-from . import __version__
 from .bigraph import Bigraph, Control
 from .canon import canonical_digest, canonical_form, decode_canonical
 from .records import Record
@@ -225,18 +228,26 @@ def export_dot(mdp: Mdp) -> str:
 # ---------------------------------------------------------------------------
 # cache (one JSON document)
 
-# Names the layout, the canonical-form encoding and how probabilities are
-# rounded; bump it when any of them changes.  A cache of another format,
-# package version or model key is rebuilt.
-_FORMAT = "tickgraph-mdp/3"
+@functools.cache
+def _code_digest() -> str:
+    """sha256 over this package's `*.py` files, each file's name and bytes in
+    name order: whatever writes a cache (its layout, the canonical forms,
+    the successors and their probabilities, the labels) lives in them."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    h = hashlib.sha256()
+    for name in sorted(n for n in os.listdir(here) if n.endswith(".py")):
+        with open(os.path.join(here, name), "rb") as fh:
+            data = fh.read()
+        h.update(f"{name}\0{len(data)}\0".encode())
+        h.update(data)
+    return h.hexdigest()
 
 
 def save_mdp(path, mdp: Mdp, model_hash: str) -> None:
     """Write `mdp` to `path`, with its labels when it has been labelled."""
     action_idx = {a: i for i, a in enumerate(mdp.actions)}
     doc = {
-        "format": _FORMAT,
-        "version": __version__,
+        "code": _code_digest(),
         "key": model_hash,
         "actions": mdp.actions,
         "states": [key.decode("ascii") for key in mdp.canon],
@@ -289,7 +300,8 @@ def _is_label_row(x, n_names: int) -> bool:
 
 def load_mdp(path, model_hash: str) -> Mdp | None:
     """Reload a cached MDP; None, never an exception, when the file is
-    missing, unreadable or malformed, or has another format, version or key.
+    missing, unreadable or malformed, or was written by other code or under
+    another key.
 
     Nothing is decoded: `states` is empty and the canonical forms are only
     checked to be distinct ASCII strings (see `decode_states`).  A labelled
@@ -302,7 +314,7 @@ def load_mdp(path, model_hash: str) -> Mdp | None:
         return None
     if type(doc) is not dict:
         return None
-    if (doc.get("format"), doc.get("version"), doc.get("key")) != (_FORMAT, __version__, model_hash):
+    if doc.get("key") != model_hash or doc.get("code") != _code_digest():
         return None
     actions, texts, table = doc.get("actions"), doc.get("states"), doc.get("choices")
     if not (_is_list_of(actions, str) and _is_list_of(texts, str) and _is_list_of(table, list)):

@@ -119,6 +119,32 @@ def test_decode_rejects_bytes_after_tail(tmp_path):
 @pytest.mark.parametrize(
     "text, why",
     [
+        (b"bg;2;0;R[S(){}[Init(){}[]]]R[X(0){c0}[]];Y=;X=", "0 references on S, of arity 1"),
+        (b"bg;2;0;R[S(){c0}[Init(0){}[]]]R[X(0){c0}[]];Y=;X=", "Init with a parameter"),
+        (b"bg;2;0;R[S(){c0}[Init(){}[]]]R[X(){c0}[]];Y=;X=", "X without a parameter"),
+        (b"bg;2;0;R[S(){c0}[Init(){}[Init(){}[]]]]R[X(0){c0}[]];Y=;X=", "a child of atomic Init"),
+        (b"bg;2;1;R[S(){c0}[Init(){}[$0]]]R[X(0){c0}[]];Y=;X=", "a site in atomic Init"),
+        (b"bg;2;0;R[S(){oc}[Init(){}[]]]R[X(0){oc}[]];Y=c;X=", "outer name 'c' on two"),
+        (b"bg;2;0;R[S(){c0}[Init(){}[]]]R[X(0){c0}[]];Y=c,c;X=", "outer name 'c' on two"),
+    ],
+    ids=["reference-count", "unexpected-parameter", "missing-parameter", "atomic-child",
+         "atomic-site", "linked-and-portless-name", "portless-name-twice"],
+)
+def test_decode_refuses_what_validate_refuses(text, why):
+    # each is a small edit of a pta state's form; each was decoded into a
+    # bigraph that `validate` refuses, and a cache holding one of the first
+    # kind gave wrong verdicts
+    controls = {c.name: c for c in (S, INIT, X)}
+    good = b"bg;2;0;R[S(){c0}[Init(){}[]]]R[X(0){c0}[]];Y=;X="
+    assert canonical_form(pta_state(INIT, 0)) == good
+    assert validate(decode_canonical(good, controls)) == []
+    with pytest.raises(ValueError, match=re.escape(why)):
+        decode_canonical(text, controls)
+
+
+@pytest.mark.parametrize(
+    "text, why",
+    [
         (b"bg;1;1;R[$0;$0];Y=;X=", "site $0 written twice"),
         (b"bg;1;2;R[N(){}[$0];$0];Y=;X=", "site $0 written twice"),
         (b"bg;1;2;R[$1];Y=;X=", "expected 2 sites"),
@@ -393,6 +419,7 @@ def test_hypothesis_corrupted_encoding_decodes_or_raises_value_error(g, data):
     except ValueError:
         return
     assert how != "cut" and isinstance(h, Bigraph)
+    assert validate(h) == []  # what decodes is a well-formed bigraph
 
 
 @settings(max_examples=300, deadline=None)

@@ -124,6 +124,13 @@ def test_long_closure_chain_is_read_without_recursion(tmp_path):
     r = run("validate", model)
     assert r.returncode == 0, r.stderr
     assert "close: 1 rules, 3 controls" in r.stdout
+    # the canonical-form search recurses once per closed edge it
+    # individualises: 1,200 interchangeable edges are a named limit (exit 3),
+    # not a RecursionError (exit 4)
+    r = run("build", model, "--out", tmp_path)
+    assert (r.returncode, r.stdout) == (3, ""), r.stderr
+    assert r.stderr.startswith("tickgraph: canonical form: 1202 entities and 1200 closed edges")
+    assert "internal error" not in r.stderr
 
 
 def test_nested_parenthesised_joins_are_elaborated_without_recursion(tmp_path):
@@ -683,28 +690,36 @@ def test_usage_and_errors_do_not_depend_on_the_parsers_built(argv, monkeypatch, 
         assert got == _USAGE_PINS[argv]
 
 
-# sha256 of the bundled models' exports and caches (labelled, as `export`
-# writes them back): a change to matching, exploration, export or the cache
-# format must not move a byte
+# sha256 of the bundled models' exports and cache payloads (labelled, as
+# `export` writes them back; see `_payload`): a change to matching,
+# exploration, export or the cache layout must not move a byte
 GOLDEN_SHA256 = {
     "pta.tra": "3374feb4ff9e960969c72cc1738b3ccf29ec3976fe1c3b80acd5d716b904814e",
     "pta.lab": "2ce296a1c435fa65220cff9fa9911d2cb70b16eefafc91073a4cc478f538ff55",
     "pta.sta": "175bba0bb76ed18e6b4f693165696c454bc1505e51f04fc254837424f6124c95",
-    "pta.mdpc": "9bcb661711ced263e79ef50ad71791dedb4de871325ffd9d40da10be17dd0b97",
+    "pta.mdpc": "26191fcee148cef68aa06020f4acbc6ea68f625e1be87fb9c2423cf0ef74fce2",
     "cloud.tra": "cebaa729421fbd153196b4ea859114e73d3448951845e8bf36d3916ffd4b8642",
     "cloud.lab": "642668c1b3f38a4bf9a35664d9eeea5bc684074cc06a05ece6eddfc0da5ddef7",
     "cloud.sta": "1dd38d05bcac6342d0cc07e0d356753096f5df57ab32ff57faf5a095e6c15bec",
-    "cloud.mdpc": "5a136955c9b8b29e1c0147b99514cb3f75a7bb94135eeb3f7d37ea7c134cbd6c",
+    "cloud.mdpc": "0a033b9c9072a27449c3dcc8ede728260b579d5fea4daedcb74994fe8784de2e",
 }
+
+
+def _payload(blob: bytes) -> bytes:
+    """A cache's bytes without its leading code digest, which moves with
+    every edit to the package."""
+    head = re.match(rb'\{"code":"[0-9a-f]{64}",', blob)
+    assert head is not None, blob[:80]
+    return b"{" + blob[head.end():]
 
 
 def test_export_golden_bytes(tmp_path):
     for stem in ("pta", "cloud"):
         assert run("export", MODELS / f"{stem}.big", "--out", tmp_path).returncode == 0
-    got = {
-        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-        for name in GOLDEN_SHA256
-    }
+    got = {}
+    for name in GOLDEN_SHA256:
+        blob = (tmp_path / name).read_bytes()
+        got[name] = hashlib.sha256(_payload(blob) if name.endswith(".mdpc") else blob).hexdigest()
     assert got == GOLDEN_SHA256
 
 
@@ -751,6 +766,41 @@ def test_cache_reuse(tmp_path):
     cache.write_bytes(cache.read_bytes()[:-18])
     r3 = run("build", MODELS / "pta.big", "--out", tmp_path, "--json")
     assert json.loads(r3.stdout)["cache_digest"] == digest
+
+
+def test_cache_of_other_code_is_refused(tmp_path):
+    # a cache is keyed on the package's own sources: a copy that differs by
+    # one comment writes caches the package refuses, and the other way round
+    import shutil
+
+    import tickgraph
+
+    copy = tmp_path / "edited" / "tickgraph"
+    shutil.copytree(pathlib.Path(tickgraph.__file__).parent, copy,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    with open(copy / "records.py", "a", encoding="utf-8") as fh:
+        fh.write("# an edit that changes no behaviour\n")
+    real = dict(os.environ, TICKGRAPH_LOG="info")
+    edited = dict(real, PYTHONPATH=str(copy.parent))
+    out = tmp_path / "out"
+    caches = {}
+
+    def build(env):
+        r = subprocess.run([sys.executable, "-m", "tickgraph", "build", MODELS / "pta.big",
+                            "--out", out], capture_output=True, text=True, env=env)
+        assert r.returncode == 0, r.stderr
+        assert "14 states, 20 choices, 21 transitions" in r.stdout
+        caches[env is edited] = json.loads((out / "pta.mdpc").read_bytes())
+        return r.stderr
+
+    for env in (edited, real, edited):
+        log = build(env)
+        assert "explore:" in log and "reusing cache" not in log, log
+    log = build(edited)
+    assert "reusing cache" in log and "explore:" not in log, log
+    # the same payload under another code digest
+    assert caches[True].pop("code") != caches[False].pop("code")
+    assert caches[True] == caches[False]
 
 
 def test_tick9_cache_is_reused(tmp_path):
@@ -1159,6 +1209,21 @@ def test_check_rebuilds_a_cache_whose_form_does_not_decode(tmp_path, capsys, cap
     # `build` reads no form, so it reuses such a cache; the first `check`
     # finds the form undecodable, explores afresh and writes the cache that
     # a cold check writes
+    _check_rebuilds_damaged_form(tmp_path, capsys, caplog, 0, lambda form: "bg;")
+
+
+def test_check_rebuilds_a_cache_whose_entity_its_control_forbids(tmp_path, capsys, caplog):
+    # S has one port: without its reference the state decoded into a
+    # bigraph with S's port dangling, and the first two properties read
+    # FAILS (Pmin = 0), exit 1
+    def damage(form):
+        assert "S(){c0}[Done(){}[]]" in form
+        return form.replace("S(){c0}[Done(){}[]]", "S(){}[Done(){}[]]")
+
+    _check_rebuilds_damaged_form(tmp_path, capsys, caplog, 4, damage)
+
+
+def _check_rebuilds_damaged_form(tmp_path, capsys, caplog, state, damage):
     import logging
 
     from tickgraph import cli
@@ -1172,7 +1237,7 @@ def test_check_rebuilds_a_cache_whose_form_does_not_decode(tmp_path, capsys, cap
     assert cli.main(["build", model, "--out", str(out)]) == 0
     cache = out / "pta.mdpc"
     doc = json.loads(cache.read_bytes())
-    doc["states"][0] = "bg;"
+    doc["states"][state] = damage(doc["states"][state])
     cache.write_text(json.dumps(doc, separators=(",", ":")))
     damaged = cache.read_bytes()
     with caplog.at_level(logging.INFO, logger="tickgraph"):

@@ -1,13 +1,15 @@
+import hashlib
 import json
 import logging
 import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tickgraph import __version__
 from tickgraph.bigraph import Control, validate
 from tickgraph.canon import canonical_digest, canonical_form
 from tickgraph.elaborate import load_model
@@ -16,6 +18,7 @@ from tickgraph.mdp import (
     Choice,
     ExplorationLimit,
     Mdp,
+    _code_digest,
     decode_states,
     explore,
     export_dot,
@@ -381,11 +384,29 @@ def test_cache_holds_no_rule_names(tmp_path, pta_mdp):
     path = tmp_path / "pta.mdpc"
     save_mdp(path, pta_mdp, model_hash="abc123")
     doc = json.loads(path.read_bytes())
-    assert list(doc) == ["format", "version", "key", "actions", "states", "choices"]
-    assert doc["version"] == __version__ and doc["key"] == "abc123"
+    assert list(doc) == ["code", "key", "actions", "states", "choices"]
+    assert doc["code"] == _code_digest() and doc["key"] == "abc123"
     assert b"transition" not in path.read_bytes()  # every pta rule is *_transition(n)
     save_mdp(tmp_path / "again.mdpc", pta_mdp, model_hash="abc123")
     assert (tmp_path / "again.mdpc").read_bytes() == path.read_bytes()
+
+
+def test_code_digest_is_computed_once_per_process(tmp_path):
+    # the digest reads every module of the package: not at import, and once
+    # for all the caches a process reads and writes after that
+    script = (
+        "import sys\n"
+        "from tickgraph import cli, mdp\n"
+        "assert mdp._code_digest.cache_info().misses == 0\n"
+        "argv = ['check', sys.argv[1], '--props', sys.argv[2], '--out', sys.argv[3]]\n"
+        "for _ in range(3):  # explores and writes, then reads twice\n"
+        "    assert cli.main(argv) == 0\n"
+        "info = mdp._code_digest.cache_info()\n"
+        "assert (info.misses, info.hits) == (1, 2), info\n"
+    )
+    r = subprocess.run([sys.executable, "-c", script, MODELS / "pta.big", MODELS / "pta.props",
+                        tmp_path], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
 
 
 def test_labelled_cache_layout(bundled_caches):
@@ -416,7 +437,7 @@ def test_cache_of_another_encoding_is_rebuilt(tmp_path, capsys):
     first = json.loads(capsys.readouterr().out)
     assert first["states"] == 14
     fresh = cache.read_bytes()
-    assert fresh.startswith(b'{"format":"tickgraph-mdp/')
+    assert fresh.startswith(b'{"code":"')
     cache.write_bytes(old)
     assert cli.main(["build", str(model), "--out", str(tmp_path), "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["cache_digest"] == first["cache_digest"]
@@ -459,6 +480,13 @@ def _set_target(value):
     return edit
 
 
+def _in_state0(old, new):
+    def edit(doc):
+        assert old in doc["states"][0]
+        doc["states"][0] = doc["states"][0].replace(old, new)
+    return edit
+
+
 MALFORMED = {
     "nan probability": lambda b: _edited(b, _set_prob(float("nan"))),
     "infinite probability": lambda b: _edited(b, _set_prob(float("inf"))),
@@ -492,14 +520,29 @@ MALFORMED = {
     "unknown control": lambda b: _edited(
         b, lambda d: d["states"].__setitem__(0, d["states"][0].replace("Init", "Nope"))
     ),
-    "another version": lambda b: _edited(b, lambda d: d.update(version="0.0.0")),
-    "another format": lambda b: _edited(b, lambda d: d.update(format="tickgraph-mdp/0")),
+    # pta's state 0 is R[S(){c0}[Init(){}[]]]R[X(0){c0}[]]: entities their
+    # controls forbid, each written in the form's own syntax
+    "child of an atomic control": lambda b: _edited(
+        b, _in_state0("Init(){}[]", "Init(){}[Send(){}[]]")
+    ),
+    "reference count off the arity": lambda b: _edited(b, _in_state0("S(){c0}", "S(){}")),
+    "missing parameter": lambda b: _edited(b, _in_state0("X(0)", "X()")),
+    "unexpected parameter": lambda b: _edited(b, _in_state0("Init()", "Init(0)")),
+    "another code digest": lambda b: _edited(b, lambda d: d.update(code="0" * 64)),
+    # a well-formed digest of other sources, as another version of the package writes
+    "another version": lambda b: _edited(
+        b, lambda d: d.update(code=hashlib.sha256(b"another version").hexdigest())
+    ),
+    # the layout the code before the digest wrote: a format tag and a version, no code
+    "another format": lambda b: _edited(
+        b, lambda d: [d.pop("code"), d.update(format="tickgraph-mdp/3", version="0.1.0")]
+    ),
     "another key": lambda b: _edited(b, lambda d: d.update(key="k:stall")),
-    "no format": lambda b: _edited(b, lambda d: d.pop("format")),
+    "no code": lambda b: _edited(b, lambda d: d.pop("code")),
     "a list, not an object": lambda b: b"[" + b + b"]",
     "trailing data": lambda b: b + b"{}",
     "not utf-8": lambda b: b[:-1] + b"\xff}",
-    "nested 100,000 deep": lambda b: b'{"format":' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+    "nested 100,000 deep": lambda b: b'{"code":' + b"[" * 100_000 + b"]" * 100_000 + b"}",
     "parent format": lambda b: PARENT_FORMAT.read_bytes(),
     "empty": lambda b: b"",
     "duplicate canonical form": lambda b: _edited(
@@ -507,9 +550,12 @@ MALFORMED = {
     ),
 }
 
-# these two load, and their forms do not decode; a labelled cache is never
+# these load, and their forms do not decode; a labelled cache is never
 # decoded, so there they are only distinct strings
-DECODING = {"undecodable canonical form", "unknown control"}
+DECODING = {
+    "undecodable canonical form", "unknown control", "child of an atomic control",
+    "reference count off the arity", "missing parameter", "unexpected parameter",
+}
 
 
 def _set_row(row):
