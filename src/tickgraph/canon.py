@@ -96,9 +96,10 @@ import sys
 
 from .bigraph import Bigraph, Control, Link
 from .match import _HEADROOM
+from .records import ResourceLimit
 
 
-class CanonLimit(ValueError):
+class CanonLimit(ValueError, ResourceLimit):
     """A bigraph whose canonical-form search would nest more calls than the
     interpreter's recursion limit, less the matcher's `_HEADROOM`, leaves
     room for: the search recurses once per closed edge it individualises."""

@@ -9,12 +9,21 @@ cache is fresh when it was written under the same model file hash and
 `--fix-deadlocks` (the key `_model_key` makes) by the same package code
 (see `mdp.load_mdp`).
 
+The bigraph layers (`bigraph`, `params`, `match`, `canon`, `rules`,
+`elaborate`) are loaded when a command first reads the model: a cold
+`build`, a `check` or `export` without a labelled cache, `validate` and
+`simulate`.  A command the cache answers imports only `cli`, `lang`, `mdp`,
+`records` and `verify`.  The names this module takes from the layers stay
+module attributes, bound on first use (see `records.on_first_use`), so a
+wrap or a patch of `cli.load_model` takes effect either way.
+
 Exit codes: 0 success (all properties hold), 1 property failure, 2 usage or
-model error (including any `validate` problem), 3 resource limit (such as
-the state budget, a canonical-form search deeper than the stack allows, or
-value iteration not converging within its sweeps), 4 internal error (a
-one-line diagnostic on stderr).  All outputs are byte deterministic for
-identical inputs and flags.
+model error (any `records.InputError`, and any `validate` problem), 3
+resource limit (any `records.ResourceLimit`, such as the state budget, a
+canonical-form search deeper than the stack allows, or value iteration not
+converging within its sweeps), 4 internal error (a one-line diagnostic on
+stderr).  All outputs are byte deterministic for identical inputs and
+flags.
 """
 
 from __future__ import annotations
@@ -26,12 +35,10 @@ import os
 import random
 import sys
 
-from .canon import CanonLimit, canonical_digest
-from .bigraph import validate
-from .elaborate import ElabError, clock_problems, load_model
-from .lang import ParseError, parse_properties, read_source
+from .lang import parse_properties, read_source
 from .mdp import (
     ExplorationLimit,
+    cache_digest,
     decode_states,
     explore,
     export_dot,
@@ -40,12 +47,17 @@ from .mdp import (
     load_mdp,
     save_mdp,
 )
-from .match import PatternLimit
-from .params import ParameterLimit
-from .rules import apply, enabled_outcomes, integer_weights
-from .verify import SweepLimit, UnknownLabel, check, label
+from .records import InputError, ResourceLimit, on_first_use
+from .verify import check, label
 
 log = logging.getLogger("tickgraph")
+
+_layers, __getattr__ = on_first_use(globals(), {
+    ".bigraph": ("validate",),
+    ".canon": ("canonical_digest",),
+    ".elaborate": ("clock_problems", "load_model"),
+    ".rules": ("apply", "enabled_outcomes", "integer_weights"),
+})
 
 EXIT_OK = 0
 EXIT_PROPERTY = 1
@@ -87,6 +99,12 @@ def _model_stem(args) -> str:
     return os.path.splitext(os.path.basename(args.model))[0]
 
 
+def _model(args):
+    """The model of `args`, elaborated, with the bigraph layers bound."""
+    _layers()
+    return load_model(args.model)
+
+
 def _cache_path(args) -> str:
     return os.path.join(args.out, _model_stem(args) + ".mdpc")
 
@@ -108,7 +126,7 @@ def _labelled_mdp(args):
     if mdp is not None and mdp.label_names is not None:
         log.info("reusing cache %s with labels", cache)
         return mdp
-    model = load_model(args.model)
+    model = _model(args)
     if mdp is not None and decode_states(mdp, model.controls) is not None:
         log.info("reusing cache %s", cache)
     else:
@@ -123,7 +141,7 @@ def _labelled_mdp(args):
 
 
 def cmd_validate(args) -> int:
-    model = load_model(args.model)
+    model = _model(args)
     problems = validate(model.init) + clock_problems(model)
     report = {
         "model": model.name,
@@ -152,7 +170,7 @@ def cmd_build(args) -> int:
     if mdp is not None:
         log.info("reusing cache %s", cache)
     else:
-        mdp = explore(load_model(args.model), args.max_states, args.fix_deadlocks)
+        mdp = explore(_model(args), args.max_states, args.fix_deadlocks)
         os.makedirs(args.out, exist_ok=True)
         save_mdp(cache, mdp, key)
     initial_actions = [c.action for c in mdp.choices[0]]
@@ -164,7 +182,7 @@ def cmd_build(args) -> int:
         "deadlocks": len(mdp.deadlocks()),
         "initial_actions": initial_actions,
         "cache": cache,
-        "cache_digest": file_digest(cache),
+        "cache_digest": cache_digest(cache),
     }
     if args.json:
         print(json.dumps(stats, indent=2))
@@ -228,7 +246,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    model = load_model(args.model)
+    model = _model(args)
     rng = random.Random(args.seed)
     state = model.init
     for step in range(args.steps):
@@ -308,13 +326,10 @@ def main(argv=None) -> int:
     except ExplorationLimit as exc:
         print(f"tickgraph: {exc} (frontier {exc.frontier})", file=sys.stderr)
         return EXIT_LIMIT
-    except (CanonLimit, ParameterLimit, PatternLimit, SweepLimit) as exc:
+    except ResourceLimit as exc:
         print(f"tickgraph: {exc}", file=sys.stderr)
         return EXIT_LIMIT
-    except (ParseError, ElabError, UnknownLabel) as exc:
-        print(f"tickgraph: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (InputError, OSError) as exc:
         print(f"tickgraph: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:

@@ -30,10 +30,11 @@ from . import lang
 from .lang import EClose, EId, EIon, EMerge, ENest, EOne, EPar, IVar
 from .bigraph import Bigraph, Control, Link, check_ion, check_nest
 from .params import Arith, ParameterLimit, Term, Var, term_eval
+from .records import InputError
 from .rules import Model, Pattern, RuleEntry, RuleFamily
 
 
-class ElabError(Exception):
+class ElabError(InputError):
     def __init__(self, msg: str, pos=(0, 0)):
         super().__init__(f"{pos[0]}:{pos[1]}: {msg}")
         self.pos = pos

@@ -30,7 +30,7 @@ import itertools
 import re
 from typing import Callable, TypeVar
 
-from .records import Record
+from .records import InputError, Record
 
 KEYWORDS = {
     "atomic", "fun", "ctrl", "react", "big", "begin", "end", "abrs",
@@ -57,7 +57,7 @@ _KIND = (None, "IDENT", "PUNCT", "FLOAT", "INT", "STRING")
 _WORD = dict.fromkeys(KEYWORDS, "KEYWORD")
 
 
-class ParseError(Exception):
+class ParseError(InputError):
     def __init__(self, msg: str, line: int, col: int, expected: tuple[str, ...] = ()):
         loc = f"{line}:{col}"
         hint = f" (expected {', '.join(expected)})" if expected else ""

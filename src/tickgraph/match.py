@@ -74,7 +74,7 @@ import sys
 
 from .bigraph import Bigraph
 from .params import Var
-from .records import Record
+from .records import Record, ResourceLimit
 
 
 class Match(Record):
@@ -105,7 +105,7 @@ class Match(Record):
         return (self.nodes, self.edges, self.binding)
 
 
-class PatternLimit(ValueError):
+class PatternLimit(ValueError, ResourceLimit):
     """A pattern too deep to search: mapping it nests more calls than the
     interpreter's recursion limit leaves room for (see :class:`Tables`)."""
 

@@ -17,7 +17,14 @@ keyed on the model file's hash and `--fix-deadlocks` (the caller's key) and
 on the code that wrote it: a sha256 over this package's own `*.py` files,
 computed on the first cache read or write in a process.  A cache is rebuilt
 when either differs, so any edit to the package, a comment included,
-retires every cache written before it.
+retires every cache written before it.  `cache_digest` hashes a cache
+without that code field, so it names the MDP alone.
+
+Only `explore` and `decode_states` need the bigraph layers (`canon` and
+`rules`, which load the others); they bind the names they call on first
+use (see `records.on_first_use`), so loading, saving and exporting a cache
+imports none of them, and `mdp.canonical_form` and the like remain the
+names a wrap or a patch replaces.
 """
 
 from __future__ import annotations
@@ -28,16 +35,23 @@ import json
 import logging
 import os
 from time import perf_counter
+from typing import TYPE_CHECKING
 
-from .bigraph import Bigraph, Control
-from .canon import canonical_digest, canonical_form, decode_canonical
-from .records import Record
-from .rules import Model, action_distribution, enabled_outcomes
+from .records import Record, ResourceLimit, on_first_use
+
+if TYPE_CHECKING:
+    from .bigraph import Bigraph, Control
+    from .rules import Model
 
 log = logging.getLogger(__name__)
 
+_layers, __getattr__ = on_first_use(globals(), {
+    ".canon": ("canonical_digest", "canonical_form", "decode_canonical"),
+    ".rules": ("action_distribution", "enabled_outcomes"),
+})
 
-class ExplorationLimit(Exception):
+
+class ExplorationLimit(ResourceLimit):
     """The state budget tripped while expanding the state with digest
     `state` (first 16 hex digits of its `canonical_digest`) at BFS `depth`."""
 
@@ -115,6 +129,7 @@ def explore(model: Model, max_states: int = 100_000, fix_deadlocks: bool = False
     """
     if max_states < 1:
         raise ValueError("max_states must be at least 1")
+    _layers()
     init = model.init
     if not init.is_ground():
         raise ValueError("initial bigraph must be ground")
@@ -340,6 +355,7 @@ def load_mdp(path, model_hash: str) -> Mdp | None:
 def decode_states(mdp: Mdp, controls: dict[str, Control]) -> Mdp | None:
     """`mdp` with its canonical forms decoded over `controls` into `states`;
     None, leaving `states` as it was, when a form does not decode."""
+    _layers()
     try:
         mdp.states = [decode_canonical(key, controls) for key in mdp.canon]
     except ValueError:  # not a canonical form over these controls
@@ -350,3 +366,13 @@ def decode_states(mdp: Mdp, controls: dict[str, Control]) -> Mdp | None:
 def file_digest(path) -> str:
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
+
+
+def cache_digest(path) -> str:
+    """sha256 of the cache at `path` without its `code` field, which
+    `save_mdp` writes first: the digest names the MDP (and its labels), so
+    it stays put when only the package's code changes."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    head = b'{"code":"' + _code_digest().encode("ascii") + b'",'
+    return hashlib.sha256(b"{" + data[len(head):] if data.startswith(head) else data).hexdigest()

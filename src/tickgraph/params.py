@@ -10,14 +10,14 @@ from __future__ import annotations
 import math
 import sys
 
-from .records import Record
+from .records import Record, ResourceLimit
 
 # Python writes an int as text only up to this many digits (0: no limit)
 _MAX_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 _BOUND = 10**_MAX_DIGITS if _MAX_DIGITS else math.inf
 
 
-class ParameterLimit(ValueError):
+class ParameterLimit(ValueError, ResourceLimit):
     """A computed parameter has more digits than Python writes as text, so
     no state holding it can be encoded; or a rule's share of its action's
     probability rounds to 0, so its transition cannot be written."""

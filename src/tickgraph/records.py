@@ -1,4 +1,4 @@
-"""Value classes written out: slots, an ``__init__``, and shared comparison.
+"""Value classes written out, the two error families, and names bound on first use.
 
 The package's value types (AST nodes, parameter terms, controls, links,
 matches, outcomes, patterns, MDP choices, verdicts) are plain classes with
@@ -22,10 +22,16 @@ Decorating a class with ``dataclasses.dataclass`` instead generates and
 compiles its methods each time the module is imported: about 0.8 ms per
 class on a shared 2-core x86 machine, where defining a record class takes
 about 20 microseconds.
+
+Every error a command reports by name is a :class:`ResourceLimit` (exit 3)
+or an :class:`InputError` (exit 2), so the command line catches them
+without importing the modules that raise them; :func:`on_first_use` binds
+another module's names when they are first needed.
 """
 
 from __future__ import annotations
 
+from importlib import import_module
 from operator import attrgetter
 
 
@@ -58,3 +64,40 @@ class Record:
     def __repr__(self):
         shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({shown})"
+
+
+class ResourceLimit(Exception):
+    """A budget or limit tripped on a legal input: states, search depth,
+    digits, a probability that rounds to 0, or sweeps (exit 3)."""
+
+
+class InputError(Exception):
+    """The model or property file is at fault (exit 2)."""
+
+
+def on_first_use(namespace: dict, sources: dict[str, tuple[str, ...]]):
+    """``(load, __getattr__)`` for a module whose `namespace` takes names
+    from other tickgraph modules (`sources`: relative module name to the
+    names it gives) only once some code needs them.
+
+    ``load()`` imports those modules and binds each name that `namespace`
+    does not hold yet, so a wrap or a patch bound first stays in place; the
+    module calls it before it uses any of the names.  The module's
+    ``__getattr__`` (PEP 562) calls it for a name not yet bound, so
+    ``module.name`` and ``from module import name`` resolve from a fresh
+    import.
+    """
+    origin = {name: module for module, names in sources.items() for name in names}
+
+    def load() -> None:
+        for name, module in origin.items():
+            if name not in namespace:
+                namespace[name] = getattr(import_module(module, __package__), name)
+
+    def __getattr__(name: str):
+        if name not in origin:
+            raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
+        load()
+        return namespace[name]
+
+    return load, __getattr__

@@ -11,7 +11,10 @@ reachability bound (:class:`Reach`); `E [ F phi ]`, `A [ G !phi ]` and
 forced-next idiom ("whenever the trigger holds, every possible next state
 satisfies the target" plus the trigger being inevitable).  They are parsed
 from `.props` text by :func:`tickgraph.lang.parse_properties`, which this
-module re-exports; nothing here parses.
+module re-exports; nothing here parses.  Only `label` needs the bigraph
+layers: it binds `occurrences`, `Tally`, `PatternLimit` and `Pattern` on
+first use (see `records.on_first_use`), so checking a labelled MDP imports
+none of them.
 
 Reachability is solved in two phases over the solver's graph of the MDP
 (:class:`Graph`): the CSR (compressed sparse row) lists of `as_arrays` and
@@ -50,12 +53,15 @@ from time import perf_counter
 
 from .lang import ForcedNext, Property, Reach
 from .lang import parse_properties  # re-exported beside the checker it feeds
-from .match import PatternLimit, Tally, occurrences
 from .mdp import Mdp
-from .records import Record
-from .rules import Pattern
+from .records import InputError, Record, ResourceLimit, on_first_use
 
 log = logging.getLogger(__name__)
+
+_layers, __getattr__ = on_first_use(globals(), {
+    ".match": ("PatternLimit", "Tally", "occurrences"),
+    ".rules": ("Pattern",),
+})
 
 VI_TOL = 1e-9
 VI_MAX_SWEEPS = 1_000_000
@@ -70,6 +76,7 @@ def label(mdp: Mdp, patterns: list[Pattern]) -> Mdp:
     family must be given as one plain pattern per instance (the elaborator
     does so).
     """
+    _layers()
     start = perf_counter()
     for p in patterns:
         if p.has_arithmetic:
@@ -100,7 +107,7 @@ def label(mdp: Mdp, patterns: list[Pattern]) -> Mdp:
 # label expressions
 
 
-class UnknownLabel(Exception):
+class UnknownLabel(InputError):
     pass
 
 
@@ -417,7 +424,7 @@ class Graph:
 # reachability
 
 
-class SweepLimit(RuntimeError):
+class SweepLimit(RuntimeError, ResourceLimit):
     """A cyclic SCC whose values still moved after VI_MAX_SWEEPS sweeps."""
 
 

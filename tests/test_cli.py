@@ -568,6 +568,90 @@ def test_benchmark_bindings_resolve():
     assert missing == []
 
 
+# the modules of the bigraph layers, which a command the cache answers
+# does not load (see `cli._layers`)
+LAYERS = tuple(f"tickgraph.{m}" for m in ("bigraph", "params", "match", "canon", "rules",
+                                          "elaborate"))
+
+_TRACED_PROBE = """
+import contextlib, importlib.util, io, json, sys
+from tickgraph import cli
+loaded = [m for m in {layers!r} if m in sys.modules]
+spec = importlib.util.spec_from_file_location("perfbench_tracer", {tracer!r})
+tracer = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracer)
+passes = []
+for out in {outs!r}:  # the first installs before the layers load, the second after
+    t = tracer.Tracer()
+    t.install()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["build", {model!r}, "--out", out]) == 0
+    finally:
+        t.uninstall()
+    passes.append([t.missing, {{name: [t.counts[name + "_calls"], t.total[name]]
+                                for name in {spans!r}}}])
+print(json.dumps([loaded, passes]))
+"""
+
+
+def test_benchmark_tracer_sees_every_layer(tmp_path):
+    # a layer bound on first use must still be called through the names the
+    # tracer wraps: an import inside a function would bypass the wrap and
+    # leave its spans at zero while every binding still resolved
+    spans = ("elaborate.load_model", "mdp.explore", "rules.enabled_outcomes",
+             "canon.canonical_form")
+    code = _TRACED_PROBE.format(
+        layers=LAYERS, tracer=str(MODELS.parent / "perfbench" / "tracer.py"),
+        outs=[str(tmp_path / "before"), str(tmp_path / "after")],
+        model=str(MODELS / "pta.big"), spans=spans)
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    loaded, passes = json.loads(r.stdout)
+    assert loaded == []
+    for missing, seen in passes:
+        assert missing == []
+        assert all(calls > 0 and seconds > 0 for calls, seconds in seen.values()), seen
+    calls = [{name: calls for name, (calls, _s) in seen.items()} for _missing, seen in passes]
+    assert calls[0] == calls[1]
+
+
+_LAYERS_PROBE = """
+import contextlib, io, json, sys
+from tickgraph import cli
+for argv in {runs!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    assert code in (0, 1), (argv, code)
+print(json.dumps([m for m in {layers!r} if m in sys.modules]))
+"""
+
+
+def _layers_loaded_by(runs: list) -> list[str]:
+    """The bigraph layers loaded in a fresh interpreter once it has imported
+    `tickgraph.cli` and made the CLI runs `runs`."""
+    code = _LAYERS_PROBE.format(runs=runs, layers=LAYERS)
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    return json.loads(r.stdout)
+
+
+def test_commands_the_cache_answers_load_no_bigraph_layer(tmp_path):
+    pta, props = str(MODELS / "pta.big"), str(MODELS / "pta.props")
+    out, first = str(tmp_path / "labelled"), str(tmp_path / "first")
+    check = ["check", pta, "--props", props]
+    assert _layers_loaded_by([]) == []
+    # a cold build, a first check, validate and simulate read the model
+    assert _layers_loaded_by([["build", pta, "--out", out], check + ["--out", out]]) == list(LAYERS)
+    assert _layers_loaded_by([check + ["--out", first]]) == list(LAYERS)
+    assert _layers_loaded_by([["validate", pta]]) == list(LAYERS)
+    assert _layers_loaded_by([["simulate", pta, "--steps", "3"]]) == list(LAYERS)
+    # a fresh cache answers build, and a labelled one check and export
+    assert _layers_loaded_by([["build", pta, "--out", out], check + ["--out", out],
+                              ["export", pta, "--out", out],
+                              ["export", pta, "--format", "dot", "--out", out]]) == []
+
+
 def test_jobs_option_removed(tmp_path):
     r = run("build", MODELS / "pta.big", "--jobs", "2", "--out", tmp_path)
     assert r.returncode == 2
@@ -908,6 +992,42 @@ def test_solver_non_convergence_exit_code(tmp_path, monkeypatch, capsys):
     )
 
 
+def test_exit_codes_follow_the_two_error_families(monkeypatch, capsys):
+    # `main` catches the two bases; library callers may still catch the old ones
+    from tickgraph import cli
+    from tickgraph.canon import CanonLimit
+    from tickgraph.elaborate import ElabError
+    from tickgraph.lang import ParseError
+    from tickgraph.match import PatternLimit
+    from tickgraph.mdp import ExplorationLimit
+    from tickgraph.params import ParameterLimit
+    from tickgraph.records import InputError, ResourceLimit
+    from tickgraph.verify import SweepLimit, UnknownLabel
+
+    # (error, its base before the two families, exit code, stderr)
+    cases = [
+        (ExplorationLimit("budget", frontier=2, depth=1, state="0" * 16), Exception, 3,
+         "tickgraph: budget (frontier 2)\n"),
+        (CanonLimit("deep form"), ValueError, 3, "tickgraph: deep form\n"),
+        (PatternLimit("deep pattern"), ValueError, 3, "tickgraph: deep pattern\n"),
+        (ParameterLimit("long digits"), ValueError, 3, "tickgraph: long digits\n"),
+        (SweepLimit("no convergence"), RuntimeError, 3, "tickgraph: no convergence\n"),
+        (ParseError("bad token", 3, 4), Exception, 2, "tickgraph: 3:4: bad token\n"),
+        (ElabError("bad control", (5, 6)), Exception, 2, "tickgraph: 5:6: bad control\n"),
+        (UnknownLabel("no such label"), Exception, 2, "tickgraph: no such label\n"),
+    ]
+    for error, old_base, code, err in cases:
+        family = ResourceLimit if code == cli.EXIT_LIMIT else InputError
+        assert isinstance(error, family) and isinstance(error, old_base)
+
+        def fail(_path, error=error):
+            raise error
+
+        monkeypatch.setattr(cli, "load_model", fail)
+        assert cli.main(["validate", str(MODELS / "pta.big")]) == code
+        assert capsys.readouterr() == ("", err)
+
+
 # --- numpy is loaded only for value-iteration sweeps, dataclasses never -------
 
 _IMPORTS_PROBE = """
@@ -1128,7 +1248,7 @@ def test_labelled_check_and_export_do_no_bigraph_work(tmp_path, monkeypatch, cap
 @pytest.mark.parametrize("stem", ["pta", "cloud"])
 def test_build_on_a_fresh_cache_does_no_bigraph_work(tmp_path, monkeypatch, capsys, caplog, stem):
     # a second build reads the cache alone, unlabelled or labelled, and
-    # prints what the first one did (with the digest of the file it finds)
+    # prints what the first one did (with the digest of the payload it finds)
     import logging
 
     from tickgraph import cli
@@ -1145,7 +1265,7 @@ def test_build_on_a_fresh_cache_does_no_bigraph_work(tmp_path, monkeypatch, caps
         cache.unlink(missing_ok=True)
         cold[tuple(flags)] = build(flags)
     built = cache.read_bytes()
-    digest = hashlib.sha256(built).hexdigest()
+    digest = hashlib.sha256(_payload(built)).hexdigest()
     for labelled in (False, True):
         if labelled:
             assert cli.main(["check", model, "--props", str(MODELS / f"{stem}.props"),
@@ -1153,7 +1273,7 @@ def test_build_on_a_fresh_cache_does_no_bigraph_work(tmp_path, monkeypatch, caps
             capsys.readouterr()
             assert _is_labelled(cache)
         before = cache.read_bytes()
-        now = hashlib.sha256(before).hexdigest()
+        now = hashlib.sha256(_payload(before)).hexdigest()
         with monkeypatch.context() as patched:
             _forbid_bigraph_work(patched)
             for flags in ([], ["--json"]):
@@ -1165,6 +1285,21 @@ def test_build_on_a_fresh_cache_does_no_bigraph_work(tmp_path, monkeypatch, caps
                 assert lines == [f"reusing cache {cache}"]
         assert cache.read_bytes() == before
     assert json.loads(got)["cache_digest"] != digest  # the labelled file's
+
+
+def test_cache_digest_does_not_move_with_the_code(tmp_path, monkeypatch, capsys):
+    # the same MDP written by other code: other bytes, the same digest
+    from tickgraph import cli, mdp
+
+    printed, written = [], []
+    for code in (mdp._code_digest(), "0" * 64):
+        monkeypatch.setattr(mdp, "_code_digest", lambda code=code: code)
+        out = tmp_path / code[:8]
+        assert cli.main(["build", str(MODELS / "pta.big"), "--out", str(out)]) == 0
+        printed.append(capsys.readouterr().out.splitlines()[-1].rsplit("sha256=", 1)[1])
+        written.append((out / "pta.mdpc").read_bytes())
+    assert written[0] != written[1]
+    assert printed[0] == printed[1] == hashlib.sha256(_payload(written[0])).hexdigest()
 
 
 @pytest.mark.parametrize("stem", ["pta", "cloud"])
