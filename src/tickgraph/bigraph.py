@@ -179,7 +179,8 @@ class Bigraph:
 
     def pretty(self) -> str:
         """Algebraic rendering, mainly for diagnostics and traces: a place's
-        entity children in id order, then one `id` per site."""
+        entity children in id order, then one `id` per site, and `K.1` for
+        an empty entity that is not atomic."""
         closed_names: dict[int, str] = {}
         for e, lk in enumerate(self.links):
             if lk.closed and lk.ports:
@@ -207,6 +208,8 @@ class Bigraph:
             body = join(self.kids[i], self.sites[i])
             if body != "1":
                 s += f".({body})" if "|" in body or "." in body else f".{body}"
+            elif not ctrl.atomic:
+                s += ".1"  # a bare `K` reads back as an ion, with a site
             texts[i] = s
 
         regions = [join(kids, sites) for kids, sites in zip(self.roots, self.region_sites)]

@@ -510,9 +510,9 @@ def _leaf_map(t: _Tables, ta: list[str], tb: list[str]) -> dict[int, int] | None
     return perm
 
 
-def canonical_form(g: Bigraph) -> bytes:
-    """Deterministic encoding equal exactly for isomorphic bigraphs.  Keeps
-    the encoding on `g`, with the automorphisms found on the way
+def canonical_form(g: Bigraph) -> str:
+    """Deterministic ASCII encoding equal exactly for isomorphic bigraphs.
+    Keeps the encoding on `g`, with the automorphisms found on the way
     (`g._autos`)."""
     if g._canon is None:
         t = _Tables(g)
@@ -523,13 +523,13 @@ def canonical_form(g: Bigraph) -> bytes:
             found = _swaps(t, texts)
         else:
             text, found = _search(t, *_colours(t))
-        g._canon = text.encode("ascii")
+        g._canon = text
         g._autos = tuple(found)
     return g._canon
 
 
 def canonical_digest(g: Bigraph) -> str:
-    return hashlib.sha256(canonical_form(g)).hexdigest()
+    return hashlib.sha256(canonical_form(g).encode("ascii")).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -552,7 +552,7 @@ _ITEM = re.compile(
 _TAIL = re.compile(r";Y=(\w+(?:,\w+)*)?;X=", re.ASCII)
 
 
-def decode_canonical(data: bytes, controls: dict[str, Control]) -> Bigraph:
+def decode_canonical(text: str, controls: dict[str, Control]) -> Bigraph:
     """Rebuild a bigraph from its canonical encoding (inverse up to iso).
 
     Raises ValueError for text that no canonical form writes, and for an
@@ -560,8 +560,7 @@ def decode_canonical(data: bytes, controls: dict[str, Control]) -> Bigraph:
     port, a parameter it does not take or lacks, or children (a site
     included) under an atomic control; and for an outer name on two
     hyperedges."""
-    text = data.decode("latin-1")  # one character per byte; the patterns take ASCII only
-    pos = 0
+    pos = 0  # the patterns take ASCII only, so up to a failure a character is a byte
 
     def fail(why: str):
         raise ValueError(f"bad canonical encoding at byte {pos}: {why}")

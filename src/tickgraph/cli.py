@@ -3,10 +3,10 @@
 Each subcommand takes only the flags it reads.  `validate` also checks the
 model's digital-clocks discipline (see `elaborate.clock_problems`) and
 reports each breach as a problem; `build`, `export` and `check` do not.
-Each of these three reads the MDP cache once: a fresh cache answers
-`build`, and a labelled one `check` and `export`, without the model.  A
-cache is fresh when it was written under the same model file hash and
-`--fix-deadlocks` (the key `_model_key` makes) by the same package code
+These three get their MDP from `_mdp`, which reads the cache once: a fresh
+cache answers `build`, and a labelled one `check` and `export`, without the
+model.  A cache is fresh when it was written under the same model file hash
+and `--fix-deadlocks` (the key `_model_key` makes) by the same package code
 (see `mdp.load_mdp`).
 
 The bigraph layers (`bigraph`, `params`, `match`, `canon`, `rules`,
@@ -37,7 +37,6 @@ import sys
 
 from .lang import parse_properties, read_source
 from .mdp import (
-    ExplorationLimit,
     cache_digest,
     decode_states,
     explore,
@@ -109,33 +108,34 @@ def _cache_path(args) -> str:
     return os.path.join(args.out, _model_stem(args) + ".mdpc")
 
 
-def _read_cache(args, key: str):
-    """The fresh cached MDP, undecoded, or None; over `--max-states` it is
-    dropped, so that exploring again fails exactly as the first build did."""
-    mdp = load_mdp(_cache_path(args), key)
-    return mdp if mdp is not None and mdp.n_states <= args.max_states else None
-
-
-def _labelled_mdp(args):
-    """The labelled MDP for `check` and `export`: a fresh labelled cache
-    alone; else the fresh cache decoded, or a new exploration, labelled and
-    written back (a write-back that fails only warns)."""
+def _mdp(args, labelled: bool = False):
+    """The MDP a command reads, from one read of the cache.  A fresh cache
+    answers alone when it is labelled or `labelled` is false; one over
+    `--max-states` counts as absent, so exploring again fails exactly as the
+    first build did.  Otherwise the cache's forms are decoded, or the model
+    explored, then labelled when `labelled`, and the result is written back:
+    a failed write fails `build` and only warns after labelling."""
     key = _model_key(args.model, args.fix_deadlocks)
     cache = _cache_path(args)
-    mdp = _read_cache(args, key)
-    if mdp is not None and mdp.label_names is not None:
-        log.info("reusing cache %s with labels", cache)
+    mdp = load_mdp(cache, key)
+    if mdp is not None and mdp.n_states > args.max_states:
+        mdp = None
+    if mdp is not None and (mdp.label_names is not None or not labelled):
+        log.info("reusing cache %s%s", cache, " with labels" if labelled else "")
         return mdp
     model = _model(args)
     if mdp is not None and decode_states(mdp, model.controls) is not None:
         log.info("reusing cache %s", cache)
     else:
         mdp = explore(model, args.max_states, args.fix_deadlocks)
-    label(mdp, model.patterns)
+    if labelled:
+        label(mdp, model.patterns)
     try:
         os.makedirs(args.out, exist_ok=True)
         save_mdp(cache, mdp, key)
     except OSError as exc:
+        if not labelled:
+            raise
         log.warning("could not write the labelled cache %s: %s", cache, exc)
     return mdp
 
@@ -164,15 +164,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_build(args) -> int:
-    key = _model_key(args.model, args.fix_deadlocks)
+    mdp = _mdp(args)
     cache = _cache_path(args)
-    mdp = _read_cache(args, key)
-    if mdp is not None:
-        log.info("reusing cache %s", cache)
-    else:
-        mdp = explore(_model(args), args.max_states, args.fix_deadlocks)
-        os.makedirs(args.out, exist_ok=True)
-        save_mdp(cache, mdp, key)
     initial_actions = [c.action for c in mdp.choices[0]]
     stats = {
         "model": _model_stem(args),
@@ -197,7 +190,7 @@ def cmd_build(args) -> int:
 
 
 def cmd_export(args) -> int:
-    mdp = _labelled_mdp(args)
+    mdp = _mdp(args, labelled=True)
     os.makedirs(args.out, exist_ok=True)
     stem = os.path.join(args.out, _model_stem(args))
     written = []
@@ -221,7 +214,7 @@ def cmd_check(args) -> int:
     if not props:
         print("check: no properties in file", file=sys.stderr)
         return EXIT_USAGE
-    mdp = _labelled_mdp(args)
+    mdp = _mdp(args, labelled=True)
     all_hold = True
     results = []
     for prop in props:
@@ -323,9 +316,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ExplorationLimit as exc:
-        print(f"tickgraph: {exc} (frontier {exc.frontier})", file=sys.stderr)
-        return EXIT_LIMIT
     except ResourceLimit as exc:
         print(f"tickgraph: {exc}", file=sys.stderr)
         return EXIT_LIMIT

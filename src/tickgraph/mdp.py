@@ -8,17 +8,19 @@ reserved action `stall` when it expands it, so an MDP's choices are final
 once `explore` (or `load_mdp`) returns.  Exporters write the PRISM
 explicit-engine triple (.tra/.lab/.sta) and a DOT rendering; both are byte
 deterministic.  The CLI caches a built MDP as one JSON document: the action
-names, each state's canonical form, and each choice as an action index with
-its `[target, probability]` pairs.  Once labelled (by `check` or `export`)
-it also holds the sorted label names and, per state, sorted indices into
-them.  `load_mdp` checks every field and decodes nothing; `decode_states`
-decodes the forms of a cache that is still to be labelled.  The cache is
-keyed on the model file's hash and `--fix-deadlocks` (the caller's key) and
-on the code that wrote it: a sha256 over this package's own `*.py` files,
-computed on the first cache read or write in a process.  A cache is rebuilt
-when either differs, so any edit to the package, a comment included,
-retires every cache written before it.  `cache_digest` hashes a cache
-without that code field, so it names the MDP alone.
+names, each state's canonical form (the string `Mdp.canon` holds, as it
+is), and each choice as an action index with its `[target, probability]`
+pairs.  Once labelled (by `check` or `export`) it also holds the sorted
+label names and, per state, sorted indices into them.  `load_mdp` checks
+every field and decodes nothing; `decode_states` decodes the forms of a
+cache that is still to be labelled.  The cache is keyed on the model file's
+hash and `--fix-deadlocks` (the caller's key, so one file per model serves
+either setting and switching rewrites it) and on the code that wrote it: a
+sha256 over this package's own `*.py` files, computed on the first cache
+read or write in a process.  A cache is rebuilt when either differs, so any
+edit to the package, a comment included, retires every cache written before
+it.  `cache_digest` hashes a cache without that code field, so it names the
+MDP alone.
 
 Only `explore` and `decode_states` need the bigraph layers (`canon` and
 `rules`, which load the others); they bind the names they call on first
@@ -53,10 +55,11 @@ _layers, __getattr__ = on_first_use(globals(), {
 
 class ExplorationLimit(ResourceLimit):
     """The state budget tripped while expanding the state with digest
-    `state` (first 16 hex digits of its `canonical_digest`) at BFS `depth`."""
+    `state` (first 16 hex digits of its `canonical_digest`) at BFS `depth`;
+    the message ends with the number of states left to expand."""
 
     def __init__(self, msg: str, frontier: int, depth: int, state: str):
-        super().__init__(msg)
+        super().__init__(f"{msg} (frontier {frontier})")
         self.frontier = frontier
         self.depth = depth
         self.state = state
@@ -81,7 +84,7 @@ class Mdp(Record):
     _fields = __slots__[:-1]
     __hash__ = None
 
-    def __init__(self, states: list[Bigraph], canon: list[bytes], choices: list[list[Choice]],
+    def __init__(self, states: list[Bigraph], canon: list[str], choices: list[list[Choice]],
                  actions: list[str], labels: list[set[str]] | None = None,
                  label_names: set[str] | None = None):
         self.states = states  # empty when loaded from a cache, until decode_states
@@ -133,7 +136,7 @@ def explore(model: Model, max_states: int = 100_000, fix_deadlocks: bool = False
     init = model.init
     if not init.is_ground():
         raise ValueError("initial bigraph must be ground")
-    index: dict[bytes, int] = {canonical_form(init): 0}
+    index: dict[str, int] = {canonical_form(init): 0}
     states = [init]
     choices: list[list[Choice]] = [[]]
     actions = list(model.action_order)
@@ -265,7 +268,7 @@ def save_mdp(path, mdp: Mdp, model_hash: str) -> None:
         "code": _code_digest(),
         "key": model_hash,
         "actions": mdp.actions,
-        "states": [key.decode("ascii") for key in mdp.canon],
+        "states": mdp.canon,
         "choices": [[[action_idx[c.action], c.dist] for c in cs] for cs in mdp.choices],
     }
     if mdp.label_names is not None:
@@ -339,17 +342,16 @@ def load_mdp(path, model_hash: str) -> Mdp | None:
         return None
     if not all(_is_choice(c, len(actions), len(texts)) for cs in table for c in cs):
         return None
-    canon = [text.encode("ascii") for text in texts]
     choices = [[Choice(actions[a], [(t, p) for t, p in dist]) for a, dist in cs] for cs in table]
     if "label_names" not in doc and "labels" not in doc:
-        return Mdp([], canon, choices, actions)
+        return Mdp([], texts, choices, actions)
     names, rows = doc.get("label_names"), doc.get("labels")
     if not (_is_list_of(names, str) and len(set(names)) == len(names)
             and type(rows) is list and len(rows) == len(texts)
             and all(_is_label_row(row, len(names)) for row in rows)):
         return None
     labels = [{names[i] for i in row} for row in rows]
-    return Mdp([], canon, choices, actions, labels, label_names=set(names))
+    return Mdp([], texts, choices, actions, labels, label_names=set(names))
 
 
 def decode_states(mdp: Mdp, controls: dict[str, Control]) -> Mdp | None:

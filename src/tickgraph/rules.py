@@ -734,7 +734,7 @@ def _successors(agent: Bigraph, outcomes: list[Outcome]) -> tuple[list[Bigraph],
     movers = None  # built by the first orbit walk
     lone = len(outcomes) == 1
     by_effect: dict[tuple | None, int] = {}
-    by_canon: dict[bytes, int] = {}
+    by_canon: dict[str, int] = {}
     results: list[Bigraph] = []
     joined: list[int] = []
     for oc in outcomes:

@@ -410,7 +410,7 @@ def reference_action_distribution(agent: Bigraph, outcomes: list) -> list:
     from tickgraph.rules import apply, effect_key
 
     by_effect: dict[tuple, int] = {}
-    by_canon: dict[bytes, int] = {}
+    by_canon: dict[str, int] = {}
     entries: list[list] = []  # [result, weight sum]
     for oc in outcomes:
         effect = effect_key(oc.rule, oc.match)
@@ -500,7 +500,7 @@ def class_instance_names(model) -> list[set[str]]:
     ]
 
 
-def expanded_outcomes(agent: Bigraph, model) -> dict[str, list[tuple[str, bytes, float]]]:
+def expanded_outcomes(agent: Bigraph, model) -> dict[str, list[tuple[str, str, float]]]:
     """Per enabled action, (instance name, successor canonical form, weight)
     for each match of each concrete instance, sorted."""
     from tickgraph.canon import canonical_form
@@ -508,7 +508,7 @@ def expanded_outcomes(agent: Bigraph, model) -> dict[str, list[tuple[str, bytes,
     from tickgraph.rules import apply
 
     for cls in model.classes:
-        found: dict[str, list[tuple[str, bytes, float]]] = {}
+        found: dict[str, list[tuple[str, str, float]]] = {}
         for entry in cls:
             domains = dict(zip(entry.family.formal, entry.domains))
             for rule in expand(entry.family, domains):
@@ -631,9 +631,9 @@ def _encode(g: Bigraph, erank: list[int]) -> str:
     )
 
 
-def reference_canonical_form(g: Bigraph) -> bytes:
+def reference_canonical_form(g: Bigraph) -> str:
     """The smallest leaf encoding over the whole search tree."""
-    return _search(g, *_colours(g)).encode("ascii")
+    return _search(g, *_colours(g))
 
 
 # ---------------------------------------------------------------------------

@@ -263,7 +263,7 @@ def test_decoding_a_site_out_of_range_raises_value_error():
     from tickgraph.canon import decode_canonical
 
     with pytest.raises(ValueError, match="expected 1 sites"):
-        decode_canonical(b"bg;1;1;R[$0;$3];Y=;X=", {})
+        decode_canonical("bg;1;1;R[$0;$3];Y=;X=", {})
 
 
 def test_deep_nest_is_written_without_recursion():
@@ -275,3 +275,27 @@ def test_deep_nest_is_written_without_recursion():
     assert two.pretty() == "A.(A.L)"
     # a parent's sites are written after its entity children
     assert Bigraph([(A, None), (L, None)], [~0, 0], [0, ~0], 1, []).pretty() == "A.(L | id) | id"
+
+
+@pytest.mark.parametrize("path", ["models/pta.big", "models/cloud.big", "models/sensor.big",
+                                  "tests/data/prod2.big", "tests/data/tick9.big",
+                                  "tests/data/ring12.big"])
+def test_pretty_reads_back_as_the_same_state(path):
+    # each reachable state, written by `pretty` as the model's initial
+    # bigraph, elaborates to a state of the same canonical form; an empty
+    # non-atomic entity written as a bare `K` read back as an ion with a site
+    import pathlib
+
+    from tickgraph.canon import canonical_form
+    from tickgraph.elaborate import elaborate
+    from tickgraph.lang import parse, read_source
+    from tickgraph.mdp import explore
+
+    text = read_source(pathlib.Path(__file__).resolve().parent.parent / path)
+    states = explore(elaborate(parse(text))).states
+    init = re.search(r"^\s*init (\w+);", text, re.M)
+    head, tail = text[: init.start(1)], text[init.end(1):]
+    begin = head.rindex("begin abrs")
+    for g in states:
+        again = head[:begin] + f"big s__ = {g.pretty()};\n" + head[begin:] + "s__" + tail
+        assert canonical_form(elaborate(parse(again)).init) == canonical_form(g), g.pretty()

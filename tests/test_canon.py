@@ -103,29 +103,29 @@ def test_decode_rejects_bytes_after_tail(tmp_path):
 
     controls = {c.name: c for c in (S, INIT, X)}
     enc = canonical_form(pta_state(INIT, 2))
-    assert enc.endswith(b";Y=;X=")
+    assert enc.endswith(";Y=;X=")
     with pytest.raises(ValueError, match="trailing bytes"):
-        decode_canonical(enc + b"x>c0", controls)
+        decode_canonical(enc + "x>c0", controls)
     # a cache holding such an encoding (a state with an inner name) does not
     # decode, so it is rebuilt
     path = tmp_path / "m.mdpc"
     state = pta_state(INIT, 2)
     save_mdp(path, Mdp([state], [enc], [[]], ["a"]), "key")
     assert decode_states(load_mdp(path, "key"), controls) is not None
-    save_mdp(path, Mdp([state], [enc + b"x>c0"], [[]], ["a"]), "key")
+    save_mdp(path, Mdp([state], [enc + "x>c0"], [[]], ["a"]), "key")
     assert decode_states(load_mdp(path, "key"), controls) is None
 
 
 @pytest.mark.parametrize(
     "text, why",
     [
-        (b"bg;2;0;R[S(){}[Init(){}[]]]R[X(0){c0}[]];Y=;X=", "0 references on S, of arity 1"),
-        (b"bg;2;0;R[S(){c0}[Init(0){}[]]]R[X(0){c0}[]];Y=;X=", "Init with a parameter"),
-        (b"bg;2;0;R[S(){c0}[Init(){}[]]]R[X(){c0}[]];Y=;X=", "X without a parameter"),
-        (b"bg;2;0;R[S(){c0}[Init(){}[Init(){}[]]]]R[X(0){c0}[]];Y=;X=", "a child of atomic Init"),
-        (b"bg;2;1;R[S(){c0}[Init(){}[$0]]]R[X(0){c0}[]];Y=;X=", "a site in atomic Init"),
-        (b"bg;2;0;R[S(){oc}[Init(){}[]]]R[X(0){oc}[]];Y=c;X=", "outer name 'c' on two"),
-        (b"bg;2;0;R[S(){c0}[Init(){}[]]]R[X(0){c0}[]];Y=c,c;X=", "outer name 'c' on two"),
+        ("bg;2;0;R[S(){}[Init(){}[]]]R[X(0){c0}[]];Y=;X=", "0 references on S, of arity 1"),
+        ("bg;2;0;R[S(){c0}[Init(0){}[]]]R[X(0){c0}[]];Y=;X=", "Init with a parameter"),
+        ("bg;2;0;R[S(){c0}[Init(){}[]]]R[X(){c0}[]];Y=;X=", "X without a parameter"),
+        ("bg;2;0;R[S(){c0}[Init(){}[Init(){}[]]]]R[X(0){c0}[]];Y=;X=", "a child of atomic Init"),
+        ("bg;2;1;R[S(){c0}[Init(){}[$0]]]R[X(0){c0}[]];Y=;X=", "a site in atomic Init"),
+        ("bg;2;0;R[S(){oc}[Init(){}[]]]R[X(0){oc}[]];Y=c;X=", "outer name 'c' on two"),
+        ("bg;2;0;R[S(){c0}[Init(){}[]]]R[X(0){c0}[]];Y=c,c;X=", "outer name 'c' on two"),
     ],
     ids=["reference-count", "unexpected-parameter", "missing-parameter", "atomic-child",
          "atomic-site", "linked-and-portless-name", "portless-name-twice"],
@@ -135,7 +135,7 @@ def test_decode_refuses_what_validate_refuses(text, why):
     # bigraph that `validate` refuses, and a cache holding one of the first
     # kind gave wrong verdicts
     controls = {c.name: c for c in (S, INIT, X)}
-    good = b"bg;2;0;R[S(){c0}[Init(){}[]]]R[X(0){c0}[]];Y=;X="
+    good = "bg;2;0;R[S(){c0}[Init(){}[]]]R[X(0){c0}[]];Y=;X="
     assert canonical_form(pta_state(INIT, 0)) == good
     assert validate(decode_canonical(good, controls)) == []
     with pytest.raises(ValueError, match=re.escape(why)):
@@ -145,11 +145,11 @@ def test_decode_refuses_what_validate_refuses(text, why):
 @pytest.mark.parametrize(
     "text, why",
     [
-        (b"bg;1;1;R[$0;$0];Y=;X=", "site $0 written twice"),
-        (b"bg;1;2;R[N(){}[$0];$0];Y=;X=", "site $0 written twice"),
-        (b"bg;1;2;R[$1];Y=;X=", "expected 2 sites"),
-        (b"bg;1;1;R[$1];Y=;X=", "expected 1 sites"),
-        (b"bg;1;0;R[N(){}[$0]];Y=;X=", "expected 0 sites"),
+        ("bg;1;1;R[$0;$0];Y=;X=", "site $0 written twice"),
+        ("bg;1;2;R[N(){}[$0];$0];Y=;X=", "site $0 written twice"),
+        ("bg;1;2;R[$1];Y=;X=", "expected 2 sites"),
+        ("bg;1;1;R[$1];Y=;X=", "expected 1 sites"),
+        ("bg;1;0;R[N(){}[$0]];Y=;X=", "expected 0 sites"),
     ],
     ids=["twice", "twice-in-two-places", "missing", "out-of-range", "unannounced"],
 )
@@ -411,9 +411,9 @@ def test_hypothesis_corrupted_encoding_decodes_or_raises_value_error(g, data):
     if how == "cut":
         bad = enc[:at]
     elif how == "flip":
-        bad = enc[:at] + bytes([enc[at] ^ data.draw(st.integers(1, 255))]) + enc[at + 1 :]
+        bad = enc[:at] + chr(ord(enc[at]) ^ data.draw(st.integers(1, 255))) + enc[at + 1 :]
     else:
-        bad = enc[:at] + how.encode() + enc[at:]
+        bad = enc[:at] + how + enc[at:]
     try:
         h = decode_canonical(bad, {c.name: c for c in _POOL})
     except ValueError:
@@ -801,7 +801,7 @@ def _forms_digest(model) -> str:
 
     from tickgraph.mdp import explore
 
-    return hashlib.sha256(b"\n".join(explore(model).canon)).hexdigest()[:16]
+    return hashlib.sha256("\n".join(explore(model).canon).encode()).hexdigest()[:16]
 
 
 @pytest.mark.parametrize("name", ["cloud", "pairs-8", "ring-6", "pairs-12"])
@@ -846,7 +846,7 @@ from tickgraph.elaborate import elaborate
 from tickgraph.lang import parse
 from tickgraph.mdp import explore
 built = explore(elaborate(parse(sys.stdin.read())))
-print(hashlib.sha256(b"\\n".join(built.canon)).hexdigest()[:16])
+print(hashlib.sha256("\\n".join(built.canon).encode()).hexdigest()[:16])
 """
 
 
@@ -877,7 +877,7 @@ def test_head_memo_is_per_control_and_bounded():
     for k in (0, 1, 2, 1, 0):
         model = elaborate(parse(texts[k]))
         built = explore(model)
-        assert hashlib.sha256(b"\n".join(built.canon)).hexdigest()[:16] == fresh[k]
+        assert hashlib.sha256("\n".join(built.canon).encode()).hexdigest()[:16] == fresh[k]
         for ctrl in model.controls.values():
             seen = {param for g in built.states for c, param in g.nodes if c is ctrl}
             assert set(ctrl._heads) == seen, ctrl

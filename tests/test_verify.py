@@ -37,7 +37,7 @@ def tiny_mdp(choices, n=None, labels=None):
     n = n if n is not None else len(choices)
     mdp = Mdp(
         states=[None] * n,
-        canon=[str(i).encode() for i in range(n)],
+        canon=[str(i) for i in range(n)],
         choices=choices,
         actions=["a", "b"],
         labels=labels,
@@ -562,6 +562,34 @@ def test_only_cyclic_sccs_sweep(monkeypatch):
         assert _count_sweeps(monkeypatch, layered, goal, mode) == 0
         assert _count_sweeps(monkeypatch, chain, chain_goal, mode) == 0
         assert _count_sweeps(monkeypatch, cyclic, cyclic_goal, mode) > 1
+
+
+def test_check_answers_the_benchmark_solver_mdp_shape(monkeypatch):
+    # perfbench's solve-synthetic workload builds its MDPs with these keywords
+    # (no bigraphs, bytes placeholders for the forms) and counts the sweeps
+    # of `verify.check` through the module global; both must keep working
+    dists = [[(1, 1.0)], [(0, 0.9), (2, 0.05), (3, 0.05)], [(2, 1.0)], [(3, 1.0)]]
+    choices = [[Choice("go" if s < 2 else "stay", d)] for s, d in enumerate(dists)]
+    labels = [set(), set(), {"goal"}, {"fail"}]
+    n = len(choices)
+    mdp = Mdp(states=[None] * n, canon=[b""] * n, choices=choices,
+              actions=sorted({c.action for cs in choices for c in cs}),
+              labels=[set(ls) for ls in labels],
+              label_names={x for ls in labels for x in ls})
+    cyclic = Graph(*as_arrays(mdp.choices)).sccs([True] * n)
+    assert [scc for scc in cyclic if len(scc) > 1] == [[0, 1]]
+    sweeps = [0]
+
+    def counting(*args):
+        sweeps[0] += 1
+        return sweep(*args)
+
+    monkeypatch.setattr(verify, "sweep", counting)
+    (prop,) = parse_properties('P >= 0.4 [ F "goal" ]')
+    verdict = check(mdp, prop)
+    assert verdict.holds and 0.0 < verdict.value < 1.0
+    assert verdict.value == pytest.approx(0.5, abs=1e-6)
+    assert sweeps[0] > 1
 
 
 def test_non_convergence_names_the_scc(monkeypatch):
