@@ -6,8 +6,10 @@ parameters as `Var`s, a `react` into its :class:`RuleFamily`.  Each body
 (a `big`, a redex, a reactum, a condition) is elaborated in one pass over
 its expression, which appends entities, sites and hyperedges to one set of
 lists and constructs one Bigraph at the end: no ion, nest, join or closure
-becomes a Bigraph of its own.  The result equals, entity for entity, what
-folding the expression with :mod:`tickgraph.bigraph`'s algebra gives.
+becomes a Bigraph of its own, and a join's operands, which the parser
+reads flat, are appended in that pass.  The result equals, entity for
+entity, what folding the expression with :mod:`tickgraph.bigraph`'s algebra
+gives.
 The `init` and `preds` references reuse those values.  Rule and predicate families are
 closed over the integer sets named at their use sites in the `rules` and
 `preds` lists (an `int` set keeps the first occurrence of each value),
@@ -283,7 +285,7 @@ class _Elaborator:
                     if kind is EMerge and into is None:
                         into = ~nregions
                         nregions += 1
-                    todo += zip(reversed(_operands(e)), repeat(into))
+                    todo += zip(reversed(e.parts), repeat(into))
                 elif kind is EClose:
                     # the name is unbound for the body, whose ports of it form a
                     # new hyperedge; the outer binding waits on the stack
@@ -340,22 +342,6 @@ def _regions(e) -> int:
         else:
             n += 1
     return n
-
-
-def _operands(join):
-    """The operands of a join, each operand that is a join of the same kind
-    replaced by its own operands: joining them in one pass gives the bigraph,
-    entity for entity, that joining the inner join first gave."""
-    if type(join) not in set(map(type, join.parts)):
-        return join.parts
-    out, todo = [], list(reversed(join.parts))
-    while todo:
-        e = todo.pop()
-        if type(e) is type(join):
-            todo.extend(reversed(e.parts))
-        else:
-            out.append(e)
-    return out
 
 
 def elaborate(ast, name: str = "model") -> Model:

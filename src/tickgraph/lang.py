@@ -7,8 +7,10 @@ rules (optionally with a negative context condition) and one `begin abrs
 priority classes, the action map and the predicate set.  Bigraph
 expressions use ion `K(e){a,b}`, nesting `.` (tightest), merge `|`,
 parallel `||` (loosest), prefix closure `/x` scoping rightward, `id` for a
-site, `1` for the empty bigraph, and parentheses.  The parser checks syntax
-only; `elaborate` resolves names and checks every declaration.
+site, `1` for the empty bigraph, and parentheses.  Joins are read flat:
+`(A | B) | C` and `A | (B | C)` parse as `A | B | C`, and likewise for `||`.
+The parser checks syntax only; `elaborate` resolves names and checks every
+declaration.
 
 A `.props` document holds one property per line over label expressions of
 quoted pattern names (see :func:`parse_properties`).  In both languages `#`
@@ -190,6 +192,14 @@ class EClose(_Node):
 
 
 BExpr = EId | EOne | EIon | ENest | EMerge | EPar | EClose
+
+
+def _join(kind, parts: list, pos: Pos) -> BExpr:
+    """`parts` joined by `kind` (EMerge or EPar), read flat: an operand that
+    is a parenthesised join of the same kind gives its own operands."""
+    if len(parts) == 1:
+        return parts[0]
+    return kind(tuple(p for e in parts for p in (e.parts if type(e) is kind else (e,))), pos)
 
 
 class CtrlDecl(_Node):
@@ -622,11 +632,11 @@ class _Parser:
                 text = self.tok[1]
                 if text == "|":
                     break
-                pars.append(mers[0] if len(mers) == 1 else EMerge(tuple(mers), mer_pos))
+                pars.append(_join(EMerge, mers, mer_pos))
                 mers = []
                 if text == "||":
                     break
-                e = pars[0] if len(pars) == 1 else EPar(tuple(pars), par_pos)
+                e = _join(EPar, pars, par_pos)
                 for name, pos in reversed(closes):
                     e = EClose(name, e, pos)
                 if not frames:

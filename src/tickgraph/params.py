@@ -45,18 +45,10 @@ class Arith(Record):
     # walks an explicit stack, not the Python one
 
     def __eq__(self, other) -> bool:
+        # the text writes every operator in parentheses: equal texts, equal terms
         if not isinstance(other, Arith):
             return NotImplemented
-        todo = [(self, other)]
-        while todo:
-            a, b = todo.pop()
-            if isinstance(a, Arith) and isinstance(b, Arith):
-                if a.op != b.op:
-                    return False
-                todo += ((a.left, b.left), (a.right, b.right))
-            elif isinstance(a, Arith) or isinstance(b, Arith) or a != b:
-                return False
-        return True
+        return str(self) == str(other)
 
     def __hash__(self) -> int:
         return hash(str(self))

@@ -74,8 +74,11 @@ def label(mdp: Mdp, patterns: list[Pattern]) -> Mdp:
     and one :class:`Tally` of the state that its searches share.
     A body with parameter arithmetic cannot bind its parameters, so such a
     family must be given as one plain pattern per instance (the elaborator
-    does so).
+    does so).  The states must be decoded: an MDP read from a cache gets
+    them from `mdp.decode_states`.
     """
+    if len(mdp.states) != mdp.n_states or None in mdp.states:
+        raise ValueError("label: the MDP's states are not decoded (see mdp.decode_states)")
     _layers()
     start = perf_counter()
     for p in patterns:

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -696,7 +697,7 @@ _BUILD_USAGE = (
     "                       model\n"
 )
 _TOP_USAGE = "usage: tickgraph [-h] {validate,build,export,check,simulate} ...\n"
-# (stdout, stderr, exit code) when the parser was built with every command,
+# (stdout, stderr, exit code) of `main` on each argv,
 # written by Python 3.11 at 80 columns
 _USAGE_PINS = {
     ("-h",): (
@@ -762,16 +763,35 @@ def _exit(call, capsys):
 
 @pytest.mark.parametrize("argv", list(_USAGE_PINS), ids=" ".join)
 def test_usage_and_errors_do_not_depend_on_the_parsers_built(argv, monkeypatch, capsys):
-    # `main` builds only the named command's parser; help and errors read as
-    # they do with every command's, which `-h` and an unknown word still get
+    # `main` keeps the parser it built for the process: help and errors read
+    # the same from a freshly built parser and from the kept one
     from tickgraph import cli
 
     monkeypatch.setenv("COLUMNS", "80")
+    cli._parser.cache_clear()
     got = _exit(lambda: cli.main(list(argv)), capsys)
-    every = cli._parser(list(cli._COMMANDS))
-    assert got == _exit(lambda: every.parse_args(list(argv)), capsys)
+    assert got == _exit(lambda: cli.main(list(argv)), capsys)
     if sys.version_info[:2] == (3, 11):  # argparse's wording moves between versions
         assert got == _USAGE_PINS[argv]
+
+
+def test_main_builds_its_parser_once_per_process(monkeypatch):
+    from tickgraph import cli
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli._parser.cache_clear()
+    argv = ["validate", str(MODELS / "pta.big")]
+    assert cli.main(argv) == 0
+    assert len(built) == 1 + len(cli._COMMANDS)  # the top parser and one per command
+    assert cli.main(argv) == 0
+    assert len(built) == 1 + len(cli._COMMANDS)
 
 
 # sha256 of the bundled models' exports and cache payloads (labelled, as

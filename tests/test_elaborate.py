@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from tickgraph import bigraph, lang
 from tickgraph.bigraph import Control
-from tickgraph.elaborate import ElabError, _Elaborator, _operands, load_model
+from tickgraph.elaborate import ElabError, _Elaborator, load_model
 from tickgraph.params import _MAX_DIGITS
 
 from .algebra import close, empty, ion, merge_all, nest, parallel_all, site
@@ -56,8 +56,7 @@ def algebra_body(el, e, env):
         elif isinstance(e, lang.ENest):
             todo += ((e, _algebra_ion(el, e.head, env)), e.child)
         elif isinstance(e, (lang.EMerge, lang.EPar)):
-            parts = _operands(e)
-            todo += ((e, len(parts)), *reversed(parts))
+            todo += ((e, len(e.parts)), *reversed(e.parts))
         elif isinstance(e, lang.EClose):
             todo += ((e, None), e.body)
         elif isinstance(e, lang.EId):

@@ -78,6 +78,32 @@ def test_nesting_binds_tighter_than_merge():
     assert type(body.parts[0]).__name__ == "ENest"
 
 
+_JOIN_HEAD = "".join(f"atomic ctrl {k} = 0;\n" for k in "ABCD")
+
+
+def _body(text):
+    return parse(_JOIN_HEAD + f"big b = {text};\n").bigs[0].body
+
+
+@pytest.mark.parametrize(
+    "grouped, flat",
+    [
+        ("(A | B) | C", "A | B | C"),
+        ("A | (B | C)", "A | B | C"),
+        ("(A || B) || C", "A || B || C"),
+        ("A || ((B || C) || D)", "A || B || C || D"),
+        ("((A | B)) | (C | D)", "A | B | C | D"),
+    ],
+)
+def test_parenthesised_joins_parse_flat(grouped, flat):
+    assert _body(grouped) == _body(flat)
+
+
+@pytest.mark.parametrize("text", ["(A | B) || C", "(A || B) | C", "(/x A | B) | C", "A.(B | C) | D"])
+def test_a_group_of_another_kind_stays_one_operand(text):
+    assert len(_body(text).parts) == 2
+
+
 def test_parse_error_missing_reactum():
     with pytest.raises(ParseError) as exc:
         parse("atomic ctrl A = 0;\nreact r = A -[0.5]-> ;\n")

@@ -772,6 +772,43 @@ def test_deep_terms_evaluate_without_recursion():
     assert same == term and hash(same) == hash(term) and Arith("+", left, 0) != term
 
 
+_TERMS = st.recursive(
+    st.sampled_from([0, 1, -1, 10]) | st.sampled_from(["n", "m"]).map(Var),
+    lambda sub: st.builds(Arith, st.sampled_from("+-*"), sub, sub),
+    max_leaves=4,
+)
+
+
+def _tree(t):
+    """A term as nested tuples, compared the plain recursive way."""
+    if isinstance(t, Arith):
+        return (t.op, _tree(t.left), _tree(t.right))
+    return (type(t).__name__, str(t))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TERMS, _TERMS)
+def test_terms_are_equal_exactly_when_their_texts_are(a, b):
+    assert (a == b) == (str(a) == str(b)) == (_tree(a) == _tree(b))
+    if a == b:
+        assert hash(a) == hash(b)
+    for t in (a, b):
+        if isinstance(t, Arith):
+            assert t != Var("n") and t != 0 and Var("n") != t and 0 != t
+
+
+def test_a_10000_operator_term_is_compared_by_its_text():
+    def chain(last):
+        t = Var("n")
+        for k in range(10_000):
+            t = Arith("+-*"[k % 3], t, k) if k % 2 else Arith("+", k, t)
+        return Arith("*", t, last)
+
+    a, b = chain(1), chain(1)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != chain(2) and a != chain(Var("n"))
+
+
 def test_interchangeable_clocks_with_deep_terms():
     # two swappable clocks whose tick writes 3,000 terms each: the swap check
     # renames and compares those terms

@@ -11,7 +11,7 @@ from tests import oracle
 from tickgraph import verify
 from tickgraph.elaborate import ElabError, elaborate, load_model
 from tickgraph.lang import ParseError, parse
-from tickgraph.mdp import Choice, Mdp, explore
+from tickgraph.mdp import Choice, Mdp, decode_states, explore, load_mdp, save_mdp
 from tickgraph.verify import (
     ForcedNext,
     Graph,
@@ -189,6 +189,23 @@ def test_unlabelled_mdp_is_refused():
     label(mdp, model.patterns)
     v = check(mdp, prop)
     assert (v.holds, v.value, v.detail) == (False, 1.0, "Pmax = 1")
+
+
+def test_label_refuses_states_not_decoded(tmp_path):
+    # a cache holds forms, not states: labelling it as loaded wrote no label
+    # row, and every property then failed on an index
+    model = load_model(MODELS / "pta.big")
+    explored = label(explore(model), model.patterns)
+    save_mdp(tmp_path / "pta.mdpc", explore(model), "key")
+    loaded = load_mdp(tmp_path / "pta.mdpc", "key")
+    assert loaded.states == [] and loaded.n_states == 14
+    with pytest.raises(ValueError, match="decode_states"):
+        label(loaded, model.patterns)
+    with pytest.raises(ValueError, match="decode_states"):
+        label(tiny_mdp([[Choice("a", [(0, 1.0)])]]), model.patterns)  # states of None
+    label(decode_states(loaded, model.controls), model.patterns)
+    assert loaded.labels == explored.labels
+    assert loaded.label_names == explored.label_names
 
 
 def test_label_assigns_expected_sets(pta_model_prog):
